@@ -302,11 +302,11 @@ def cmd_kl_scan(args) -> int:
     r = parse_element(field, args.r) if args.r else \
         fields.inverse_different(field).basis_elements()[-1]
     rp = parse_element(field, args.rp) if args.rp else r
-    res = kl.weil_scan(field, r, rp, chi=chi, max_norm=args.max_norm,
-                       eps=args.eps, threads=args.threads)
+    res = kl.weil_scan(field, r, rp, chi=chi, max_norm=args.max_norm, eps=args.eps)
     rows = [[_elt_str(row.c), row.norm, row.abs_k, row.ratio] for row in res.rows]
     _emit(args, {"r": _elt_str(r), "rp": _elt_str(rp), "eps": res.eps,
                  "s_primes": list(res.s_labels), "running_max": res.running_max,
+                 "skipped": res.skipped,
                  "rows": [{"c": a, "norm": b, "abs_k": x, "ratio": y}
                           for a, b, x, y in rows]},
           rows=(["c", "norm", "abs_k", "ratio"], rows))
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None, help="write output to this path")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=1)
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
@@ -438,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     groups = ap.add_subparsers(dest="group", required=True)
 
     g = groups.add_parser("field", help="number field data").add_subparsers(

@@ -10,6 +10,7 @@ int); floats appear only through the archimedean embeddings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -257,11 +258,7 @@ class FieldElement:
     def is_totally_positive(self) -> bool:
         if self.field.degree == 1:
             return self.a > 0
-        # exact: a + b w > 0 under both embeddings of w
-        # embedding images of w are the roots of x^2 - t x - c
-        f = self.field
-        # sign of a + b*w_i: compare a against -b*w_i exactly via the
-        # quadratic: a + b w_i > 0 for both i  iff  trace > 0 and norm > 0
+        # exact: a + b w_i > 0 for both embeddings iff trace > 0 and norm > 0
         return self.trace() > 0 and self.norm() > 0
 
     def embed(self) -> tuple:
@@ -416,28 +413,26 @@ class Ideal:
             raise FieldError("reduction needs an integral ideal")
         if not elt.is_integral():
             raise FieldError("reduction needs an integral element")
+        return self.field.element(*self.reduce_coords(*map(int, elt.coords())))
+
+    def reduce_coords(self, x: int, y: int = 0) -> tuple:
+        """reduce() on int coordinates, as an int tuple; the ideal must be integral."""
         if self.field.degree == 1:
-            n = self.hnf[0][0]
-            return self.field.element(int(elt.a) % n)
+            return (x % self.hnf[0][0],)
         (n, _), (b, g) = self.hnf
-        x, y = int(elt.a), int(elt.b)
         q = y // g
-        x, y = x - q * b, y - q * g
-        return self.field.element(x % n, y)
+        return ((x - q * b) % n, y - q * g)
+
+    def residue_coords(self) -> Iterator[tuple]:
+        """Int coordinate tuples of the O/I representatives, in lex order."""
+        if not self.is_integral():
+            raise FieldError("residues need an integral ideal")
+        return itertools.product(*(range(row[i]) for i, row in enumerate(self.hnf)))
 
     def residues(self) -> Iterator[FieldElement]:
         """Deterministic enumeration of O/I representatives (lex order)."""
-        if not self.is_integral():
-            raise FieldError("residues need an integral ideal")
-        if self.field.degree == 1:
-            n = self.hnf[0][0]
-            for x in range(n):
-                yield self.field.element(x)
-            return
-        (n, _), (_, g) = self.hnf
-        for x in range(n):
-            for y in range(g):
-                yield self.field.element(x, y)
+        for x in self.residue_coords():
+            yield self.field.element(*x)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -513,27 +508,38 @@ class PrimeIdeal(Ideal):
         return "PrimeIdeal(%s, p=%d, e=%d, f=%d)" % (self.label, self.p, self.e, self.f)
 
 
+def _box_search(field: NumberField, ideal: Ideal, target_norm: int,
+                bound: int) -> Optional[tuple]:
+    """First (x, y) of the box, y outer and x inner, with x + y*w in the ideal
+    and |x^2 + t*x*y - c*y^2| = target_norm >= 1, in plain ints."""
+    t, c = field.t, field.c
+    den = ideal.den
+    (n, _), (b, g) = ideal.hnf
+    xs = range(-bound, bound + 1)
+    for y in xs:
+        # den*(x, y) lies in the HNF lattice iff g | den*y and n | den*x - (den*y/g)*b
+        if (den * y) % g != 0:
+            continue
+        shift = (den * y // g) * b
+        cy = c * y * y
+        for x in xs:
+            if abs(x * (x + t * y) - cy) == target_norm and (den * x - shift) % n == 0:
+                return x, y
+    return None
+
+
 def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Optional[FieldElement]:
     # bounded search for x + y*w in the ideal with |norm| = target_norm
     bound = max(4, int(2 * math.isqrt(target_norm) + 2))
-    eps = field.unit_group().fundamental
-    for y in range(-bound, bound + 1):
-        for x in range(-bound, bound + 1):
-            if x == 0 and y == 0:
-                continue
-            cand = field.element(x, y)
-            if abs(cand.norm()) == target_norm and ideal.contains(cand):
-                return cand
+    hit = _box_search(field, ideal, target_norm, bound)
+    if hit is not None:
+        return field.element(*hit)
     # one unit-reduction retry catches generators pushed outside the box
+    eps = field.unit_group().fundamental
     if eps is not None:
-        scaled = ideal.scale(eps.inverse())
-        for y in range(-bound, bound + 1):
-            for x in range(-bound, bound + 1):
-                if x == 0 and y == 0:
-                    continue
-                cand = field.element(x, y)
-                if abs(cand.norm()) == target_norm and scaled.contains(cand):
-                    return cand * eps
+        hit = _box_search(field, ideal.scale(eps.inverse()), target_norm, bound)
+        if hit is not None:
+            return field.element(*hit) * eps
     return None
 
 
@@ -661,56 +667,47 @@ class ResidueRing:
     def elements(self) -> Iterator[FieldElement]:
         return self.ideal.residues()
 
-    def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return self.reduce(x + y)
-
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return self.reduce(x * y)
 
     def is_unit(self, x: FieldElement) -> bool:
-        try:
-            self.invert(x)
-            return True
-        except NotInvertibleError:
-            return False
+        return self._inverse_coords(*map(int, x.coords())) is not None
 
     def invert(self, x: FieldElement) -> FieldElement:
         """Solve x*y = 1 mod I; on failure raise with the witness gcd ideal."""
         f = self.field
+        inv = self._inverse_coords(*map(int, x.coords()))
+        if inv is not None:
+            return f.element(*inv)
         if f.degree == 1:
-            n = self.ideal.hnf[0][0]
-            xi = int(x.a) % n
-            try:
-                return f.element(pow(xi, -1, n))
-            except ValueError:
-                wit = Ideal.from_generators(f, [f.element(math.gcd(xi, n))])
-                raise NotInvertibleError(
-                    "element %r not invertible mod %r" % (x, self.ideal), wit)
-        # degree 2: solve M_x * y + H * k = e1 over Z, unknowns (y, k) in Z^4
-        a, b = int(x.a), int(x.b)
-        t, c = f.t, f.c
-        (n, _), (bh, g) = self.ideal.hnf
-        cols = [(a, b), (c * b, a + t * b), (n, 0), (bh, g)]
-        sol = _solve_two_rows(cols, (1, 0))
-        if sol is None:
+            wit = Ideal.from_generators(f, [f.element(math.gcd(int(x.a), self.size))])
+        else:
             wit = Ideal.from_generators(f, [x, *self.ideal.basis_elements()])
-            raise NotInvertibleError(
-                "element %r not invertible mod %r" % (x, self.ideal), wit)
-        y0, y1 = sol[0], sol[1]
-        return self.reduce(f.element(y0, y1))
+        raise NotInvertibleError("element %r not invertible mod %r" % (x, self.ideal), wit)
+
+    def _inverse_coords(self, a: int, b: int = 0) -> Optional[tuple]:
+        """Reduced int coords of (a + b*w)^{-1} mod I, or None for a non-unit."""
+        if self.field.degree == 1:
+            n = self.ideal.hnf[0][0]
+            return (pow(a, -1, n),) if math.gcd(a, n) == 1 else None
+        # degree 2: solve M_x * y + H * k = e1 over Z, unknowns (y, k) in Z^4
+        t, c = self.field.t, self.field.c
+        (n, _), (bh, g) = self.ideal.hnf
+        sol = _solve_two_rows([(a, b), (c * b, a + t * b), (n, 0), (bh, g)], (1, 0))
+        return None if sol is None else self.ideal.reduce_coords(sol[0], sol[1])
 
     def units(self) -> list:
         return [x for x in self.elements() if self.is_unit(x)]
 
+    def unit_inverse_pairs(self) -> list:
+        """[(x, x^{-1})] for the units, as reduced int coordinate tuples in
+        the lex order of residues()."""
+        return [(x, inv) for x in self.ideal.residue_coords()
+                if (inv := self._inverse_coords(*x)) is not None]
+
     def unit_inverse_table(self) -> dict:
-        """Map reduced unit coords -> inverse element, built in one pass."""
-        table = {}
-        for x in self.elements():
-            try:
-                table[x.coords()] = self.invert(x)
-            except NotInvertibleError:
-                continue
-        return table
+        """Map reduced unit coords -> inverse element."""
+        return {x: self.field.element(*inv) for x, inv in self.unit_inverse_pairs()}
 
 
 def _solve_two_rows(cols: Sequence[tuple], target: tuple) -> Optional[tuple]:

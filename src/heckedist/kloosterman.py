@@ -7,10 +7,11 @@ different O', and chi a character of (O/I)*.  Only the cusp pair
 (infinity, infinity) is implemented; general cusp pairs need scaling
 matrices with no computable construction here.
 
-Phases are exact rationals (traces of field elements) reduced mod 1
-before any floating conversion, so individual terms carry no drift.
-Unit pairs (a, a^{-1}) come from a precomputed inverse table, one pass
-over the N(c)-element residue ring.
+Phases are exact: tr((r'a + rd)/c) is Z-linear in the int coordinates of
+the unit pair (a, d = a^{-1}), so over one common denominator D of its
+coefficients and the character's phases each term's phase is one int k
+mod D.  Terms are counted per k exactly; floats enter only in the final
+sum over k of count_k * e^{2 pi i k/D}.
 
 The delta term delta(r, r') is the unit-square indicator with sign and
 character weights; the Weil scan reports |K| against the
@@ -21,15 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldElement,
-    FieldError,
     Ideal,
     NumberField,
     ResidueRing,
@@ -44,10 +45,9 @@ class KloostermanError(ValueError):
     """Domain error in Kloosterman evaluation."""
 
 
-def _unit_phase(phase: Fraction) -> complex:
-    """e^{2 pi i phase} from an exact rational phase reduced mod 1."""
-    phase = phase - (phase.numerator // phase.denominator)
-    return cmath.exp(2j * math.pi * float(phase))
+def _unit_phase(num: int, den: int) -> complex:
+    """e^{2 pi i num/den}, with num reduced mod den exactly before the float division."""
+    return cmath.exp(2j * math.pi * ((num % den) / den))
 
 
 class DirichletCharacter:
@@ -119,12 +119,8 @@ class DirichletCharacter:
             raise KloostermanError("%r is not a unit mod the character modulus" % (x,))
         return self.phases[key]
 
-    def value_pair(self, x: FieldElement) -> Tuple[int, int]:
-        q = self.phase(x)
-        return (q.denominator, q.numerator)
-
     def value(self, x: FieldElement) -> complex:
-        return _unit_phase(self.phase(x))
+        return _unit_phase(*self.phase(x).as_integer_ratio())
 
     def inverse_phase(self, x: FieldElement) -> Fraction:
         return -self.phase(x)
@@ -136,10 +132,6 @@ class DirichletCharacter:
         if v.denominator != 1:
             raise KloostermanError("chi(-1)^2 != 1; corrupt table")
         return 1 if q == 0 else -1
-
-    def xi_compatible(self, xi: Sequence[int]) -> bool:
-        """chi(-1) = prod_j (-1)^{xi_j}."""
-        return self.minus_one() == (-1) ** (sum(xi) % 2)
 
 
 @dataclass(frozen=True)
@@ -168,20 +160,28 @@ class KloostermanQuery:
 
 
 def evaluate(q: KloostermanQuery) -> complex:
-    """Exact finite sum over unit pairs (a, d = a^{-1}) of O/cO."""
+    """Exact finite sum over unit pairs (a, d = a^{-1}) of O/cO.
+
+    With alpha = r'/c and beta = r/c a term's phase is
+    a0 tr(alpha) + a1 tr(alpha w) + d0 tr(beta) + d1 tr(beta w) - chi phase of d.
+    """
     field = q.c.field
-    ring = ResidueRing(Ideal.principal(q.c))
-    inv = ring.unit_inverse_table()
-    total = 0.0 + 0.0j
-    for coords, d in inv.items():
-        a = field.element(*coords)
-        x = (q.rp * a + q.r * d) / q.c
-        tr = x.trace()
-        phase = Fraction(tr.numerator % tr.denominator, tr.denominator) \
-            if tr.denominator != 1 else Fraction(0)
-        phase += q.chi.inverse_phase(d)
-        total += _unit_phase(phase)
-    return total
+    basis = (field.one(),) if field.degree == 1 else (field.one(), field.omega())
+    coeffs = [(x * b).trace() for x in (q.rp / q.c, q.r / q.c) for b in basis]
+    phases = q.chi.phases
+    den = math.lcm(*(x.denominator for x in coeffs), *(x.denominator for x in phases.values()))
+    lin = [int(x * den) for x in coeffs]
+    chi_num = {key: int(x * den) for key, x in phases.items()}
+    reduce_chi = q.chi.modulus.reduce_coords
+    counts = Counter()
+    try:
+        for a, d in ResidueRing(Ideal.principal(q.c)).unit_inverse_pairs():
+            k = sum(map(operator.mul, a + d, lin)) - chi_num[reduce_chi(*d)]
+            counts[k % den] += 1
+    except KeyError as exc:
+        raise KloostermanError("%r is not a unit mod the character modulus"
+                               % (exc.args[0],)) from None
+    return sum(n * _unit_phase(k, den) for k, n in counts.items())
 
 
 def rational_kloosterman(m: int, n: int, c: int) -> complex:
@@ -247,7 +247,7 @@ def delta_term(r: FieldElement, rp: FieldElement, xi: Sequence[int],
         for s, x in zip(e.embed(), xi):
             if x == 1 and s < 0:
                 sign_factor = -sign_factor
-        total += _unit_phase(chi.inverse_phase(e)) * sign_factor
+        total += _unit_phase(*chi.inverse_phase(e).as_integer_ratio()) * sign_factor
     return 0.5 * total
 
 
@@ -268,17 +268,19 @@ class WeilScanResult:
     running_max: float
     eps: float
     s_labels: Tuple[str, ...]
+    # ideals inside the level, norm <= max_norm, whose generator search found none
+    skipped: int = 0
 
 
 def _principal_ideals_up_to(field: NumberField, level: Ideal,
-                            max_norm: int) -> List[FieldElement]:
-    """One generator per nonzero principal ideal inside the level, norm <= max_norm."""
-    gens = []
+                            max_norm: int) -> Tuple[List[FieldElement], int]:
+    """One generator per nonzero principal ideal inside the level, norm <= max_norm,
+    and the number of ideals in that range whose generator search found none."""
     if field.degree == 1:
         q = int(level.norm())
-        for n in range(q, max_norm + 1, q):
-            gens.append(field.element(n))
-        return gens
+        return [field.element(n) for n in range(q, max_norm + 1, q)], 0
+    gens = []
+    skipped = 0
     t, c = field.t, field.c
     for g in range(1, math.isqrt(max_norm) + 1):
         n_t_max = max_norm // (g * g)
@@ -291,21 +293,24 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal,
                 if not (ideal <= level):
                     continue
                 gen = _small_generator(field, ideal, g * g * nt)
-                if gen is not None:
+                if gen is None:
+                    skipped += 1
+                else:
                     gens.append(gen)
     gens.sort(key=lambda e: (abs(e.norm()), e.coords()))
-    return gens
+    return gens, skipped
 
 
 def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
               chi: Optional[DirichletCharacter] = None, max_norm: int = 100,
               eps: float = 0.1, s_primes: Optional[Sequence] = None,
-              threads: int = 1, work_budget: int = 4 * 10 ** 6) -> WeilScanResult:
+              work_budget: int = 4 * 10 ** 6) -> WeilScanResult:
     """|K| against the split benchmark prod_{p in S} Np^v * (prod else Np^v)^{1/2+eps}.
 
     c runs over generators of nonzero (principal) ideals inside the level
     with norm <= max_norm; S defaults to the primes dividing the level.
-    The running maximum over ratios is the empirical implied constant.
+    The running maximum over ratios is the empirical implied constant;
+    ideals whose generator search fails are counted in ``skipped``.
     """
     if chi is None:
         chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
@@ -325,7 +330,7 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
         lower = lnorm * lnorm * km * (km + 1) * (2 * km + 1) // 6
     if lower > work_budget:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
-    gens = _principal_ideals_up_to(field, level, max_norm)
+    gens, skipped = _principal_ideals_up_to(field, level, max_norm)
     if sum(abs(int(g.norm())) for g in gens) > work_budget:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
 
@@ -341,13 +346,9 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
                 denom *= npv ** (0.5 + eps)
         return WeilRow(c, abs(int(c.norm())), abs(k), abs(k) / denom)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, gens))
-    else:
-        rows = [one_row(c) for c in gens]
+    rows = [one_row(c) for c in gens]
     rows.sort(key=lambda row: (row.norm, row.c.coords()))
     running = 0.0
     for row in rows:
         running = max(running, row.ratio)
-    return WeilScanResult(tuple(rows), running, eps, s_labels)
+    return WeilScanResult(tuple(rows), running, eps, s_labels, skipped)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from heckedist import inverse_different, make_field, weil_scan
 from heckedist.cli import main
 
 
@@ -121,6 +122,18 @@ def test_kloosterman_eval_quadratic(capsys):
     assert code == 0
     data = json.loads(out)
     assert "re" in data["value"]
+
+
+def test_kloosterman_scan_reports_skipped(capsys):
+    code, out, _ = run_cli(capsys, "--field", "Q(sqrt 94)", "kloosterman", "scan",
+                           "--max-norm", "20")
+    assert code == 0
+    data = json.loads(out)
+    field = make_field(94)
+    r = inverse_different(field).basis_elements()[-1]
+    res = weil_scan(field, r, r, max_norm=20)
+    assert data["skipped"] == res.skipped
+    assert len(data["rows"]) == len(res.rows)
 
 
 def test_kloosterman_scan_csv(capsys, tmp_path):

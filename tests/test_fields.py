@@ -241,3 +241,31 @@ def test_unit_square_class():
     assert unit_square_class(F5.element(3), one) is None
     got = unit_square_class(one, one)
     assert got is not None and got * got == one
+
+
+# generator found for each prime above p < 60 (None: the bounded search found
+# none), pinned from the Fraction implementation of the search, misses included
+PINNED_GENERATORS = {
+    5: {2: [(2, 0)], 3: [(3, 0)], 5: [(-3, -4)], 7: [(7, 0)], 11: [(-4, -5), (-5, -7)],
+        13: [(13, 0)], 17: [(17, 0)], 19: [(10, -7), (-7, -10)], 23: [(23, 0)],
+        29: [(-6, -7), (-4, -9)], 31: [(-8, -11), (-7, -9)], 37: [(37, 0)],
+        41: [(-7, -8), (-5, -11)], 43: [(43, 0)], 47: [(47, 0)], 53: [(53, 0)],
+        59: [(-5, -12), (-9, -11)]},
+    43: {2: [None], 3: [None, None], 5: [(5, 0)], 7: [(6, -1), (-6, -1)], 11: [(11, 0)],
+         13: [None, None], 17: [None, None], 19: [None, None], 23: [(23, 0)],
+         29: [(29, 0)], 31: [(31, 0)], 37: [(37, 0)], 41: [None, None], 43: [(0, -1)],
+         47: [(47, 0)], 53: [(15, -2), (-15, -2)], 59: [(59, 0)]},
+    94: {2: [None], 3: [None, None], 5: [None, None], 7: [(7, 0)], 11: [(11, 0)],
+         13: [None, None], 17: [None, None], 19: [(19, 0)], 23: [None, None],
+         29: [None, None], 31: [None, None], 37: [(37, 0)], 41: [(41, 0)], 43: [(43, 0)],
+         47: [None], 53: [(53, 0)], 59: [None, None]},
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_GENERATORS))
+def test_prime_generators_pinned(m):
+    field = make_field(m)
+    for p, want in PINNED_GENERATORS[m].items():
+        got = [None if P.generator is None else P.generator.coords()
+               for P in factor_rational_prime(field, p)]
+        assert got == want, p

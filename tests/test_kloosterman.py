@@ -13,8 +13,10 @@ from heckedist import (
     Ideal,
     KloostermanError,
     KloostermanQuery,
+    ResidueRing,
     delta_term,
     evaluate,
+    ideal_prime_factorization,
     inverse_different,
     make_field,
     rational_kloosterman,
@@ -25,6 +27,7 @@ from heckedist import (
 
 Q = make_field("Q")
 F5 = make_field(5)
+F94 = make_field(94)
 
 
 def q_query(m, n, c, chi=None):
@@ -41,6 +44,73 @@ def brute_rational(m, n, c):
         abar = pow(a, -1, abs(c))
         total += cmath.exp(2j * cmath.pi * (m * a + n * abar) / abs(c))
     return total
+
+
+def fraction_reference(q):
+    # per-term Fraction loop that evaluate() used before its integer kernel;
+    # kept here as the reference the integer kernel is compared with
+    field = q.c.field
+    ring = ResidueRing(Ideal.principal(q.c))
+    inv = ring.unit_inverse_table()
+    total = 0.0 + 0.0j
+    for coords, d in inv.items():
+        a = field.element(*coords)
+        x = (q.rp * a + q.r * d) / q.c
+        tr = x.trace()
+        phase = Fraction(tr.numerator % tr.denominator, tr.denominator) \
+            if tr.denominator != 1 else Fraction(0)
+        phase += q.chi.inverse_phase(d)
+        phase -= phase.numerator // phase.denominator
+        total += cmath.exp(2j * math.pi * float(phase))
+    return total
+
+
+def random_quadratic_queries(field, rng, count):
+    chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+    basis = inverse_different(field).basis_elements()
+    out = []
+    while len(out) < count:
+        c = field.element(rng.randrange(-9, 10), rng.randrange(-3, 4))
+        if c.is_zero() or not 1 < abs(c.norm()) <= 150:
+            continue
+        r, rp = (basis[0] * rng.randrange(-4, 5) + basis[1] * rng.randrange(-4, 5)
+                 for _ in range(2))
+        out.append(KloostermanQuery(c, r, rp, chi))
+    return out
+
+
+def test_evaluate_matches_fraction_reference():
+    rng = random.Random(2027)
+    queries = [q_query(rng.randrange(-20, 21), rng.randrange(-20, 21),
+                       rng.randrange(1, 80)) for _ in range(20)]
+    for modulus, gen in ((7, 3), (9, 2)):
+        ideal = Ideal.principal(Q.element(modulus))
+        for exponent in range(6):
+            chi = DirichletCharacter.cyclic(Q, ideal, Q.element(gen), exponent)
+            c = modulus * rng.randrange(1, 8) * rng.choice((1, -1))
+            queries.append(q_query(rng.randrange(-9, 10), rng.randrange(-9, 10), c, chi))
+    queries += random_quadratic_queries(F5, rng, 15)
+    queries += random_quadratic_queries(F94, rng, 15)
+    for q in queries:
+        assert abs(evaluate(q) - fraction_reference(q)) < 1e-12, q
+
+
+def test_unit_inverse_pairs():
+    for c in (Q.element(1), Q.element(36), F5.element(7), F5.element(3, 2),
+              F5.element(6, 0), F94.element(5, 1), F94.element(6), F94.element(1)):
+        field = c.field
+        ring = ResidueRing(Ideal.principal(c))
+        pairs = ring.unit_inverse_pairs()
+        phi = 1
+        for prime, v in ideal_prime_factorization(Ideal.principal(c)):
+            phi *= (prime.absolute_norm() - 1) * prime.absolute_norm() ** (v - 1)
+        assert len(pairs) == phi
+        for x, y in pairs:
+            assert all(type(v) is int for v in x + y)
+            assert ring.reduce(field.element(*x) * field.element(*y)) == \
+                ring.reduce(field.one())
+        if field.degree == 2:
+            assert pairs == [(u.coords(), ring.invert(u).coords()) for u in ring.units()]
 
 
 def test_classical_values():
@@ -138,6 +208,14 @@ def test_character_validation():
                                      (4,): Fraction(0)})
 
 
+def test_evaluate_rejects_partial_character_table():
+    # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2
+    mod5 = Ideal.principal(Q.element(5))
+    chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): Fraction(1, 2)})
+    with pytest.raises(KloostermanError):
+        evaluate(KloostermanQuery(Q.element(5), Q.element(1), Q.element(1), chi))
+
+
 def test_twisted_sum_pinned():
     # chi of order 4 mod 5: S_chi(1,1;5) is purely imaginary
     mod5 = Ideal.principal(Q.element(5))
@@ -165,12 +243,26 @@ def test_weil_scan_rational():
         row.ratio for row in res.rows if row.norm > 1)
 
 
-def test_weil_scan_threaded_deterministic():
-    one = Q.element(1)
-    serial = weil_scan(Q, one, one, max_norm=40, threads=1)
-    threaded = weil_scan(Q, one, one, max_norm=40, threads=4)
-    assert [(r.c, r.norm, r.abs_k, r.ratio) for r in serial.rows] == \
-           [(r.c, r.norm, r.abs_k, r.ratio) for r in threaded.rows]
+def kronecker(disc, n):
+    # Kronecker symbol (disc / n) for n >= 1, by multiplicativity over the primes of n
+    out, p = 1, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                out *= 0 if disc % 2 == 0 else (1 if disc % 8 in (1, 7) else -1)
+            else:
+                out *= {0: 0, 1: 1, p - 1: -1}[pow(disc, (p - 1) // 2, p)]
+        p += 1
+    return out
+
+
+def test_weil_scan_counts_skipped_moduli():
+    res = weil_scan(F94, F94.one(), F94.one(), max_norm=60)
+    # Dedekind zeta: the number of ideals of norm n is sum_{d | n} (disc / d)
+    ideals = sum(kronecker(F94.disc, d) * (60 // d) for d in range(1, 61))
+    assert len(res.rows) + res.skipped == ideals
+    assert weil_scan(Q, Q.element(1), Q.element(1), max_norm=20).skipped == 0
 
 
 def test_weil_scan_quadratic_enumerates_principal_ideals():
