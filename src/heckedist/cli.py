@@ -105,6 +105,21 @@ def _complex_repr(z: complex) -> Dict:
     return {"re": z.real, "im": z.imag, "abs": abs(z)}
 
 
+def _strict(obj):
+    """Non-finite floats become None, so the dumped text is strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    return json.dumps(_strict(obj), allow_nan=False, **kwargs)
+
+
 def _emit(args, payload: Dict, rows: Optional[Tuple[List[str], List[list]]] = None) -> None:
     """JSON payload to stdout/--out; CSV rows instead when --format csv."""
     if args.format == "csv":
@@ -120,7 +135,7 @@ def _emit(args, payload: Dict, rows: Optional[Tuple[List[str], List[list]]] = No
             if args.out is not None:
                 out.close()
         return
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    text = _dumps(payload, indent=2)
     if args.out is None:
         print(text)
     else:
@@ -341,8 +356,8 @@ def cmd_eq_synth(args) -> int:
         ds.to_csv(args.out)
     else:
         ds.to_jsonl(args.out)
-    print(json.dumps({"records": len(ds.records), "out": args.out,
-                      "seed": seed, "labels": labels}))
+    print(_dumps({"records": len(ds), "out": args.out,
+                  "seed": seed, "labels": labels}))
     return 0
 
 
@@ -356,12 +371,11 @@ def cmd_eq_tau(args) -> int:
             w.writerow(["n", "tau"])
             for n in range(1, len(td.tau)):
                 w.writerow([n, td.tau[n]])
-    rec = td.dataset.records[0]
-    print(json.dumps({
+    print(_dumps({
         "upto": args.upto,
-        "primes": len(rec.lambda_p),
+        "primes": len(td.dataset.prime_labels),
         "tau2": td.tau[2], "tau3": td.tau[3], "tau4": td.tau[4],
-        "lambda_2": rec.lambda_p["2:0"],
+        "lambda_2": float(td.dataset.eigenvalues("2:0")[0]),
         "tp2_2": _frac_repr(td.tp2_eigenvalues["2:0"]),
         "out": args.out, "tau_out": args.tau_out,
     }))
@@ -390,7 +404,7 @@ def cmd_eq_run(args) -> int:
     rep = equidist.run_report(ds, box, t_grid, j_windows, args.covolume, field)
     if args.out is not None:
         rep.to_csv(args.out)
-    print(json.dumps(rep.summary()))
+    print(_dumps(rep.summary()))
     return 0
 
 
@@ -549,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:
-        sys.stderr.write(json.dumps(
+        sys.stderr.write(_dumps(
             {"error": exc.__class__.__name__, "message": str(exc)}) + "\n")
         return 1
 

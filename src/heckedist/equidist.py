@@ -10,6 +10,14 @@ prediction is
 with the V1 box measure as the error yardstick.  The covolume is an
 input (with a classical index helper), never computed from scratch.
 
+A Dataset is a set of numpy columns, one row per record: lambda_inf
+and xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple
+of prime labels, and weight of shape (M,).  The constructor validates
+the columns once (shapes, finiteness, nonnegative weights, 0/1
+parities), so every loader rejects bad input at load time, and the
+count is one boolean mask followed by a compensated sum of the kept
+weights.
+
 Synthetic datasets draw archimedean coordinates from the normalized
 restriction of pl_xi to the box (atoms included with their relative
 mass) and Hecke coordinates from the Sato-Tate measure by inverse CDF,
@@ -32,26 +40,12 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import (
-    FieldError,
-    Ideal,
-    NumberField,
-    ideal_prime_factorization,
-    make_field,
-    prime_by_label,
-)
-from .measures import (
-    Box,
-    MeasureError,
-    SatoTateMeasure,
-    box_measure,
-    pl_atoms_in,
-    pl_measure,
-)
+from .fields import Ideal, NumberField, ideal_prime_factorization, make_field, prime_by_label
+from .measures import Box, SatoTateMeasure, box_measure, pl_atoms_in, pl_measure
 
 
 class EquidistError(ValueError):
@@ -61,138 +55,161 @@ class EquidistError(ValueError):
 # -- dataset model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenRecord:
-    """One spectral datum: archimedean vector, parity, Hecke map, weight."""
-
-    lambda_inf: Tuple[float, ...]
-    xi: Tuple[int, ...]
-    lambda_p: Dict[str, float]
-    weight: float = 1.0
-    src: Optional[str] = None
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise EquidistError("weight must be nonnegative")
-        if len(self.xi) != len(self.lambda_inf):
-            raise EquidistError("xi and lambda_inf must share a length")
-        if any(x not in (0, 1) for x in self.xi):
-            raise EquidistError("xi entries must be 0 or 1")
+def _table(rows: list, width: int, what: str) -> np.ndarray:
+    """Parsed rows as an (M, width) float64 array; ragged or non-numeric rows raise."""
+    try:
+        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    except (TypeError, ValueError):
+        raise EquidistError("%s: every row needs %d numbers" % (what, width)) from None
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Record list over one field and level; all records share d and labels."""
+    """Spectral data over one field and level, one row per automorphic datum.
+
+    Columns: lambda_inf (M, d) archimedean eigenvalue vectors, xi (M, d)
+    parities, lambda_p (M, L) Hecke eigenvalues in the order of the sorted
+    prime_labels, weight (M,), and an optional per-row src tag.  The
+    constructor validates once: shapes agree, values are finite, weights
+    are nonnegative and parities are 0 or 1.
+    """
 
     field_spec: str
     level: str
-    records: List[EigenRecord]
+    lambda_inf: np.ndarray
+    xi: np.ndarray
+    prime_labels: Tuple[str, ...]
+    lambda_p: np.ndarray
+    weight: np.ndarray
+    src: Optional[Sequence[Optional[str]]] = None
     meta: Dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.records:
-            d = len(self.records[0].lambda_inf)
-            labels = set(self.records[0].lambda_p)
-            for rec in self.records:
-                if len(rec.lambda_inf) != d or set(rec.lambda_p) != labels:
-                    raise EquidistError("records must share d and the prime-label set")
+        try:
+            lam, xi, lp, w = (np.asarray(c, dtype=np.float64) for c in
+                              (self.lambda_inf, self.xi, self.lambda_p, self.weight))
+        except (TypeError, ValueError) as exc:
+            raise EquidistError("dataset columns must be numeric arrays (%s)" % exc) from None
+        labels = tuple(self.prime_labels)
+        if (w.ndim != 1 or lam.ndim != 2 or lam.shape[0] != len(w) or xi.shape != lam.shape
+                or lp.shape != (len(w), len(labels))
+                or (self.src is not None and len(self.src) != len(w))):
+            raise EquidistError(
+                "column shapes disagree: lambda_inf %s, xi %s, lambda_p %s for %d labels, "
+                "weight %s" % (lam.shape, xi.shape, lp.shape, len(labels), w.shape))
+        if len(set(labels)) != len(labels):
+            raise EquidistError("prime labels must be distinct")
+        if not (np.isfinite(lam).all() and np.isfinite(lp).all() and np.isfinite(w).all()):
+            raise EquidistError("lambda_inf, lambda_p and weight must be finite")
+        if (w < 0).any():
+            raise EquidistError("weights must be nonnegative")
+        if not ((xi == 0) | (xi == 1)).all():
+            raise EquidistError("xi entries must be 0 or 1")
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.prime_labels = tuple(labels[k] for k in order)
+        self.lambda_inf, self.xi, self.lambda_p, self.weight = \
+            lam, xi.astype(np.int8), lp[:, order], w
+
+    def __len__(self) -> int:
+        return len(self.weight)
 
     @property
     def dim(self) -> int:
-        return len(self.records[0].lambda_inf) if self.records else 0
+        return self.lambda_inf.shape[1]
 
-    @property
-    def prime_labels(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.records[0].lambda_p)) if self.records else ()
+    def eigenvalues(self, label: str) -> np.ndarray:
+        """The lambda_p column of one prime label, one entry per row."""
+        if label not in self.prime_labels:
+            raise EquidistError("unknown prime label %s" % label)
+        return self.lambda_p[:, self.prime_labels.index(label)]
 
     def total_weight(self) -> float:
-        return math.fsum(rec.weight for rec in self.records)
+        return math.fsum(self.weight.tolist())
 
     def scaled(self, factor: float) -> "Dataset":
         if factor < 0:
             raise EquidistError("scale factor must be nonnegative")
-        recs = [replace(rec, weight=rec.weight * factor) for rec in self.records]
-        return Dataset(self.field_spec, self.level, recs, dict(self.meta))
+        return replace(self, weight=self.weight * factor, meta=dict(self.meta))
 
     def validate(self, field: Optional[NumberField] = None) -> None:
         """Range-check Hecke eigenvalues against [0, 1 + Np]."""
         field = field if field is not None else make_field(self.field_spec)
-        bounds = {}
-        for label in self.prime_labels:
-            np_ = prime_by_label(field, label).absolute_norm()
-            bounds[label] = 1.0 + np_
-        for i, rec in enumerate(self.records):
-            for label, v in rec.lambda_p.items():
-                if not (0.0 <= v <= bounds[label]):
-                    raise EquidistError(
-                        "record %d: lambda_p[%s] = %r outside [0, %r]"
-                        % (i, label, v, bounds[label]))
+        bounds = np.array([1.0 + prime_by_label(field, label).absolute_norm()
+                           for label in self.prime_labels])
+        bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise EquidistError("record %d: lambda_p[%s] = %r outside [0, %r]"
+                                % (i, self.prime_labels[k], float(self.lambda_p[i, k]),
+                                   float(bounds[k])))
 
     # -- serialization ----------------------------------------------------------
 
     def to_jsonl(self, path: str) -> None:
+        enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+        src = self.src if self.src is not None else [None] * len(self)
         with open(path, "w") as fh:
-            for rec in self.records:
-                row = {
-                    "lambda_inf": list(rec.lambda_inf),
-                    "xi": list(rec.xi),
-                    "lambda_p": rec.lambda_p,
-                    "weight": rec.weight,
-                }
-                if rec.src is not None:
-                    row["src"] = rec.src
-                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            for lam, xi, lp, w, s in zip(self.lambda_inf.tolist(), self.xi.tolist(),
+                                         self.lambda_p.tolist(), self.weight.tolist(), src):
+                row = {"lambda_inf": lam, "xi": xi,
+                       "lambda_p": dict(zip(self.prime_labels, lp)), "weight": w}
+                if s is not None:
+                    row["src"] = s
+                fh.write(enc.encode(row) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: str, field_spec: str = "Q", level: str = "1",
                    meta: Optional[Dict] = None) -> "Dataset":
-        records = []
+        lam, xi, lp, weight, src = [], [], [], [], []
+        keys, labels = None, []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
                 row = json.loads(line)
-                records.append(EigenRecord(
-                    tuple(float(x) for x in row["lambda_inf"]),
-                    tuple(int(x) for x in row["xi"]),
-                    {k: float(v) for k, v in row["lambda_p"].items()},
-                    float(row.get("weight", 1.0)),
-                    row.get("src"),
-                ))
-        return cls(field_spec, level, records, meta or {})
+                if keys is None:
+                    keys = row["lambda_p"].keys()
+                    labels = sorted(keys)
+                elif row["lambda_p"].keys() != keys:
+                    raise EquidistError("line %d: lambda_p labels %s differ from %s"
+                                        % (lineno, sorted(row["lambda_p"]), labels))
+                lam.append(row["lambda_inf"])
+                xi.append(row["xi"])
+                lp.append([row["lambda_p"][k] for k in labels])
+                weight.append(row.get("weight", 1.0))
+                src.append(row.get("src"))
+        d = len(lam[0]) if lam else 0
+        return cls(field_spec, level, _table(lam, d, "lambda_inf"), _table(xi, d, "xi"),
+                   tuple(labels), _table(lp, len(labels), "lambda_p"), weight, src,
+                   meta or {})
 
     def to_csv(self, path: str) -> None:
         d = self.dim
-        labels = list(self.prime_labels)
         header = (["lambda_%d" % (j + 1) for j in range(d)]
-                  + ["xi_%d" % (j + 1) for j in range(d)] + labels + ["weight"])
+                  + ["xi_%d" % (j + 1) for j in range(d)] + list(self.prime_labels)
+                  + ["weight"])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for rec in self.records:
-                w.writerow([repr(x) for x in rec.lambda_inf]
-                           + [str(x) for x in rec.xi]
-                           + [repr(rec.lambda_p[k]) for k in labels]
-                           + [repr(rec.weight)])
+            # csv writes floats as repr(), so the numbers round-trip exactly
+            w.writerows(lam + xi + lp + [wt] for lam, xi, lp, wt in zip(
+                self.lambda_inf.tolist(), self.xi.tolist(), self.lambda_p.tolist(),
+                self.weight.tolist()))
 
     @classmethod
     def from_csv(cls, path: str, field_spec: str = "Q", level: str = "1",
                  meta: Optional[Dict] = None) -> "Dataset":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            d = sum(1 for h in header if h.startswith("xi_"))
-            labels = header[2 * d:-1]
-            records = []
-            for row in reader:
-                if not row:
-                    continue
-                lam = tuple(float(x) for x in row[:d])
-                xi = tuple(int(x) for x in row[d:2 * d])
-                lp = {k: float(v) for k, v in zip(labels, row[2 * d:-1])}
-                records.append(EigenRecord(lam, xi, lp, float(row[-1])))
-        return cls(field_spec, level, records, meta or {})
+            header = next(reader, None)
+            if header is None:
+                raise EquidistError("%s: no CSV header" % path)
+            rows = [row for row in reader if row]
+        d = sum(1 for h in header if h.startswith("xi_"))
+        table = _table(rows, len(header), path)
+        return cls(field_spec, level, table[:, :d], table[:, d:2 * d],
+                   tuple(header[2 * d:-1]), table[:, 2 * d:-1], table[:, -1], None,
+                   meta or {})
 
 
 # -- counting and prediction ------------------------------------------------------
@@ -206,26 +223,19 @@ def count(ds: Dataset, box: Box, t: float,
     Records whose parity vector differs from the box parity do not
     belong to the window's spectral family and are skipped.
     """
-    if ds.records:
-        unknown = set(j_windows) - set(ds.prime_labels)
-        if unknown:
-            raise EquidistError("unknown prime labels %s" % sorted(unknown))
+    if not len(ds):
+        return 0.0
+    if box.dim != ds.dim:
+        raise EquidistError("box dimension %d != dataset dimension %d" % (box.dim, ds.dim))
     bx = box.with_t(t)
-    weights = []
-    for rec in ds.records:
-        if tuple(rec.xi) != tuple(bx.xi):
-            continue
-        if not bx.contains(rec.lambda_inf):
-            continue
-        ok = True
-        for label, (a, b) in j_windows.items():
-            v = rec.lambda_p[label]
-            if not (a <= v <= b):
-                ok = False
-                break
-        if ok:
-            weights.append(rec.weight)
-    return math.fsum(weights)
+    mask = (ds.xi == np.array(bx.xi)).all(axis=1)
+    for j in range(bx.dim):
+        a, b = bx.interval(j + 1)
+        mask &= (a <= ds.lambda_inf[:, j]) & (ds.lambda_inf[:, j] <= b)
+    for label, (a, b) in j_windows.items():
+        col = ds.eigenvalues(label)
+        mask &= (a <= col) & (col <= b)
+    return math.fsum(ds.weight[mask].tolist())
 
 
 @dataclass(frozen=True)
@@ -330,30 +340,22 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
         raise EquidistError("need at least one record")
     d = box.dim
     labels = sorted(prime_labels)
-    samplers = [_PlRestrictionSampler(box.xi[j - 1], box.interval(j))
-                for j in range(1, d + 1)]
-    tables = []
-    for label in labels:
-        np_ = prime_by_label(field, label).absolute_norm()
-        grid, cdf = SatoTateMeasure(np_).inverse_cdf_table(10 ** 4)
-        tables.append((grid, cdf))
     rng = np.random.Generator(np.random.Philox(key=seed))
     block = rng.random((m_records, 2 * d + len(labels)))
-    cols = []
+    lam = np.empty((m_records, d))
     for j in range(d):
-        cols.append(samplers[j].sample(block[:, 2 * j], block[:, 2 * j + 1]))
-    pcols = []
-    for i in range(len(labels)):
-        grid, cdf = tables[i]
-        pcols.append(np.interp(block[:, 2 * d + i], cdf, grid))
-    records = []
-    for i in range(m_records):
-        lam = tuple(float(cols[j][i]) for j in range(d))
-        lp = {labels[k]: float(pcols[k][i]) for k in range(len(labels))}
-        records.append(EigenRecord(lam, tuple(box.xi), lp, 1.0, "synth"))
+        sampler = _PlRestrictionSampler(box.xi[j], box.interval(j + 1))
+        lam[:, j] = sampler.sample(block[:, 2 * j], block[:, 2 * j + 1])
+    lp = np.empty((m_records, len(labels)))
+    for k, label in enumerate(labels):
+        np_ = prime_by_label(field, label).absolute_norm()
+        grid, cdf = SatoTateMeasure(np_).inverse_cdf_table(10 ** 4)
+        lp[:, k] = np.interp(block[:, 2 * d + k], cdf, grid)
+    xi = np.tile(np.array(box.xi, dtype=np.int8), (m_records, 1))
     meta = {"seed": int(seed), "m": int(m_records), "labels": labels}
     spec = "Q" if field.degree == 1 else "Q(sqrt %d)" % field.m
-    return Dataset(spec, "1", records, meta)
+    return Dataset(spec, "1", lam, xi, tuple(labels), lp, np.ones(m_records),
+                   ["synth"] * m_records, meta)
 
 
 # -- exact Ramanujan tau source -----------------------------------------------------
@@ -489,8 +491,8 @@ def tau_source(upto: int) -> TauData:
     tp2 = {"%d:0" % p: Fraction(tau[p * p], p ** 10) for p in primes if p * p <= upto}
     # the holomorphic form behind tau sits at the weight-12 discrete-series
     # point b = 12, lambda = b/2 (1 - b/2) = -30, even parity
-    rec = EigenRecord((-30.0,), (0,), lam, 1.0, "tau")
-    ds = Dataset("Q", "1", [rec], {"kind": "horizontal-tau-demo", "upto": upto})
+    ds = Dataset("Q", "1", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0],
+                 ["tau"], {"kind": "horizontal-tau-demo", "upto": upto})
     return TauData(ds, tuple(tau), tp2)
 
 

@@ -16,21 +16,13 @@ domain nu in i[0, pi/(2 log N)] union (0, 1/2], lambda in [0, 1+N].
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from heckedist.fields import (
-    FieldElement,
-    FieldError,
-    Ideal,
-    NumberField,
-    PrimeIdeal,
-    ResidueRing,
-    element_valuation,
-)
+from heckedist.fields import PrimeIdeal, ResidueRing
 
 Scalar = Union[int, Fraction]
 
@@ -87,17 +79,13 @@ class LocalHeckeElement:
 
     def __add__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return LocalHeckeElement(self.label, self.norm, [x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return LocalHeckeElement(self.label, self.norm, [x + y for x, y in pairs])
 
     def __sub__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return LocalHeckeElement(self.label, self.norm, [x - y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return LocalHeckeElement(self.label, self.norm, [x - y for x, y in pairs])
 
     def scale(self, c: Scalar) -> "LocalHeckeElement":
         return LocalHeckeElement(self.label, self.norm, [Fraction(c) * x for x in self.coeffs])
@@ -237,10 +225,8 @@ class SymLaurentPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return SymLaurentPoly([x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return SymLaurentPoly([x + y for x, y in pairs])
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -315,23 +301,6 @@ def s_poly_eval(coeffs: Sequence[Fraction], lam):
     return acc
 
 
-@dataclass(frozen=True)
-class SatakeParam:
-    """Spectral parameter nu for a prime of norm N; lambda = sqrt N (N^nu + N^-nu)."""
-    label: str
-    norm: int
-    nu: complex
-
-
-@dataclass(frozen=True)
-class HeckeEigenvalue:
-    """A unitarily normalized T(P^2)-compatible eigenvalue lambda_P."""
-    label: str
-    norm: int
-    value: float
-    normalization: str = "unitary"
-
-
 def nu_strip_height(norm: int) -> float:
     """Top of the imaginary leg of the canonical nu domain."""
     return math.pi / (2 * math.log(norm))
@@ -384,11 +353,6 @@ def nu_from_lambda(norm: int, lam: float) -> complex:
         return complex(0.0, nu_strip_height(N))
     t = math.acos(lam / two_sqrt) / math.log(N)
     return complex(0.0, t)
-
-
-def satake_from_lambda(prime: PrimeIdeal, lam: float) -> SatakeParam:
-    return SatakeParam(prime.label, prime.absolute_norm(),
-                       nu_from_lambda(prime.absolute_norm(), lam))
 
 
 # -- global operators ----------------------------------------------------------
@@ -458,7 +422,7 @@ def expected_coset_count(norm: int, k: int) -> int:
     return sum(norm ** l for l in range(2 * k + 1))
 
 
-def _reduced_key(a: int, b: int, d: int, p: int) -> tuple:
+def _reduced_key(a: int, b: int, d: int) -> tuple:
     """Canonical left-coset key of [[a, b], [0, d]] with a, d powers of p."""
     b %= d
     return (a, b, d)
@@ -514,7 +478,7 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
             a = a1 * a2
             b = a1 * b2 + b1 * d2
             d = d1 * d2
-            key = _reduced_key(a, b, d, p)
+            key = _reduced_key(a, b, d)
             tally[key] = tally.get(key, 0) + 1
     per_layer: Dict[int, set] = {}
     for (a, b, d), mult in tally.items():
@@ -528,33 +492,6 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
     coeffs = [Fraction(mults[n] - mults[n + 1]) for n in range(e + 1)]
     label = "%d:0" % p
     return LocalHeckeElement(label, p, coeffs)
-
-
-def convolve_det_p_square(p: int) -> Tuple[int, int]:
-    """Brute-force square of T_p (determinant p layer) over Q.
-
-    Returns (c1, c0) with T_p * T_p = c1 * T(p^2) + c0 * 1; the derived
-    identity says (1, p).
-    """
-    reps = [(1, b, p) for b in range(p)] + [(p, 0, 1)]
-    tally: Dict[tuple, int] = {}
-    for (a1, b1, d1) in reps:
-        for (a2, b2, d2) in reps:
-            a = a1 * a2
-            b = a1 * b2 + b1 * d2
-            d = d1 * d2
-            key = _reduced_key(a, b, d, p)
-            tally[key] = tally.get(key, 0) + 1
-    per_layer: Dict[int, set] = {}
-    for (a, b, d), mult in tally.items():
-        n = _layer_of(a, b, d, p, 1)
-        per_layer.setdefault(n, set()).add(mult)
-    for n, ms in per_layer.items():
-        if len(ms) != 1:
-            raise HeckeError("nonconstant multiplicity on layer %d: %r" % (n, ms))
-    v1 = per_layer.get(1, {0}).pop()
-    v0 = per_layer.get(0, {0}).pop()
-    return (v1, v0 - v1)
 
 
 def verify_relation(label: str, norm: int, k: int, m: int,

@@ -222,7 +222,7 @@ def test_criterion_7_tau_oracle():
     elapsed = time.time() - t0
     values_ok = (td.tau[2] == -24 and td.tau[3] == 252
                  and td.tau[4] == -1472)
-    lam2 = td.dataset.records[0].lambda_p["2:0"]
+    lam2 = td.dataset.eigenvalues("2:0")[0]
     s22_at = s_poly_eval(s_poly(2, 2), Fraction(3, 4))
     exact_ok = (lam2 == 0.75
                 and s22_at == Fraction(-1472, 2 ** 10)

@@ -174,6 +174,31 @@ def test_equidist_pipeline(capsys, tmp_path):
     assert final_ratio == pytest.approx(1.0, abs=0.1)
 
 
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def test_equidist_run_is_strict_json(capsys, tmp_path):
+    # a window with zero Sato-Tate mass has zero prediction: the ratio is
+    # undefined and must come out as null, not as the bare token NaN
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    data_file = tmp_path / "ds.jsonl"
+    code, _, _ = run_cli(capsys, "--seed", "3", "--out", str(data_file),
+                         "equidist", "synth", "--box", box_spec,
+                         "--primes", "2:0", "--count", "50")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                           "--box", box_spec, "--intervals", '{"2:0":[2.9,3.0]}',
+                           "--t-grid", "1,3")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["final_ratio"] is None
+    assert data["rows"] == 2
+    code, out, _ = run_cli(capsys, "measure", "phi", "--p", "2:0", "--interval", "0:1")
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
+
+
 def test_equidist_index(capsys):
     code, out, _ = run_cli(capsys, "--level", "6", "equidist", "index")
     assert code == 0

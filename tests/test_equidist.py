@@ -1,8 +1,10 @@
 """Counting function, prediction, synthetic datasets, exact tau source,
 report pipeline."""
 
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 from heckedist import (
     Box,
     Dataset,
-    EigenRecord,
     EquidistError,
     Ideal,
     SatoTateMeasure,
@@ -35,41 +36,121 @@ BOX1 = Box(1, (1,), (), (0,), 3.0)
 
 
 def small_ds():
-    recs = [
-        EigenRecord((1.0,), (0,), {"2:0": 0.5, "3:0": 1.0}, 1.0),
-        EigenRecord((2.0,), (0,), {"2:0": 2.5, "3:0": 3.5}, 2.0),
-        EigenRecord((2.5,), (1,), {"2:0": 0.5, "3:0": 1.0}, 1.0),
-        EigenRecord((4.0,), (0,), {"2:0": 0.5, "3:0": 1.0}, 1.0),
-    ]
-    return Dataset("Q", "1", recs, {})
+    return Dataset("Q", "1", [[1.0], [2.0], [2.5], [4.0]], [[0], [0], [1], [0]],
+                   ("2:0", "3:0"), [[0.5, 1.0], [2.5, 3.5], [0.5, 1.0], [0.5, 1.0]],
+                   [1.0, 2.0, 1.0, 1.0])
+
+
+def one_row(lambda_inf=(1.0,), xi=(0,), lambda_p=(0.5,), weight=1.0, labels=("2:0",)):
+    return Dataset("Q", "1", [lambda_inf], [xi], labels, [lambda_p], [weight])
+
+
+def assert_same_rows(a, b):
+    assert a.prime_labels == b.prime_labels
+    for name in ("lambda_inf", "xi", "lambda_p", "weight"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(line + "\n" for line in rows))
+    return str(path)
 
 
 def test_record_validation():
     with pytest.raises(EquidistError):
-        EigenRecord((1.0, 2.0), (0,), {"2:0": 0.5})  # shape mismatch
+        one_row(lambda_inf=(1.0, 2.0))  # shape mismatch with xi
     with pytest.raises(EquidistError):
-        EigenRecord((1.0,), (0,), {"2:0": 0.5}, weight=-1.0)
+        one_row(weight=-1.0)
     with pytest.raises(EquidistError):
-        EigenRecord((1.0,), (2,), {"2:0": 0.5})  # parity must be 0/1
+        one_row(xi=(2,))  # parity must be 0/1
+    with pytest.raises(EquidistError):
+        one_row(xi=(0.5,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(EquidistError):
+            one_row(weight=bad)
+        with pytest.raises(EquidistError):
+            one_row(lambda_inf=(bad,))
+        with pytest.raises(EquidistError):
+            one_row(lambda_p=(bad,))
+    with pytest.raises(EquidistError):
+        one_row(lambda_p=(0.5, 0.5))  # two eigenvalues, one label
+    with pytest.raises(EquidistError):
+        Dataset("Q", "1", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0, 1.0])  # M differs
+    with pytest.raises(EquidistError):
+        Dataset("Q", "1", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0], ["a", "b"])
+    with pytest.raises(EquidistError):
+        one_row(lambda_p=(0.5, 0.5), labels=("2:0", "2:0"))
+    with pytest.raises(EquidistError):
+        Dataset("Q", "1", [[1.0], [1.0, 2.0]], [[0], [0]], (), [[], []], [1.0, 1.0])
 
 
-def test_dataset_consistency():
+def test_dataset_consistency(tmp_path):
+    # rows with a different label set cannot share one column table
+    path = write_jsonl(tmp_path / "mixed.jsonl", [
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"3:0":0.5},"weight":1.0,"xi":[0]}',
+    ])
     with pytest.raises(EquidistError):
-        Dataset("Q", "1", [
-            EigenRecord((1.0,), (0,), {"2:0": 0.5}),
-            EigenRecord((1.0,), (0,), {"3:0": 0.5}),  # different label set
-        ], {})
+        Dataset.from_jsonl(path)
     ds = small_ds()
     assert ds.dim == 1
+    assert len(ds) == 4
     assert ds.prime_labels == ("2:0", "3:0")
     assert ds.total_weight() == 5.0
     assert ds.scaled(2.0).total_weight() == 10.0
+    assert ds.total_weight() == 5.0  # scaled leaves the original alone
+    with pytest.raises(EquidistError):
+        ds.scaled(-1.0)
+    # labels are sorted once, with their columns
+    swapped = Dataset("Q", "1", [[1.0]], [[0]], ("3:0", "2:0"), [[1.0, 0.5]], [1.0])
+    assert swapped.prime_labels == ("2:0", "3:0")
+    assert swapped.eigenvalues("2:0").tolist() == [0.5]
+    assert swapped.eigenvalues("3:0").tolist() == [1.0]
+
+
+def test_jsonl_load_rejects_bad_values(tmp_path):
+    good = '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}'
+    assert len(Dataset.from_jsonl(write_jsonl(tmp_path / "ok.jsonl", [good]))) == 1
+    for i, bad in enumerate([
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":NaN,"xi":[0]}',
+        '{"lambda_inf":[Infinity],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":-Infinity},"weight":1.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":-2.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[3]}',
+        '{"lambda_inf":[1.0,2.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0,0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0,0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5,"3:0":1.0},"weight":1.0,"xi":[0]}',
+    ]):
+        path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), [good, bad])
+        with pytest.raises(EquidistError):
+            Dataset.from_jsonl(path)
+
+
+def test_csv_load_rejects_bad_rows(tmp_path):
+    header = "lambda_1,xi_1,2:0,weight\n"
+    ok = tmp_path / "ok.csv"
+    ok.write_text(header + "1.0,0,0.5,1.0\n")
+    assert len(Dataset.from_csv(str(ok))) == 1
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(EquidistError):
+        Dataset.from_csv(str(empty))
+    for i, row in enumerate(["1.0,0,0.5\n", "1.0,0,0.5,1.0,7.0\n", "1.0,0,0.5,nan\n",
+                             "inf,0,0.5,1.0\n", "1.0,1,abc,1.0\n", "1.0,2,0.5,1.0\n"]):
+        path = tmp_path / ("bad%d.csv" % i)
+        path.write_text(header + "1.0,0,0.5,1.0\n" + row)
+        with pytest.raises(EquidistError):
+            Dataset.from_csv(str(path))
 
 
 def test_dataset_validate_range():
-    ds = Dataset("Q", "1", [EigenRecord((1.0,), (0,), {"2:0": 5.0})], {})
+    ds = one_row(lambda_p=(5.0,))
     with pytest.raises(EquidistError):
         ds.validate(Q)  # T(4)-eigenvalue bound is 1 + N = 3
+    one_row(lambda_p=(3.0,)).validate(Q)  # closed at both ends
+    one_row(lambda_p=(0.0,)).validate(Q)
+    with pytest.raises(EquidistError):
+        one_row(lambda_p=(-0.1,)).validate(Q)
 
 
 def test_count_filters():
@@ -88,6 +169,40 @@ def test_count_filters():
 def test_count_unknown_label():
     with pytest.raises(EquidistError):
         count(small_ds(), BOX1, 3.0, {"7:0": (0.0, 1.0)})
+
+
+def test_count_dimension_check():
+    box2 = Box(2, (1, 2), (), (0, 0), 3.0)
+    with pytest.raises(EquidistError):
+        count(small_ds(), box2, 3.0, {})
+
+
+def test_count_matches_row_loop():
+    # the vectorised mask against a plain loop over rows, on random queries
+    even = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+    mixed = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 1), 4.0)
+    ds = synthesize(F73, ["2:0", "3:0"], even, 2000, seed=3)
+    xi = ds.xi.copy()
+    xi[::3, 1] = 1  # a third of the rows have the other parity
+    ds = Dataset(ds.field_spec, ds.level, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+                 np.linspace(0.5, 2.0, len(ds)))
+    rng = random.Random(7)
+    for _ in range(30):
+        t = rng.uniform(0.5, 4.0)
+        windows = {}
+        for label in rng.sample(ds.prime_labels, rng.randrange(3)):
+            a = rng.uniform(0.0, 2.0)
+            windows[label] = (a, a + rng.uniform(0.0, 1.5))
+        for bx in (even, mixed):
+            b = bx.with_t(t)
+            kept = []
+            for lam, x, lp, w in zip(ds.lambda_inf.tolist(), ds.xi.tolist(),
+                                     ds.lambda_p.tolist(), ds.weight.tolist()):
+                row_lp = dict(zip(ds.prime_labels, lp))
+                if (tuple(x) == b.xi and b.contains(lam)
+                        and all(lo <= row_lp[k] <= hi for k, (lo, hi) in windows.items())):
+                    kept.append(w)
+            assert count(ds, bx, t, windows) == math.fsum(kept)
 
 
 def test_count_respects_t_over_box_t():
@@ -144,16 +259,31 @@ def test_synthesize_deterministic(tmp_path):
     assert p1.read_bytes() != p2.read_bytes()
 
 
+def test_synthesize_pinned_bytes(tmp_path):
+    # digests of the files written before the columnar dataset model
+    box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+    ds = synthesize(make_field(73), ["2:0", "3:0"], box, 500, seed=42)
+    ds.to_jsonl(str(tmp_path / "s.jsonl"))
+    ds.to_csv(str(tmp_path / "s.csv"))
+    assert hashlib.sha256((tmp_path / "s.jsonl").read_bytes()).hexdigest() == \
+        "bff7eeaadb7a84b483a677f5d4a197528e1e72f1304f16488315d846b19aa2b5"
+    assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == \
+        "5e1151f2df0bf02a86c8442edae2919f66e9438a91ef47bf7a121be5726ad6c9"
+
+
 def test_synthesize_respects_box():
     box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
     ds = synthesize(F73, ["2:0", "3:0"], box, 300, seed=1)
-    assert len(ds.records) == 300
-    for rec in ds.records:
-        assert rec.xi == (0, 0)
-        assert abs(rec.lambda_inf[0]) <= 4.0
-        assert 0.3 <= rec.lambda_inf[1] <= 1.2
-        assert 0.0 <= rec.lambda_p["2:0"] <= 2 * math.sqrt(2)
-        assert 0.0 <= rec.lambda_p["3:0"] <= 2 * math.sqrt(3)
+    assert len(ds) == 300
+    assert ds.lambda_inf.shape == ds.xi.shape == (300, 2)
+    assert ds.lambda_p.shape == (300, 2)
+    assert (ds.xi == 0).all()
+    assert (np.abs(ds.lambda_inf[:, 0]) <= 4.0).all()
+    assert ((0.3 <= ds.lambda_inf[:, 1]) & (ds.lambda_inf[:, 1] <= 1.2)).all()
+    assert ((0.0 <= ds.eigenvalues("2:0")) & (ds.eigenvalues("2:0") <= 2 * math.sqrt(2))).all()
+    assert ((0.0 <= ds.eigenvalues("3:0")) & (ds.eigenvalues("3:0") <= 2 * math.sqrt(3))).all()
+    assert (ds.weight == 1.0).all()
+    assert list(ds.src) == ["synth"] * 300
     assert ds.meta["seed"] == 1
     assert ds.field_spec == "Q(sqrt 73)"
 
@@ -161,7 +291,7 @@ def test_synthesize_respects_box():
 def test_synthesize_marginal_matches_sato_tate():
     box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
     ds = synthesize(F73, ["2:0"], box, 20000, seed=9)
-    samples = np.sort([rec.lambda_p["2:0"] for rec in ds.records])
+    samples = np.sort(ds.eigenvalues("2:0"))
     mu = SatoTateMeasure(2)
     cdf = np.array([mu.mass(0.0, float(x)).value for x in samples[::200]])
     emp = np.arange(0, len(samples), 200) / len(samples)
@@ -173,7 +303,8 @@ def test_jsonl_roundtrip(tmp_path):
     path = tmp_path / "ds.jsonl"
     ds.to_jsonl(str(path))
     back = Dataset.from_jsonl(str(path), field_spec="Q", level="1")
-    assert back.records == ds.records
+    assert_same_rows(back, ds)
+    assert list(back.src) == [None] * 4
     # file format: one JSON object per line, sorted keys
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 4
@@ -186,12 +317,8 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "ds.csv"
     ds.to_csv(str(path))
     back = Dataset.from_csv(str(path), field_spec="Q", level="1")
-    assert len(back.records) == len(ds.records)
-    for a, b in zip(back.records, ds.records):
-        assert a.lambda_inf == b.lambda_inf
-        assert a.xi == b.xi
-        assert a.lambda_p == b.lambda_p
-        assert a.weight == b.weight
+    assert len(back) == len(ds)
+    assert_same_rows(back, ds)
     header = path.read_text().split("\n")[0]
     assert header.split(",")[:2] == ["lambda_1", "xi_1"]
 
@@ -214,10 +341,12 @@ def test_tau_identities_catch_corruption():
 def test_tau_source():
     td = tau_source(2000)
     assert td.tau[2] == -24 and td.tau[3] == 252 and td.tau[4] == -1472
-    rec = td.dataset.records[0]
-    assert rec.lambda_p["2:0"] == 0.75
-    assert rec.lambda_inf == (-30.0,)  # weight-12 discrete-series point
-    assert rec.xi == (0,)
+    ds = td.dataset
+    assert len(ds) == 1
+    assert ds.eigenvalues("2:0")[0] == 0.75
+    assert ds.lambda_inf.tolist() == [[-30.0]]  # weight-12 discrete-series point
+    assert ds.xi.tolist() == [[0]]
+    assert list(ds.src) == ["tau"]
     assert td.tp2_eigenvalues["2:0"] == Fraction(-1472, 1024) == Fraction(-23, 16)
     assert td.tp2_eigenvalues["3:0"] == Fraction(-113643, 3 ** 10)
     td.dataset.validate(Q)
