@@ -23,13 +23,14 @@ restriction of pl_xi to the box (atoms included with their relative
 mass) and Hecke coordinates from the Sato-Tate measure by inverse CDF,
 using counter-based Philox streams so a seed fixes the dataset bytes.
 
-The tau source expands q prod (1-q^n)^24 exactly: the 24th power of the
-pentagonal-number series is taken by repeated squaring of the series
-packed into one big integer (signed limbs), which keeps the whole
-expansion in a handful of multi-megabit multiplies.  Every Hecke
-identity (multiplicativity and the prime-power recursion) is checked on
-the full table before any eigenvalue is emitted; the single emitted
-record is the horizontal family of one holomorphic form, a pipeline
+The tau source expands q prod (1-q^n)^24 exactly as q times the eighth
+power of Jacobi's series prod (1-q^n)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2},
+which has only about sqrt(2n) terms: seven sparse products in int64
+modulo one to four primes below 2^31, lifted by CRT.  Deligne's bound
+|tau(m)| <= d(m) m^{11/2} fixes how many primes make the lift exact.
+Every Hecke identity (multiplicativity and the prime-power recursion) is
+checked on the full table before any eigenvalue is emitted; the single
+emitted record is the horizontal family of one holomorphic form, a pipeline
 demonstration rather than a vertical average.
 """
 
@@ -361,74 +362,63 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
 # -- exact Ramanujan tau source -----------------------------------------------------
 
 
-def _limb_bits(n: int) -> int:
-    # coefficient bound d(m) m^{11/2} for m <= n, plus sign and headroom;
-    # floored at 72 bits so the 9-byte offset write never overlaps a slot
-    bits = max(int(5.5 * math.log2(max(n, 2))) + 24, 72)
-    return ((bits + 7) // 8) * 8
-
-
-def _pack_series(coeffs: Dict[int, int], n: int, b_bits: int) -> int:
-    # limb g holds coeffs[g] + 2^64 (keeps each write positive), then the
-    # geometric offset is subtracted in one shot
-    w = b_bits // 8
-    buf = bytearray(w * (n + 1))
-    off = 1 << 64
-    for g in range(n + 1):
-        buf[g * w:g * w + 9] = (coeffs.get(g, 0) + off).to_bytes(9, "little")
-    x = int.from_bytes(bytes(buf), "little")
-    geo = ((1 << (b_bits * (n + 1))) - 1) // ((1 << b_bits) - 1)
-    return x - (geo << 64)
-
-
-def _decode_series(x: int, n: int, b_bits: int) -> List[int]:
-    x &= (1 << (b_bits * (n + 1))) - 1
-    w = b_bits // 8
-    raw = x.to_bytes(w * (n + 2), "little")
-    half, full = 1 << (b_bits - 1), 1 << b_bits
-    out = [0] * (n + 1)
-    carry = 0
-    for i in range(n + 1):
-        v = int.from_bytes(raw[i * w:(i + 1) * w], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = v
-    return out
+# fixed primes just below 2^31: residues stay below 2^31, so every product of
+# two residues is below 2^62
+_TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
 
 def tau_table(n_max: int) -> List[int]:
     """tau(0..n_max) with tau(0) = 0, from the eta-power expansion.
 
-    eta-quotient route: the pentagonal-number series is prod (1 - q^k),
-    its 24th power is taken by squaring (2, 4, 8, 16, then 16 * 8), and
-    tau(m) is the coefficient of q^{m-1} in the result.
+    q prod (1 - q^k)^24 = q J^8 with J = prod (1 - q^k)^3 = sum_k (-1)^k
+    (2k+1) q^{k(k+1)/2} (Jacobi), a series of about sqrt(2 n_max) terms.
+    The eighth power is seven sparse products, taken as shifted adds modulo
+    a few primes; tau(m) is the coefficient of q^{m-1}, lifted by CRT.
     """
     if n_max > 10 ** 6:
         raise EquidistError("tau table capped at 10^6 (time budget)")
     if n_max < 1:
         raise EquidistError("need n_max >= 1")
     n = n_max - 1  # degree after factoring out one power of q
-    pent: Dict[int, int] = {}
-    k = 0
-    while k * (3 * k - 1) // 2 <= n:
-        s = 1 if k % 2 == 0 else -1
-        for g in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
-            if g <= n:
-                pent[g] = pent.get(g, 0) + s
-        k += 1
-    b_bits = _limb_bits(n_max)
-    mask = (1 << (b_bits * (n + 1))) - 1
-    x = _pack_series(pent, n, b_bits)
-    x2 = (x * x) & mask
-    x4 = (x2 * x2) & mask
-    x8 = (x4 * x4) & mask
-    x16 = (x8 * x8) & mask
-    x24 = (x16 * x8) & mask
-    co = _decode_series(x24, n, b_bits)
-    return [0] + co
+    jacobi = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+              for k in range((math.isqrt(8 * n + 1) + 1) // 2)]
+    # a product sums |c| * residue over all terms: sum (2k+1) = terms^2
+    assert len(jacobi) ** 2 * _TAU_PRIMES[0] < 2 ** 63
+    # Deligne: |tau(m)| <= d(m) m^{11/2} <= 2 m^6 (d(m) <= 2 sqrt m); a
+    # modulus above twice that (the sign bit) makes the symmetric lift exact
+    count = next(c for c in range(1, len(_TAU_PRIMES) + 1)
+                 if 4 * n_max ** 6 < math.prod(_TAU_PRIMES[:c]))
+    primes = _TAU_PRIMES[:count]
+    # one row of residues (one per prime) per coefficient of the series
+    a = np.zeros((n + 1, count), dtype=np.int64)
+    for e, c in jacobi:
+        a[e] = c
+    a %= primes
+    for _ in range(7):
+        acc = np.zeros_like(a)
+        for e, c in jacobi:
+            acc[e:] += c * a[:n + 1 - e]
+        a = acc % primes
+    return [0] + _crt_symmetric(a, primes)
+
+
+def _crt_symmetric(res: np.ndarray, primes: Tuple[int, ...]) -> List[int]:
+    """Integers in (-M/2, M/2), M = prod(primes), from residue columns.
+
+    Garner's mixed-radix digits are computed in int64 (each product of a
+    residue and an inverse is below 2^62); Python ints enter only in the
+    final Horner combine.
+    """
+    digits = []
+    for p, r in zip(primes, res.T):
+        for q, d in zip(primes, digits):
+            r = (r - d) % p * pow(q, -1, p) % p
+        digits.append(r)
+    x = digits[-1].astype(object)
+    for p, d in zip(primes[-2::-1], digits[-2::-1]):
+        x = x * p + d
+    m = math.prod(primes)
+    return np.where(x > m // 2, x - m, x).tolist()
 
 
 def _smallest_prime_factors(n: int) -> List[int]:

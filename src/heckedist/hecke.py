@@ -65,10 +65,6 @@ class LocalHeckeElement:
             raise HeckeError("k must be >= 0")
         return cls(label, norm, [0] * k + [1])
 
-    @classmethod
-    def for_prime(cls, prime: PrimeIdeal, k: int) -> "LocalHeckeElement":
-        return cls.basis(prime.label, prime.absolute_norm(), k)
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -373,10 +369,6 @@ class GlobalHeckeOperator:
             if k > 0:
                 items.append((label, norm, k))
         return cls(tuple(items))
-
-    @classmethod
-    def for_primes(cls, primes: Sequence[PrimeIdeal], ks: Sequence[int]) -> "GlobalHeckeOperator":
-        return cls.from_dict({p.label: (p.absolute_norm(), k) for p, k in zip(primes, ks)})
 
 
 def global_eigenvalue(op: GlobalHeckeOperator, lam_by_label: Dict[str, Union[float, Fraction]]):

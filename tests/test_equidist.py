@@ -338,6 +338,40 @@ def test_tau_identities_catch_corruption():
         verify_tau_identities(tau)
 
 
+def naive_tau(n_max):
+    """tau(0..n_max) from q prod (1 - q^k)^24, one factor (1 - q^k) at a time."""
+    co = [1] + [0] * (n_max - 1)  # coefficients of q^0 .. q^{n_max - 1}
+    for k in range(1, n_max):
+        for _ in range(24):
+            for i in range(n_max - 1, k - 1, -1):
+                co[i] -= co[i - k]
+    return [0] + co
+
+
+def test_tau_table_matches_naive_product():
+    ref = naive_tau(400)
+    tau = tau_table(400)
+    assert tau == ref
+    assert all(type(v) is int for v in tau)
+    # one to three terms of Jacobi's series
+    for n_max in range(1, 6):
+        assert tau_table(n_max) == ref[:n_max + 1]
+
+
+def test_tau_table_prime_count_boundaries():
+    # the largest n_max served by one, two and three primes below 2^31; the
+    # next size takes one more prime and must give the same prefix
+    for n_max in (28, 1023, 36780):
+        assert tau_table(n_max + 1)[:n_max + 1] == tau_table(n_max)
+
+
+def test_tau_table_pinned_digest():
+    # sha256 of the 10^4 table as the earlier packed-bigint squaring route gave it
+    text = json.dumps([str(v) for v in tau_table(10 ** 4)], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6f5b17ccff96c28daf3775c3ae07b36e6159dde0d6539c4add9c8fa116a02dc3"
+
+
 def test_tau_source():
     td = tau_source(2000)
     assert td.tau[2] == -24 and td.tau[3] == 252 and td.tau[4] == -1472
