@@ -189,12 +189,7 @@ def cmd_field_unit(args) -> int:
 
 
 def _prime_norm(field: fields.NumberField, label: str) -> int:
-    if ":" in label:
-        return fields.prime_by_label(field, label).absolute_norm()
-    p = int(label)
-    if field.degree == 1:
-        return p
-    return fields.prime_by_label(field, "%d:0" % p).absolute_norm()
+    return fields.prime_by_label(field, label).absolute_norm()
 
 
 def cmd_hecke_verify(args) -> int:

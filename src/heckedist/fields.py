@@ -183,8 +183,8 @@ class FieldElement:
             return NotImplemented
         f = self.field
         # (a1 + b1 w)(a2 + b2 w) with w^2 = t w + c
-        a = self.a * o.a + Fraction(f.c) * self.b * o.b
-        b = self.a * o.b + self.b * o.a + Fraction(f.t) * self.b * o.b
+        a = self.a * o.a + f.c * self.b * o.b
+        b = self.a * o.b + self.b * o.a + f.t * self.b * o.b
         return FieldElement(f, a, b)
 
     __rmul__ = __mul__
@@ -192,18 +192,18 @@ class FieldElement:
     def conjugate(self) -> "FieldElement":
         # w -> t - w (the other root of x^2 - t x - c)
         f = self.field
-        return FieldElement(f, self.a + Fraction(f.t) * self.b, -self.b)
+        return FieldElement(f, self.a + f.t * self.b, -self.b)
 
     def trace(self) -> Fraction:
         if self.field.degree == 1:
             return self.a
-        return 2 * self.a + Fraction(self.field.t) * self.b
+        return 2 * self.a + self.field.t * self.b
 
     def norm(self) -> Fraction:
         f = self.field
         if f.degree == 1:
             return self.a
-        return self.a * self.a + Fraction(f.t) * self.a * self.b - Fraction(f.c) * self.b * self.b
+        return self.a * self.a + f.t * self.a * self.b - f.c * self.b * self.b
 
     def inverse(self) -> "FieldElement":
         n = self.norm() if self.field.degree == 2 else self.a

@@ -12,6 +12,13 @@ N^k (X^{2k} + X^{2k-2} + ... + X^{-2k}); both routes are implemented and
 kept separate so each can check the other.  Eigenvalues are parametrized
 by lambda = sqrt(N) (N^nu + N^-nu) on the closed tempered-plus-complementary
 domain nu in i[0, pi/(2 log N)] union (0, 1/2], lambda in [0, 1+N].
+
+Coefficients are Fractions at the interface, but each product runs on ints:
+the recursion route and the Laurent route each clear their operands'
+denominators to one lcm, do the whole product on Python ints and divide once
+at the end, and the coset convolution over Q multiplies its representative
+pairs as int64 outer products tallied with np.bincount.  The three routes
+share no kernel, so each stays an independent check of the others.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from heckedist.fields import PrimeIdeal, ResidueRing
 
@@ -94,25 +103,38 @@ class LocalHeckeElement:
         return hash((self.label, self.norm, self.coeffs))
 
     def __mul__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
-        """Product via the three-term relation (the recursion fast path)."""
+        """Product via the three-term relation (the recursion fast path).
+
+        Each operand is cleared to ints over the lcm of its denominators; the
+        change to powers of y = T(P^2), the product and the back-substitution
+        run on ints, and one division by both denominators ends it.
+        """
         self._check(other)
-        N = Fraction(self.norm)
-        ya = _t_basis_to_ypoly(self.coeffs, N)
-        yb = _t_basis_to_ypoly(other.coeffs, N)
-        prod = _poly_mul(ya, yb)
-        return LocalHeckeElement(self.label, self.norm, _ypoly_to_t_basis(prod, N))
+        da = math.lcm(*(c.denominator for c in self.coeffs))
+        db = math.lcm(*(c.denominator for c in other.coeffs))
+        ua = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        ub = [c.numerator * (db // c.denominator) for c in other.coeffs]
+        table = _t_in_y_table(len(ua) + len(ub) - 2, self.norm)
+        prod = _poly_mul(_t_basis_to_ypoly(ua, table), _t_basis_to_ypoly(ub, table))
+        den = da * db
+        return LocalHeckeElement(self.label, self.norm,
+                                 [Fraction(c, den) for c in _ypoly_to_t_basis(prod, table)])
 
     def to_sym_laurent(self) -> "SymLaurentPoly":
-        """Ring isomorphism: T(P^{2k}) -> N^k sum_{j=0}^{2k} X^{2k-2j}."""
-        out = [Fraction(0)] * len(self.coeffs)
-        N = Fraction(self.norm)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            w = c * N ** k
-            for j in range(k + 1):
-                out[j] += w
-        return SymLaurentPoly(out)
+        """Ring isomorphism: T(P^{2k}) -> N^k sum_{j=0}^{2k} X^{2k-2j}.
+
+        Coefficient m of the image is the suffix sum of c_k N^k over k >= m,
+        taken on ints over the lcm of the denominators.
+        """
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        N = self.norm
+        out = [0] * len(self.coeffs)
+        acc = 0
+        for k in range(len(out) - 1, -1, -1):
+            c = self.coeffs[k]
+            acc += c.numerator * (den // c.denominator) * N ** k
+            out[k] = acc
+        return SymLaurentPoly([Fraction(x, den) for x in out])
 
     def __repr__(self):
         terms = []
@@ -123,27 +145,23 @@ class LocalHeckeElement:
 
 
 def from_sym_laurent(label: str, norm: int, poly: "SymLaurentPoly") -> LocalHeckeElement:
-    """Inverse of to_sym_laurent; every rational poly is in the image."""
-    N = Fraction(norm)
-    rem = list(poly.coeffs)
-    out = [Fraction(0)] * len(rem)
-    for k in range(len(rem) - 1, -1, -1):
-        c = rem[k] / N ** k
-        out[k] = c
-        if c != 0:
-            w = c * N ** k
-            for j in range(k + 1):
-                rem[j] -= w
-    if any(r != 0 for r in rem):
-        raise HeckeError("laurent conversion did not terminate cleanly")
-    return LocalHeckeElement(label, norm, out)
+    """Inverse of to_sym_laurent; every rational poly is in the image.
+
+    The image of T(P^{2k}) is N^k on the coefficients m = 0..k, so the inverse
+    is a first difference: c_k N^k = P_k - P_{k+1}, on ints over the lcm of
+    the denominators of P.
+    """
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    ps = [c.numerator * (den // c.denominator) for c in poly.coeffs] + [0]
+    return LocalHeckeElement(label, norm, [Fraction(ps[k] - ps[k + 1], den * norm ** k)
+                                           for k in range(len(ps) - 1)])
 
 
 # -- polynomial-in-T(P^2) plumbing for the recursion route ---------------------
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -152,43 +170,38 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     return out
 
 
-def _t_in_y_table(k: int, N: Fraction) -> list:
-    """T(P^{2j}) expressed in powers of y = T(P^2), for j = 0..k."""
-    table = [[Fraction(1)]]
-    if k >= 1:
-        table.append([Fraction(0), Fraction(1)])
+def _t_in_y_table(k: int, N: int) -> list:
+    """T(P^{2j}) expressed in powers of y = T(P^2), for j = 0..k; row j is monic
+    of degree j with int coefficients."""
+    table = [[1], [0, 1]][:k + 1]
+    N2 = N * N
     for j in range(1, k):
         # T^{2j+2} = y*T^{2j} - N T^{2j} - N^2 T^{2j-2}
         prev, cur = table[j - 1], table[j]
-        nxt = [Fraction(0)] + list(cur)
+        nxt = [0] + cur
         for i, c in enumerate(cur):
             nxt[i] -= N * c
         for i, c in enumerate(prev):
-            nxt[i] -= N * N * c
+            nxt[i] -= N2 * c
         table.append(nxt)
     return table
 
 
-def _t_basis_to_ypoly(coeffs: Sequence[Fraction], N: Fraction) -> list:
-    table = _t_in_y_table(len(coeffs) - 1, N)
-    out = [Fraction(0)] * len(coeffs)
+def _t_basis_to_ypoly(coeffs: Sequence[int], table: list) -> list:
+    out = [0] * len(coeffs)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
         for i, t in enumerate(table[j]):
             out[i] += c * t
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 
-def _ypoly_to_t_basis(poly: Sequence[Fraction], N: Fraction) -> list:
-    """Back-substitution using the unit-triangular table."""
-    deg = len(poly) - 1
-    table = _t_in_y_table(deg, N)
+def _ypoly_to_t_basis(poly: Sequence[int], table: list) -> list:
+    """Back-substitution; the table rows are monic, so it stays in ints."""
     rem = list(poly)
-    out = [Fraction(0)] * len(rem)
-    for j in range(deg, -1, -1):
+    out = [0] * len(rem)
+    for j in range(len(rem) - 1, -1, -1):
         c = rem[j]
         out[j] = c
         if c != 0:
@@ -225,11 +238,16 @@ class SymLaurentPoly:
         return SymLaurentPoly([x + y for x, y in pairs])
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, x in enumerate(self.coeffs):
+        """Product on ints over the lcm of each factor's denominators."""
+        da = math.lcm(*(c.denominator for c in self.coeffs))
+        db = math.lcm(*(c.denominator for c in other.coeffs))
+        xs = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        ys = [c.numerator * (db // c.denominator) for c in other.coeffs]
+        out = [0] * (len(xs) + len(ys) - 1)
+        for a, x in enumerate(xs):
             if x == 0:
                 continue
-            for b, y in enumerate(other.coeffs):
+            for b, y in enumerate(ys):
                 if y == 0:
                     continue
                 p = x * y
@@ -241,7 +259,8 @@ class SymLaurentPoly:
                 else:
                     out[a + b] += p
                     out[abs(a - b)] += p
-        return SymLaurentPoly(out)
+        den = da * db
+        return SymLaurentPoly([Fraction(c, den) for c in out])
 
     def evaluate(self, x: complex) -> complex:
         """Value at X = x (diagnostic; the exact routes never call this)."""
@@ -400,13 +419,13 @@ def coset_representatives(prime: PrimeIdeal, k: int) -> list:
         raise HeckeError("prime %s has no stored generator" % prime.label)
     field = prime.field
     pi = prime.generator
+    zero = field.zero()
+    pi_neg_k = pi ** (-k)
     out = []
     for l in range(2 * k + 1):
-        ring = ResidueRing(prime ** l) if l > 0 else None
-        reps = list(ring.elements()) if ring is not None else [field.zero()]
-        for b in reps:
-            out.append((pi ** (k - l), b * pi ** (-k),
-                        field.zero(), pi ** (l - k)))
+        reps = ResidueRing(prime ** l).elements() if l > 0 else [zero]
+        a, d = pi ** (k - l), pi ** (l - k)
+        out.extend((a, b * pi_neg_k, zero, d) for b in reps)
     return out
 
 
@@ -414,68 +433,54 @@ def expected_coset_count(norm: int, k: int) -> int:
     return sum(norm ** l for l in range(2 * k + 1))
 
 
-def _reduced_key(a: int, b: int, d: int) -> tuple:
-    """Canonical left-coset key of [[a, b], [0, d]] with a, d powers of p."""
-    b %= d
-    return (a, b, d)
-
-
-def _layer_of(a: int, b: int, d: int, p: int, e: int) -> int:
-    """Primitive layer n: the coset sits in Delta(p^{2n}) minus Delta(p^{2n-4})--style
-    nesting; n = e - v_p(gcd(a, b, d)) with e = (k+m)."""
-    g = math.gcd(math.gcd(a, b), d)
-    i = 0
-    while g % p == 0:
-        g //= p
-        i += 1
-    return e - i
-
-
-def _scaled_reps(p: int, k: int) -> list:
-    """Integer matrices p^k * (coset reps of Delta(p^{2k})) over Q."""
-    out = []
-    for l in range(2 * k + 1):
-        pl = p ** l
-        a = p ** (2 * k - l)
-        for b in range(pl):
-            out.append((a, b, pl))
-    return out
-
-
 def brute_force_convolution(p: int, two_k: int, two_m: int,
                             max_pairs: int = 10 ** 6) -> LocalHeckeElement:
     """Convolve T(p^{2k}) and T(p^{2m}) over Q by explicit coset multiplication.
 
-    Multiplies every representative pair, reduces each product to the
-    canonical Hermite form, tallies multiplicities per primitive layer
-    (they must be constant within a layer), and unfolds the nested
-    characteristic functions by differencing consecutive layers.  This is
-    the independent check of the three-term-relation recursion; it does
-    not share code with LocalHeckeElement.__mul__.
+    Multiplies every pair of coset representatives, scaled by p^k to the
+    integer matrices [[p^{2k-l}, b], [0, p^l]] (0 <= l <= 2k, 0 <= b < p^l),
+    reduces each product to the canonical Hermite form, tallies
+    multiplicities per primitive layer (they must be constant within a
+    layer), and unfolds the nested characteristic functions by differencing
+    consecutive layers.  This is the independent check of the
+    three-term-relation recursion; it does not share code with
+    LocalHeckeElement.__mul__.
+
+    The pairs of layers (l1, l2) are multiplied as int64 outer products: the
+    product's diagonal is (p^{2(k+m)-s}, p^s) with s = l1 + l2, so its Hermite
+    key is b mod p^s alone and one np.bincount per s tallies it.
     """
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise HeckeError("p must be a rational prime, got %r" % (p,))
     if two_k % 2 or two_m % 2 or two_k <= 0 or two_m <= 0:
         raise HeckeError("exponents must be positive even integers")
     k, m = two_k // 2, two_m // 2
+    e = k + m
+    # the largest int64 value is b1 p^l2 + p^(2k-l1) b2 with b1 < p^l1, b2 < p^l2,
+    # below p^(l1+l2) + p^(2k+l2) <= 2 p^(2e); it is exact while p^(2e) < 2^62
+    if p ** (2 * e) >= 2 ** 62:
+        raise HeckeError("%d^%d reaches the int64 kernel's limit 2^62" % (p, 2 * e))
     # budget check before any enumeration: rep counts are known closed-form
     n_pairs = expected_coset_count(p, k) * expected_coset_count(p, m)
     if n_pairs > max_pairs:
         raise HeckeError("pair budget exceeded: %d > %d" % (n_pairs, max_pairs))
-    repsA = _scaled_reps(p, k)
-    repsB = _scaled_reps(p, m)
-    e = k + m
-    tally: Dict[tuple, int] = {}
-    for (a1, b1, d1) in repsA:
-        for (a2, b2, d2) in repsB:
-            # [[a1,b1],[0,d1]] * [[a2,b2],[0,d2]]
-            a = a1 * a2
-            b = a1 * b2 + b1 * d2
-            d = d1 * d2
-            key = _reduced_key(a, b, d)
-            tally[key] = tally.get(key, 0) + 1
     per_layer: Dict[int, set] = {}
-    for (a, b, d), mult in tally.items():
-        n = _layer_of(a, b, d, p, e)
-        per_layer.setdefault(n, set()).add(mult)
+    for s in range(2 * e + 1):
+        ps = p ** s
+        tally = np.zeros(ps, dtype=np.int64)
+        for l1 in range(max(0, s - 2 * m), min(2 * k, s) + 1):
+            l2 = s - l1
+            # [[p^(2k-l1), b1], [0, p^l1]] * [[p^(2m-l2), b2], [0, p^l2]]
+            b1 = np.arange(p ** l1, dtype=np.int64) * p ** l2
+            b2 = np.arange(p ** l2, dtype=np.int64) * p ** (2 * k - l1)
+            tally += np.bincount((np.add.outer(b1, b2) % ps).ravel(), minlength=ps)
+        keys = np.flatnonzero(tally)
+        # layer n = e - v_p(gcd(p^(2e-s), b, p^s)), the valuation capped at min(s, 2e-s)
+        layers = np.full(len(keys), e, dtype=np.int64)
+        for i in range(1, min(s, 2 * e - s) + 1):
+            layers -= keys % p ** i == 0
+        for n in np.unique(layers).tolist():
+            per_layer.setdefault(n, set()).update(np.unique(tally[keys[layers == n]]).tolist())
     mults = [0] * (e + 2)
     for n, ms in per_layer.items():
         if len(ms) != 1:

@@ -61,6 +61,13 @@ def test_hecke_verify_relation_pinned(capsys):
     assert data == {"T16": 1, "T4": 2, "T1": 4}
 
 
+def test_hecke_verify_relation_rejects_composite(capsys):
+    code, out, err = run_cli(capsys, "hecke", "verify-relation",
+                             "--p", "6", "--k", "1", "--m", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FieldError"
+
+
 def test_hecke_spoly(capsys):
     code, out, _ = run_cli(capsys, "hecke", "spoly", "--p", "3", "--k", "2")
     assert code == 0

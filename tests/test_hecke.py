@@ -1,7 +1,10 @@
 """Local Hecke algebra: dual representations, relation, S-polynomials,
 eigenvalue parametrization."""
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from heckedist import (
     make_field,
     nu_from_lambda,
     nu_strip_height,
+    prime_by_label,
     s_poly,
     s_poly_eval,
     verify_relation,
@@ -33,6 +37,74 @@ F5 = make_field(5)
 
 def tee(label, norm, k):
     return LocalHeckeElement.basis(label, norm, k)
+
+
+# -- references: the one-Fraction-at-a-time routes the int kernels replaced -------
+
+
+def fraction_mul_reference(a, b):
+    """T-basis product through powers of y = T(P^2), every term a Fraction."""
+    N = Fraction(a.norm)
+
+    def table(k):
+        rows = [[Fraction(1)], [Fraction(0), Fraction(1)]][:k + 1]
+        for j in range(1, k):
+            nxt = [Fraction(0)] + rows[j]
+            for i, c in enumerate(rows[j]):
+                nxt[i] -= N * c
+            for i, c in enumerate(rows[j - 1]):
+                nxt[i] -= N * N * c
+            rows.append(nxt)
+        return rows
+
+    def to_y(coeffs):
+        rows = table(len(coeffs) - 1)
+        out = [Fraction(0)] * len(coeffs)
+        for j, c in enumerate(coeffs):
+            for i, t in enumerate(rows[j]):
+                out[i] += c * t
+        return out
+
+    ya, yb = to_y(a.coeffs), to_y(b.coeffs)
+    rem = [Fraction(0)] * (len(ya) + len(yb) - 1)
+    for i, x in enumerate(ya):
+        for j, y in enumerate(yb):
+            rem[i + j] += x * y
+    rows = table(len(rem) - 1)
+    out = [Fraction(0)] * len(rem)
+    for j in range(len(rem) - 1, -1, -1):
+        out[j] = c = rem[j]
+        for i, t in enumerate(rows[j]):
+            rem[i] -= c * t
+    assert all(r == 0 for r in rem)
+    return LocalHeckeElement(a.label, a.norm, out)
+
+
+def dict_tally_reference(p, two_k, two_m):
+    """Coset convolution over Q with one (a, b mod d, d) dict key per product."""
+    k, m = two_k // 2, two_m // 2
+    e = k + m
+
+    def reps(k):
+        return [(p ** (2 * k - l), b, p ** l) for l in range(2 * k + 1) for b in range(p ** l)]
+
+    tally = {}
+    for a1, b1, d1 in reps(k):
+        for a2, b2, d2 in reps(m):
+            d = d1 * d2
+            key = (a1 * a2, (a1 * b2 + b1 * d2) % d, d)
+            tally[key] = tally.get(key, 0) + 1
+    per_layer = {}
+    for (a, b, d), mult in tally.items():
+        g, i = math.gcd(a, b, d), 0
+        while g % p == 0:
+            g, i = g // p, i + 1
+        per_layer.setdefault(e - i, set()).add(mult)
+    mults = [0] * (e + 2)
+    for n, ms in per_layer.items():
+        assert len(ms) == 1
+        mults[n] = ms.pop()
+    return LocalHeckeElement("%d:0" % p, p, [mults[n] - mults[n + 1] for n in range(e + 1)])
 
 
 def test_basis_and_identity():
@@ -79,10 +151,46 @@ def test_brute_force_rejects_huge_inputs():
         brute_force_convolution(101, 8, 8, max_pairs=1000)
 
 
+def test_brute_force_rejects_non_primes():
+    # p = 1 used to loop forever in the layer valuation, p = 6 gave a "relation"
+    for p in (0, 1, 4, 6):
+        with pytest.raises(HeckeError, match="rational prime"):
+            brute_force_convolution(p, 2, 2)
+
+
+def test_brute_force_int64_guard():
+    # p^(2(k+m)) = 2^62 is the first size the int64 keys cannot hold; the guard
+    # comes before the pair budget, so no budget lets such a size through
+    with pytest.raises(HeckeError, match="int64"):
+        brute_force_convolution(2, 32, 30)
+    with pytest.raises(HeckeError, match="pair budget"):
+        brute_force_convolution(2, 32, 28)
+
+
+def test_brute_force_matches_dict_tally_reference():
+    # the benchmark's five (p, k, m) plus one p = 7 case
+    for p, k, m in ((2, 4, 4), (2, 5, 3), (3, 3, 2), (3, 4, 1), (5, 2, 2), (7, 2, 1)):
+        brute = brute_force_convolution(p, 2 * k, 2 * m)
+        assert brute == dict_tally_reference(p, 2 * k, 2 * m), (p, k, m)
+
+
+def test_products_match_fraction_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        norm = rng.randrange(2, 33)
+        a, b = (LocalHeckeElement("x", norm, [
+            Fraction(rng.randrange(-99, 100), rng.randrange(1, 13))
+            for _ in range(rng.randrange(1, 11))]) for _ in range(2))
+        want = fraction_mul_reference(a, b)
+        assert a * b == want
+        assert from_sym_laurent("x", norm, a.to_sym_laurent() * b.to_sym_laurent()) == want
+
+
 def test_sym_laurent_roundtrip_basis():
     for norm in (2, 3, 4, 5):
         for k in range(5):
             x = tee("x", norm, k)
+            assert x.to_sym_laurent().coeffs == (norm ** k,) * (k + 1)
             assert from_sym_laurent("x", norm, x.to_sym_laurent()) == x
 
 
@@ -125,6 +233,16 @@ def test_coset_counts():
     assert expected_coset_count(2, 1) == 7
     with pytest.raises(HeckeError):
         coset_representatives(p3, 0)
+
+
+def test_coset_representatives_pinned_digest():
+    # sha256 of the coordinate strings, taken from the per-residue construction
+    pinned = {("2:0", 2): "1ae2ecce6a4c32c4a5a9c94c2364df2e406557f43ef2f521041f29b3ae566596",
+              ("11:1", 1): "9af0abd1d5c8fe6fde9fca8333c005be9bf1b9a0d371d00f740bfaa46d976f06"}
+    for (label, k), want in pinned.items():
+        reps = coset_representatives(prime_by_label(F5, label), k)
+        text = json.dumps([[[str(c) for c in x.coords()] for x in rep] for rep in reps])
+        assert hashlib.sha256(text.encode()).hexdigest() == want, label
 
 
 def test_s_poly_pinned():
