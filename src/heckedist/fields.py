@@ -6,6 +6,12 @@ the ring of integers is Z[w] in both cases.  Ideals are integer lattices
 in Hermite normal form with a rational denominator, which covers integral
 and fractional ideals uniformly.  Everything here is exact (Fraction or
 int); floats appear only through the archimedean embeddings.
+
+Residue rings and valuations run on int coordinates.  An integral ideal
+with HNF ((n, 0), (b, g)) is g times the primitive ideal (n/g)Z + (b/g + w)Z,
+whose residue ring is Z/(n/g); unit inverses are two modular inverses
+combined in closed form, and v_P counts multiply-and-divide steps by one
+fixed element of pP^{-1}, without building powers of P.
 """
 
 from __future__ import annotations
@@ -20,14 +26,6 @@ Rat = Union[int, Fraction]
 
 class FieldError(ValueError):
     """Domain error in field/ideal arithmetic."""
-
-
-class NotInvertibleError(FieldError):
-    """Residue-ring inversion failed; carries the witness gcd ideal."""
-
-    def __init__(self, message: str, witness: Optional["Ideal"] = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _squarefree(n: int) -> bool:
@@ -251,9 +249,6 @@ class FieldElement:
 
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
-
-    def is_unit(self) -> bool:
-        return self.is_integral() and abs(self.norm()) == 1
 
     def is_totally_positive(self) -> bool:
         if self.field.degree == 1:
@@ -592,30 +587,29 @@ def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:
 
 
 def ideal_valuation(ideal: Ideal, prime: PrimeIdeal) -> int:
-    """v_P(I) for an integral ideal I."""
+    """v_P(I) for an integral ideal I: the least v_P over its HNF basis.
+
+    An integral x has v_P(x) equal to the number of steps x -> beta*x/p that
+    stay in O.  beta = 1 when P = pO (inert, or over Q); for P = pZ + (b + w)Z,
+    beta = conj(b + w) lies in pP^{-1} but not in pO, so beta*x is in pO
+    exactly when x is in P, and each step lowers v_P by one.
+    """
     if not ideal.is_integral():
         raise FieldError("valuation needs an integral ideal")
-    v = 0
-    power = prime
-    # norms bound the valuation: N(P)^v divides N(I)
-    nI = int(ideal.norm())
-    nP = prime.absolute_norm()
-    vmax = 0
-    while nP ** (vmax + 1) <= nI:
-        vmax += 1
-    while v < vmax and ideal <= power ** (v + 1):
-        v += 1
-    return v
-
-
-def element_valuation(elt: FieldElement, prime: PrimeIdeal) -> int:
-    if elt.is_zero():
-        raise FieldError("valuation of zero")
-    den = (elt.a.denominator * elt.b.denominator
-           // math.gcd(elt.a.denominator, elt.b.denominator))
-    num = ideal_valuation(Ideal.principal(elt * den), prime)
-    dv = ideal_valuation(Ideal.principal(elt.field.element(den)), prime)
-    return num - dv
+    field, p = ideal.field, prime.p
+    t, c = field.t, field.c
+    b0, b1 = (1, 0) if field.degree == 1 or prime.f == 2 else (prime.hnf[1][0] + t, -1)
+    vals = []
+    for row in ideal.hnf:
+        x0, x1 = row if field.degree == 2 else (row[0], 0)
+        v = 0
+        while True:
+            y0, y1 = b0 * x0 + c * b1 * x1, b0 * x1 + b1 * x0 + t * b1 * x1
+            if y0 % p or y1 % p:
+                break
+            x0, x1, v = y0 // p, y1 // p, v + 1
+        vals.append(v)
+    return min(vals)
 
 
 def ideal_prime_factorization(ideal: Ideal) -> list:
@@ -659,7 +653,6 @@ class ResidueRing:
             raise FieldError("residue ring needs an integral ideal")
         self.ideal = ideal
         self.field = ideal.field
-        self.size = int(ideal.norm())
 
     def reduce(self, elt: FieldElement) -> FieldElement:
         return self.ideal.reduce(elt)
@@ -670,105 +663,37 @@ class ResidueRing:
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return self.reduce(x * y)
 
-    def is_unit(self, x: FieldElement) -> bool:
-        return self._inverse_coords(*map(int, x.coords())) is not None
-
-    def invert(self, x: FieldElement) -> FieldElement:
-        """Solve x*y = 1 mod I; on failure raise with the witness gcd ideal."""
-        f = self.field
-        inv = self._inverse_coords(*map(int, x.coords()))
-        if inv is not None:
-            return f.element(*inv)
-        if f.degree == 1:
-            wit = Ideal.from_generators(f, [f.element(math.gcd(int(x.a), self.size))])
-        else:
-            wit = Ideal.from_generators(f, [x, *self.ideal.basis_elements()])
-        raise NotInvertibleError("element %r not invertible mod %r" % (x, self.ideal), wit)
-
     def _inverse_coords(self, a: int, b: int = 0) -> Optional[tuple]:
-        """Reduced int coords of (a + b*w)^{-1} mod I, or None for a non-unit."""
+        """Reduced int coords of x^{-1} mod I for x = a + b*w, or None for a non-unit.
+
+        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
+        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x is a unit
+        mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1 decides.
+        With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod gO (gO
+        is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
+        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
+        """
         if self.field.degree == 1:
             n = self.ideal.hnf[0][0]
             return (pow(a, -1, n),) if math.gcd(a, n) == 1 else None
-        # degree 2: solve M_x * y + H * k = e1 over Z, unknowns (y, k) in Z^4
         t, c = self.field.t, self.field.c
         (n, _), (bh, g) = self.ideal.hnf
-        sol = _solve_two_rows([(a, b), (c * b, a + t * b), (n, 0), (bh, g)], (1, 0))
-        return None if sol is None else self.ideal.reduce_coords(sol[0], sol[1])
+        r = a - (bh // g) * b
+        norm = a * a + t * a * b - c * b * b
+        if math.gcd(r, n // g) != 1 or math.gcd(norm, g) != 1:
+            return None
+        y1 = pow(r, -1, n // g)
+        s = pow(norm, -1, g)
+        return self.ideal.reduce_coords(y1 * (1 - norm * s) + s * (a + t * b), -s * b)
 
     def units(self) -> list:
-        return [x for x in self.elements() if self.is_unit(x)]
+        return [self.field.element(*x) for x, _ in self.unit_inverse_pairs()]
 
     def unit_inverse_pairs(self) -> list:
         """[(x, x^{-1})] for the units, as reduced int coordinate tuples in
         the lex order of residues()."""
         return [(x, inv) for x in self.ideal.residue_coords()
                 if (inv := self._inverse_coords(*x)) is not None]
-
-    def unit_inverse_table(self) -> dict:
-        """Map reduced unit coords -> inverse element."""
-        return {x: self.field.element(*inv) for x, inv in self.unit_inverse_pairs()}
-
-
-def _solve_two_rows(cols: Sequence[tuple], target: tuple) -> Optional[tuple]:
-    """One integer solution z of sum_j cols[j] * z_j = target, or None.
-
-    Column-style Hermite reduction with the unimodular transform recorded,
-    then a triangular solve.
-    """
-    k = len(cols)
-    A = [list(col) for col in cols]  # A[j] = current column j
-    U = [[int(i == j) for i in range(k)] for j in range(k)]  # A[j] = sum U[j][i]*cols[i]
-
-    def colop(j, pj, q):
-        A[j][0] -= q * A[pj][0]
-        A[j][1] -= q * A[pj][1]
-        for i in range(k):
-            U[j][i] -= q * U[pj][i]
-
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    for row, start in ((0, 0), (1, 1)):
-        while True:
-            nz = [j for j in range(start, k) if A[j][row] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(A[j][row]))
-            swap(start, jmin)
-            clean = True
-            for j in range(start + 1, k):
-                if A[j][row] != 0:
-                    colop(j, start, A[j][row] // A[start][row])
-                    if A[j][row] != 0:
-                        clean = False
-            if clean:
-                break
-    d0, e = A[0]
-    d1 = A[1][1]
-    if d0 == 0:
-        if target[0] != 0:
-            return None
-        y0 = 0
-    else:
-        if target[0] % d0 != 0:
-            return None
-        y0 = target[0] // d0
-    rem = target[1] - y0 * e
-    if d1 == 0:
-        if rem != 0:
-            return None
-        y1 = 0
-    else:
-        if rem % d1 != 0:
-            return None
-        y1 = rem // d1
-    z = tuple(y0 * U[0][i] + y1 * U[1][i] for i in range(k))
-    chk = (sum(cols[j][0] * z[j] for j in range(k)),
-           sum(cols[j][1] * z[j] for j in range(k)))
-    assert chk == tuple(target)
-    return z
 
 
 class UnitGroupData:

@@ -24,7 +24,6 @@ share no kernel, so each stays an independent check of the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -368,39 +367,6 @@ def nu_from_lambda(norm: int, lam: float) -> complex:
         return complex(0.0, nu_strip_height(N))
     t = math.acos(lam / two_sqrt) / math.log(N)
     return complex(0.0, t)
-
-
-# -- global operators ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlobalHeckeOperator:
-    """T(A^2) for a squarefull ideal A^2 = prod P^{2 k_P}; exponents maps label -> k_P."""
-    exponents: Tuple[Tuple[str, int, int], ...]  # (label, norm, k), sorted by label
-
-    @classmethod
-    def from_dict(cls, exps: Dict[str, Tuple[int, int]]) -> "GlobalHeckeOperator":
-        """exps: label -> (norm, k)."""
-        items = []
-        for label, (norm, k) in sorted(exps.items()):
-            if k < 0:
-                raise HeckeError("exponents must be >= 0")
-            if k > 0:
-                items.append((label, norm, k))
-        return cls(tuple(items))
-
-
-def global_eigenvalue(op: GlobalHeckeOperator, lam_by_label: Dict[str, Union[float, Fraction]]):
-    """Character value prod_P S_{P,2k_P}(lambda_P); exact on Fraction input."""
-    exact = all(isinstance(lam_by_label.get(label), (int, Fraction))
-                for label, _, _ in op.exponents)
-    acc: Union[Fraction, float] = Fraction(1) if exact else 1.0
-    for label, norm, k in op.exponents:
-        if label not in lam_by_label:
-            raise HeckeError("missing eigenvalue for prime %s" % label)
-        val = s_poly_eval(s_poly(norm, 2 * k), lam_by_label[label])
-        acc = acc * val
-    return acc
 
 
 # -- coset representatives and brute-force convolution -------------------------

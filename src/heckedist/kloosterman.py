@@ -206,21 +206,6 @@ def symmetry_check(q: KloostermanQuery) -> float:
                abs(k.conjugate() - chi_m1 * k_swap))
 
 
-def twisted_multiplicativity_gap(m: int, n: int, c1: int, c2: int) -> float:
-    """|S(m,n;c1 c2) - S(m cbar2^2, n; c1) S(m cbar1^2, n; c2)| for coprime c1, c2.
-
-    Standard consistency oracle over the rationals with trivial character.
-    """
-    if math.gcd(c1, c2) != 1:
-        raise KloostermanError("moduli must be coprime")
-    cb2 = pow(c2, -1, c1)
-    cb1 = pow(c1, -1, c2)
-    lhs = rational_kloosterman(m, n, c1 * c2)
-    rhs = rational_kloosterman(m * cb2 * cb2 % c1, n, c1) * \
-        rational_kloosterman(m * cb1 * cb1 % c2, n, c2)
-    return abs(lhs - rhs)
-
-
 # -- delta term ------------------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckedist import (
-    GlobalHeckeOperator,
     HeckeError,
     LocalHeckeElement,
     brute_force_convolution,
@@ -20,7 +19,6 @@ from heckedist import (
     expected_coset_count,
     factor_rational_prime,
     from_sym_laurent,
-    global_eigenvalue,
     lambda_from_nu,
     make_field,
     nu_from_lambda,
@@ -308,19 +306,3 @@ def test_nu_canonical_strip():
     # complementary: lambda in (2 sqrt N, N+1] -> nu real in (0, 1/2]
     nu2 = nu_from_lambda(2, 2.9)
     assert nu2.imag == 0 and 0 < nu2.real <= 0.5
-
-
-def test_global_eigenvalue_pinned():
-    op = GlobalHeckeOperator.from_dict({"2:0": (2, 1), "3:0": (3, 1)})
-    lam = {"2:0": Fraction(3, 4), "3:0": Fraction(28, 27)}
-    val = global_eigenvalue(op, lam)
-    assert val == Fraction(32269, 11664)
-
-
-def test_global_eigenvalue_is_multiplicative_over_primes():
-    op2 = GlobalHeckeOperator.from_dict({"2:0": (2, 1)})
-    op3 = GlobalHeckeOperator.from_dict({"3:0": (3, 2)})
-    op = GlobalHeckeOperator.from_dict({"2:0": (2, 1), "3:0": (3, 2)})
-    lam = {"2:0": 1.25, "3:0": 0.75}
-    assert math.isclose(global_eigenvalue(op, lam),
-                        global_eigenvalue(op2, lam) * global_eigenvalue(op3, lam))

@@ -21,7 +21,6 @@ from heckedist import (
     make_field,
     rational_kloosterman,
     symmetry_check,
-    twisted_multiplicativity_gap,
     weil_scan,
 )
 
@@ -50,11 +49,9 @@ def fraction_reference(q):
     # per-term Fraction loop that evaluate() used before its integer kernel;
     # kept here as the reference the integer kernel is compared with
     field = q.c.field
-    ring = ResidueRing(Ideal.principal(q.c))
-    inv = ring.unit_inverse_table()
     total = 0.0 + 0.0j
-    for coords, d in inv.items():
-        a = field.element(*coords)
+    for coords, inv in ResidueRing(Ideal.principal(q.c)).unit_inverse_pairs():
+        a, d = field.element(*coords), field.element(*inv)
         x = (q.rp * a + q.r * d) / q.c
         tr = x.trace()
         phase = Fraction(tr.numerator % tr.denominator, tr.denominator) \
@@ -95,22 +92,33 @@ def test_evaluate_matches_fraction_reference():
         assert abs(evaluate(q) - fraction_reference(q)) < 1e-12, q
 
 
-def test_unit_inverse_pairs():
-    for c in (Q.element(1), Q.element(36), F5.element(7), F5.element(3, 2),
-              F5.element(6, 0), F94.element(5, 1), F94.element(6), F94.element(1)):
-        field = c.field
-        ring = ResidueRing(Ideal.principal(c))
+def int_product(ideal, x, y):
+    # reduced int coordinates of x*y mod the ideal, with w^2 = t*w + c
+    field = ideal.field
+    if field.degree == 1:
+        return ideal.reduce_coords(x[0] * y[0])
+    return ideal.reduce_coords(x[0] * y[0] + field.c * x[1] * y[1],
+                               x[0] * y[1] + x[1] * y[0] + field.t * x[1] * y[1])
+
+
+def test_unit_inverse_pairs(enumerated_ideals):
+    # plain search reference: for each residue x, the residue y with x*y = 1
+    extra = [Ideal.principal(c) for c in (Q.element(36), F5.element(7), F5.element(3, 2),
+                                          F5.element(6, 0), F94.element(5, 1), F94.element(6))]
+    for ideal in enumerated_ideals + extra:
+        ring = ResidueRing(ideal)
         pairs = ring.unit_inverse_pairs()
         phi = 1
-        for prime, v in ideal_prime_factorization(Ideal.principal(c)):
+        for prime, v in ideal_prime_factorization(ideal):
             phi *= (prime.absolute_norm() - 1) * prime.absolute_norm() ** (v - 1)
         assert len(pairs) == phi
-        for x, y in pairs:
-            assert all(type(v) is int for v in x + y)
-            assert ring.reduce(field.element(*x) * field.element(*y)) == \
-                ring.reduce(field.one())
-        if field.degree == 2:
-            assert pairs == [(u.coords(), ring.invert(u).coords()) for u in ring.units()]
+        assert all(type(v) is int for x, y in pairs for v in x + y)
+        one = ideal.reduce_coords(1)
+        residues = list(ideal.residue_coords())
+        assert pairs == [(x, y) for x in residues for y in residues
+                         if int_product(ideal, x, y) == one], ideal
+    # inert 7 in Q(sqrt 5): the residue field F_49
+    assert len(ResidueRing(extra[1]).unit_inverse_pairs()) == 48
 
 
 def test_classical_values():
@@ -135,6 +143,17 @@ def test_ramanujan_sum_special_case():
     # S(m, 0; c) is a Ramanujan sum; S(1, 0; p) = -1 for prime p
     for p in (3, 5, 7, 11):
         assert abs(rational_kloosterman(1, 0, p) - (-1.0)) < 1e-12
+
+
+def twisted_multiplicativity_gap(m, n, c1, c2):
+    # |S(m,n;c1 c2) - S(m cbar2^2, n; c1) S(m cbar1^2, n; c2)| for coprime c1, c2
+    assert math.gcd(c1, c2) == 1
+    cb2 = pow(c2, -1, c1)
+    cb1 = pow(c1, -1, c2)
+    lhs = rational_kloosterman(m, n, c1 * c2)
+    rhs = rational_kloosterman(m * cb2 * cb2 % c1, n, c1) * \
+        rational_kloosterman(m * cb1 * cb1 % c2, n, c2)
+    return abs(lhs - rhs)
 
 
 def test_multiplicative_structure():
