@@ -10,6 +10,7 @@ from heckedist import (
     FieldError,
     Ideal,
     NumberField,
+    ResidueRing,
     factor_rational_prime,
     ideal_prime_factorization,
     ideal_valuation,
@@ -226,6 +227,17 @@ def test_inverse_different():
     for r in d5.basis_elements():
         for x in (F5.one(), F5.omega()):
             assert (r * x).trace().denominator == 1
+
+
+def test_residue_ring_inverses():
+    ideal = Ideal.principal(F5.element(7))
+    ring = ResidueRing(ideal)
+    pairs = ring.unit_inverse_pairs()
+    assert len(pairs) == 48  # N(7) = 49, inert: residue field F_49
+    one = F5.one()
+    for coords, inv in pairs:
+        x = F5.element(*coords)
+        assert ring.reduce(x * F5.element(*inv)) == ring.reduce(one)
 
 
 def test_unit_square_class():
