@@ -364,8 +364,7 @@ def cmd_eq_tau(args) -> int:
         with open(args.tau_out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "tau"])
-            for n in range(1, len(td.tau)):
-                w.writerow([n, td.tau[n]])
+            w.writerows(enumerate(td.tau[1:], 1))
     print(_dumps({
         "upto": args.upto,
         "primes": len(td.dataset.prime_labels),

@@ -10,13 +10,14 @@ prediction is
 with the V1 box measure as the error yardstick.  The covolume is an
 input (with a classical index helper), never computed from scratch.
 
-A Dataset is a set of numpy columns, one row per record: lambda_inf
-and xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple
-of prime labels, and weight of shape (M,).  The constructor validates
-the columns once (shapes, finiteness, nonnegative weights, 0/1
-parities), so every loader rejects bad input at load time, and the
-count is one boolean mask followed by a compensated sum of the kept
-weights.
+A Dataset is a set of numpy columns, one row per record: lambda_inf and
+xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple of
+prime labels, and weight of shape (M,).  The constructor validates the
+columns once (shapes, finiteness, nonnegative weights, 0/1 parities), so
+every loader rejects bad input at load time, and the count is one
+boolean mask followed by a compensated sum of the kept weights.  The
+JSONL and CSV writers stream one %-template line per row and the readers
+build flat columns; no per-row container is kept.
 
 Synthetic datasets draw archimedean coordinates from the normalized
 restriction of pl_xi to the box (atoms included with their relative
@@ -39,9 +40,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+import warnings
+from dataclasses import astuple, dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,14 +56,6 @@ class EquidistError(ValueError):
 
 
 # -- dataset model ---------------------------------------------------------------
-
-
-def _table(rows: list, width: int, what: str) -> np.ndarray:
-    """Parsed rows as an (M, width) float64 array; ragged or non-numeric rows raise."""
-    try:
-        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    except (TypeError, ValueError):
-        raise EquidistError("%s: every row needs %d numbers" % (what, width)) from None
 
 
 @dataclass(eq=False)
@@ -145,72 +139,104 @@ class Dataset:
                                    float(bounds[k])))
 
     # -- serialization ----------------------------------------------------------
+    # %r is float.__repr__, as in json and csv: the bytes are those of a per-row
+    # json.JSONEncoder(sort_keys=True, separators=(",", ":")) or csv.writer
 
     def to_jsonl(self, path: str) -> None:
-        enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+        d = self.dim
+        # keys in sorted order: lambda_inf, lambda_p, src, weight, xi
+        head = '{"lambda_inf":[%s],"lambda_p":{%s}' % (",".join(["%r"] * d), ",".join(
+            json.dumps(k).replace("%", "%%") + ":%r" for k in self.prime_labels))
+        tail = ',"weight":%r,"xi":[' + ",".join(["%d"] * d) + "]}\n"
         src = self.src if self.src is not None else [None] * len(self)
+        templates = {s: head + ("" if s is None else ',"src":' + json.dumps(s).replace(
+            "%", "%%")) + tail for s in set(src)}
+        table = np.hstack([self.lambda_inf, self.lambda_p, self.weight[:, None], self.xi])
         with open(path, "w") as fh:
-            for lam, xi, lp, w, s in zip(self.lambda_inf.tolist(), self.xi.tolist(),
-                                         self.lambda_p.tolist(), self.weight.tolist(), src):
-                row = {"lambda_inf": lam, "xi": xi,
-                       "lambda_p": dict(zip(self.prime_labels, lp)), "weight": w}
-                if s is not None:
-                    row["src"] = s
-                fh.write(enc.encode(row) + "\n")
+            fh.writelines(_lines(table, templates, src))
 
     @classmethod
     def from_jsonl(cls, path: str, field_spec: str = "Q", level: str = "1",
                    meta: Optional[Dict] = None) -> "Dataset":
         lam, xi, lp, weight, src = [], [], [], [], []
-        keys, labels = None, []
+        d, keys, labels = 0, None, []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                row = json.loads(line)
-                if keys is None:
-                    keys = row["lambda_p"].keys()
-                    labels = sorted(keys)
-                elif row["lambda_p"].keys() != keys:
-                    raise EquidistError("line %d: lambda_p labels %s differ from %s"
-                                        % (lineno, sorted(row["lambda_p"]), labels))
-                lam.append(row["lambda_inf"])
-                xi.append(row["xi"])
-                lp.append([row["lambda_p"][k] for k in labels])
+                try:
+                    row = json.loads(line)
+                    if type(row) is not dict:
+                        raise EquidistError("a record must be a JSON object")
+                    r_lam, r_xi, r_lp, s = (row["lambda_inf"], row["xi"], row["lambda_p"],
+                                            row.get("src"))
+                    if not (type(r_lam) is type(r_xi) is list and type(r_lp) is dict
+                            and (s is None or type(s) is str)):
+                        raise EquidistError("lambda_inf and xi must be arrays, lambda_p an "
+                                            "object and src a string or null")
+                    if keys is None:
+                        d, keys, labels = len(r_lam), r_lp.keys(), sorted(r_lp)
+                    if len(r_lam) != d or len(r_xi) != d or r_lp.keys() != keys:
+                        raise EquidistError("lambda_inf, xi or lambda_p labels differ from the "
+                                            "first record (dimension %d, labels %s)" % (d, labels))
+                except json.JSONDecodeError as exc:
+                    raise EquidistError("line %d: %s at column %d"
+                                        % (lineno, exc.msg, exc.colno)) from None
+                except KeyError as exc:
+                    raise EquidistError("line %d: missing key %s" % (lineno, exc)) from None
+                except EquidistError as exc:
+                    raise EquidistError("line %d: %s" % (lineno, exc)) from None
+                lam += r_lam
+                xi += r_xi
+                lp += map(r_lp.__getitem__, labels)
                 weight.append(row.get("weight", 1.0))
-                src.append(row.get("src"))
-        d = len(lam[0]) if lam else 0
-        return cls(field_spec, level, _table(lam, d, "lambda_inf"), _table(xi, d, "xi"),
-                   tuple(labels), _table(lp, len(labels), "lambda_p"), weight, src,
-                   meta or {})
+                src.append(s)
+        try:  # the lengths are checked, so only a non-number entry fails here
+            lam, xi, lp = (np.array(c, dtype=np.float64).reshape(len(weight), w)
+                           for c, w in ((lam, d), (xi, d), (lp, len(labels))))
+        except (TypeError, ValueError):
+            raise EquidistError("%s: lambda_inf, xi and lambda_p entries must be numbers"
+                                % path) from None
+        return cls(field_spec, level, lam, xi, tuple(labels), lp, weight, src, meta or {})
 
     def to_csv(self, path: str) -> None:
-        d = self.dim
+        d, labels = self.dim, self.prime_labels
         header = (["lambda_%d" % (j + 1) for j in range(d)]
-                  + ["xi_%d" % (j + 1) for j in range(d)] + list(self.prime_labels)
-                  + ["weight"])
+                  + ["xi_%d" % (j + 1) for j in range(d)] + list(labels) + ["weight"])
+        template = ",".join(["%r"] * d + ["%d"] * d + ["%r"] * (len(labels) + 1)) + "\r\n"
+        table = np.hstack([self.lambda_inf, self.xi, self.lambda_p, self.weight[:, None]])
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            # csv writes floats as repr(), so the numbers round-trip exactly
-            w.writerows(lam + xi + lp + [wt] for lam, xi, lp, wt in zip(
-                self.lambda_inf.tolist(), self.xi.tolist(), self.lambda_p.tolist(),
-                self.weight.tolist()))
+            csv.writer(fh).writerow(header)  # labels may need quoting; numbers never do
+            fh.writelines(_lines(table, {None: template}, [None] * len(self)))
 
     @classmethod
     def from_csv(cls, path: str, field_spec: str = "Q", level: str = "1",
                  meta: Optional[Dict] = None) -> "Dataset":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise EquidistError("%s: no CSV header" % path)
-            rows = [row for row in reader if row]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # header only: 0 rows
+                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                       ndmin=2)
+            except ValueError as exc:
+                raise EquidistError("%s: %s" % (path, exc)) from None
+        if table.size and table.shape[1] != len(header):
+            raise EquidistError("%s: every row needs %d numbers" % (path, len(header)))
+        table = table.reshape(-1, len(header))
         d = sum(1 for h in header if h.startswith("xi_"))
-        table = _table(rows, len(header), path)
         return cls(field_spec, level, table[:, :d], table[:, d:2 * d],
                    tuple(header[2 * d:-1]), table[:, 2 * d:-1], table[:, -1], None,
                    meta or {})
+
+
+def _lines(table: np.ndarray, templates: Dict, keys: Sequence) -> Iterator[str]:
+    """templates[keys[i]] % row i of table; rows become floats a block at a time."""
+    for i in range(0, len(table), 4096):
+        for row, key in zip(table[i:i + 4096].tolist(), keys[i:i + 4096]):
+            yield templates[key] % tuple(row)
 
 
 # -- counting and prediction ------------------------------------------------------
@@ -508,9 +534,7 @@ class Report:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "count", "prediction", "ratio", "v1"])
-            for row in self.rows:
-                w.writerow([repr(row.t), repr(row.count), repr(row.prediction),
-                            repr(row.ratio), repr(row.v1)])
+            w.writerows(astuple(row) for row in self.rows)  # csv writes floats by repr()
 
     def summary(self) -> Dict:
         return {"final_ratio": self.final_ratio,

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from scipy.integrate import quad
-
 Rat = Union[int, Fraction]
 
 
@@ -96,6 +94,7 @@ def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
 
 def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
     """Integral of the pl_xi density over [lo, hi] within [1/4, oo)."""
+    from scipy.integrate import quad  # on first use: `import heckedist` skips scipy
     lo = max(lo, 0.25)
     if hi <= lo:
         return MeasureValue(0.0, 0.0)
@@ -265,6 +264,7 @@ class NuMeasure:
                     if t < 1e-8:
                         return 2.0 / math.pi + 2.0 * math.pi * t * t / 3.0
                     return 2.0 * t / math.tanh(math.pi * t)
+            from scipy.integrate import quad
             v, e = quad(f, t_lo, t_hi, epsabs=1e-12, epsrel=1e-12, limit=200)
             cont = MeasureValue(v, e)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)

@@ -206,6 +206,19 @@ def test_equidist_run_is_strict_json(capsys, tmp_path):
     json.loads(out, parse_constant=_reject_constant)
 
 
+def test_equidist_run_reports_bad_record_line(capsys, tmp_path):
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    good = '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}'
+    for i, bad in enumerate(["[1,2]", "3", '{"lambda_inf":[1.0],"xi":[0]}', '{"xi":']):
+        data_file = tmp_path / ("bad%d.jsonl" % i)
+        data_file.write_text(good + "\n" + bad + "\n")
+        code, _, err = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                               "--box", box_spec, "--intervals", '{"2:0":[0,1]}',
+                               "--t-grid", "1,3")
+        assert code == 1
+        assert json.loads(err)["message"].startswith("line 2: ")
+
+
 def test_equidist_index(capsys):
     code, out, _ = run_cli(capsys, "--level", "6", "equidist", "index")
     assert code == 0

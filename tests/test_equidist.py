@@ -1,10 +1,12 @@
 """Counting function, prediction, synthetic datasets, exact tau source,
 report pipeline."""
 
+import csv
 import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -321,6 +323,154 @@ def test_csv_roundtrip(tmp_path):
     assert_same_rows(back, ds)
     header = path.read_text().split("\n")[0]
     assert header.split(",")[:2] == ["lambda_1", "xi_1"]
+
+
+# -- per-row serializers the template writers and flat-column readers replaced --
+
+
+def csv_header(ds):
+    return (["lambda_%d" % (j + 1) for j in range(ds.dim)]
+            + ["xi_%d" % (j + 1) for j in range(ds.dim)] + list(ds.prime_labels) + ["weight"])
+
+
+def reference_to_jsonl(ds, path):
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    src = ds.src if ds.src is not None else [None] * len(ds)
+    with open(path, "w") as fh:
+        for lam, xi, lp, w, s in zip(ds.lambda_inf.tolist(), ds.xi.tolist(),
+                                     ds.lambda_p.tolist(), ds.weight.tolist(), src):
+            row = {"lambda_inf": lam, "xi": xi,
+                   "lambda_p": dict(zip(ds.prime_labels, lp)), "weight": w}
+            if s is not None:
+                row["src"] = s
+            fh.write(enc.encode(row) + "\n")
+
+
+def reference_to_csv(ds, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(csv_header(ds))
+        w.writerows(lam + xi + lp + [wt] for lam, xi, lp, wt in zip(
+            ds.lambda_inf.tolist(), ds.xi.tolist(), ds.lambda_p.tolist(),
+            ds.weight.tolist()))
+
+
+def reference_from_jsonl(path):
+    lam, xi, lp, weight, src = [], [], [], [], []
+    labels = []
+    with open(path) as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            labels = sorted(row["lambda_p"])
+            lam.append(row["lambda_inf"])
+            xi.append(row["xi"])
+            lp.append([row["lambda_p"][k] for k in labels])
+            weight.append(row.get("weight", 1.0))
+            src.append(row.get("src"))
+    d = len(lam[0]) if lam else 0
+    return Dataset("Q", "1", np.array(lam, dtype=np.float64).reshape(len(lam), d),
+                   np.array(xi, dtype=np.float64).reshape(len(xi), d), tuple(labels),
+                   np.array(lp, dtype=np.float64).reshape(len(lp), len(labels)), weight, src)
+
+
+def reference_from_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    d = sum(1 for h in header if h.startswith("xi_"))
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    return Dataset("Q", "1", table[:, :d], table[:, d:2 * d], tuple(header[2 * d:-1]),
+                   table[:, 2 * d:-1], table[:, -1])
+
+
+def assert_same_bits(a, b):
+    assert a.prime_labels == b.prime_labels
+    for name in ("lambda_inf", "xi", "lambda_p", "weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (None if a.src is None else list(a.src)) == (None if b.src is None else list(b.src))
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, -2.0]
+
+
+def awkward_ds():
+    """Floats whose repr is unusual, src tags that need JSON escapes, and a
+    label with a quote, a comma and a percent sign."""
+    n = len(AWKWARD)
+    return Dataset("Q", "1", [[x, AWKWARD[(i + 1) % n]] for i, x in enumerate(AWKWARD)],
+                   [[i % 2, i // 2 % 2] for i in range(n)], ("2:0", 'p"%,1'),
+                   [[AWKWARD[(i + 2) % n], x] for i, x in enumerate(AWKWARD)],
+                   [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 2.0],
+                   [None, "synth", 'say "hi" \\ now', "Maaß–Hecke", None, "synth"])
+
+
+def test_writers_match_per_row_reference(tmp_path):
+    for ds in (awkward_ds(), small_ds(),
+               synthesize(F73, ["2:0", "3:0"], Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0),
+                          5000, seed=7)):
+        for write, reference, name in ((Dataset.to_jsonl, reference_to_jsonl, "ds.jsonl"),
+                                       (Dataset.to_csv, reference_to_csv, "ds.csv")):
+            write(ds, str(tmp_path / name))
+            reference(ds, str(tmp_path / ("ref_" + name)))
+            assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
+
+
+def test_readers_match_per_row_reference(tmp_path):
+    ds = awkward_ds()
+    ds.to_jsonl(str(tmp_path / "ds.jsonl"))
+    ds.to_csv(str(tmp_path / "ds.csv"))
+    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"))
+    assert_same_bits(back, reference_from_jsonl(str(tmp_path / "ds.jsonl")))
+    assert_same_bits(back, ds)
+    back = Dataset.from_csv(str(tmp_path / "ds.csv"))
+    assert_same_bits(back, reference_from_csv(str(tmp_path / "ds.csv")))
+    assert_same_bits(back, replace(ds, src=None))
+    # a header-only CSV and an empty JSONL file hold zero records
+    (tmp_path / "head.csv").write_text(",".join(csv_header(ds)) + "\n")
+    back = Dataset.from_csv(str(tmp_path / "head.csv"))
+    assert len(back) == 0
+    assert_same_bits(back, reference_from_csv(str(tmp_path / "head.csv")))
+    (tmp_path / "empty.jsonl").write_text("")
+    back = Dataset.from_jsonl(str(tmp_path / "empty.jsonl"))
+    assert len(back) == 0
+    assert_same_bits(back, reference_from_jsonl(str(tmp_path / "empty.jsonl")))
+    # '#' starts no comment in CSV: the line is a bad record; and every row
+    # needs one number per header column, even when all rows agree
+    for name, body in (("hash.csv", "#1.0,0,0.5,1.0\n"), ("narrow.csv", "1.0,0,0.5\n" * 2)):
+        (tmp_path / name).write_text("lambda_1,xi_1,2:0,weight\n" + body)
+        with pytest.raises(ValueError):
+            reference_from_csv(str(tmp_path / name))
+        with pytest.raises(EquidistError):
+            Dataset.from_csv(str(tmp_path / name))
+
+
+def test_jsonl_load_names_the_bad_line(tmp_path):
+    good = '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}'
+    for i, (bad, reason) in enumerate([
+        ("[1,2]", "JSON object"),
+        ("3", "JSON object"),
+        ('{"lambda_inf":[1.0],"weight":1.0,"xi":[0]}', "missing key 'lambda_p'"),
+        ('{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,,"xi":[0]}', "column 57"),
+        ('{"lambda_inf":[1.0,2.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0,0]}',
+         "first record (dimension 1, labels ['2:0'])"),
+        ('{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[]}',
+         "first record (dimension 1"),
+        ('{"lambda_inf":"1","lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}', "must be arrays"),
+        ('{"lambda_inf":[1.0],"lambda_p":[0.5],"weight":1.0,"xi":[0]}',
+         "lambda_p an object"),
+        ('{"lambda_inf":[1.0],"lambda_p":{"3:0":0.5},"weight":1.0,"xi":[0]}', "labels differ"),
+        ('{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"src":7,"weight":1.0,"xi":[0]}',
+         "src a string"),
+    ]):
+        # the blank line counts: the bad record is line 3 of the file
+        path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), [good, "", bad])
+        with pytest.raises(EquidistError, match="^line 3: ") as info:
+            Dataset.from_jsonl(path)
+        assert reason in str(info.value)
 
 
 def test_tau_small():

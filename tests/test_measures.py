@@ -1,13 +1,18 @@
 """Spectral measures: Plancherel atoms + densities, V1 reference measure,
 nu-coordinate change of variables, Sato-Tate closed forms, boxes."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckedist
 from heckedist import (
     Box,
     MeasureError,
@@ -262,3 +267,21 @@ def test_box_measure_product():
     assert w.value > 0
     with pytest.raises(MeasureError):
         box_measure(box, family="pl2")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the first quadrature, not by `import heckedist`
+    script = (
+        "import json, sys, heckedist\n"
+        "before = 'scipy' in sys.modules\n"
+        "box = heckedist.Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)\n"
+        "v = heckedist.box_measure(box, 'pl')\n"
+        "print(json.dumps([before, 'scipy' in sys.modules, v.value, v.error]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckedist.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    before, after, value, error = json.loads(out)
+    assert not before and after
+    # the value and error estimate of the module-level import
+    assert value == pytest.approx(6.492585269229824, rel=1e-13)
+    assert error == pytest.approx(1.0755629498806783e-13, rel=1e-6)
