@@ -419,7 +419,7 @@ def cmd_eq_predict(args) -> int:
     pred = equidist.predict(field, args.covolume, box, args.t, j_windows)
     _emit(args, {"constant": pred.constant, "pl_factor": pred.pl_factor,
                  "phi_factor": pred.phi_factor, "product": pred.product,
-                 "v1": pred.v1})
+                 "v1": pred.v1, "error": pred.error})
     return 0
 
 

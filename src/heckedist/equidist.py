@@ -14,10 +14,15 @@ A Dataset is a set of numpy columns, one row per record: lambda_inf and
 xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple of
 prime labels, and weight of shape (M,).  The constructor validates the
 columns once (shapes, finiteness, nonnegative weights, 0/1 parities), so
-every loader rejects bad input at load time, and the count is one
-boolean mask followed by a compensated sum of the kept weights.  The
-JSONL and CSV writers stream one %-template line per row and the readers
-build flat columns; no per-row container is kept.
+every loader rejects bad input at load time, and stores the tables in
+column-major order, so each column a query reads is one contiguous run.
+The count tests parity one int8 column at a time, narrows the same
+boolean mask with two in-place comparisons per closed window, gathers
+the kept weights with np.compress and sums them with math.fsum, which
+is correctly rounded.  Queries with a negative or non-finite t or a
+non-finite or reversed window are rejected by count and predict alike.
+The JSONL and CSV writers stream one %-template line per row and the
+readers build flat columns; no per-row container is kept.
 
 Synthetic datasets draw archimedean coordinates from the normalized
 restriction of pl_xi to the box (atoms included with their relative
@@ -66,7 +71,8 @@ class Dataset:
     parities, lambda_p (M, L) Hecke eigenvalues in the order of the sorted
     prime_labels, weight (M,), and an optional per-row src tag.  The
     constructor validates once: shapes agree, values are finite, weights
-    are nonnegative and parities are 0 or 1.
+    are nonnegative and parities are 0 or 1.  The tables are stored
+    column-major and weight contiguous, so every column is one run.
     """
 
     field_spec: str
@@ -102,8 +108,9 @@ class Dataset:
             raise EquidistError("xi entries must be 0 or 1")
         order = sorted(range(len(labels)), key=labels.__getitem__)
         self.prime_labels = tuple(labels[k] for k in order)
-        self.lambda_inf, self.xi, self.lambda_p, self.weight = \
-            lam, xi.astype(np.int8), lp[:, order], w
+        self.lambda_inf, self.xi, self.lambda_p, self.weight = (
+            np.asfortranarray(lam), np.asfortranarray(xi, dtype=np.int8),
+            np.asfortranarray(lp[:, order]), np.ascontiguousarray(w))
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -242,6 +249,16 @@ def _lines(table: np.ndarray, templates: Dict, keys: Sequence) -> Iterator[str]:
 # -- counting and prediction ------------------------------------------------------
 
 
+def _check_query(t: float, j_windows: Dict[str, Tuple[float, float]]) -> None:
+    """Reject a threshold or Hecke window that count and predict cannot both honour."""
+    if not (math.isfinite(t) and t >= 0):
+        raise EquidistError("t must be finite and nonnegative, got %r" % (t,))
+    for label, (a, b) in j_windows.items():
+        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+            raise EquidistError("window %s = [%r, %r] must be finite with a <= b"
+                                % (label, a, b))
+
+
 def count(ds: Dataset, box: Box, t: float,
           j_windows: Dict[str, Tuple[float, float]]) -> float:
     """Weighted count of records in the box at threshold t with all
@@ -250,31 +267,37 @@ def count(ds: Dataset, box: Box, t: float,
     Records whose parity vector differs from the box parity do not
     belong to the window's spectral family and are skipped.
     """
+    _check_query(t, j_windows)
     if not len(ds):
         return 0.0
     if box.dim != ds.dim:
         raise EquidistError("box dimension %d != dataset dimension %d" % (box.dim, ds.dim))
     bx = box.with_t(t)
-    mask = (ds.xi == np.array(bx.xi)).all(axis=1)
-    for j in range(bx.dim):
-        a, b = bx.interval(j + 1)
-        mask &= (a <= ds.lambda_inf[:, j]) & (ds.lambda_inf[:, j] <= b)
-    for label, (a, b) in j_windows.items():
-        col = ds.eigenvalues(label)
-        mask &= (a <= col) & (col <= b)
-    return math.fsum(ds.weight[mask].tolist())
+    mask = np.ones(len(ds), dtype=bool)
+    for j, x in enumerate(bx.xi):
+        mask &= ds.xi[:, j] == x
+    windows = [(ds.lambda_inf[:, j], bx.interval(j + 1)) for j in range(bx.dim)]
+    windows += [(ds.eigenvalues(label), ab) for label, ab in j_windows.items()]
+    for col, (a, b) in windows:
+        mask &= col >= a
+        mask &= col <= b
+    return math.fsum(memoryview(np.compress(mask, ds.weight)))
 
 
 @dataclass(frozen=True)
 class Prediction:
+    """The main term and its factors; error bounds the quadrature error of
+    product to first order in the pl and Sato-Tate factors."""
+
     constant: float
     pl_factor: float
     phi_factor: float
     product: float
     v1: float
+    error: float
 
     def __post_init__(self):
-        for name in ("constant", "pl_factor", "phi_factor", "product", "v1"):
+        for name in ("constant", "pl_factor", "phi_factor", "product", "v1", "error"):
             if getattr(self, name) < 0:
                 raise EquidistError("%s must be nonnegative" % name)
 
@@ -282,6 +305,7 @@ class Prediction:
 def predict(field: NumberField, covolume: float, box: Box, t: float,
             j_windows: Dict[str, Tuple[float, float]]) -> Prediction:
     """Main-term prediction: constant * pl(box_t) * prod Phi_p(J_p)."""
+    _check_query(t, j_windows)
     if covolume <= 0:
         raise EquidistError("covolume must be positive")
     d = field.degree
@@ -289,14 +313,17 @@ def predict(field: NumberField, covolume: float, box: Box, t: float,
         raise EquidistError("box dimension %d != field degree %d" % (box.dim, d))
     constant = 2.0 * math.sqrt(abs(field.disc)) * covolume / (2.0 * math.pi) ** d
     bx = box.with_t(t)
-    pl_factor = box_measure(bx, "pl").value
-    phi_factor = 1.0
+    pl_factor, pl_err = box_measure(bx, "pl")
+    # first order: the error of a product x*y is |x| err(y) + |y| err(x)
+    phi_factor, phi_err = 1.0, 0.0
     for label, (a, b) in sorted(j_windows.items()):
         np_ = prime_by_label(field, label).absolute_norm()
-        phi_factor *= SatoTateMeasure(np_).mass(a, b).value
+        v, e = SatoTateMeasure(np_).mass(a, b)
+        phi_factor, phi_err = phi_factor * v, phi_err * abs(v) + abs(phi_factor) * e
     v1 = box_measure(bx, "v1").value
+    error = constant * (pl_err * abs(phi_factor) + abs(pl_factor) * phi_err)
     return Prediction(constant, pl_factor, phi_factor,
-                      constant * pl_factor * phi_factor, v1)
+                      constant * pl_factor * phi_factor, v1, error)
 
 
 def level_index(field: NumberField, level: Ideal) -> Fraction:

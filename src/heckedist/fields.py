@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -65,6 +65,7 @@ class NumberField:
                 self.t, self.c = 0, m
                 self.disc = 4 * m
         self._unit_cache: Optional[UnitGroupData] = None
+        self._prime_cache: Dict[int, list] = {}  # p -> factor_rational_prime(self, p)
 
     # -- construction helpers ------------------------------------------------
 
@@ -539,7 +540,17 @@ def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Opti
 
 
 def factor_rational_prime(field: NumberField, p: int) -> list:
-    """Prime ideals above p, sorted by HNF, labelled 'p:0', 'p:1'."""
+    """Prime ideals above p, sorted by HNF, labelled 'p:0', 'p:1'.
+
+    The search runs once per field and p; later calls copy the memoised list.
+    """
+    primes = field._prime_cache.get(p)
+    if primes is None:
+        primes = field._prime_cache[p] = _factor_rational_prime(field, p)
+    return list(primes)
+
+
+def _factor_rational_prime(field: NumberField, p: int) -> list:
     if p < 2:
         raise FieldError("p must be a rational prime, got %d" % p)
     d = 2

@@ -19,8 +19,11 @@ which is what makes the polynomial route exact.
 
 Continuous pl masses go through scipy's Gauss-Kronrod quadrature after the
 substitution u = sqrt(lambda - 1/4) (which removes the coth singularity);
-V1 and Sato-Tate interval masses have closed forms.  All atom positions
-and masses are exact rationals.
+the nu forms take a separate route, QUADPACK's QAWS in lambda itself with
+the weight (lambda - 1/4)^(-1/2), so npl_consistency compares two
+quadratures rather than one with a copy of itself.  V1 and Sato-Tate
+interval masses have closed forms.  All atom positions and masses are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -250,23 +253,10 @@ class NuMeasure:
         lam_hi = _nu_path_lambda(hi)
         if lam_lo > lam_hi:
             lam_lo, lam_hi = lam_hi, lam_lo
-        # continuous: imaginary leg only, lambda in [1/4, oo)
-        t_lo = math.sqrt(max(lam_lo, 0.25) - 0.25)
-        t_hi = math.sqrt(max(lam_hi, 0.25) - 0.25)
-        if t_hi <= t_lo:
-            cont = MeasureValue(0.0, 0.0)
-        else:
-            if self.xi == 0:
-                def f(t):
-                    return 2.0 * t * math.tanh(math.pi * t)
-            else:
-                def f(t):
-                    if t < 1e-8:
-                        return 2.0 / math.pi + 2.0 * math.pi * t * t / 3.0
-                    return 2.0 * t / math.tanh(math.pi * t)
-            from scipy.integrate import quad
-            v, e = quad(f, t_lo, t_hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-            cont = MeasureValue(v, e)
+        # continuous: imaginary leg only, lambda in [1/4, oo); a route apart
+        # from the lambda side's, whose quadrature runs in sqrt(lambda - 1/4)
+        lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
+        cont = MeasureValue(hi_part.value - lo_part.value, hi_part.error + lo_part.error)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)
         atom_mass = Fraction(0)
         b = 2 if self.xi == 0 else 3
@@ -278,6 +268,32 @@ class NuMeasure:
                 atom_mass += b - 1
             b += 2
         return MeasureValue(cont.value + float(atom_mass), cont.error)
+
+    def _from_quarter(self, lam: float) -> MeasureValue:
+        """Continuous mass of the leg up to lambda, integrated in lambda.
+
+        With s = sqrt(lambda - 1/4), 2t tanh(pi t) dt is tanh(pi s) d lambda,
+        that is (lambda - 1/4)^(-1/2) g(lambda) with g = s tanh(pi s) (or
+        s coth(pi s)); g is even in s, hence analytic in lambda, and QUADPACK's
+        QAWS integrates the algebraic end-point weight.
+        """
+        if lam <= 0.25:
+            return MeasureValue(0.0, 0.0)
+        from scipy.integrate import quad
+        if self.xi == 0:
+            def g(x):
+                s = math.sqrt(max(x - 0.25, 0.0))
+                return s * math.tanh(math.pi * s)
+        else:
+            def g(x):
+                # s coth(pi s) -> 1/pi at s = 0
+                s = math.sqrt(max(x - 0.25, 0.0))
+                if s < 1e-8:
+                    return 1.0 / math.pi + math.pi * s * s / 3.0
+                return s / math.tanh(math.pi * s)
+        v, e = quad(g, 0.25, lam, weight="alg", wvar=(-0.5, 0.0),
+                    epsabs=1e-12, epsrel=1e-12, limit=200)
+        return MeasureValue(v, e)
 
 
 def nu_measure(xi_or_kind: Union[int, str]) -> NuMeasure:

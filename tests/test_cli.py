@@ -219,6 +219,26 @@ def test_equidist_run_reports_bad_record_line(capsys, tmp_path):
         assert json.loads(err)["message"].startswith("line 2: ")
 
 
+def test_equidist_predict_rejects_bad_queries(capsys):
+    box_spec = json.dumps({"dim": 2, "q": [1], "e": {"2": [0.3, 1.2]}, "xi": [0, 0]})
+    good = {"2:0": [0.0, 1.0], "3:0": [1.0, 2.0]}
+
+    def predict_cli(t, windows):
+        return run_cli(capsys, "--field", "Q(sqrt 73)", "equidist", "predict", "--box",
+                       box_spec, "--intervals", json.dumps(windows), "--t", repr(t))
+
+    code, out, _ = predict_cli(2.0, good)
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert 0 <= data["error"] < 1e-9 * data["product"]
+    for t, windows in ((2.0, dict(good, **{"2:0": [2.0, 1.0]})),
+                       (2.0, dict(good, **{"3:0": [math.nan, 1.0]})),
+                       (math.nan, good), (math.inf, good)):
+        code, out, err = predict_cli(t, windows)
+        assert code == 1 and out == ""
+        assert json.loads(err, parse_constant=_reject_constant)["error"] == "EquidistError"
+
+
 def test_equidist_index(capsys):
     code, out, _ = run_cli(capsys, "--level", "6", "equidist", "index")
     assert code == 0

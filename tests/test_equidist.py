@@ -18,6 +18,7 @@ from heckedist import (
     EquidistError,
     Ideal,
     SatoTateMeasure,
+    box_measure,
     count,
     level_index,
     make_field,
@@ -213,6 +214,108 @@ def test_count_respects_t_over_box_t():
     assert wide == 4.0  # all even-parity records in range: weights 1 + 2 + 1
 
 
+BOX73 = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+MIXED73 = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 1), 4.0)
+
+
+def reference_mask(ds, box, t, j_windows):
+    """The rows the count keeps, as the count before the column-major kernel
+    found them: one mask over the row-major tables."""
+    bx = box.with_t(t)
+    mask = (ds.xi == np.array(bx.xi)).all(axis=1)
+    for j in range(bx.dim):
+        a, b = bx.interval(j + 1)
+        mask &= (a <= ds.lambda_inf[:, j]) & (ds.lambda_inf[:, j] <= b)
+    for label, (a, b) in j_windows.items():
+        col = ds.eigenvalues(label)
+        mask &= (a <= col) & (col <= b)
+    return mask
+
+
+def reference_count(ds, box, t, j_windows):
+    return math.fsum(ds.weight[reference_mask(ds, box, t, j_windows)].tolist())
+
+
+def mixed_parity_ds(m, seed):
+    ds = synthesize(F73, ["2:0", "3:0"], BOX73, m, seed=seed)
+    xi = ds.xi.copy()
+    xi[::3, 1] = 1
+    return Dataset(ds.field_spec, ds.level, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+                   np.linspace(0.5, 2.0, len(ds)))
+
+
+def column_views(ds):
+    """ds rebuilt from C-order column views of one wide table, as from_csv builds it."""
+    wide = np.ascontiguousarray(np.hstack([ds.lambda_inf, ds.xi, ds.lambda_p,
+                                           ds.weight[:, None]]))
+    return wide, Dataset(ds.field_spec, ds.level, wide[:, :2], wide[:, 2:4], ds.prime_labels,
+                         wide[:, 4:6], wide[:, 6])
+
+
+def random_queries(rng, n):
+    out = []
+    for _ in range(n):
+        windows = {}
+        for label in rng.sample(["2:0", "3:0"], rng.randrange(3)):
+            a = rng.uniform(0.0, 2.0)
+            windows[label] = (a, a + rng.uniform(0.0, 1.5))
+        out.append((rng.uniform(0.5, 4.0), windows))
+    return out
+
+
+def test_count_same_on_views_and_jsonl_round_trip(tmp_path):
+    ds = mixed_parity_ds(3000, seed=11)
+    _, views = column_views(ds)
+    path = tmp_path / "ds.jsonl"
+    ds.to_jsonl(str(path))
+    back = Dataset.from_jsonl(str(path), ds.field_spec)
+    for t, windows in random_queries(random.Random(13), 25):
+        for bx in (BOX73, MIXED73):
+            want = reference_count(ds, bx, t, windows)
+            assert count(ds, bx, t, windows) == want
+            assert count(views, bx, t, windows) == want
+            assert count(back, bx, t, windows) == want
+
+
+def test_count_closed_endpoints_at_stored_values():
+    ds = mixed_parity_ds(1000, seed=17)
+    rng = random.Random(19)
+    for i in rng.sample(range(len(ds)), 20):
+        lam1 = float(ds.lambda_inf[i, 0])
+        v2, v3 = (float(x) for x in ds.lambda_p[i])
+        bx = BOX73 if ds.xi[i, 1] == 0 else MIXED73
+        # t = |lambda_1| and windows [v, v] put row i on every boundary at once
+        windows = {"2:0": (v2, v2), "3:0": (v3, 2 * math.sqrt(3))}
+        got = count(ds, bx, abs(lam1), windows)
+        assert got == reference_count(ds, bx, abs(lam1), windows)
+        assert got >= ds.weight[i] > 0
+
+
+def test_count_is_fsum_of_kept_weights_over_wide_range():
+    ds = mixed_parity_ds(2000, seed=23)
+    rng = np.random.default_rng(29)
+    weights = 10.0 ** rng.uniform(-300, 300, len(ds)) * rng.uniform(1, 10, len(ds))
+    ds = replace(ds, weight=weights)
+    naive_differs = False
+    for t, windows in random_queries(random.Random(31), 30):
+        kept = ds.weight[reference_mask(ds, BOX73, t, windows)]
+        want = math.fsum(kept.tolist())
+        assert count(ds, BOX73, t, windows) == want
+        naive_differs |= float(np.sum(kept)) != want
+    assert naive_differs  # the weights are wide enough for a plain sum to round off
+
+
+def test_dataset_columns_are_contiguous():
+    ds = mixed_parity_ds(500, seed=37)
+    wide, views = column_views(ds)
+    for built in (ds, views, views.scaled(2.0), small_ds()):
+        for table in (built.lambda_inf, built.xi, built.lambda_p):
+            assert all(table[:, j].flags.c_contiguous for j in range(table.shape[1]))
+        assert built.weight.flags.c_contiguous
+        assert built.xi.dtype == np.int8
+    assert not np.shares_memory(views.weight, wide)
+
+
 def test_level_index():
     assert level_index(Q, Ideal.principal(Q.element(6))) == 12
     assert level_index(Q, Ideal.unit_ideal(Q)) == 1
@@ -246,6 +349,32 @@ def test_predict_exceptional_window_is_zero():
 def test_predict_dimension_check():
     with pytest.raises(EquidistError):
         predict(F73, 1.0, BOX1, 3.0, {})  # degree-2 field, dim-1 box
+
+
+def test_count_and_predict_reject_bad_queries():
+    ds = synthesize(F73, ["2:0", "3:0"], BOX73, 1000, seed=1)
+    good = {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)}
+    for t, windows in ((2.0, dict(good, **{"2:0": (2.0, 1.0)})),
+                       (2.0, dict(good, **{"3:0": (math.nan, 1.0)})),
+                       (math.nan, good), (math.inf, good), (-1.0, good)):
+        with pytest.raises(EquidistError):
+            count(ds, BOX73, t, windows)
+        with pytest.raises(EquidistError):
+            predict(F73, 1.0, BOX73, t, windows)
+    empty = Dataset("Q(sqrt 73)", "1", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
+                    np.zeros((0, 1)), [])
+    with pytest.raises(EquidistError):  # checked before the empty-dataset shortcut
+        count(empty, BOX73, math.nan, {})
+
+
+def test_prediction_error_bounds_product():
+    pred = predict(F73, 1.0, BOX73, 4.0, {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)})
+    assert math.isfinite(pred.error) and 0 <= pred.error < 1e-9 * pred.product
+    pl = box_measure(BOX73, "pl")
+    # the pl factor's own bound, carried through the other factors, is a floor
+    assert pred.error >= pred.constant * pred.phi_factor * pl.error
+    zero = predict(F73, 1.0, BOX73, 4.0, {"2:0": (2.9, 3.0)})
+    assert zero.product == 0.0 and 0 <= zero.error < 1e-12
 
 
 def test_synthesize_deterministic(tmp_path):

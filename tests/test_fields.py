@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckedist.fields as fields_module
 from heckedist import (
+    Box,
     FieldError,
     Ideal,
     NumberField,
@@ -16,6 +18,7 @@ from heckedist import (
     ideal_valuation,
     inverse_different,
     make_field,
+    predict,
     prime_by_label,
     unit_square_class,
 )
@@ -164,6 +167,50 @@ def test_prime_label_roundtrip():
                 again = prime_by_label(field, prime.label)
                 assert again.label == prime.label
                 assert again.absolute_norm() == prime.absolute_norm()
+
+
+def _prime_data(primes):
+    return [(P.label, P.hnf, P.e, P.f, None if P.generator is None else P.generator.coords())
+            for P in primes]
+
+
+def test_factorization_memo_hands_out_copies():
+    field = make_field(73)
+    first = factor_rational_prime(field, 2)
+    first.reverse()
+    first.append(None)
+    again = factor_rational_prime(field, 2)
+    assert [P.label for P in again] == ["2:0", "2:1"]
+    again.clear()
+    assert len(factor_rational_prime(field, 2)) == 2
+
+
+def test_factorization_memo_matches_fresh_field():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+    for m in (73, 94, 5):
+        warm = make_field(m)
+        first = {p: factor_rational_prime(warm, p) for p in primes}
+        for p in primes:
+            memo = factor_rational_prime(warm, p)
+            assert all(a is b for a, b in zip(memo, first[p]))  # served from the memo
+            assert _prime_data(memo) == _prime_data(factor_rational_prime(make_field(m), p))
+
+
+def test_predict_searches_each_generator_once(monkeypatch):
+    searched = []
+    search = fields_module._small_generator
+
+    def counting(field, ideal, target_norm):
+        searched.append(ideal.hnf)
+        return search(field, ideal, target_norm)
+
+    monkeypatch.setattr(fields_module, "_small_generator", counting)
+    field = make_field(73)
+    box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+    for i in range(100):
+        predict(field, 1.0, box, 1.0 + i / 50, {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)})
+    # 2 and 3 both split in Q(sqrt 73): one search per root of x^2 - x - 18
+    assert len(searched) == len(set(searched)) == 4
 
 
 def test_prime_ideal_is_an_ideal():

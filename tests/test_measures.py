@@ -147,6 +147,19 @@ def test_nu_to_lambda_consistency_pinned():
         assert abs(nu_val - pl_val) < 1e-8, (xi, lo, hi)
 
 
+def test_nu_side_does_not_reuse_the_lambda_quadrature(monkeypatch):
+    import heckedist.measures as measures_module
+    want = {xi: measures_module._quad_pl_continuous(xi, 0.26, 5.0).value for xi in (0, 1)}
+
+    def refuse(*args):
+        raise AssertionError("the nu side called the lambda-side quadrature")
+
+    monkeypatch.setattr(measures_module, "_quad_pl_continuous", refuse)
+    for xi in (0, 1):
+        got = nu_measure(xi).interval(0.1j, math.sqrt(4.75) * 1j).value
+        assert abs(got - want[xi]) < 1e-12, xi
+
+
 def test_nu_interval_crosses_branch_point():
     # path through nu = 0: imaginary leg glued to the real leg at lambda = 1/4
     nm = nu_measure(0)
