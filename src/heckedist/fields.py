@@ -70,7 +70,7 @@ class NumberField:
     # -- construction helpers ------------------------------------------------
 
     def element(self, a: Rat, b: Rat = 0) -> "FieldElement":
-        return FieldElement(self, Fraction(a), Fraction(b))
+        return FieldElement(self, a, b)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -144,8 +144,8 @@ class FieldElement:
         if field.degree == 1 and b != 0:
             raise FieldError("rational field has no w component")
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):

@@ -13,12 +13,12 @@ kept separate so each can check the other.  Eigenvalues are parametrized
 by lambda = sqrt(N) (N^nu + N^-nu) on the closed tempered-plus-complementary
 domain nu in i[0, pi/(2 log N)] union (0, 1/2], lambda in [0, 1+N].
 
-Coefficients are Fractions at the interface, but each product runs on ints:
-the recursion route and the Laurent route each clear their operands'
-denominators to one lcm, do the whole product on Python ints and divide once
-at the end, and the coset convolution over Q multiplies its representative
-pairs as int64 outer products tallied with np.bincount.  The three routes
-share no kernel, so each stays an independent check of the others.
+Elements store int numerators `nums` over one int `den` in lowest terms and
+build Fraction `coeffs` on access.  The recursion and Laurent routes multiply
+those ints and reduce once; the coset convolution over Q tallies int64 outer
+products with np.bincount; coset representatives are int residue coordinates
+times conj(pi)^k, divided once by N(pi)^k.  The three product routes share no
+kernel, so each stays an independent check of the others.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from heckedist.fields import PrimeIdeal, ResidueRing
+from heckedist.fields import FieldElement, PrimeIdeal
 
 Scalar = Union[int, Fraction]
 
@@ -39,42 +39,67 @@ class HeckeError(ValueError):
     """Domain error in Hecke-algebra arithmetic."""
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+def _check_norm(norm) -> None:
+    if not isinstance(norm, int) or isinstance(norm, bool) or norm < 2:
+        raise HeckeError("prime norm must be an int >= 2, got %r" % (norm,))
+
+
+def _cleared(coeffs: Sequence[Scalar]) -> Tuple[list, int]:
+    """Exact values of coeffs as int numerators over the lcm of their denominators."""
+    try:
+        fs = [Fraction(c) for c in coeffs]
+    except (ValueError, OverflowError) as exc:
+        raise HeckeError("coefficients must be finite rationals: %s" % exc) from None
+    den = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs] or [0], den
+
+
+def _lowest(nums: list, den: int) -> Tuple[tuple, int]:
+    """nums / den (den > 0) with trailing zeros trimmed and gcd(den, *nums) = 1."""
+    while len(nums) > 1 and nums[-1] == 0:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums) if g > 1 else tuple(nums), den // g
+
+
+def _sum(x, y, sign: int) -> Tuple[list, int]:
+    """Numerators of x + sign * y over x.den * y.den."""
+    pairs = zip_longest(x.nums, y.nums, fillvalue=0)
+    return [a * y.den + sign * b * x.den for a, b in pairs], x.den * y.den
 
 
 class LocalHeckeElement:
     """Rational linear combination of T(P^0), T(P^2), ..., T(P^{2k}).
 
-    coeffs[j] multiplies T(P^{2j}).  The prime enters only through its
-    label (mismatch detection) and absolute norm (the structure constants).
+    coeffs[j] = nums[j] / den multiplies T(P^{2j}).  The prime enters only through
+    its label (mismatch detection) and absolute norm (the structure constants).
     """
 
-    __slots__ = ("label", "norm", "coeffs")
+    __slots__ = ("label", "norm", "nums", "den")
 
     def __init__(self, label: str, norm: int, coeffs: Sequence[Scalar]):
-        if norm < 2:
-            raise HeckeError("prime norm must be >= 2, got %r" % (norm,))
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.label = label
-        self.norm = norm
-        self.coeffs = tuple(cs)
+        _check_norm(norm)
+        self.label, self.norm = label, norm
+        self.nums, self.den = _lowest(*_cleared(coeffs))
+
+    @classmethod
+    def _from_ints(cls, label: str, norm: int, nums: list, den: int) -> "LocalHeckeElement":
+        self = object.__new__(cls)
+        self.label, self.norm = label, norm
+        self.nums, self.den = _lowest(nums, den)
+        return self
 
     @classmethod
     def basis(cls, label: str, norm: int, k: int) -> "LocalHeckeElement":
         """The basis vector T(P^{2k})."""
+        _check_norm(norm)
         if k < 0:
             raise HeckeError("k must be >= 0")
-        return cls(label, norm, [0] * k + [1])
+        return cls._from_ints(label, norm, [0] * k + [1], 1)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _check(self, other: "LocalHeckeElement") -> None:
         if self.label != other.label or self.norm != other.norm:
@@ -83,57 +108,46 @@ class LocalHeckeElement:
 
     def __add__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
         self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return LocalHeckeElement(self.label, self.norm, [x + y for x, y in pairs])
+        return self._from_ints(self.label, self.norm, *_sum(self, other, 1))
 
     def __sub__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
         self._check(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return LocalHeckeElement(self.label, self.norm, [x - y for x, y in pairs])
+        return self._from_ints(self.label, self.norm, *_sum(self, other, -1))
 
     def scale(self, c: Scalar) -> "LocalHeckeElement":
-        return LocalHeckeElement(self.label, self.norm, [Fraction(c) * x for x in self.coeffs])
+        (x,), d = _cleared([c])
+        return self._from_ints(self.label, self.norm, [x * y for y in self.nums], d * self.den)
 
     def __eq__(self, other):
         return (isinstance(other, LocalHeckeElement) and self.label == other.label
-                and self.norm == other.norm and self.coeffs == other.coeffs)
+                and (self.norm, self.nums, self.den) == (other.norm, other.nums, other.den))
 
     def __hash__(self):
-        return hash((self.label, self.norm, self.coeffs))
+        return hash((self.label, self.norm, self.nums, self.den))
 
     def __mul__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
         """Product via the three-term relation (the recursion fast path).
 
-        Each operand is cleared to ints over the lcm of its denominators; the
-        change to powers of y = T(P^2), the product and the back-substitution
-        run on ints, and one division by both denominators ends it.
+        The change to powers of y = T(P^2), the product and the back-substitution
+        run on the numerators, over the product of the denominators.
         """
         self._check(other)
-        da = math.lcm(*(c.denominator for c in self.coeffs))
-        db = math.lcm(*(c.denominator for c in other.coeffs))
-        ua = [c.numerator * (da // c.denominator) for c in self.coeffs]
-        ub = [c.numerator * (db // c.denominator) for c in other.coeffs]
-        table = _t_in_y_table(len(ua) + len(ub) - 2, self.norm)
-        prod = _poly_mul(_t_basis_to_ypoly(ua, table), _t_basis_to_ypoly(ub, table))
-        den = da * db
-        return LocalHeckeElement(self.label, self.norm,
-                                 [Fraction(c, den) for c in _ypoly_to_t_basis(prod, table)])
+        table = _t_in_y_table(len(self.nums) + len(other.nums) - 2, self.norm)
+        prod = _poly_mul(_t_basis_to_ypoly(self.nums, table),
+                         _t_basis_to_ypoly(other.nums, table))
+        return self._from_ints(self.label, self.norm, _ypoly_to_t_basis(prod, table),
+                               self.den * other.den)
 
     def to_sym_laurent(self) -> "SymLaurentPoly":
         """Ring isomorphism: T(P^{2k}) -> N^k sum_{j=0}^{2k} X^{2k-2j}.
 
         Coefficient m of the image is the suffix sum of c_k N^k over k >= m,
-        taken on ints over the lcm of the denominators.
+        taken on the numerators over the same denominator.
         """
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        N = self.norm
-        out = [0] * len(self.coeffs)
-        acc = 0
+        out, acc = list(self.nums), 0
         for k in range(len(out) - 1, -1, -1):
-            c = self.coeffs[k]
-            acc += c.numerator * (den // c.denominator) * N ** k
-            out[k] = acc
-        return SymLaurentPoly([Fraction(x, den) for x in out])
+            out[k] = acc = acc + out[k] * self.norm ** k
+        return SymLaurentPoly._from_ints(out, self.den)
 
     def __repr__(self):
         terms = []
@@ -147,13 +161,13 @@ def from_sym_laurent(label: str, norm: int, poly: "SymLaurentPoly") -> LocalHeck
     """Inverse of to_sym_laurent; every rational poly is in the image.
 
     The image of T(P^{2k}) is N^k on the coefficients m = 0..k, so the inverse
-    is a first difference: c_k N^k = P_k - P_{k+1}, on ints over the lcm of
-    the denominators of P.
+    is a first difference, c_k N^k = P_k - P_{k+1}: over the one denominator
+    den N^K, K the top degree, c_k has numerator (P_k - P_{k+1}) N^{K-k}.
     """
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    ps = [c.numerator * (den // c.denominator) for c in poly.coeffs] + [0]
-    return LocalHeckeElement(label, norm, [Fraction(ps[k] - ps[k + 1], den * norm ** k)
-                                           for k in range(len(ps) - 1)])
+    _check_norm(norm)
+    ps, top = poly.nums + (0,), len(poly.nums) - 1
+    nums = [(ps[k] - ps[k + 1]) * norm ** (top - k) for k in range(top + 1)]
+    return LocalHeckeElement._from_ints(label, norm, nums, poly.den * norm ** top)
 
 
 # -- polynomial-in-T(P^2) plumbing for the recursion route ---------------------
@@ -213,40 +227,41 @@ def _ypoly_to_t_basis(poly: Sequence[int], table: list) -> list:
 class SymLaurentPoly:
     """Even symmetric Laurent polynomial on the basis 1, X^2+X^-2, X^4+X^-4, ...
 
-    coeffs[m] multiplies X^{2m} + X^{-2m} (and coeffs[0] multiplies 1).
+    coeffs[m] = nums[m] / den multiplies X^{2m} + X^{-2m} (coeffs[0] multiplies 1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        self.nums, self.den = _lowest(*_cleared(coeffs))
+
+    @classmethod
+    def _from_ints(cls, nums: list, den: int) -> "SymLaurentPoly":
+        self = object.__new__(cls)
+        self.nums, self.den = _lowest(nums, den)
+        return self
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, SymLaurentPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, SymLaurentPoly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return SymLaurentPoly([x + y for x, y in pairs])
+        return SymLaurentPoly._from_ints(*_sum(self, other, 1))
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        """Product on ints over the lcm of each factor's denominators."""
-        da = math.lcm(*(c.denominator for c in self.coeffs))
-        db = math.lcm(*(c.denominator for c in other.coeffs))
-        xs = [c.numerator * (da // c.denominator) for c in self.coeffs]
-        ys = [c.numerator * (db // c.denominator) for c in other.coeffs]
-        out = [0] * (len(xs) + len(ys) - 1)
-        for a, x in enumerate(xs):
+        """Product of the numerators over the product of the denominators."""
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for a, x in enumerate(self.nums):
             if x == 0:
                 continue
-            for b, y in enumerate(ys):
+            for b, y in enumerate(other.nums):
                 if y == 0:
                     continue
                 p = x * y
@@ -258,14 +273,13 @@ class SymLaurentPoly:
                 else:
                     out[a + b] += p
                     out[abs(a - b)] += p
-        den = da * db
-        return SymLaurentPoly([Fraction(c, den) for c in out])
+        return SymLaurentPoly._from_ints(out, self.den * other.den)
 
     def evaluate(self, x: complex) -> complex:
         """Value at X = x (diagnostic; the exact routes never call this)."""
-        tot = complex(self.coeffs[0])
-        for m in range(1, len(self.coeffs)):
-            tot += complex(self.coeffs[m]) * (x ** (2 * m) + x ** (-2 * m))
+        tot = complex(self.nums[0] / self.den)
+        for m in range(1, len(self.nums)):
+            tot += self.nums[m] / self.den * (x ** (2 * m) + x ** (-2 * m))
         return tot
 
     def __repr__(self):
@@ -280,6 +294,7 @@ def s_poly(norm: int, two_k: int) -> Tuple[Fraction, ...]:
 
     Defined by S_{P,2k}(sqrt(N)(X + X^-1)) = N^k sum_{j=0}^{2k} X^{2k-2j}.
     """
+    _check_norm(norm)
     if two_k < 0 or two_k % 2 != 0:
         raise HeckeError("S polynomials are indexed by even nonnegative integers")
     k = two_k // 2
@@ -289,7 +304,7 @@ def s_poly(norm: int, two_k: int) -> Tuple[Fraction, ...]:
     for j in range(k, -1, -1):
         acc = Fraction(0)
         for m in range(j + 1, k + 1):
-            acc += a[m] * N ** m * _binom(2 * m, m - j)
+            acc += a[m] * N ** m * math.comb(2 * m, m - j)
         a[j] = (N ** k - acc) / N ** j
     return tuple(a)
 
@@ -377,21 +392,32 @@ def coset_representatives(prime: PrimeIdeal, k: int) -> list:
 
     For a principal prime with generator pi: matrices
     [[pi^{k-l}, b pi^{-k}], [0, pi^{l-k}]], l = 0..2k, b over O/P^l.
-    The count is sum_{l=0}^{2k} N^l.
+    The count is sum_{l=0}^{2k} N^l.  b pi^{-k} is b's int coordinates times
+    N(pi)^k pi^{-k} (conj(pi)^k, or 1 over Q), divided by N(pi)^k (signed).
     """
     if k < 1:
         raise HeckeError("coset decomposition needs k >= 1")
     if prime.generator is None:
         raise HeckeError("prime %s has no stored generator" % prime.label)
     field = prime.field
+    t, c = field.t, field.c
     pi = prime.generator
     zero = field.zero()
-    pi_neg_k = pi ** (-k)
+    nk = int(pi.norm()) ** k
+    cof = (pi.inverse() * pi.norm()) ** k
+    u, v = int(cof.a), int(cof.b)
+    power = prime ** 0
     out = []
     for l in range(2 * k + 1):
-        reps = ResidueRing(prime ** l).elements() if l > 0 else [zero]
+        if l:
+            power = power * prime
         a, d = pi ** (k - l), pi ** (l - k)
-        out.extend((a, b * pi_neg_k, zero, d) for b in reps)
+        coords = power.residue_coords()
+        if field.degree == 1:
+            coords = ((x, 0) for (x,) in coords)
+        out.extend((a, FieldElement(field, Fraction(x * u + c * y * v, nk),
+                                    Fraction(x * v + y * u + t * y * v, nk)), zero, d)
+                   for x, y in coords)
     return out
 
 
@@ -430,7 +456,9 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
     n_pairs = expected_coset_count(p, k) * expected_coset_count(p, m)
     if n_pairs > max_pairs:
         raise HeckeError("pair budget exceeded: %d > %d" % (n_pairs, max_pairs))
-    per_layer: Dict[int, set] = {}
+    # layer n = e - v with v = v_p(gcd(p^(2e-s), b, p^s)) = min(v_p(b), s, 2e-s);
+    # the Hecke product is constant on each layer, zero tallies included
+    mults: list = [None] * (e + 1) + [0]
     for s in range(2 * e + 1):
         ps = p ** s
         tally = np.zeros(ps, dtype=np.int64)
@@ -440,21 +468,16 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
             b1 = np.arange(p ** l1, dtype=np.int64) * p ** l2
             b2 = np.arange(p ** l2, dtype=np.int64) * p ** (2 * k - l1)
             tally += np.bincount((np.add.outer(b1, b2) % ps).ravel(), minlength=ps)
-        keys = np.flatnonzero(tally)
-        # layer n = e - v_p(gcd(p^(2e-s), b, p^s)), the valuation capped at min(s, 2e-s)
-        layers = np.full(len(keys), e, dtype=np.int64)
-        for i in range(1, min(s, 2 * e - s) + 1):
-            layers -= keys % p ** i == 0
-        for n in np.unique(layers).tolist():
-            per_layer.setdefault(n, set()).update(np.unique(tally[keys[layers == n]]).tolist())
-    mults = [0] * (e + 2)
-    for n, ms in per_layer.items():
-        if len(ms) != 1:
-            raise HeckeError("nonconstant multiplicity on layer %d: %r" % (n, ms))
-        mults[n] = ms.pop()
-    coeffs = [Fraction(mults[n] - mults[n + 1]) for n in range(e + 1)]
-    label = "%d:0" % p
-    return LocalHeckeElement(label, p, coeffs)
+        vmax = min(s, 2 * e - s)
+        for v in range(vmax + 1):
+            # b = 0 mod p^v is every p^v-th key; v_p(b) = v drops every p-th of those
+            layer = tally[::p ** v] if v == vmax else tally[::p ** v].reshape(-1, p)[:, 1:]
+            lo, hi = int(layer.min()), int(layer.max())
+            if lo != hi or mults[e - v] not in (None, lo):
+                raise HeckeError("nonconstant multiplicity on layer %d" % (e - v))
+            mults[e - v] = lo
+    return LocalHeckeElement._from_ints("%d:0" % p, p, [mults[n] - mults[n + 1]
+                                                        for n in range(e + 1)], 1)
 
 
 def verify_relation(label: str, norm: int, k: int, m: int,
@@ -475,12 +498,8 @@ def verify_relation(label: str, norm: int, k: int, m: int,
         if brute_p != norm:
             raise HeckeError("coset route runs over Q only (norm == p)")
         brute = brute_force_convolution(brute_p, 2 * k, 2 * m)
-        if brute.coeffs != alg.coeffs:
+        if (brute.nums, brute.den) != (alg.nums, alg.den):
             raise HeckeError("brute-force convolution disagrees: %r vs %r" % (brute, alg))
-    out = {}
-    for n, c in enumerate(alg.coeffs):
-        if c != 0:
-            if c.denominator != 1:
-                raise HeckeError("non-integral structure constant %r" % c)
-            out["T%d" % (norm ** (2 * n))] = int(c)
-    return out
+    if alg.den != 1:
+        raise HeckeError("non-integral structure constants %r" % (alg,))
+    return {"T%d" % norm ** (2 * n): c for n, c in enumerate(alg.nums) if c}

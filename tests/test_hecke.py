@@ -6,7 +6,9 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from heckedist import (
     HeckeError,
     LocalHeckeElement,
+    ResidueRing,
+    SymLaurentPoly,
     brute_force_convolution,
     coset_representatives,
     expected_coset_count,
@@ -105,6 +109,27 @@ def dict_tally_reference(p, two_k, two_m):
     return LocalHeckeElement("%d:0" % p, p, [mults[n] - mults[n + 1] for n in range(e + 1)])
 
 
+def fieldelement_coset_reference(prime, k):
+    """Coset representatives with each residue of P^l a FieldElement times pi^-k."""
+    field, pi = prime.field, prime.generator
+    zero = field.zero()
+    pi_neg_k = pi ** (-k)
+    out = []
+    for l in range(2 * k + 1):
+        reps = ResidueRing(prime ** l).elements() if l > 0 else [zero]
+        a, d = pi ** (k - l), pi ** (l - k)
+        out.extend((a, b * pi_neg_k, zero, d) for b in reps)
+    return out
+
+
+def trimmed(cs):
+    """A Fraction coefficient list without trailing zeros, as a tuple."""
+    cs = [Fraction(c) for c in cs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs) or (Fraction(0),)
+
+
 def test_basis_and_identity():
     e = tee("2:0", 2, 0)
     x = tee("2:0", 2, 3)
@@ -172,6 +197,24 @@ def test_brute_force_matches_dict_tally_reference():
         assert brute == dict_tally_reference(p, 2 * k, 2 * m), (p, k, m)
 
 
+def test_brute_force_rejects_nonconstant_layers(monkeypatch):
+    # corrupt the per-s tallies to show the layer check fires: one count bumped
+    # at s = 2 breaks a layer within one s; every count of s = 2 shifted keeps
+    # each layer constant there but off from the same layer at other s
+    bincount = np.bincount
+    for bump in (lambda t: t.__setitem__(1, t[1] + 1), lambda t: t.__iadd__(1)):
+        def corrupted(x, minlength=0, bump=bump):
+            t = bincount(x, minlength=minlength)
+            if minlength == 4:
+                bump(t)
+            return t
+        monkeypatch.setattr(np, "bincount", corrupted)
+        with pytest.raises(HeckeError, match="nonconstant multiplicity"):
+            brute_force_convolution(2, 4, 2)
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert brute_force_convolution(2, 4, 2) == tee("2:0", 2, 2) * tee("2:0", 2, 1)
+
+
 def test_products_match_fraction_reference():
     rng = random.Random(11)
     for _ in range(300):
@@ -190,6 +233,75 @@ def test_sym_laurent_roundtrip_basis():
             x = tee("x", norm, k)
             assert x.to_sym_laurent().coeffs == (norm ** k,) * (k + 1)
             assert from_sym_laurent("x", norm, x.to_sym_laurent()) == x
+
+
+frac12 = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12))
+frac_list = st.builds(lambda cs, zeros: cs + [Fraction(0)] * zeros,
+                      st.lists(st.one_of(frac12, st.just(Fraction(0))), min_size=1, max_size=8),
+                      st.integers(0, 3))
+
+
+@given(u=frac_list, v=frac_list, c=frac12, norm=st.integers(2, 32))
+@settings(max_examples=200, deadline=None)
+def test_int_storage_matches_fraction_lists(u, v, c, norm):
+    a, b = LocalHeckeElement("x", norm, u), LocalHeckeElement("x", norm, v)
+    assert type(a.coeffs) is tuple and all(type(x) is Fraction for x in a.coeffs)
+    assert a.coeffs == trimmed(u)
+    # canonical form: lowest terms, trailing zeros trimmed
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+    assert len(a.nums) == 1 or a.nums[-1] != 0
+    # the same value built by other routes is == and hashes alike
+    for same in (LocalHeckeElement("x", norm, [Fraction(2 * x.numerator, 2 * x.denominator)
+                                               for x in u] + [0, 0]),
+                 a.scale(Fraction(6, 5)).scale(Fraction(5, 6)), a + b - b,
+                 from_sym_laurent("x", norm, a.to_sym_laurent())):
+        assert same == a and hash(same) == hash(a)
+        assert (same.nums, same.den) == (a.nums, a.den)
+    pairs = list(zip_longest(u, v, fillvalue=Fraction(0)))
+    assert (a + b).coeffs == trimmed(x + y for x, y in pairs)
+    assert (a - b).coeffs == trimmed(x - y for x, y in pairs)
+    assert a.scale(c).coeffs == trimmed(c * x for x in u)
+    # the Laurent image: coefficient m is the suffix sum of c_k N^k over k >= m
+    image = trimmed(sum(x * norm ** k for k, x in enumerate(u) if k >= m) for m in range(len(u)))
+    assert a.to_sym_laurent() == SymLaurentPoly(image)
+    assert a.to_sym_laurent().coeffs == image
+    assert (a + b).to_sym_laurent() == a.to_sym_laurent() + b.to_sym_laurent()
+
+
+def test_int_storage_examples():
+    half = LocalHeckeElement("x", 2, [Fraction(1, 2), 0, 0])
+    assert half == LocalHeckeElement("x", 2, [Fraction(2, 4)])
+    assert hash(half) == hash(LocalHeckeElement("x", 2, [Fraction(2, 4)]))
+    assert (half.nums, half.den, half.coeffs) == ((1,), 2, (Fraction(1, 2),))
+    zero = LocalHeckeElement("x", 3, [Fraction(0, 5), 0])
+    assert (zero.nums, zero.den, zero.coeffs) == ((0,), 1, (Fraction(0),))
+    assert LocalHeckeElement("x", 3, []) == zero
+    assert SymLaurentPoly([Fraction(3, 6), 0]) == SymLaurentPoly([Fraction(1, 2)])
+    # a finite float keeps its exact binary value
+    assert LocalHeckeElement("x", 2, [0.1]).coeffs == (Fraction(0.1),)
+    assert half.scale(0.5).coeffs == (Fraction(1, 4),)
+
+
+def test_rejects_bad_norms_and_coefficients():
+    poly = tee("x", 2, 1).to_sym_laurent()
+    for norm in (2.5, 2.0, True, 1, 0, -3, Fraction(5)):
+        with pytest.raises(HeckeError, match="prime norm"):
+            LocalHeckeElement("x", norm, [1])
+        with pytest.raises(HeckeError, match="prime norm"):
+            LocalHeckeElement.basis("x", norm, 1)
+        with pytest.raises(HeckeError, match="prime norm"):
+            from_sym_laurent("x", norm, poly)
+        with pytest.raises(HeckeError, match="prime norm"):
+            s_poly(norm, 2)
+    with pytest.raises(HeckeError, match="prime norm"):
+        s_poly(1, 4)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(HeckeError, match="finite"):
+            LocalHeckeElement("x", 2, [1, bad])
+        with pytest.raises(HeckeError, match="finite"):
+            SymLaurentPoly([bad, 1])
+        with pytest.raises(HeckeError, match="finite"):
+            tee("x", 2, 1).scale(bad)
 
 
 coeff = st.fractions(
@@ -241,6 +353,26 @@ def test_coset_representatives_pinned_digest():
         reps = coset_representatives(prime_by_label(F5, label), k)
         text = json.dumps([[[str(c) for c in x.coords()] for x in rep] for rep in reps])
         assert hashlib.sha256(text.encode()).hexdigest() == want, label
+
+
+def test_coset_representatives_match_fieldelement_reference():
+    cases = [(factor_rational_prime(Q, p)[0], k) for p in (2, 3, 5) for k in (1, 2)]
+    f5_primes = [P for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+                 for P in factor_rational_prime(F5, p) if P.absolute_norm() < 30]
+    assert len(f5_primes) == 9
+    cases += [(P, 1) for P in f5_primes] + [(prime_by_label(F5, "2:0"), 2)]
+    # stored generators of negative norm, so N(pi)^k < 0 at k = 1
+    negative = [prime_by_label(make_field(2), "7:0"), prime_by_label(make_field(2), "7:1"),
+                prime_by_label(make_field(3), "11:0")]
+    assert all(P.generator.norm() < 0 for P in negative)
+    cases += [(P, 1) for P in negative]
+    for prime, k in cases:
+        got = coset_representatives(prime, k)
+        want = fieldelement_coset_reference(prime, k)
+        assert len(got) == len(want) == expected_coset_count(prime.absolute_norm(), k)
+        for g, w in zip(got, want):
+            assert g == w and [x.coords() for x in g] == [x.coords() for x in w], \
+                (prime.field, prime.label, k)
 
 
 def test_s_poly_pinned():
