@@ -58,17 +58,31 @@ def parse_interval(s: str) -> Tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
+def parse_windows(raw) -> Dict[str, Tuple[float, float]]:
+    """Parsed JSON object of [lo, hi] pairs, {"2:0": [0, 1], ...}, as float windows."""
+    if not (isinstance(raw, dict) and all(
+            isinstance(w, list) and len(w) == 2
+            and all(isinstance(x, (int, float)) for x in w) for w in raw.values())):
+        raise ValueError("windows must be a JSON object of [lo, hi] number pairs, got %r"
+                         % (raw,))
+    return {k: (float(w[0]), float(w[1])) for k, w in raw.items()}
+
+
 def parse_box(spec: str) -> measures.Box:
     """JSON box spec: {"dim":2,"q":[1],"e":{"2":[0.3,1.2]},"xi":[0,0],"t":4.0}."""
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             spec = fh.read()
     raw = json.loads(spec)
-    e_windows = tuple(sorted(
-        (int(j), (float(w[0]), float(w[1]))) for j, w in raw.get("e", {}).items()))
-    return measures.Box(int(raw["dim"]), tuple(int(j) for j in raw.get("q", ())),
-                        e_windows, tuple(int(x) for x in raw["xi"]),
-                        float(raw.get("t", 0.0)))
+    if not isinstance(raw, dict):
+        raise ValueError("box spec must be a JSON object, got %r" % (raw,))
+    e_windows = tuple(sorted((int(j), w) for j, w in parse_windows(raw.get("e", {})).items()))
+    try:
+        dim, q = int(raw["dim"]), tuple(int(j) for j in raw.get("q", ()))
+        xi, t = tuple(int(x) for x in raw["xi"]), float(raw.get("t", 0.0))
+    except TypeError:
+        raise ValueError("box spec values have the wrong JSON types: %r" % (raw,)) from None
+    return measures.Box(dim, q, e_windows, xi, t)
 
 
 def _level_ideal(field: fields.NumberField, level: Optional[str]) -> fields.Ideal:
@@ -84,11 +98,17 @@ def load_character(field: fields.NumberField, modulus: fields.Ideal,
         return kl.DirichletCharacter.trivial(field, modulus)
     with open(path) as fh:
         entries = json.load(fh)
-    ring = fields.ResidueRing(modulus)
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 3 and all(isinstance(v, int) for v in e[1:])
+            for e in entries)):
+        raise ValueError("character file must be a JSON list of [rep, order, exponent] "
+                         "triples with int order and exponent")
     phases = {}
     for rep, order, exponent in entries:
-        x = ring.reduce(parse_element(field, str(rep)))
-        phases[x.coords()] = Fraction(int(exponent), int(order))
+        if order <= 0:
+            raise ValueError("character order must be positive, got %d" % order)
+        x = modulus.reduce(parse_element(field, str(rep)))
+        phases[x.coords()] = Fraction(exponent, order)
     return kl.DirichletCharacter(field, modulus, phases)
 
 
@@ -383,8 +403,7 @@ def cmd_eq_run(args) -> int:
         ds = equidist.Dataset.from_csv(args.data, args.field)
     else:
         ds = equidist.Dataset.from_jsonl(args.data, args.field)
-    j_windows = {k: (float(v[0]), float(v[1]))
-                 for k, v in json.loads(args.intervals).items()}
+    j_windows = parse_windows(json.loads(args.intervals))
     t_grid = [float(x) for x in args.t_grid.split(",")]
     if args.calibrate:
         full_j = {}
@@ -414,8 +433,7 @@ def cmd_eq_index(args) -> int:
 def cmd_eq_predict(args) -> int:
     field = fields.make_field(args.field)
     box = parse_box(args.box)
-    j_windows = {k: (float(v[0]), float(v[1]))
-                 for k, v in json.loads(args.intervals).items()}
+    j_windows = parse_windows(json.loads(args.intervals))
     pred = equidist.predict(field, args.covolume, box, args.t, j_windows)
     _emit(args, {"constant": pred.constant, "pl_factor": pred.pl_factor,
                  "phi_factor": pred.phi_factor, "product": pred.product,
@@ -470,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_hecke_spoly)
     sp = g.add_parser("eigenvalue", parents=[common])
     sp.add_argument("--p", required=True)
-    sp.add_argument("--nu", default=None)
-    sp.add_argument("--lam", default=None)
+    nu_or_lam = sp.add_mutually_exclusive_group(required=True)
+    nu_or_lam.add_argument("--nu", default=None)
+    nu_or_lam.add_argument("--lam", default=None)
     sp.set_defaults(func=cmd_hecke_eigenvalue)
 
     g = groups.add_parser("measure", help="spectral and Sato-Tate measures") \

@@ -2,16 +2,18 @@
 
 Elements are stored by rational coordinates on the integral basis (1, w),
 where w = (1+sqrt m)/2 for m = 1 mod 4 and w = sqrt m otherwise, so that
-the ring of integers is Z[w] in both cases.  Ideals are integer lattices
-in Hermite normal form with a rational denominator, which covers integral
-and fractional ideals uniformly.  Everything here is exact (Fraction or
-int); floats appear only through the archimedean embeddings.
+the ring of integers is Z[w] in both cases.  Everything here is exact
+(Fraction or int); floats appear only through the archimedean embeddings.
 
-Residue rings and valuations run on int coordinates.  An integral ideal
-with HNF ((n, 0), (b, g)) is g times the primitive ideal (n/g)Z + (b/g + w)Z,
-whose residue ring is Z/(n/g); unit inverses are two modular inverses
-combined in closed form, and v_P counts multiply-and-divide steps by one
-fixed element of pP^{-1}, without building powers of P.
+An ideal is (1/den) times an int lattice in Hermite normal form, stored in
+lowest terms, which covers integral and fractional ideals uniformly.  Ideal
+arithmetic runs on the int HNF rows: a product is the HNF of the products
+of the two Z-bases (NumberField.mul_coords, the one place the rule
+w^2 = t*w + c is spelled out), and containment tests each row.  An integral
+ideal with HNF ((n, 0), (b, g)) is g times the primitive ideal
+(n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit inverses are two
+modular inverses combined in closed form, and v_P counts multiply-and-divide
+steps by one fixed element of pP^{-1}, without building powers of P.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ class NumberField:
     def __repr__(self):
         return "Q" if self.degree == 1 else "Q(sqrt %d)" % self.m
 
+    def mul_coords(self, x: tuple, y: tuple) -> tuple:
+        """Coordinates of the product of two coordinate tuples on (1, w) (1-tuples over Q)."""
+        if self.degree == 1:
+            return (x[0] * y[0],)
+        (a1, b1), (a2, b2) = x, y
+        return (a1 * a2 + self.c * b1 * b2, a1 * b2 + b1 * a2 + self.t * b1 * b2)
+
     # -- unit group ----------------------------------------------------------
 
     def unit_group(self) -> "UnitGroupData":
@@ -180,11 +189,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        f = self.field
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = t w + c
-        a = self.a * o.a + f.c * self.b * o.b
-        b = self.a * o.b + self.b * o.a + f.t * self.b * o.b
-        return FieldElement(f, a, b)
+        return FieldElement(self.field, *self.field.mul_coords(self.coords(), o.coords()))
 
     __rmul__ = __mul__
 
@@ -345,26 +350,14 @@ class Ideal:
     @classmethod
     def from_generators(cls, field: NumberField, gens: Sequence[FieldElement]) -> "Ideal":
         """O-module generated by gens (each gen contributes gen and gen*w)."""
-        gens = list(gens)
-        if not gens or all(g.is_zero() for g in gens):
+        coords = [g.coords() for g in gens]
+        if not any(any(x) for x in coords):
             raise FieldError("ideal needs a nonzero generator")
-        closure = []
-        for g in gens:
-            closure.append(g)
-            if field.degree == 2:
-                closure.append(g * field.omega())
-        den = 1
-        for g in closure:
-            for fr in (g.a, g.b):
-                den = den * fr.denominator // math.gcd(den, fr.denominator)
-        rows = []
-        for g in closure:
-            if field.degree == 2:
-                rows.append((int(g.a * den), int(g.b * den)))
-            else:
-                rows.append((int(g.a * den),))
-        hnf = _hnf_rank2(rows) if field.degree == 2 else _hnf_rank1(rows)
-        return cls(field, hnf, den)
+        den = math.lcm(*(v.denominator for x in coords for v in x))
+        rows = [tuple(v.numerator * (den // v.denominator) for v in x) for x in coords]
+        if field.degree == 1:
+            return cls(field, _hnf_rank1(rows), den)
+        return cls(field, _hnf_rank2(rows + [field.mul_coords(x, (0, 1)) for x in rows]), den)
 
     @classmethod
     def principal(cls, elt: FieldElement) -> "Ideal":
@@ -390,18 +383,21 @@ class Ideal:
     def contains(self, elt: FieldElement) -> bool:
         if elt.field != self.field:
             raise FieldError("field mismatch")
-        # (a, b) in (1/den) L  iff  den*(a, b) in L, exactly
-        xa = elt.a * self.den
-        xb = elt.b * self.den
-        if xa.denominator != 1 or xb.denominator != 1:
+        coords = elt.coords()
+        den = math.lcm(*(v.denominator for v in coords))
+        return self._holds([v.numerator * (den // v.denominator) for v in coords], den)
+
+    def _holds(self, nums: Sequence[int], den: int) -> bool:
+        """Whether the vector nums/den (int nums) lies in this ideal."""
+        # nums/den in (1/self.den) L  iff  self.den*nums/den is an int vector of L
+        x = [v * self.den for v in nums]
+        if any(v % den for v in x):
             return False
-        x, y = int(xa), int(xb)
+        x = [v // den for v in x]
         if self.field.degree == 1:
-            return x % self.hnf[0][0] == 0
+            return x[0] % self.hnf[0][0] == 0
         (n, _), (b, g) = self.hnf
-        if y % g != 0:
-            return False
-        return (x - (y // g) * b) % n == 0
+        return x[1] % g == 0 and (x[0] - (x[1] // g) * b) % n == 0
 
     def reduce(self, elt: FieldElement) -> FieldElement:
         """Canonical representative of elt modulo this (integral) lattice."""
@@ -425,29 +421,49 @@ class Ideal:
             raise FieldError("residues need an integral ideal")
         return itertools.product(*(range(row[i]) for i, row in enumerate(self.hnf)))
 
-    def residues(self) -> Iterator[FieldElement]:
-        """Deterministic enumeration of O/I representatives (lex order)."""
-        for x in self.residue_coords():
-            yield self.field.element(*x)
+    def _inverse_coords(self, a: int, b: int = 0) -> Optional[tuple]:
+        """Reduced int coords of x^{-1} mod I for x = a + b*w, or None for a non-unit.
+
+        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
+        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x is a unit
+        mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1 decides.
+        With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod gO (gO
+        is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
+        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
+        """
+        if self.field.degree == 1:
+            n = self.hnf[0][0]
+            return (pow(a, -1, n),) if math.gcd(a, n) == 1 else None
+        t, c = self.field.t, self.field.c
+        (n, _), (bh, g) = self.hnf
+        r = a - (bh // g) * b
+        norm = a * a + t * a * b - c * b * b
+        if math.gcd(r, n // g) != 1 or math.gcd(norm, g) != 1:
+            return None
+        y1 = pow(r, -1, n // g)
+        s = pow(norm, -1, g)
+        return self.reduce_coords(y1 * (1 - norm * s) + s * (a + t * b), -s * b)
+
+    def unit_inverse_pairs(self) -> list:
+        """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples
+        in the lex order of residue_coords()."""
+        return [(x, inv) for x in self.residue_coords()
+                if (inv := self._inverse_coords(*x)) is not None]
 
     # -- arithmetic -------------------------------------------------------------
 
     def basis_elements(self) -> list:
-        out = []
-        for row in self.hnf:
-            if self.field.degree == 2:
-                out.append(self.field.element(Fraction(row[0], self.den), Fraction(row[1], self.den)))
-            else:
-                out.append(self.field.element(Fraction(row[0], self.den)))
-        return out
+        return [self.field.element(*(Fraction(v, self.den) for v in row)) for row in self.hnf]
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         if not isinstance(other, Ideal):
             return NotImplemented
         if other.field != self.field:
             raise FieldError("field mismatch")
-        prods = [u * v for u in self.basis_elements() for v in other.basis_elements()]
-        return Ideal.from_generators(self.field, prods)
+        # the products of two Z-bases span the product as a Z-module
+        rows = [self.field.mul_coords(u, v) for u in self.hnf for v in other.hnf]
+        hnf = _hnf_rank2(rows) if self.field.degree == 2 else _hnf_rank1(rows)
+        return Ideal(self.field, hnf, self.den * other.den)
 
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
@@ -461,9 +477,6 @@ class Ideal:
             k >>= 1
         return out
 
-    def scale(self, elt: FieldElement) -> "Ideal":
-        return Ideal.from_generators(self.field, [elt * v for v in self.basis_elements()])
-
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.field == other.field
                 and self.den == other.den and self.hnf == other.hnf)
@@ -473,7 +486,9 @@ class Ideal:
 
     def __le__(self, other: "Ideal") -> bool:
         """Containment self <= other means self is a subset of other."""
-        return all(other.contains(v) for v in self.basis_elements())
+        if other.field != self.field:
+            raise FieldError("field mismatch")
+        return all(other._holds(row, self.den) for row in self.hnf)
 
     def __repr__(self):
         return "Ideal(den=%d, hnf=%r)" % (self.den, self.hnf)
@@ -533,7 +548,7 @@ def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Opti
     # one unit-reduction retry catches generators pushed outside the box
     eps = field.unit_group().fundamental
     if eps is not None:
-        hit = _box_search(field, ideal.scale(eps.inverse()), target_norm, bound)
+        hit = _box_search(field, ideal * Ideal.principal(eps.inverse()), target_norm, bound)
         if hit is not None:
             return field.element(*hit) * eps
     return None
@@ -608,17 +623,16 @@ def ideal_valuation(ideal: Ideal, prime: PrimeIdeal) -> int:
     if not ideal.is_integral():
         raise FieldError("valuation needs an integral ideal")
     field, p = ideal.field, prime.p
-    t, c = field.t, field.c
-    b0, b1 = (1, 0) if field.degree == 1 or prime.f == 2 else (prime.hnf[1][0] + t, -1)
+    beta = (1,) if field.degree == 1 else (1, 0) if prime.f == 2 \
+        else (prime.hnf[1][0] + field.t, -1)
     vals = []
-    for row in ideal.hnf:
-        x0, x1 = row if field.degree == 2 else (row[0], 0)
+    for x in ideal.hnf:
         v = 0
         while True:
-            y0, y1 = b0 * x0 + c * b1 * x1, b0 * x1 + b1 * x0 + t * b1 * x1
-            if y0 % p or y1 % p:
+            y = field.mul_coords(beta, x)
+            if any(u % p for u in y):
                 break
-            x0, x1, v = y0 // p, y1 // p, v + 1
+            x, v = tuple(u // p for u in y), v + 1
         vals.append(v)
     return min(vals)
 
@@ -654,57 +668,6 @@ def inverse_different(field: NumberField) -> Ideal:
         return Ideal.unit_ideal(field)
     fprime = field.element(-field.t, 2)  # f'(w) = 2w - t
     return Ideal.principal(fprime.inverse())
-
-
-class ResidueRing:
-    """O/I for an integral nonzero ideal I, with exact arithmetic."""
-
-    def __init__(self, ideal: Ideal):
-        if not ideal.is_integral():
-            raise FieldError("residue ring needs an integral ideal")
-        self.ideal = ideal
-        self.field = ideal.field
-
-    def reduce(self, elt: FieldElement) -> FieldElement:
-        return self.ideal.reduce(elt)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return self.ideal.residues()
-
-    def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return self.reduce(x * y)
-
-    def _inverse_coords(self, a: int, b: int = 0) -> Optional[tuple]:
-        """Reduced int coords of x^{-1} mod I for x = a + b*w, or None for a non-unit.
-
-        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
-        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x is a unit
-        mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1 decides.
-        With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod gO (gO
-        is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
-        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
-        """
-        if self.field.degree == 1:
-            n = self.ideal.hnf[0][0]
-            return (pow(a, -1, n),) if math.gcd(a, n) == 1 else None
-        t, c = self.field.t, self.field.c
-        (n, _), (bh, g) = self.ideal.hnf
-        r = a - (bh // g) * b
-        norm = a * a + t * a * b - c * b * b
-        if math.gcd(r, n // g) != 1 or math.gcd(norm, g) != 1:
-            return None
-        y1 = pow(r, -1, n // g)
-        s = pow(norm, -1, g)
-        return self.ideal.reduce_coords(y1 * (1 - norm * s) + s * (a + t * b), -s * b)
-
-    def units(self) -> list:
-        return [self.field.element(*x) for x, _ in self.unit_inverse_pairs()]
-
-    def unit_inverse_pairs(self) -> list:
-        """[(x, x^{-1})] for the units, as reduced int coordinate tuples in
-        the lex order of residues()."""
-        return [(x, inv) for x in self.ideal.residue_coords()
-                if (inv := self._inverse_coords(*x)) is not None]
 
 
 class UnitGroupData:

@@ -400,24 +400,18 @@ def coset_representatives(prime: PrimeIdeal, k: int) -> list:
     if prime.generator is None:
         raise HeckeError("prime %s has no stored generator" % prime.label)
     field = prime.field
-    t, c = field.t, field.c
     pi = prime.generator
     zero = field.zero()
     nk = int(pi.norm()) ** k
-    cof = (pi.inverse() * pi.norm()) ** k
-    u, v = int(cof.a), int(cof.b)
+    cof = tuple(map(int, ((pi.inverse() * pi.norm()) ** k).coords()))
     power = prime ** 0
     out = []
     for l in range(2 * k + 1):
         if l:
             power = power * prime
         a, d = pi ** (k - l), pi ** (l - k)
-        coords = power.residue_coords()
-        if field.degree == 1:
-            coords = ((x, 0) for (x,) in coords)
-        out.extend((a, FieldElement(field, Fraction(x * u + c * y * v, nk),
-                                    Fraction(x * v + y * u + t * y * v, nk)), zero, d)
-                   for x, y in coords)
+        out.extend((a, FieldElement(field, *[Fraction(v, nk) for v in field.mul_coords(x, cof)]),
+                    zero, d) for x in power.residue_coords())
     return out
 
 

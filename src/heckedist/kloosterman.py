@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldElement,
+    FieldError,
     Ideal,
     NumberField,
-    ResidueRing,
     ideal_prime_factorization,
     inverse_different,
     unit_square_class,
@@ -59,15 +59,16 @@ class DirichletCharacter:
 
     def __init__(self, field: NumberField, modulus: Ideal,
                  phases: Dict[tuple, Fraction], check: bool = True):
+        if not modulus.is_integral():
+            raise FieldError("the character modulus must be an integral ideal")
         self.field = field
         self.modulus = modulus
-        self.ring = ResidueRing(modulus)
         self.phases = {k: (q - (q.numerator // q.denominator)) for k, q in phases.items()}
         if check:
             self._validate()
 
     def _validate(self):
-        one = self.ring.reduce(self.field.one())
+        one = self.modulus.reduce(self.field.one())
         if self.phases.get(one.coords(), None) != Fraction(0):
             raise KloostermanError("character must send 1 to 1")
         units = [self.field.element(*k) for k in self.phases]
@@ -77,44 +78,42 @@ class DirichletCharacter:
             rng = random.Random(7)
             pairs = [(rng.choice(units), rng.choice(units)) for _ in range(500)]
         for x, y in pairs:
-            lhs = self.phase(self.ring.mul(x, y))
+            lhs = self.phase(x * y)
             rhs = self.phase(x) + self.phase(y)
             if (lhs - rhs).numerator % (lhs - rhs).denominator != 0:
                 raise KloostermanError("value table is not multiplicative at %r,%r" % (x, y))
 
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
-        ring = ResidueRing(modulus)
-        phases = {x.coords(): Fraction(0) for x in ring.units()}
+        phases = {x: Fraction(0) for x, _ in modulus.unit_inverse_pairs()}
         return cls(field, modulus, phases, check=False)
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
                exponent: int = 1) -> "DirichletCharacter":
         """chi(g^j) = e^{2 pi i j exponent / order}; g must generate (O/I)*."""
-        ring = ResidueRing(modulus)
-        units = ring.units()
-        g = ring.reduce(generator)
+        n_units = len(modulus.unit_inverse_pairs())
+        g = modulus.reduce(generator)
         phases = {}
-        x = ring.reduce(field.one())
+        x = modulus.reduce(field.one())
         order = 0
         while True:
             key = x.coords()
             if key in phases and order > 0:
                 break
             phases[key] = order
-            x = ring.mul(x, g)
+            x = modulus.reduce(x * g)
             order += 1
-            if order > len(units):
+            if order > n_units:
                 raise KloostermanError("generator does not have finite unit order")
-        if len(phases) != len(units):
+        if len(phases) != n_units:
             raise KloostermanError("element does not generate the unit group "
-                                   "(%d of %d units reached)" % (len(phases), len(units)))
+                                   "(%d of %d units reached)" % (len(phases), n_units))
         table = {k: Fraction(j * exponent, order) for k, j in phases.items()}
         return cls(field, modulus, table)
 
     def phase(self, x: FieldElement) -> Fraction:
-        key = self.ring.reduce(x).coords()
+        key = self.modulus.reduce(x).coords()
         if key not in self.phases:
             raise KloostermanError("%r is not a unit mod the character modulus" % (x,))
         return self.phases[key]
@@ -175,7 +174,7 @@ def evaluate(q: KloostermanQuery) -> complex:
     reduce_chi = q.chi.modulus.reduce_coords
     counts = Counter()
     try:
-        for a, d in ResidueRing(Ideal.principal(q.c)).unit_inverse_pairs():
+        for a, d in Ideal.principal(q.c).unit_inverse_pairs():
             k = sum(map(operator.mul, a + d, lin)) - chi_num[reduce_chi(*d)]
             counts[k % den] += 1
     except KeyError as exc:

@@ -224,6 +224,8 @@ def half_line_measure(measure: SpectralMeasure, a: float) -> float:
 def _nu_path_lambda(nu: complex) -> float:
     """lambda = 1/4 - nu^2 along the canonical path (real leg then imaginary)."""
     z = complex(nu)
+    if not (abs(z.real) < 1e154 and abs(z.imag) < 1e154):  # else nu^2 is not a finite float
+        raise MeasureError("nu must be finite with |nu| < 1e154, got %r" % (nu,))
     tol = 1e-12
     if abs(z.imag) <= tol and z.real >= -tol:
         return 0.25 - z.real ** 2
@@ -258,15 +260,7 @@ class NuMeasure:
         lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
         cont = MeasureValue(hi_part.value - lo_part.value, hi_part.error + lo_part.error)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)
-        atom_mass = Fraction(0)
-        b = 2 if self.xi == 0 else 3
-        while True:
-            pos = discrete_series_point(b)
-            if pos < lam_lo:
-                break
-            if pos <= _as_fraction(lam_hi):
-                atom_mass += b - 1
-            b += 2
+        atom_mass = sum(mass for _, mass in pl_atoms_in(self.xi, lam_lo, lam_hi))
         return MeasureValue(cont.value + float(atom_mass), cont.error)
 
     def _from_quarter(self, lam: float) -> MeasureValue:

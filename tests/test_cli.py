@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heckedist
 from heckedist import inverse_different, make_field, weil_scan
 from heckedist.cli import main
 
@@ -32,6 +36,62 @@ def test_domain_error_is_exit_one(capsys):
     payload = json.loads(err.strip())
     assert "error" in payload and "message" in payload
     assert "\n" not in err.strip()
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_npl_interval_at_infinity_is_a_domain_error():
+    # nu = 1e400 parses as inf; the atom loop used to run forever on it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckedist.__file__)))
+    run = subprocess.run([sys.executable, "-m", "heckedist.cli", "measure", "eval",
+                          "--kind", "npl0", "--interval", "0:1e400"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60)
+    assert_one_line_error(run.returncode, run.stdout, run.stderr)
+    assert json.loads(run.stderr)["error"] == "MeasureError"
+
+
+@pytest.mark.parametrize("content", ["5", "[[1, 0, 1]]", "[[1, 2]]", "[1]"])
+def test_bad_character_file_is_a_domain_error(capsys, tmp_path, content):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(content)
+    assert_one_line_error(*run_cli(capsys, "--level", "5", "kloosterman", "delta",
+                                   "--r", "1", "--rp", "1", "--xi", "0",
+                                   "--chi", str(chi_file)))
+
+
+@pytest.mark.parametrize("box", ["[1,2]", '{"dim": 1, "xi": [0], "e": [1]}',
+                                 '{"dim": 1, "xi": [0], "e": {"1": [0, "x"]}}',
+                                 '{"dim": 1, "xi": 0}', '{"dim": [1], "xi": [0]}'])
+def test_bad_box_is_a_domain_error(capsys, box):
+    assert_one_line_error(*run_cli(capsys, "measure", "box", "--spec", box))
+    assert_one_line_error(*run_cli(capsys, "equidist", "predict", "--box", box,
+                                   "--intervals", "{}", "--t", "2"))
+
+
+@pytest.mark.parametrize("intervals", ["[1]", '{"2:0": 1}', '{"2:0": [0, 1, 2]}',
+                                       '{"2:0": [null, 1]}'])
+def test_bad_intervals_are_a_domain_error(capsys, tmp_path, intervals):
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    assert_one_line_error(*run_cli(capsys, "equidist", "predict", "--box", box_spec,
+                                   "--intervals", intervals, "--t", "2"))
+    data_file = tmp_path / "ds.jsonl"
+    data_file.write_text('{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}\n')
+    assert_one_line_error(*run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                                   "--box", box_spec, "--intervals", intervals,
+                                   "--t-grid", "1,3"))
+
+
+def test_eigenvalue_needs_exactly_one_of_nu_and_lam(capsys):
+    assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2")[0] == 2
+    assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2", "--nu", "0.5i",
+                   "--lam", "2.5")[0] == 2
+    code, out, _ = run_cli(capsys, "hecke", "eigenvalue", "--p", "2", "--nu", "0.5i")
+    assert code == 0 and json.loads(out)["nu"]["im"] == 0.5
 
 
 def test_field_info(capsys):

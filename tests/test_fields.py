@@ -1,5 +1,6 @@
 """Field arithmetic, ideal HNF bookkeeping, prime splitting, units."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from heckedist import (
     FieldError,
     Ideal,
     NumberField,
-    ResidueRing,
     factor_rational_prime,
     ideal_prime_factorization,
     ideal_valuation,
@@ -229,12 +229,66 @@ def test_ideal_norm_multiplicative_on_principal():
     assert ixy.norm() == ix.norm() * iy.norm()
 
 
+def fraction_product(field, x, y):
+    # (a1 + b1 w)(a2 + b2 w) with w^2 = t w + c, in Fractions, written out here
+    # so that the reference below shares no code with NumberField.mul_coords
+    return field.element(x.a * y.a + field.c * x.b * y.b,
+                         x.a * y.b + x.b * y.a + field.t * x.b * y.b)
+
+
+def fraction_ideal_mul_reference(I, J):
+    # the Fraction route Ideal.__mul__ took before its int HNF rows: FieldElement
+    # products of the two bases, then from_generators as it was (each generator
+    # and generator*w, over the running lcm of their denominators, then the HNF)
+    field = I.field
+    closure = [fraction_product(field, u, v) for u in I.basis_elements() for v in J.basis_elements()]
+    if field.degree == 2:
+        closure += [fraction_product(field, g, field.omega()) for g in closure]
+    den = 1
+    for g in closure:
+        for fr in (g.a, g.b):
+            den = den * fr.denominator // math.gcd(den, fr.denominator)
+    rows = [tuple(int(x * den) for x in g.coords()) for g in closure]
+    if field.degree == 2:
+        return Ideal(field, fields_module._hnf_rank2(rows), den)
+    return Ideal(field, fields_module._hnf_rank1(rows), den)
+
+
+def fraction_contained(I, J):
+    # the route Ideal.__le__ took before its int rows: each basis element of I in J
+    return all(J.contains(v) for v in I.basis_elements())
+
+
+def test_ideal_mul_and_le_match_fraction_reference(enumerated_ideals):
+    by_field = {}
+    for ideal in enumerated_ideals:
+        by_field.setdefault(ideal.field, []).append(ideal)
+    for ideals in by_field.values():
+        for i, I in enumerate(ideals):
+            for J in ideals[i:]:
+                got, want = I * J, fraction_ideal_mul_reference(I, J)
+                assert (got.den, got.hnf) == (want.den, want.hnf) and J * I == got, (I, J)
+                assert (I <= J) == fraction_contained(I, J), (I, J)
+                assert (J <= I) == fraction_contained(J, I), (I, J)
+
+
+def test_inverse_different_products_match_fraction_reference(enumerated_ideals):
+    for I in enumerated_ideals:
+        dinv = inverse_different(I.field)
+        for X, Y in ((I, dinv), (dinv, I), (dinv, dinv), (I * dinv, I)):
+            got, want = X * Y, fraction_ideal_mul_reference(X, Y)
+            assert (got.den, got.hnf) == (want.den, want.hnf), (X, Y)
+        Id = I * dinv
+        for X, Y in ((Id, I), (I, Id), (Id, dinv), (dinv, Id), (Id, Id * dinv), (Id * dinv, Id)):
+            assert (X <= Y) == fraction_contained(X, Y), (X, Y)
+
+
 def power_valuation_reference(ideal, prime):
     # the route ideal_valuation took before its integer loop: the largest v
     # with ideal <= prime ** v, on Fraction ideal powers
-    v = 0
-    while ideal <= prime ** (v + 1):
-        v += 1
+    v, power = 0, prime
+    while fraction_contained(ideal, power):
+        v, power = v + 1, fraction_ideal_mul_reference(power, prime)
     return v
 
 
@@ -278,13 +332,12 @@ def test_inverse_different():
 
 def test_residue_ring_inverses():
     ideal = Ideal.principal(F5.element(7))
-    ring = ResidueRing(ideal)
-    pairs = ring.unit_inverse_pairs()
+    pairs = ideal.unit_inverse_pairs()
     assert len(pairs) == 48  # N(7) = 49, inert: residue field F_49
     one = F5.one()
     for coords, inv in pairs:
         x = F5.element(*coords)
-        assert ring.reduce(x * F5.element(*inv)) == ring.reduce(one)
+        assert ideal.reduce(x * F5.element(*inv)) == ideal.reduce(one)
 
 
 def test_unit_square_class():

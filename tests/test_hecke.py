@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from heckedist import (
     HeckeError,
     LocalHeckeElement,
-    ResidueRing,
     SymLaurentPoly,
     brute_force_convolution,
     coset_representatives,
@@ -116,7 +115,7 @@ def fieldelement_coset_reference(prime, k):
     pi_neg_k = pi ** (-k)
     out = []
     for l in range(2 * k + 1):
-        reps = ResidueRing(prime ** l).elements() if l > 0 else [zero]
+        reps = [field.element(*x) for x in (prime ** l).residue_coords()] if l > 0 else [zero]
         a, d = pi ** (k - l), pi ** (l - k)
         out.extend((a, b * pi_neg_k, zero, d) for b in reps)
     return out

@@ -10,10 +10,10 @@ import pytest
 
 from heckedist import (
     DirichletCharacter,
+    FieldError,
     Ideal,
     KloostermanError,
     KloostermanQuery,
-    ResidueRing,
     delta_term,
     evaluate,
     ideal_prime_factorization,
@@ -50,7 +50,7 @@ def fraction_reference(q):
     # kept here as the reference the integer kernel is compared with
     field = q.c.field
     total = 0.0 + 0.0j
-    for coords, inv in ResidueRing(Ideal.principal(q.c)).unit_inverse_pairs():
+    for coords, inv in Ideal.principal(q.c).unit_inverse_pairs():
         a, d = field.element(*coords), field.element(*inv)
         x = (q.rp * a + q.r * d) / q.c
         tr = x.trace()
@@ -106,8 +106,7 @@ def test_unit_inverse_pairs(enumerated_ideals):
     extra = [Ideal.principal(c) for c in (Q.element(36), F5.element(7), F5.element(3, 2),
                                           F5.element(6, 0), F94.element(5, 1), F94.element(6))]
     for ideal in enumerated_ideals + extra:
-        ring = ResidueRing(ideal)
-        pairs = ring.unit_inverse_pairs()
+        pairs = ideal.unit_inverse_pairs()
         phi = 1
         for prime, v in ideal_prime_factorization(ideal):
             phi *= (prime.absolute_norm() - 1) * prime.absolute_norm() ** (v - 1)
@@ -118,7 +117,16 @@ def test_unit_inverse_pairs(enumerated_ideals):
         assert pairs == [(x, y) for x in residues for y in residues
                          if int_product(ideal, x, y) == one], ideal
     # inert 7 in Q(sqrt 5): the residue field F_49
-    assert len(ResidueRing(extra[1]).unit_inverse_pairs()) == 48
+    assert len(extra[1].unit_inverse_pairs()) == 48
+
+
+def test_character_modulus_must_be_integral():
+    # the inverse different of Q(sqrt 5) is (1/sqrt 5) O, a fractional ideal
+    dinv = inverse_different(F5)
+    with pytest.raises(FieldError):
+        DirichletCharacter(F5, dinv, {}, check=False)
+    with pytest.raises(FieldError):
+        dinv.unit_inverse_pairs()
 
 
 def test_classical_values():

@@ -16,6 +16,7 @@ import heckedist
 from heckedist import (
     Box,
     MeasureError,
+    NuMeasure,
     SatoTateMeasure,
     box_measure,
     half_line_measure,
@@ -181,6 +182,13 @@ def test_nu_atoms():
 def test_nu_measure_rejects_off_path():
     with pytest.raises(MeasureError):
         nu_measure(0).interval(0.1 + 0.1j, 0.3 + 0.1j)
+
+
+def test_nu_measure_rejects_non_finite_nu():
+    # nu = inf maps to lambda = -inf, where the atom scan used to run forever
+    for lo, hi in ((0, math.inf), (math.inf, 0.5), (0.1j, complex(0, math.inf)), (0, 1e200)):
+        with pytest.raises(MeasureError):
+            NuMeasure(0).interval(lo, hi)
 
 
 def test_sato_tate_moments_exact():
