@@ -5,6 +5,8 @@ Kloosterman sums with characters, and an equidistribution test harness,
 for Q and real quadratic fields at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from heckedist.fields import (
     FieldError,
     FieldElement,
@@ -85,72 +87,6 @@ from heckedist.equidist import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "Dataset",
-    "DirichletCharacter",
-    "EquidistError",
-    "FieldElement",
-    "FieldError",
-    "HeckeError",
-    "Ideal",
-    "KloostermanError",
-    "KloostermanQuery",
-    "LocalHeckeElement",
-    "MeasureError",
-    "MeasureValue",
-    "NuMeasure",
-    "NumberField",
-    "Prediction",
-    "PrimeIdeal",
-    "Report",
-    "ReportRow",
-    "SatoTateMeasure",
-    "SpectralMeasure",
-    "SymLaurentPoly",
-    "TauData",
-    "UnitGroupData",
-    "WeilRow",
-    "WeilScanResult",
-    "box_measure",
-    "brute_force_convolution",
-    "coset_representatives",
-    "count",
-    "delta_term",
-    "evaluate",
-    "expected_coset_count",
-    "factor_rational_prime",
-    "from_sym_laurent",
-    "half_line_measure",
-    "ideal_prime_factorization",
-    "ideal_valuation",
-    "inverse_different",
-    "lambda_from_nu",
-    "level_index",
-    "make_field",
-    "measure_interval",
-    "npl_consistency",
-    "nu_from_lambda",
-    "nu_measure",
-    "nu_strip_height",
-    "phi",
-    "pl_atoms_in",
-    "pl_measure",
-    "predict",
-    "prime_by_label",
-    "rational_kloosterman",
-    "run_report",
-    "s_poly",
-    "s_poly_eval",
-    "spectral_measure",
-    "symmetry_check",
-    "synthesize",
-    "tau_source",
-    "tau_table",
-    "unit_square_class",
-    "v1_atoms_in",
-    "v1_measure",
-    "verify_relation",
-    "verify_tau_identities",
-    "weil_scan",
-]
+# every public name is spelled once, in the imports above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

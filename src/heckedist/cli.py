@@ -214,12 +214,9 @@ def _prime_norm(field: fields.NumberField, label: str) -> int:
 
 def cmd_hecke_verify(args) -> int:
     field = fields.make_field(args.field)
-    label = args.p if ":" in args.p else "%s:0" % args.p
-    norm = _prime_norm(field, args.p)
-    brute_p = None
-    if field.degree == 1 and not args.no_brute:
-        brute_p = int(args.p.split(":")[0])
-    coeffs = hecke.verify_relation(label, norm, args.k, args.m, brute_p=brute_p)
+    prime = fields.prime_by_label(field, args.p)
+    coeffs = hecke.verify_relation(prime.label, prime.absolute_norm(), args.k, args.m,
+                                   brute=field.degree == 1 and not args.no_brute)
     payload = {key: int(val) for key, val in
                sorted(coeffs.items(), key=lambda kv: -int(kv[0][1:]))}
     _emit(args, payload)
@@ -240,7 +237,8 @@ def cmd_hecke_eigenvalue(args) -> int:
     field = fields.make_field(args.field)
     norm = _prime_norm(field, args.p)
     if args.nu is not None:
-        nu = complex(args.nu.replace("i", "j"))
+        # only a trailing "i" marks the imaginary unit; "inf" keeps its own i
+        nu = complex(args.nu[:-1] + "j" if args.nu.endswith("i") else args.nu)
         lam = hecke.lambda_from_nu(norm, nu)
         payload = {"norm": norm, "nu": _complex_repr(nu), "lam": lam}
     else:

@@ -1,17 +1,18 @@
 """Unramified local Hecke algebras on GL(2) and their eigenvalue bookkeeping.
 
-The algebra at a prime P is spanned by the characteristic functions
-T(P^{2k}) of the determinant-one double-coset sets; the product is
-determined by the three-term relation
+The algebra at a prime P of absolute norm N is spanned by the characteristic
+functions T(P^{2k}) of the determinant-one double-coset sets; the recursion
+route multiplies by applying the three-term relation itself,
 
-    T(P^{2k}) * T(P^2) = T(P^{2k+2}) + N T(P^{2k}) + N^2 T(P^{2k-2}),
+    T(P^2) * T(P^{2j}) = T(P^{2j+2}) + N T(P^{2j}) + N^2 T(P^{2j-2})   (j >= 1).
 
-with N the absolute norm of P.  The algebra is isomorphic to the ring of
-even symmetric Laurent polynomials, T(P^{2k}) mapping to
-N^k (X^{2k} + X^{2k-2} + ... + X^{-2k}); both routes are implemented and
-kept separate so each can check the other.  Eigenvalues are parametrized
-by lambda = sqrt(N) (N^nu + N^-nu) on the closed tempered-plus-complementary
-domain nu in i[0, pi/(2 log N)] union (0, 1/2], lambda in [0, 1+N].
+The algebra is isomorphic to the ring of even symmetric Laurent polynomials,
+T(P^{2k}) mapping to N^k (X^{2k} + X^{2k-2} + ... + X^{-2k}); both routes are
+kept separate so each can check the other.  The eigenvalue of T(P^{2k}) is
+S_{P,2k}(lambda) = N^k U_{2k}(lambda / 2 sqrt(N)) (Chebyshev, closed-form int
+coefficients), with lambda = sqrt(N) (N^nu + N^-nu) on the closed
+tempered-plus-complementary domain nu in i[0, pi/(2 log N)] union (0, 1/2],
+lambda in [0, 1+N].
 
 Elements store int numerators `nums` over one int `den` in lowest terms and
 build Fraction `coeffs` on access.  The recursion and Laurent routes multiply
@@ -23,10 +24,11 @@ kernel, so each stays an independent check of the others.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +68,16 @@ def _sum(x, y, sign: int) -> Tuple[list, int]:
     """Numerators of x + sign * y over x.den * y.den."""
     pairs = zip_longest(x.nums, y.nums, fillvalue=0)
     return [a * y.den + sign * b * x.den for a, b in pairs], x.den * y.den
+
+
+def _times_t2(nums: list, N: int) -> list:
+    """T(P^2) * sum_j nums[j] T(P^{2j}), term by term: T(P^2) T(P^0) = T(P^2), and
+    T(P^2) T(P^{2j}) = T(P^{2j+2}) + N T(P^{2j}) + N^2 T(P^{2j-2}) for j >= 1."""
+    out = [0] + nums
+    for j in range(1, len(nums)):
+        out[j] += N * nums[j]
+        out[j - 1] += N * N * nums[j]
+    return out
 
 
 class LocalHeckeElement:
@@ -126,17 +138,27 @@ class LocalHeckeElement:
         return hash((self.label, self.norm, self.nums, self.den))
 
     def __mul__(self, other: "LocalHeckeElement") -> "LocalHeckeElement":
-        """Product via the three-term relation (the recursion fast path).
+        """Product by the three-term relation (the recursion route).
 
-        The change to powers of y = T(P^2), the product and the back-substitution
-        run on the numerators, over the product of the denominators.
+        E_j = T(P^{2j}) * other runs E_0 = other, E_1 = T(P^2) E_0 and
+        E_{j+1} = T(P^2) E_j - N E_j - N^2 E_{j-1}; sum_j c_j E_j is taken on the
+        numerators, over the product of the denominators.
         """
         self._check(other)
-        table = _t_in_y_table(len(self.nums) + len(other.nums) - 2, self.norm)
-        prod = _poly_mul(_t_basis_to_ypoly(self.nums, table),
-                         _t_basis_to_ypoly(other.nums, table))
-        return self._from_ints(self.label, self.norm, _ypoly_to_t_basis(prod, table),
-                               self.den * other.den)
+        N = self.norm
+        E = [list(other.nums)]
+        for j in range(1, len(self.nums)):
+            nxt = _times_t2(E[-1], N)
+            if j > 1:
+                nxt = [t - N * x - N * N * y
+                       for t, x, y in zip_longest(nxt, E[-1], E[-2], fillvalue=0)]
+            E.append(nxt)
+        out = [0] * len(E[-1])
+        for c, e in zip(self.nums, E):
+            if c:
+                for i, x in enumerate(e):
+                    out[i] += c * x
+        return self._from_ints(self.label, N, out, self.den * other.den)
 
     def to_sym_laurent(self) -> "SymLaurentPoly":
         """Ring isomorphism: T(P^{2k}) -> N^k sum_{j=0}^{2k} X^{2k-2j}.
@@ -168,60 +190,6 @@ def from_sym_laurent(label: str, norm: int, poly: "SymLaurentPoly") -> LocalHeck
     ps, top = poly.nums + (0,), len(poly.nums) - 1
     nums = [(ps[k] - ps[k + 1]) * norm ** (top - k) for k in range(top + 1)]
     return LocalHeckeElement._from_ints(label, norm, nums, poly.den * norm ** top)
-
-
-# -- polynomial-in-T(P^2) plumbing for the recursion route ---------------------
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _t_in_y_table(k: int, N: int) -> list:
-    """T(P^{2j}) expressed in powers of y = T(P^2), for j = 0..k; row j is monic
-    of degree j with int coefficients."""
-    table = [[1], [0, 1]][:k + 1]
-    N2 = N * N
-    for j in range(1, k):
-        # T^{2j+2} = y*T^{2j} - N T^{2j} - N^2 T^{2j-2}
-        prev, cur = table[j - 1], table[j]
-        nxt = [0] + cur
-        for i, c in enumerate(cur):
-            nxt[i] -= N * c
-        for i, c in enumerate(prev):
-            nxt[i] -= N2 * c
-        table.append(nxt)
-    return table
-
-
-def _t_basis_to_ypoly(coeffs: Sequence[int], table: list) -> list:
-    out = [0] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for i, t in enumerate(table[j]):
-            out[i] += c * t
-    return out
-
-
-def _ypoly_to_t_basis(poly: Sequence[int], table: list) -> list:
-    """Back-substitution; the table rows are monic, so it stays in ints."""
-    rem = list(poly)
-    out = [0] * len(rem)
-    for j in range(len(rem) - 1, -1, -1):
-        c = rem[j]
-        out[j] = c
-        if c != 0:
-            for i, t in enumerate(table[j]):
-                rem[i] -= c * t
-    assert all(r == 0 for r in rem)
-    return out
 
 
 class SymLaurentPoly:
@@ -292,21 +260,15 @@ class SymLaurentPoly:
 def s_poly(norm: int, two_k: int) -> Tuple[Fraction, ...]:
     """Coefficients a_m (in lambda^{2m}) of S_{P,2k} with 2k = two_k.
 
-    Defined by S_{P,2k}(sqrt(N)(X + X^-1)) = N^k sum_{j=0}^{2k} X^{2k-2j}.
+    Defined by S_{P,2k}(sqrt(N)(X + X^-1)) = N^k sum_{j=0}^{2k} X^{2k-2j}, so
+    S_{P,2k}(lambda) = N^k U_{2k}(lambda / 2 sqrt(N)) with U the Chebyshev
+    polynomial of the second kind: a_m = (-1)^{k-m} C(k+m, k-m) N^{k-m}.
     """
     _check_norm(norm)
     if two_k < 0 or two_k % 2 != 0:
         raise HeckeError("S polynomials are indexed by even nonnegative integers")
     k = two_k // 2
-    N = Fraction(norm)
-    a = [Fraction(0)] * (k + 1)
-    # lambda^{2m} has e_j coefficient N^m * binom(2m, m-j); target e_j coeff is N^k
-    for j in range(k, -1, -1):
-        acc = Fraction(0)
-        for m in range(j + 1, k + 1):
-            acc += a[m] * N ** m * math.comb(2 * m, m - j)
-        a[j] = (N ** k - acc) / N ** j
-    return tuple(a)
+    return tuple(Fraction((-norm) ** (k - m) * math.comb(k + m, k - m)) for m in range(k + 1))
 
 
 def s_poly_eval(coeffs: Sequence[Fraction], lam):
@@ -314,19 +276,12 @@ def s_poly_eval(coeffs: Sequence[Fraction], lam):
 
     Exact when lam is int/Fraction, float otherwise.
     """
-    if isinstance(lam, (int, Fraction)):
-        lam2 = Fraction(lam) ** 2
-        acc = Fraction(0)
-    else:
-        lam2 = float(lam) ** 2
-        acc = 0.0
-    power = 1
-    for m, c in enumerate(coeffs):
-        if m == 0:
-            acc += c if isinstance(lam2, Fraction) else float(c)
-        else:
-            power = power * lam2
-            acc += (c * power) if isinstance(lam2, Fraction) else float(c) * power
+    exact = isinstance(lam, (int, Fraction))
+    lam2 = Fraction(lam) ** 2 if exact else float(lam) ** 2
+    acc, power = (Fraction(0) if exact else 0.0), 1
+    for c in coeffs:
+        acc += (c if exact else float(c)) * power
+        power = power * lam2
     return acc
 
 
@@ -344,6 +299,8 @@ def lambda_from_nu(norm: int, nu: complex) -> float:
     """
     N = norm
     z = complex(nu)
+    if not cmath.isfinite(z):
+        raise HeckeError("nu must be finite, got %r" % (nu,))
     tol = 1e-12
     if abs(z.imag) <= tol:
         v = z.real
@@ -370,6 +327,8 @@ def lambda_from_nu(norm: int, nu: complex) -> float:
 def nu_from_lambda(norm: int, lam: float) -> complex:
     """Inverse of lambda_from_nu on [0, 1+N], principal branch."""
     N = norm
+    if not math.isfinite(lam):
+        raise HeckeError("lambda must be finite, got %r" % (lam,))
     if lam < -1e-9 or lam > N + 1 + 1e-9:
         raise HeckeError("lambda must lie in [0, 1+N], got %r" % (lam,))
     lam = min(max(float(lam), 0.0), float(N + 1))
@@ -475,12 +434,13 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
 
 
 def verify_relation(label: str, norm: int, k: int, m: int,
-                    brute_p: Optional[int] = None) -> Dict[str, int]:
+                    brute: bool = False) -> Dict[str, int]:
     """Check T(P^{2k}) * T(P^{2m}) along independent routes, emit coefficients.
 
-    Recursion route and Laurent route always; the explicit coset route
-    when brute_p is given (base field Q, norm == p).  Keys are
-    "T<N(P^{2n})>" = "T<norm^{2n}>", zero coefficients dropped.
+    Recursion route and Laurent route always; the explicit coset route over Q
+    when brute is set (brute_force_convolution rejects a norm that is not a
+    rational prime).  Keys are "T<N(P^{2n})>" = "T<norm^{2n}>", zero
+    coefficients dropped.
     """
     a = LocalHeckeElement.basis(label, norm, k)
     b = LocalHeckeElement.basis(label, norm, m)
@@ -488,12 +448,10 @@ def verify_relation(label: str, norm: int, k: int, m: int,
     lau = from_sym_laurent(label, norm, a.to_sym_laurent() * b.to_sym_laurent())
     if alg != lau:
         raise HeckeError("recursion and Laurent products disagree: %r vs %r" % (alg, lau))
-    if brute_p is not None:
-        if brute_p != norm:
-            raise HeckeError("coset route runs over Q only (norm == p)")
-        brute = brute_force_convolution(brute_p, 2 * k, 2 * m)
-        if (brute.nums, brute.den) != (alg.nums, alg.den):
-            raise HeckeError("brute-force convolution disagrees: %r vs %r" % (brute, alg))
+    if brute:
+        coset = brute_force_convolution(norm, 2 * k, 2 * m)
+        if (coset.nums, coset.den) != (alg.nums, alg.den):
+            raise HeckeError("brute-force convolution disagrees: %r vs %r" % (coset, alg))
     if alg.den != 1:
         raise HeckeError("non-integral structure constants %r" % (alg,))
     return {"T%d" % norm ** (2 * n): c for n, c in enumerate(alg.nums) if c}

@@ -184,9 +184,14 @@ def evaluate(q: KloostermanQuery) -> complex:
 
 
 def rational_kloosterman(m: int, n: int, c: int) -> complex:
-    """Classical S(m, n; c) over the rationals with trivial character."""
+    """Classical S(m, n; c) over the rationals with trivial character.
+
+    The character is taken mod O: its one-entry table gives every term the same
+    phase as the trivial character mod (c) would, without a second enumeration
+    of the unit pairs mod c.
+    """
     field = NumberField()
-    chi = DirichletCharacter.trivial(field, Ideal.principal(field.element(c)))
+    chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
     q = KloostermanQuery(field.element(c), field.element(m), field.element(n), chi)
     return evaluate(q)
 

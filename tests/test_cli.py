@@ -94,6 +94,14 @@ def test_eigenvalue_needs_exactly_one_of_nu_and_lam(capsys):
     assert code == 0 and json.loads(out)["nu"]["im"] == 0.5
 
 
+def test_eigenvalue_rejects_non_finite(capsys):
+    for flag, value in (("--lam", "nan"), ("--lam", "inf"), ("--nu", "nan"), ("--nu", "inf"),
+                        ("--nu", "infi"), ("--nu", "0.1+nani")):
+        code, out, err = run_cli(capsys, "hecke", "eigenvalue", "--p", "2", flag, value)
+        assert code == 1 and out == "", (flag, value)
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "HeckeError"
+
+
 def test_field_info(capsys):
     code, out, _ = run_cli(capsys, "--field", "Q(sqrt 5)", "field", "info")
     assert code == 0

@@ -81,6 +81,54 @@ def fraction_mul_reference(a, b):
     return LocalHeckeElement(a.label, a.norm, out)
 
 
+def ytable_mul_reference(a, b):
+    """T-basis product on the int numerators through powers of y = T(P^2): a table
+    of T(P^{2j}) in y, a y-polynomial product and back-substitution."""
+    N = a.norm
+    k = len(a.nums) + len(b.nums) - 2
+    table = [[1], [0, 1]][:k + 1]
+    for j in range(1, k):
+        nxt = [0] + table[j]
+        for i, c in enumerate(table[j]):
+            nxt[i] -= N * c
+        for i, c in enumerate(table[j - 1]):
+            nxt[i] -= N * N * c
+        table.append(nxt)
+
+    def to_y(nums):
+        out = [0] * len(nums)
+        for j, c in enumerate(nums):
+            for i, t in enumerate(table[j]):
+                out[i] += c * t
+        return out
+
+    ya, yb = to_y(a.nums), to_y(b.nums)
+    rem = [0] * (len(ya) + len(yb) - 1)
+    for i, x in enumerate(ya):
+        for j, y in enumerate(yb):
+            rem[i + j] += x * y
+    out = [0] * len(rem)
+    for j in range(len(rem) - 1, -1, -1):
+        out[j] = c = rem[j]
+        for i, t in enumerate(table[j]):
+            rem[i] -= c * t
+    assert all(r == 0 for r in rem)
+    return LocalHeckeElement._from_ints(a.label, N, out, a.den * b.den)
+
+
+def triangular_s_poly_reference(norm, two_k):
+    """S_{P,2k} coefficients by a triangular solve: lambda^{2m} has coefficient
+    N^m C(2m, m-j) on X^{2j} + X^{-2j}, and the target coefficient is N^k."""
+    k = two_k // 2
+    N = Fraction(norm)
+    a = [Fraction(0)] * (k + 1)
+    for j in range(k, -1, -1):
+        acc = sum((a[m] * N ** m * math.comb(2 * m, m - j) for m in range(j + 1, k + 1)),
+                  Fraction(0))
+        a[j] = (N ** k - acc) / N ** j
+    return tuple(a)
+
+
 def dict_tally_reference(p, two_k, two_m):
     """Coset convolution over Q with one (a, b mod d, d) dict key per product."""
     k, m = two_k // 2, two_m // 2
@@ -161,6 +209,14 @@ def test_verify_relation_general():
             assert lhs == rhs
 
 
+def test_verify_relation_brute_route():
+    assert verify_relation("3:0", 3, 2, 1, brute=True) == {"T729": 1, "T81": 3, "T9": 9}
+    # the coset route runs over Q only: brute_force_convolution rejects a prime power
+    with pytest.raises(HeckeError, match="rational prime"):
+        verify_relation("2:0", 4, 1, 1, brute=True)
+    assert verify_relation("2:0", 4, 1, 1) == {"T256": 1, "T16": 4, "T1": 16}
+
+
 def test_brute_force_matches_algebra():
     for p in (2, 3):
         brute = brute_force_convolution(p, 2, 2)
@@ -224,6 +280,49 @@ def test_products_match_fraction_reference():
         want = fraction_mul_reference(a, b)
         assert a * b == want
         assert from_sym_laurent("x", norm, a.to_sym_laurent() * b.to_sym_laurent()) == want
+
+
+GRID_NORMS = (2, 3, 4, 5, 7, 8, 9, 11, 25, 32, 101)
+
+
+def test_products_match_ytable_reference_on_grid():
+    for norm in GRID_NORMS:
+        basis = [tee("x", norm, k) for k in range(13)]
+        for a in basis:
+            for b in basis:
+                got, want = a * b, ytable_mul_reference(a, b)
+                assert (got.nums, got.den) == (want.nums, want.den), (norm, a, b)
+
+
+def test_products_match_ytable_reference_random():
+    rng = random.Random(23)
+    for _ in range(2000):
+        norm = rng.choice(GRID_NORMS + (rng.randrange(2, 200),))
+        a, b = (LocalHeckeElement("x", norm, [
+            Fraction(rng.randrange(-999, 1000), rng.randrange(1, 60))
+            for _ in range(rng.randrange(1, 14))]) for _ in range(2))
+        got, want = a * b, ytable_mul_reference(a, b)
+        assert (got.nums, got.den) == (want.nums, want.den), (norm, a, b)
+
+
+def test_s_poly_matches_triangular_reference():
+    for norm in GRID_NORMS:
+        for k in range(13):
+            got = s_poly(norm, 2 * k)
+            assert got == triangular_s_poly_reference(norm, 2 * k), (norm, k)
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_s_poly_defining_identity():
+    # S_{P,2k}(lambda) with lambda^2 = N (X + X^-1)^2 = 2N + N (X^2 + X^-2) is the
+    # Laurent image of T(P^{2k}), exactly
+    for norm in GRID_NORMS:
+        lam2 = SymLaurentPoly([2 * norm, norm])
+        for k in range(13):
+            total, power = SymLaurentPoly([0]), SymLaurentPoly([1])
+            for a in s_poly(norm, 2 * k):
+                total, power = total + SymLaurentPoly([a]) * power, power * lam2
+            assert total == tee("x", norm, k).to_sym_laurent(), (norm, k)
 
 
 def test_sym_laurent_roundtrip_basis():
@@ -437,3 +536,12 @@ def test_nu_canonical_strip():
     # complementary: lambda in (2 sqrt N, N+1] -> nu real in (0, 1/2]
     nu2 = nu_from_lambda(2, 2.9)
     assert nu2.imag == 0 and 0 < nu2.real <= 0.5
+
+
+def test_non_finite_eigenvalues_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(HeckeError, match="lambda must be finite"):
+            nu_from_lambda(2, bad)
+        for nu in (bad, complex(0, bad), complex(bad, 0.1)):
+            with pytest.raises(HeckeError, match="nu must be finite"):
+                lambda_from_nu(2, nu)

@@ -136,6 +136,13 @@ def test_classical_values():
     assert abs(rational_kloosterman(1, 1, 5) - golden) < 1e-12
 
 
+def test_rational_matches_character_mod_c():
+    # the trivial character mod O gives the same sum, bit for bit, as mod (c)
+    for m, n in ((1, 1), (3, 5), (0, 7), (-4, 9)):
+        for c in range(1, 121):
+            assert rational_kloosterman(m, n, c) == evaluate(q_query(m, n, c)), (m, n, c)
+
+
 def test_against_float_oracle():
     rng = random.Random(7)
     for _ in range(25):
