@@ -45,11 +45,9 @@ from heckedist.measures import (
     SatoTateMeasure,
     SpectralMeasure,
     box_measure,
-    half_line_measure,
     measure_interval,
     npl_consistency,
     nu_measure,
-    phi,
     pl_atoms_in,
     pl_measure,
     spectral_measure,

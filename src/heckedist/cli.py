@@ -50,12 +50,23 @@ def parse_element(field: fields.NumberField, s: str) -> fields.FieldElement:
     raise ValueError("bad element %r for degree-%d field" % (s, field.degree))
 
 
-def parse_interval(s: str) -> Tuple[float, float]:
-    sep = ":" if ":" in s else ","
-    parts = s.split(sep)
+def split_interval(s: str) -> Tuple[str, str]:
+    """The endpoint strings of 'a:b' (or 'a,b'); each caller converts them."""
+    parts = s.split(":" if ":" in s else ",")
     if len(parts) != 2:
         raise ValueError("interval must look like a:b, got %r" % s)
-    return (float(parts[0]), float(parts[1]))
+    return parts[0], parts[1]
+
+
+def parse_interval(s: str) -> Tuple[float, float]:
+    a, b = split_interval(s)
+    return (float(a), float(b))
+
+
+def parse_nu(s: str) -> complex:
+    """Spectral parameter: only a trailing 'i' marks the imaginary unit, so 'inf' keeps its i."""
+    s = s.strip()
+    return complex(s[:-1] + "j" if s.endswith("i") else s)
 
 
 def parse_windows(raw) -> Dict[str, Tuple[float, float]]:
@@ -237,8 +248,7 @@ def cmd_hecke_eigenvalue(args) -> int:
     field = fields.make_field(args.field)
     norm = _prime_norm(field, args.p)
     if args.nu is not None:
-        # only a trailing "i" marks the imaginary unit; "inf" keeps its own i
-        nu = complex(args.nu[:-1] + "j" if args.nu.endswith("i") else args.nu)
+        nu = parse_nu(args.nu)
         lam = hecke.lambda_from_nu(norm, nu)
         payload = {"norm": norm, "nu": _complex_repr(nu), "lam": lam}
     else:
@@ -253,18 +263,15 @@ def cmd_hecke_eigenvalue(args) -> int:
 
 
 def cmd_measure_eval(args) -> int:
-    a_raw, b_raw = args.interval.split(":") if ":" in args.interval \
-        else args.interval.split(",")
     if args.kind.startswith("npl"):
         mu = measures.nu_measure(args.kind)
-        lo = complex(a_raw.replace("i", "j"))
-        hi = complex(b_raw.replace("i", "j"))
+        lo, hi = (parse_nu(x) for x in split_interval(args.interval))
         mv = mu.interval(lo, hi)
         payload = {"kind": args.kind, "interval": [str(lo), str(hi)],
                    "value": mv.value, "error": mv.error}
     else:
         mu = measures.spectral_measure(args.kind)
-        interval = (float(a_raw), float(b_raw))
+        interval = parse_interval(args.interval)
         mv = measures.measure_interval(mu, interval)
         payload = {"kind": args.kind, "interval": list(interval),
                    "value": mv.value, "error": mv.error}
@@ -294,11 +301,9 @@ def cmd_measure_phi(args) -> int:
 def cmd_measure_box(args) -> int:
     box = parse_box(args.spec)
     mv = measures.box_measure(box, args.family)
-    per = []
-    for j in range(1, box.dim + 1):
-        xi = box.xi[j - 1]
-        mu = measures.pl_measure(xi) if args.family == "pl" else measures.v1_measure(xi)
-        per.append(measures.measure_interval(mu, box.interval(j)).value)
+    per = [measures.measure_interval(measures.spectral_measure("%s%d" % (args.family, xi)),
+                                     box.interval(j)).value
+           for j, xi in enumerate(box.xi, 1)]
     _emit(args, {"family": args.family, "t": box.t, "value": mv.value,
                  "error": mv.error, "per_coordinate": per})
     return 0
@@ -496,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = g.add_parser("eval", parents=[common])
     sp.add_argument("--kind", required=True,
                     help="pl0 | pl1 | v10 | v11 | npl0 | npl1")
-    sp.add_argument("--interval", required=True, help="a:b")
+    sp.add_argument("--interval", required=True,
+                    help="a:b; for npl kinds nu values such as 0.5 or 2i (trailing i)")
     sp.set_defaults(func=cmd_measure_eval)
     sp = g.add_parser("phi", parents=[common])
     sp.add_argument("--p", required=True)

@@ -407,8 +407,7 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
         lp[:, k] = np.interp(block[:, 2 * d + k], cdf, grid)
     xi = np.tile(np.array(box.xi, dtype=np.int8), (m_records, 1))
     meta = {"seed": int(seed), "m": int(m_records), "labels": labels}
-    spec = "Q" if field.degree == 1 else "Q(sqrt %d)" % field.m
-    return Dataset(spec, "1", lam, xi, tuple(labels), lp, np.ones(m_records),
+    return Dataset(repr(field), "1", lam, xi, tuple(labels), lp, np.ones(m_records),
                    ["synth"] * m_records, meta)
 
 

@@ -335,8 +335,8 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
                 denom *= npv ** (0.5 + eps)
         return WeilRow(c, abs(int(c.norm())), abs(k), abs(k) / denom)
 
+    # gens come sorted by (norm, coords), so the rows do too
     rows = [one_row(c) for c in gens]
-    rows.sort(key=lambda row: (row.norm, row.c.coords()))
     running = 0.0
     for row in rows:
         running = max(running, row.ratio)

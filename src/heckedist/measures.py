@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -46,7 +47,6 @@ class MeasureValue(NamedTuple):
 
 
 QUARTER = Fraction(1, 4)
-FIVE_QUARTERS = Fraction(5, 4)
 
 
 def _as_fraction(x) -> Fraction:
@@ -62,37 +62,39 @@ def _as_fraction(x) -> Fraction:
 
 def discrete_series_point(b: int) -> Fraction:
     """Eigenvalue b/2 (1 - b/2) of the discrete-series atom indexed by b."""
-    return Fraction(b, 2) * (1 - Fraction(b, 2))
+    return Fraction(b * (2 - b), 4)
+
+
+def _parity(xi: int) -> int:
+    if xi not in (0, 1):
+        raise MeasureError("parity xi must be 0 or 1, got %r" % (xi,))
+    return int(xi)
+
+
+def _atoms_in(atoms: Iterable[Tuple[Fraction, Fraction]], a: Rat,
+              b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
+    """The (position, mass) atoms inside [a, b_hi] of a sequence whose positions decrease."""
+    a, b_hi = _as_fraction(a), _as_fraction(b_hi)
+    out = []
+    for pos, mass in atoms:
+        if pos < a:
+            break
+        if pos <= b_hi:
+            out.append((pos, mass))
+    return out
 
 
 def pl_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of pl_xi inside the closed interval [a, b_hi]."""
-    a, b_hi = _as_fraction(a), _as_fraction(b_hi)
-    out = []
-    b = 2 if xi == 0 else 3
-    while True:
-        pos = discrete_series_point(b)
-        if pos < a:
-            break
-        if pos <= b_hi:
-            out.append((pos, Fraction(b - 1)))
-        b += 2
-    return out
+    bs = count(2 + _parity(xi), 2)
+    return _atoms_in(((discrete_series_point(b), Fraction(b - 1)) for b in bs), a, b_hi)
 
 
 def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of V1,xi inside [a, b_hi]: mass beta at 1/4-beta^2."""
-    a, b_hi = _as_fraction(a), _as_fraction(b_hi)
-    out = []
-    beta = Fraction(1, 2) if xi == 0 else Fraction(1)
-    while True:
-        pos = QUARTER - beta * beta
-        if pos < a:
-            break
-        if pos <= b_hi:
-            out.append((pos, beta))
-        beta += 1
-    return out
+    first = Fraction(1 + _parity(xi), 2)
+    betas = (first + k for k in count())
+    return _atoms_in(((QUARTER - beta * beta, beta) for beta in betas), a, b_hi)
 
 
 def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
@@ -168,20 +170,12 @@ class SpectralMeasure:
         return 0.5 / math.sqrt(abs(lam - 0.25))
 
 
-_KIND_ALIASES = {
-    "pl0": ("pl0", 0), "pl1": ("pl1", 1),
-    "v10": ("v10", 0), "v11": ("v11", 1),
-    "v1,0": ("v10", 0), "v1,1": ("v11", 1),
-    "V1,0": ("v10", 0), "V1,1": ("v11", 1),
-}
-
-
 def spectral_measure(kind: str) -> SpectralMeasure:
+    """The measure named pl0, pl1, v10 or v11; the last character is the parity xi."""
     k = kind.strip()
-    if k in _KIND_ALIASES:
-        name, xi = _KIND_ALIASES[k]
-        return SpectralMeasure(name, xi)
-    raise MeasureError("unknown measure kind %r (npl kinds use nu_measure)" % (kind,))
+    if k not in ("pl0", "pl1", "v10", "v11"):
+        raise MeasureError("unknown measure kind %r (npl kinds use nu_measure)" % (kind,))
+    return SpectralMeasure(k, int(k[-1]))
 
 
 def pl_measure(xi: int) -> SpectralMeasure:
@@ -195,27 +189,16 @@ def v1_measure(xi: int) -> SpectralMeasure:
 def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) -> MeasureValue:
     """Measure of the closed interval [a, b]; value plus an error bound.
 
-    Unbounded endpoints are rejected; see half_line_measure.
+    Both endpoints must be finite: every bundled kind has infinite mass on a half line.
     """
     a, b = interval
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise MeasureError("unbounded interval; use half_line_measure for [a, oo)")
+        raise MeasureError("interval endpoints must be finite, got [%r, %r]" % (a, b))
     if a > b:
         raise MeasureError("empty interval [%r, %r]" % (a, b))
     cont = measure.continuous_mass(float(a), float(b))
     atom_mass = sum((m for _, m in measure.atoms_in(a, b)), Fraction(0))
     return MeasureValue(cont.value + float(atom_mass), cont.error)
-
-
-def half_line_measure(measure: SpectralMeasure, a: float) -> float:
-    """Measure of [a, oo): infinite for every bundled kind (density -> const > 0).
-
-    Kept as the documented half-line entry point; finite half-line masses
-    occur only for compactly supported measures (see SatoTateMeasure.mass).
-    """
-    if not math.isfinite(a):
-        raise MeasureError("a must be finite")
-    return math.inf
 
 
 # -- nu-coordinate (spectral parameter) forms ----------------------------------
@@ -245,16 +228,16 @@ class NuMeasure:
 
     xi: int
 
+    def __post_init__(self):
+        _parity(self.xi)
+
     def interval(self, lo: complex, hi: complex) -> MeasureValue:
         """Mass of the path segment between nu = lo and nu = hi.
 
         Segments crossing the branch point nu = 0 are split automatically
         (the path runs down the real leg, through 0, up the imaginary leg).
         """
-        lam_lo = _nu_path_lambda(lo)
-        lam_hi = _nu_path_lambda(hi)
-        if lam_lo > lam_hi:
-            lam_lo, lam_hi = lam_hi, lam_lo
+        lam_lo, lam_hi = sorted((_nu_path_lambda(lo), _nu_path_lambda(hi)))
         # continuous: imaginary leg only, lambda in [1/4, oo); a route apart
         # from the lambda side's, whose quadrature runs in sqrt(lambda - 1/4)
         lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
@@ -306,10 +289,7 @@ def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
     path segment through lambda = 1/4 - nu^2 and calls measure_interval.
     """
     nv = nu_measure(xi).interval(lo, hi).value
-    lam_lo = _nu_path_lambda(lo)
-    lam_hi = _nu_path_lambda(hi)
-    if lam_lo > lam_hi:
-        lam_lo, lam_hi = lam_hi, lam_lo
+    lam_lo, lam_hi = sorted((_nu_path_lambda(lo), _nu_path_lambda(hi)))
     pv = measure_interval(pl_measure(xi), (lam_lo, lam_hi)).value
     return (nv, pv)
 
@@ -364,9 +344,9 @@ class SatoTateMeasure:
         return 0.5 * x * s + 2.0 * N * math.atan2(x, s)
 
     def mass(self, a: float, b: float) -> MeasureValue:
-        """Closed-form mass of [a, b] intersected with the support."""
-        if a > b:
-            raise MeasureError("empty interval [%r, %r]" % (a, b))
+        """Closed-form mass of [a, b] clipped to the support; NaN fails a <= b."""
+        if not a <= b:
+            raise MeasureError("interval needs a <= b, got [%r, %r]" % (a, b))
         lo, hi = self.support()
         c, d = max(float(a), lo), min(float(b), hi)
         if d <= c:
@@ -386,39 +366,7 @@ class SatoTateMeasure:
         return grid, cdf
 
 
-def phi(norm_or_measure: Union[int, SatoTateMeasure], arg) -> Union[Fraction, MeasureValue]:
-    """Sato-Tate integral: exact for even-polynomial coefficient lists,
-    closed-form interval mass for (a, b) pairs.
-
-    A 2-tuple of ints/floats is an interval; anything else (lists, or
-    tuples containing Fractions, as s_poly emits) is a coefficient list.
-    """
-    mu = (norm_or_measure if isinstance(norm_or_measure, SatoTateMeasure)
-          else SatoTateMeasure(int(norm_or_measure)))
-    if isinstance(arg, tuple) and len(arg) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, Fraction)
-            for x in arg):
-        return mu.mass(float(arg[0]), float(arg[1]))
-    return mu.polynomial(list(arg))
-
-
 # -- boxes ----------------------------------------------------------------------
-
-
-def _is_discrete_series_value(x: Rat, xi: int) -> bool:
-    """Exact test: x == b/2 (1 - b/2) for some b > 1 with b = xi mod 2."""
-    xf = _as_fraction(x)
-    if xf > 0:
-        return False
-    # b = 1 + sqrt(1 - 4x); check that the square root is an integer
-    disc = 1 - 4 * xf
-    if disc.denominator != 1:
-        return False
-    root = math.isqrt(disc.numerator)
-    if root * root != disc.numerator:
-        return False
-    b = 1 + root
-    return b > 1 and b % 2 == xi % 2
 
 
 @dataclass(frozen=True)
@@ -439,7 +387,7 @@ class Box:
     def __post_init__(self):
         q = set(self.q_coords)
         e = {j for j, _ in self.e_windows}
-        if q | e != set(range(1, self.dim + 1)) or q & e:
+        if self.dim < 1 or q | e != set(range(1, self.dim + 1)) or q & e:
             raise MeasureError("Q and E must partition {1..%d}" % self.dim)
         if len(self.xi) != self.dim or any(x not in (0, 1) for x in self.xi):
             raise MeasureError("xi must be a 0/1 vector of length %d" % self.dim)
@@ -449,7 +397,7 @@ class Box:
             if not (math.isfinite(a) and math.isfinite(b)) or a > b:
                 raise MeasureError("bad window [%r, %r] on coordinate %d" % (a, b, j))
             for endpoint in (a, b):
-                if _is_discrete_series_value(endpoint, self.xi[j - 1]):
+                if pl_atoms_in(self.xi[j - 1], endpoint, endpoint):
                     raise MeasureError(
                         "window endpoint %r on coordinate %d hits a discrete-series "
                         "eigenvalue of parity %d" % (endpoint, j, self.xi[j - 1]))
@@ -477,14 +425,10 @@ class Box:
 
 def box_measure(box: Box, family: str = "pl") -> MeasureValue:
     """Product of per-coordinate measures over the box; family 'pl' or 'v1'."""
-    if family not in ("pl", "v1"):
-        raise MeasureError("family must be 'pl' or 'v1'")
     total = 1.0
     err_rel = 0.0
     for j in range(1, box.dim + 1):
-        xi = box.xi[j - 1]
-        mu = pl_measure(xi) if family == "pl" else v1_measure(xi)
-        mv = measure_interval(mu, box.interval(j))
+        mv = measure_interval(spectral_measure("%s%d" % (family, box.xi[j - 1])), box.interval(j))
         total *= mv.value
         if mv.value != 0:
             err_rel += mv.error / abs(mv.value)

@@ -55,6 +55,27 @@ def test_npl_interval_at_infinity_is_a_domain_error():
     assert json.loads(run.stderr)["error"] == "MeasureError"
 
 
+def test_npl_interval_reads_a_trailing_i_only(capsys):
+    code, out, _ = run_cli(capsys, "measure", "eval", "--kind", "npl1", "--interval", "0.1i:2i")
+    assert code == 0
+    data = json.loads(out)
+    assert data["interval"] == ["0.1j", "2j"]
+    assert data["value"] == heckedist.NuMeasure(1).interval(0.1j, 2j).value
+    # "inf" keeps its own i, so the window reaches the measure's own finiteness check
+    for interval in ("0:inf", "0:infi", "1e400:0.5"):
+        code, out, err = run_cli(capsys, "measure", "eval", "--kind", "npl0",
+                                 "--interval", interval)
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "MeasureError", interval
+
+
+def test_sato_tate_nan_window_is_a_domain_error(capsys):
+    for interval in ("nan:1", "0:nan"):
+        code, out, err = run_cli(capsys, "measure", "phi", "--p", "2:0", "--interval", interval)
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "MeasureError", interval
+
+
 @pytest.mark.parametrize("content", ["5", "[[1, 0, 1]]", "[[1, 2]]", "[1]"])
 def test_bad_character_file_is_a_domain_error(capsys, tmp_path, content):
     chi_file = tmp_path / "chi.json"

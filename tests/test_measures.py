@@ -19,11 +19,9 @@ from heckedist import (
     NuMeasure,
     SatoTateMeasure,
     box_measure,
-    half_line_measure,
     measure_interval,
     npl_consistency,
     nu_measure,
-    phi,
     pl_atoms_in,
     pl_measure,
     s_poly,
@@ -46,6 +44,97 @@ def test_atom_positions_and_masses():
     assert atoms1 == [(Fraction(-3, 4), Fraction(2)),
                       (Fraction(-15, 4), Fraction(4)),
                       (Fraction(-35, 4), Fraction(6))]
+
+
+def reference_pl_atoms_in(xi, a, b_hi):
+    """pl_atoms_in as written before the two atom walks shared one loop."""
+    a, b_hi = Fraction(a), Fraction(b_hi)
+    out = []
+    b = 2 if xi == 0 else 3
+    while True:
+        pos = Fraction(b, 2) * (1 - Fraction(b, 2))
+        if pos < a:
+            break
+        if pos <= b_hi:
+            out.append((pos, Fraction(b - 1)))
+        b += 2
+    return out
+
+
+def reference_v1_atoms_in(xi, a, b_hi):
+    """v1_atoms_in as written before the two atom walks shared one loop."""
+    a, b_hi = Fraction(a), Fraction(b_hi)
+    out = []
+    beta = Fraction(1, 2) if xi == 0 else Fraction(1)
+    while True:
+        pos = Fraction(1, 4) - beta * beta
+        if pos < a:
+            break
+        if pos <= b_hi:
+            out.append((pos, beta))
+        beta += 1
+    return out
+
+
+def reference_is_discrete_series_value(x, xi):
+    """The closed-form endpoint test Box used: x == b/2 (1 - b/2), b > 1, b = xi mod 2."""
+    xf = Fraction(x)
+    if xf > 0:
+        return False
+    disc = 1 - 4 * xf
+    if disc.denominator != 1:
+        return False
+    root = math.isqrt(disc.numerator)
+    if root * root != disc.numerator:
+        return False
+    b = 1 + root
+    return b > 1 and b % 2 == xi % 2
+
+
+WINDOW_GRID = sorted({Fraction(n, 4) for n in range(-200, 12)}
+                     | {Fraction(n, 3) for n in range(-60, 6)} | {-37.25, -0.7, 0.2, 1.5})
+
+
+def test_atom_lists_match_reference_walk():
+    for xi in (0, 1):
+        for a in WINDOW_GRID[::3]:
+            for b_hi in WINDOW_GRID[::2]:
+                got_pl, got_v1 = pl_atoms_in(xi, a, b_hi), v1_atoms_in(xi, a, b_hi)
+                assert got_pl == reference_pl_atoms_in(xi, a, b_hi), (xi, a, b_hi)
+                assert got_v1 == reference_v1_atoms_in(xi, a, b_hi), (xi, a, b_hi)
+                assert all(type(x) is Fraction for atom in got_pl + got_v1 for x in atom)
+
+
+def test_box_endpoint_check_matches_reference():
+    points = [0.0, 0.1, 0.25, 1.0, 3]
+    for b in range(2, 41):
+        x = b / 2 * (1 - b / 2)  # exact in binary: an integer or a quarter-integer
+        points += [x, Fraction(b, 2) * (1 - Fraction(b, 2)), x + 1e-9, x - 1e-9,
+                   math.nextafter(x, math.inf), math.nextafter(x, -math.inf), x + 0.25, x - 0.5]
+    hits = 0
+    for xi in (0, 1):
+        for x in points:
+            hits += reference_is_discrete_series_value(x, xi)
+            for window in ((x, x), (x - 100, x), (x, x + 100)):
+                expected = any(reference_is_discrete_series_value(e, xi) for e in window)
+                try:
+                    Box(1, (), ((1, window),), (xi,), 1.0)
+                    rejected = False
+                except MeasureError:
+                    rejected = True
+                assert rejected == expected, (xi, window)
+    # each b <= 40 twice (float and Fraction) in its own parity, and 0.0 listed once more
+    assert hits == 2 * 39 + 1
+
+
+def test_parity_validated_where_atoms_are_generated():
+    # xi = 2 used to read as odd; the walks and NuMeasure now reject it
+    for xi in (2, -1, 3):
+        for call in (lambda: pl_atoms_in(xi, -10, 1), lambda: v1_atoms_in(xi, -10, 1),
+                     lambda: NuMeasure(xi), lambda: nu_measure(xi), lambda: pl_measure(xi),
+                     lambda: v1_measure(xi)):
+            with pytest.raises(MeasureError):
+                call()
 
 
 def test_point_masses_exact():
@@ -120,11 +209,6 @@ def test_v1_dominates_pl_on_windows():
     assert measure_interval(PL0, (0.05, 0.2)).value == 0.0
 
 
-def test_half_line_is_infinite():
-    assert half_line_measure(PL0, 0.25) == math.inf
-    assert half_line_measure(v1_measure(1), 5.0) == math.inf
-
-
 def test_measure_interval_input_validation():
     with pytest.raises(MeasureError):
         measure_interval(PL0, (2.0, 1.0))
@@ -134,10 +218,12 @@ def test_measure_interval_input_validation():
 
 def test_spectral_measure_aliases():
     assert spectral_measure("pl0") == PL0
-    assert spectral_measure("V1,1") == v1_measure(1)
     assert spectral_measure("v10") == v1_measure(0)
-    with pytest.raises(MeasureError):
-        spectral_measure("pl2")
+    assert spectral_measure("v11") == v1_measure(1)
+    # the four documented spellings are the only ones
+    for kind in ("pl2", "V1,1", "v1,1", "V1,0", "v1,0", "npl0"):
+        with pytest.raises(MeasureError):
+            spectral_measure(kind)
 
 
 def test_nu_to_lambda_consistency_pinned():
@@ -211,8 +297,8 @@ def test_sato_tate_orthogonality_exact():
 
 
 def test_sato_tate_masses_pinned():
-    assert phi(2, (0.0, 1.0)).value == pytest.approx(0.440595655836512, abs=1e-12)
-    assert phi(3, (1.0, 2.0)).value == pytest.approx(0.329550082150244, abs=1e-12)
+    assert SatoTateMeasure(2).mass(0.0, 1.0).value == pytest.approx(0.440595655836512, abs=1e-12)
+    assert SatoTateMeasure(3).mass(1.0, 2.0).value == pytest.approx(0.329550082150244, abs=1e-12)
     # full support is exactly 1 in floats (the arcsin hits pi/2 dead on)
     for n in (2, 3, 5, 11):
         mu = SatoTateMeasure(n)
@@ -228,9 +314,20 @@ def test_sato_tate_mass_clips_to_support():
 
 
 def test_phi_dispatch():
-    assert phi(2, s_poly(2, 2)) == 0          # tuple of Fractions: polynomial
-    assert phi(2, [Fraction(0), Fraction(1)]) == Fraction(2)  # lambda^2 moment
-    assert isinstance(phi(2, (0, 1)), tuple)  # int 2-tuple: interval mass
+    # coefficient lists in lambda^{2m}, whatever their container
+    assert SatoTateMeasure(2).polynomial(s_poly(2, 2)) == 0
+    assert SatoTateMeasure(2).polynomial([Fraction(0), Fraction(1)]) == Fraction(2)  # lambda^2
+
+
+def test_sato_tate_mass_rejects_nan():
+    # NaN fails a <= b; infinite endpoints clip to the support
+    mu = SatoTateMeasure(2)
+    for a, b in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (2.0, 1.0)):
+        with pytest.raises(MeasureError):
+            mu.mass(a, b)
+    assert mu.mass(-math.inf, math.inf) == mu.mass(-100.0, 100.0)
+    assert mu.mass(-math.inf, math.inf).value == 1.0
+    assert mu.mass(1.0, math.inf) == mu.mass(1.0, mu.support()[1])
 
 
 @given(st.floats(0.01, 0.99), st.floats(1.0, 2.8))
@@ -254,6 +351,8 @@ def test_inverse_cdf_table():
 
 
 def test_box_validation():
+    with pytest.raises(MeasureError):
+        Box(0, (), (), (), 1.0)  # no coordinates: box_measure would skip the family check
     with pytest.raises(MeasureError):
         Box(2, (1, 2), ((2, (0.3, 1.2)),), (0, 0), 1.0)  # coord 2 used twice
     with pytest.raises(MeasureError):
