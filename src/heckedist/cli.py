@@ -567,10 +567,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_intervals(argv: Sequence[str]) -> List[str]:
+    """argv with '--interval -3:2' as '--interval=-3:2'.
+
+    argparse reads a value that starts with '-' as an option unless it is a
+    plain negative number, and a window such as -3:2 is not one.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--interval" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_intervals(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits itself on usage errors and --help; fold into a code
         return int(exc.code or 0)

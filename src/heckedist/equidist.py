@@ -17,10 +17,19 @@ columns once (shapes, finiteness, nonnegative weights, 0/1 parities), so
 every loader rejects bad input at load time, and stores the tables in
 column-major order, so each column a query reads is one contiguous run.
 The count tests parity one int8 column at a time, narrows the same
-boolean mask with two in-place comparisons per closed window, gathers
-the kept weights with np.compress and sums them with math.fsum, which
-is correctly rounded.  Queries with a negative or non-finite t or a
-non-finite or reversed window are rejected by count and predict alike.
+boolean mask with two in-place comparisons per closed window, and sums
+the kept weights exactly with one float64 matrix-vector product against
+a digit table built on the first count: every weight is an integer
+times 2^e0 (e0 from the smallest nonzero weight), split into digits of
+b = 53 - n.bit_length() bits for n rows, so each digit column sums to
+an integer below 2^53, exact in any summation order.  The column sums
+combine as Python ints and round once, which gives the correctly
+rounded sum, bit for bit math.fsum, OverflowError included.  The table
+holds ceil((53 + span)/b) float64 digits per row, span the binary
+exponent range of the nonzero weights: 2 for weights of one exponent,
+about 60 across the whole double range.  Queries with a
+negative or non-finite t or a non-finite or reversed window are
+rejected by count and predict alike.
 The JSONL and CSV writers stream one %-template line per row and the
 readers build flat columns; no per-row container is kept.
 
@@ -47,6 +56,7 @@ import json
 import math
 import warnings
 from dataclasses import astuple, dataclass, field as dc_field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -126,7 +136,46 @@ class Dataset:
         return self.lambda_p[:, self.prime_labels.index(label)]
 
     def total_weight(self) -> float:
-        return math.fsum(self.weight.tolist())
+        return math.fsum(memoryview(self.weight))
+
+    @cached_property
+    def _weight_digits(self) -> Tuple[np.ndarray, int, int]:
+        """(digits, b, e0) with weight[i] = 2^e0 sum_k digits[k, i] 2^(k b), exactly.
+
+        With m 2^e the frexp split of a weight (m in [1/2, 1)) and e0 the least
+        e - 53 over the nonzero weights, each weight is the integer m 2^(e - e0)
+        times 2^e0.  Row k holds its base-2^b digit k, found by exact float steps:
+        power-of-two scalings, floors and one subtraction.  b = 53 - n.bit_length()
+        keeps every sum of n digits below 2^53.  Built on the first count and
+        kept, so the weights must not change in place afterwards; replace and
+        scaled build a new Dataset.
+        """
+        w = self.weight
+        b = 53 - len(w).bit_length()
+        m, shift = np.frexp(w)
+        e = shift[w > 0]
+        if not e.size:
+            return np.zeros((0, len(w))), b, 0
+        e0 = int(e.min()) - 53
+        rows = -(-(int(e.max()) - e0) // b)  # ceil((53 + span) / b)
+        digits = np.empty((rows, len(w)))
+        shift -= e0
+        clipped, high = np.empty_like(shift), np.empty(len(w))
+        for row in digits:
+            # clipping moves no digit: below 0 the scaled weight is < 1, and
+            # from 53 + b on it is a multiple of 2^b
+            np.clip(shift, 0, 53 + b, out=clipped)
+            np.ldexp(m, clipped, out=row)
+            np.floor(row, out=row)
+            # row mod 2^b as row - 2^b floor(row / 2^b): the exact difference is
+            # an integer below 2^b, so the subtraction rounds nothing (and this
+            # is several times faster than np.fmod)
+            np.multiply(row, 2.0 ** -b, out=high)
+            np.floor(high, out=high)
+            high *= 2.0 ** b
+            row -= high
+            shift -= b
+        return digits, b, e0
 
     def scaled(self, factor: float) -> "Dataset":
         if factor < 0:
@@ -281,7 +330,12 @@ def count(ds: Dataset, box: Box, t: float,
     for col, (a, b) in windows:
         mask &= col >= a
         mask &= col <= b
-    return math.fsum(memoryview(np.compress(mask, ds.weight)))
+    digits, width, e0 = ds._weight_digits
+    # every product is 0 or one digit and every partial sum an integer below
+    # 2^53, so the column sums are exact in any order; the int result rounds once
+    sums = (digits @ mask.astype(np.float64)).tolist()
+    total = sum(int(s) << (k * width) for k, s in enumerate(sums))
+    return float(total << e0) if e0 >= 0 else total / (1 << -e0)
 
 
 @dataclass(frozen=True)
@@ -548,6 +602,7 @@ class ReportRow:
     prediction: float
     ratio: float
     v1: float
+    error: float  # Prediction.error: the quadrature bound on prediction
 
 
 @dataclass
@@ -559,26 +614,28 @@ class Report:
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t", "count", "prediction", "ratio", "v1"])
+            w.writerow(["t", "count", "prediction", "ratio", "v1", "error"])
             w.writerows(astuple(row) for row in self.rows)  # csv writes floats by repr()
 
     def summary(self) -> Dict:
         return {"final_ratio": self.final_ratio,
                 "max_err_over_v1": self.max_err_over_v1,
+                "max_error": max((r.error for r in self.rows), default=math.nan),
                 "rows": len(self.rows)}
 
 
 def run_report(ds: Dataset, box: Box, t_grid: Sequence[float],
                j_windows: Dict[str, Tuple[float, float]], covolume: float,
                field: Optional[NumberField] = None) -> Report:
-    """One row per threshold: count, prediction, their ratio, and V1."""
+    """One row per threshold: count, prediction, their ratio, V1, and the
+    prediction's quadrature error bound."""
     field = field if field is not None else make_field(ds.field_spec)
     rows = []
     for t in t_grid:
         c = count(ds, box, t, j_windows)
         pred = predict(field, covolume, box, t, j_windows)
         ratio = c / pred.product if pred.product != 0 else math.nan
-        rows.append(ReportRow(float(t), c, pred.product, ratio, pred.v1))
+        rows.append(ReportRow(float(t), c, pred.product, ratio, pred.v1, pred.error))
     final_ratio = rows[-1].ratio if rows else math.nan
     errs = [abs(r.count - r.prediction) / r.v1 for r in rows if r.v1 > 0]
     return Report(rows, final_ratio, max(errs) if errs else math.nan)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -46,9 +46,6 @@ class MeasureValue(NamedTuple):
     error: float
 
 
-QUARTER = Fraction(1, 4)
-
-
 def _as_fraction(x) -> Fraction:
     # Fraction(float) is exact (binary expansion); used for boundary tests only
     if isinstance(x, (int, Fraction)):
@@ -60,41 +57,44 @@ def _as_fraction(x) -> Fraction:
     raise MeasureError("bad endpoint %r" % (x,))
 
 
-def discrete_series_point(b: int) -> Fraction:
-    """Eigenvalue b/2 (1 - b/2) of the discrete-series atom indexed by b."""
-    return Fraction(b * (2 - b), 4)
-
-
 def _parity(xi: int) -> int:
     if xi not in (0, 1):
         raise MeasureError("parity xi must be 0 or 1, got %r" % (xi,))
     return int(xi)
 
 
-def _atoms_in(atoms: Iterable[Tuple[Fraction, Fraction]], a: Rat,
-              b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
-    """The (position, mass) atoms inside [a, b_hi] of a sequence whose positions decrease."""
-    a, b_hi = _as_fraction(a), _as_fraction(b_hi)
+def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass: Callable[[int], Fraction]
+              ) -> List[Tuple[Fraction, Fraction]]:
+    """The atoms (1/4 - (n/2)^2, mass(n)), n = 1 + xi, 3 + xi, ..., inside [a, b_hi].
+
+    Both families sit there (n = b - 1 for pl, n = 2 beta for V1).  A position
+    is <= b_hi exactly when n^2 >= 1 - 4 b_hi, so the walk starts at the least
+    such n, found with isqrt, and runs down to a.
+    """
+    n, a, b_hi = 1 + _parity(xi), _as_fraction(a), _as_fraction(b_hi)
+    rhs = 1 - 4 * b_hi
+    if rhs > n * n:
+        root = math.isqrt(math.floor(rhs))  # then raised to the ceiling of sqrt(rhs)
+        if root * root < rhs:
+            root += 1
+        n = root + (root - n) % 2
     out = []
-    for pos, mass in atoms:
+    for n in count(n, 2):
+        pos = Fraction(1 - n * n, 4)
         if pos < a:
-            break
-        if pos <= b_hi:
-            out.append((pos, mass))
-    return out
+            return out
+        out.append((pos, mass(n)))
 
 
 def pl_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
-    """Atoms (position, mass) of pl_xi inside the closed interval [a, b_hi]."""
-    bs = count(2 + _parity(xi), 2)
-    return _atoms_in(((discrete_series_point(b), Fraction(b - 1)) for b in bs), a, b_hi)
+    """Atoms (position, mass) of pl_xi inside the closed interval [a, b_hi]:
+    mass b - 1 at b/2 (1 - b/2), b = xi mod 2, b >= 2."""
+    return _atoms_in(xi, a, b_hi, Fraction)
 
 
 def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of V1,xi inside [a, b_hi]: mass beta at 1/4-beta^2."""
-    first = Fraction(1 + _parity(xi), 2)
-    betas = (first + k for k in count())
-    return _atoms_in(((QUARTER - beta * beta, beta) for beta in betas), a, b_hi)
+    return _atoms_in(xi, a, b_hi, lambda n: Fraction(n, 2))
 
 
 def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:

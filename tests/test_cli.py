@@ -38,6 +38,23 @@ def test_domain_error_is_exit_one(capsys):
     assert "\n" not in err.strip()
 
 
+def test_negative_interval_needs_no_equals_sign(capsys):
+    # argparse alone reads -3:2 as an option and exits 2
+    code, out, _ = run_cli(capsys, "measure", "eval", "--kind", "pl0", "--interval", "-3:2")
+    assert code == 0
+    assert json.loads(out) == json.loads(run_cli(capsys, "measure", "eval", "--kind", "pl0",
+                                                 "--interval=-3:2")[1])
+    data = json.loads(out)
+    assert data["interval"] == [-3.0, 2.0]
+    # the atoms b = 2, 4 at 0 and -2 (masses 1 and 3) plus the continuous mass on [1/4, 2]
+    cont = heckedist.pl_measure(0).continuous_mass(-3.0, 2.0).value
+    assert data["value"] == pytest.approx(4.0 + cont, rel=1e-13)
+    code, out, _ = run_cli(capsys, "measure", "phi", "--p", "2:0", "--interval", "-5:100")
+    assert code == 0
+    data = json.loads(out)
+    assert data["interval"] == [-5.0, 100.0] and data["value"] == pytest.approx(1.0)
+
+
 def assert_one_line_error(code, out, err):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
@@ -264,7 +281,7 @@ def test_equidist_pipeline(capsys, tmp_path):
                            "--calibrate")
     assert code == 0
     lines = report_file.read_text().strip().split("\n")
-    assert lines[0] == "t,count,prediction,ratio,v1"
+    assert lines[0] == "t,count,prediction,ratio,v1,error"
     assert len(lines) == 4
     final_ratio = float(lines[-1].split(",")[3])
     assert final_ratio == pytest.approx(1.0, abs=0.1)

@@ -305,6 +305,85 @@ def test_count_is_fsum_of_kept_weights_over_wide_range():
     assert naive_differs  # the weights are wide enough for a plain sum to round off
 
 
+def weighted_ds(weights, seed=41):
+    """One row per weight, lambda_inf uniform on [-4, 4] and one Hecke column on [0, 3]."""
+    rng = np.random.default_rng(seed)
+    n = len(weights)
+    return Dataset("Q", "1", rng.uniform(-4.0, 4.0, (n, 1)), np.zeros((n, 1)), ("2:0",),
+                   rng.uniform(0.0, 3.0, (n, 1)), weights)
+
+
+def compress_fsum(ds, box, t, j_windows):
+    """The count before the digit table: the kept weights gathered, then fsum."""
+    return math.fsum(memoryview(np.compress(reference_mask(ds, box, t, j_windows), ds.weight)))
+
+
+_rng = np.random.default_rng(43)
+WEIGHT_SETS = {
+    "equal": np.full(3000, 0.1),
+    "lognormal": _rng.lognormal(0.0, 3.0, 3000),
+    "wide": 10.0 ** _rng.uniform(-300, 300, 3000) * _rng.uniform(1, 10, 3000),
+    "zeros_and_tiny": np.where(_rng.random(3000) < 0.5, 0.0, _rng.uniform(1, 2, 3000) * 1e-200),
+    "zeros_and_huge": np.where(_rng.random(3000) < 0.5, 0.0, _rng.uniform(1, 2, 3000) * 1e200),
+    "subnormal": _rng.choice([5e-324, 1e-310, 0.0, 1e-300, 2.0 ** -1022], 3000),
+    "all_zero": np.zeros(3000),
+    "single": np.array([0.7]),
+    "single_subnormal": np.array([5e-324]),
+}
+COUNT_QUERIES = [(t, w) for t in (0.0, 1.0, 2.5, 4.0)
+                 for w in ({}, {"2:0": (0.5, 2.0)}, {"2:0": (3.5, 4.0)})]
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_SETS))
+def test_count_is_bit_identical_to_compress_fsum(name):
+    ds = weighted_ds(WEIGHT_SETS[name])
+    for t, windows in COUNT_QUERIES:  # t = 0 and the window [3.5, 4] keep no row
+        got, want = count(ds, BOX1, t, windows), compress_fsum(ds, BOX1, t, windows)
+        assert got.hex() == want.hex(), (name, t, windows)
+    # every row kept: the count is the total weight
+    assert count(ds, BOX1, 4.0, {}).hex() == ds.total_weight().hex() == math.fsum(
+        ds.weight.tolist()).hex()
+
+
+def tie_weights(n, d):
+    """n weights in [1/2, 1) whose sum lies d units of 2^-53 past a rounding tie.
+
+    n - 1 of them have all-ones mantissas, so every digit column is as full as
+    the digit width allows; an error in any column then moves the rounding.
+    """
+    base = (n - 1) * (2 ** 53 - 1)
+    for x in range(2 ** 52, 2 ** 53):
+        drop = (base + x).bit_length() - 53
+        if (base + x) % 2 ** drop == 2 ** (drop - 1) + d:
+            break
+    w = np.full(n, (2 ** 53 - 1) / 2 ** 53)
+    w[-1] = x / 2 ** 53
+    return w
+
+
+def test_count_rounds_near_ties_as_fsum():
+    # a low digit that is off by a little changes the sum only near a tie
+    sets = [tie_weights(n, d) for k in (10, 12)  # b = 53 - n.bit_length() drops at 2^k
+            for n in (2 ** k - 1, 2 ** k) for d in (-1, 1)]
+    for big in (1 + 2 ** -52, 3 - 2 ** -51, 1e300 * (1 + 2 ** -52)):
+        # two weights so far apart that the small one's digits start above the big one's
+        half = math.ulp(big) / 2
+        sets += [np.array([big, half + s * gap * half]) for gap in (2 ** -3, 2 ** -40)
+                 for s in (-1, 1)]
+    for w in sets:
+        ds = weighted_ds(w)
+        assert count(ds, BOX1, 4.0, {}).hex() == compress_fsum(ds, BOX1, 4.0, {}).hex()
+
+
+def test_count_overflows_as_fsum_does():
+    ds = weighted_ds(np.array([1e308, 1e308]))
+    with pytest.raises(OverflowError):
+        compress_fsum(ds, BOX1, 4.0, {})
+    with pytest.raises(OverflowError):
+        count(ds, BOX1, 4.0, {})
+    assert count(ds, BOX1, 0.0, {}) == 0.0  # rows left out cannot overflow
+
+
 def test_dataset_columns_are_contiguous():
     ds = mixed_parity_ds(500, seed=37)
     wide, views = column_views(ds)
@@ -677,11 +756,13 @@ def test_run_report(tmp_path):
     out = tmp_path / "report.csv"
     rep.to_csv(str(out))
     header = out.read_text().split("\n")[0]
-    assert header == "t,count,prediction,ratio,v1"
-    # ratio = count / prediction row by row
+    assert header == "t,count,prediction,ratio,v1,error"
+    # ratio = count / prediction row by row; error is the prediction's own bound
     for row in rep.rows:
         if row.prediction > 0:
             assert row.ratio == pytest.approx(row.count / row.prediction)
+        assert row.error == predict(F73, 1.0, box, row.t, jw).error > 0
+    assert rep.summary()["max_error"] == max(row.error for row in rep.rows)
 
 
 def test_run_report_zero_prediction_gives_nan():

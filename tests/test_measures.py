@@ -47,7 +47,8 @@ def test_atom_positions_and_masses():
 
 
 def reference_pl_atoms_in(xi, a, b_hi):
-    """pl_atoms_in as written before the two atom walks shared one loop."""
+    """pl_atoms_in as written before the two atom walks shared one loop: a
+    walk from the first atom, as every version before the closed-form start."""
     a, b_hi = Fraction(a), Fraction(b_hi)
     out = []
     b = 2 if xi == 0 else 3
@@ -62,7 +63,8 @@ def reference_pl_atoms_in(xi, a, b_hi):
 
 
 def reference_v1_atoms_in(xi, a, b_hi):
-    """v1_atoms_in as written before the two atom walks shared one loop."""
+    """v1_atoms_in as written before the two atom walks shared one loop: a
+    walk from the first atom, as every version before the closed-form start."""
     a, b_hi = Fraction(a), Fraction(b_hi)
     out = []
     beta = Fraction(1, 2) if xi == 0 else Fraction(1)
@@ -103,6 +105,37 @@ def test_atom_lists_match_reference_walk():
                 assert got_pl == reference_pl_atoms_in(xi, a, b_hi), (xi, a, b_hi)
                 assert got_v1 == reference_v1_atoms_in(xi, a, b_hi), (xi, a, b_hi)
                 assert all(type(x) is Fraction for atom in got_pl + got_v1 for x in atom)
+
+
+# pl0 and V1,0 both put an atom at -9999900000 (b = 200000, beta = 99999.5)
+FAR_ATOM = -9999900000.0
+FAR_GRID = [-1e6, -12345.6, -1e4 - 0.25, -0.75, 0.3, 1e6, 1e10]
+
+
+def test_atom_walk_starts_in_closed_form_on_far_windows():
+    # the walk starts at the first atom at or below b_hi however far away that
+    # is, and lists what the walk from the first atom lists
+    windows = [(a, b_hi) for a in FAR_GRID for b_hi in FAR_GRID if a <= b_hi]
+    windows += [(-1e6, Fraction(10 ** 400)), (-1e6, -1e6 + 2.0), (1e10, 1e10)]
+    for xi in (0, 1):
+        for a, b_hi in windows:
+            assert pl_atoms_in(xi, a, b_hi) == reference_pl_atoms_in(xi, a, b_hi), (xi, a, b_hi)
+            assert v1_atoms_in(xi, a, b_hi) == reference_v1_atoms_in(xi, a, b_hi), (xi, a, b_hi)
+    # past the reach of the reference walk, the neighbours of one far atom
+    assert pl_atoms_in(0, FAR_ATOM - 1e5, FAR_ATOM + 1e5) == [(Fraction(FAR_ATOM), 199999)]
+    assert v1_atoms_in(0, FAR_ATOM - 1e5, FAR_ATOM + 1e5) == [
+        (Fraction(FAR_ATOM), Fraction(199999, 2))]
+    assert pl_atoms_in(1, FAR_ATOM, FAR_ATOM) == v1_atoms_in(1, FAR_ATOM, FAR_ATOM) == []
+    n = 200000  # 2 beta for V1,1: the one atom in [-1e10, FAR_ATOM]
+    assert v1_atoms_in(1, -1e10, FAR_ATOM) == [(Fraction(1 - n * n, 4), Fraction(n, 2))]
+    assert pl_atoms_in(1, -1e10, -1e10) == pl_atoms_in(0, -1e10, -1e10) == []
+
+
+def test_box_checks_far_endpoints():
+    Box(1, (), ((1, (-1e10, 0.3)),), (0,), 1.0)  # no atom at -1e10
+    with pytest.raises(MeasureError, match="discrete-series"):
+        Box(1, (), ((1, (FAR_ATOM, 0.3)),), (0,), 1.0)
+    Box(1, (), ((1, (FAR_ATOM, 0.3)),), (1,), 1.0)  # the atom is of the other parity
 
 
 def test_box_endpoint_check_matches_reference():
@@ -389,6 +422,13 @@ def test_box_measure_product():
         box_measure(box, family="pl2")
 
 
+def run_script(script):
+    """stdout of script, run by a fresh interpreter that imports heckedist from src."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckedist.__file__)))
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True).stdout
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported by the first quadrature, not by `import heckedist`
     script = (
@@ -397,11 +437,20 @@ def test_import_leaves_scipy_unloaded():
         "box = heckedist.Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)\n"
         "v = heckedist.box_measure(box, 'pl')\n"
         "print(json.dumps([before, 'scipy' in sys.modules, v.value, v.error]))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(heckedist.__file__)))
-    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         check=True, capture_output=True, text=True).stdout
-    before, after, value, error = json.loads(out)
+    before, after, value, error = json.loads(run_script(script))
     assert not before and after
     # the value and error estimate of the module-level import
     assert value == pytest.approx(6.492585269229824, rel=1e-13)
     assert error == pytest.approx(1.0755629498806783e-13, rel=1e-6)
+
+
+def test_count_leaves_scipy_unloaded():
+    # counting needs no quadrature: its box and its digit table are numpy only
+    script = (
+        "import json, sys, heckedist\n"
+        "box = heckedist.Box(1, (1,), (), (0,), 3.0)\n"
+        "ds = heckedist.Dataset('Q', '1', [[1.0], [2.0], [5.0]], [[0], [0], [0]], ('2:0',),\n"
+        "                       [[0.5], [1.5], [0.5]], [0.25, 1e-300, 3.0])\n"
+        "c = heckedist.count(ds, box, 3.0, {'2:0': (0.0, 1.0)})\n"
+        "print(json.dumps([c, 'scipy' in sys.modules]))\n")
+    assert json.loads(run_script(script)) == [0.25, False]
