@@ -264,7 +264,9 @@ def cmd_hecke_eigenvalue(args) -> int:
 
 def cmd_measure_eval(args) -> int:
     if args.kind.startswith("npl"):
-        mu = measures.nu_measure(args.kind)
+        if args.kind not in ("npl0", "npl1"):
+            raise measures.MeasureError("unknown nu-measure kind %r" % (args.kind,))
+        mu = measures.nu_measure(int(args.kind[-1]))
         lo, hi = (parse_nu(x) for x in split_interval(args.interval))
         mv = mu.interval(lo, hi)
         payload = {"kind": args.kind, "interval": [str(lo), str(hi)],

@@ -421,34 +421,40 @@ class Ideal:
             raise FieldError("residues need an integral ideal")
         return itertools.product(*(range(row[i]) for i, row in enumerate(self.hnf)))
 
-    def _inverse_coords(self, a: int, b: int = 0) -> Optional[tuple]:
-        """Reduced int coords of x^{-1} mod I for x = a + b*w, or None for a non-unit.
-
-        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
-        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x is a unit
-        mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1 decides.
-        With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod gO (gO
-        is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
-        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
-        """
-        if self.field.degree == 1:
-            n = self.hnf[0][0]
-            return (pow(a, -1, n),) if math.gcd(a, n) == 1 else None
-        t, c = self.field.t, self.field.c
-        (n, _), (bh, g) = self.hnf
-        r = a - (bh // g) * b
-        norm = a * a + t * a * b - c * b * b
-        if math.gcd(r, n // g) != 1 or math.gcd(norm, g) != 1:
-            return None
-        y1 = pow(r, -1, n // g)
-        s = pow(norm, -1, g)
-        return self.reduce_coords(y1 * (1 - norm * s) + s * (a + t * b), -s * b)
-
     def unit_inverse_pairs(self) -> list:
         """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples
-        in the lex order of residue_coords()."""
-        return [(x, inv) for x in self.residue_coords()
-                if (inv := self._inverse_coords(*x)) is not None]
+        in the lex order of residue_coords().
+
+        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
+        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x = a + b*w is
+        a unit mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1
+        decides.  With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod
+        gO (gO is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
+        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
+        """
+        if not self.is_integral():
+            raise FieldError("residues need an integral ideal")
+        gcd = math.gcd
+        if self.field.degree == 1:
+            n = self.hnf[0][0]
+            return [((a,), (pow(a, -1, n),)) for a in range(n) if gcd(a, n) == 1]
+        t, c = self.field.t, self.field.c
+        (n, _), (bh, g) = self.hnf
+        if g == 1:  # I is primitive: O/I = Z/n, and the residues are the (a, 0)
+            return [((a, 0), (pow(a, -1, n), 0)) for a in range(n) if gcd(a, n) == 1]
+        m, h = n // g, bh // g
+        pairs = []
+        for a in range(n):
+            for b in range(g):
+                r = a - h * b
+                norm = a * a + t * a * b - c * b * b
+                if gcd(r, m) != 1 or gcd(norm, g) != 1:
+                    continue
+                s = pow(norm, -1, g)
+                x = pow(r, -1, m) * (1 - norm * s) + s * (a + t * b)
+                q = -s * b // g
+                pairs.append(((a, b), ((x - q * bh) % n, -s * b - q * g)))
+        return pairs
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -641,24 +647,18 @@ def ideal_prime_factorization(ideal: Ideal) -> list:
     """[(PrimeIdeal, valuation)] for a nonzero integral ideal."""
     if ideal.norm() == 0:
         raise FieldError("zero ideal has no factorization")
-    field = ideal.field
     n = int(ideal.norm())
     out = []
     p = 2
-    while p * p <= n:
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of n is prime
         if n % p == 0:
             while n % p == 0:
                 n //= p
-            for prime in factor_rational_prime(field, p):
-                v = ideal_valuation(ideal, prime)
-                if v > 0:
-                    out.append((prime, v))
+            out += [(prime, v) for prime in factor_rational_prime(ideal.field, p)
+                    if (v := ideal_valuation(ideal, prime)) > 0]
         p += 1
-    if n > 1:
-        for prime in factor_rational_prime(field, n):
-            v = ideal_valuation(ideal, prime)
-            if v > 0:
-                out.append((prime, v))
     return out
 
 

@@ -7,11 +7,11 @@ different O', and chi a character of (O/I)*.  Only the cusp pair
 (infinity, infinity) is implemented; general cusp pairs need scaling
 matrices with no computable construction here.
 
-Phases are exact: tr((r'a + rd)/c) is Z-linear in the int coordinates of
-the unit pair (a, d = a^{-1}), so over one common denominator D of its
-coefficients and the character's phases each term's phase is one int k
-mod D.  Terms are counted per k exactly; floats enter only in the final
-sum over k of count_k * e^{2 pi i k/D}.
+Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
+linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
+of r and r', so each term's phase is one int k mod den, the lcm of that and
+the character's denominators; a character from trivial() or mod O needs no
+per-term lookup.  Floats enter only in the final sum of count_k e(k/den).
 
 The delta term delta(r, r') is the unit-square indicator with sign and
 character weights; the Weil scan reports |K| against the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -83,10 +82,15 @@ class DirichletCharacter:
             if (lhs - rhs).numerator % (lhs - rhs).denominator != 0:
                 raise KloostermanError("value table is not multiplicative at %r,%r" % (x, y))
 
+    # set by trivial(): the table is complete and all zero, so evaluate() skips it
+    _trivial = False
+
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
         phases = {x: Fraction(0) for x, _ in modulus.unit_inverse_pairs()}
-        return cls(field, modulus, phases, check=False)
+        chi = cls(field, modulus, phases, check=False)
+        chi._trivial = True
+        return chi
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
@@ -161,35 +165,53 @@ class KloostermanQuery:
 def evaluate(q: KloostermanQuery) -> complex:
     """Exact finite sum over unit pairs (a, d = a^{-1}) of O/cO.
 
-    With alpha = r'/c and beta = r/c a term's phase is
-    a0 tr(alpha) + a1 tr(alpha w) + d0 tr(beta) + d1 tr(beta w) - chi phase of d.
+    With y = D r' conj(c) and z = D r conj(c), D clearing the denominators of r
+    and r', a term's phase is
+    (a0 tr(y) + a1 tr(y w) + d0 tr(z) + d1 tr(z w)) / (D N(c)) - chi phase of d.
     """
-    field = q.c.field
-    basis = (field.one(),) if field.degree == 1 else (field.one(), field.omega())
-    coeffs = [(x * b).trace() for x in (q.rp / q.c, q.r / q.c) for b in basis]
-    phases = q.chi.phases
-    den = math.lcm(*(x.denominator for x in coeffs), *(x.denominator for x in phases.values()))
-    lin = [int(x * den) for x in coeffs]
-    chi_num = {key: int(x * den) for key, x in phases.items()}
-    reduce_chi = q.chi.modulus.reduce_coords
-    counts = Counter()
+    field, chi, t = q.c.field, q.chi, q.c.field.t
+    c = tuple(v.numerator for v in q.c.coords())  # integral: it lies in chi's modulus
+    cbar = c if field.degree == 1 else (c[0] + t * c[1], -c[1])
+    norm = field.mul_coords(c, cbar)[0]
+    d_rr = math.lcm(*(v.denominator for x in (q.rp, q.r) for v in x.coords()))
+    den = math.lcm(d_rr * abs(norm), *(x.denominator for x in chi.phases.values()))
+    scale = den // (d_rr * norm)  # exact, and negative when N(c) is
+    lin = []
+    for x in (q.rp, q.r):
+        y = field.mul_coords(tuple(v.numerator * (d_rr // v.denominator) * scale
+                                   for v in x.coords()), cbar)
+        # tr(y) = 2 y0 + t y1 and tr(y w) = t y0 + (t^2 + 2c) y1; over Q tr(y) = y0
+        lin += y if field.degree == 1 else \
+            (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
+    pairs = Ideal.principal(q.c).unit_inverse_pairs()
+    if field.degree == 1:
+        l0, m0 = lin
+        terms = ((a * l0 + d * m0) % den for (a,), (d,) in pairs)
+    else:
+        l0, l1, m0, m1 = lin
+        terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
+                 for (a0, a1), (d0, d1) in pairs)
+    # a table from trivial() is complete and all zero, so it is skipped; mod O
+    # every d reduces to the one residue 0, so chi moves each count's key alike
+    shift = 0
     try:
-        for a, d in Ideal.principal(q.c).unit_inverse_pairs():
-            k = sum(map(operator.mul, a + d, lin)) - chi_num[reduce_chi(*d)]
-            counts[k % den] += 1
+        if not chi._trivial:
+            chi_num = {key: x.numerator * (den // x.denominator) for key, x in chi.phases.items()}
+            if chi.modulus.hnf[0][0] == 1:
+                shift = chi_num[chi.modulus.reduce_coords(0)]
+            else:
+                terms = ((k - chi_num[chi.modulus.reduce_coords(*d)]) % den
+                         for k, (_, d) in zip(terms, pairs))
+        counts = Counter(terms)
     except KeyError as exc:
         raise KloostermanError("%r is not a unit mod the character modulus"
                                % (exc.args[0],)) from None
-    return sum(n * _unit_phase(k, den) for k, n in counts.items())
+    return sum(n * _unit_phase(k - shift, den) for k, n in counts.items())
 
 
 def rational_kloosterman(m: int, n: int, c: int) -> complex:
-    """Classical S(m, n; c) over the rationals with trivial character.
-
-    The character is taken mod O: its one-entry table gives every term the same
-    phase as the trivial character mod (c) would, without a second enumeration
-    of the unit pairs mod c.
-    """
+    """Classical S(m, n; c) over the rationals with trivial character; taken mod
+    O, its table has one entry, so only evaluate enumerates the units mod c."""
     field = NumberField()
     chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
     q = KloostermanQuery(field.element(c), field.element(m), field.element(n), chi)
@@ -337,7 +359,5 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
 
     # gens come sorted by (norm, coords), so the rows do too
     rows = [one_row(c) for c in gens]
-    running = 0.0
-    for row in rows:
-        running = max(running, row.ratio)
+    running = max((row.ratio for row in rows), default=0.0)
     return WeilScanResult(tuple(rows), running, eps, s_labels, skipped)

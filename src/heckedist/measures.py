@@ -29,10 +29,9 @@ exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -63,13 +62,12 @@ def _parity(xi: int) -> int:
     return int(xi)
 
 
-def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass: Callable[[int], Fraction]
-              ) -> List[Tuple[Fraction, Fraction]]:
-    """The atoms (1/4 - (n/2)^2, mass(n)), n = 1 + xi, 3 + xi, ..., inside [a, b_hi].
+def _atom_range(xi: int, a: Rat, b_hi: Rat) -> range:
+    """The n = 1 + xi, 3 + xi, ... whose atom 1/4 - (n/2)^2 lies in [a, b_hi].
 
     Both families sit there (n = b - 1 for pl, n = 2 beta for V1).  A position
-    is <= b_hi exactly when n^2 >= 1 - 4 b_hi, so the walk starts at the least
-    such n, found with isqrt, and runs down to a.
+    is <= b_hi exactly when n^2 >= 1 - 4 b_hi, and >= a exactly when
+    n^2 <= 1 - 4 a, so isqrt gives both ends.
     """
     n, a, b_hi = 1 + _parity(xi), _as_fraction(a), _as_fraction(b_hi)
     rhs = 1 - 4 * b_hi
@@ -78,23 +76,24 @@ def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass: Callable[[int], Fraction]
         if root * root < rhs:
             root += 1
         n = root + (root - n) % 2
-    out = []
-    for n in count(n, 2):
-        pos = Fraction(1 - n * n, 4)
-        if pos < a:
-            return out
-        out.append((pos, mass(n)))
+    return range(n, math.isqrt(max(math.floor(1 - 4 * a), 0)) + 1, 2)
+
+
+def _atom_mass(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> Rat:
+    """Mass of the atoms in [a, b_hi], atom n of mass n / mass_den: an arithmetic series."""
+    n = _atom_range(xi, a, b_hi)
+    return Fraction(len(n) * (n[0] + n[-1]), 2 * mass_den) if n else 0
 
 
 def pl_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of pl_xi inside the closed interval [a, b_hi]:
     mass b - 1 at b/2 (1 - b/2), b = xi mod 2, b >= 2."""
-    return _atoms_in(xi, a, b_hi, Fraction)
+    return [(Fraction(1 - n * n, 4), Fraction(n)) for n in _atom_range(xi, a, b_hi)]
 
 
 def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of V1,xi inside [a, b_hi]: mass beta at 1/4-beta^2."""
-    return _atoms_in(xi, a, b_hi, lambda n: Fraction(n, 2))
+    return [(Fraction(1 - n * n, 4), Fraction(n, 2)) for n in _atom_range(xi, a, b_hi)]
 
 
 def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
@@ -140,24 +139,25 @@ def _v1_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """One of the bundled lambda-coordinate measures (pl0, pl1, v10, v11)."""
+    """One of the bundled lambda-coordinate measures (pl0, pl1, v10, v11); the
+    family, pl or V1, is read from the kind once, at construction."""
 
     kind: str
     xi: int
+    _pl: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pl", self.kind.startswith("pl"))
 
     def atoms_in(self, a: Rat, b: Rat) -> List[Tuple[Fraction, Fraction]]:
-        if self.kind.startswith("pl"):
-            return pl_atoms_in(self.xi, a, b)
-        return v1_atoms_in(self.xi, a, b)
+        return (pl_atoms_in if self._pl else v1_atoms_in)(self.xi, a, b)
 
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
-        if self.kind.startswith("pl"):
-            return _quad_pl_continuous(self.xi, lo, hi)
-        return _v1_continuous(self.xi, lo, hi)
+        return (_quad_pl_continuous if self._pl else _v1_continuous)(self.xi, lo, hi)
 
     def density(self, lam: float) -> float:
         """Continuous density at lam (0 off the continuous support)."""
-        if self.kind.startswith("pl"):
+        if self._pl:
             if lam <= 0.25:
                 return 0.0
             r = math.pi * math.sqrt(lam - 0.25)
@@ -197,7 +197,7 @@ def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) ->
     if a > b:
         raise MeasureError("empty interval [%r, %r]" % (a, b))
     cont = measure.continuous_mass(float(a), float(b))
-    atom_mass = sum((m for _, m in measure.atoms_in(a, b)), Fraction(0))
+    atom_mass = _atom_mass(measure.xi, a, b, 1 if measure._pl else 2)
     return MeasureValue(cont.value + float(atom_mass), cont.error)
 
 
@@ -243,7 +243,7 @@ class NuMeasure:
         lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
         cont = MeasureValue(hi_part.value - lo_part.value, hi_part.error + lo_part.error)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)
-        atom_mass = sum(mass for _, mass in pl_atoms_in(self.xi, lam_lo, lam_hi))
+        atom_mass = _atom_mass(self.xi, lam_lo, lam_hi, 1)
         return MeasureValue(cont.value + float(atom_mass), cont.error)
 
     def _from_quarter(self, lam: float) -> MeasureValue:
@@ -273,13 +273,8 @@ class NuMeasure:
         return MeasureValue(v, e)
 
 
-def nu_measure(xi_or_kind: Union[int, str]) -> NuMeasure:
-    if isinstance(xi_or_kind, str):
-        k = xi_or_kind.strip()
-        if k not in ("npl0", "npl1"):
-            raise MeasureError("unknown nu-measure kind %r" % (xi_or_kind,))
-        return NuMeasure(int(k[-1]))
-    return NuMeasure(int(xi_or_kind))
+def nu_measure(xi: int) -> NuMeasure:
+    return NuMeasure(int(xi))
 
 
 def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
@@ -403,7 +398,12 @@ class Box:
                         "eigenvalue of parity %d" % (endpoint, j, self.xi[j - 1]))
 
     def with_t(self, t: float) -> "Box":
-        return Box(self.dim, self.q_coords, self.e_windows, self.xi, t)
+        """This box at threshold t; only t needs a check, the rest was checked at construction."""
+        if t < 0:
+            raise MeasureError("t must be >= 0")
+        box = object.__new__(Box)
+        box.__dict__.update(self.__dict__, t=t)
+        return box
 
     def interval(self, j: int) -> Tuple[float, float]:
         if j in self.q_coords:

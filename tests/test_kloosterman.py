@@ -3,7 +3,9 @@ scan, delta term."""
 
 import cmath
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -76,8 +78,9 @@ def random_quadratic_queries(field, rng, count):
     return out
 
 
-def test_evaluate_matches_fraction_reference():
-    rng = random.Random(2027)
+def mixed_queries(rng):
+    """Rational queries with trivial and cyclic (mod 7, mod 9) characters, c of both
+    signs, and quadratic queries over Q(sqrt 5) and Q(sqrt 94)."""
     queries = [q_query(rng.randrange(-20, 21), rng.randrange(-20, 21),
                        rng.randrange(1, 80)) for _ in range(20)]
     for modulus, gen in ((7, 3), (9, 2)):
@@ -88,8 +91,124 @@ def test_evaluate_matches_fraction_reference():
             queries.append(q_query(rng.randrange(-9, 10), rng.randrange(-9, 10), c, chi))
     queries += random_quadratic_queries(F5, rng, 15)
     queries += random_quadratic_queries(F94, rng, 15)
-    for q in queries:
+    return queries
+
+
+def test_evaluate_matches_fraction_reference():
+    for q in mixed_queries(random.Random(2027)):
         assert abs(evaluate(q) - fraction_reference(q)) < 1e-12, q
+
+
+def inverse_coords_route(ideal):
+    """unit_inverse_pairs as it was before its loop was inlined: one
+    _inverse_coords call per residue of residue_coords(), each reduced by
+    reduce_coords."""
+    field = ideal.field
+    out = []
+    for x in ideal.residue_coords():
+        if field.degree == 1:
+            n = ideal.hnf[0][0]
+            if math.gcd(x[0], n) == 1:
+                out.append((x, (pow(x[0], -1, n),)))
+            continue
+        a, b = x
+        t, c = field.t, field.c
+        (n, _), (bh, g) = ideal.hnf
+        r = a - (bh // g) * b
+        norm = a * a + t * a * b - c * b * b
+        if math.gcd(r, n // g) != 1 or math.gcd(norm, g) != 1:
+            continue
+        y1 = pow(r, -1, n // g)
+        s = pow(norm, -1, g)
+        out.append((x, ideal.reduce_coords(y1 * (1 - norm * s) + s * (a + t * b), -s * b)))
+    return out
+
+
+def fraction_preamble_evaluate(q):
+    """evaluate() as it was before its preamble went to ints: Fraction traces of
+    r'/c and r/c times the basis over one common denominator with the
+    character's phases, and a character lookup for every term."""
+    field = q.c.field
+    basis = (field.one(),) if field.degree == 1 else (field.one(), field.omega())
+    coeffs = [(x * b).trace() for x in (q.rp / q.c, q.r / q.c) for b in basis]
+    phases = q.chi.phases
+    den = math.lcm(*(x.denominator for x in coeffs), *(x.denominator for x in phases.values()))
+    lin = [int(x * den) for x in coeffs]
+    chi_num = {key: int(x * den) for key, x in phases.items()}
+    counts = Counter()
+    for a, d in inverse_coords_route(Ideal.principal(q.c)):
+        k = sum(map(operator.mul, a + d, lin)) - chi_num[q.chi.modulus.reduce_coords(*d)]
+        counts[k % den] += 1
+    return sum(n * cmath.exp(2j * math.pi * ((k % den) / den)) for k, n in counts.items())
+
+
+def cyclic_characters(field, modulus, count):
+    """The characters chi(g^j) = e(j e / order), e < count, for the first small
+    element g that generates the units mod the modulus."""
+    for a in range(2):
+        for b in range(1, 6):
+            try:
+                return [DirichletCharacter.cyclic(field, modulus, field.element(b, a), e)
+                        for e in range(count)]
+            except KloostermanError:
+                pass
+    raise AssertionError("no small generator mod %r" % (modulus,))
+
+
+def test_evaluate_is_bit_identical_to_fraction_preamble():
+    rng = random.Random(14)
+    F2 = make_field(2)
+    queries = mixed_queries(random.Random(2027))
+    # t = 0 in Q(sqrt 2); the inverse different (1/(2 sqrt 2)) gives r, r' denominators 4
+    queries += random_quadratic_queries(F2, rng, 20)
+    # c of negative norm, with r, r' in the inverse different
+    for field in (F2, F5, F94):
+        queries += [q for q in random_quadratic_queries(field, rng, 40) if q.c.norm() < 0][:8]
+    queries += [q_query(m, n, -c) for m, n, c in ((3, 5, 97), (-2, 7, 60), (0, 1, 1))]
+    # nontrivial characters over quadratic fields: mod 2 (F_4*) and mod 3 (F_9*) in
+    # Q(sqrt 5), mod 3 (F_9*) in Q(sqrt 2)
+    for field, gen in ((F5, F5.element(2)), (F5, F5.element(3)), (F2, F2.element(3))):
+        modulus = Ideal.principal(gen)
+        basis = inverse_different(field).basis_elements()
+        for chi in cyclic_characters(field, modulus, 4):
+            for _ in range(3):
+                c = gen * field.element(rng.randrange(-4, 5), rng.randrange(1, 4))
+                r, rp = (basis[0] * rng.randrange(-4, 5) + basis[1] * rng.randrange(-4, 5)
+                         for _ in range(2))
+                queries.append(KloostermanQuery(c, r, rp, chi))
+    # a table mod O: its one value moves every term's phase alike
+    shifted = DirichletCharacter(Q, Ideal.unit_ideal(Q), {(0,): Fraction(1, 3)}, check=False)
+    queries += [q_query(3, 5, c, shifted) for c in (1, 12, 97)]
+    assert any(q.c.norm() < 0 and q.c.field.degree == 2 for q in queries)
+    for q in queries:
+        assert evaluate(q) == fraction_preamble_evaluate(q), q
+    # the classical sums over Q with the character mod O
+    chi = DirichletCharacter.trivial(Q, Ideal.unit_ideal(Q))
+    for c in range(1, 301):
+        assert rational_kloosterman(3, 5, c) == fraction_preamble_evaluate(q_query(3, 5, c, chi))
+
+
+def test_evaluate_preamble_is_constant_size(monkeypatch):
+    # the Fractions evaluate builds do not grow with the number of terms
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def fractions_built(q):
+        built[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(counting_new))
+            evaluate(q)
+        return built[0]
+
+    for chi in (None, DirichletCharacter.trivial(Q, Ideal.unit_ideal(Q))):
+        assert fractions_built(q_query(3, 5, 97, chi)) == fractions_built(q_query(3, 5, 997, chi))
+    chi97 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(97)), Q.element(5))
+    assert fractions_built(q_query(3, 5, 97, chi97)) == \
+        fractions_built(q_query(3, 5, 97 * 11, chi97))
 
 
 def int_product(ideal, x, y):
@@ -118,6 +237,11 @@ def test_unit_inverse_pairs(enumerated_ideals):
                          if int_product(ideal, x, y) == one], ideal
     # inert 7 in Q(sqrt 5): the residue field F_49
     assert len(extra[1].unit_inverse_pairs()) == 48
+
+
+def test_unit_inverse_pairs_match_inverse_coords_route(enumerated_ideals):
+    for ideal in enumerated_ideals:
+        assert ideal.unit_inverse_pairs() == inverse_coords_route(ideal), ideal
 
 
 def test_character_modulus_must_be_integral():
@@ -243,11 +367,17 @@ def test_character_validation():
 
 
 def test_evaluate_rejects_partial_character_table():
-    # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2
+    # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2;
+    # all zero it looks trivial, yet only a complete table may be skipped
     mod5 = Ideal.principal(Q.element(5))
-    chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): Fraction(1, 2)})
+    for phase in (Fraction(1, 2), Fraction(0)):
+        chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): phase})
+        with pytest.raises(KloostermanError):
+            evaluate(KloostermanQuery(Q.element(5), Q.element(1), Q.element(1), chi))
+    # mod O the one residue is 0; a table without it has no value to give
+    empty = DirichletCharacter(Q, Ideal.unit_ideal(Q), {}, check=False)
     with pytest.raises(KloostermanError):
-        evaluate(KloostermanQuery(Q.element(5), Q.element(1), Q.element(1), chi))
+        evaluate(q_query(1, 1, 7, empty))
 
 
 def test_twisted_sum_pinned():

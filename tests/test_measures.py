@@ -131,6 +131,26 @@ def test_atom_walk_starts_in_closed_form_on_far_windows():
     assert pl_atoms_in(1, -1e10, -1e10) == pl_atoms_in(0, -1e10, -1e10) == []
 
 
+def test_atom_mass_closed_form_matches_per_atom_sum():
+    # measure_interval sums the masses as an arithmetic series; the per-atom
+    # Fraction sum it replaced gives the same float, bit for bit
+    windows = [(a, b) for a in WINDOW_GRID[::7] for b in WINDOW_GRID[::5] if a <= b]
+    windows += [(-1e6, 0.3), (-12345.6, -0.75), (FAR_ATOM, FAR_ATOM), (-1e4 - 0.25, 1e6)]
+    for kind in ("pl0", "pl1", "v10", "v11"):
+        mu = spectral_measure(kind)
+        for a, b in windows:
+            cont = mu.continuous_mass(float(a), float(b))
+            atoms = sum((m for _, m in mu.atoms_in(a, b)), Fraction(0))
+            assert measure_interval(mu, (a, b)) == (cont.value + float(atoms), cont.error), \
+                (kind, a, b)
+    # on the real leg of nu the mass is all atoms
+    for xi in (0, 1):
+        for lo, hi in ((0.0, 0.5), (0.25, 7.5), (0.0, 300.25), (2.0, 2.0)):
+            lam_lo, lam_hi = 0.25 - hi * hi, 0.25 - lo * lo
+            atoms = sum((m for _, m in pl_atoms_in(xi, lam_lo, lam_hi)), Fraction(0))
+            assert nu_measure(xi).interval(lo, hi) == (float(atoms), 0.0), (xi, lo, hi)
+
+
 def test_box_checks_far_endpoints():
     Box(1, (), ((1, (-1e10, 0.3)),), (0,), 1.0)  # no atom at -1e10
     with pytest.raises(MeasureError, match="discrete-series"):
