@@ -440,8 +440,6 @@ class Ideal:
             return [((a,), (pow(a, -1, n),)) for a in range(n) if gcd(a, n) == 1]
         t, c = self.field.t, self.field.c
         (n, _), (bh, g) = self.hnf
-        if g == 1:  # I is primitive: O/I = Z/n, and the residues are the (a, 0)
-            return [((a, 0), (pow(a, -1, n), 0)) for a in range(n) if gcd(a, n) == 1]
         m, h = n // g, bh // g
         pairs = []
         for a in range(n):
@@ -647,18 +645,24 @@ def ideal_prime_factorization(ideal: Ideal) -> list:
     """[(PrimeIdeal, valuation)] for a nonzero integral ideal."""
     if ideal.norm() == 0:
         raise FieldError("zero ideal has no factorization")
+    field = ideal.field
     n = int(ideal.norm())
     out = []
     p = 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left of n is prime
+    while p * p <= n:
         if n % p == 0:
             while n % p == 0:
                 n //= p
-            out += [(prime, v) for prime in factor_rational_prime(ideal.field, p)
-                    if (v := ideal_valuation(ideal, prime)) > 0]
+            for prime in factor_rational_prime(field, p):
+                v = ideal_valuation(ideal, prime)
+                if v > 0:
+                    out.append((prime, v))
         p += 1
+    if n > 1:
+        for prime in factor_rational_prime(field, n):
+            v = ideal_valuation(ideal, prime)
+            if v > 0:
+                out.append((prime, v))
     return out
 
 

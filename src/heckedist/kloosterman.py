@@ -10,7 +10,7 @@ matrices with no computable construction here.
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
 of r and r', so each term's phase is one int k mod den, the lcm of that and
-the character's denominators; a character from trivial() or mod O needs no
+the character's denominators; a character mod O (the trivial one) needs no
 per-term lookup.  Floats enter only in the final sum of count_k e(k/den).
 
 The delta term delta(r, r') is the unit-square indicator with sign and
@@ -82,15 +82,10 @@ class DirichletCharacter:
             if (lhs - rhs).numerator % (lhs - rhs).denominator != 0:
                 raise KloostermanError("value table is not multiplicative at %r,%r" % (x, y))
 
-    # set by trivial(): the table is complete and all zero, so evaluate() skips it
-    _trivial = False
-
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
         phases = {x: Fraction(0) for x, _ in modulus.unit_inverse_pairs()}
-        chi = cls(field, modulus, phases, check=False)
-        chi._trivial = True
-        return chi
+        return cls(field, modulus, phases, check=False)
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
@@ -191,17 +186,15 @@ def evaluate(q: KloostermanQuery) -> complex:
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for (a0, a1), (d0, d1) in pairs)
-    # a table from trivial() is complete and all zero, so it is skipped; mod O
-    # every d reduces to the one residue 0, so chi moves each count's key alike
+    # mod O every d reduces to the one residue 0, so chi moves each count's key alike
+    chi_num = {key: x.numerator * (den // x.denominator) for key, x in chi.phases.items()}
     shift = 0
     try:
-        if not chi._trivial:
-            chi_num = {key: x.numerator * (den // x.denominator) for key, x in chi.phases.items()}
-            if chi.modulus.hnf[0][0] == 1:
-                shift = chi_num[chi.modulus.reduce_coords(0)]
-            else:
-                terms = ((k - chi_num[chi.modulus.reduce_coords(*d)]) % den
-                         for k, (_, d) in zip(terms, pairs))
+        if chi.modulus.hnf[0][0] == 1:
+            shift = chi_num[chi.modulus.reduce_coords(0)]
+        else:
+            terms = ((k - chi_num[chi.modulus.reduce_coords(*d)]) % den
+                     for k, (_, d) in zip(terms, pairs))
         counts = Counter(terms)
     except KeyError as exc:
         raise KloostermanError("%r is not a unit mod the character modulus"
@@ -359,5 +352,7 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
 
     # gens come sorted by (norm, coords), so the rows do too
     rows = [one_row(c) for c in gens]
-    running = max((row.ratio for row in rows), default=0.0)
+    running = 0.0
+    for row in rows:
+        running = max(running, row.ratio)
     return WeilScanResult(tuple(rows), running, eps, s_labels, skipped)

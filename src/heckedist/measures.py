@@ -79,8 +79,13 @@ def _atom_range(xi: int, a: Rat, b_hi: Rat) -> range:
     return range(n, math.isqrt(max(math.floor(1 - 4 * a), 0)) + 1, 2)
 
 
+def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> List[Tuple[Fraction, Fraction]]:
+    """The atoms in [a, b_hi], atom n of mass n / mass_den (1 for pl, 2 for V1)."""
+    return [(Fraction(1 - n * n, 4), Fraction(n, mass_den)) for n in _atom_range(xi, a, b_hi)]
+
+
 def _atom_mass(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> Rat:
-    """Mass of the atoms in [a, b_hi], atom n of mass n / mass_den: an arithmetic series."""
+    """Total mass of _atoms_in(xi, a, b_hi, mass_den), an arithmetic series."""
     n = _atom_range(xi, a, b_hi)
     return Fraction(len(n) * (n[0] + n[-1]), 2 * mass_den) if n else 0
 
@@ -88,12 +93,12 @@ def _atom_mass(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> Rat:
 def pl_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of pl_xi inside the closed interval [a, b_hi]:
     mass b - 1 at b/2 (1 - b/2), b = xi mod 2, b >= 2."""
-    return [(Fraction(1 - n * n, 4), Fraction(n)) for n in _atom_range(xi, a, b_hi)]
+    return _atoms_in(xi, a, b_hi, 1)
 
 
 def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     """Atoms (position, mass) of V1,xi inside [a, b_hi]: mass beta at 1/4-beta^2."""
-    return [(Fraction(1 - n * n, 4), Fraction(n, 2)) for n in _atom_range(xi, a, b_hi)]
+    return _atoms_in(xi, a, b_hi, 2)
 
 
 def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
@@ -140,24 +145,25 @@ def _v1_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
 @dataclass(frozen=True)
 class SpectralMeasure:
     """One of the bundled lambda-coordinate measures (pl0, pl1, v10, v11); the
-    family, pl or V1, is read from the kind once, at construction."""
+    family is read from the kind once, at construction, as the atom mass
+    denominator _mass_den: 1 for pl, 2 for V1."""
 
     kind: str
     xi: int
-    _pl: bool = field(init=False, repr=False, compare=False)
+    _mass_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_pl", self.kind.startswith("pl"))
+        object.__setattr__(self, "_mass_den", 1 if self.kind.startswith("pl") else 2)
 
     def atoms_in(self, a: Rat, b: Rat) -> List[Tuple[Fraction, Fraction]]:
-        return (pl_atoms_in if self._pl else v1_atoms_in)(self.xi, a, b)
+        return _atoms_in(self.xi, a, b, self._mass_den)
 
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
-        return (_quad_pl_continuous if self._pl else _v1_continuous)(self.xi, lo, hi)
+        return (_quad_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
 
     def density(self, lam: float) -> float:
         """Continuous density at lam (0 off the continuous support)."""
-        if self._pl:
+        if self._mass_den == 1:
             if lam <= 0.25:
                 return 0.0
             r = math.pi * math.sqrt(lam - 0.25)
@@ -197,7 +203,7 @@ def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) ->
     if a > b:
         raise MeasureError("empty interval [%r, %r]" % (a, b))
     cont = measure.continuous_mass(float(a), float(b))
-    atom_mass = _atom_mass(measure.xi, a, b, 1 if measure._pl else 2)
+    atom_mass = _atom_mass(measure.xi, a, b, measure._mass_den)
     return MeasureValue(cont.value + float(atom_mass), cont.error)
 
 

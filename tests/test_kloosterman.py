@@ -368,7 +368,7 @@ def test_character_validation():
 
 def test_evaluate_rejects_partial_character_table():
     # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2;
-    # all zero it looks trivial, yet only a complete table may be skipped
+    # all zero it looks trivial, yet every d is still looked up in it
     mod5 = Ideal.principal(Q.element(5))
     for phase in (Fraction(1, 2), Fraction(0)):
         chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): phase})
