@@ -319,7 +319,9 @@ def cmd_kl_eval(args) -> int:
     c = parse_element(field, args.c)
     r = parse_element(field, args.r)
     rp = parse_element(field, args.rp)
-    modulus = fields.Ideal.principal(c) if args.level is None \
+    # a character file is read mod (c) unless a level is given; the trivial
+    # character is the same on every d of the sum whichever modulus it has
+    modulus = fields.Ideal.principal(c) if args.level is None and args.chi is not None \
         else _level_ideal(field, args.level)
     chi = load_character(field, modulus, args.chi)
     q = kl.KloostermanQuery(c, r, rp, chi)

@@ -14,6 +14,8 @@ ideal with HNF ((n, 0), (b, g)) is g times the primitive ideal
 (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit inverses are two
 modular inverses combined in closed form, and v_P counts multiply-and-divide
 steps by one fixed element of pP^{-1}, without building powers of P.
+Generators of principal ideals come from one bounded box search; a unit
+multiple of an ideal is the ideal itself, so a miss is final.
 """
 
 from __future__ import annotations
@@ -523,10 +525,11 @@ class PrimeIdeal(Ideal):
         return "PrimeIdeal(%s, p=%d, e=%d, f=%d)" % (self.label, self.p, self.e, self.f)
 
 
-def _box_search(field: NumberField, ideal: Ideal, target_norm: int,
-                bound: int) -> Optional[tuple]:
-    """First (x, y) of the box, y outer and x inner, with x + y*w in the ideal
-    and |x^2 + t*x*y - c*y^2| = target_norm >= 1, in plain ints."""
+def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Optional[FieldElement]:
+    """First x + y*w of the ideal with |x^2 + t*x*y - c*y^2| = target_norm >= 1 in
+    the box |x|, |y| <= max(4, 2 isqrt(target_norm) + 2), y outer and x inner, or
+    None; one pass, since a unit multiple of the ideal is the ideal itself."""
+    bound = max(4, 2 * math.isqrt(target_norm) + 2)
     t, c = field.t, field.c
     den = ideal.den
     (n, _), (b, g) = ideal.hnf
@@ -539,22 +542,7 @@ def _box_search(field: NumberField, ideal: Ideal, target_norm: int,
         cy = c * y * y
         for x in xs:
             if abs(x * (x + t * y) - cy) == target_norm and (den * x - shift) % n == 0:
-                return x, y
-    return None
-
-
-def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Optional[FieldElement]:
-    # bounded search for x + y*w in the ideal with |norm| = target_norm
-    bound = max(4, int(2 * math.isqrt(target_norm) + 2))
-    hit = _box_search(field, ideal, target_norm, bound)
-    if hit is not None:
-        return field.element(*hit)
-    # one unit-reduction retry catches generators pushed outside the box
-    eps = field.unit_group().fundamental
-    if eps is not None:
-        hit = _box_search(field, ideal * Ideal.principal(eps.inverse()), target_norm, bound)
-        if hit is not None:
-            return field.element(*hit) * eps
+                return field.element(x, y)
     return None
 
 

@@ -378,8 +378,11 @@ def expected_coset_count(norm: int, k: int) -> int:
     return sum(norm ** l for l in range(2 * k + 1))
 
 
-def brute_force_convolution(p: int, two_k: int, two_m: int,
-                            max_pairs: int = 10 ** 6) -> LocalHeckeElement:
+# the most coset pairs brute_force_convolution multiplies
+_MAX_PAIRS = 10 ** 6
+
+
+def brute_force_convolution(p: int, two_k: int, two_m: int) -> LocalHeckeElement:
     """Convolve T(p^{2k}) and T(p^{2m}) over Q by explicit coset multiplication.
 
     Multiplies every pair of coset representatives, scaled by p^k to the
@@ -407,8 +410,8 @@ def brute_force_convolution(p: int, two_k: int, two_m: int,
         raise HeckeError("%d^%d reaches the int64 kernel's limit 2^62" % (p, 2 * e))
     # budget check before any enumeration: rep counts are known closed-form
     n_pairs = expected_coset_count(p, k) * expected_coset_count(p, m)
-    if n_pairs > max_pairs:
-        raise HeckeError("pair budget exceeded: %d > %d" % (n_pairs, max_pairs))
+    if n_pairs > _MAX_PAIRS:
+        raise HeckeError("pair budget exceeded: %d > %d" % (n_pairs, _MAX_PAIRS))
     # layer n = e - v with v = v_p(gcd(p^(2e-s), b, p^s)) = min(v_p(b), s, 2e-s);
     # the Hecke product is constant on each layer, zero tallies included
     mults: list = [None] * (e + 1) + [0]

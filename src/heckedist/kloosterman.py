@@ -13,9 +13,11 @@ of r and r', so each term's phase is one int k mod den, the lcm of that and
 the character's denominators; a character mod O (the trivial one) needs no
 per-term lookup.  Floats enter only in the final sum of count_k e(k/den).
 
-The delta term delta(r, r') is the unit-square indicator with sign and
-character weights; the Weil scan reports |K| against the
-square-root-norm benchmark split over an exceptional prime set S.
+A query checks r, r' in O' by two traces, tr(x) and tr(x w), without
+building O'.  The delta term delta(r, r') is the unit-square indicator with
+sign and character weights; the Weil scan reports |K| against the
+square-root-norm benchmark split over S, the primes of the level, which
+needs the valuations of c at S alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .fields import (
     Ideal,
     NumberField,
     ideal_prime_factorization,
-    inverse_different,
+    ideal_valuation,
     unit_square_class,
     _small_generator,
 )
@@ -145,9 +147,13 @@ class KloostermanQuery:
             raise KloostermanError("c must be nonzero")
         if not self.chi.modulus.contains(self.c):
             raise KloostermanError("c must lie in the character modulus ideal")
-        od = inverse_different(field)
         for name, x in (("r", self.r), ("r'", self.rp)):
-            if not od.contains(x):
+            if x.field != field:
+                raise FieldError("field mismatch: %s is in %r, c in %r" % (name, x.field, field))
+            # O = Z + Zw, so x lies in its trace dual O' iff tr(x) and tr(x w) are
+            # ints; tr(x w) = t a + (t^2 + 2c) b, which is 0 over Q
+            traces = (x.trace(), field.t * x.a + (field.t ** 2 + 2 * field.c) * x.b)
+            if any(v.denominator != 1 for v in traces):
                 raise KloostermanError("%s must lie in the inverse different" % name)
 
     def swapped(self) -> "KloostermanQuery":
@@ -276,6 +282,10 @@ class WeilScanResult:
     skipped: int = 0
 
 
+# the largest sum of |N(c)| over a scan's moduli, which bounds its number of terms
+_WORK_BUDGET = 4 * 10 ** 6
+
+
 def _principal_ideals_up_to(field: NumberField, level: Ideal,
                             max_norm: int) -> Tuple[List[FieldElement], int]:
     """One generator per nonzero principal ideal inside the level, norm <= max_norm,
@@ -307,21 +317,20 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal,
 
 def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
               chi: Optional[DirichletCharacter] = None, max_norm: int = 100,
-              eps: float = 0.1, s_primes: Optional[Sequence] = None,
-              work_budget: int = 4 * 10 ** 6) -> WeilScanResult:
+              eps: float = 0.1) -> WeilScanResult:
     """|K| against the split benchmark prod_{p in S} Np^v * (prod else Np^v)^{1/2+eps}.
 
     c runs over generators of nonzero (principal) ideals inside the level
-    with norm <= max_norm; S defaults to the primes dividing the level.
+    with norm <= max_norm; S is the set of primes dividing the level.  The
+    N(P)^v_P(c) multiply to |N(c)|, so with s their product over S the
+    benchmark is s (|N(c)|/s)^{1/2+eps}.
     The running maximum over ratios is the empirical implied constant;
     ideals whose generator search fails are counted in ``skipped``.
     """
     if chi is None:
         chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
     level = chi.modulus
-    if s_primes is None:
-        s_primes = [p for p, _ in ideal_prime_factorization(level)] \
-            if level.norm() != 1 else []
+    s_primes = [p for p, _ in ideal_prime_factorization(level)]
     s_labels = tuple(p.label for p in s_primes)
     # a-priori lower bound on the work before enumerating anything: the
     # rational multiples of N(level) are always principal and in the level
@@ -332,23 +341,18 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     else:
         km = math.isqrt(max_norm) // lnorm
         lower = lnorm * lnorm * km * (km + 1) * (2 * km + 1) // 6
-    if lower > work_budget:
+    if lower > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
     gens, skipped = _principal_ideals_up_to(field, level, max_norm)
-    if sum(abs(int(g.norm())) for g in gens) > work_budget:
+    if sum(abs(int(g.norm())) for g in gens) > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
 
     def one_row(c: FieldElement) -> WeilRow:
-        q = KloostermanQuery(c, r, rp, chi)
-        k = evaluate(q)
-        denom = 1.0
-        for prime, v in ideal_prime_factorization(Ideal.principal(c)):
-            npv = float(prime.absolute_norm() ** v)
-            if prime.label in s_labels:
-                denom *= npv
-            else:
-                denom *= npv ** (0.5 + eps)
-        return WeilRow(c, abs(int(c.norm())), abs(k), abs(k) / denom)
+        k = abs(evaluate(KloostermanQuery(c, r, rp, chi)))
+        norm = abs(int(c.norm()))
+        s = math.prod(p.absolute_norm() ** ideal_valuation(Ideal.principal(c), p)
+                      for p in s_primes)
+        return WeilRow(c, norm, k, k / (s * (norm // s) ** (0.5 + eps)))
 
     # gens come sorted by (norm, coords), so the rows do too
     rows = [one_row(c) for c in gens]

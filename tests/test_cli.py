@@ -5,11 +5,21 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import heckedist
-from heckedist import inverse_different, make_field, weil_scan
+from heckedist import (
+    DirichletCharacter,
+    Ideal,
+    KloostermanQuery,
+    evaluate,
+    inverse_different,
+    make_field,
+    symmetry_check,
+    weil_scan,
+)
 from heckedist.cli import main
 
 
@@ -235,6 +245,28 @@ def test_kloosterman_eval_quadratic(capsys):
     assert code == 0
     data = json.loads(out)
     assert "re" in data["value"]
+
+
+@pytest.mark.parametrize("field, c, r", [("Q", "9973", "1"), ("Q", "-12", "3"),
+                                         ("Q(sqrt 5)", "12,7", "1,0"), ("Q(sqrt 5)", "2,0", "1,0")])
+def test_kloosterman_eval_default_character_is_trivial_mod_c(capsys, field, c, r):
+    # without --chi the trivial character is taken mod O; mod (c) it gives the same sum
+    code, out, _ = run_cli(capsys, "--field", field, "kloosterman", "eval",
+                           "--c", c, "--r", r, "--rp", r)
+    assert code == 0
+    F = make_field(field)
+    cc, rr = (F.element(*map(Fraction, s.split(","))) for s in (c, r))
+    q = KloostermanQuery(cc, rr, rr, DirichletCharacter.trivial(F, Ideal.principal(cc)))
+    value = evaluate(q)
+    assert json.loads(out)["value"] == {"re": value.real, "im": value.imag, "abs": abs(value)}
+    assert json.loads(out)["symmetry_deviation"] == symmetry_check(q)
+
+
+@pytest.mark.parametrize("c", ["0", "1/2"])
+def test_kloosterman_eval_rejects_bad_c(capsys, c):
+    code, out, err = run_cli(capsys, "kloosterman", "eval", "--c", c, "--r", "1", "--rp", "1")
+    assert_one_line_error(code, out, err)
+    assert json.loads(err)["error"] == "KloostermanError"
 
 
 def test_kloosterman_scan_reports_skipped(capsys):

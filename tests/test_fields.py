@@ -213,6 +213,15 @@ def test_predict_searches_each_generator_once(monkeypatch):
     assert len(searched) == len(set(searched)) == 4
 
 
+def test_unit_multiple_of_an_ideal_is_the_ideal(enumerated_ideals):
+    # why _small_generator makes one pass: searching I eps^{-1} is searching I again
+    for ideal in enumerated_ideals:
+        eps = ideal.field.unit_group().fundamental
+        if eps is not None:
+            assert ideal * Ideal.principal(eps.inverse()) == ideal, ideal
+            assert ideal * Ideal.principal(eps) == ideal, ideal
+
+
 def test_prime_ideal_is_an_ideal():
     for prime in factor_rational_prime(F5, 11):
         assert prime.norm() == 11

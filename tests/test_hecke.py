@@ -225,8 +225,10 @@ def test_brute_force_matches_algebra():
 
 
 def test_brute_force_rejects_huge_inputs():
-    with pytest.raises(HeckeError):
-        brute_force_convolution(101, 8, 8, max_pairs=1000)
+    # 3^16 is far below the int64 limit, but (3^9 - 1)/2 = 9841 cosets a side
+    # make 96,845,281 pairs
+    with pytest.raises(HeckeError, match="pair budget"):
+        brute_force_convolution(3, 8, 8)
 
 
 def test_brute_force_rejects_non_primes():

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and every
+module-level private function, class or constant is referenced somewhere in it."""
 
 import ast
 import pathlib
@@ -7,8 +8,8 @@ import pytest
 
 import heckedist
 
-MODULES = sorted(p for p in pathlib.Path(heckedist.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(pathlib.Path(heckedist.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -40,3 +41,44 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def unused_private_names(sources):
+    """(module, name) of each module-level private def, class or assignment
+    that no module in sources (a dict of module name to source) references."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_SPARE: int = 4\ndef _helper():\n    return _LIMIT\n"
+                "def _orphan():\n    pass\nclass _Old:\n    pass\n__all__ = []\n",
+        "b.py": "from a import _helper\nimport a\n_helper()\nx: \"_Kept\" = a._Hidden\n",
+        "c.py": "class _Kept:\n    pass\nclass _Hidden:\n    pass\n",
+    }
+    assert unused_private_names(sources) == [("a.py", "_Old"), ("a.py", "_SPARE"),
+                                             ("a.py", "_orphan")]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in PACKAGE}) == []

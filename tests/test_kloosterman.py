@@ -350,6 +350,10 @@ def test_query_validation():
     with pytest.raises(KloostermanError):
         # r must lie in the inverse different (here: integers)
         q_query(Fraction(1, 2), 1, 5)
+    chi5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
+    for r, rp in ((F94.one(), F5.one()), (F5.one(), Q.element(1))):
+        with pytest.raises(FieldError, match="field mismatch"):
+            KloostermanQuery(F5.element(7), r, rp, chi5)
 
 
 def test_character_validation():
@@ -431,16 +435,116 @@ def test_weil_scan_counts_skipped_moduli():
 
 def test_weil_scan_quadratic_enumerates_principal_ideals():
     level5 = Ideal.principal(F5.element(-1, 2))  # sqrt5, norm 5
-    res = weil_scan(F5, F5.one(), F5.one(), max_norm=100,
-                    s_primes=None, eps=0.1)
+    res = weil_scan(F5, F5.one(), F5.one(), max_norm=100, eps=0.1)
     assert all(row.norm <= 100 for row in res.rows)
     assert all(row.norm >= 1 for row in res.rows)
 
 
 def test_weil_scan_work_budget():
     with pytest.raises(KloostermanError):
-        weil_scan(Q, Q.element(1), Q.element(1), max_norm=10 ** 9,
-                  work_budget=10 ** 4)
+        weil_scan(Q, Q.element(1), Q.element(1), max_norm=10 ** 9)
+
+
+# (norm, x, y) of the generator x + y w of each row, and the skipped count, of
+# weil_scan(F, 1, 1, max_norm=60) before its generator search lost its unit retry
+WEIL_ROWS_60 = {
+    94: (80, [(1, -1, 0), (4, -2, 0), (9, -3, 0), (16, -4, 0), (25, -5, 0), (27, -11, -1),
+              (27, 11, -1), (30, -8, -1), (30, 8, -1), (36, -6, 0), (45, -7, -1), (45, 7, -1),
+              (49, -7, 0), (50, -12, -1), (50, 12, -1), (58, -6, -1), (58, 6, -1)]),
+    43: (53, [(1, -1, 0), (4, -2, 0), (7, -6, -1), (7, 6, -1), (9, -3, 0), (16, -4, 0),
+              (18, -5, -1), (18, 5, -1), (21, -8, -1), (21, 8, -1), (25, -5, 0), (27, -4, -1),
+              (27, 4, -1), (28, -12, -2), (28, 12, -2), (34, -3, -1), (34, 3, -1), (36, -6, 0),
+              (38, -9, -1), (38, 9, -1), (39, -2, -1), (39, 2, -1), (42, -1, -1), (42, 1, -1),
+              (43, 0, -1), (49, -7, 0), (51, -11, -2), (51, 11, -2), (53, -15, -2),
+              (53, 15, -2), (57, -10, -1), (57, 10, -1)]),
+    10: (34, [(1, -3, -1), (4, -6, -2), (6, -4, -1), (6, -2, -1), (9, -7, -2), (9, -3, 0),
+              (9, 7, -2), (10, 0, -1), (15, -5, -2), (15, 5, -2), (16, -4, 0), (24, -8, -2),
+              (24, -4, -2), (25, -5, 0), (26, -8, -3), (26, 8, -3), (31, -11, -3), (31, 11, -3),
+              (36, -14, -4), (36, -6, 0), (36, 14, -4), (39, -11, -4), (39, -1, -2), (39, 1, -2),
+              (39, 11, -4), (40, 0, -2), (41, -7, -3), (41, 7, -3), (49, -7, 0), (54, -14, -5),
+              (54, -12, -3), (54, -6, -3), (54, 14, -5), (60, -10, -4), (60, 10, -4)]),
+}
+
+
+@pytest.mark.parametrize("m", sorted(WEIL_ROWS_60))
+def test_weil_scan_rows_pinned(m):
+    field = make_field(m)
+    res = weil_scan(field, field.one(), field.one(), max_norm=60)
+    skipped, rows = WEIL_ROWS_60[m]
+    assert [(row.norm, row.c.a, row.c.b) for row in res.rows] == rows
+    assert res.skipped == skipped
+
+
+def factorization_denominator(c, s_labels, eps):
+    # the per-row benchmark weil_scan took before: N(P)^v over every prime factor
+    # of (c), with exponent 1 on S and 1/2 + eps off it
+    denom = 1.0
+    for prime, v in ideal_prime_factorization(Ideal.principal(c)):
+        npv = float(prime.absolute_norm() ** v)
+        denom *= npv if prime.label in s_labels else npv ** (0.5 + eps)
+    return denom
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_weil_ratio_matches_factorization_product(eps):
+    level5 = DirichletCharacter.trivial(F5, Ideal.principal(F5.element(-1, 2)))
+    level6 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(6)))
+    for field, chi, max_norm, labels in ((Q, None, 150, ()), (F5, None, 100, ()),
+                                         (F94, None, 60, ()), (F5, level5, 100, ("5:0",)),
+                                         (Q, level6, 150, ("2:0", "3:0"))):
+        res = weil_scan(field, field.one(), field.one(), chi=chi, max_norm=max_norm, eps=eps)
+        assert res.s_labels == labels and res.rows
+        for row in res.rows:
+            want = row.abs_k / factorization_denominator(row.c, labels, eps)
+            assert row.ratio == pytest.approx(want, rel=1e-12, abs=0), (field, row.c)
+        assert res.running_max == max(row.ratio for row in res.rows)
+
+
+def test_weil_scan_factors_only_the_level(monkeypatch):
+    import heckedist.fields as fields_module
+    import heckedist.kloosterman as kloosterman_module
+
+    factored = []
+    factor = kloosterman_module.ideal_prime_factorization
+
+    def counting(ideal):
+        factored.append(ideal)
+        return factor(ideal)
+
+    def forbidden(field):
+        raise AssertionError("inverse_different built during a scan")
+
+    monkeypatch.setattr(kloosterman_module, "ideal_prime_factorization", counting)
+    monkeypatch.setattr(fields_module, "inverse_different", forbidden)
+    monkeypatch.setattr(kloosterman_module, "inverse_different", forbidden, raising=False)
+    res = weil_scan(F5, F5.one(), F5.one(), max_norm=100)
+    assert len(res.rows) == 44 and factored == [Ideal.unit_ideal(F5)]
+
+
+@pytest.mark.parametrize("spec", ["Q", 2, 5, 94])
+def test_query_trace_test_matches_inverse_different(spec):
+    field = make_field(spec)
+    chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+    od = inverse_different(field)
+    basis = od.basis_elements()
+    steps = [0] + [Fraction(1, d) for d in (2, 3, 4, field.disc, 2 * field.disc)]
+    offsets = [field.element(a, b) for a in steps
+               for b in (steps if field.degree == 2 else [0])]
+    seen = Counter()
+    for u in range(-2, 3):
+        for v in range(-2, 3):
+            base = sum((e * k for e, k in zip(basis, (u, v))), field.zero())
+            for x in (base + off for off in offsets):
+                member = od.contains(x)
+                seen[member] += 1
+                for r, rp in ((x, field.one()), (field.one(), x)):
+                    try:
+                        KloostermanQuery(field.element(7), r, rp, chi)
+                        accepted = True
+                    except KloostermanError:
+                        accepted = False
+                    assert accepted == member, (x, r is x)
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_delta_diagonal():
