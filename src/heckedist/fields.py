@@ -9,13 +9,15 @@ An ideal is (1/den) times an int lattice in Hermite normal form, stored in
 lowest terms, which covers integral and fractional ideals uniformly.  Ideal
 arithmetic runs on the int HNF rows: a product is the HNF of the products
 of the two Z-bases (NumberField.mul_coords, the one place the rule
-w^2 = t*w + c is spelled out), and containment tests each row.  An integral
-ideal with HNF ((n, 0), (b, g)) is g times the primitive ideal
-(n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit inverses are two
-modular inverses combined in closed form, and v_P counts multiply-and-divide
-steps by one fixed element of pP^{-1}, without building powers of P.
-Generators of principal ideals come from one bounded box search; a unit
-multiple of an ideal is the ideal itself, so a miss is final.
+w^2 = t*w + c is spelled out), and containment tests each row.  Every HNF,
+over Q and F alike, comes from one fold: each row enters the pivot (b, g) by
+an extended Euclid on its w-coordinate, and n is the gcd of what is left on
+the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g times the
+primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
+inverses are two modular inverses combined in closed form, and v_P counts
+multiply-and-divide steps by one fixed element of pP^{-1}, without building
+powers of P.  Generators of principal ideals come from one bounded box
+search; a unit multiple of an ideal is the ideal itself, so a miss is final.
 """
 
 from __future__ import annotations
@@ -281,47 +283,30 @@ class FieldElement:
 # -- integer lattice utilities ------------------------------------------------
 
 
-def _hnf_rank2(rows: Sequence[tuple]) -> tuple:
-    """HNF basis ((n, 0), (b, g)) of the Z-span of integer 2-vectors.
+def _hnf(rows: Sequence[tuple]) -> tuple:
+    """HNF basis ((n,),) of the Z-span of int 1-vectors, or ((n, 0), (b, g)) of 2-vectors.
 
-    Requires full rank; n, g > 0 and 0 <= b < n.
+    Each row (x, y) folds into the pivot (b, g) by one extended Euclid on the
+    second coordinates, which leaves g = gcd of the y's so far and a remainder
+    (x', 0) of the lattice; n is the gcd of the remainders.  Requires full
+    rank; n, g > 0 and 0 <= b < n.
     """
-    rows = [list(r) for r in rows if r[0] != 0 or r[1] != 0]
-    if not rows:
+    n = b = g = 0
+    for row in rows:
+        x, y = row[0], (row[1] if len(row) == 2 else 0)
+        while y:
+            q = g // y
+            b, g, x, y = x, y, b - q * x, g - q * y
+        n = math.gcd(n, x)
+    if n == g == 0:
         raise FieldError("zero lattice")
-    # eliminate y-components down to a single row by Euclid
-    while True:
-        nz = [r for r in rows if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        pivot = nz[0]
-        for r in nz[1:]:
-            q = r[1] // pivot[1]
-            r[0] -= q * pivot[0]
-            r[1] -= q * pivot[1]
-        rows = [r for r in rows if r[0] != 0 or r[1] != 0]
-    ys = [r for r in rows if r[1] != 0]
-    xs = [r[0] for r in rows if r[1] == 0]
-    if not ys or not xs:
+    if len(rows[0]) == 1:
+        return ((n,),)
+    if n == 0 or g == 0:
         raise FieldError("lattice not of full rank")
-    b, g = ys[0]
     if g < 0:
         b, g = -b, -g
-    n = 0
-    for x in xs:
-        n = math.gcd(n, x)
-    b %= n
-    return ((n, 0), (b, g))
-
-
-def _hnf_rank1(rows: Sequence[tuple]) -> tuple:
-    n = 0
-    for (x,) in rows:
-        n = math.gcd(n, x)
-    if n == 0:
-        raise FieldError("zero lattice")
-    return ((n,),)
+    return ((n, 0), (b % n, g))
 
 
 class Ideal:
@@ -357,9 +342,8 @@ class Ideal:
             raise FieldError("ideal needs a nonzero generator")
         den = math.lcm(*(v.denominator for x in coords for v in x))
         rows = [tuple(v.numerator * (den // v.denominator) for v in x) for x in coords]
-        if field.degree == 1:
-            return cls(field, _hnf_rank1(rows), den)
-        return cls(field, _hnf_rank2(rows + [field.mul_coords(x, (0, 1)) for x in rows]), den)
+        basis = cls.unit_ideal(field).hnf  # a Z-basis of O
+        return cls(field, _hnf([field.mul_coords(x, u) for x in rows for u in basis]), den)
 
     @classmethod
     def principal(cls, elt: FieldElement) -> "Ideal":
@@ -468,8 +452,7 @@ class Ideal:
             raise FieldError("field mismatch")
         # the products of two Z-bases span the product as a Z-module
         rows = [self.field.mul_coords(u, v) for u in self.hnf for v in other.hnf]
-        hnf = _hnf_rank2(rows) if self.field.degree == 2 else _hnf_rank1(rows)
-        return Ideal(self.field, hnf, self.den * other.den)
+        return Ideal(self.field, _hnf(rows), self.den * other.den)
 
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
@@ -571,23 +554,15 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
         raise FieldError("prime too large for desk-scale factorization")
     t, c = field.t, field.c
     roots = [r for r in range(p) if (r * r - t * r - c) % p == 0]
-    if field.disc % p == 0:
-        # ramified: (p, w - r)^2 = (p)
-        r = roots[0]
-        hnf = _hnf_rank2([(p, 0), (-r, 1), (c, t - r)])  # gens p, w-r, w(w-r)
-        gen = _small_generator(field, Ideal(field, hnf), p)
-        return [PrimeIdeal(field, hnf, p, 2, 1, 0, gen)]
     if not roots:
         # inert: (p), residue degree 2
-        hnf = ((p, 0), (0, p))
-        return [PrimeIdeal(field, hnf, p, 1, 2, 0, field.element(p))]
-    out = []
-    for r in roots:
-        hnf = _hnf_rank2([(p, 0), (-r, 1), (c, t - r)])
-        gen = _small_generator(field, Ideal(field, hnf), p)
-        out.append((hnf, gen))
-    out.sort(key=lambda pair: pair[0])
-    return [PrimeIdeal(field, hnf, p, 1, 1, i, gen) for i, (hnf, gen) in enumerate(out)]
+        return [PrimeIdeal(field, ((p, 0), (0, p)), p, 1, 2, 0, field.element(p))]
+    # P = (p, w - r), with gens p, w-r, w(w-r); p | disc exactly when the root
+    # is double, and then P^2 = (p)
+    e = 2 if field.disc % p == 0 else 1
+    hnfs = sorted(_hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
+    return [PrimeIdeal(field, hnf, p, e, 1, i, _small_generator(field, Ideal(field, hnf), p))
+            for i, hnf in enumerate(hnfs)]
 
 
 def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:
@@ -633,21 +608,20 @@ def ideal_prime_factorization(ideal: Ideal) -> list:
     """[(PrimeIdeal, valuation)] for a nonzero integral ideal."""
     if ideal.norm() == 0:
         raise FieldError("zero ideal has no factorization")
-    field = ideal.field
     n = int(ideal.norm())
-    out = []
+    ps = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            ps.append(p)
             while n % p == 0:
                 n //= p
-            for prime in factor_rational_prime(field, p):
-                v = ideal_valuation(ideal, prime)
-                if v > 0:
-                    out.append((prime, v))
         p += 1
     if n > 1:
-        for prime in factor_rational_prime(field, n):
+        ps.append(n)
+    out = []
+    for p in ps:
+        for prime in factor_rational_prime(ideal.field, p):
             v = ideal_valuation(ideal, prime)
             if v > 0:
                 out.append((prime, v))
@@ -702,8 +676,6 @@ def _compute_unit_group(field: NumberField) -> UnitGroupData:
                     eps = -eps
                 if eps.embed()[0] < 1:
                     eps = eps.inverse()
-                    if eps.embed()[0] < 0:
-                        eps = -eps
                 assert eps.is_integral() and abs(eps.norm()) == 1
                 return UnitGroupData(field, eps)
         P = a * Q - P

@@ -287,12 +287,13 @@ _WORK_BUDGET = 4 * 10 ** 6
 
 
 def _principal_ideals_up_to(field: NumberField, level: Ideal,
-                            max_norm: int) -> Tuple[List[FieldElement], int]:
-    """One generator per nonzero principal ideal inside the level, norm <= max_norm,
-    and the number of ideals in that range whose generator search found none."""
+                            max_norm: int) -> Tuple[List[Tuple[int, FieldElement]], int]:
+    """(|N(c)|, c) for one generator c per nonzero principal ideal inside the level,
+    norm <= max_norm, sorted by (norm, coords), and the number of ideals in that
+    range whose generator search found none."""
     if field.degree == 1:
         q = int(level.norm())
-        return [field.element(n) for n in range(q, max_norm + 1, q)], 0
+        return [(n, field.element(n)) for n in range(q, max_norm + 1, q)], 0
     gens = []
     skipped = 0
     t, c = field.t, field.c
@@ -306,12 +307,13 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal,
                 ideal = Ideal(field, hnf)
                 if not (ideal <= level):
                     continue
-                gen = _small_generator(field, ideal, g * g * nt)
+                norm = g * g * nt
+                gen = _small_generator(field, ideal, norm)
                 if gen is None:
                     skipped += 1
                 else:
-                    gens.append(gen)
-    gens.sort(key=lambda e: (abs(e.norm()), e.coords()))
+                    gens.append((norm, gen))
+    gens.sort(key=lambda pair: (pair[0], pair[1].coords()))
     return gens, skipped
 
 
@@ -344,18 +346,17 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     if lower > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
     gens, skipped = _principal_ideals_up_to(field, level, max_norm)
-    if sum(abs(int(g.norm())) for g in gens) > _WORK_BUDGET:
+    if sum(norm for norm, _ in gens) > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
 
-    def one_row(c: FieldElement) -> WeilRow:
+    def one_row(norm: int, c: FieldElement) -> WeilRow:
         k = abs(evaluate(KloostermanQuery(c, r, rp, chi)))
-        norm = abs(int(c.norm()))
         s = math.prod(p.absolute_norm() ** ideal_valuation(Ideal.principal(c), p)
                       for p in s_primes)
         return WeilRow(c, norm, k, k / (s * (norm // s) ** (0.5 + eps)))
 
     # gens come sorted by (norm, coords), so the rows do too
-    rows = [one_row(c) for c in gens]
+    rows = [one_row(norm, c) for norm, c in gens]
     running = 0.0
     for row in rows:
         running = max(running, row.ratio)

@@ -1,7 +1,9 @@
 """Field arithmetic, ideal HNF bookkeeping, prime splitting, units."""
 
 import math
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,20 @@ def test_prime_splitting_quadratic():
     assert len(ram2) == 1 and ram2[0].e == 2
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 13, 73, 94])
+def test_prime_splitting_is_complete(m):
+    field = make_field(m)
+    for p in range(2, 200):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        primes = factor_rational_prime(field, p)
+        assert sum(P.e * P.f for P in primes) == 2, p
+        assert all((P.e == 2) == (field.disc % p == 0) for P in primes), p
+        for P in primes:
+            if P.generator is not None:
+                assert Ideal.principal(P.generator) == P, (p, P.label)
+
+
 def test_prime_label_roundtrip():
     for field in (Q, F5, F73):
         for p in (2, 3, 5, 7):
@@ -238,6 +254,71 @@ def test_ideal_norm_multiplicative_on_principal():
     assert ixy.norm() == ix.norm() * iy.norm()
 
 
+# the Euclid HNF that Ideal arithmetic used before its one-pass fold, copied
+# verbatim (with FieldError) so the references here share no HNF code with it
+def _hnf_rank2(rows: Sequence[tuple]) -> tuple:
+    """HNF basis ((n, 0), (b, g)) of the Z-span of integer 2-vectors.
+
+    Requires full rank; n, g > 0 and 0 <= b < n.
+    """
+    rows = [list(r) for r in rows if r[0] != 0 or r[1] != 0]
+    if not rows:
+        raise FieldError("zero lattice")
+    # eliminate y-components down to a single row by Euclid
+    while True:
+        nz = [r for r in rows if r[1] != 0]
+        if len(nz) <= 1:
+            break
+        nz.sort(key=lambda r: abs(r[1]))
+        pivot = nz[0]
+        for r in nz[1:]:
+            q = r[1] // pivot[1]
+            r[0] -= q * pivot[0]
+            r[1] -= q * pivot[1]
+        rows = [r for r in rows if r[0] != 0 or r[1] != 0]
+    ys = [r for r in rows if r[1] != 0]
+    xs = [r[0] for r in rows if r[1] == 0]
+    if not ys or not xs:
+        raise FieldError("lattice not of full rank")
+    b, g = ys[0]
+    if g < 0:
+        b, g = -b, -g
+    n = 0
+    for x in xs:
+        n = math.gcd(n, x)
+    b %= n
+    return ((n, 0), (b, g))
+
+
+def _hnf_rank1(rows: Sequence[tuple]) -> tuple:
+    n = 0
+    for (x,) in rows:
+        n = math.gcd(n, x)
+    if n == 0:
+        raise FieldError("zero lattice")
+    return ((n,),)
+
+
+def _hnf_or_error(hnf, rows):
+    try:
+        return hnf(rows)
+    except FieldError as exc:
+        return str(exc)
+
+
+def test_hnf_matches_euclid_reference():
+    rng = random.Random(20)
+    cases = [[(0, 0)] * 3, [(4, 0), (-6, 0)], [(0, 3), (0, -9), (0, 0)], [(0,), (0,)],
+             [(3, 5), (-6, -10)], [(7, 0), (0, 5)]]
+    for _ in range(4000):
+        k = rng.randint(2, 5)
+        cases.append([(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(k)])
+        cases.append([(rng.randint(-50, 50),) for _ in range(k)])
+    for rows in cases:
+        want = _hnf_or_error(_hnf_rank2 if len(rows[0]) == 2 else _hnf_rank1, rows)
+        assert _hnf_or_error(fields_module._hnf, rows) == want, rows
+
+
 def fraction_product(field, x, y):
     # (a1 + b1 w)(a2 + b2 w) with w^2 = t w + c, in Fractions, written out here
     # so that the reference below shares no code with NumberField.mul_coords
@@ -259,8 +340,8 @@ def fraction_ideal_mul_reference(I, J):
             den = den * fr.denominator // math.gcd(den, fr.denominator)
     rows = [tuple(int(x * den) for x in g.coords()) for g in closure]
     if field.degree == 2:
-        return Ideal(field, fields_module._hnf_rank2(rows), den)
-    return Ideal(field, fields_module._hnf_rank1(rows), den)
+        return Ideal(field, _hnf_rank2(rows), den)
+    return Ideal(field, _hnf_rank1(rows), den)
 
 
 def fraction_contained(I, J):

@@ -435,9 +435,11 @@ def test_weil_scan_counts_skipped_moduli():
 
 def test_weil_scan_quadratic_enumerates_principal_ideals():
     level5 = Ideal.principal(F5.element(-1, 2))  # sqrt5, norm 5
-    res = weil_scan(F5, F5.one(), F5.one(), max_norm=100, eps=0.1)
-    assert all(row.norm <= 100 for row in res.rows)
-    assert all(row.norm >= 1 for row in res.rows)
+    res = weil_scan(F5, F5.one(), F5.one(), chi=DirichletCharacter.trivial(F5, level5),
+                    max_norm=100, eps=0.1)
+    assert res.rows and res.s_labels == ("5:0",)
+    for row in res.rows:
+        assert 1 <= row.norm <= 100 and level5.contains(row.c), row.c
 
 
 def test_weil_scan_work_budget():
