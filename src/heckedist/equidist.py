@@ -340,8 +340,8 @@ def count(ds: Dataset, box: Box, t: float,
 
 @dataclass(frozen=True)
 class Prediction:
-    """The main term and its factors; error bounds the quadrature error of
-    product to first order in the pl and Sato-Tate factors."""
+    """The main term and its factors; error bounds the rounding error of product
+    to first order, from the closed-form bounds of the pl and Sato-Tate factors."""
 
     constant: float
     pl_factor: float
@@ -539,10 +539,11 @@ def _smallest_prime_factors(n: int) -> List[int]:
     return spf
 
 
-def verify_tau_identities(tau: Sequence[int]) -> None:
+def verify_tau_identities(tau: Sequence[int]) -> List[int]:
     """Exact multiplicativity and prime-power recursion on the full table.
 
     Raises on any failure; a failure would mean the expansion is wrong.
+    Returns the primes up to len(tau) - 1, read off the sieve the check runs on.
     """
     n_max = len(tau) - 1
     if n_max < 4 or tau[1] != 1:
@@ -560,6 +561,7 @@ def verify_tau_identities(tau: Sequence[int]) -> None:
         elif pk != p:
             if tau[n] != tau[p] * tau[n // p] - p ** 11 * tau[n // (p * p)]:
                 raise EquidistError("prime-power recursion fails at n=%d" % n)
+    return [p for p in range(2, n_max + 1) if spf[p] == p]
 
 
 @dataclass(frozen=True)
@@ -580,9 +582,7 @@ def tau_source(upto: int) -> TauData:
     for n, v in classical.items():
         if n <= upto and tau[n] != v:
             raise EquidistError("tau(%d) = %d disagrees with the classical value" % (n, tau[n]))
-    verify_tau_identities(tau)
-    spf = _smallest_prime_factors(upto)
-    primes = [p for p in range(2, upto + 1) if spf[p] == p]
+    primes = verify_tau_identities(tau)
     lam = {"%d:0" % p: abs(tau[p]) / p ** 5 for p in primes}
     tp2 = {"%d:0" % p: Fraction(tau[p * p], p ** 10) for p in primes if p * p <= upto}
     # the holomorphic form behind tau sits at the weight-12 discrete-series
@@ -602,7 +602,7 @@ class ReportRow:
     prediction: float
     ratio: float
     v1: float
-    error: float  # Prediction.error: the quadrature bound on prediction
+    error: float  # Prediction.error: the closed-form rounding bound on prediction
 
 
 @dataclass
@@ -628,7 +628,7 @@ def run_report(ds: Dataset, box: Box, t_grid: Sequence[float],
                j_windows: Dict[str, Tuple[float, float]], covolume: float,
                field: Optional[NumberField] = None) -> Report:
     """One row per threshold: count, prediction, their ratio, V1, and the
-    prediction's quadrature error bound."""
+    prediction's error bound."""
     field = field if field is not None else make_field(ds.field_spec)
     rows = []
     for t in t_grid:

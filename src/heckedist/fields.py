@@ -606,8 +606,8 @@ def ideal_valuation(ideal: Ideal, prime: PrimeIdeal) -> int:
 
 def ideal_prime_factorization(ideal: Ideal) -> list:
     """[(PrimeIdeal, valuation)] for a nonzero integral ideal."""
-    if ideal.norm() == 0:
-        raise FieldError("zero ideal has no factorization")
+    if ideal.norm() == 0 or not ideal.is_integral():
+        raise FieldError("factorization needs a nonzero integral ideal")
     n = int(ideal.norm())
     ps = []
     p = 2

@@ -17,13 +17,16 @@ sqrt(4N - lambda^2)/(pi N) on [0, 2 sqrt N] carry the nonarchimedean
 coordinates; their even moments are Catalan numbers times powers of N,
 which is what makes the polynomial route exact.
 
-Continuous pl masses go through scipy's Gauss-Kronrod quadrature after the
-substitution u = sqrt(lambda - 1/4) (which removes the coth singularity);
-the nu forms take a separate route, QUADPACK's QAWS in lambda itself with
-the weight (lambda - 1/4)^(-1/2), so npl_consistency compares two
-quadratures rather than one with a copy of itself.  V1 and Sato-Tate
-interval masses have closed forms.  All atom positions and masses are
-exact rationals.
+Continuous pl masses are closed forms in u = sqrt(lambda - 1/4), x = e^(-2 pi u):
+the primitive of 2u tanh(pi u) is u^2 - 1/12 + (2u/pi) log(1 + x) - Li2(-x)/pi^2,
+that of 2u coth(pi u) is u^2 + 1/6 + (2u/pi) log(1 - x) - Li2(x)/pi^2, and
+Landen's identity and the reflection formula keep each dilogarithm argument in
+[0, 1/2] (Lewin, Polylogarithms, ch. 1); their error is a derived bound.  The
+nu forms take a separate route, scipy's QUADPACK QAWS in lambda with the weight
+(lambda - 1/4)^(-1/2), so npl_consistency checks the closed form against a
+quadrature; only that route imports scipy.  V1 and Sato-Tate interval masses
+are closed forms too.  Atom positions and masses are exact rationals, and atom
+ranges come from the endpoints' exact integer ratios.
 """
 
 from __future__ import annotations
@@ -45,38 +48,34 @@ class MeasureValue(NamedTuple):
     error: float
 
 
-def _as_fraction(x) -> Fraction:
-    # Fraction(float) is exact (binary expansion); used for boundary tests only
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise MeasureError("interval endpoints must be finite")
-        return Fraction(x)
-    raise MeasureError("bad endpoint %r" % (x,))
-
-
 def _parity(xi: int) -> int:
     if xi not in (0, 1):
         raise MeasureError("parity xi must be 0 or 1, got %r" % (xi,))
     return int(xi)
 
 
+def _quadruple(x) -> Tuple[int, int]:
+    """4x as an exact integer ratio (p, q), q > 0, of an int, Fraction or finite float."""
+    try:
+        p, q = x.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        raise MeasureError("interval endpoints must be finite numbers, got %r" % (x,)) from None
+    return 4 * p, q
+
+
 def _atom_range(xi: int, a: Rat, b_hi: Rat) -> range:
     """The n = 1 + xi, 3 + xi, ... whose atom 1/4 - (n/2)^2 lies in [a, b_hi].
 
     Both families sit there (n = b - 1 for pl, n = 2 beta for V1).  A position
-    is <= b_hi exactly when n^2 >= 1 - 4 b_hi, and >= a exactly when
-    n^2 <= 1 - 4 a, so isqrt gives both ends.
+    is <= b_hi exactly when the int n^2 is >= ceil(1 - 4 b_hi), and >= a
+    exactly when n^2 <= floor(1 - 4 a), so isqrt gives both ends on ints.
     """
-    n, a, b_hi = 1 + _parity(xi), _as_fraction(a), _as_fraction(b_hi)
-    rhs = 1 - 4 * b_hi
-    if rhs > n * n:
-        root = math.isqrt(math.floor(rhs))  # then raised to the ceiling of sqrt(rhs)
-        if root * root < rhs:
-            root += 1
+    n, (p, q), (r, s) = 1 + _parity(xi), _quadruple(b_hi), _quadruple(a)
+    top = 1 - p // q  # ceil(1 - 4 b_hi)
+    if top > n * n:
+        root = math.isqrt(top - 1) + 1  # ceil(sqrt(top))
         n = root + (root - n) % 2
-    return range(n, math.isqrt(max(math.floor(1 - 4 * a), 0)) + 1, 2)
+    return range(n, math.isqrt(max((s - r) // s, 0)) + 1, 2)  # floor(1 - 4a)
 
 
 def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> List[Tuple[Fraction, Fraction]]:
@@ -84,10 +83,11 @@ def _atoms_in(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> List[Tuple[Fraction,
     return [(Fraction(1 - n * n, 4), Fraction(n, mass_den)) for n in _atom_range(xi, a, b_hi)]
 
 
-def _atom_mass(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> Rat:
-    """Total mass of _atoms_in(xi, a, b_hi, mass_den), an arithmetic series."""
+def _atom_mass(xi: int, a: Rat, b_hi: Rat, mass_den: int) -> float:
+    """Total mass of _atoms_in(xi, a, b_hi, mass_den), an arithmetic series
+    rounded once (int true division)."""
     n = _atom_range(xi, a, b_hi)
-    return Fraction(len(n) * (n[0] + n[-1]), 2 * mass_den) if n else 0
+    return ((n[-1] - n[0]) // 2 + 1) * (n[0] + n[-1]) / (2 * mass_den) if n else 0.0
 
 
 def pl_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
@@ -101,24 +101,46 @@ def v1_atoms_in(xi: int, a: Rat, b_hi: Rat) -> List[Tuple[Fraction, Fraction]]:
     return _atoms_in(xi, a, b_hi, 2)
 
 
-def _quad_pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
-    """Integral of the pl_xi density over [lo, hi] within [1/4, oo)."""
-    from scipy.integrate import quad  # on first use: `import heckedist` skips scipy
+def _li2(z: float) -> float:
+    """Dilogarithm sum z^k/k^2 for 0 <= z <= 1/2, stopped at the first term
+    below 1e-17, so the dropped tail is below 2e-17."""
+    total, power, k = 0.0, z, 1
+    while power >= 1e-17 * k * k:
+        total += power / (k * k)
+        k += 1
+        power *= z
+    return total
+
+
+def _pl_excess(xi: int, u: float) -> float:
+    """int_0^u 2s tanh(pi s) ds - u^2 (coth for xi = 1), in closed form."""
+    x = math.exp(-2.0 * math.pi * u)
+    if xi == 0:  # -Li2(-x) = Li2(x/(1+x)) + log(1+x)^2/2 (Landen)
+        ell = math.log1p(x)
+        li2 = _li2(x / (1.0 + x)) + 0.5 * ell * ell
+        return 2.0 * u / math.pi * ell + li2 / math.pi ** 2 - 1.0 / 12.0
+    if x > 0.5:  # reflection: the log terms and pi^2/6 cancel
+        return _li2(-math.expm1(-2.0 * math.pi * u)) / math.pi ** 2
+    return 1.0 / 6.0 + 2.0 * u / math.pi * math.log1p(-x) - _li2(x) / math.pi ** 2
+
+
+def _pl_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
+    """Mass of the pl_xi density on [lo, hi] within [1/4, oo), as (hi - lo) plus
+    the difference of _pl_excess, which never squares a square root.
+
+    The error bound: hi - lo and the final sum round by at most 2.3e-16 hi in
+    all.  Each _pl_excess is within 4.3e-16: its dilogarithm sum is at most 46
+    roundings of partial sums below 0.59 plus the 2e-17 tail, over pi^2, and
+    its other terms are below 1/6 with a few roundings each.  The rounding of
+    u moves it by under 2e-17, as |u d excess/du| < 0.07.  Together that is
+    below 1e-15 (hi + 1).
+    """
     lo = max(lo, 0.25)
     if hi <= lo:
         return MeasureValue(0.0, 0.0)
     ua, ub = math.sqrt(lo - 0.25), math.sqrt(hi - 0.25)
-    if xi == 0:
-        def f(u):
-            return 2.0 * u * math.tanh(math.pi * u)
-    else:
-        def f(u):
-            # 2u coth(pi u) -> 2/pi at u = 0
-            if u < 1e-8:
-                return 2.0 / math.pi + 2.0 * math.pi * u * u / 3.0
-            return 2.0 * u / math.tanh(math.pi * u)
-    val, err = quad(f, ua, ub, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return MeasureValue(val, err)
+    return MeasureValue((hi - lo) + (_pl_excess(xi, ub) - _pl_excess(xi, ua)),
+                        1e-15 * (hi + 1.0))
 
 
 def _v1_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
@@ -159,7 +181,7 @@ class SpectralMeasure:
         return _atoms_in(self.xi, a, b, self._mass_den)
 
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
-        return (_quad_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
+        return (_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
 
     def density(self, lam: float) -> float:
         """Continuous density at lam (0 off the continuous support)."""
@@ -204,7 +226,7 @@ def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) ->
         raise MeasureError("empty interval [%r, %r]" % (a, b))
     cont = measure.continuous_mass(float(a), float(b))
     atom_mass = _atom_mass(measure.xi, a, b, measure._mass_den)
-    return MeasureValue(cont.value + float(atom_mass), cont.error)
+    return MeasureValue(cont.value + atom_mass, cont.error)
 
 
 # -- nu-coordinate (spectral parameter) forms ----------------------------------
@@ -229,7 +251,8 @@ class NuMeasure:
 
     Continuous part 2t tanh(pi t) dt (xi = 0) or 2t coth(pi t) dt (xi = 1)
     on the imaginary leg nu = it; atoms of mass b-1 at nu = (b-1)/2 on the
-    real leg, b > 1 of parity xi mod 2.
+    real leg, b > 1 of parity xi mod 2.  The error of a mass is QUADPACK's
+    estimate, not a bound.
     """
 
     xi: int
@@ -244,13 +267,13 @@ class NuMeasure:
         (the path runs down the real leg, through 0, up the imaginary leg).
         """
         lam_lo, lam_hi = sorted((_nu_path_lambda(lo), _nu_path_lambda(hi)))
-        # continuous: imaginary leg only, lambda in [1/4, oo); a route apart
-        # from the lambda side's, whose quadrature runs in sqrt(lambda - 1/4)
+        # continuous: imaginary leg only, lambda in [1/4, oo); a quadrature,
+        # a route apart from the lambda side's closed form
         lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
         cont = MeasureValue(hi_part.value - lo_part.value, hi_part.error + lo_part.error)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)
         atom_mass = _atom_mass(self.xi, lam_lo, lam_hi, 1)
-        return MeasureValue(cont.value + float(atom_mass), cont.error)
+        return MeasureValue(cont.value + atom_mass, cont.error)
 
     def _from_quarter(self, lam: float) -> MeasureValue:
         """Continuous mass of the leg up to lambda, integrated in lambda.
@@ -286,7 +309,7 @@ def nu_measure(xi: int) -> NuMeasure:
 def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
     """(nu-side mass, lambda-side mass) of the same spectral window.
 
-    The two must agree within quadrature error; the lambda side maps the
+    The two must agree within the nu side's quadrature error; the lambda side maps the
     path segment through lambda = 1/4 - nu^2 and calls measure_interval.
     """
     nv = nu_measure(xi).interval(lo, hi).value

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from fractions import Fraction
 
@@ -742,6 +743,31 @@ def test_tau_source():
     assert td.tp2_eigenvalues["2:0"] == Fraction(-1472, 1024) == Fraction(-23, 16)
     assert td.tp2_eigenvalues["3:0"] == Fraction(-113643, 3 ** 10)
     td.dataset.validate(Q)
+
+
+def test_tau_source_sieves_once(monkeypatch):
+    import heckedist.equidist as equidist_module
+    sieve, calls = equidist_module._smallest_prime_factors, []
+
+    def counting(n):
+        calls.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(equidist_module, "_smallest_prime_factors", counting)
+    td = tau_source(1600)
+    assert calls == [1600]
+    # every field as the two-sieve route built it, primes by trial division here
+    primes = [p for p in range(2, 1601) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert verify_tau_identities(list(td.tau)) == primes
+    assert td.tau == tuple(tau_table(1600))
+    assert td.tp2_eigenvalues == {"%d:0" % p: Fraction(td.tau[p * p], p ** 10)
+                                  for p in primes if p * p <= 1600}
+    lam = {"%d:0" % p: abs(td.tau[p]) / p ** 5 for p in primes}
+    want = Dataset("Q", "1", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0],
+                   ["tau"], {"kind": "horizontal-tau-demo", "upto": 1600})
+    for f in dataclass_fields(Dataset):
+        got, ref = getattr(td.dataset, f.name), getattr(want, f.name)
+        assert (got.tolist() == ref.tolist()) if isinstance(ref, np.ndarray) else got == ref
 
 
 def test_run_report(tmp_path):

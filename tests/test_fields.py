@@ -408,6 +408,16 @@ def test_ideal_prime_factorization_rejects_zero():
         ideal_prime_factorization(Ideal.principal(F5.zero()))
 
 
+def test_ideal_prime_factorization_rejects_fractional_ideals():
+    # norm 1/4 used to give [], norm 9/4 an error from ideal_valuation
+    for x in (F5.element(Fraction(1, 2)), F5.element(Fraction(3, 2)),
+              F5.element(Fraction(1, 2), 1), Q.element(Fraction(5, 3))):
+        ideal = Ideal.principal(x)
+        assert not ideal.is_integral()
+        with pytest.raises(FieldError, match="nonzero integral ideal"):
+            ideal_prime_factorization(ideal)
+
+
 def test_inverse_different():
     dq = inverse_different(Q)
     assert dq.contains(Q.element(1))

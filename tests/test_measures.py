@@ -4,6 +4,7 @@ nu-coordinate change of variables, Sato-Tate closed forms, boxes."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ import heckedist
 from heckedist import (
     Box,
     MeasureError,
+    MeasureValue,
     NuMeasure,
     SatoTateMeasure,
     box_measure,
@@ -151,6 +153,69 @@ def test_atom_mass_closed_form_matches_per_atom_sum():
             assert nu_measure(xi).interval(lo, hi) == (float(atoms), 0.0), (xi, lo, hi)
 
 
+def reference_as_fraction(x) -> Fraction:
+    """The endpoint conversion of the Fraction atom range, verbatim."""
+    # Fraction(float) is exact (binary expansion); used for boundary tests only
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise MeasureError("interval endpoints must be finite")
+        return Fraction(x)
+    raise MeasureError("bad endpoint %r" % (x,))
+
+
+def reference_atom_range(xi, a, b_hi):
+    """The atom range on Fractions that the int one replaced, verbatim."""
+    from heckedist.measures import _parity
+    n, a, b_hi = 1 + _parity(xi), reference_as_fraction(a), reference_as_fraction(b_hi)
+    rhs = 1 - 4 * b_hi
+    if rhs > n * n:
+        root = math.isqrt(math.floor(rhs))  # then raised to the ceiling of sqrt(rhs)
+        if root * root < rhs:
+            root += 1
+        n = root + (root - n) % 2
+    return range(n, math.isqrt(max(math.floor(1 - 4 * a), 0)) + 1, 2)
+
+
+def test_int_atom_range_matches_fraction_route():
+    from heckedist.measures import _atom_range
+    points = [0.0, 0.25, 0.3, -1e-20, 1e-20, -1e10, 5e15, -5e15, 1e10, -1.7e308, 1.7e308,
+              -sys.float_info.max, sys.float_info.max, Fraction(1, 3), Fraction(-7, 3),
+              Fraction(-10 ** 400), Fraction(10 ** 400), Fraction(1, 4) - Fraction(1, 10 ** 30),
+              -3, 0, 2, FAR_ATOM, math.nextafter(FAR_ATOM, 0.0), math.nextafter(FAR_ATOM, -1e11)]
+    for b in range(2, 101):  # every atom up to b = 100 and its float neighbours
+        x = b / 2 * (1 - b / 2)
+        points += [x, Fraction(b, 2) * (1 - Fraction(b, 2)), math.nextafter(x, math.inf),
+                   math.nextafter(x, -math.inf)]
+    checked = 0
+    for xi in (0, 1):
+        for a in points:
+            for b_hi in points[xi::3] + FAR_GRID:
+                assert _atom_range(xi, a, b_hi) == reference_atom_range(xi, a, b_hi), (xi, a, b_hi)
+                checked += 1
+        for a, b_hi in ((FAR_ATOM - 1e5, FAR_ATOM + 1e5), (-1.7e308, 0.3), (-1e38, -1e37)):
+            assert _atom_range(xi, a, b_hi) == reference_atom_range(xi, a, b_hi), (xi, a, b_hi)
+        # the range at the far end of the doubles, where 4x overflows a float
+        assert _atom_range(xi, -1.7e308, 0.3)[-1] > 2 * 10 ** 154
+        for bad in (math.nan, math.inf, -math.inf, "1", None):
+            for window in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(MeasureError):
+                    reference_atom_range(xi, *window)
+                with pytest.raises(MeasureError):
+                    _atom_range(xi, *window)
+    assert checked > 2 * 400 * 140
+
+
+def test_atom_mass_of_a_huge_window():
+    # 10^19 atoms: the count is no longer len() of the range, which overflows
+    # a C ssize_t, so the mass is the arithmetic series rounded once
+    n = math.isqrt(1 + 4 * 10 ** 38)
+    n -= n % 2
+    want = (n // 2) * (n + 2) / 2 + measure_interval(PL0, (0.25, 0.3)).value
+    assert measure_interval(PL0, (-1e38, 0.3)).value == want
+
+
 def test_box_checks_far_endpoints():
     Box(1, (), ((1, (-1e10, 0.3)),), (0,), 1.0)  # no atom at -1e10
     with pytest.raises(MeasureError, match="discrete-series"):
@@ -199,12 +264,81 @@ def test_point_masses_exact():
 
 
 def test_continuous_mass_pinned():
-    # int_{1/4}^{101/4} tanh(pi sqrt(lam - 1/4)) dlam = 25 - c0, c0 = 1/12 + O(1e-34)
+    # int_{1/4}^{101/4} tanh(pi sqrt(lam - 1/4)) dlam = 25 - c0, c0 = 1/12 - 7.5e-14
     v = measure_interval(PL0, (0.25, 25.25))
     assert abs(v.value - (25 - 1 / 12)) < 1e-9
     assert v.error < 1e-8
     v1 = measure_interval(PL1, (0.25, 1.25))
     assert abs(v1.value - 1.16528740434367) < 1e-9
+
+
+def reference_quad_pl_continuous(xi, lo, hi):
+    """The scipy quad route the closed form replaced, verbatim."""
+    from scipy.integrate import quad  # on first use: `import heckedist` skips scipy
+    lo = max(lo, 0.25)
+    if hi <= lo:
+        return MeasureValue(0.0, 0.0)
+    ua, ub = math.sqrt(lo - 0.25), math.sqrt(hi - 0.25)
+    if xi == 0:
+        def f(u):
+            return 2.0 * u * math.tanh(math.pi * u)
+    else:
+        def f(u):
+            # 2u coth(pi u) -> 2/pi at u = 0
+            if u < 1e-8:
+                return 2.0 / math.pi + 2.0 * math.pi * u * u / 3.0
+            return 2.0 * u / math.tanh(math.pi * u)
+    val, err = quad(f, ua, ub, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return MeasureValue(val, err)
+
+
+def reference_windows():
+    """Seeded continuous windows [lo, hi]: lo = 1/4 and windows ending at fixed
+    hi, widths 1e-10 to 1e3, plus random ones with hi up to 1e4."""
+    rng = random.Random(20261018)
+    windows = []
+    for e in range(-10, 4):
+        w = 10.0 ** e
+        windows.append((0.25, 0.25 + w))
+        windows += [(hi - w, hi) for hi in (0.5, 1.0, 10.0, 100.0, 1e3, 1e4) if hi - w >= 0.25]
+    for _ in range(60):
+        w = 10 ** rng.uniform(-10, 3)
+        hi = 0.25 + w + 10 ** rng.uniform(-10, 4)
+        windows.append((hi - w, hi))
+    return windows
+
+
+def test_closed_form_matches_quadrature_references():
+    # the quad copy and the nu side's QAWS both integrate from float endpoints
+    # near hi, whose rounding alone moves them by a few ulps of hi (ulp(1e4) is
+    # 1.8e-12), so each gets 1e-12 plus 2^-50 hi
+    for xi in (0, 1):
+        nu = NuMeasure(xi)
+        for lo, hi in reference_windows():
+            got = spectral_measure("pl%d" % xi).continuous_mass(lo, hi)
+            assert got.error == 1e-15 * (hi + 1.0)
+            tol = 1e-12 + 2.0 ** -50 * hi
+            quad_value = reference_quad_pl_continuous(xi, lo, hi).value
+            assert abs(got.value - quad_value) < tol, (xi, lo, hi)
+            qaws_value = nu._from_quarter(hi).value - nu._from_quarter(lo).value
+            assert abs(got.value - qaws_value) < tol, (xi, lo, hi)
+
+
+def test_closed_form_limits():
+    import heckedist.measures as measures_module
+    # int_0^5 2u tanh(pi u) du = 25 - 1/12 + (10/pi) log(1 + x) - Li2(-x)/pi^2,
+    # x = e^(-10 pi); the tail is 7.5e-14, its x^2 terms below 1e-26
+    v = measure_interval(PL0, (0.25, 25.25))
+    tail = (10 / math.pi + 1 / math.pi ** 2) * math.exp(-10 * math.pi)
+    assert abs(v.value - (25 - 1 / 12 + tail)) < 1e-14
+    assert abs(v.value - (25 - 1 / 12)) > 7e-14  # the tail is really there
+    # far up the tails vanish: u^2 - 1/12 and u^2 + 1/6 within the bound
+    for xi, c in ((0, -1 / 12), (1, 1 / 6)):
+        v = measure_interval(spectral_measure("pl%d" % xi), (0.25, 2500.25))
+        assert abs(v.value - (2500 + c)) <= v.error
+        # F(0) = 0: both primitives start at the bottom of the spectrum
+        assert abs(measures_module._pl_excess(xi, 0.0)) < 1e-16
+        assert spectral_measure("pl%d" % xi).continuous_mass(0.25, 0.25) == (0.0, 0.0)
 
 
 def test_continuous_density_limits():
@@ -289,12 +423,12 @@ def test_nu_to_lambda_consistency_pinned():
 
 def test_nu_side_does_not_reuse_the_lambda_quadrature(monkeypatch):
     import heckedist.measures as measures_module
-    want = {xi: measures_module._quad_pl_continuous(xi, 0.26, 5.0).value for xi in (0, 1)}
+    want = {xi: measures_module._pl_continuous(xi, 0.26, 5.0).value for xi in (0, 1)}
 
     def refuse(*args):
-        raise AssertionError("the nu side called the lambda-side quadrature")
+        raise AssertionError("the nu side called the lambda-side closed form")
 
-    monkeypatch.setattr(measures_module, "_quad_pl_continuous", refuse)
+    monkeypatch.setattr(measures_module, "_pl_continuous", refuse)
     for xi in (0, 1):
         got = nu_measure(xi).interval(0.1j, math.sqrt(4.75) * 1j).value
         assert abs(got - want[xi]) < 1e-12, xi
@@ -450,18 +584,23 @@ def run_script(script):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the first quadrature, not by `import heckedist`
+    # box_measure, predict and synthesize use the closed form; only the nu
+    # side's quadrature imports scipy
     script = (
         "import json, sys, heckedist\n"
-        "before = 'scipy' in sys.modules\n"
         "box = heckedist.Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)\n"
         "v = heckedist.box_measure(box, 'pl')\n"
+        "F = heckedist.make_field(73)\n"
+        "heckedist.predict(F, 1.0, box, 3.0, {'2:0': (0.0, 1.0)})\n"
+        "heckedist.synthesize(F, ['2:0'], box, 50, seed=1)\n"
+        "before = 'scipy' in sys.modules\n"
+        "heckedist.nu_measure(0).interval(0.1j, 1.0j)\n"
         "print(json.dumps([before, 'scipy' in sys.modules, v.value, v.error]))\n")
     before, after, value, error = json.loads(run_script(script))
     assert not before and after
-    # the value and error estimate of the module-level import
+    # the value of the quad route it replaced, and the closed-form bound
     assert value == pytest.approx(6.492585269229824, rel=1e-13)
-    assert error == pytest.approx(1.0755629498806783e-13, rel=1e-6)
+    assert error == pytest.approx(2.2100972832795905e-14, rel=1e-6)
 
 
 def test_count_leaves_scipy_unloaded():
