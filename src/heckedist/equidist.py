@@ -40,11 +40,14 @@ using counter-based Philox streams so a seed fixes the dataset bytes.
 
 The tau source expands q prod (1-q^n)^24 exactly as q times the eighth
 power of Jacobi's series prod (1-q^n)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2},
-which has only about sqrt(2n) terms: seven sparse products in int64
-modulo one to four primes below 2^31, lifted by CRT.  Deligne's bound
-|tau(m)| <= d(m) m^{11/2} fixes how many primes make the lift exact.
-Every Hecke identity (multiplicativity and the prime-power recursion) is
-checked on the full table before any eigenvalue is emitted; the single
+which has only about sqrt(2n) terms: J^2 is one float64 bincount over
+the pairs of terms, then six sparse products run modulo 2^64 (uint64
+wraparound) and modulo zero to two primes below 2^31, lifted by
+symmetric Garner digits.  Deligne's bound |tau(m)| <= d(m) m^{11/2}
+fixes how many primes make the lift exact.  Every Hecke identity
+(multiplicativity and the prime-power recursion) and Deligne's bound at
+every prime are checked on the full table, as whole-array comparisons of
+Python ints, before any eigenvalue is emitted; the single
 emitted record is the horizontal family of one holomorphic form, a pipeline
 demonstration rather than a vertical average.
 """
@@ -468,9 +471,9 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
 # -- exact Ramanujan tau source -----------------------------------------------------
 
 
-# fixed primes just below 2^31: residues stay below 2^31, so every product of
-# two residues is below 2^62
-_TAU_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+# the moduli after 2^64: fixed primes just below 2^31, so every product of two
+# residues is below 2^62
+_TAU_PRIMES = (2147483647, 2147483629)
 
 
 def tau_table(n_max: int) -> List[int]:
@@ -478,90 +481,121 @@ def tau_table(n_max: int) -> List[int]:
 
     q prod (1 - q^k)^24 = q J^8 with J = prod (1 - q^k)^3 = sum_k (-1)^k
     (2k+1) q^{k(k+1)/2} (Jacobi), a series of about sqrt(2 n_max) terms.
-    The eighth power is seven sparse products, taken as shifted adds modulo
-    a few primes; tau(m) is the coefficient of q^{m-1}, lifted by CRT.
+    J^2 is one bincount over the pairs of terms (exact in float64: every
+    partial sum is at most terms^4 < 2^53); the eighth power is six more
+    sparse products, taken as shifted adds modulo 2^64 (uint64 wraparound,
+    no reduction) and modulo 0-2 primes below 2^31; tau(m) is the
+    coefficient of q^{m-1}, lifted by CRT.  2^64 alone serves n_max <= 1290,
+    one prime more n_max <= 46340, two up to the 10^6 cap.
     """
     if n_max > 10 ** 6:
         raise EquidistError("tau table capped at 10^6 (time budget)")
     if n_max < 1:
         raise EquidistError("need n_max >= 1")
     n = n_max - 1  # degree after factoring out one power of q
-    jacobi = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
-              for k in range((math.isqrt(8 * n + 1) + 1) // 2)]
+    k = np.arange((math.isqrt(8 * n + 1) + 1) // 2)
+    e, c = k * (k + 1) // 2, (1 - 2 * (k % 2)) * (2 * k + 1)  # Jacobi's terms
     # a product sums |c| * residue over all terms: sum (2k+1) = terms^2
-    assert len(jacobi) ** 2 * _TAU_PRIMES[0] < 2 ** 63
+    assert len(k) ** 2 * _TAU_PRIMES[0] < 2 ** 63 and len(k) ** 4 < 2 ** 53
     # Deligne: |tau(m)| <= d(m) m^{11/2} <= 2 m^6 (d(m) <= 2 sqrt m); a
     # modulus above twice that (the sign bit) makes the symmetric lift exact
-    count = next(c for c in range(1, len(_TAU_PRIMES) + 1)
-                 if 4 * n_max ** 6 < math.prod(_TAU_PRIMES[:c]))
+    count = next(r for r in range(len(_TAU_PRIMES) + 1)
+                 if 4 * n_max ** 6 < 2 ** 64 * math.prod(_TAU_PRIMES[:r]))
     primes = _TAU_PRIMES[:count]
-    # one row of residues (one per prime) per coefficient of the series
-    a = np.zeros((n + 1, count), dtype=np.int64)
-    for e, c in jacobi:
-        a[e] = c
-    a %= primes
-    for _ in range(7):
-        acc = np.zeros_like(a)
-        for e, c in jacobi:
-            acc[e:] += c * a[:n + 1 - e]
-        a = acc % primes
-    return [0] + _crt_symmetric(a, primes)
+    mods = np.array(primes, dtype=np.int64)
+    i, j = np.nonzero(e[:, None] + e[None, :] <= n)
+    square = np.bincount(e[i] + e[j], (c[i] * c[j]).astype(np.float64), n + 1)
+    # one row per coefficient: column 0 mod 2^64 as uint64 (the coefficients
+    # wrap too), then one residue per prime, reduced through the int64 view
+    res = np.empty((n + 1, 1 + count), dtype=np.int64)
+    res[:] = square[:, None]
+    shifts = list(zip(e.tolist(), c.astype(np.uint64)))
+    for _ in range(6):
+        res[:, 1:] %= mods
+        a, acc = res.view(np.uint64), np.zeros((n + 1, 1 + count), dtype=np.uint64)
+        for s, cs in shifts:
+            acc[s:] += cs * a[:n + 1 - s]
+        res = acc.view(np.int64)
+    res[:, 1:] %= mods
+    return [0] + _crt_symmetric(res, primes)
 
 
 def _crt_symmetric(res: np.ndarray, primes: Tuple[int, ...]) -> List[int]:
-    """Integers in (-M/2, M/2), M = prod(primes), from residue columns.
+    """Integers in [-M/2, M/2), M = 2^64 prod(primes), from residue columns.
 
-    Garner's mixed-radix digits are computed in int64 (each product of a
-    residue and an inverse is below 2^62); Python ints enter only in the
-    final Horner combine.
+    Column 0 is the symmetric residue mod 2^64.  Each prime adds a Garner
+    digit in (-p/2, p/2], computed in int64 (each product of two residues is
+    below 2^62); the digits combine in int64 to the quotient by 2^64, and
+    Python ints enter only on rows where it is nonzero.
     """
-    digits = []
-    for p, r in zip(primes, res.T):
-        for q, d in zip(primes, digits):
-            r = (r - d) % p * pow(q, -1, p) % p
-        digits.append(r)
-    x = digits[-1].astype(object)
-    for p, d in zip(primes[-2::-1], digits[-2::-1]):
-        x = x * p + d
-    m = math.prod(primes)
-    return np.where(x > m // 2, x - m, x).tolist()
+    moduli = (2 ** 64,) + primes
+    digits = [res[:, 0]]
+    for k, p in enumerate(primes, start=1):
+        v = np.zeros(len(res), dtype=np.int64)  # the digits so far, mod p (Horner)
+        for q, d in zip(moduli[k - 1::-1], digits[::-1]):
+            v = (v * (q % p) + d % p) % p
+        t = (res[:, k] - v) * pow(math.prod(moduli[:k]), -1, p) % p
+        digits.append(np.where(t > p // 2, t - p, t))
+    x = digits[0]
+    if primes:
+        assert math.prod(primes) < 2 ** 63
+        high = digits[-1]
+        for p, d in zip(primes[-2::-1], digits[-2:0:-1]):
+            high = high * p + d
+        rows = np.flatnonzero(high)
+        if rows.size:
+            x, lifted = x.astype(object), high[rows].astype(object)
+            lifted *= 2 ** 64  # in place: one generation of Python ints at a time
+            lifted += x[rows]
+            x[rows] = lifted
+    return x.tolist()
 
 
-def _smallest_prime_factors(n: int) -> List[int]:
-    spf = list(range(n + 1))
-    i = 2
-    while i * i <= n:
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    spf = np.arange(n + 1)
+    for i in range(2, math.isqrt(n) + 1):
         if spf[i] == i:
-            for j in range(i * i, n + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+            np.minimum(spf[i * i::i], i, out=spf[i * i::i])
     return spf
 
 
 def verify_tau_identities(tau: Sequence[int]) -> List[int]:
-    """Exact multiplicativity and prime-power recursion on the full table.
+    """Exact multiplicativity, prime-power recursion and Deligne's bound
+    tau(p)^2 <= 4 p^11 at every prime p, on the full table.
 
     Raises on any failure; a failure would mean the expansion is wrong.
     Returns the primes up to len(tau) - 1, read off the sieve the check runs on.
+    All products are taken on Python ints (p^11 exceeds int64 from p = 53).
     """
     n_max = len(tau) - 1
     if n_max < 4 or tau[1] != 1:
         raise EquidistError("table too short or tau(1) != 1")
     spf = _smallest_prime_factors(n_max)
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        pk, m = p, n // p
-        while m % p == 0:
-            pk *= p
-            m //= p
-        if m > 1:
-            if tau[n] != tau[pk] * tau[m]:
-                raise EquidistError("multiplicativity fails at n=%d" % n)
-        elif pk != p:
-            if tau[n] != tau[p] * tau[n // p] - p ** 11 * tau[n // (p * p)]:
-                raise EquidistError("prime-power recursion fails at n=%d" % n)
-    return [p for p in range(2, n_max + 1) if spf[p] == p]
+    t = np.array(tau, dtype=object)
+    # n = p^v m with p = spf(n) and p not dividing m, by masked division on
+    # the rows p still divides
+    n = np.arange(2, n_max + 1)
+    p = spf[2:]
+    pk, m = p.copy(), n // p
+    rows = np.flatnonzero(m % p == 0)
+    while rows.size:
+        pk[rows] *= p[rows]
+        m[rows] //= p[rows]
+        rows = rows[m[rows] % p[rows] == 0]
+    coprime, power = m > 1, (m == 1) & (pk != p)
+    nc, nr, pr = n[coprime], n[power], p[power]
+    primes = n[p == n]
+    checks = (
+        ("multiplicativity fails at n=%d", nc, t[nc] == t[pk[coprime]] * t[m[coprime]]),
+        ("prime-power recursion fails at n=%d", nr,
+         t[nr] == t[pr] * t[nr // pr] - pr.astype(object) ** 11 * t[nr // pr ** 2]),
+        ("Deligne's bound tau(p)^2 <= 4 p^11 fails at p=%d", primes,
+         t[primes] ** 2 <= 4 * primes.astype(object) ** 11))
+    fails = [(int(at[~ok][0]), msg) for msg, at, ok in checks if not ok.all()]
+    if fails:
+        first, msg = min(fails)
+        raise EquidistError(msg % first)
+    return primes.tolist()
 
 
 @dataclass(frozen=True)
@@ -577,6 +611,9 @@ def tau_source(upto: int) -> TauData:
     """Exact tau data: lambda_{pi,p} = |tau(p)|/p^5 for p <= upto, plus the
     T(p^2)-eigenvalue tau(p^2)/p^10 for p^2 <= upto; identities verified
     before anything is emitted."""
+    if upto < 4:
+        raise EquidistError("tau source needs upto >= 4 (the identity check starts at "
+                            "tau(4)), got %d" % upto)
     tau = tau_table(upto)
     classical = {2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
     for n, v in classical.items():

@@ -398,6 +398,14 @@ def test_equidist_tau(capsys, tmp_path):
     assert lines[1] == "1,1" and lines[2] == "2,-24"
 
 
+def test_equidist_tau_rejects_upto_below_4(capsys):
+    code, out, err = run_cli(capsys, "equidist", "tau", "--upto", "3")
+    assert code == 1 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "EquidistError"
+    assert "needs upto >= 4" in data["message"] and "got 3" in data["message"]
+
+
 def test_out_flag_after_subcommand(capsys, tmp_path):
     # global flags are accepted both before the group and after the leaf
     out_file = tmp_path / "s.json"

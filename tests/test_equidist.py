@@ -691,10 +691,15 @@ def test_tau_small():
 
 
 def test_tau_identities_catch_corruption():
-    tau = tau_table(50)
-    tau[6] += 1  # break tau(2)tau(3) = tau(6)
-    with pytest.raises(EquidistError):
-        verify_tau_identities(tau)
+    edge = math.isqrt(4 * 47 ** 11)  # 47, the largest prime below 50, is in no identity
+    for n, value, match in ((6, -6047, "multiplicativity fails at n=6"),  # tau(2)tau(3)
+                            (47, -edge - 1, "Deligne's bound .* fails at p=47")):
+        tau = tau_table(50)
+        tau[n] = value
+        with pytest.raises(EquidistError, match=match):
+            verify_tau_identities(tau)
+    tau[47] = edge
+    assert verify_tau_identities(tau)[-1] == 47
 
 
 def naive_tau(n_max):
@@ -718,10 +723,37 @@ def test_tau_table_matches_naive_product():
 
 
 def test_tau_table_prime_count_boundaries():
-    # the largest n_max served by one, two and three primes below 2^31; the
-    # next size takes one more prime and must give the same prefix
-    for n_max in (28, 1023, 36780):
+    # the largest n_max served by 2^64 alone and by 2^64 and one prime below
+    # 2^31; the next size takes one more prime and must give the same prefix
+    for n_max in (1290, 46340):
         assert tau_table(n_max + 1)[:n_max + 1] == tau_table(n_max)
+
+
+def test_tau_table_lifts_entries_past_int64():
+    # 2563 = 11 * 233 is the first |tau(n)| >= 2^63 (negative), 2696 = 8 * 337
+    # a positive one: both need a nonzero Garner digit of the prime column
+    tau = tau_table(3000)
+    assert all(abs(v) < 2 ** 63 for v in tau[:2563])
+    assert tau[2563] == tau[11] * tau[233] < -2 ** 63
+    assert tau[2696] == tau[8] * tau[337] >= 2 ** 63
+    assert all(type(v) is int for v in tau)
+
+
+def test_tau_identities_at_3000_use_python_ints():
+    # the recursion at 2809 = 53^2 multiplies by 53^11 > 2^63
+    tau = tau_table(3000)
+    assert verify_tau_identities(tau)[-1] == 2999
+    tau[2809] += 1
+    with pytest.raises(EquidistError, match="prime-power recursion fails at n=2809"):
+        verify_tau_identities(tau)
+
+
+def test_tau_source_rejects_short_tables(monkeypatch):
+    import heckedist.equidist as equidist_module
+    monkeypatch.setattr(equidist_module, "tau_table", None)  # never reached
+    for upto in (-1, 0, 3):
+        with pytest.raises(EquidistError, match="needs upto >= 4"):
+            tau_source(upto)
 
 
 def test_tau_table_pinned_digest():
