@@ -385,6 +385,104 @@ def test_count_overflows_as_fsum_does():
     assert count(ds, BOX1, 0.0, {}) == 0.0  # rows left out cannot overflow
 
 
+def test_count_checks_empty_datasets_as_nonempty_ones():
+    empty = Dataset("Q", "1", np.zeros((0, 1)), np.zeros((0, 1)), ("2:0",), np.zeros((0, 1)), [])
+    for ds in (empty, one_row()):
+        with pytest.raises(EquidistError):
+            count(ds, BOX73, 3.0, {})  # a dimension-2 box on dimension-1 records
+        with pytest.raises(EquidistError):
+            count(ds, BOX1, 3.0, {"7:0": (0.0, 1.0)})
+    assert count(empty, BOX1, 3.0, {"2:0": (0.0, 1.0)}) == 0.0
+
+
+E1_BOXES = [Box(2, (2,), ((1, (a, b)),), xi, 1.0) for a, b in ((-1.7, 2.3), (-4.5, -3.1),
+                                                                (0.11, 0.12), (3.9, 9.0))
+            for xi in ((0, 0), (0, 1), (1, 0))]
+
+
+def test_count_with_coordinate_1_as_e_window():
+    ds = mixed_parity_ds(2000, seed=47)
+    for t, windows in random_queries(random.Random(53), 8):
+        for bx in E1_BOXES:
+            assert count(ds, bx, t / 4, windows) == reference_count(ds, bx, t / 4, windows)
+
+
+def ties_ds(weights, seed):
+    """d = 1 rows piled on -2.0 (an atom) and on +-2.0, +-0.0 and 3.5, the rest
+    uniform on [-4, 4], with random parities; one row per weight."""
+    rng = np.random.default_rng(seed)
+    n = len(weights)
+    lam = rng.uniform(-4.0, 4.0, n)
+    lam[:300] = rng.choice([-2.0, -2.0, -2.0, 2.0, -0.0, 0.0, 3.5], 300)
+    perm = rng.permutation(n)  # the piles spread over the stored order
+    return Dataset("Q", "1", lam[perm, None], rng.integers(0, 2, (n, 1)), ("2:0",),
+                   rng.uniform(0.0, 3.0, (n, 1)), weights)
+
+
+def test_count_slices_ties_at_the_edges():
+    ts = [0.0, 2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 3.5, 4.0, 5.0]
+    boxes = [BOX1, Box(1, (1,), (), (1,), 1.0)]
+    rng = np.random.default_rng(59)
+    for weights in (rng.uniform(0.5, 2.0, 1000), np.zeros(1000)):
+        ds = ties_ds(weights, seed=61)
+        for t in ts:
+            for bx in boxes:
+                for windows in ({}, {"2:0": (0.5, 2.0)}):
+                    got = count(ds, bx, t, windows)
+                    assert got.hex() == compress_fsum(ds, bx, t, windows).hex(), (t, bx.xi)
+                    assert got == reference_count(ds, bx, t, windows)
+    # -0.0 and 0.0 both sit in [-0.0, 0.0]
+    zeros = Dataset("Q", "1", [[-0.0], [0.0], [0.0], [-0.0]], [[0]] * 4, (), np.zeros((4, 0)),
+                    [1.0, 2.0, 4.0, 8.0])
+    assert count(zeros, BOX1, 0.0, {}) == 15.0
+    assert count(small_ds(), BOX1, 0.0, {}) == 0.0
+
+
+def test_count_with_a_parity_no_row_has():
+    ds = mixed_parity_ds(600, seed=67)  # parities (0, 0) and (0, 1) only
+    odd = Box(2, (1,), ((2, (0.3, 1.2)),), (1, 0), 4.0)
+    for t, windows in random_queries(random.Random(71), 5):
+        assert count(ds, odd, t, windows) == 0.0 == reference_count(ds, odd, t, windows)
+    assert count(ds, BOX73, 4.0, {}) == reference_count(ds, BOX73, 4.0, {}) > 0
+
+
+def test_count_index_is_built_once():
+    ds = mixed_parity_ds(300, seed=73)
+    assert "_count_index" not in vars(ds)
+    count(ds, BOX73, 1.0, {})
+    index = vars(ds)["_count_index"]
+    for t, windows in random_queries(random.Random(79), 5):
+        for bx in (BOX73, MIXED73):
+            assert count(ds, bx, t, windows) == reference_count(ds, bx, t, windows)
+    assert vars(ds)["_count_index"] is index
+
+
+def test_rejected_queries_build_no_index():
+    ds = mixed_parity_ds(300, seed=83)
+    for bx, t, windows in ((BOX73, math.nan, {}), (BOX73, 2.0, {"7:0": (0.0, 1.0)}),
+                           (BOX1, 2.0, {}), (BOX73, 2.0, {"2:0": (1.0, 0.0)})):
+        with pytest.raises(EquidistError):
+            count(ds, bx, t, windows)
+        assert "_count_index" not in vars(ds)
+    count(ds, BOX73, 2.0, {})
+    assert "_count_index" in vars(ds)
+
+
+def test_scaled_and_replaced_datasets_index_afresh():
+    ds = mixed_parity_ds(800, seed=89)
+    query = (3.0, {"2:0": (0.2, 1.8)})
+    count(ds, BOX73, *query)
+    scaled = ds.scaled(1 / 3)
+    moved = replace(ds, lambda_inf=ds.lambda_inf[::-1].copy())
+    for new in (scaled, moved):
+        assert "_count_index" not in vars(new)
+        for t, windows in [query] + random_queries(random.Random(97), 5):
+            for bx in (BOX73, MIXED73):
+                assert count(new, bx, t, windows) == reference_count(new, bx, t, windows)
+        assert vars(new)["_count_index"] is not vars(ds)["_count_index"]
+    assert np.array_equal(scaled.weight, ds.weight * (1 / 3))
+
+
 def test_dataset_columns_are_contiguous():
     ds = mixed_parity_ds(500, seed=37)
     wide, views = column_views(ds)
@@ -393,6 +491,11 @@ def test_dataset_columns_are_contiguous():
             assert all(table[:, j].flags.c_contiguous for j in range(table.shape[1]))
         assert built.weight.flags.c_contiguous
         assert built.xi.dtype == np.int8
+        # and so is every column of the count index
+        count(built, BOX1 if built.dim == 1 else BOX73, 1.0, {})
+        _, lam, lp, digits, _, _ = vars(built)["_count_index"]
+        assert all(lam[:, j].flags.c_contiguous for j in range(lam.shape[1]))
+        assert all(col.flags.c_contiguous for col in lp.values()) and digits.flags.c_contiguous
     assert not np.shares_memory(views.weight, wide)
 
 
@@ -443,7 +546,7 @@ def test_count_and_predict_reject_bad_queries():
             predict(F73, 1.0, BOX73, t, windows)
     empty = Dataset("Q(sqrt 73)", "1", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
                     np.zeros((0, 1)), [])
-    with pytest.raises(EquidistError):  # checked before the empty-dataset shortcut
+    with pytest.raises(EquidistError):  # checked on an empty dataset too
         count(empty, BOX73, math.nan, {})
 
 
