@@ -16,22 +16,22 @@ prime labels, and weight of shape (M,).  The constructor validates the
 columns once (shapes, finiteness, nonnegative weights, 0/1 parities), so
 every loader rejects bad input at load time, and stores the tables in
 column-major order, so each column a query reads is one contiguous run.
-The count reads an index built on its first call (about 20 ms at 10^5
-rows, shared by a run_report t-grid): the rows stable-sorted by parity
-code sum_j xi_j 2^j, then lambda_1.  The box parity picks one block, and
-lambda_1's closed window ([-t, t] or an E-window: every box restricts
-it) is one slice of the block by two binary searches, which on sorted
-finite floats keep exactly the rows a <= x <= b keeps.  One boolean mask
-over the slice is narrowed in place per remaining closed window, and the
-kept weights sum exactly as one float64 matrix-vector product against a
-digit table: every weight is an integer times 2^e0, split into digits of
-b = 53 - n.bit_length() bits for n rows, so each digit column sums to an
-integer below 2^53 in any order, and the Python int total rounds once,
-bit for bit math.fsum, OverflowError included.  The table holds
-ceil((53 + span)/b) digits per row, span the binary exponent range of
-the nonzero weights: 2 for one exponent, about 60 across the doubles.
-Queries with a
-negative or non-finite t or a non-finite or reversed window are
+The count reads an index built on its first call: the rows sorted by
+parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
+block and lambda_1's closed window (every box restricts it) is one slice
+of it by two binary searches, which on sorted finite floats keep exactly
+the rows a <= x <= b keeps.  One boolean mask over the slice is narrowed
+in place per remaining closed window, and the kept weights sum exactly
+as one float64 matrix-vector product against a digit table: every weight
+is an integer times 2^e0, split into digits of b = 53 - n.bit_length()
+bits for n rows, so each digit column sums to an integer below 2^53 in
+any order, and the Python int total rounds once, bit for bit math.fsum,
+OverflowError included (ceil((53 + span)/b) digits per row, span the
+binary exponent range of the nonzero weights).  At 10^5 rows the build
+costs about 5 ms more than a full-mask count's digit table and each
+count saves about 0.2 ms of 0.5, so the index pays off from about 25
+counts per dataset; a 4-point run_report is about 4 ms slower.  Queries
+with a negative or non-finite t or a non-finite or reversed window are
 rejected by count and predict alike.
 The JSONL and CSV writers stream one %-template line per row and the
 readers build flat columns; no per-row container is kept.
@@ -137,30 +137,38 @@ class Dataset:
 
     def eigenvalues(self, label: str) -> np.ndarray:
         """The lambda_p column of one prime label, one entry per row."""
+        return self.lambda_p[:, self._label_column(label)]
+
+    def _label_column(self, label: str) -> int:
         if label not in self.prime_labels:
             raise EquidistError("unknown prime label %s" % label)
-        return self.lambda_p[:, self.prime_labels.index(label)]
+        return self.prime_labels.index(label)
 
     def total_weight(self) -> float:
         return math.fsum(memoryview(self.weight))
 
     @cached_property
-    def _count_index(self) -> Tuple[Dict, np.ndarray, Dict, np.ndarray, int, int]:
-        """(blocks, lambda_inf, lambda_p, digits, b, e0) over the rows stable-sorted
-        by (parity code sum_j xi_j 2^j, lambda_1): blocks maps a code to its
-        (start, stop) rows, lambda_inf is a column-major copy in that order and
-        lambda_p maps each label to its column in that order.
+    def _count_index(self) -> Tuple[Dict, np.ndarray, np.ndarray, int, int]:
+        """(blocks, table, digits, b, e0) over the rows sorted by (parity code
+        sum_j xi_j 2^j, lambda_1): blocks maps a code to its (start, stop) rows
+        and table holds lambda_inf then lambda_p, column-major, in that order.
         With m 2^e the frexp split of a weight and e0 the least e - 53 over the
         nonzero weights, digits[k, i] is digit k base 2^b of the integer
         m 2^(e - e0), found by exact float steps.  Built on the first count and
         kept, so lambda_inf, xi, lambda_p and weight must not change in place
         afterwards; replace and scaled build a new Dataset.
         """
-        n = len(self.weight)
-        codes = self.xi.astype(np.int64) @ (1 << np.arange(self.dim, dtype=np.int64))
-        order = np.lexsort((self.lambda_inf[:, 0], codes))  # stable: last key first
-        codes, starts = np.unique(codes[order], return_index=True)
-        stops = starts[1:].tolist() + [n]
+        n, d = self.lambda_inf.shape
+        dtype = np.min_scalar_type((1 << d) - 1)  # codes of 8 or 16 bits sort by radix
+        codes = (self.xi.astype(dtype) << np.arange(d, dtype=dtype)).sum(1, dtype=dtype)
+        order = np.argsort(self.lambda_inf[:, 0])  # unstable: ties may come in any order
+        order = order[np.argsort(codes[order], kind="stable")]
+        codes = codes[order]
+        bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), n]
+        blocks = {int(codes[s]): (s, e) for s, e in zip(bounds, bounds[1:]) if s < e}
+        table = np.empty((n, d + len(self.prime_labels)), order="F")
+        for col, out in zip([*self.lambda_inf.T, *self.lambda_p.T], table.T):
+            col.take(order, out=out)
         w = self.weight[order]
         b = 53 - n.bit_length()
         m, shift = np.frexp(w)
@@ -183,10 +191,7 @@ class Dataset:
             high *= 2.0 ** b
             row -= high
             shift -= b
-        return (dict(zip(codes.tolist(), zip(starts.tolist(), stops))),
-                np.asfortranarray(self.lambda_inf[order]),
-                dict(zip(self.prime_labels, np.asfortranarray(self.lambda_p[order]).T)),
-                digits, b, e0)
+        return blocks, table, digits, b, e0
 
     def scaled(self, factor: float) -> "Dataset":
         if factor < 0:
@@ -330,22 +335,18 @@ def count(ds: Dataset, box: Box, t: float,
     _check_query(t, j_windows)
     if box.dim != ds.dim:
         raise EquidistError("box dimension %d != dataset dimension %d" % (box.dim, ds.dim))
-    unknown = sorted(set(j_windows) - set(ds.prime_labels))
-    if unknown:
-        raise EquidistError("unknown prime label %s" % unknown[0])
+    hecke = [(ds.dim + ds._label_column(label), ab) for label, ab in j_windows.items()]
     bx = box.with_t(t)
-    blocks, lam, lp, digits, width, e0 = ds._count_index
+    blocks, table, digits, width, e0 = ds._count_index
     start, stop = blocks.get(sum(x << j for j, x in enumerate(bx.xi)), (0, 0))
     # lambda_1 is sorted within the block, so its closed window is one slice
     a, b = bx.interval(1)
-    start, stop = (start + lam[start:stop, 0].searchsorted(a, "left"),
-                   start + lam[start:stop, 0].searchsorted(b, "right"))
+    start, stop = (start + table[start:stop, 0].searchsorted(a, "left"),
+                   start + table[start:stop, 0].searchsorted(b, "right"))
     mask, kept = np.ones(stop - start, dtype=bool), np.empty(stop - start, dtype=bool)
-    windows = [(lam[start:stop, j], bx.interval(j + 1)) for j in range(1, bx.dim)]
-    windows += [(lp[label][start:stop], ab) for label, ab in j_windows.items()]
-    for col, (a, b) in windows:
-        mask &= np.greater_equal(col, a, out=kept)
-        mask &= np.less_equal(col, b, out=kept)
+    for j, (a, b) in [(j, bx.interval(j + 1)) for j in range(1, bx.dim)] + hecke:
+        mask &= np.greater_equal(table[start:stop, j], a, out=kept)
+        mask &= np.less_equal(table[start:stop, j], b, out=kept)
     # every product is 0 or one digit and every partial sum an integer below
     # 2^53, so the column sums are exact in any order; the int result rounds once
     sums = (digits[:, start:stop] @ mask.astype(np.float64)).tolist()

@@ -446,6 +446,21 @@ def test_count_with_a_parity_no_row_has():
     assert count(ds, BOX73, 4.0, {}) == reference_count(ds, BOX73, 4.0, {}) > 0
 
 
+def test_count_with_parity_codes_wider_than_a_byte():
+    # d = 10: codes up to 2^10 - 1, so an 8-bit code would wrap and merge blocks
+    rng = np.random.default_rng(101)
+    patterns = rng.integers(0, 2, (6, 10))
+    patterns[0], patterns[1] = 1, [0] * 8 + [1, 1]  # codes 1023 and 768, both >= 256
+    n = 900
+    ds = Dataset("Q", "1", rng.uniform(-4.0, 4.0, (n, 10)), patterns[rng.integers(0, 6, n)],
+                 (), np.zeros((n, 0)), rng.uniform(0.5, 2.0, n))
+    for xi in patterns:
+        bx = Box(10, tuple(range(1, 11)), (), tuple(int(x) for x in xi), 4.0)
+        for t in (1.0, 3.0, 4.0):
+            assert count(ds, bx, t, {}) == reference_count(ds, bx, t, {})
+        assert count(ds, bx, 4.0, {}) > 0
+
+
 def test_count_index_is_built_once():
     ds = mixed_parity_ds(300, seed=73)
     assert "_count_index" not in vars(ds)
@@ -493,9 +508,9 @@ def test_dataset_columns_are_contiguous():
         assert built.xi.dtype == np.int8
         # and so is every column of the count index
         count(built, BOX1 if built.dim == 1 else BOX73, 1.0, {})
-        _, lam, lp, digits, _, _ = vars(built)["_count_index"]
-        assert all(lam[:, j].flags.c_contiguous for j in range(lam.shape[1]))
-        assert all(col.flags.c_contiguous for col in lp.values()) and digits.flags.c_contiguous
+        _, table, digits, _, _ = vars(built)["_count_index"]
+        assert all(table[:, j].flags.c_contiguous for j in range(table.shape[1]))
+        assert digits.flags.c_contiguous
     assert not np.shares_memory(views.weight, wide)
 
 
