@@ -30,7 +30,7 @@ OverflowError included (ceil((53 + span)/b) digits per row, span the
 binary exponent range of the nonzero weights).  At 10^5 rows the build
 costs about 5 ms more than a full-mask count's digit table and each
 count saves about 0.2 ms of 0.5, so the index pays off from about 25
-counts per dataset; a 4-point run_report is about 4 ms slower.  Queries
+counts per dataset; a 4-point run_report is about 5 ms slower.  Queries
 with a negative or non-finite t or a non-finite or reversed window are
 rejected by count and predict alike.
 The JSONL and CSV writers stream one %-template line per row and the
