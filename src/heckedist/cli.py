@@ -367,13 +367,13 @@ def cmd_kl_delta(args) -> int:
 
 
 def cmd_eq_synth(args) -> int:
+    if args.out is None:
+        raise ValueError("synth requires --out for the dataset file")
     field = fields.make_field(args.field)
     box = parse_box(args.box)
     labels = [s.strip() for s in args.primes.split(",") if s.strip()]
     seed = args.seed if args.seed is not None else 0
     ds = equidist.synthesize(field, labels, box, args.count, seed)
-    if args.out is None:
-        raise ValueError("synth requires --out for the dataset file")
     if args.format == "csv":
         ds.to_csv(args.out)
     else:

@@ -20,8 +20,13 @@ The count reads an index built on its first call: the rows sorted by
 parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
 block and lambda_1's closed window (every box restricts it) is one slice
 of it by two binary searches, which on sorted finite floats keep exactly
-the rows a <= x <= b keeps.  One boolean mask over the slice is narrowed
-in place per remaining closed window, and the kept weights sum exactly
+the rows a <= x <= b keeps.  The index also holds each column's least
+and greatest value lo, hi over each block, so before reading a row the
+count settles every closed window [a, b] exactly: a <= lo and hi <= b
+keeps every row of the block and the window is skipped; b < lo or a > hi
+keeps none and the count is 0.0, as for a parity with no block; the
+first other window is written straight into a boolean mask over the
+slice and each later one narrows it in place.  The kept weights sum exactly
 as one float64 matrix-vector product against a digit table: every weight
 is an integer times 2^e0, split into digits of b = 53 - n.bit_length()
 bits for n rows, so each digit column sums to an integer below 2^53 in
@@ -150,8 +155,10 @@ class Dataset:
     @cached_property
     def _count_index(self) -> Tuple[Dict, np.ndarray, np.ndarray, int, int]:
         """(blocks, table, digits, b, e0) over the rows sorted by (parity code
-        sum_j xi_j 2^j, lambda_1): blocks maps a code to its (start, stop) rows
-        and table holds lambda_inf then lambda_p, column-major, in that order.
+        sum_j xi_j 2^j, lambda_1): table holds lambda_inf then lambda_p,
+        column-major, in that order, and blocks maps a code to (start, stop,
+        lo, hi), its rows and the least and greatest value of each table
+        column over them (lists of floats).
         With m 2^e the frexp split of a weight and e0 the least e - 53 over the
         nonzero weights, digits[k, i] is digit k base 2^b of the integer
         m 2^(e - e0), found by exact float steps.  Built on the first count and
@@ -165,10 +172,12 @@ class Dataset:
         order = order[np.argsort(codes[order], kind="stable")]
         codes = codes[order]
         bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), n]
-        blocks = {int(codes[s]): (s, e) for s, e in zip(bounds, bounds[1:]) if s < e}
         table = np.empty((n, d + len(self.prime_labels)), order="F")
         for col, out in zip([*self.lambda_inf.T, *self.lambda_p.T], table.T):
             col.take(order, out=out)
+        blocks = {int(codes[s]): (s, e, [float(c[s:e].min()) for c in table.T],
+                                  [float(c[s:e].max()) for c in table.T])
+                  for s, e in zip(bounds, bounds[1:]) if s < e}
         w = self.weight[order]
         b = 53 - n.bit_length()
         m, shift = np.frexp(w)
@@ -338,15 +347,29 @@ def count(ds: Dataset, box: Box, t: float,
     hecke = [(ds.dim + ds._label_column(label), ab) for label, ab in j_windows.items()]
     bx = box.with_t(t)
     blocks, table, digits, width, e0 = ds._count_index
-    start, stop = blocks.get(sum(x << j for j, x in enumerate(bx.xi)), (0, 0))
+    block = blocks.get(sum(x << j for j, x in enumerate(bx.xi)))
+    if block is None:
+        return 0.0
+    start, stop, lo, hi = block
+    windows = [(j, bx.interval(j + 1)) for j in range(bx.dim)] + hecke
+    binding = []
+    for j, (a, b) in windows:
+        if b < lo[j] or a > hi[j]:
+            return 0.0  # no row of the block is in this window
+        if j and not (a <= lo[j] and hi[j] <= b):  # else it keeps every row: skip it
+            binding.append((j, a, b))
     # lambda_1 is sorted within the block, so its closed window is one slice
-    a, b = bx.interval(1)
+    a, b = windows[0][1]
     start, stop = (start + table[start:stop, 0].searchsorted(a, "left"),
                    start + table[start:stop, 0].searchsorted(b, "right"))
-    mask, kept = np.ones(stop - start, dtype=bool), np.empty(stop - start, dtype=bool)
-    for j, (a, b) in [(j, bx.interval(j + 1)) for j in range(1, bx.dim)] + hecke:
-        mask &= np.greater_equal(table[start:stop, j], a, out=kept)
-        mask &= np.less_equal(table[start:stop, j], b, out=kept)
+    mask = None if binding else np.ones(stop - start, dtype=bool)
+    for j, a, b in binding:
+        col = table[start:stop, j]
+        if mask is None:  # the first binding window is the mask
+            mask, kept = np.greater_equal(col, a), np.empty(stop - start, dtype=bool)
+        else:
+            mask &= np.greater_equal(col, a, out=kept)
+        mask &= np.less_equal(col, b, out=kept)
     # every product is 0 or one digit and every partial sum an integer below
     # 2^53, so the column sums are exact in any order; the int result rounds once
     sums = (digits[:, start:stop] @ mask.astype(np.float64)).tolist()

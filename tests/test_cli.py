@@ -319,6 +319,19 @@ def test_equidist_pipeline(capsys, tmp_path):
     assert final_ratio == pytest.approx(1.0, abs=0.1)
 
 
+def test_equidist_synth_without_out_synthesizes_nothing(capsys, monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesize ran before --out was checked")
+
+    monkeypatch.setattr(heckedist.equidist, "synthesize", no_synthesis)
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    code, out, err = run_cli(capsys, "equidist", "synth", "--box", box_spec,
+                             "--primes", "2:0", "--count", "10")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "synth requires --out for the dataset file"}
+
+
 def _reject_constant(name):
     raise ValueError("non-standard JSON constant %s" % name)
 

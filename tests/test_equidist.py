@@ -383,6 +383,7 @@ def test_count_overflows_as_fsum_does():
     with pytest.raises(OverflowError):
         count(ds, BOX1, 4.0, {})
     assert count(ds, BOX1, 0.0, {}) == 0.0  # rows left out cannot overflow
+    assert count(ds, BOX1, 4.0, {"2:0": (3.5, 4.0)}) == 0.0  # nor can a block a window misses
 
 
 def test_count_checks_empty_datasets_as_nonempty_ones():
@@ -436,6 +437,115 @@ def test_count_slices_ties_at_the_edges():
                     [1.0, 2.0, 4.0, 8.0])
     assert count(zeros, BOX1, 0.0, {}) == 15.0
     assert count(small_ds(), BOX1, 0.0, {}) == 0.0
+
+
+def assert_count_exact(ds, bx, t, windows):
+    got = count(ds, bx, t, windows)
+    assert got.hex() == compress_fsum(ds, bx, t, windows).hex(), (t, bx.xi, windows)
+    assert got == reference_count(ds, bx, t, windows)
+    return got
+
+
+def block_range(ds, xi, label):
+    col = ds.eigenvalues(label)[(ds.xi == np.array(xi)).all(axis=1)]
+    return float(col.min()), float(col.max())
+
+
+def test_count_index_stores_each_block_range():
+    ds = mixed_parity_ds(900, seed=103)
+    count(ds, BOX73, 4.0, {})
+    blocks = vars(ds)["_count_index"][0]
+    assert sorted(blocks) == [0, 2]  # parity codes of (0, 0) and (0, 1)
+    for code, xi in ((0, (0, 0)), (2, (0, 1))):
+        start, stop, lo, hi = blocks[code]
+        rows = (ds.xi == np.array(xi)).all(axis=1)
+        assert stop - start == rows.sum()
+        cols = np.hstack([ds.lambda_inf, ds.lambda_p])[rows]
+        assert lo == cols.min(axis=0).tolist() and hi == cols.max(axis=0).tolist()
+
+
+def test_count_window_at_the_block_range_keeps_every_row():
+    ds = mixed_parity_ds(900, seed=107)
+    for bx, xi in ((BOX73, (0, 0)), (MIXED73, (0, 1))):
+        for t in (2.0, 4.0):
+            every = assert_count_exact(ds, bx, t, {})
+            for label in ("2:0", "3:0"):
+                lo, hi = block_range(ds, xi, label)
+                # ends exactly at the stored min and max: the window holds the block
+                assert assert_count_exact(ds, bx, t, {label: (lo, hi)}) == every
+                # one step in at either end leaves a row out, so the window binds
+                # (at t = 4 every row of the block is in the box)
+                for window in ((math.nextafter(lo, hi), hi), (lo, math.nextafter(hi, lo))):
+                    got = assert_count_exact(ds, bx, t, {label: window})
+                    assert got < every or t < 4.0
+    # a window holding the block reads none of its rows, so poisoning every column
+    # but lambda_1 in the index changes no count (the box's E-window holds them too)
+    vars(ds)["_count_index"][1][:, 1:] = np.nan
+    for bx, xi in ((BOX73, (0, 0)), (MIXED73, (0, 1))):
+        windows = {label: block_range(ds, xi, label) for label in ("2:0", "3:0")}
+        assert count(ds, bx, 4.0, windows) == reference_count(ds, bx, 4.0, {})
+
+
+def test_count_window_holding_one_block_cuts_the_other():
+    ds = mixed_parity_ds(900, seed=109)
+    boxes = {(0, 0): BOX73, (0, 1): MIXED73}
+    every = {xi: assert_count_exact(ds, bx, 4.0, {}) for xi, bx in boxes.items()}
+    cut = 0
+    for label in ("2:0", "3:0"):
+        ranges = {xi: block_range(ds, xi, label) for xi in boxes}
+        for inner, outer in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
+            (lo, hi), (lo_out, hi_out) = ranges[inner], ranges[outer]
+            if lo <= lo_out and hi_out <= hi:
+                continue  # this window holds both blocks
+            cut += 1
+            for xi, bx in boxes.items():
+                got = assert_count_exact(ds, bx, 4.0, {label: (lo, hi)})
+                assert (got == every[xi]) == (xi == inner)
+    assert cut  # some block's range holds its own rows and cuts the other block
+
+
+def test_count_window_missing_the_block_is_zero():
+    ds = mixed_parity_ds(900, seed=113)  # lambda_2 lies in the box's [0.3, 1.2]
+    below, above = (Box(2, (1,), ((2, window),), (0, 0), 4.0) for window in ((0.1, 0.25),
+                                                                           (1.3, 2.0)))
+    for bx in (below, above):
+        assert assert_count_exact(ds, bx, 4.0, {}) == 0.0
+    lo, hi = block_range(ds, (0, 0), "3:0")
+    for window in ((0.0, math.nextafter(lo, 0.0)), (math.nextafter(hi, 4.0), 4.0)):
+        assert assert_count_exact(ds, BOX73, 4.0, {"3:0": window}) == 0.0
+    # a window that reaches the block by its one end row binds and keeps that row
+    assert assert_count_exact(ds, BOX73, 4.0, {"3:0": (0.0, lo)}) > 0.0
+
+
+def test_count_signed_zeros_at_a_block_edge():
+    # the Hecke column of the even block starts at -0.0 and 0.0, which compare equal
+    ds = Dataset("Q", "1", [[0.5], [1.0], [1.5], [2.0], [2.5]], [[0], [0], [0], [0], [1]],
+                 ("2:0",), [[-0.0], [0.0], [0.5], [1.0], [0.0]], [1.0, 2.0, 4.0, 8.0, 16.0])
+    for window, want in (((0.0, 1.0), 15.0), ((-0.0, 1.0), 15.0), ((0.0, 0.0), 3.0),
+                         ((-0.0, -0.0), 3.0), ((-1.0, -0.0), 3.0),
+                         ((5e-324, 1.0), 12.0), ((-1.0, -5e-324), 0.0)):
+        assert assert_count_exact(ds, BOX1, 4.0, {"2:0": window}) == want
+
+
+def test_count_one_row_block():
+    ds = Dataset("Q", "1", [[-1.0], [0.5], [1.0], [3.0]], [[0], [1], [0], [0]], ("2:0",),
+                 [[0.2], [0.7], [1.4], [2.1]], [1.0, 2.0, 4.0, 8.0])
+    odd = Box(1, (1,), (), (1,), 4.0)  # its block is the one row (0.5, 0.7)
+    up, down = math.nextafter(0.7, 1.0), math.nextafter(0.7, 0.0)
+    for window, want in (((0.7, 0.7), 2.0), ((0.0, 0.7), 2.0), ((0.7, 3.0), 2.0),
+                         ((up, 3.0), 0.0), ((0.0, down), 0.0)):
+        for t in (0.5, 4.0):
+            assert assert_count_exact(ds, odd, t, {"2:0": window}) == want
+    assert assert_count_exact(ds, odd, math.nextafter(0.5, 0.0), {}) == 0.0
+
+
+def test_count_on_an_empty_dataset_is_zero():
+    empty = Dataset("Q(sqrt 73)", "1", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0", "3:0"),
+                    np.zeros((0, 2)), [])
+    for bx in (BOX73, MIXED73):
+        for t, windows in random_queries(random.Random(127), 4):
+            assert assert_count_exact(empty, bx, t, windows) == 0.0
+    assert vars(empty)["_count_index"][0] == {}
 
 
 def test_count_with_a_parity_no_row_has():
