@@ -33,9 +33,11 @@ bits for n rows, so each digit column sums to an integer below 2^53 in
 any order, and the Python int total rounds once, bit for bit math.fsum,
 OverflowError included (ceil((53 + span)/b) digits per row, span the
 binary exponent range of the nonzero weights).  At 10^5 rows the build
-costs about 5 ms more than a full-mask count's digit table and each
-count saves about 0.2 ms of 0.5, so the index pays off from about 25
-counts per dataset; a 4-point run_report is about 5 ms slower.  Queries
+takes 7.0-7.4 ms, or 13.2-13.7 ms right after the previous copy is freed
+(the allocator's state), against about 1.4 ms for a full-mask count's
+digit table, and each count saves about 0.28 ms of 0.51, so the index
+pays off from about 20 counts per dataset (about 45 after a free); a
+4-point run_report is about 5 ms slower (about 11 ms).  Queries
 with a negative or non-finite t or a non-finite or reversed window are
 rejected by count and predict alike.
 The JSONL and CSV writers stream one %-template line per row and the
@@ -49,10 +51,14 @@ using counter-based Philox streams so a seed fixes the dataset bytes.
 The tau source expands q prod (1-q^n)^24 exactly as q times the eighth
 power of Jacobi's series prod (1-q^n)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2},
 which has only about sqrt(2n) terms: J^2 is one float64 bincount over
-the pairs of terms, then six sparse products run modulo 2^64 (uint64
-wraparound) and modulo zero to two primes below 2^31, lifted by
-symmetric Garner digits.  Deligne's bound |tau(m)| <= d(m) m^{11/2}
-fixes how many primes make the lift exact.  Every Hecke identity
+the pairs of terms, then J^4 and J^8 are two exact squarings by float
+FFTs (numpy's, loaded on the first table).  Each splits its input into
+the fewest balanced limbs for which a proven bound on the transforms'
+rounding error (Percival's per-level bound carried through products and
+sums, see _fft_square) stays below 1/8, rounds every output to an
+integer, raises if one is off by more than 1/4, and keeps each
+coefficient as a uint64 low word and an exact int64 high word; Python
+ints enter only on rows past int64.  Every Hecke identity
 (multiplicativity and the prime-power recursion) and Deligne's bound at
 every prime are checked on the full table, as whole-array comparisons of
 Python ints, before any eigenvalue is emitted; the single
@@ -67,8 +73,9 @@ import json
 import math
 import warnings
 from dataclasses import astuple, dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,7 +117,7 @@ class Dataset:
         try:
             lam, xi, lp, w = (np.asarray(c, dtype=np.float64) for c in
                               (self.lambda_inf, self.xi, self.lambda_p, self.weight))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise EquidistError("dataset columns must be numeric arrays (%s)" % exc) from None
         labels = tuple(self.prime_labels)
         if (w.ndim != 1 or lam.ndim != 2 or lam.shape[0] != len(w) or xi.shape != lam.shape
@@ -272,12 +279,17 @@ class Dataset:
                 lp += map(r_lp.__getitem__, labels)
                 weight.append(row.get("weight", 1.0))
                 src.append(s)
-        try:  # the lengths are checked, so only a non-number entry fails here
+        # the lengths are checked, so only a non-number entry fails here; the type
+        # pass rejects what float64 would parse (strings, booleans)
+        try:
+            if not {float, int}.issuperset(map(type, chain(lam, xi, lp, weight))):
+                raise TypeError
             lam, xi, lp = (np.array(c, dtype=np.float64).reshape(len(weight), w)
                            for c, w in ((lam, d), (xi, d), (lp, len(labels))))
-        except (TypeError, ValueError):
-            raise EquidistError("%s: lambda_inf, xi and lambda_p entries must be numbers"
-                                % path) from None
+            weight = np.array(weight, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise EquidistError("%s: lambda_inf, xi, lambda_p and weight entries must be "
+                                "numbers" % path) from None
         return cls(field_spec, level, lam, xi, tuple(labels), lp, weight, src, meta or {})
 
     def to_csv(self, path: str) -> None:
@@ -507,9 +519,10 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
 # -- exact Ramanujan tau source -----------------------------------------------------
 
 
-# the moduli after 2^64: fixed primes just below 2^31, so every product of two
-# residues is below 2^62
-_TAU_PRIMES = (2147483647, 2147483629)
+# the squaring bound's error model: unit roundoff u, and |w' - w| <= 2^-49 = 16u
+# for every root of unity w' used (pocketfft's, each a product of two libm
+# cos/sin values, and _twiddles: a few ulps each)
+_U, _ROOT_ERROR = 2.0 ** -53, 2.0 ** -49
 
 
 def tau_table(n_max: int) -> List[int]:
@@ -518,11 +531,11 @@ def tau_table(n_max: int) -> List[int]:
     q prod (1 - q^k)^24 = q J^8 with J = prod (1 - q^k)^3 = sum_k (-1)^k
     (2k+1) q^{k(k+1)/2} (Jacobi), a series of about sqrt(2 n_max) terms.
     J^2 is one bincount over the pairs of terms (exact in float64: every
-    partial sum is at most terms^4 < 2^53); the eighth power is six more
-    sparse products, taken as shifted adds modulo 2^64 (uint64 wraparound,
-    no reduction) and modulo 0-2 primes below 2^31; tau(m) is the
-    coefficient of q^{m-1}, lifted by CRT.  2^64 alone serves n_max <= 1290,
-    one prime more n_max <= 46340, two up to the 10^6 cap.
+    partial sum is at most terms^4 < 2^53); J^4 = (J^2)^2 and J^8 = (J^4)^2
+    are two exact FFT squarings (_fft_square), and tau(m) is the
+    coefficient of q^{m-1}.  J^4 fits int64 (|J^4| <= ||J^2||_2^2 = 2^62.5
+    at the 10^6 cap) and |tau(m)| <= d(m) m^{11/2} < 2^127 (Deligne) fits the
+    squaring's two words; Python ints enter only on rows past int64.
     """
     if n_max > 10 ** 6:
         raise EquidistError("tau table capped at 10^6 (time budget)")
@@ -531,60 +544,145 @@ def tau_table(n_max: int) -> List[int]:
     n = n_max - 1  # degree after factoring out one power of q
     k = np.arange((math.isqrt(8 * n + 1) + 1) // 2)
     e, c = k * (k + 1) // 2, (1 - 2 * (k % 2)) * (2 * k + 1)  # Jacobi's terms
-    # a product sums |c| * residue over all terms: sum (2k+1) = terms^2
-    assert len(k) ** 2 * _TAU_PRIMES[0] < 2 ** 63 and len(k) ** 4 < 2 ** 53
-    # Deligne: |tau(m)| <= d(m) m^{11/2} <= 2 m^6 (d(m) <= 2 sqrt m); a
-    # modulus above twice that (the sign bit) makes the symmetric lift exact
-    count = next(r for r in range(len(_TAU_PRIMES) + 1)
-                 if 4 * n_max ** 6 < 2 ** 64 * math.prod(_TAU_PRIMES[:r]))
-    primes = _TAU_PRIMES[:count]
-    mods = np.array(primes, dtype=np.int64)
+    assert len(k) ** 4 < 2 ** 53
     i, j = np.nonzero(e[:, None] + e[None, :] <= n)
     square = np.bincount(e[i] + e[j], (c[i] * c[j]).astype(np.float64), n + 1)
-    # one row per coefficient: column 0 mod 2^64 as uint64 (the coefficients
-    # wrap too), then one residue per prime, reduced through the int64 view
-    res = np.empty((n + 1, 1 + count), dtype=np.int64)
-    res[:] = square[:, None]
-    shifts = list(zip(e.tolist(), c.astype(np.uint64)))
-    for _ in range(6):
-        res[:, 1:] %= mods
-        a, acc = res.view(np.uint64), np.zeros((n + 1, 1 + count), dtype=np.uint64)
-        for s, cs in shifts:
-            acc[s:] += cs * a[:n + 1 - s]
-        res = acc.view(np.int64)
-    res[:, 1:] %= mods
-    return [0] + _crt_symmetric(res, primes)
+    del i, j  # at the cap only the current power stays alive through a squaring
+    lo, hi = _fft_square(square.astype(np.int64))
+    del square
+    if (hi != lo.view(np.int64) >> 63).any():
+        raise EquidistError("J^4 exceeds int64")
+    del hi
+    lo, hi = _fft_square(lo.view(np.int64))
+    x = lo.view(np.int64)
+    rows = np.flatnonzero(hi != x >> 63)
+    if rows.size:
+        x, lifted = x.astype(object), hi[rows].astype(object)
+        lifted *= 2 ** 64  # in place: one generation of Python ints at a time
+        lifted += lo[rows].astype(object)
+        x[rows] = lifted
+    return [0] + x.tolist()
 
 
-def _crt_symmetric(res: np.ndarray, primes: Tuple[int, ...]) -> List[int]:
-    """Integers in [-M/2, M/2), M = 2^64 prod(primes), from residue columns.
+def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """a^2 mod q^len(a) for an int64 array a, exactly, as x mod 2^64 (uint64)
+    and floor(x / 2^64) (int64) of each coefficient x, |x| < 2^127.
 
-    Column 0 is the symmetric residue mod 2^64.  Each prime adds a Garner
-    digit in (-p/2, p/2], computed in int64 (each product of two residues is
-    below 2^62); the digits combine in int64 to the quotient by 2^64, and
-    Python ints enter only on rows where it is nonzero.
+    a = sum_i 2^(iL) a_i in m balanced limbs (_limbs) and a^2 = sum_s 2^(sL)
+    z_s, z_s = sum_{i+j=s} a_i a_j, each a cyclic convolution of length N,
+    the power of two >= 2 len(a) - 1 (nothing wraps below len(a)).  Every
+    limb and every output is one real transform of length N: one complex
+    np.fft transform of length N/2 and one butterfly level (_butterfly).
+
+    Bound.  Percival (Math. Comp. 72 (2003)) bounds a butterfly level, a
+    complex product by a root w' with |w' - w| <= b and a complex sum, by
+    the factor rho = (1+u)(1+sqrt5 u)(1+b).  numpy's pocketfft runs a power
+    of two as radix-2, 4 and 8 passes, each a product of such levels (its
+    rotations by +-i are exact, by (1-+i)/sqrt2 off by 3u).  With e =
+    (1+u) rho^log2(N) - 1, a limb spectrum is off by at most e times its
+    2-norm and a real inverse by at most 2e/N times its input's 1-norm at
+    every output, so a computed z_s is off by at most
+        b_s = C sum_{i+j=s} ||a_i||_2 ||a_j||_2,
+        C = (4e + sqrt5 u + sqrt2 m(m+1)/2 u)(1 + 2^-20):
+    2e from the spectra (Cauchy-Schwarz on the products' 1-norms), sqrt5 u
+    from the products, sqrt2 m(m+1)/2 u from summing at most m(m+1)/2 of
+    them, 2e from the inverse, 2^-20 for second-order terms and the norms'
+    own rounding.  The fewest limbs with every b_s < 1/8 are used, L as
+    even as the bit length allows, and groups merge from the top into one
+    inverse while sum_s 2^((s - base) L) b_s < 1/8.  Margin: rounding is
+    exact below 1/2; any |z - rint z| > 1/4 raises, so no table that broke
+    the bound is returned; the observed |z - rint z| is at most 3.1e-5 for
+    n_max = 600..2600 and 1.9e-6 at the 10^6 cap, 2^12 below the bound.
     """
-    moduli = (2 ** 64,) + primes
-    digits = [res[:, 0]]
-    for k, p in enumerate(primes, start=1):
-        v = np.zeros(len(res), dtype=np.int64)  # the digits so far, mod p (Horner)
-        for q, d in zip(moduli[k - 1::-1], digits[::-1]):
-            v = (v * (q % p) + d % p) % p
-        t = (res[:, k] - v) * pow(math.prod(moduli[:k]), -1, p) % p
-        digits.append(np.where(t > p // 2, t - p, t))
-    x = digits[0]
-    if primes:
-        assert math.prod(primes) < 2 ** 63
-        high = digits[-1]
-        for p, d in zip(primes[-2::-1], digits[-2:0:-1]):
-            high = high * p + d
-        rows = np.flatnonzero(high)
-        if rows.size:
-            x, lifted = x.astype(object), high[rows].astype(object)
-            lifted *= 2 ** 64  # in place: one generation of Python ints at a time
-            lifted += x[rows]
-            x[rows] = lifted
-    return x.tolist()
+    from numpy import fft
+
+    size = len(a)
+    n_fft = 2 << (size - 1).bit_length()
+    _twiddles(n_fft)  # cached first, so its temporaries leave no hole
+    rho = (1 + _U) * (1 + 5 ** 0.5 * _U) * (1 + _ROOT_ERROR)
+    e = (1 + _U) * rho ** (n_fft.bit_length() - 1) - 1
+    bits = int(np.abs(a).max()).bit_length()
+    for m in range(1, bits + 2):  # m = bits + 1 passes: |a_i| <= 1, b_s <= C m len(a)
+        width = -(-(bits + 1) // m)
+        norm = np.sqrt([limb @ limb for limb in _limbs(a, m, width)])
+        c = (4 * e + 5 ** 0.5 * _U + 2 ** 0.5 * (m * (m + 1) // 2) * _U) * (1 + 2 ** -20)
+        bound = c * np.convolve(norm, norm)
+        if bound.max() < 1 / 8:
+            break
+    runs = [[2 * m - 2, 2 * m - 1, bound[-1]]]  # [base, top, bound], from the top
+    for s in range(2 * m - 3, -1, -1):
+        merged = bound[s] + 2.0 ** width * runs[-1][2]
+        runs[-1:] = ([[s, runs[-1][1], merged]] if merged < 1 / 8
+                     else [runs[-1], [s, s + 1, bound[s]]])
+    half = n_fft // 2
+    spectra = np.zeros((m, half + 1), dtype=complex)
+    for spectrum, limb in zip(spectra, _limbs(a, m, width)):
+        spectrum.view(np.float64)[:size] = limb  # z(k) = a_i(2k) + i a_i(2k+1)
+        fft.fft(spectrum[:half], out=spectrum[:half])
+        spectrum[half] = spectrum[0]
+        _butterfly(spectrum, _twiddles(n_fft))
+    lo, hi = np.zeros(size, dtype=np.uint64), np.zeros(size, dtype=np.int64)
+    w = np.empty(half + 1, dtype=complex)
+    for base, top, _ in runs:
+        w[:] = 0
+        for i in range(m):
+            for j in range(max(i, base - i), min(m, top - i)):
+                term = spectra[i] * spectra[j]
+                term *= (2 - (i == j)) * 2.0 ** ((i + j - base) * width)
+                w += term
+        del term
+        _butterfly(w, _twiddles(n_fft)[::-1])  # w^(n_fft/2 - k) = -w^-k
+        fft.ifft(w[:half], out=w[:half])
+        part = w[:half].view(np.float64)[:size]  # z(k) = x(2k) + i x(2k+1)
+        z = np.rint(part)
+        part -= z
+        if np.abs(part, out=part).max() > 0.25:
+            raise EquidistError("FFT squaring rounded off by more than 1/4: its error "
+                                "bound failed")
+        z, shift = z.astype(np.int64), base * width
+        if shift >= 64:
+            hi += z << (shift - 64)
+        else:
+            low = z.view(np.uint64) << np.uint64(shift)
+            lo += low
+            hi += z >> min(64 - shift, 63)
+            hi += lo < low  # the carry out of the low word
+    return lo, hi
+
+
+def _limbs(a: np.ndarray, m: int, width: int) -> Iterator[np.ndarray]:
+    """The balanced limbs a_i = r_i - 2^L r_(i+1) of a, float64, one at a time,
+    with r_i = a / 2^(iL) rounded half up, so |a_i| <= 2^(L-1) (r_m = 0)."""
+    r = a
+    for i in range(1, m + 1):
+        up = ((a >> (i * width - 1)) + 1) >> 1
+        yield (r - (up << width)).astype(np.float64)
+        r = up
+
+
+@lru_cache(maxsize=4)
+def _twiddles(n_fft: int) -> np.ndarray:
+    """w^k = exp(-2 pi i k / n_fft), k = 0..n_fft/2: the angle errs by at most
+    2 pi u, cos and sin by 1 ulp, so |w' - w| < 10u.  Read-only: it is shared."""
+    twiddles = np.exp(np.arange(n_fft // 2 + 1) * (-2j * math.pi / n_fft))
+    twiddles.flags.writeable = False
+    return twiddles
+
+
+def _butterfly(v: np.ndarray, twiddles: np.ndarray) -> None:
+    """In place, v(k) <- (v(k) + r(k))/2 + t(k) (v(k) - r(k))/(2i), k = 0..n,
+    with r(k) = conj v(n - k), n = len(v) - 1 and t the twiddles.  With t =
+    w^k and v the transform of x(2k) + i x(2k+1) (v(n) = v(0)) this is the
+    last butterfly level of the real x's transform, X = E + w^k O; with t =
+    w^(n-k) = -w^-k and v a half spectrum it makes E + i O, whose inverse
+    transform of length n is x(2k) + i x(2k+1)."""
+    mirror = v[::-1].conj()
+    odd = v - mirror
+    odd *= twiddles
+    odd *= -0.5j  # exact
+    v += mirror
+    v *= 0.5
+    v += odd
 
 
 def _smallest_prime_factors(n: int) -> np.ndarray:

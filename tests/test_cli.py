@@ -368,6 +368,17 @@ def test_equidist_run_reports_bad_record_line(capsys, tmp_path):
                                "--t-grid", "1,3")
         assert code == 1
         assert json.loads(err)["message"].startswith("line 2: ")
+    # parsed records holding a string, a boolean or an int past float: one JSON
+    # line, no traceback
+    for i, value in enumerate(['"1.5"', "true", "1" + "0" * 400]):
+        data_file = tmp_path / ("nonnumber%d.jsonl" % i)
+        bad = good.replace('"weight":1.0', '"weight":' + value)
+        data_file.write_text(good + "\n" + bad + "\n")
+        code, _, err = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                               "--box", box_spec, "--intervals", '{"2:0":[0,1]}',
+                               "--t-grid", "1,3")
+        assert code == 1
+        assert json.loads(err)["message"].endswith("entries must be numbers")
 
 
 def test_equidist_predict_rejects_bad_queries(capsys):

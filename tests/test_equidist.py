@@ -5,7 +5,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import heckedist
 from heckedist import (
     Box,
     Dataset,
@@ -124,6 +128,12 @@ def test_jsonl_load_rejects_bad_values(tmp_path):
         '{"lambda_inf":[1.0,2.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0,0]}',
         '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0,0]}',
         '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5,"3:0":1.0},"weight":1.0,"xi":[0]}',
+        # float64 would parse these: strings, booleans; and an int past float
+        '{"lambda_inf":["1.5"],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":"2","xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[false]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":true},"weight":1.0,"xi":[0]}',
+        '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1%s,"xi":[0]}' % ("0" * 400),
     ]):
         path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), [good, bad])
         with pytest.raises(EquidistError):
@@ -950,21 +960,108 @@ def test_tau_table_matches_naive_product():
         assert tau_table(n_max) == ref[:n_max + 1]
 
 
+def modular_tau_table(n_max):
+    """tau(0..n_max) by the modular route tau_table used before its FFT
+    squarings: J^2 by one bincount, six sparse shifted-add products modulo
+    2^64 (uint64 wraparound) and modulo 0-2 primes below 2^31, lifted by
+    symmetric Garner digits."""
+    primes = (2147483647, 2147483629)
+    n = n_max - 1
+    k = np.arange((math.isqrt(8 * n + 1) + 1) // 2)
+    e, c = k * (k + 1) // 2, (1 - 2 * (k % 2)) * (2 * k + 1)
+    # Deligne: |tau(m)| <= 2 m^6, so the modulus must exceed 4 n_max^6
+    count = next(r for r in range(3) if 4 * n_max ** 6 < 2 ** 64 * math.prod(primes[:r]))
+    primes = primes[:count]
+    mods = np.array(primes, dtype=np.int64)
+    i, j = np.nonzero(e[:, None] + e[None, :] <= n)
+    square = np.bincount(e[i] + e[j], (c[i] * c[j]).astype(np.float64), n + 1)
+    res = np.empty((n + 1, 1 + count), dtype=np.int64)
+    res[:] = square[:, None]
+    shifts = list(zip(e.tolist(), c.astype(np.uint64)))
+    for _ in range(6):
+        res[:, 1:] %= mods
+        a, acc = res.view(np.uint64), np.zeros((n + 1, 1 + count), dtype=np.uint64)
+        for s, cs in shifts:
+            acc[s:] += cs * a[:n + 1 - s]
+        res = acc.view(np.int64)
+    res[:, 1:] %= mods
+    moduli = (2 ** 64,) + primes
+    digits = [res[:, 0]]
+    for k, p in enumerate(primes, start=1):
+        v = np.zeros(len(res), dtype=np.int64)  # the digits so far, mod p (Horner)
+        for q, d in zip(moduli[k - 1::-1], digits[::-1]):
+            v = (v * (q % p) + d % p) % p
+        t = (res[:, k] - v) * pow(math.prod(moduli[:k]), -1, p) % p
+        digits.append(np.where(t > p // 2, t - p, t))
+    x, scale = digits[0].astype(object), 1  # mixed radix: sum_k digit_k prod(moduli[:k])
+    for d, q in zip(digits[1:], moduli):
+        scale *= q
+        x = x + d.astype(object) * scale
+    return [0] + x.tolist()
+
+
 def test_tau_table_prime_count_boundaries():
-    # the largest n_max served by 2^64 alone and by 2^64 and one prime below
-    # 2^31; the next size takes one more prime and must give the same prefix
-    for n_max in (1290, 46340):
-        assert tau_table(n_max + 1)[:n_max + 1] == tau_table(n_max)
+    # sizes on either side of each step of the FFT route, equal to the modular
+    # reference: the transform length doubles past n_max = 1024 and 2048, J^4
+    # takes a second limb at 90 and a third at 1920, J^2 a second at 5560; the
+    # modular route takes a prime past n_max = 1290 and a second past 46340
+    ref = modular_tau_table(46341)
+    for n_max in (89, 90, 1024, 1025, 1290, 1291, 1919, 1920, 2048, 2049, 5559, 5560,
+                  46340, 46341):
+        assert tau_table(n_max) == ref[:n_max + 1], n_max
+    assert modular_tau_table(400) == naive_tau(400)
 
 
 def test_tau_table_lifts_entries_past_int64():
     # 2563 = 11 * 233 is the first |tau(n)| >= 2^63 (negative), 2696 = 8 * 337
-    # a positive one: both need a nonzero Garner digit of the prime column
+    # a positive one: for both the high word floor(tau / 2^64) of the second
+    # squaring disagrees with the sign of the low word, so the row is lifted
     tau = tau_table(3000)
     assert all(abs(v) < 2 ** 63 for v in tau[:2563])
     assert tau[2563] == tau[11] * tau[233] < -2 ** 63
     assert tau[2696] == tau[8] * tau[337] >= 2 ** 63
     assert all(type(v) is int for v in tau)
+
+
+def test_tau_table_guard_rejects_a_perturbed_convolution(monkeypatch):
+    # every squaring output is rounded to an integer: moved by less than 1/4 it
+    # still rounds right, moved by more it raises before a table is returned
+    ifft, ref = np.fft.ifft, tau_table(700)
+    for shift, ok in ((0.24, True), (-0.26, False)):
+        def perturbed(z, out, shift=shift):
+            ifft(z, out=out)
+            out[61] += shift  # x(122)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", perturbed)
+        if ok:
+            assert tau_table(700) == ref
+        else:
+            with pytest.raises(EquidistError, match="rounded off by more than 1/4"):
+                tau_table(700)
+
+
+def test_fft_square_words_past_int64():
+    # entries up to 2^62 of either sign: many limbs, groups shifted past bit 64
+    # into the high word and carries out of the low word, against Python ints
+    import heckedist.equidist as equidist_module
+    rng = random.Random(7)
+    for size in (1, 2, 3, 50):
+        a = [-2 ** 62] + [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(size - 1)]
+        lo, hi = equidist_module._fft_square(np.array(a, dtype=np.int64))
+        want = [sum(a[i] * a[m - i] for i in range(m + 1)) for m in range(size)]
+        assert [int(h) * 2 ** 64 + int(v) for v, h in zip(lo, hi)] == want
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    script = ("import json, sys, heckedist\n"
+              "before = 'numpy.fft' in sys.modules\n"
+              "heckedist.tau_table(10)\n"
+              "print(json.dumps([before, 'numpy.fft' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckedist.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == [False, True]
 
 
 def test_tau_identities_at_3000_use_python_ints():
