@@ -73,7 +73,7 @@ def test_record_validation():
         one_row(xi=(2,))  # parity must be 0/1
     with pytest.raises(EquidistError):
         one_row(xi=(0.5,))
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400):  # the int overflows float
         with pytest.raises(EquidistError):
             one_row(weight=bad)
         with pytest.raises(EquidistError):
