@@ -73,7 +73,7 @@ import json
 import math
 import warnings
 from dataclasses import astuple, dataclass, field as dc_field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -549,12 +549,13 @@ def tau_table(n_max: int) -> List[int]:
     i, j = np.nonzero(e[:, None] + e[None, :] <= n)
     square = np.bincount(e[i] + e[j], (c[i] * c[j]).astype(np.float64), n + 1)
     del i, j  # at the cap only the current power stays alive through a squaring
-    lo, hi = _fft_square(square.astype(np.int64))
+    twiddles = _twiddles(2 << n.bit_length())  # both squarings' transform length
+    lo, hi = _fft_square(square.astype(np.int64), twiddles)
     del square
     if (hi != lo.view(np.int64) >> 63).any():
         raise EquidistError("J^4 exceeds int64")
     del hi
-    lo, hi = _fft_square(lo.view(np.int64))
+    lo, hi = _fft_square(lo.view(np.int64), twiddles)
     x = lo.view(np.int64)
     rows = np.flatnonzero(hi != x >> 63)
     if rows.size:
@@ -565,74 +566,72 @@ def tau_table(n_max: int) -> List[int]:
     return [0] + x.tolist()
 
 
-def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _fft_square(a: np.ndarray, twiddles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """a^2 mod q^len(a) for an int64 array a, exactly, as x mod 2^64 (uint64)
     and floor(x / 2^64) (int64) of each coefficient x, |x| < 2^127.
 
     a = sum_i 2^(iL) a_i in m balanced limbs (_limbs) and a^2 = sum_s 2^(sL)
     z_s, z_s = sum_{i+j=s} a_i a_j, each a cyclic convolution of length N,
-    the power of two >= 2 len(a) - 1 (nothing wraps below len(a)).  Every
-    limb and every output is one real transform of length N: one complex
-    np.fft transform of length N/2 and one butterfly level (_butterfly).
+    twiddles = _twiddles(N) for the power of two N >= 2 len(a) - 1 (nothing
+    wraps below len(a)).  Every limb and every z_s is one real transform of
+    length N: one complex np.fft transform of length N/2 and one split level
+    (_split).  This halves the transforms' scratch: complex transforms of
+    length N raise tau_table(10^6)'s peak RSS from about 255 to 281-287 MB.
 
-    Bound.  Percival (Math. Comp. 72 (2003)) bounds a butterfly level, a
-    complex product by a root w' with |w' - w| <= b and a complex sum, by
-    the factor rho = (1+u)(1+sqrt5 u)(1+b).  numpy's pocketfft runs a power
-    of two as radix-2, 4 and 8 passes, each a product of such levels (its
-    rotations by +-i are exact, by (1-+i)/sqrt2 off by 3u).  With e =
-    (1+u) rho^log2(N) - 1, a limb spectrum is off by at most e times its
-    2-norm and a real inverse by at most 2e/N times its input's 1-norm at
-    every output, so a computed z_s is off by at most
+    Bound, for numpy 2's pocketfft.  Percival (Math. Comp. 72 (2003)) bounds
+    a butterfly level, a complex product by a root w' with |w' - w| <= b and
+    a complex sum, by the factor rho = (1+u)(1+sqrt5 u)(1+b).  pocketfft runs
+    a power of two as radix-2, 4 and 8 passes, each a product of such levels
+    (its rotations by +-i are exact, by (1-+i)/sqrt2 off by 3u), and the
+    split is one more level with one more sum, (1+u) rho.  With e = (1+u)^2
+    rho^log2(N) - 1 (the last u for ifft's 1/N), the kept half A_i(k), k =
+    0..N/2, of a limb's spectrum is off by at most e sqrt(N) ||a_i||_2 in
+    2-norm, and the same induction over the levels puts every output of the
+    inverse within 2e/N times the 1-norm of its input's conjugate-symmetric
+    extension to length N (2/N, as each complex output packs two real ones).
+    An extension's 2-norm is at most sqrt2 times its half's, and a whole
+    spectrum's is sqrt(N) ||a_i||_2, so by Cauchy-Schwarz on the products'
+    1-norms a computed z_s is off by at most
         b_s = C sum_{i+j=s} ||a_i||_2 ||a_j||_2,
-        C = (4e + sqrt5 u + sqrt2 m(m+1)/2 u)(1 + 2^-20):
-    2e from the spectra (Cauchy-Schwarz on the products' 1-norms), sqrt5 u
-    from the products, sqrt2 m(m+1)/2 u from summing at most m(m+1)/2 of
-    them, 2e from the inverse, 2^-20 for second-order terms and the norms'
-    own rounding.  The fewest limbs with every b_s < 1/8 are used, L as
-    even as the bit length allows, and groups merge from the top into one
-    inverse while sum_s 2^((s - base) L) b_s < 1/8.  Margin: rounding is
-    exact below 1/2; any |z - rint z| > 1/4 raises, so no table that broke
-    the bound is returned; the observed |z - rint z| is at most 3.1e-5 for
-    n_max = 600..2600 and 1.9e-6 at the 10^6 cap, 2^12 below the bound.
+        C = ((2 sqrt2 + 2) e + sqrt5 u + sqrt2 m(m+1)/2 u)(1 + 2^-20):
+    2 sqrt2 e from the spectra, sqrt5 u from the products, sqrt2 m(m+1)/2 u
+    from summing at most m(m+1)/2 of them, 2e from the inverse, 2^-20 for
+    second-order terms and the norms' own rounding.  The fewest limbs with
+    every b_s < 1/8 are used, L as even as the bit length allows.  Margin:
+    rounding is exact below 1/2; any |z - rint z| > 1/4 raises, so no table
+    that broke the bound is returned; the observed |z - rint z| is at most
+    3.1e-5 for n_max = 600..2600 and 2.4e-6 from 10^4 to the 10^6 cap, over
+    4,000 times below the bound's 1/8.
     """
     from numpy import fft
 
-    size = len(a)
-    n_fft = 2 << (size - 1).bit_length()
-    _twiddles(n_fft)  # cached first, so its temporaries leave no hole
+    size, half = len(a), len(twiddles) - 1
     rho = (1 + _U) * (1 + 5 ** 0.5 * _U) * (1 + _ROOT_ERROR)
-    e = (1 + _U) * rho ** (n_fft.bit_length() - 1) - 1
+    e = (1 + _U) ** 2 * rho ** half.bit_length() - 1  # log2(N) = half.bit_length()
     bits = int(np.abs(a).max()).bit_length()
     for m in range(1, bits + 2):  # m = bits + 1 passes: |a_i| <= 1, b_s <= C m len(a)
         width = -(-(bits + 1) // m)
         norm = np.sqrt([limb @ limb for limb in _limbs(a, m, width)])
-        c = (4 * e + 5 ** 0.5 * _U + 2 ** 0.5 * (m * (m + 1) // 2) * _U) * (1 + 2 ** -20)
-        bound = c * np.convolve(norm, norm)
-        if bound.max() < 1 / 8:
+        c = ((2 * 2 ** 0.5 + 2) * e + 5 ** 0.5 * _U
+             + 2 ** 0.5 * (m * (m + 1) // 2) * _U) * (1 + 2 ** -20)
+        if (c * np.convolve(norm, norm)).max() < 1 / 8:
             break
-    runs = [[2 * m - 2, 2 * m - 1, bound[-1]]]  # [base, top, bound], from the top
-    for s in range(2 * m - 3, -1, -1):
-        merged = bound[s] + 2.0 ** width * runs[-1][2]
-        runs[-1:] = ([[s, runs[-1][1], merged]] if merged < 1 / 8
-                     else [runs[-1], [s, s + 1, bound[s]]])
-    half = n_fft // 2
     spectra = np.zeros((m, half + 1), dtype=complex)
     for spectrum, limb in zip(spectra, _limbs(a, m, width)):
         spectrum.view(np.float64)[:size] = limb  # z(k) = a_i(2k) + i a_i(2k+1)
         fft.fft(spectrum[:half], out=spectrum[:half])
         spectrum[half] = spectrum[0]
-        _butterfly(spectrum, _twiddles(n_fft))
+        _split(spectrum, twiddles)
     lo, hi = np.zeros(size, dtype=np.uint64), np.zeros(size, dtype=np.int64)
     w = np.empty(half + 1, dtype=complex)
-    for base, top, _ in runs:
+    for s in range(2 * m - 1):
         w[:] = 0
-        for i in range(m):
-            for j in range(max(i, base - i), min(m, top - i)):
-                term = spectra[i] * spectra[j]
-                term *= (2 - (i == j)) * 2.0 ** ((i + j - base) * width)
-                w += term
+        for i in range(max(0, s - m + 1), s // 2 + 1):
+            term = spectra[i] * spectra[s - i]
+            term *= 2 - (2 * i == s)  # a_i a_j and a_j a_i
+            w += term
         del term
-        _butterfly(w, _twiddles(n_fft)[::-1])  # w^(n_fft/2 - k) = -w^-k
+        _split(w, twiddles[::-1])  # w^(N/2 - k) = -w^-k
         fft.ifft(w[:half], out=w[:half])
         part = w[:half].view(np.float64)[:size]  # z(k) = x(2k) + i x(2k+1)
         z = np.rint(part)
@@ -640,7 +639,7 @@ def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if np.abs(part, out=part).max() > 0.25:
             raise EquidistError("FFT squaring rounded off by more than 1/4: its error "
                                 "bound failed")
-        z, shift = z.astype(np.int64), base * width
+        z, shift = z.astype(np.int64), s * width
         if shift >= 64:
             hi += z << (shift - 64)
         else:
@@ -653,7 +652,9 @@ def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _limbs(a: np.ndarray, m: int, width: int) -> Iterator[np.ndarray]:
     """The balanced limbs a_i = r_i - 2^L r_(i+1) of a, float64, one at a time,
-    with r_i = a / 2^(iL) rounded half up, so |a_i| <= 2^(L-1) (r_m = 0)."""
+    with r_i = a / 2^(iL) rounded half up, so |a_i| <= 2^(L-1) (r_m = 0).
+    Made on demand: all limbs at once raise tau_table(10^6)'s peak RSS from
+    about 255 to 268 MB."""
     r = a
     for i in range(1, m + 1):
         up = ((a >> (i * width - 1)) + 1) >> 1
@@ -661,16 +662,13 @@ def _limbs(a: np.ndarray, m: int, width: int) -> Iterator[np.ndarray]:
         r = up
 
 
-@lru_cache(maxsize=4)
 def _twiddles(n_fft: int) -> np.ndarray:
     """w^k = exp(-2 pi i k / n_fft), k = 0..n_fft/2: the angle errs by at most
-    2 pi u, cos and sin by 1 ulp, so |w' - w| < 10u.  Read-only: it is shared."""
-    twiddles = np.exp(np.arange(n_fft // 2 + 1) * (-2j * math.pi / n_fft))
-    twiddles.flags.writeable = False
-    return twiddles
+    2 pi u, cos and sin by 1 ulp, so |w' - w| < 10u."""
+    return np.exp(np.arange(n_fft // 2 + 1) * (-2j * math.pi / n_fft))
 
 
-def _butterfly(v: np.ndarray, twiddles: np.ndarray) -> None:
+def _split(v: np.ndarray, twiddles: np.ndarray) -> None:
     """In place, v(k) <- (v(k) + r(k))/2 + t(k) (v(k) - r(k))/(2i), k = 0..n,
     with r(k) = conj v(n - k), n = len(v) - 1 and t the twiddles.  With t =
     w^k and v the transform of x(2k) + i x(2k+1) (v(n) = v(0)) this is the

@@ -1003,10 +1003,10 @@ def modular_tau_table(n_max):
 def test_tau_table_prime_count_boundaries():
     # sizes on either side of each step of the FFT route, equal to the modular
     # reference: the transform length doubles past n_max = 1024 and 2048, J^4
-    # takes a second limb at 90 and a third at 1920, J^2 a second at 5560; the
+    # takes a second limb at 87 and a third at 1920, J^2 a second at 5258; the
     # modular route takes a prime past n_max = 1290 and a second past 46340
     ref = modular_tau_table(46341)
-    for n_max in (89, 90, 1024, 1025, 1290, 1291, 1919, 1920, 2048, 2049, 5559, 5560,
+    for n_max in (86, 87, 1024, 1025, 1290, 1291, 1919, 1920, 2048, 2049, 5257, 5258,
                   46340, 46341):
         assert tau_table(n_max) == ref[:n_max + 1], n_max
     assert modular_tau_table(400) == naive_tau(400)
@@ -1048,9 +1048,34 @@ def test_fft_square_words_past_int64():
     rng = random.Random(7)
     for size in (1, 2, 3, 50):
         a = [-2 ** 62] + [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(size - 1)]
-        lo, hi = equidist_module._fft_square(np.array(a, dtype=np.int64))
+        twiddles = equidist_module._twiddles(2 << (size - 1).bit_length())
+        lo, hi = equidist_module._fft_square(np.array(a, dtype=np.int64), twiddles)
         want = [sum(a[i] * a[m - i] for i in range(m + 1)) for m in range(size)]
         assert [int(h) * 2 ** 64 + int(v) for v, h in zip(lo, hi)] == want
+
+
+def test_fft_square_limb_counts_step_where_the_bound_crosses(monkeypatch):
+    # each squaring takes the fewest limbs whose a-priori bound is below 1/8,
+    # so these steps move if the bound's constant does; _limbs runs once per
+    # limb count tried and last with the count taken
+    import heckedist.equidist as equidist_module
+    taken, limbs, square = [], equidist_module._limbs, equidist_module._fft_square
+
+    def counting(a, m, width):
+        taken[-1] = m
+        return limbs(a, m, width)
+
+    def squaring(a, twiddles):
+        taken.append(None)
+        return square(a, twiddles)
+
+    monkeypatch.setattr(equidist_module, "_limbs", counting)
+    monkeypatch.setattr(equidist_module, "_fft_square", squaring)
+    for n_max, want in ((86, [1, 1]), (87, [1, 2]), (1919, [1, 2]), (1920, [1, 3]),
+                        (5257, [1, 3]), (5258, [2, 3])):
+        taken.clear()
+        tau_table(n_max)
+        assert taken == want, n_max
 
 
 def test_import_leaves_numpy_fft_unloaded():
