@@ -30,7 +30,7 @@ from . import equidist
 
 DOMAIN_ERRORS = (fields.FieldError, hecke.HeckeError, measures.MeasureError,
                  kl.KloostermanError, equidist.EquidistError, ValueError,
-                 OSError, KeyError)
+                 OverflowError, OSError, KeyError)
 
 
 # -- parsing helpers ---------------------------------------------------------------
@@ -72,8 +72,9 @@ def parse_nu(s: str) -> complex:
 def parse_windows(raw) -> Dict[str, Tuple[float, float]]:
     """Parsed JSON object of [lo, hi] pairs, {"2:0": [0, 1], ...}, as float windows."""
     if not (isinstance(raw, dict) and all(
-            isinstance(w, list) and len(w) == 2
-            and all(isinstance(x, (int, float)) for x in w) for w in raw.values())):
+            isinstance(w, list) and len(w) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)
+            for w in raw.values())):
         raise ValueError("windows must be a JSON object of [lo, hi] number pairs, got %r"
                          % (raw,))
     return {k: (float(w[0]), float(w[1])) for k, w in raw.items()}
@@ -88,12 +89,13 @@ def parse_box(spec: str) -> measures.Box:
     if not isinstance(raw, dict):
         raise ValueError("box spec must be a JSON object, got %r" % (raw,))
     e_windows = tuple(sorted((int(j), w) for j, w in parse_windows(raw.get("e", {})).items()))
-    try:
-        dim, q = int(raw["dim"]), tuple(int(j) for j in raw.get("q", ()))
-        xi, t = tuple(int(x) for x in raw["xi"]), float(raw.get("t", 0.0))
-    except TypeError:
-        raise ValueError("box spec values have the wrong JSON types: %r" % (raw,)) from None
-    return measures.Box(dim, q, e_windows, xi, t)
+    dim, q, xi, t = raw.get("dim"), raw.get("q", []), raw.get("xi"), raw.get("t", 0.0)
+    if not (isinstance(q, list) and isinstance(xi, list)
+            and all(type(v) is int for v in [dim, *q, *xi])
+            and isinstance(t, (int, float)) and not isinstance(t, bool)):
+        raise ValueError("box spec needs int dim, int lists q and xi and a number t, got %r"
+                         % (raw,))
+    return measures.Box(dim, tuple(q), e_windows, tuple(xi), float(t))
 
 
 def _level_ideal(field: fields.NumberField, level: Optional[str]) -> fields.Ideal:

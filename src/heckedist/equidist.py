@@ -51,8 +51,8 @@ using counter-based Philox streams so a seed fixes the dataset bytes.
 The tau source expands q prod (1-q^n)^24 exactly as q times the eighth
 power of Jacobi's series prod (1-q^n)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2},
 which has only about sqrt(2n) terms: J^2 is one float64 bincount over
-the pairs of terms, then J^4 and J^8 are two exact squarings by float
-FFTs (numpy's, loaded on the first table).  Each splits its input into
+the pairs of terms, then J^4 and J^8 are two exact squarings by numpy's
+real FFTs (rfft/irfft, loaded on the first table).  Each splits its input into
 the fewest balanced limbs for which a proven bound on the transforms'
 rounding error (Percival's per-level bound carried through products and
 sums, see _fft_square) stays below 1/8, rounds every output to an
@@ -520,8 +520,8 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
 
 
 # the squaring bound's error model: unit roundoff u, and |w' - w| <= 2^-49 = 16u
-# for every root of unity w' used (pocketfft's, each a product of two libm
-# cos/sin values, and _twiddles: a few ulps each)
+# for every root of unity w' used (pocketfft's sincos_2pibyn tables, each a
+# product of two libm cos/sin values: a few ulps each)
 _U, _ROOT_ERROR = 2.0 ** -53, 2.0 ** -49
 
 
@@ -532,7 +532,7 @@ def tau_table(n_max: int) -> List[int]:
     (2k+1) q^{k(k+1)/2} (Jacobi), a series of about sqrt(2 n_max) terms.
     J^2 is one bincount over the pairs of terms (exact in float64: every
     partial sum is at most terms^4 < 2^53); J^4 = (J^2)^2 and J^8 = (J^4)^2
-    are two exact FFT squarings (_fft_square: rounding error proven below
+    are two exact real-FFT squarings (_fft_square: rounding error proven below
     1/8, checked against 1/4, observed at most 3.1e-5), and tau(m) is the
     coefficient of q^{m-1}.  J^4 fits int64 (|J^4| <= ||J^2||_2^2 = 2^62.5
     at the 10^6 cap) and |tau(m)| <= d(m) m^{11/2} < 2^127 (Deligne) fits the
@@ -549,13 +549,12 @@ def tau_table(n_max: int) -> List[int]:
     i, j = np.nonzero(e[:, None] + e[None, :] <= n)
     square = np.bincount(e[i] + e[j], (c[i] * c[j]).astype(np.float64), n + 1)
     del i, j  # at the cap only the current power stays alive through a squaring
-    twiddles = _twiddles(2 << n.bit_length())  # both squarings' transform length
-    lo, hi = _fft_square(square.astype(np.int64), twiddles)
+    lo, hi = _fft_square(square.astype(np.int64))
     del square
     if (hi != lo.view(np.int64) >> 63).any():
         raise EquidistError("J^4 exceeds int64")
     del hi
-    lo, hi = _fft_square(lo.view(np.int64), twiddles)
+    lo, hi = _fft_square(lo.view(np.int64))
     x = lo.view(np.int64)
     rows = np.flatnonzero(hi != x >> 63)
     if rows.size:
@@ -566,48 +565,49 @@ def tau_table(n_max: int) -> List[int]:
     return [0] + x.tolist()
 
 
-def _fft_square(a: np.ndarray, twiddles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """a^2 mod q^len(a) for an int64 array a, exactly, as x mod 2^64 (uint64)
     and floor(x / 2^64) (int64) of each coefficient x, |x| < 2^127.
 
     a = sum_i 2^(iL) a_i in m balanced limbs (_limbs) and a^2 = sum_s 2^(sL)
-    z_s, z_s = sum_{i+j=s} a_i a_j, each a cyclic convolution of length N,
-    twiddles = _twiddles(N) for the power of two N >= 2 len(a) - 1 (nothing
-    wraps below len(a)).  Every limb and every z_s is one real transform of
-    length N: one complex np.fft transform of length N/2 and one split level
-    (_split).  This halves the transforms' scratch: complex transforms of
-    length N raise tau_table(10^6)'s peak RSS from about 255 to 281-287 MB.
+    z_s, z_s = sum_{i+j=s} a_i a_j, each a cyclic convolution of length N =
+    2 << (len(a) - 1).bit_length() >= 2 len(a) - 1 (nothing wraps below
+    len(a)): each limb's half spectrum is one np.fft.rfft of length N and
+    each z_s one irfft.
 
     Bound, for numpy 2's pocketfft.  Percival (Math. Comp. 72 (2003)) bounds
     a butterfly level, a complex product by a root w' with |w' - w| <= b and
-    a complex sum, by the factor rho = (1+u)(1+sqrt5 u)(1+b).  pocketfft runs
-    a power of two as radix-2, 4 and 8 passes, each a product of such levels
-    (its rotations by +-i are exact, by (1-+i)/sqrt2 off by 3u), and the
-    split is one more level with one more sum, (1+u) rho.  With e = (1+u)^2
-    rho^log2(N) - 1 (the last u for ifft's 1/N), the kept half A_i(k), k =
-    0..N/2, of a limb's spectrum is off by at most e sqrt(N) ||a_i||_2 in
-    2-norm, and the same induction over the levels puts every output of the
-    inverse within 2e/N times the 1-norm of its input's conjugate-symmetric
-    extension to length N (2/N, as each complex output packs two real ones).
-    An extension's 2-norm is at most sqrt2 times its half's, and a whole
-    spectrum's is sqrt(N) ||a_i||_2, so by Cauchy-Schwarz on the products'
-    1-norms a computed z_s is off by at most
+    a complex sum, by the factor rho = (1+u)(1+sqrt5 u)(1+b).  For a power of
+    two rfft and irfft run FFTPACK's real passes, radix 4 and at most one
+    radix 2 (radf4/radf2, radb4/radb2): each computes the half of a complex
+    transform's levels that a real input's symmetry leaves, with the same
+    sincos_2pibyn twiddles, rotations by +-i exact and the 1/sqrt2 products of
+    a radix-4 pass's last column off by 3u, as a rotation by (1-+i)/sqrt2.
+    With e = (1+u)^2 rho^log2(N) - 1 (one u for irfft's 1/N, one of slack), a
+    limb's half spectrum A_i(k), k = 0..N/2, is off by at most e sqrt(N)
+    ||a_i||_2 in 2-norm, and the same induction over the levels puts every
+    output of irfft within e/N times the 1-norm of its input's
+    conjugate-symmetric extension to length N.  An extension's 2-norm is at
+    most sqrt2 times its half's, and a whole spectrum's is sqrt(N) ||a_i||_2,
+    so by Cauchy-Schwarz on the products' 1-norms a computed z_s is off by at
+    most
         b_s = C sum_{i+j=s} ||a_i||_2 ||a_j||_2,
         C = ((2 sqrt2 + 2) e + sqrt5 u + sqrt2 m(m+1)/2 u)(1 + 2^-20):
     2 sqrt2 e from the spectra, sqrt5 u from the products, sqrt2 m(m+1)/2 u
-    from summing at most m(m+1)/2 of them, 2e from the inverse, 2^-20 for
-    second-order terms and the norms' own rounding.  The fewest limbs with
-    every b_s < 1/8 are used, L as even as the bit length allows.  Margin:
-    rounding is exact below 1/2; any |z - rint z| > 1/4 raises, so no table
-    that broke the bound is returned; the observed |z - rint z| is at most
-    3.1e-5 for n_max = 600..2600 and 2.4e-6 from 10^4 to the 10^6 cap, over
-    4,000 times below the bound's 1/8.
+    from summing at most m(m+1)/2 of them, e from the inverse and e of slack,
+    2^-20 for second-order terms and the norms' own rounding.  The fewest
+    limbs with every b_s < 1/8 are used, L as even as the bit length allows.
+    Margin: rounding is exact below 1/2; any |z - rint z| > 1/4 raises, so no
+    table that broke the bound is returned; the observed |z - rint z| is at
+    most 3.1e-5 for n_max = 600..2600 and 1.9e-6 from 10^4 to the 10^6 cap,
+    over 4,000 times below the bound's 1/8.
     """
     from numpy import fft
 
-    size, half = len(a), len(twiddles) - 1
+    size = len(a)
+    n_fft = 2 << (size - 1).bit_length()
     rho = (1 + _U) * (1 + 5 ** 0.5 * _U) * (1 + _ROOT_ERROR)
-    e = (1 + _U) ** 2 * rho ** half.bit_length() - 1  # log2(N) = half.bit_length()
+    e = (1 + _U) ** 2 * rho ** (n_fft.bit_length() - 1) - 1  # log2(N) levels
     bits = int(np.abs(a).max()).bit_length()
     for m in range(1, bits + 2):  # m = bits + 1 passes: |a_i| <= 1, b_s <= C m len(a)
         width = -(-(bits + 1) // m)
@@ -616,14 +616,11 @@ def _fft_square(a: np.ndarray, twiddles: np.ndarray) -> Tuple[np.ndarray, np.nda
              + 2 ** 0.5 * (m * (m + 1) // 2) * _U) * (1 + 2 ** -20)
         if (c * np.convolve(norm, norm)).max() < 1 / 8:
             break
-    spectra = np.zeros((m, half + 1), dtype=complex)
+    spectra = np.empty((m, n_fft // 2 + 1), dtype=complex)
     for spectrum, limb in zip(spectra, _limbs(a, m, width)):
-        spectrum.view(np.float64)[:size] = limb  # z(k) = a_i(2k) + i a_i(2k+1)
-        fft.fft(spectrum[:half], out=spectrum[:half])
-        spectrum[half] = spectrum[0]
-        _split(spectrum, twiddles)
+        fft.rfft(limb, n_fft, out=spectrum)
     lo, hi = np.zeros(size, dtype=np.uint64), np.zeros(size, dtype=np.int64)
-    w = np.empty(half + 1, dtype=complex)
+    w, x = np.empty_like(spectra[0]), np.empty(n_fft)
     for s in range(2 * m - 1):
         w[:] = 0
         for i in range(max(0, s - m + 1), s // 2 + 1):
@@ -631,9 +628,8 @@ def _fft_square(a: np.ndarray, twiddles: np.ndarray) -> Tuple[np.ndarray, np.nda
             term *= 2 - (2 * i == s)  # a_i a_j and a_j a_i
             w += term
         del term
-        _split(w, twiddles[::-1])  # w^(N/2 - k) = -w^-k
-        fft.ifft(w[:half], out=w[:half])
-        part = w[:half].view(np.float64)[:size]  # z(k) = x(2k) + i x(2k+1)
+        fft.irfft(w, n_fft, out=x)
+        part = x[:size]
         z = np.rint(part)
         part -= z
         if np.abs(part, out=part).max() > 0.25:
@@ -660,28 +656,6 @@ def _limbs(a: np.ndarray, m: int, width: int) -> Iterator[np.ndarray]:
         up = ((a >> (i * width - 1)) + 1) >> 1
         yield (r - (up << width)).astype(np.float64)
         r = up
-
-
-def _twiddles(n_fft: int) -> np.ndarray:
-    """w^k = exp(-2 pi i k / n_fft), k = 0..n_fft/2: the angle errs by at most
-    2 pi u, cos and sin by 1 ulp, so |w' - w| < 10u."""
-    return np.exp(np.arange(n_fft // 2 + 1) * (-2j * math.pi / n_fft))
-
-
-def _split(v: np.ndarray, twiddles: np.ndarray) -> None:
-    """In place, v(k) <- (v(k) + r(k))/2 + t(k) (v(k) - r(k))/(2i), k = 0..n,
-    with r(k) = conj v(n - k), n = len(v) - 1 and t the twiddles.  With t =
-    w^k and v the transform of x(2k) + i x(2k+1) (v(n) = v(0)) this is the
-    last butterfly level of the real x's transform, X = E + w^k O; with t =
-    w^(n-k) = -w^-k and v a half spectrum it makes E + i O, whose inverse
-    transform of length n is x(2k) + i x(2k+1)."""
-    mirror = v[::-1].conj()
-    odd = v - mirror
-    odd *= twiddles
-    odd *= -0.5j  # exact
-    v += mirror
-    v *= 0.5
-    v += odd
 
 
 def _smallest_prime_factors(n: int) -> np.ndarray:

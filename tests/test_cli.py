@@ -114,7 +114,17 @@ def test_bad_character_file_is_a_domain_error(capsys, tmp_path, content):
 
 @pytest.mark.parametrize("box", ["[1,2]", '{"dim": 1, "xi": [0], "e": [1]}',
                                  '{"dim": 1, "xi": [0], "e": {"1": [0, "x"]}}',
-                                 '{"dim": 1, "xi": 0}', '{"dim": [1], "xi": [0]}'])
+                                 '{"dim": 1, "xi": 0}', '{"dim": [1], "xi": [0]}',
+                                 '{"dim": 1, "q": [1], "xi": [0.9], "t": 2.0}',
+                                 '{"dim": 1.7, "q": [1], "xi": [0]}',
+                                 '{"dim": 1, "q": [true], "xi": [0]}',
+                                 '{"dim": 1, "q": [1], "xi": [false]}',
+                                 '{"dim": true, "q": [1], "xi": [0]}',
+                                 '{"dim": 1, "q": [1], "xi": [0], "t": true}',
+                                 '{"dim": 1, "q": [1], "xi": [0], "t": "2"}',
+                                 '{"dim": 1, "xi": [0], "e": {"1": [false, true]}}',
+                                 pytest.param('{"dim": 1, "q": [1], "xi": [0], "t": 1%s}'
+                                              % ("0" * 400), id="t-past-float")])
 def test_bad_box_is_a_domain_error(capsys, box):
     assert_one_line_error(*run_cli(capsys, "measure", "box", "--spec", box))
     assert_one_line_error(*run_cli(capsys, "equidist", "predict", "--box", box,
@@ -122,7 +132,10 @@ def test_bad_box_is_a_domain_error(capsys, box):
 
 
 @pytest.mark.parametrize("intervals", ["[1]", '{"2:0": 1}', '{"2:0": [0, 1, 2]}',
-                                       '{"2:0": [null, 1]}'])
+                                       '{"2:0": [null, 1]}', '{"2:0": [false, true]}',
+                                       '{"2:0": [0, true]}',
+                                       pytest.param('{"2:0": [0, 1%s]}' % ("0" * 400),
+                                                    id="end-past-float")])
 def test_bad_intervals_are_a_domain_error(capsys, tmp_path, intervals):
     box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
     assert_one_line_error(*run_cli(capsys, "equidist", "predict", "--box", box_spec,

@@ -1026,14 +1026,14 @@ def test_tau_table_lifts_entries_past_int64():
 def test_tau_table_guard_rejects_a_perturbed_convolution(monkeypatch):
     # every squaring output is rounded to an integer: moved by less than 1/4 it
     # still rounds right, moved by more it raises before a table is returned
-    ifft, ref = np.fft.ifft, tau_table(700)
+    irfft, ref = np.fft.irfft, tau_table(700)
     for shift, ok in ((0.24, True), (-0.26, False)):
-        def perturbed(z, out, shift=shift):
-            ifft(z, out=out)
-            out[61] += shift  # x(122)
+        def perturbed(w, n, out, shift=shift):
+            irfft(w, n, out=out)
+            out[122] += shift
             return out
 
-        monkeypatch.setattr(np.fft, "ifft", perturbed)
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
         if ok:
             assert tau_table(700) == ref
         else:
@@ -1048,8 +1048,7 @@ def test_fft_square_words_past_int64():
     rng = random.Random(7)
     for size in (1, 2, 3, 50):
         a = [-2 ** 62] + [rng.randrange(-2 ** 60, 2 ** 60) for _ in range(size - 1)]
-        twiddles = equidist_module._twiddles(2 << (size - 1).bit_length())
-        lo, hi = equidist_module._fft_square(np.array(a, dtype=np.int64), twiddles)
+        lo, hi = equidist_module._fft_square(np.array(a, dtype=np.int64))
         want = [sum(a[i] * a[m - i] for i in range(m + 1)) for m in range(size)]
         assert [int(h) * 2 ** 64 + int(v) for v, h in zip(lo, hi)] == want
 
@@ -1065,9 +1064,9 @@ def test_fft_square_limb_counts_step_where_the_bound_crosses(monkeypatch):
         taken[-1] = m
         return limbs(a, m, width)
 
-    def squaring(a, twiddles):
+    def squaring(a):
         taken.append(None)
-        return square(a, twiddles)
+        return square(a)
 
     monkeypatch.setattr(equidist_module, "_limbs", counting)
     monkeypatch.setattr(equidist_module, "_fft_square", squaring)
