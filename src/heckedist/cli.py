@@ -112,7 +112,7 @@ def load_character(field: fields.NumberField, modulus: fields.Ideal,
     with open(path) as fh:
         entries = json.load(fh)
     if not (isinstance(entries, list) and all(
-            isinstance(e, list) and len(e) == 3 and all(isinstance(v, int) for v in e[1:])
+            isinstance(e, list) and len(e) == 3 and all(type(v) is int for v in e[1:])
             for e in entries)):
         raise ValueError("character file must be a JSON list of [rep, order, exponent] "
                          "triples with int order and exponent")
@@ -179,7 +179,7 @@ def _emit(args, payload: Dict, rows: Optional[Tuple[List[str], List[list]]] = No
 # -- field group -------------------------------------------------------------------
 
 
-def cmd_field_info(args) -> int:
+def cmd_field_info(args) -> None:
     field = fields.make_field(args.field)
     payload = {"spec": args.field, "degree": field.degree, "disc": field.disc}
     if field.degree == 2:
@@ -190,10 +190,9 @@ def cmd_field_info(args) -> int:
         payload["fundamental_unit_norm"] = ug.fundamental_norm
         payload["regulator"] = ug.regulator
     _emit(args, payload)
-    return 0
 
 
-def cmd_field_factor(args) -> int:
+def cmd_field_factor(args) -> None:
     field = fields.make_field(args.field)
     primes = fields.factor_rational_prime(field, args.p)
     data = [{"label": pr.label, "p": pr.p, "e": pr.e, "f": pr.f,
@@ -203,19 +202,17 @@ def cmd_field_factor(args) -> int:
     _emit(args, {"p": args.p, "primes": data},
           rows=(["label", "p", "e", "f", "norm"],
                 [[d["label"], d["p"], d["e"], d["f"], d["norm"]] for d in data]))
-    return 0
 
 
-def cmd_field_unit(args) -> int:
+def cmd_field_unit(args) -> None:
     field = fields.make_field(args.field)
     if field.degree == 1:
         _emit(args, {"fundamental_unit": None, "regulator": 0.0})
-        return 0
+        return
     ug = field.unit_group()
     _emit(args, {"fundamental_unit": [str(x) for x in ug.fundamental.coords()],
                  "norm": ug.fundamental_norm, "regulator": ug.regulator,
                  "embeddings": list(ug.fundamental.embed())})
-    return 0
 
 
 # -- hecke group -------------------------------------------------------------------
@@ -225,7 +222,7 @@ def _prime_norm(field: fields.NumberField, label: str) -> int:
     return fields.prime_by_label(field, label).absolute_norm()
 
 
-def cmd_hecke_verify(args) -> int:
+def cmd_hecke_verify(args) -> None:
     field = fields.make_field(args.field)
     prime = fields.prime_by_label(field, args.p)
     coeffs = hecke.verify_relation(prime.label, prime.absolute_norm(), args.k, args.m,
@@ -233,20 +230,18 @@ def cmd_hecke_verify(args) -> int:
     payload = {key: int(val) for key, val in
                sorted(coeffs.items(), key=lambda kv: -int(kv[0][1:]))}
     _emit(args, payload)
-    return 0
 
 
-def cmd_hecke_spoly(args) -> int:
+def cmd_hecke_spoly(args) -> None:
     field = fields.make_field(args.field)
     norm = _prime_norm(field, args.p)
     coeffs = hecke.s_poly(norm, 2 * args.k)
     _emit(args, {"p": args.p, "norm": norm, "two_k": 2 * args.k,
                  "coeffs": [_frac_repr(c) for c in coeffs],
                  "basis": "lambda^{2m}, m = 0..k"})
-    return 0
 
 
-def cmd_hecke_eigenvalue(args) -> int:
+def cmd_hecke_eigenvalue(args) -> None:
     field = fields.make_field(args.field)
     norm = _prime_norm(field, args.p)
     if args.nu is not None:
@@ -258,13 +253,12 @@ def cmd_hecke_eigenvalue(args) -> int:
         nu = hecke.nu_from_lambda(norm, lam)
         payload = {"norm": norm, "lam": lam, "nu": _complex_repr(complex(nu))}
     _emit(args, payload)
-    return 0
 
 
 # -- measure group -----------------------------------------------------------------
 
 
-def cmd_measure_eval(args) -> int:
+def cmd_measure_eval(args) -> None:
     if args.kind.startswith("npl"):
         if args.kind not in ("npl0", "npl1"):
             raise measures.MeasureError("unknown nu-measure kind %r" % (args.kind,))
@@ -280,10 +274,9 @@ def cmd_measure_eval(args) -> int:
         payload = {"kind": args.kind, "interval": list(interval),
                    "value": mv.value, "error": mv.error}
     _emit(args, payload)
-    return 0
 
 
-def cmd_measure_phi(args) -> int:
+def cmd_measure_phi(args) -> None:
     field = fields.make_field(args.field)
     norm = _prime_norm(field, args.p)
     mu = measures.SatoTateMeasure(norm)
@@ -299,10 +292,9 @@ def cmd_measure_phi(args) -> int:
     else:
         raise ValueError("need --interval or --spoly")
     _emit(args, payload)
-    return 0
 
 
-def cmd_measure_box(args) -> int:
+def cmd_measure_box(args) -> None:
     box = parse_box(args.spec)
     mv = measures.box_measure(box, args.family)
     per = [measures.measure_interval(measures.spectral_measure("%s%d" % (args.family, xi)),
@@ -310,13 +302,12 @@ def cmd_measure_box(args) -> int:
            for j, xi in enumerate(box.xi, 1)]
     _emit(args, {"family": args.family, "t": box.t, "value": mv.value,
                  "error": mv.error, "per_coordinate": per})
-    return 0
 
 
 # -- kloosterman group ---------------------------------------------------------------
 
 
-def cmd_kl_eval(args) -> int:
+def cmd_kl_eval(args) -> None:
     field = fields.make_field(args.field)
     c = parse_element(field, args.c)
     r = parse_element(field, args.r)
@@ -331,10 +322,9 @@ def cmd_kl_eval(args) -> int:
     _emit(args, {"c": _elt_str(c), "r": _elt_str(r), "rp": _elt_str(rp),
                  "norm_c": int(abs(c.norm())), "value": _complex_repr(value),
                  "symmetry_deviation": kl.symmetry_check(q)})
-    return 0
 
 
-def cmd_kl_scan(args) -> int:
+def cmd_kl_scan(args) -> None:
     field = fields.make_field(args.field)
     level = _level_ideal(field, args.level)
     chi = load_character(field, level, args.chi)
@@ -349,10 +339,9 @@ def cmd_kl_scan(args) -> int:
                  "rows": [{"c": a, "norm": b, "abs_k": x, "ratio": y}
                           for a, b, x, y in rows]},
           rows=(["c", "norm", "abs_k", "ratio"], rows))
-    return 0
 
 
-def cmd_kl_delta(args) -> int:
+def cmd_kl_delta(args) -> None:
     field = fields.make_field(args.field)
     r = parse_element(field, args.r)
     rp = parse_element(field, args.rp)
@@ -362,13 +351,12 @@ def cmd_kl_delta(args) -> int:
     val = kl.delta_term(r, rp, xi, chi)
     _emit(args, {"r": _elt_str(r), "rp": _elt_str(rp), "xi": list(xi),
                  "value": _complex_repr(val)})
-    return 0
 
 
 # -- equidist group -------------------------------------------------------------------
 
 
-def cmd_eq_synth(args) -> int:
+def cmd_eq_synth(args) -> None:
     if args.out is None:
         raise ValueError("synth requires --out for the dataset file")
     field = fields.make_field(args.field)
@@ -382,10 +370,9 @@ def cmd_eq_synth(args) -> int:
         ds.to_jsonl(args.out)
     print(_dumps({"records": len(ds), "out": args.out,
                   "seed": seed, "labels": labels}))
-    return 0
 
 
-def cmd_eq_tau(args) -> int:
+def cmd_eq_tau(args) -> None:
     td = equidist.tau_source(args.upto)
     if args.out is not None:
         td.dataset.to_jsonl(args.out)
@@ -402,10 +389,9 @@ def cmd_eq_tau(args) -> int:
         "tp2_2": _frac_repr(td.tp2_eigenvalues["2:0"]),
         "out": args.out, "tau_out": args.tau_out,
     }))
-    return 0
 
 
-def cmd_eq_run(args) -> int:
+def cmd_eq_run(args) -> None:
     field = fields.make_field(args.field)
     box = parse_box(args.box)
     if args.data.endswith(".csv"):
@@ -415,10 +401,8 @@ def cmd_eq_run(args) -> int:
     j_windows = parse_windows(json.loads(args.intervals))
     t_grid = [float(x) for x in args.t_grid.split(",")]
     if args.calibrate:
-        full_j = {}
-        for label in j_windows:
-            np_ = fields.prime_by_label(field, label).absolute_norm()
-            full_j[label] = (0.0, 2.0 * math.sqrt(np_))
+        full_j = {label: (0.0, 2.0 * math.sqrt(_prime_norm(field, label)))
+                  for label in j_windows}
         pred = equidist.predict(field, args.covolume, box, max(t_grid), full_j)
         total = ds.total_weight()
         if total > 0:
@@ -427,19 +411,17 @@ def cmd_eq_run(args) -> int:
     if args.out is not None:
         rep.to_csv(args.out)
     print(_dumps(rep.summary()))
-    return 0
 
 
-def cmd_eq_index(args) -> int:
+def cmd_eq_index(args) -> None:
     field = fields.make_field(args.field)
     level = _level_ideal(field, args.level)
     idx = equidist.level_index(field, level)
     _emit(args, {"level_norm": int(level.norm()), "index": _frac_repr(idx),
                  "index_float": float(idx)})
-    return 0
 
 
-def cmd_eq_predict(args) -> int:
+def cmd_eq_predict(args) -> None:
     field = fields.make_field(args.field)
     box = parse_box(args.box)
     j_windows = parse_windows(json.loads(args.intervals))
@@ -447,7 +429,6 @@ def cmd_eq_predict(args) -> int:
     _emit(args, {"constant": pred.constant, "pl_factor": pred.pl_factor,
                  "phi_factor": pred.phi_factor, "product": pred.product,
                  "v1": pred.v1, "error": pred.error})
-    return 0
 
 
 # -- parser ----------------------------------------------------------------------------
@@ -459,19 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hecke eigenvalue distribution toolkit: exact local Hecke "
                     "algebra, spectral and Sato-Tate measures, Kloosterman sums, "
                     "and equidistribution reports.")
-    ap.add_argument("--field", default="Q", help='field spec: "Q" or "Q(sqrt m)"')
-    ap.add_argument("--level", default=None, help="level element (principal ideal)")
-    ap.add_argument("--out", default=None, help="write output to this path")
-    ap.add_argument("--format", choices=("json", "csv"), default="json")
-    ap.add_argument("--seed", type=int, default=None)
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
+    # the global flags are accepted after the subcommand too; SUPPRESS keeps
+    # the subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=argparse.SUPPRESS)
-    common.add_argument("--level", default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for flag, default, kwargs in (
+            ("--field", "Q", {"help": 'field spec: "Q" or "Q(sqrt m)"'}),
+            ("--level", None, {"help": "level element (principal ideal)"}),
+            ("--out", None, {"help": "write output to this path"}),
+            ("--format", "json", {"choices": ("json", "csv")}),
+            ("--seed", None, {"type": int})):
+        ap.add_argument(flag, default=default, **kwargs)
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     groups = ap.add_subparsers(dest="group", required=True)
 
     g = groups.add_parser("field", help="number field data").add_subparsers(
@@ -595,15 +574,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits itself on usage errors and --help; fold into a code
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        ap.print_usage(sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        args.func(args)
     except DOMAIN_ERRORS as exc:
         sys.stderr.write(_dumps(
             {"error": exc.__class__.__name__, "message": str(exc)}) + "\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -411,8 +411,8 @@ def predict(field: NumberField, covolume: float, box: Box, t: float,
             j_windows: Dict[str, Tuple[float, float]]) -> Prediction:
     """Main-term prediction: constant * pl(box_t) * prod Phi_p(J_p)."""
     _check_query(t, j_windows)
-    if covolume <= 0:
-        raise EquidistError("covolume must be positive")
+    if not (math.isfinite(covolume) and covolume > 0):
+        raise EquidistError("covolume must be finite and positive, got %r" % (covolume,))
     d = field.degree
     if box.dim != d:
         raise EquidistError("box dimension %d != field degree %d" % (box.dim, d))
@@ -447,49 +447,36 @@ def level_index(field: NumberField, level: Ideal) -> Fraction:
 # -- synthesis ---------------------------------------------------------------------
 
 
-class _PlRestrictionSampler:
-    """Inverse-CDF sampler for pl_xi restricted to one box coordinate."""
+# nodes of the sampler's trapezoid CDF of the continuous pl density
+_PL_NODES = 4096
 
-    def __init__(self, xi: int, window: Tuple[float, float], nodes: int = 4096):
-        a, b = window
-        self.atoms = [(float(p), float(m)) for p, m in pl_atoms_in(xi, a, b)]
-        atom_total = math.fsum(m for _, m in self.atoms)
-        cont = pl_measure(xi).continuous_mass(a, b)
-        self.total = atom_total + cont.value
-        if self.total <= 0:
-            raise EquidistError("box coordinate has zero pl measure")
-        self.thresholds = np.cumsum([m for _, m in self.atoms]) / self.total
-        self.has_cont = cont.value > 0
-        if self.has_cont:
-            u_lo = math.sqrt(max(a, 0.25) - 0.25)
-            u_hi = math.sqrt(b - 0.25)
-            u = np.linspace(u_lo, u_hi, nodes)
-            if xi == 0:
-                dens = 2.0 * u * np.tanh(math.pi * u)
-            else:
-                dens = np.where(u < 1e-8,
-                                2.0 / math.pi + 2.0 * math.pi * u * u / 3.0,
-                                2.0 * u / np.tanh(math.pi * np.maximum(u, 1e-300)))
-            cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(u))])
-            cdf /= cdf[-1]
-            self._u = u
-            self._cdf = cdf
 
-    def sample(self, v_select: np.ndarray, v_pos: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v_select)
-        idx = np.searchsorted(self.thresholds, v_select, side="right")
-        n_atoms = len(self.atoms)
-        for k in range(n_atoms):
-            out[idx == k] = self.atoms[k][0]
-        cont_mask = idx >= n_atoms
-        if cont_mask.any():
-            if not self.has_cont:
-                # all mass is atomic; selection cannot exceed the last threshold
-                out[cont_mask] = self.atoms[-1][0]
-            else:
-                u = np.interp(v_pos[cont_mask], self._cdf, self._u)
-                out[cont_mask] = 0.25 + u * u
-        return out
+def _sample_pl_restriction(xi: int, window: Tuple[float, float], v_select: np.ndarray,
+                           v_pos: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of pl_xi on one box coordinate: atom or continuum by v_select."""
+    a, b = window
+    atoms = [(float(p), float(m)) for p, m in pl_atoms_in(xi, a, b)]
+    cont = pl_measure(xi).continuous_mass(a, b).value
+    total = math.fsum(m for _, m in atoms) + cont
+    if total <= 0:
+        raise EquidistError("box coordinate has zero pl measure")
+    idx = np.searchsorted(np.cumsum([m for _, m in atoms]) / total, v_select, side="right")
+    # index len(atoms) is the continuum; with none, only rounding gets there: the last atom
+    out = np.array([p for p, _ in atoms] + [atoms[-1][0] if cont <= 0 else 0.0])[idx]
+    if cont > 0:
+        u = np.linspace(math.sqrt(max(a, 0.25) - 0.25), math.sqrt(b - 0.25), _PL_NODES)
+        if xi == 0:
+            dens = 2.0 * u * np.tanh(math.pi * u)
+        else:
+            dens = np.where(u < 1e-8,
+                            2.0 / math.pi + 2.0 * math.pi * u * u / 3.0,
+                            2.0 * u / np.tanh(math.pi * np.maximum(u, 1e-300)))
+        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(u))])
+        cdf /= cdf[-1]
+        cont_mask = idx == len(atoms)
+        w = np.interp(v_pos[cont_mask], cdf, u)
+        out[cont_mask] = 0.25 + w * w
+    return out
 
 
 def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
@@ -503,8 +490,8 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
     block = rng.random((m_records, 2 * d + len(labels)))
     lam = np.empty((m_records, d))
     for j in range(d):
-        sampler = _PlRestrictionSampler(box.xi[j], box.interval(j + 1))
-        lam[:, j] = sampler.sample(block[:, 2 * j], block[:, 2 * j + 1])
+        lam[:, j] = _sample_pl_restriction(box.xi[j], box.interval(j + 1),
+                                           block[:, 2 * j], block[:, 2 * j + 1])
     lp = np.empty((m_records, len(labels)))
     for k, label in enumerate(labels):
         np_ = prime_by_label(field, label).absolute_norm()

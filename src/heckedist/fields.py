@@ -34,15 +34,18 @@ class FieldError(ValueError):
     """Domain error in field/ideal arithmetic."""
 
 
-def _squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+def _factor(n: int) -> Dict[int, int]:
+    """{p: v_p(n)} for an int n >= 1, by trial division, p ascending."""
+    out: Dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 class NumberField:
@@ -60,7 +63,7 @@ class NumberField:
             self.c = 0
             self.disc = 1
         else:
-            if m <= 1 or not _squarefree(m):
+            if m <= 1 or max(_factor(m).values()) > 1:
                 raise FieldError("m must be a squarefree integer > 1, got %r" % (m,))
             self.degree = 2
             self.m = m
@@ -543,11 +546,8 @@ def factor_rational_prime(field: NumberField, p: int) -> list:
 def _factor_rational_prime(field: NumberField, p: int) -> list:
     if p < 2:
         raise FieldError("p must be a rational prime, got %d" % p)
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise FieldError("%d is not prime" % p)
-        d += 1
+    if _factor(p) != {p: 1}:
+        raise FieldError("%d is not prime" % p)
     if field.degree == 1:
         return [PrimeIdeal(field, ((p,),), p, 1, 1, 0, field.element(p))]
     if p > 10 ** 6:
@@ -608,19 +608,8 @@ def ideal_prime_factorization(ideal: Ideal) -> list:
     """[(PrimeIdeal, valuation)] for a nonzero integral ideal."""
     if ideal.norm() == 0 or not ideal.is_integral():
         raise FieldError("factorization needs a nonzero integral ideal")
-    n = int(ideal.norm())
-    ps = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            ps.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        ps.append(n)
     out = []
-    for p in ps:
+    for p in _factor(int(ideal.norm())):
         for prime in factor_rational_prime(ideal.field, p):
             v = ideal_valuation(ideal, prime)
             if v > 0:
@@ -667,17 +656,16 @@ def _compute_unit_group(field: NumberField) -> UnitGroupData:
         a = (P + sq) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > 0:
-            cand = field.element(p_cur, -q_cur)  # p - q*w
-            if abs(cand.norm()) == 1:
-                eps = cand
-                # normalize to eps > 1 in the first embedding
-                if eps.embed()[0] < 0:
-                    eps = -eps
-                if eps.embed()[0] < 1:
-                    eps = eps.inverse()
-                assert eps.is_integral() and abs(eps.norm()) == 1
-                return UnitGroupData(field, eps)
+        cand = field.element(p_cur, -q_cur)  # p - q*w
+        if abs(cand.norm()) == 1:
+            eps = cand
+            # normalize to eps > 1 in the first embedding
+            if eps.embed()[0] < 0:
+                eps = -eps
+            if eps.embed()[0] < 1:
+                eps = eps.inverse()
+            assert eps.is_integral() and abs(eps.norm()) == 1
+            return UnitGroupData(field, eps)
         P = a * Q - P
         Q = (D - P * P) // Q
     raise FieldError("continued fraction did not terminate for m=%d" % m)

@@ -32,7 +32,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from heckedist.fields import FieldElement, PrimeIdeal
+from heckedist.fields import FieldElement, PrimeIdeal, _factor
 
 Scalar = Union[int, Fraction]
 
@@ -398,7 +398,7 @@ def brute_force_convolution(p: int, two_k: int, two_m: int) -> LocalHeckeElement
     product's diagonal is (p^{2(k+m)-s}, p^s) with s = l1 + l2, so its Hermite
     key is b mod p^s alone and one np.bincount per s tallies it.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p < 2 or _factor(p) != {p: 1}:
         raise HeckeError("p must be a rational prime, got %r" % (p,))
     if two_k % 2 or two_m % 2 or two_k <= 0 or two_m <= 0:
         raise HeckeError("exponents must be positive even integers")

@@ -329,6 +329,8 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     The running maximum over ratios is the empirical implied constant;
     ideals whose generator search fails are counted in ``skipped``.
     """
+    if not math.isfinite(eps):
+        raise KloostermanError("eps must be finite, got %r" % (eps,))
     if chi is None:
         chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
     level = chi.modulus
@@ -357,7 +359,5 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
 
     # gens come sorted by (norm, coords), so the rows do too
     rows = [one_row(norm, c) for norm, c in gens]
-    running = 0.0
-    for row in rows:
-        running = max(running, row.ratio)
+    running = max((row.ratio for row in rows), default=0.0)
     return WeilScanResult(tuple(rows), running, eps, s_labels, skipped)

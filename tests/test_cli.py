@@ -103,7 +103,10 @@ def test_sato_tate_nan_window_is_a_domain_error(capsys):
         assert json.loads(err)["error"] == "MeasureError", interval
 
 
-@pytest.mark.parametrize("content", ["5", "[[1, 0, 1]]", "[[1, 2]]", "[1]"])
+@pytest.mark.parametrize("content", [
+    "5", "[[1, 0, 1]]", "[[1, 2]]", "[1]",
+    # a JSON boolean is no int: true used to read as order 1
+    '[["1", true, false], ["2", 4, 1], ["3", 4, 3], ["4", 2, 1]]'])
 def test_bad_character_file_is_a_domain_error(capsys, tmp_path, content):
     chi_file = tmp_path / "chi.json"
     chi_file.write_text(content)
@@ -182,6 +185,18 @@ def test_field_factor(capsys):
     assert all(pr["norm"] == 11 for pr in data["primes"])
 
 
+def test_field_unit(capsys):
+    code, out, _ = run_cli(capsys, "field", "unit")
+    assert code == 0 and json.loads(out) == {"fundamental_unit": None, "regulator": 0.0}
+    code, out, _ = run_cli(capsys, "--field", "Q(sqrt 5)", "field", "unit")
+    assert code == 0
+    data = json.loads(out)
+    golden = (1 + math.sqrt(5)) / 2
+    assert data["fundamental_unit"] == ["0", "1"] and data["norm"] == -1
+    assert data["regulator"] == pytest.approx(math.log(golden), rel=1e-15)
+    assert data["embeddings"] == pytest.approx([golden, 1 - golden], rel=1e-15)
+
+
 def test_hecke_verify_relation_pinned(capsys):
     code, out, _ = run_cli(capsys, "hecke", "verify-relation",
                            "--p", "2", "--k", "1", "--m", "1")
@@ -241,6 +256,15 @@ def test_measure_box(capsys):
     assert data["value"] > 0
 
 
+def test_measure_box_reads_a_spec_file(capsys, tmp_path):
+    spec = json.dumps({"dim": 2, "q": [1], "e": {"2": [0.3, 1.2]}, "xi": [0, 0], "t": 4.0})
+    spec_file = tmp_path / "box.json"
+    spec_file.write_text(spec)
+    inline = run_cli(capsys, "measure", "box", "--spec", spec)
+    assert inline[0] == 0
+    assert run_cli(capsys, "measure", "box", "--spec", "@" + str(spec_file)) == inline
+
+
 def test_kloosterman_eval_pinned(capsys):
     code, out, _ = run_cli(capsys, "kloosterman", "eval", "--c", "5",
                            "--r", "1", "--rp", "1")
@@ -282,6 +306,42 @@ def test_kloosterman_eval_rejects_bad_c(capsys, c):
     assert json.loads(err)["error"] == "KloostermanError"
 
 
+# chi mod 5 of order 4 with chi(2) = i, given as [rep, order, exponent]
+ORDER_4_MOD_5 = '[["1", 4, 0], ["2", 4, 1], ["3", 4, 3], ["4", 2, 1]]'
+
+
+def test_kloosterman_eval_reads_a_character_file(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(ORDER_4_MOD_5)
+    code, out, _ = run_cli(capsys, "kloosterman", "eval", "--c", "5", "--r", "1",
+                           "--rp", "1", "--chi", str(chi_file))
+    assert code == 0
+    value = json.loads(out)["value"]
+    # the twisted sum S_chi(1,1;5) = 2 i sin(pi/5) of test_twisted_sum_pinned
+    assert value["re"] == pytest.approx(0.0, abs=1e-12)
+    assert value["im"] == pytest.approx(2 * math.sin(math.pi / 5), abs=1e-12)
+
+
+def test_kloosterman_delta(capsys, tmp_path):
+    def delta(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        return complex(data["value"]["re"], data["value"]["im"])
+
+    assert delta("kloosterman", "delta", "--r", "1", "--rp", "1", "--xi", "0") == 1
+    assert delta("kloosterman", "delta", "--r", "2", "--rp", "1", "--xi", "0") == 0
+    assert delta("--field", "Q(sqrt 5)", "kloosterman", "delta", "--r", "1,0",
+                 "--rp", "1,0", "--xi", "0,0") == 1
+    # chi(-1) = -1: the units 1 and -1 cancel at parity 0 and agree at parity 1
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(ORDER_4_MOD_5)
+    for xi, want in (("0", 0.0), ("1", 1.0)):
+        got = delta("--level", "5", "kloosterman", "delta", "--r", "1", "--rp", "1",
+                    "--xi", xi, "--chi", str(chi_file))
+        assert got == pytest.approx(want, abs=1e-12), xi
+
+
 def test_kloosterman_scan_reports_skipped(capsys):
     code, out, _ = run_cli(capsys, "--field", "Q(sqrt 94)", "kloosterman", "scan",
                            "--max-norm", "20")
@@ -292,6 +352,15 @@ def test_kloosterman_scan_reports_skipped(capsys):
     res = weil_scan(field, r, r, max_norm=20)
     assert data["skipped"] == res.skipped
     assert len(data["rows"]) == len(res.rows)
+
+
+def test_kloosterman_scan_rejects_non_finite_eps(capsys):
+    # eps = nan used to print null ratios and a running maximum of 1.0
+    for eps in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "kloosterman", "scan", "--max-norm", "10",
+                                 "--eps", eps)
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "KloostermanError", eps
 
 
 def test_kloosterman_scan_csv(capsys, tmp_path):
@@ -330,6 +399,27 @@ def test_equidist_pipeline(capsys, tmp_path):
     assert len(lines) == 4
     final_ratio = float(lines[-1].split(",")[3])
     assert final_ratio == pytest.approx(1.0, abs=0.1)
+
+
+def test_equidist_synth_csv_runs_like_jsonl(capsys, tmp_path):
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    summaries = []
+    for fmt, name in (("csv", "ds.csv"), ("json", "ds.jsonl")):
+        data_file = tmp_path / name
+        code, out, _ = run_cli(capsys, "--seed", "5", "--format", fmt, "--out", str(data_file),
+                               "equidist", "synth", "--box", box_spec, "--primes", "2:0",
+                               "--count", "300")
+        assert code == 0 and json.loads(out)["records"] == 300
+        code, out, _ = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                               "--box", box_spec, "--intervals", '{"2:0": [0, 1.5]}',
+                               "--t-grid", "1,3")
+        assert code == 0
+        summaries.append(json.loads(out))
+    lines = (tmp_path / "ds.csv").read_text().split("\n")
+    assert lines[0] == "lambda_1,xi_1,2:0,weight" and len(lines) == 302
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["rows"] == 2
+    assert summaries[0]["final_ratio"] == pytest.approx(143.11158994096314, rel=1e-12)
 
 
 def test_equidist_synth_without_out_synthesizes_nothing(capsys, monkeypatch):
@@ -398,9 +488,9 @@ def test_equidist_predict_rejects_bad_queries(capsys):
     box_spec = json.dumps({"dim": 2, "q": [1], "e": {"2": [0.3, 1.2]}, "xi": [0, 0]})
     good = {"2:0": [0.0, 1.0], "3:0": [1.0, 2.0]}
 
-    def predict_cli(t, windows):
+    def predict_cli(t, windows, *flags):
         return run_cli(capsys, "--field", "Q(sqrt 73)", "equidist", "predict", "--box",
-                       box_spec, "--intervals", json.dumps(windows), "--t", repr(t))
+                       box_spec, "--intervals", json.dumps(windows), "--t", repr(t), *flags)
 
     code, out, _ = predict_cli(2.0, good)
     assert code == 0
@@ -412,6 +502,23 @@ def test_equidist_predict_rejects_bad_queries(capsys):
         code, out, err = predict_cli(t, windows)
         assert code == 1 and out == ""
         assert json.loads(err, parse_constant=_reject_constant)["error"] == "EquidistError"
+    # a NaN covolume used to pass the positivity test and print null factors
+    for covolume in ("nan", "inf", "0"):
+        code, out, err = predict_cli(2.0, good, "--covolume", covolume)
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "EquidistError", covolume
+
+
+def test_equidist_run_rejects_non_finite_covolume(capsys, tmp_path):
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    data_file = tmp_path / "ds.jsonl"
+    data_file.write_text('{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}\n')
+    for covolume in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                                 "--box", box_spec, "--intervals", '{"2:0": [0, 1]}',
+                                 "--t-grid", "1,3", "--covolume", covolume)
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "EquidistError", covolume
 
 
 def test_equidist_index(capsys):
@@ -433,6 +540,18 @@ def test_equidist_tau(capsys, tmp_path):
     lines = tau_file.read_text().strip().split("\n")
     assert lines[0] == "n,tau"
     assert lines[1] == "1,1" and lines[2] == "2,-24"
+
+
+def test_equidist_tau_out_writes_the_dataset(capsys, tmp_path):
+    data_file = tmp_path / "tau.jsonl"
+    code, out, _ = run_cli(capsys, "equidist", "tau", "--upto", "200", "--out", str(data_file))
+    assert code == 0
+    data = json.loads(out)
+    assert data["out"] == str(data_file) and data["tau_out"] is None
+    assert data["primes"] == 46  # the primes up to 200
+    ds = heckedist.Dataset.from_jsonl(str(data_file), "Q")
+    assert len(ds) == 1 and len(ds.prime_labels) == 46
+    assert float(ds.eigenvalues("2:0")[0]) == data["lambda_2"] == 0.75
 
 
 def test_equidist_tau_rejects_upto_below_4(capsys):

@@ -720,6 +720,29 @@ def test_synthesize_pinned_bytes(tmp_path):
         "5e1151f2df0bf02a86c8442edae2919f66e9438a91ef47bf7a121be5726ad6c9"
 
 
+@pytest.mark.parametrize("box, digest", [
+    # parity 1: the density 2u coth(pi u) beside the atom at -3/4
+    (Box(1, (1,), (), (1,), 3.0),
+     "19ca07a79b10f7e2f4cc6ef246c1b729c25f80de01e094c5e0f8a407d072d8ff"),
+    # a window below 1/4 holds atoms only
+    (Box(1, (), ((1, (-30.5, -0.5)),), (0,), 0.0),
+     "13073dab6020677f8fb505994d60241f26dd22b609efb482de799261500560bb"),
+])
+def test_synthesize_pinned_odd_and_atomic_boxes(box, digest):
+    ds = synthesize(Q, ["2:0"], box, 5000, seed=3)
+    assert hashlib.sha256(ds.lambda_inf.tobytes()).hexdigest() == digest
+
+
+def test_pl_sampler_takes_the_last_atom_past_the_last_threshold():
+    # pl masses are integers, so an all-atomic window's thresholds end at exactly
+    # 1.0 and no uniform draw passes them; a draw of 1.0 is the rounding guard's case
+    import heckedist.equidist as equidist_module
+
+    out = equidist_module._sample_pl_restriction(0, (-30.5, -0.5), np.array([0.0, 0.5, 1.0]),
+                                                 np.zeros(3))
+    assert out.tolist() == [-2.0, -20.0, -30.0]
+
+
 def test_synthesize_respects_box():
     box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
     ds = synthesize(F73, ["2:0", "3:0"], box, 300, seed=1)

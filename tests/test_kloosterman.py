@@ -442,6 +442,13 @@ def test_weil_scan_quadratic_enumerates_principal_ideals():
         assert 1 <= row.norm <= 100 and level5.contains(row.c), row.c
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_weil_scan_rejects_non_finite_eps(eps):
+    # nan made every ratio past norm 1 NaN, inf made it 0.0
+    with pytest.raises(KloostermanError, match="eps must be finite"):
+        weil_scan(Q, Q.element(1), Q.element(1), max_norm=10, eps=eps)
+
+
 def test_weil_scan_work_budget():
     with pytest.raises(KloostermanError):
         weil_scan(Q, Q.element(1), Q.element(1), max_norm=10 ** 9)
