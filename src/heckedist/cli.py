@@ -26,11 +26,10 @@ from . import fields
 from . import hecke
 from . import measures
 from . import kloosterman as kl
-from . import equidist
+from . import equidist  # lazy: its code and numpy load in the first equidist handler
 
-DOMAIN_ERRORS = (fields.FieldError, hecke.HeckeError, measures.MeasureError,
-                 kl.KloostermanError, equidist.EquidistError, ValueError,
-                 OverflowError, OSError, KeyError)
+# the package's error classes all subclass ValueError
+DOMAIN_ERRORS = (ValueError, OverflowError, OSError, KeyError)
 
 
 # -- parsing helpers ---------------------------------------------------------------

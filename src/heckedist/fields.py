@@ -35,7 +35,9 @@ class FieldError(ValueError):
 
 
 def _factor(n: int) -> Dict[int, int]:
-    """{p: v_p(n)} for an int n >= 1, by trial division, p ascending."""
+    """{p: v_p(n)} for an int 1 <= n <= 10^12, by trial division, p ascending."""
+    if n > 10 ** 12:  # past 10^6 divisions
+        raise FieldError("%d is past the trial-division limit 10^12" % n)
     out: Dict[int, int] = {}
     p = 2
     while p * p <= n:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,17 @@ def test_field_factor(capsys):
     data = json.loads(out)
     assert len(data["primes"]) == 2
     assert all(pr["norm"] == 11 for pr in data["primes"])
+
+
+def test_field_factor_past_the_trial_division_limit_fails_fast(capsys):
+    # 100000000000031 is prime; dividing up to its square root took about 2 s
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "field", "factor", "--p", "100000000000031")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "FieldError", "message":
+                               "100000000000031 is past the trial-division limit 10^12"}
 
 
 def test_field_unit(capsys):

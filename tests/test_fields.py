@@ -408,6 +408,17 @@ def test_ideal_prime_factorization_rejects_zero():
         ideal_prime_factorization(Ideal.principal(F5.zero()))
 
 
+def test_trial_division_stops_at_its_limit():
+    assert fields_module._factor(10 ** 12) == {2: 12, 5: 12}
+    # 10^12 + 39 is prime: the squarefree test, the prime splitting and the
+    # ideal factorization all refuse it instead of dividing to its square root
+    p = 10 ** 12 + 39
+    for call in (lambda: make_field(p), lambda: factor_rational_prime(Q, p),
+                 lambda: ideal_prime_factorization(Ideal.principal(F5.element(p)))):
+        with pytest.raises(FieldError, match="past the trial-division limit 10\\^12"):
+            call()
+
+
 def test_ideal_prime_factorization_rejects_fractional_ideals():
     # norm 1/4 used to give [], norm 9/4 an error from ideal_valuation
     for x in (F5.element(Fraction(1, 2)), F5.element(Fraction(3, 2)),

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and every
-module-level private function, class or constant is referenced somewhere in it."""
+"""Source hygiene: every module-level import in the package is used, only
+equidist imports numpy or scipy when it loads, and every module-level private
+function, class or constant is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -41,6 +42,38 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def import_time_array_imports(source: str):
+    """(line, module) of each numpy or scipy import that runs when the module
+    loads: anywhere outside a function body, class bodies and if/try blocks included."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(f for f in found if f[1].split(".")[0] in ("numpy", "scipy"))
+
+
+def test_checker_flags_an_import_time_array_import():
+    source = ("import os, numpy as np\nfrom scipy.integrate import quad\n"
+              "try:\n    import numpy.fft\nexcept ImportError:\n    pass\n"
+              "class A:\n    from numpy import fft\n"
+              "def f():\n    import numpy\n    return numpy\n")
+    assert import_time_array_imports(source) == [(1, "numpy"), (2, "scipy.integrate"),
+                                                 (4, "numpy.fft"), (8, "numpy")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_equidist_imports_numpy_when_it_loads(path):
+    # `import heckedist` and the non-array CLI commands stay on the standard library
+    found = import_time_array_imports(path.read_text())
+    assert (found != []) == (path.name == "equidist.py"), (path.name, found)
 
 
 def unused_private_names(sources):
