@@ -14,7 +14,10 @@ over Q and F alike, comes from one fold: each row enters the pivot (b, g) by
 an extended Euclid on its w-coordinate, and n is the gcd of what is left on
 the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g times the
 primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
-inverses are two modular inverses combined in closed form, and v_P counts
+inverses are two modular inverses combined in closed form.  Each field keeps
+the unit tables of its moduli, keyed by HNF (so c, -c and every unit multiple
+of c share one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all;
+adding one past that clears them, and a larger table is not kept.  v_P counts
 multiply-and-divide steps by one fixed element of pP^{-1}, without building
 powers of P.  Generators of principal ideals come from one bounded box
 search; a unit multiple of an ideal is the ideal itself, so a miss is final.
@@ -24,10 +27,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+# ints of unit tables one field keeps (512 KiB of int64)
+_UNIT_TABLE_INTS = 1 << 16
 
 
 class FieldError(ValueError):
@@ -77,6 +84,8 @@ class NumberField:
                 self.disc = 4 * m
         self._unit_cache: Optional[UnitGroupData] = None
         self._prime_cache: Dict[int, list] = {}  # p -> factor_rational_prime(self, p)
+        self._unit_tables: Dict[tuple, array] = {}  # integral HNF -> Ideal._unit_table()
+        self._unit_table_ints = 0  # total length of the kept tables
 
     # -- construction helpers ------------------------------------------------
 
@@ -288,6 +297,13 @@ class FieldElement:
 # -- integer lattice utilities ------------------------------------------------
 
 
+def _table_coords(table: array, degree: int, start: int) -> Iterator[tuple]:
+    """Coordinate tuples of the units (start 0) or of their inverses (start
+    degree) in a table of Ideal._unit_table()."""
+    step = 2 * degree
+    return zip(*(table[i::step] for i in range(start, start + degree)))
+
+
 def _hnf(rows: Sequence[tuple]) -> tuple:
     """HNF basis ((n,),) of the Z-span of int 1-vectors, or ((n, 0), (b, g)) of 2-vectors.
 
@@ -414,7 +430,14 @@ class Ideal:
 
     def unit_inverse_pairs(self) -> list:
         """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples
-        in the lex order of residue_coords().
+        in the lex order of residue_coords(), read off _unit_table()."""
+        table, k = self._unit_table(), self.field.degree
+        return list(zip(_table_coords(table, k, 0), _table_coords(table, k, k)))
+
+    def _unit_table(self) -> array:
+        """The units x of O/I and their inverses as one flat int array: the
+        coordinates of x, then of x^{-1}, unit after unit in the lex order of
+        residue_coords().  Kept on the field under the HNF; read, never write.
 
         The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
         primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x = a + b*w is
@@ -425,25 +448,39 @@ class Ideal:
         """
         if not self.is_integral():
             raise FieldError("residues need an integral ideal")
+        field = self.field
+        table = field._unit_tables.get(self.hnf)
+        if table is not None:
+            return table
         gcd = math.gcd
-        if self.field.degree == 1:
+        flat: list = []  # one list and one array copy build faster than array.extend
+        if field.degree == 1:
             n = self.hnf[0][0]
-            return [((a,), (pow(a, -1, n),)) for a in range(n) if gcd(a, n) == 1]
-        t, c = self.field.t, self.field.c
-        (n, _), (bh, g) = self.hnf
-        m, h = n // g, bh // g
-        pairs = []
-        for a in range(n):
-            for b in range(g):
-                r = a - h * b
-                norm = a * a + t * a * b - c * b * b
-                if gcd(r, m) != 1 or gcd(norm, g) != 1:
-                    continue
-                s = pow(norm, -1, g)
-                x = pow(r, -1, m) * (1 - norm * s) + s * (a + t * b)
-                q = -s * b // g
-                pairs.append(((a, b), ((x - q * bh) % n, -s * b - q * g)))
-        return pairs
+            for a in range(n):
+                if gcd(a, n) == 1:
+                    flat += (a, pow(a, -1, n))
+        else:
+            t, c = field.t, field.c
+            (n, _), (bh, g) = self.hnf
+            m, h = n // g, bh // g
+            for a in range(n):
+                for b in range(g):
+                    r = a - h * b
+                    norm = a * a + t * a * b - c * b * b
+                    if gcd(r, m) != 1 or gcd(norm, g) != 1:
+                        continue
+                    s = pow(norm, -1, g)
+                    x = pow(r, -1, m) * (1 - norm * s) + s * (a + t * b)
+                    q = -s * b // g
+                    flat += (a, b, (x - q * bh) % n, -s * b - q * g)
+        table = array("q", flat)
+        if len(table) <= _UNIT_TABLE_INTS:
+            if field._unit_table_ints + len(table) > _UNIT_TABLE_INTS:
+                field._unit_tables.clear()
+                field._unit_table_ints = 0
+            field._unit_tables[self.hnf] = table
+            field._unit_table_ints += len(table)
+        return table
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from .fields import (
     ideal_valuation,
     unit_square_class,
     _small_generator,
+    _table_coords,
 )
 
 
@@ -64,7 +65,8 @@ class DirichletCharacter:
             raise FieldError("the character modulus must be an integral ideal")
         self.field = field
         self.modulus = modulus
-        self.phases = {k: (q - (q.numerator // q.denominator)) for k, q in phases.items()}
+        self.phases = {k: q if 0 <= q.numerator < q.denominator
+                       else q - q.numerator // q.denominator for k, q in phases.items()}
         if check:
             self._validate()
 
@@ -86,14 +88,14 @@ class DirichletCharacter:
 
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
-        phases = {x: Fraction(0) for x, _ in modulus.unit_inverse_pairs()}
-        return cls(field, modulus, phases, check=False)
+        units = _table_coords(modulus._unit_table(), modulus.field.degree, 0)
+        return cls(field, modulus, dict.fromkeys(units, Fraction(0)), check=False)
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
                exponent: int = 1) -> "DirichletCharacter":
         """chi(g^j) = e^{2 pi i j exponent / order}; g must generate (O/I)*."""
-        n_units = len(modulus.unit_inverse_pairs())
+        n_units = len(modulus._unit_table()) // (2 * modulus.field.degree)
         g = modulus.reduce(generator)
         phases = {}
         x = modulus.reduce(field.one())
@@ -184,14 +186,15 @@ def evaluate(q: KloostermanQuery) -> complex:
         # tr(y) = 2 y0 + t y1 and tr(y w) = t y0 + (t^2 + 2c) y1; over Q tr(y) = y0
         lin += y if field.degree == 1 else \
             (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
-    pairs = Ideal.principal(q.c).unit_inverse_pairs()
+    table = Ideal.principal(q.c)._unit_table()
+    it = iter(table)
     if field.degree == 1:
         l0, m0 = lin
-        terms = ((a * l0 + d * m0) % den for (a,), (d,) in pairs)
+        terms = ((a * l0 + d * m0) % den for a, d in zip(it, it))
     else:
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
-                 for (a0, a1), (d0, d1) in pairs)
+                 for a0, a1, d0, d1 in zip(it, it, it, it))
     # mod O every d reduces to the one residue 0, so chi moves each count's key alike
     chi_num = {key: x.numerator * (den // x.denominator) for key, x in chi.phases.items()}
     shift = 0
@@ -199,8 +202,9 @@ def evaluate(q: KloostermanQuery) -> complex:
         if chi.modulus.hnf[0][0] == 1:
             shift = chi_num[chi.modulus.reduce_coords(0)]
         else:
+            inverses = _table_coords(table, field.degree, field.degree)
             terms = ((k - chi_num[chi.modulus.reduce_coords(*d)]) % den
-                     for k, (_, d) in zip(terms, pairs))
+                     for k, d in zip(terms, inverses))
         counts = Counter(terms)
     except KeyError as exc:
         raise KloostermanError("%r is not a unit mod the character modulus"
@@ -353,8 +357,10 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
 
     def one_row(norm: int, c: FieldElement) -> WeilRow:
         k = abs(evaluate(KloostermanQuery(c, r, rp, chi)))
-        s = math.prod(p.absolute_norm() ** ideal_valuation(Ideal.principal(c), p)
-                      for p in s_primes)
+        s = 1
+        if s_primes:
+            ideal = Ideal.principal(c)
+            s = math.prod(p.absolute_norm() ** ideal_valuation(ideal, p) for p in s_primes)
         return WeilRow(c, norm, k, k / (s * (norm // s) ** (0.5 + eps)))
 
     # gens come sorted by (norm, coords), so the rows do too

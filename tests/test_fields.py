@@ -451,6 +451,51 @@ def test_residue_ring_inverses():
         assert ideal.reduce(x * F5.element(*inv)) == ideal.reduce(one)
 
 
+def test_unit_table_is_kept_per_modulus():
+    field = make_field(5)
+    c = field.element(13, 4)
+    eps = field.unit_group().fundamental
+    table = Ideal.principal(c)._unit_table()
+    # c, -c and eps^3 c generate one ideal, so they read one kept table
+    for x in (c, -c, c * eps ** 3, -(c * eps.inverse())):
+        assert Ideal.principal(x)._unit_table() is table
+    assert field._unit_tables == {Ideal.principal(c).hnf: table}
+    assert field._unit_table_ints == len(table) == 4 * 160
+    flat = [v for x, y in Ideal.principal(c).unit_inverse_pairs() for v in x + y]
+    assert table.tolist() == flat
+
+
+def test_unit_table_is_kept_per_field():
+    # (7) has the HNF ((7, 0), (0, 7)) over every quadratic field
+    f5, f2, f5_again = make_field(5), make_field(2), make_field(5)
+    tables = [Ideal.principal(f.element(7))._unit_table() for f in (f5, f2, f5_again)]
+    assert len({id(t) for t in tables}) == 3
+    assert len(tables[0]) == 4 * 48 and len(tables[1]) == 4 * 36  # 7 inert in 5, split in 2
+    assert tables[0] == tables[2]
+    assert Ideal.principal(make_field("Q").element(7))._unit_table().tolist() == \
+        [1, 1, 2, 4, 3, 5, 4, 2, 5, 3, 6, 6]
+
+
+def test_unit_tables_past_the_budget(monkeypatch):
+    monkeypatch.setattr(fields_module, "_UNIT_TABLE_INTS", 200)
+    field = make_field(5)
+    seven = Ideal.principal(field.element(7))  # 48 units, 192 ints
+    three = Ideal.principal(field.element(3))  # inert: 8 units, 32 ints
+    eleven = Ideal.principal(field.element(11))  # split: 100 units, 400 ints
+    kept = seven._unit_table()
+    assert seven._unit_table() is kept and field._unit_table_ints == 192
+    # 192 + 32 > 200: the field's tables are cleared before the new one is kept
+    small = three._unit_table()
+    assert field._unit_tables == {three.hnf: small} and field._unit_table_ints == 32
+    assert seven._unit_table() is not kept
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 192
+    # a table past the budget on its own is returned and not kept
+    big = eleven._unit_table()
+    assert len(big) == 400 and eleven._unit_table() is not big
+    assert eleven._unit_table() == big
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 192
+
+
 def test_unit_square_class():
     eps = F5.unit_group().fundamental
     one = F5.one()

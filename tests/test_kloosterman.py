@@ -155,7 +155,8 @@ def cyclic_characters(field, modulus, count):
     raise AssertionError("no small generator mod %r" % (modulus,))
 
 
-def test_evaluate_is_bit_identical_to_fraction_preamble():
+def pinned_queries():
+    """The queries evaluate must match fraction_preamble_evaluate on with ==."""
     rng = random.Random(14)
     F2 = make_field(2)
     queries = mixed_queries(random.Random(2027))
@@ -179,6 +180,11 @@ def test_evaluate_is_bit_identical_to_fraction_preamble():
     # a table mod O: its one value moves every term's phase alike
     shifted = DirichletCharacter(Q, Ideal.unit_ideal(Q), {(0,): Fraction(1, 3)}, check=False)
     queries += [q_query(3, 5, c, shifted) for c in (1, 12, 97)]
+    return queries
+
+
+def test_evaluate_is_bit_identical_to_fraction_preamble():
+    queries = pinned_queries()
     assert any(q.c.norm() < 0 and q.c.field.degree == 2 for q in queries)
     for q in queries:
         assert evaluate(q) == fraction_preamble_evaluate(q), q
@@ -242,6 +248,30 @@ def test_unit_inverse_pairs(enumerated_ideals):
 def test_unit_inverse_pairs_match_inverse_coords_route(enumerated_ideals):
     for ideal in enumerated_ideals:
         assert ideal.unit_inverse_pairs() == inverse_coords_route(ideal), ideal
+        # the second call reads the table the first one kept on the field
+        assert ideal.unit_inverse_pairs() == inverse_coords_route(ideal), ideal
+
+
+def on_a_fresh_field(q):
+    """q with its field, elements and character rebuilt on a new NumberField,
+    which has no unit tables yet."""
+    field = make_field(q.c.field.m)
+    assert not field._unit_tables
+
+    def move(x):
+        return field.element(x.a, x.b)
+
+    chi = DirichletCharacter(field, Ideal(field, q.chi.modulus.hnf), q.chi.phases, check=False)
+    return KloostermanQuery(move(q.c), move(q.r), move(q.rp), chi)
+
+
+def test_evaluate_on_a_fresh_field_matches_a_warm_one():
+    queries = pinned_queries()
+    # characters mod levels I != O: mod 7 and 9 over Q, 2 and 3 over Q(sqrt 5), 3 over Q(sqrt 2)
+    assert {q.chi.modulus.norm() for q in queries} >= {4, 7, 9}
+    warm = [evaluate(q) for q in queries]
+    assert [evaluate(q) for q in queries] == warm
+    assert [evaluate(on_a_fresh_field(q)) for q in queries] == warm
 
 
 def test_character_modulus_must_be_integral():
@@ -354,6 +384,34 @@ def test_query_validation():
     for r, rp in ((F94.one(), F5.one()), (F5.one(), Q.element(1))):
         with pytest.raises(FieldError, match="field mismatch"):
             KloostermanQuery(F5.element(7), r, rp, chi5)
+
+
+def test_character_phases_are_reduced_to_the_unit_interval():
+    mod5 = Ideal.principal(Q.element(5))
+    kept = {(1,): Fraction(0), (4,): Fraction(1, 2), (2,): Fraction(1, 4)}
+    out = {(3,): Fraction(-1, 4), (2,): Fraction(5, 4), (4,): Fraction(3, 2)}
+    for phases, want in ((kept, kept),
+                         (out, {(3,): Fraction(3, 4), (2,): Fraction(1, 4),
+                                (4,): Fraction(1, 2)})):
+        chi = DirichletCharacter(Q, mod5, phases, check=False)
+        assert chi.phases == want and list(chi.phases) == list(phases)
+    # a phase already in [0, 1) is kept as the object it was given
+    chi = DirichletCharacter(Q, mod5, kept, check=False)
+    assert all(chi.phases[k] is q for k, q in kept.items())
+    assert DirichletCharacter(Q, mod5, {(1,): Fraction(-3)}, check=False).phases == \
+        {(1,): Fraction(0)}
+
+
+@pytest.mark.parametrize("field,gen", [(Q, Q.element(36)), (Q, Q.element(-7)),
+                                       (F5, F5.element(7)), (F5, F5.element(3, 2)),
+                                       (F94, F94.element(6)), (F94, F94.element(5, 1))])
+def test_trivial_character_matches_the_pair_construction(field, gen):
+    modulus = Ideal.principal(gen)
+    chi = DirichletCharacter.trivial(field, modulus)
+    # the table trivial built before it read the unit table
+    old = {x: Fraction(0) for x, _ in modulus.unit_inverse_pairs()}
+    assert list(chi.phases.items()) == list(old.items())
+    assert all(type(k) is tuple and all(type(v) is int for v in k) for k in chi.phases)
 
 
 def test_character_validation():
