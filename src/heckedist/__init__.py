@@ -6,9 +6,9 @@ for Q and real quadratic fields at desk scale.
 
 Only the array routes load numpy: ``heckedist.equidist`` (datasets, counts,
 the tau expansion), ``brute_force_convolution`` and
-``SatoTateMeasure.inverse_cdf_table``; the npl quadrature
-(``NuMeasure.interval``, hence ``npl_consistency``) loads scipy.  Everything
-else runs on the standard library, and ``import heckedist`` loads neither:
+``SatoTateMeasure.inverse_cdf_table``.  Everything else runs on the standard
+library, the npl quadrature (``NuMeasure.interval``, hence
+``npl_consistency``) included, and ``import heckedist`` loads no numpy:
 ``heckedist.equidist`` sits in ``sys.modules`` as a lazy module that runs its
 code on first attribute access, and its names here resolve through the
 module ``__getattr__``.

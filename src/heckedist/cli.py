@@ -258,21 +258,15 @@ def cmd_hecke_eigenvalue(args) -> None:
 
 
 def cmd_measure_eval(args) -> None:
-    if args.kind.startswith("npl"):
-        if args.kind not in ("npl0", "npl1"):
-            raise measures.MeasureError("unknown nu-measure kind %r" % (args.kind,))
-        mu = measures.nu_measure(int(args.kind[-1]))
+    if args.kind in ("npl0", "npl1"):
         lo, hi = (parse_nu(x) for x in split_interval(args.interval))
-        mv = mu.interval(lo, hi)
-        payload = {"kind": args.kind, "interval": [str(lo), str(hi)],
-                   "value": mv.value, "error": mv.error}
-    else:
+        mv = measures.nu_measure(int(args.kind[-1])).interval(lo, hi)
+        interval = [str(lo), str(hi)]
+    else:  # spectral_measure rejects every other kind, npl2 too
         mu = measures.spectral_measure(args.kind)
-        interval = parse_interval(args.interval)
+        interval = list(parse_interval(args.interval))
         mv = measures.measure_interval(mu, interval)
-        payload = {"kind": args.kind, "interval": list(interval),
-                   "value": mv.value, "error": mv.error}
-    _emit(args, payload)
+    _emit(args, {"kind": args.kind, "interval": interval, "value": mv.value, "error": mv.error})
 
 
 def cmd_measure_phi(args) -> None:
@@ -551,15 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _glue_intervals(argv: Sequence[str]) -> List[str]:
-    """argv with '--interval -3:2' as '--interval=-3:2'.
+_DASH_VALUED = ("--interval", "--c", "--r", "--rp", "--level")
 
-    argparse reads a value that starts with '-' as an option unless it is a
-    plain negative number, and a window such as -3:2 is not one.
-    """
+
+def _glue_dash_values(argv: Sequence[str]) -> List[str]:
+    """argv with '--c -2,0' as '--c=-2,0' for each option of _DASH_VALUED: argparse
+    reads a value that starts with '-' as an option unless it is a plain negative
+    number, and a window such as -3:2 or an element such as -2,0 is not one."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--interval" and arg.startswith("-") and not arg.startswith("--"):
+        if out and out[-1] in _DASH_VALUED and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -569,7 +564,7 @@ def _glue_intervals(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(_glue_intervals(sys.argv[1:] if argv is None else argv))
+        args = ap.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits itself on usage errors and --help; fold into a code
         return int(exc.code or 0)

@@ -428,12 +428,6 @@ class Ideal:
             raise FieldError("residues need an integral ideal")
         return itertools.product(*(range(row[i]) for i, row in enumerate(self.hnf)))
 
-    def unit_inverse_pairs(self) -> list:
-        """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples
-        in the lex order of residue_coords(), read off _unit_table()."""
-        table, k = self._unit_table(), self.field.degree
-        return list(zip(_table_coords(table, k, 0), _table_coords(table, k, k)))
-
     def _unit_table(self) -> array:
         """The units x of O/I and their inverses as one flat int array: the
         coordinates of x, then of x^{-1}, unit after unit in the lex order of

@@ -22,10 +22,11 @@ the primitive of 2u tanh(pi u) is u^2 - 1/12 + (2u/pi) log(1 + x) - Li2(-x)/pi^2
 that of 2u coth(pi u) is u^2 + 1/6 + (2u/pi) log(1 - x) - Li2(x)/pi^2, and
 Landen's identity and the reflection formula keep each dilogarithm argument in
 [0, 1/2] (Lewin, Polylogarithms, ch. 1); their error is a derived bound.  The
-nu forms take a separate route, scipy's QUADPACK QAWS in lambda with the weight
-(lambda - 1/4)^(-1/2), so npl_consistency checks the closed form against a
-quadrature; only that route imports scipy.  V1 and Sato-Tate interval masses
-are closed forms too.  Atom positions and masses are exact rationals, and atom
+nu forms take a separate route, a composite 16-point Gauss-Legendre rule in
+s = sqrt(lambda - 1/4) with a proven error bound, so npl_consistency checks the
+closed form against a quadrature.  Both routes run on the standard library;
+only inverse_cdf_table loads numpy.  V1 and Sato-Tate interval masses are
+closed forms too.  Atom positions and masses are exact rationals, and atom
 ranges come from the endpoints' exact integer ratios.
 """
 
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -183,20 +186,6 @@ class SpectralMeasure:
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
         return (_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
 
-    def density(self, lam: float) -> float:
-        """Continuous density at lam (0 off the continuous support)."""
-        if self._mass_den == 1:
-            if lam <= 0.25:
-                return 0.0
-            r = math.pi * math.sqrt(lam - 0.25)
-            return math.tanh(r) if self.xi == 0 else 1.0 / math.tanh(r)
-        low = 0.0 if self.xi == 0 else 0.25
-        if lam < low or lam == 0.25:
-            return 0.0
-        if lam >= 1.25:
-            return 0.5
-        return 0.5 / math.sqrt(abs(lam - 0.25))
-
 
 def spectral_measure(kind: str) -> SpectralMeasure:
     """The measure named pl0, pl1, v10 or v11; the last character is the parity xi."""
@@ -245,17 +234,39 @@ def _nu_path_lambda(nu: complex) -> float:
     raise MeasureError("nu must lie on [0, oo) or i[0, oo), got %r" % (nu,))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_16() -> Tuple[Tuple[float, float], ...]:
+    """(node, weight) of the 16-point Gauss-Legendre rule on [0, 2], each within
+    2^-53 relatively: Newton on P_16 in 40-digit decimals, then 1 -+ t rounded."""
+    rule = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i in range(1, 9):
+            t, step = Decimal(math.cos(math.pi * (i - 0.25) / 16.5)), 1
+            while abs(step) > Decimal("1e-30"):
+                p0, p1 = Decimal(1), t
+                for k in range(2, 17):
+                    p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+                dp = 16 * (p0 - t * p1) / (1 - t * t)  # P_16' from P_15 and P_16
+                step = p1 / dp
+                t -= step
+            weight = float(2 / ((1 - t * t) * dp * dp))
+            rule += [(float(1 - t), weight), (float(1 + t), weight)]
+    return tuple(sorted(rule))
+
+
 @dataclass(frozen=True)
 class NuMeasure:
     """pl_xi written in the spectral parameter nu (lambda = 1/4 - nu^2).
 
     Continuous part 2t tanh(pi t) dt (xi = 0) or 2t coth(pi t) dt (xi = 1)
     on the imaginary leg nu = it; atoms of mass b-1 at nu = (b-1)/2 on the
-    real leg, b > 1 of parity xi mod 2.  The error of a mass is QUADPACK's
-    estimate, not a bound.
+    real leg, b > 1 of parity xi mod 2.  The error of a mass is a proven
+    bound (derived at _from_quarter), below 1e-14 (lambda + 1) at each end.
     """
 
     xi: int
+    _PANEL_ERROR = 1e-16  # the Bernstein-ellipse bound of one panel, see _from_quarter
 
     def __post_init__(self):
         _parity(self.xi)
@@ -270,36 +281,43 @@ class NuMeasure:
         # continuous: imaginary leg only, lambda in [1/4, oo); a quadrature,
         # a route apart from the lambda side's closed form
         lo_part, hi_part = (self._from_quarter(lam) for lam in (lam_lo, lam_hi))
-        cont = MeasureValue(hi_part.value - lo_part.value, hi_part.error + lo_part.error)
         # atoms at nu = (b-1)/2 <-> lambda = b/2(1-b/2)
         atom_mass = _atom_mass(self.xi, lam_lo, lam_hi, 1)
-        return MeasureValue(cont.value + atom_mass, cont.error)
+        return MeasureValue(hi_part.value - lo_part.value + atom_mass,
+                            hi_part.error + lo_part.error)
 
     def _from_quarter(self, lam: float) -> MeasureValue:
-        """Continuous mass of the leg up to lambda, integrated in lambda.
+        """Continuous mass of the leg up to lambda: f(s) = 2s tanh(pi s) (coth
+        for xi = 1) over [0, S], S = sqrt(lambda - 1/4), by 16-point Gauss-Legendre
+        panels of width <= 1/2 up to min(S, 8), plus the exact (lambda - 1/4) - 64.
 
-        With s = sqrt(lambda - 1/4), 2t tanh(pi t) dt is tanh(pi s) d lambda,
-        that is (lambda - 1/4)^(-1/2) g(lambda) with g = s tanh(pi s) (or
-        s coth(pi s)); g is even in s, hence analytic in lambda, and QUADPACK's
-        QAWS integrates the algebraic end-point weight.
+        Error bound.  Panels: |f| <= 17.1 where |Im s| <= 0.4, -1/2 <= Re s <= 17/2
+        (poles at Im s = 1/2, 1), which holds the Bernstein ellipse rho = 1.6 +
+        sqrt(3.56) = 3.487 of a panel of half-width h <= 1/4; there |integrand|
+        <= M = 17.1 h, so the error is <= (64/15) M rho^-30 / (rho^2 - 1) < 9e-17
+        (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+        Tail: |f - 2s| < 5s e^(-2 pi s) integrates to < 1e-21 past s = 8.
+        Rounding, u = 2^-53: nodes and weights are within u; a + h node is
+        within 3u, moving f by 6u as |s f'/f| <= 2; pi s, tanh (2 ulps) and two
+        products add 7u, the weight and h 3u; the positive terms are within 16u
+        of their sum, which fsum rounds once.  The rounded S moves the mass by
+        <= 3u S^2 + u S, and (lambda - 1/4) - 64 is within 2u lambda, with
+        lambda - 1/4 <= mass + 1/12.  In all the rounding is < 2^-48 (mass + 1).
         """
         if lam <= 0.25:
             return MeasureValue(0.0, 0.0)
-        from scipy.integrate import quad
-        if self.xi == 0:
-            def g(x):
-                s = math.sqrt(max(x - 0.25, 0.0))
-                return s * math.tanh(math.pi * s)
-        else:
-            def g(x):
-                # s coth(pi s) -> 1/pi at s = 0
-                s = math.sqrt(max(x - 0.25, 0.0))
-                if s < 1e-8:
-                    return 1.0 / math.pi + math.pi * s * s / 3.0
-                return s / math.tanh(math.pi * s)
-        v, e = quad(g, 0.25, lam, weight="alg", wvar=(-0.5, 0.0),
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-        return MeasureValue(v, e)
+        x = lam - 0.25
+        top = min(math.sqrt(x), 8.0)
+        terms = [x - 64.0] if x > 64.0 else []  # int_8^S 2s ds, without squaring S
+        panels = math.ceil(2.0 * top)
+        for a in (k / 2 for k in range(panels)):
+            half = (min(a + 0.5, top) - a) / 2  # exact: both ends within a factor 2
+            for node, weight in _gauss_legendre_16():
+                s = a + half * node
+                t = math.tanh(math.pi * s)
+                terms.append(half * weight * (2.0 * s / t if self.xi else 2.0 * s * t))
+        value = math.fsum(terms)
+        return MeasureValue(value, panels * self._PANEL_ERROR + 1e-21 + 2.0 ** -48 * (value + 1.0))
 
 
 def nu_measure(xi: int) -> NuMeasure:
@@ -309,13 +327,12 @@ def nu_measure(xi: int) -> NuMeasure:
 def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
     """(nu-side mass, lambda-side mass) of the same spectral window.
 
-    The two must agree within the nu side's quadrature error; the lambda side maps the
-    path segment through lambda = 1/4 - nu^2 and calls measure_interval.
+    The two must agree within the sum of their proven error bounds: the nu
+    side's Gauss-Legendre quadrature and the lambda side's closed form, which
+    maps the path segment through lambda = 1/4 - nu^2 and calls measure_interval.
     """
-    nv = nu_measure(xi).interval(lo, hi).value
-    lam_lo, lam_hi = sorted((_nu_path_lambda(lo), _nu_path_lambda(hi)))
-    pv = measure_interval(pl_measure(xi), (lam_lo, lam_hi)).value
-    return (nv, pv)
+    window = tuple(sorted((_nu_path_lambda(lo), _nu_path_lambda(hi))))
+    return (nu_measure(xi).interval(lo, hi).value, measure_interval(pl_measure(xi), window).value)
 
 
 # -- Sato-Tate measures --------------------------------------------------------
@@ -333,12 +350,6 @@ class SatoTateMeasure:
 
     def support(self) -> Tuple[float, float]:
         return (0.0, 2.0 * math.sqrt(self.norm))
-
-    def density(self, lam: float) -> float:
-        N = self.norm
-        if lam < 0 or lam * lam > 4 * N:
-            return 0.0
-        return math.sqrt(4 * N - lam * lam) / (math.pi * N)
 
     def moment(self, m: int) -> Fraction:
         """Exact m-th moment: Catalan(m/2) N^{m/2} for even m."""

@@ -5,6 +5,14 @@ import math
 import pytest
 
 from heckedist import Ideal, make_field
+from heckedist.fields import _table_coords
+
+
+def unit_inverse_pairs(ideal):
+    """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples in
+    the lex order of residue_coords(): the list view of ideal._unit_table()."""
+    table, k = ideal._unit_table(), ideal.field.degree
+    return list(zip(_table_coords(table, k, 0), _table_coords(table, k, k)))
 
 
 def hnf_ideals(field, max_norm):

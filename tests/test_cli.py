@@ -277,6 +277,20 @@ def test_measure_box_reads_a_spec_file(capsys, tmp_path):
     assert run_cli(capsys, "measure", "box", "--spec", "@" + str(spec_file)) == inline
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--c", "-2,0", ["kloosterman", "eval", "--r", "1,0", "--rp", "1,0"]),
+    ("--r", "-1,1", ["kloosterman", "delta", "--rp", "1,0", "--xi", "0,0"]),
+    ("--rp", "-1,1", ["kloosterman", "eval", "--c", "2,0", "--r", "1,0"]),
+    ("--level", "-2,1", ["kloosterman", "delta", "--r", "1,0", "--rp", "1,0", "--xi", "0,0"]),
+], ids=["c", "r", "rp", "level"])
+def test_dash_led_element_needs_no_equals_sign(capsys, flag, value, argv):
+    # argparse alone reads -2,0 as an option and exits 2
+    code, out, _ = run_cli(capsys, "--field", "Q(sqrt 5)", *argv, flag, value)
+    assert code == 0
+    glued = run_cli(capsys, "--field", "Q(sqrt 5)", *argv, flag + "=" + value)
+    assert json.loads(out) == json.loads(glued[1])
+
+
 def test_kloosterman_eval_pinned(capsys):
     code, out, _ = run_cli(capsys, "kloosterman", "eval", "--c", "5",
                            "--r", "1", "--rp", "1")

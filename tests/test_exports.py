@@ -86,11 +86,32 @@ def test_import_loads_no_numpy_until_an_equidist_name_is_read():
     # the brute-force route over Q runs by default
     (["hecke", "verify-relation", "--p", "2", "--k", "1", "--m", "1"], True),
     (["equidist", "tau", "--upto", "10"], True),
+    # the nu side's Gauss-Legendre rule runs on the standard library
+    (["measure", "eval", "--kind", "npl0", "--interval", "0.1i:2i"], False),
 ], ids=["field-info", "kloosterman-eval", "measure-phi", "verify-relation-no-brute",
-        "verify-relation", "equidist-tau"])
+        "verify-relation", "equidist-tau", "measure-eval-npl0"])
 def test_cli_loads_numpy_only_for_array_routes(argv, loads_numpy):
     script = ("import json, sys\n"
               "from heckedist.cli import main\n"
               "code = main(%r)\n"
-              "print(json.dumps([code, 'numpy' in sys.modules]))\n" % (argv,))
-    assert run_fresh(script) == [0, loads_numpy]
+              "print(json.dumps([code, 'numpy' in sys.modules, 'scipy' in sys.modules]))\n"
+              % (argv,))
+    assert run_fresh(script) == [0, loads_numpy, False]
+
+
+def test_npl_routes_run_where_scipy_cannot_be_imported():
+    # a None entry in sys.modules makes `import scipy` raise ImportError
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "try:\n"
+              "    import scipy\n"
+              "    blocked = False\n"
+              "except ImportError:\n"
+              "    blocked = True\n"
+              "import heckedist\n"
+              "from heckedist.cli import main\n"
+              "nu, pl = heckedist.npl_consistency(1, 0.05j, 2.0j)\n"
+              "code = main(['measure', 'eval', '--kind', 'npl1', '--interval', '0.1i:2i'])\n"
+              "print(json.dumps([blocked, code, abs(nu - pl)]))\n")
+    blocked, code, diff = run_fresh(script)
+    assert blocked and code == 0 and diff < 1e-14

@@ -8,6 +8,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import unit_inverse_pairs
 
 import heckedist.fields as fields_module
 from heckedist import (
@@ -443,7 +444,7 @@ def test_inverse_different():
 
 def test_residue_ring_inverses():
     ideal = Ideal.principal(F5.element(7))
-    pairs = ideal.unit_inverse_pairs()
+    pairs = unit_inverse_pairs(ideal)
     assert len(pairs) == 48  # N(7) = 49, inert: residue field F_49
     one = F5.one()
     for coords, inv in pairs:
@@ -461,7 +462,7 @@ def test_unit_table_is_kept_per_modulus():
         assert Ideal.principal(x)._unit_table() is table
     assert field._unit_tables == {Ideal.principal(c).hnf: table}
     assert field._unit_table_ints == len(table) == 4 * 160
-    flat = [v for x, y in Ideal.principal(c).unit_inverse_pairs() for v in x + y]
+    flat = [v for x, y in unit_inverse_pairs(Ideal.principal(c)) for v in x + y]
     assert table.tolist() == flat
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, only
-equidist imports numpy or scipy when it loads, and every module-level private
-function, class or constant is referenced somewhere in the package."""
+equidist imports numpy when it loads, no module imports scipy at all, and
+every module-level private function, class or constant is referenced
+somewhere in the package."""
 
 import ast
 import pathlib
@@ -74,6 +75,30 @@ def test_only_equidist_imports_numpy_when_it_loads(path):
     # `import heckedist` and the non-array CLI commands stay on the standard library
     found = import_time_array_imports(path.read_text())
     assert (found != []) == (path.name == "equidist.py"), (path.name, found)
+
+
+def imported_modules(source: str):
+    """(line, module) of every import statement, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_checker_finds_an_import_in_a_method():
+    source = ("import os\nclass A:\n    def f(self):\n        def g():\n"
+              "            from scipy.integrate import quad\n        return g\n")
+    assert imported_modules(source) == [(1, "os"), (5, "scipy.integrate")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy is a test-only reference: the package's routes run without it
+    found = [m for m in imported_modules(path.read_text()) if m[1].split(".")[0] == "scipy"]
+    assert found == [], (path.name, found)
 
 
 def unused_private_names(sources):

@@ -292,6 +292,28 @@ def reference_quad_pl_continuous(xi, lo, hi):
     return MeasureValue(val, err)
 
 
+def reference_qaws_from_quarter(xi, lam):
+    """NuMeasure._from_quarter as the QUADPACK QAWS route it was before the
+    Gauss-Legendre rule, verbatim but for self.xi."""
+    if lam <= 0.25:
+        return MeasureValue(0.0, 0.0)
+    from scipy.integrate import quad
+    if xi == 0:
+        def g(x):
+            s = math.sqrt(max(x - 0.25, 0.0))
+            return s * math.tanh(math.pi * s)
+    else:
+        def g(x):
+            # s coth(pi s) -> 1/pi at s = 0
+            s = math.sqrt(max(x - 0.25, 0.0))
+            if s < 1e-8:
+                return 1.0 / math.pi + math.pi * s * s / 3.0
+            return s / math.tanh(math.pi * s)
+    v, e = quad(g, 0.25, lam, weight="alg", wvar=(-0.5, 0.0),
+                epsabs=1e-12, epsrel=1e-12, limit=200)
+    return MeasureValue(v, e)
+
+
 def reference_windows():
     """Seeded continuous windows [lo, hi]: lo = 1/4 and windows ending at fixed
     hi, widths 1e-10 to 1e3, plus random ones with hi up to 1e4."""
@@ -313,15 +335,69 @@ def test_closed_form_matches_quadrature_references():
     # near hi, whose rounding alone moves them by a few ulps of hi (ulp(1e4) is
     # 1.8e-12), so each gets 1e-12 plus 2^-50 hi
     for xi in (0, 1):
-        nu = NuMeasure(xi)
         for lo, hi in reference_windows():
             got = spectral_measure("pl%d" % xi).continuous_mass(lo, hi)
             assert got.error == 1e-15 * (hi + 1.0)
             tol = 1e-12 + 2.0 ** -50 * hi
             quad_value = reference_quad_pl_continuous(xi, lo, hi).value
             assert abs(got.value - quad_value) < tol, (xi, lo, hi)
-            qaws_value = nu._from_quarter(hi).value - nu._from_quarter(lo).value
+            qaws_value = (reference_qaws_from_quarter(xi, hi).value
+                          - reference_qaws_from_quarter(xi, lo).value)
             assert abs(got.value - qaws_value) < tol, (xi, lo, hi)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    import numpy as np
+    import heckedist.measures as measures_module
+    rule = measures_module._gauss_legendre_16()
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert len(rule) == 16
+    for (node, weight), t, w in zip(rule, nodes, weights):
+        assert abs((node - 1.0) - t) <= 1e-15 and abs(weight - w) <= 1e-15
+    # within 2^-53 relatively of the 30-digit values (Abramowitz and Stegun,
+    # table 25.4), the node near 0 too: 1 - t is formed before the rounding
+    for got, want in zip(rule[0], ("0.010599065008350067403845826550",
+                                   "0.027152459411754094851780572456")):
+        assert abs(Fraction(got) - Fraction(want)) <= 2 ** -53 * Fraction(want)
+
+
+def test_gauss_legendre_within_its_bound():
+    # the nu side's rule against the lambda side's closed form: each has a
+    # proven bound, so they differ by at most the sum of the two
+    for xi in (0, 1):
+        nu = NuMeasure(xi)
+        closed = spectral_measure("pl%d" % xi)
+        for lo, hi in reference_windows():
+            top, bottom = nu._from_quarter(hi), nu._from_quarter(lo)
+            gl = MeasureValue(top.value - bottom.value, top.error + bottom.error)
+            want = closed.continuous_mass(lo, hi)
+            assert abs(gl.value - want.value) <= gl.error + want.error, (xi, lo, hi)
+            assert gl.error <= 1e-14 * (hi + 1.0), (xi, lo, hi)
+
+
+def test_gauss_legendre_panel_bound():
+    # |f| <= 17.1 on the rectangle |Im s| <= 0.4, -1/2 <= Re s <= 17/2 (sampled on
+    # its boundary, where an analytic f takes its maximum), and the
+    # Bernstein-ellipse bound it gives one panel is below NuMeasure._PANEL_ERROR
+    import cmath
+    edge = [complex(-0.5 + 9 * k / 9000, y) for k in range(9001) for y in (-0.4, 0.4)]
+    edge += [complex(x, -0.4 + 0.8 * k / 800) for k in range(801) for x in (-0.5, 8.5)]
+    for s in edge:
+        assert abs(2 * s * cmath.tanh(math.pi * s)) <= 17.1
+        assert abs(2 * s / cmath.tanh(math.pi * s)) <= 17.1
+    rho = 1.6 + math.sqrt(3.56)
+    assert (rho - 1 / rho) / 2 * 0.25 == pytest.approx(0.4)  # reaches Im s = 0.4
+    assert (rho + 1 / rho) / 2 * 0.25 < 0.25 + 0.5  # and overhangs [0, 8] by under 1/2
+    bound = 64 / 15 * (17.1 / 4) * rho ** -30 / (rho ** 2 - 1)
+    assert bound < 9e-17 < NuMeasure._PANEL_ERROR
+
+
+def test_gauss_legendre_large_lambda_is_exact():
+    # past s = 8 the mass adds (lambda - 1/4) - 64, never S * S
+    for lam in (2.0 ** 60, 1e308, sys.float_info.max):
+        v = NuMeasure(0)._from_quarter(lam)
+        assert v.value == (lam - 0.25 - 64) + (64 - 1 / 12) and math.isfinite(v.error)
+    assert NuMeasure(1).interval(0, 9.99e153j).value == pytest.approx(9.99e153 ** 2)
 
 
 def test_closed_form_limits():
@@ -339,15 +415,6 @@ def test_closed_form_limits():
         # F(0) = 0: both primitives start at the bottom of the spectrum
         assert abs(measures_module._pl_excess(xi, 0.0)) < 1e-16
         assert spectral_measure("pl%d" % xi).continuous_mass(0.25, 0.25) == (0.0, 0.0)
-
-
-def test_continuous_density_limits():
-    # tanh density vanishes at the bottom of the continuous spectrum; coth blows up
-    assert PL0.density(0.2500001) < 2e-3
-    assert PL1.density(0.2500001) > 100.0
-    # both approach 1 high up
-    assert abs(PL0.density(1000.0) - 1.0) < 1e-12
-    assert abs(PL1.density(1000.0) - 1.0) < 1e-12
 
 
 def test_coth_singularity_is_integrable():
@@ -584,8 +651,8 @@ def run_script(script):
 
 
 def test_import_leaves_scipy_unloaded():
-    # box_measure, predict and synthesize use the closed form; only the nu
-    # side's quadrature imports scipy
+    # box_measure, predict and synthesize use the closed form, and the nu
+    # side's Gauss-Legendre rule runs on the standard library
     script = (
         "import json, sys, heckedist\n"
         "box = heckedist.Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)\n"
@@ -597,7 +664,7 @@ def test_import_leaves_scipy_unloaded():
         "heckedist.nu_measure(0).interval(0.1j, 1.0j)\n"
         "print(json.dumps([before, 'scipy' in sys.modules, v.value, v.error]))\n")
     before, after, value, error = json.loads(run_script(script))
-    assert not before and after
+    assert not before and not after
     # the value of the quad route it replaced, and the closed-form bound
     assert value == pytest.approx(6.492585269229824, rel=1e-13)
     assert error == pytest.approx(2.2100972832795905e-14, rel=1e-6)
