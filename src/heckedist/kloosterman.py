@@ -13,11 +13,11 @@ of r and r', so each term's phase is one int k mod den, the lcm of that and
 the character's denominators; a character mod O (the trivial one) needs no
 per-term lookup.  Floats enter only in the final sum of count_k e(k/den).
 
-A query checks r, r' in O' by two traces, tr(x) and tr(x w), without
-building O'.  The delta term delta(r, r') is the unit-square indicator with
-sign and character weights; the Weil scan reports |K| against the
-square-root-norm benchmark split over S, the primes of the level, which
-needs the valuations of c at S alone.
+A query, or a Weil scan once for all its rows, checks r, r' in O' by two
+traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
+is the unit-square indicator with sign and character weights; the Weil scan
+sums each enumerated ideal and reports |K| against the square-root-norm
+benchmark split over S, the primes of the level, from v_P(c) at P in S alone.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class DirichletCharacter:
             raise KloostermanError("%r is not a unit mod the character modulus" % (x,))
         return self.phases[key]
 
-    def value(self, x: FieldElement) -> complex:
-        return _unit_phase(*self.phase(x).as_integer_ratio())
-
     def inverse_phase(self, x: FieldElement) -> Fraction:
         return -self.phase(x)
 
@@ -144,49 +141,55 @@ class KloostermanQuery:
     chi: DirichletCharacter
 
     def __post_init__(self):
-        field = self.c.field
         if self.c.is_zero():
             raise KloostermanError("c must be nonzero")
         if not self.chi.modulus.contains(self.c):
             raise KloostermanError("c must lie in the character modulus ideal")
-        for name, x in (("r", self.r), ("r'", self.rp)):
-            if x.field != field:
-                raise FieldError("field mismatch: %s is in %r, c in %r" % (name, x.field, field))
-            # O = Z + Zw, so x lies in its trace dual O' iff tr(x) and tr(x w) are
-            # ints; tr(x w) = t a + (t^2 + 2c) b, which is 0 over Q
-            traces = (x.trace(), field.t * x.a + (field.t ** 2 + 2 * field.c) * x.b)
-            if any(v.denominator != 1 for v in traces):
-                raise KloostermanError("%s must lie in the inverse different" % name)
+        _check_inputs(self.c.field, self.r, self.rp, self.chi)
 
-    def swapped(self) -> "KloostermanQuery":
-        return KloostermanQuery(self.c, self.rp, self.r, self.chi)
 
-    def negated_c(self) -> "KloostermanQuery":
-        return KloostermanQuery(-self.c, self.r, self.rp, self.chi)
+def _check_inputs(field: NumberField, r: FieldElement, rp: FieldElement,
+                  chi: DirichletCharacter) -> None:
+    """Reject chi, r or r' over a field other than field, or r, r' outside O'."""
+    for name, x in (("chi", chi.modulus), ("r", r), ("r'", rp)):
+        if x.field != field:
+            raise FieldError("field mismatch: %s is over %r, c in %r" % (name, x.field, field))
+    for name, x in (("r", r), ("r'", rp)):
+        # O = Z + Zw, so x lies in its trace dual O' iff tr(x) and tr(x w) are
+        # ints; tr(x w) = t a + (t^2 + 2c) b, which is 0 over Q
+        traces = (x.trace(), field.t * x.a + (field.t ** 2 + 2 * field.c) * x.b)
+        if any(v.denominator != 1 for v in traces):
+            raise KloostermanError("%s must lie in the inverse different" % name)
 
 
 def evaluate(q: KloostermanQuery) -> complex:
-    """Exact finite sum over unit pairs (a, d = a^{-1}) of O/cO.
+    """Exact finite sum over unit pairs (a, d = a^{-1}) of O/cO; see _sum."""
+    return _sum(q.c, Ideal.principal(q.c), q.r, q.rp, q.chi)
+
+
+def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
+         chi: DirichletCharacter) -> complex:
+    """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked.
 
     With y = D r' conj(c) and z = D r conj(c), D clearing the denominators of r
     and r', a term's phase is
     (a0 tr(y) + a1 tr(y w) + d0 tr(z) + d1 tr(z w)) / (D N(c)) - chi phase of d.
     """
-    field, chi, t = q.c.field, q.chi, q.c.field.t
-    c = tuple(v.numerator for v in q.c.coords())  # integral: it lies in chi's modulus
-    cbar = c if field.degree == 1 else (c[0] + t * c[1], -c[1])
-    norm = field.mul_coords(c, cbar)[0]
-    d_rr = math.lcm(*(v.denominator for x in (q.rp, q.r) for v in x.coords()))
+    field, t = c.field, c.field.t
+    cz = tuple(v.numerator for v in c.coords())  # integral: it lies in chi's modulus
+    cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
+    norm = field.mul_coords(cz, cbar)[0]
+    d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
     den = math.lcm(d_rr * abs(norm), *(x.denominator for x in chi.phases.values()))
     scale = den // (d_rr * norm)  # exact, and negative when N(c) is
     lin = []
-    for x in (q.rp, q.r):
+    for x in (rp, r):
         y = field.mul_coords(tuple(v.numerator * (d_rr // v.denominator) * scale
                                    for v in x.coords()), cbar)
         # tr(y) = 2 y0 + t y1 and tr(y w) = t y0 + (t^2 + 2c) y1; over Q tr(y) = y0
         lin += y if field.degree == 1 else \
             (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
-    table = Ideal.principal(q.c)._unit_table()
+    table = ideal._unit_table()
     it = iter(table)
     if field.degree == 1:
         l0, m0 = lin
@@ -227,9 +230,10 @@ def symmetry_check(q: KloostermanQuery) -> float:
     Returns the deviation (a float); the identities hold when it is below
     the working tolerance, 1e-9 for the bundled examples.
     """
-    k = evaluate(q)
-    k_swap = evaluate(q.swapped())
-    k_swap_neg = evaluate(q.swapped().negated_c())
+    ideal = Ideal.principal(q.c)  # also (-c); the query checked the inputs
+    k = _sum(q.c, ideal, q.r, q.rp, q.chi)
+    k_swap = _sum(q.c, ideal, q.rp, q.r, q.chi)
+    k_swap_neg = _sum(-q.c, ideal, q.rp, q.r, q.chi)
     chi_m1 = q.chi.minus_one()
     return max(abs(k.conjugate() - k_swap_neg),
                abs(k.conjugate() - chi_m1 * k_swap))
@@ -290,14 +294,14 @@ class WeilScanResult:
 _WORK_BUDGET = 4 * 10 ** 6
 
 
-def _principal_ideals_up_to(field: NumberField, level: Ideal,
-                            max_norm: int) -> Tuple[List[Tuple[int, FieldElement]], int]:
-    """(|N(c)|, c) for one generator c per nonzero principal ideal inside the level,
-    norm <= max_norm, sorted by (norm, coords), and the number of ideals in that
-    range whose generator search found none."""
+def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
+                            ) -> Tuple[List[Tuple[int, FieldElement, Ideal]], int]:
+    """(|N(c)|, c, (c)) for one generator c per nonzero principal ideal (c) inside the
+    level, norm <= max_norm, sorted by (norm, coords), with (c) in its canonical HNF,
+    and the number of ideals in that range whose generator search found none."""
     if field.degree == 1:
         q = int(level.norm())
-        return [(n, field.element(n)) for n in range(q, max_norm + 1, q)], 0
+        return [(n, field.element(n), Ideal(field, ((n,),))) for n in range(q, max_norm + 1, q)], 0
     gens = []
     skipped = 0
     t, c = field.t, field.c
@@ -316,7 +320,7 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal,
                 if gen is None:
                     skipped += 1
                 else:
-                    gens.append((norm, gen))
+                    gens.append((norm, gen, ideal))
     gens.sort(key=lambda pair: (pair[0], pair[1].coords()))
     return gens, skipped
 
@@ -332,11 +336,13 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     benchmark is s (|N(c)|/s)^{1/2+eps}.
     The running maximum over ratios is the empirical implied constant;
     ideals whose generator search fails are counted in ``skipped``.
+    r, r' and the field of chi are checked once, even with no modulus in range.
     """
     if not math.isfinite(eps):
         raise KloostermanError("eps must be finite, got %r" % (eps,))
     if chi is None:
         chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+    _check_inputs(field, r, rp, chi)
     level = chi.modulus
     s_primes = [p for p, _ in ideal_prime_factorization(level)]
     s_labels = tuple(p.label for p in s_primes)
@@ -352,18 +358,15 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     if lower > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
     gens, skipped = _principal_ideals_up_to(field, level, max_norm)
-    if sum(norm for norm, _ in gens) > _WORK_BUDGET:
+    if sum(norm for norm, _, _ in gens) > _WORK_BUDGET:
         raise KloostermanError("scan range exceeds the work budget; lower max_norm")
 
-    def one_row(norm: int, c: FieldElement) -> WeilRow:
-        k = abs(evaluate(KloostermanQuery(c, r, rp, chi)))
-        s = 1
-        if s_primes:
-            ideal = Ideal.principal(c)
-            s = math.prod(p.absolute_norm() ** ideal_valuation(ideal, p) for p in s_primes)
+    def one_row(norm: int, c: FieldElement, ideal: Ideal) -> WeilRow:
+        k = abs(_sum(c, ideal, r, rp, chi))
+        s = math.prod(p.absolute_norm() ** ideal_valuation(ideal, p) for p in s_primes)
         return WeilRow(c, norm, k, k / (s * (norm // s) ** (0.5 + eps)))
 
     # gens come sorted by (norm, coords), so the rows do too
-    rows = [one_row(norm, c) for norm, c in gens]
+    rows = [one_row(*gen) for gen in gens]
     running = max((row.ratio for row in rows), default=0.0)
     return WeilScanResult(tuple(rows), running, eps, s_labels, skipped)

@@ -180,9 +180,6 @@ class SpectralMeasure:
     def __post_init__(self):
         object.__setattr__(self, "_mass_den", 1 if self.kind.startswith("pl") else 2)
 
-    def atoms_in(self, a: Rat, b: Rat) -> List[Tuple[Fraction, Fraction]]:
-        return _atoms_in(self.xi, a, b, self._mass_den)
-
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
         return (_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
 

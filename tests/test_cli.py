@@ -389,6 +389,14 @@ def test_kloosterman_scan_rejects_non_finite_eps(capsys):
         assert json.loads(err)["error"] == "KloostermanError", eps
 
 
+def test_kloosterman_scan_checks_r_with_no_modulus_in_range(capsys):
+    # N(50) > max_norm leaves no modulus; r = 1/2 is still outside O' = Z
+    code, out, err = run_cli(capsys, "--level", "50", "kloosterman", "scan",
+                             "--max-norm", "10", "--r", "1/2")
+    assert_one_line_error(code, out, err)
+    assert json.loads(err)["error"] == "KloostermanError"
+
+
 def test_kloosterman_scan_csv(capsys, tmp_path):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run_cli(capsys, "--out", str(out_file), "--format", "csv",

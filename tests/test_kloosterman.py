@@ -419,8 +419,8 @@ def test_character_validation():
     mod5 = Ideal.principal(Q.element(5))
     chi = DirichletCharacter.cyclic(Q, mod5, Q.element(2))
     # 2 has order 4 mod 5: chi(2) = i
-    assert chi.value(Q.element(2)) == pytest.approx(1j)
-    assert chi.value(Q.element(4)) == pytest.approx(-1.0)
+    assert chi.phase(Q.element(2)) == Fraction(1, 4)
+    assert chi.phase(Q.element(4)) == Fraction(1, 2)
     assert chi.minus_one() == pytest.approx(-1.0)
     with pytest.raises(KloostermanError):
         # inconsistent phase table: chi(1) != 1
@@ -587,6 +587,73 @@ def test_weil_scan_factors_only_the_level(monkeypatch):
     monkeypatch.setattr(kloosterman_module, "inverse_different", forbidden, raising=False)
     res = weil_scan(F5, F5.one(), F5.one(), max_norm=100)
     assert len(res.rows) == 44 and factored == [Ideal.unit_ideal(F5)]
+
+
+def test_weil_scan_checks_inputs_with_no_modulus_in_range():
+    # N(50) > max_norm, so no modulus is enumerated; r, r' and chi are checked anyway
+    chi50 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(50)))
+    half, one = Q.element(Fraction(1, 2)), Q.one()
+    for r, rp in ((half, one), (one, half)):
+        with pytest.raises(KloostermanError, match="inverse different"):
+            weil_scan(Q, r, rp, chi=chi50, max_norm=10)
+    for r, rp in ((F5.one(), one), (one, F5.one())):
+        with pytest.raises(FieldError, match="field mismatch"):
+            weil_scan(Q, r, rp, chi=chi50, max_norm=10)
+    chi50_f5 = DirichletCharacter.trivial(F5, Ideal.principal(F5.element(50)))
+    with pytest.raises(FieldError, match="field mismatch"):
+        weil_scan(Q, one, one, chi=chi50_f5, max_norm=10)
+    assert weil_scan(Q, one, one, chi=chi50, max_norm=10).rows == ()
+
+
+def test_weil_scan_rejects_a_character_over_another_field():
+    # with moduli in range, and without (N(50) > max_norm)
+    for field, chi in ((Q, DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))),
+                       (F5, DirichletCharacter.trivial(Q, Ideal.principal(Q.element(50))))):
+        with pytest.raises(FieldError, match="field mismatch"):
+            weil_scan(field, field.one(), field.one(), chi=chi, max_norm=10)
+
+
+def row_path_scans():
+    level5 = Ideal.principal(F5.element(-1, 2))  # sqrt 5
+    # 2 is inert in Q(sqrt 5): (O/2)* is cyclic of order 3, generated by w
+    chi2 = DirichletCharacter.cyclic(F5, Ideal.principal(F5.element(2)), F5.omega())
+    r5, rp5 = inverse_different(F5).basis_elements()
+    r94 = inverse_different(F94).basis_elements()[-1]
+    return [(Q, Q.element(1), Q.element(2),
+             DirichletCharacter.trivial(Q, Ideal.principal(Q.element(6))), 150),
+            (F5, r5, rp5, DirichletCharacter.trivial(F5, level5), 100),
+            (F5, r5, r5, chi2, 60),
+            (F94, r94, F94.one(), None, 60)]
+
+
+def test_weil_scan_rows_match_single_queries():
+    for field, r, rp, chi, max_norm in row_path_scans():
+        res = weil_scan(field, r, rp, chi=chi, max_norm=max_norm)
+        chi = chi or DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+        assert res.rows
+        for row in res.rows:
+            assert row.abs_k == abs(evaluate(KloostermanQuery(row.c, r, rp, chi))), row.c
+
+
+def test_weil_scan_builds_no_query_and_no_ideal_per_row(monkeypatch):
+    built = Counter()
+    post_init = KloostermanQuery.__post_init__
+    from_generators = Ideal.from_generators.__func__
+
+    def counting_post_init(self):
+        built["query"] += 1
+        post_init(self)
+
+    def counting_from_generators(cls, field, gens):
+        built["ideal"] += 1
+        return from_generators(cls, field, gens)
+
+    scans = row_path_scans()
+    monkeypatch.setattr(KloostermanQuery, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Ideal, "from_generators", classmethod(counting_from_generators))
+    rows = sum(len(weil_scan(field, r, rp, chi=chi, max_norm=max_norm).rows)
+               for field, r, rp, chi, max_norm in scans)
+    assert rows > 0 and built == Counter()
 
 
 @pytest.mark.parametrize("spec", ["Q", 2, 5, 94])
