@@ -341,11 +341,7 @@ class Ideal:
     def __init__(self, field: NumberField, hnf: tuple, den: int = 1):
         if den <= 0:
             raise FieldError("denominator must be positive")
-        content = 0
-        for row in hnf:
-            for v in row:
-                content = math.gcd(content, v)
-        shrink = math.gcd(content, den)
+        shrink = math.gcd(den, *(v for row in hnf for v in row)) if den > 1 else 1
         if shrink > 1:
             hnf = tuple(tuple(v // shrink for v in row) for row in hnf)
             den //= shrink
@@ -357,13 +353,15 @@ class Ideal:
 
     @classmethod
     def from_generators(cls, field: NumberField, gens: Sequence[FieldElement]) -> "Ideal":
-        """O-module generated by gens (each gen contributes gen and gen*w)."""
-        coords = [g.coords() for g in gens]
-        if not any(any(x) for x in coords):
+        """O-module generated by gens: (1/den) times the HNF of the int rows den*x
+        and den*x*w, den the lcm of the denominators (1 for integral gens)."""
+        ratios = [v.as_integer_ratio() for g in gens for v in g.coords()]
+        den = math.lcm(*(d for _, d in ratios))
+        nums = [n * (den // d) for n, d in ratios]
+        if not any(nums):
             raise FieldError("ideal needs a nonzero generator")
-        den = math.lcm(*(v.denominator for x in coords for v in x))
-        rows = [tuple(v.numerator * (den // v.denominator) for v in x) for x in coords]
-        basis = cls.unit_ideal(field).hnf  # a Z-basis of O
+        basis = ((1,),) if field.degree == 1 else ((1, 0), (0, 1))  # a Z-basis of O
+        rows = zip(*[iter(nums)] * field.degree)
         return cls(field, _hnf([field.mul_coords(x, u) for x in rows for u in basis]), den)
 
     @classmethod

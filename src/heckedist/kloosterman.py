@@ -10,8 +10,9 @@ matrices with no computable construction here.
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
 of r and r', so each term's phase is one int k mod den, the lcm of that and
-the character's denominators; a character mod O (the trivial one) needs no
-per-term lookup.  Floats enter only in the final sum of count_k e(k/den).
+the character's order.  A character derives its order and int phases once,
+when built; a trivial one, of order 1 whatever its modulus, needs no per-term
+lookup.  Floats enter only in the final sum of count_k e(k/den).
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -57,6 +58,10 @@ class DirichletCharacter:
 
     Values are stored as rational phases q (the value is e^{2 pi i q});
     the (order, exponent) view of a value is (q.denominator, q.numerator).
+    phases is fixed at construction, which derives the order (the lcm of the
+    denominators) and each phase as an int numerator over it.  A sum looks
+    each term's d up in them, which rejects a table missing a unit; trivial()'s
+    table, 0 on exactly the units whatever the modulus, is not read.
     """
 
     def __init__(self, field: NumberField, modulus: Ideal,
@@ -65,8 +70,15 @@ class DirichletCharacter:
             raise FieldError("the character modulus must be an integral ideal")
         self.field = field
         self.modulus = modulus
-        self.phases = {k: q if 0 <= q.numerator < q.denominator
-                       else q - q.numerator // q.denominator for k, q in phases.items()}
+        self.phases, order = {}, 1
+        for k, q in phases.items():
+            if not 0 <= q.numerator < q.denominator:
+                q -= q.numerator // q.denominator
+            self.phases[k] = q
+            order = math.lcm(order, q.denominator)
+        self._order = order
+        self._numerators = {k: q.numerator * (order // q.denominator)
+                            for k, q in self.phases.items()}
         if check:
             self._validate()
 
@@ -89,7 +101,11 @@ class DirichletCharacter:
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
         units = _table_coords(modulus._unit_table(), modulus.field.degree, 0)
-        return cls(field, modulus, dict.fromkeys(units, Fraction(0)), check=False)
+        chi = cls(field, modulus, {}, check=False)
+        # set past __init__: 0 needs no reduction pass, and None tells _sum the
+        # keys are exactly the units, so it need not look d up
+        chi.phases, chi._numerators = dict.fromkeys(units, Fraction(0)), None
+        return chi
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
@@ -180,7 +196,7 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
     cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
     norm = field.mul_coords(cz, cbar)[0]
     d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
-    den = math.lcm(d_rr * abs(norm), *(x.denominator for x in chi.phases.values()))
+    den = math.lcm(d_rr * abs(norm), chi._order)
     scale = den // (d_rr * norm)  # exact, and negative when N(c) is
     lin = []
     for x in (rp, r):
@@ -198,29 +214,30 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for a0, a1, d0, d1 in zip(it, it, it, it))
-    # mod O every d reduces to the one residue 0, so chi moves each count's key alike
-    chi_num = {key: x.numerator * (den // x.denominator) for key, x in chi.phases.items()}
-    shift = 0
+    # trivial's table (None here) is 0 on every unit mod the modulus, and each d
+    # is one, as c lies in the modulus: no lookup
+    nums = chi._numerators
+    if nums is not None:
+        step, reduce = den // chi._order, chi.modulus.reduce_coords
+        inverses = _table_coords(table, field.degree, field.degree)
+        terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
     try:
-        if chi.modulus.hnf[0][0] == 1:
-            shift = chi_num[chi.modulus.reduce_coords(0)]
-        else:
-            inverses = _table_coords(table, field.degree, field.degree)
-            terms = ((k - chi_num[chi.modulus.reduce_coords(*d)]) % den
-                     for k, d in zip(terms, inverses))
         counts = Counter(terms)
     except KeyError as exc:
         raise KloostermanError("%r is not a unit mod the character modulus"
                                % (exc.args[0],)) from None
-    return sum(n * _unit_phase(k - shift, den) for k, n in counts.items())
+    # _unit_phase, inlined: each k is already reduced mod den
+    return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in counts.items())
+
+
+_Q = NumberField()  # rational_kloosterman's field, which keeps its unit tables
 
 
 def rational_kloosterman(m: int, n: int, c: int) -> complex:
     """Classical S(m, n; c) over the rationals with trivial character; taken mod
     O, its table has one entry, so only evaluate enumerates the units mod c."""
-    field = NumberField()
-    chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
-    q = KloostermanQuery(field.element(c), field.element(m), field.element(n), chi)
+    chi = DirichletCharacter.trivial(_Q, Ideal.unit_ideal(_Q))
+    q = KloostermanQuery(_Q.element(c), _Q.element(m), _Q.element(n), chi)
     return evaluate(q)
 
 

@@ -345,6 +345,54 @@ def fraction_ideal_mul_reference(I, J):
     return Ideal(field, _hnf_rank1(rows), den)
 
 
+def fraction_from_generators(field, gens):
+    # Ideal.from_generators as it was before its int rows: the lcm of the Fraction
+    # denominators, a Z-basis read off Ideal.unit_ideal, then the content of the
+    # lattice divided out of den as Ideal.__init__ did for every den
+    coords = [g.coords() for g in gens]
+    if not any(any(x) for x in coords):
+        raise FieldError("ideal needs a nonzero generator")
+    den = math.lcm(*(v.denominator for x in coords for v in x))
+    rows = [tuple(v.numerator * (den // v.denominator) for v in x) for x in coords]
+    basis = Ideal.unit_ideal(field).hnf
+    hnf = fields_module._hnf([field.mul_coords(x, u) for x in rows for u in basis])
+    content = 0
+    for row in hnf:
+        for v in row:
+            content = math.gcd(content, v)
+    shrink = math.gcd(content, den)
+    return tuple(tuple(v // shrink for v in row) for row in hnf), den // shrink
+
+
+def test_from_generators_matches_fraction_route():
+    rng = random.Random(28)
+    dens = (1, 1, 1, 2, 3, 4, 6, 10)
+    for field in (Q, F2, F5, make_field(94)):
+
+        def element():
+            return field.element(*(Fraction(rng.randint(-30, 30), rng.choice(dens))
+                                   for _ in range(field.degree)))
+
+        gens = [element() for _ in range(300)]
+        gens += [field.element(rng.randint(-30, 30), rng.randint(-30, 30) if field.degree == 2
+                               else 0) for _ in range(300)]
+        cases = [[g] for g in gens if not g.is_zero()]
+        cases += [[element(), element()] for _ in range(200)]
+        cases += [[element(), field.zero()], [inverse_different(field).basis_elements()[0]]]
+        assert any(g.is_integral() and g.norm() < 0 for g in gens)
+        assert any(not g.is_integral() for g in gens)
+        for case in cases:
+            if all(g.is_zero() for g in case):
+                continue
+            ideal = Ideal.from_generators(field, case)
+            assert (ideal.hnf, ideal.den) == fraction_from_generators(field, case), case
+            if len(case) == 1:
+                assert Ideal.principal(case[0]) == ideal
+        for case in ([field.zero()], [field.zero(), field.zero()]):
+            with pytest.raises(FieldError, match="nonzero generator"):
+                Ideal.from_generators(field, case)
+
+
 def fraction_contained(I, J):
     # the route Ideal.__le__ took before its int rows: each basis element of I in J
     return all(J.contains(v) for v in I.basis_elements())

@@ -196,26 +196,68 @@ def test_evaluate_is_bit_identical_to_fraction_preamble():
 
 
 def test_evaluate_preamble_is_constant_size(monkeypatch):
-    # the Fractions evaluate builds do not grow with the number of terms
-    built = [0]
-    new = Fraction.__new__
+    # the Fractions evaluate builds and reads grow neither with the number of
+    # terms nor with the character's table
+    work = [0]
 
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new(cls, *args, **kwargs)
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            work[0] += 1
+            return f(*args, **kwargs)
+        return wrapper
 
-    def fractions_built(q):
-        built[0] = 0
+    def fraction_work(q):
+        """Fractions built, numerators and denominators read in evaluate(q)."""
+        work[0] = 0
         with monkeypatch.context() as m:
-            m.setattr(Fraction, "__new__", staticmethod(counting_new))
+            m.setattr(Fraction, "__new__", staticmethod(counted(Fraction.__new__)))
+            m.setattr(Fraction, "as_integer_ratio", counted(Fraction.as_integer_ratio))
+            for name in ("numerator", "denominator"):
+                m.setattr(Fraction, name, property(counted(getattr(Fraction, name).fget)))
             evaluate(q)
-        return built[0]
+        return work[0]
 
     for chi in (None, DirichletCharacter.trivial(Q, Ideal.unit_ideal(Q))):
-        assert fractions_built(q_query(3, 5, 97, chi)) == fractions_built(q_query(3, 5, 997, chi))
+        assert fraction_work(q_query(3, 5, 97, chi)) == fraction_work(q_query(3, 5, 997, chi))
     chi97 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(97)), Q.element(5))
-    assert fractions_built(q_query(3, 5, 97, chi97)) == \
-        fractions_built(q_query(3, 5, 97 * 11, chi97))
+    base = fraction_work(q_query(3, 5, 97, chi97))
+    assert base > 0 and fraction_work(q_query(3, 5, 97 * 11, chi97)) == base
+    # 996 phases mod the prime 997, and order 1 on the 16 units mod 60: the same work
+    chi997 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(997)), Q.element(7))
+    trivial60 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(60)))
+    assert len(chi997.phases) == 996 and len(trivial60.phases) == 16
+    assert fraction_work(q_query(3, 5, 997, chi997)) == base
+    assert fraction_work(q_query(3, 5, 60, trivial60)) == base
+    assert fraction_work(q_query(3, 5, 60 * 7, trivial60)) == base
+
+
+def test_warm_evaluate_reads_no_phase_table_and_no_unit_ideal(monkeypatch):
+    # once a character is built, a sum reads its derived ints, never chi.phases,
+    # and (c) gets its HNF without building O
+    F2 = make_field(2)
+    chi6 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(6)))
+    chi97 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(97)), Q.element(5), 3)
+    chi3 = cyclic_characters(F2, Ideal.principal(F2.element(3)), 2)[1]
+    queries = [q_query(3, 5, 97), q_query(-2, 7, 60, chi6), q_query(1, 4, 97 * 3, chi97),
+               KloostermanQuery(F2.element(3, 3), F2.one(), F2.one(), chi3)]
+    rng = random.Random(28)
+    queries += random_quadratic_queries(F5, rng, 4) + random_quadratic_queries(F94, rng, 4)
+    warm = [evaluate(q) for q in queries]
+    reads = Counter()
+    unit_ideal = Ideal.unit_ideal.__func__
+
+    def counting_phases(self):
+        reads["phases"] += 1
+        return self.__dict__["phases"]
+
+    def counting_unit_ideal(cls, field):
+        reads["unit_ideal"] += 1
+        return unit_ideal(cls, field)
+
+    monkeypatch.setattr(DirichletCharacter, "phases", property(counting_phases), raising=False)
+    monkeypatch.setattr(Ideal, "unit_ideal", classmethod(counting_unit_ideal))
+    assert [evaluate(q) for q in queries] == warm
+    assert reads == Counter()
 
 
 def int_product(ideal, x, y):
