@@ -19,8 +19,8 @@ the unit tables of its moduli, keyed by HNF (so c, -c and every unit multiple
 of c share one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all;
 adding one past that clears them, and a larger table is not kept.  v_P counts
 multiply-and-divide steps by one fixed element of pP^{-1}, without building
-powers of P.  Generators of principal ideals come from one bounded box
-search; a unit multiple of an ideal is the ideal itself, so a miss is final.
+powers of P.  Principal generators come from one bounded box solved row by
+row; a unit multiple of an ideal is the ideal itself, so a miss is final.
 """
 
 from __future__ import annotations
@@ -543,23 +543,35 @@ class PrimeIdeal(Ideal):
 
 
 def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Optional[FieldElement]:
-    """First x + y*w of the ideal with |x^2 + t*x*y - c*y^2| = target_norm >= 1 in
-    the box |x|, |y| <= max(4, 2 isqrt(target_norm) + 2), y outer and x inner, or
-    None; one pass, since a unit multiple of the ideal is the ideal itself."""
+    """First x + y*w of the ideal with |x^2 + t*x*y - c*y^2| = N = target_norm >= 1
+    in the box |x|, |y| <= B = max(4, 2 isqrt(N) + 2), least y then least x, or
+    None; one pass, since a unit multiple of the ideal is the ideal itself.
+
+    Each row y is solved: 4(x^2 + t x y - c y^2) = (2x + t y)^2 - D y^2 with
+    D = t^2 + 4c, so x = (-t y +- r)/2 where r^2 = D y^2 +- 4N (r = t y mod 2, as
+    D = t^2 mod 4).  A root with |x| <= B has D y^2 - 4N <= (2x + t y)^2 <=
+    (2B + t|y|)^2, so c y^2 - B t|y| <= B^2 + N; as c >= 1, |y| <= ymax, the
+    floor of the larger root of that quadratic in |y|.
+    """
     bound = max(4, 2 * math.isqrt(target_norm) + 2)
-    t, c = field.t, field.c
-    den = ideal.den
+    t, c, den = field.t, field.c, ideal.den
     (n, _), (b, g) = ideal.hnf
-    xs = range(-bound, bound + 1)
-    for y in xs:
+    bt = bound * t
+    ymax = (bt + math.isqrt(bt * bt + 4 * c * (bound * bound + target_norm))) // (2 * c)
+    for y in range(-min(bound, ymax), min(bound, ymax) + 1):
         # den*(x, y) lies in the HNF lattice iff g | den*y and n | den*x - (den*y/g)*b
         if (den * y) % g != 0:
             continue
         shift = (den * y // g) * b
-        cy = c * y * y
-        for x in xs:
-            if abs(x * (x + t * y) - cy) == target_norm and (den * x - shift) % n == 0:
-                return field.element(x, y)
+        dy = field.disc * y * y
+        xs = []
+        for sq in (dy + 4 * target_norm, dy - 4 * target_norm):
+            r = math.isqrt(max(sq, 0))
+            if r * r == sq:
+                xs += [x for x in ((r - t * y) // 2, (-r - t * y) // 2)
+                       if abs(x) <= bound and (den * x - shift) % n == 0]
+        if xs:
+            return field.element(min(xs), y)
     return None
 
 

@@ -59,9 +59,9 @@ class DirichletCharacter:
     Values are stored as rational phases q (the value is e^{2 pi i q});
     the (order, exponent) view of a value is (q.denominator, q.numerator).
     phases is fixed at construction, which derives the order (the lcm of the
-    denominators) and each phase as an int numerator over it.  A sum looks
-    each term's d up in them, which rejects a table missing a unit; trivial()'s
-    table, 0 on exactly the units whatever the modulus, is not read.
+    denominators) and each phase as an int numerator over it.  A checked
+    table's keys are the units; a sum looks each term's d up, which rejects an
+    unchecked one missing a unit; trivial()'s, 0 on the units, is not read.
     """
 
     def __init__(self, field: NumberField, modulus: Ideal,
@@ -86,6 +86,9 @@ class DirichletCharacter:
         one = self.modulus.reduce(self.field.one())
         if self.phases.get(one.coords(), None) != Fraction(0):
             raise KloostermanError("character must send 1 to 1")
+        if self.phases.keys() != set(_table_coords(self.modulus._unit_table(),
+                                                   self.field.degree, 0)):
+            raise KloostermanError("the table's keys must be the units mod its modulus")
         units = [self.field.element(*k) for k in self.phases]
         if len(units) <= 64:
             pairs = [(x, y) for x in units for y in units]

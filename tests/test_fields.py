@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import unit_inverse_pairs
+from conftest import hnf_ideals, unit_inverse_pairs
 
 import heckedist.fields as fields_module
 from heckedist import (
@@ -582,3 +582,44 @@ def test_prime_generators_pinned(m):
         got = [None if P.generator is None else P.generator.coords()
                for P in factor_rational_prime(field, p)]
         assert got == want, p
+
+
+# the search before each row was solved by isqrt, copied verbatim: a double loop
+# over the box, y outer and x inner
+def _box_scan_reference(field, ideal, target_norm):
+    """First x + y*w of the ideal with |x^2 + t*x*y - c*y^2| = target_norm >= 1 in
+    the box |x|, |y| <= max(4, 2 isqrt(target_norm) + 2), y outer and x inner, or
+    None; one pass, since a unit multiple of the ideal is the ideal itself."""
+    bound = max(4, 2 * math.isqrt(target_norm) + 2)
+    t, c = field.t, field.c
+    den = ideal.den
+    (n, _), (b, g) = ideal.hnf
+    xs = range(-bound, bound + 1)
+    for y in xs:
+        # den*(x, y) lies in the HNF lattice iff g | den*y and n | den*x - (den*y/g)*b
+        if (den * y) % g != 0:
+            continue
+        shift = (den * y // g) * b
+        cy = c * y * y
+        for x in xs:
+            if abs(x * (x + t * y) - cy) == target_norm and (den * x - shift) % n == 0:
+                return field.element(x, y)
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 10, 13, 43, 73, 79, 94, 103, 226, 1009])
+def test_small_generator_matches_box_scan(m):
+    # every ideal of norm <= 200 that the Weil scan enumerates, and fractional
+    # ideals (1/den) L: the same generator, or None, as the box scan
+    search = fields_module._small_generator
+    field = make_field(m)
+    ideals = hnf_ideals(field, 200)
+    for ideal in ideals:
+        norm = int(ideal.norm())
+        assert search(field, ideal, norm) == _box_scan_reference(field, ideal, norm), ideal
+    fractional = [Ideal(field, ideal.hnf, den) for ideal in ideals[:12] for den in (2, 3)]
+    assert all(ideal.den > 1 for ideal in fractional)
+    for ideal in fractional:
+        for norm in range(1, 30):
+            want = _box_scan_reference(field, ideal, norm)
+            assert search(field, ideal, norm) == want, (ideal, norm)

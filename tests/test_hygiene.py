@@ -1,9 +1,11 @@
 """Source hygiene: every module-level import in the package is used, only
-equidist imports numpy when it loads, no module imports scipy at all, and
+equidist imports numpy when it loads, no module imports scipy at all,
 every module-level private function, class or constant is referenced
-somewhere in the package."""
+somewhere in the package, and every benchmark record at the repository root
+is strict JSON with its required keys."""
 
 import ast
+import json
 import pathlib
 
 import pytest
@@ -12,6 +14,7 @@ import heckedist
 
 PACKAGE = sorted(pathlib.Path(heckedist.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+BENCH_RECORDS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
 
 
 def unused_imports(source: str):
@@ -140,3 +143,24 @@ def test_checker_flags_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError("non-JSON constant %s" % name)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_strict_json_rejects_non_finite_constants():
+    assert strict_json('{"x": [1.5, null]}') == {"x": [1.5, None]}
+    for text in ('{"x": NaN}', "[Infinity]", "[-Infinity]"):
+        with pytest.raises(ValueError, match="non-JSON constant"):
+            strict_json(text)
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_is_strict_json_with_required_keys(path):
+    record = strict_json(path.read_text())
+    missing = [k for k in ("what", "machine", "git_sha", "end_to_end") if k not in record]
+    assert missing == [], (path.name, missing)

@@ -473,16 +473,36 @@ def test_character_validation():
 
 def test_evaluate_rejects_partial_character_table():
     # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2;
-    # all zero it looks trivial, yet every d is still looked up in it
+    # all zero it looks trivial, yet every d is still looked up in it (unchecked:
+    # a checked build rejects it, see test_checked_character_keys_are_the_units)
     mod5 = Ideal.principal(Q.element(5))
     for phase in (Fraction(1, 2), Fraction(0)):
-        chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): phase})
+        chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): phase}, check=False)
         with pytest.raises(KloostermanError):
             evaluate(KloostermanQuery(Q.element(5), Q.element(1), Q.element(1), chi))
     # mod O the one residue is 0; a table without it has no value to give
     empty = DirichletCharacter(Q, Ideal.unit_ideal(Q), {}, check=False)
     with pytest.raises(KloostermanError):
         evaluate(q_query(1, 1, 7, empty))
+
+
+def test_checked_character_keys_are_the_units():
+    # multiplicative tables on a subgroup, or on a set with a non-unit, build
+    # unchecked but not checked: their keys are not the units mod the modulus
+    mod5, mod6 = Ideal.principal(Q.element(5)), Ideal.principal(Q.element(6))
+    for modulus, phases in ((mod5, {(1,): Fraction(0), (4,): Fraction(1, 2)}),
+                            (mod5, {(1,): Fraction(0), (4,): Fraction(0)}),
+                            (mod6, {(1,): Fraction(0), (3,): Fraction(0)}),
+                            (mod6, {(1,): Fraction(0), (5,): Fraction(0), (3,): Fraction(0)})):
+        DirichletCharacter(Q, modulus, phases, check=False)
+        with pytest.raises(KloostermanError, match="units mod its modulus"):
+            DirichletCharacter(Q, modulus, phases)
+    # complete tables still build checked, over Q and Q(sqrt 5), keys as ints or Fractions
+    DirichletCharacter(Q, mod6, {(1,): Fraction(0), (5,): Fraction(1, 2)})
+    DirichletCharacter(Q, mod5, {(Fraction(k),): Fraction(0) for k in range(1, 5)})
+    mod7 = Ideal.principal(F5.element(7))
+    trivial = DirichletCharacter.trivial(F5, mod7)
+    assert DirichletCharacter(F5, mod7, dict(trivial.phases)).phases == trivial.phases
 
 
 def test_twisted_sum_pinned():
