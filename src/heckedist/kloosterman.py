@@ -17,8 +17,8 @@ lookup.  Floats enter only in the final sum of count_k e(k/den).
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
 is the unit-square indicator with sign and character weights; the Weil scan
-sums each enumerated ideal and reports |K| against the square-root-norm
-benchmark split over S, the primes of the level, from v_P(c) at P in S alone.
+builds its moduli as the level times prime powers, sums each on its ideal and
+splits the square-root-norm benchmark over S, the level's primes, by v_P(c), P in S.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from .fields import (
     FieldError,
     Ideal,
     NumberField,
+    factor_rational_prime,
     ideal_prime_factorization,
     ideal_valuation,
     unit_square_class,
+    _factor,
     _small_generator,
     _table_coords,
 )
@@ -317,32 +319,41 @@ _WORK_BUDGET = 4 * 10 ** 6
 def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
                             ) -> Tuple[List[Tuple[int, FieldElement, Ideal]], int]:
     """(|N(c)|, c, (c)) for one generator c per nonzero principal ideal (c) inside the
-    level, norm <= max_norm, sorted by (norm, coords), with (c) in its canonical HNF,
-    and the number of ideals in that range whose generator search found none."""
-    if field.degree == 1:
-        q = int(level.norm())
-        return [(n, field.element(n), Ideal(field, ((n,),))) for n in range(q, max_norm + 1, q)], 0
-    gens = []
-    skipped = 0
-    t, c = field.t, field.c
-    for g in range(1, math.isqrt(max_norm) + 1):
-        n_t_max = max_norm // (g * g)
-        for nt in range(1, n_t_max + 1):
-            for bt in range(nt):
-                if (bt * bt + t * bt - c) % nt != 0:
-                    continue
-                hnf = ((g * nt, 0), (g * bt, g))
-                ideal = Ideal(field, hnf)
-                if not (ideal <= level):
-                    continue
-                norm = g * g * nt
-                gen = _small_generator(field, ideal, norm)
-                if gen is None:
-                    skipped += 1
-                else:
-                    gens.append((norm, gen, ideal))
-    gens.sort(key=lambda pair: (pair[0], pair[1].coords()))
-    return gens, skipped
+    level I, norm <= max_norm, sorted by (norm, coords), with (c) in its canonical HNF,
+    and the number of ideals in that range whose generator search found none.
+
+    Those are the I J, J integral: the multiples of N(I) over Q; over a quadratic
+    field, each product built so far, I first, times P, P^2, ... for each prime P
+    above p <= max_norm / N(I), which makes each J once.  Norms found are summed
+    as the ideals are built, and past _WORK_BUDGET the scan is rejected.
+    """
+    def ideals():
+        lnorm = int(level.norm())
+        if field.degree == 1:
+            yield from ((n, Ideal(field, ((n,),))) for n in range(lnorm, max_norm + 1, lnorm))
+            return
+        built = [(lnorm, level)] if lnorm <= max_norm else []
+        yield from built
+        for p in range(2, max_norm // lnorm + 1):
+            for prime in factor_rational_prime(field, p) if _factor(p) == {p: 1} else ():
+                q = prime.absolute_norm()
+                for norm, ideal in list(built):
+                    while norm * q <= max_norm:
+                        norm, ideal = norm * q, ideal * prime
+                        built.append((norm, ideal))
+                        yield norm, ideal
+
+    gens, skipped, work = [], 0, 0
+    for norm, ideal in ideals():
+        c = field.element(norm) if field.degree == 1 else _small_generator(field, ideal, norm)
+        if c is None:
+            skipped += 1
+            continue
+        work += norm
+        if work > _WORK_BUDGET:
+            raise KloostermanError("scan range exceeds the work budget; lower max_norm")
+        gens.append((norm, c, ideal))
+    return sorted(gens, key=lambda gen: (gen[0], gen[1].coords())), skipped
 
 
 def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
@@ -350,8 +361,8 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
               eps: float = 0.1) -> WeilScanResult:
     """|K| against the split benchmark prod_{p in S} Np^v * (prod else Np^v)^{1/2+eps}.
 
-    c runs over generators of nonzero (principal) ideals inside the level
-    with norm <= max_norm; S is the set of primes dividing the level.  The
+    c runs over generators of the principal ideals, norm <= max_norm, that are the
+    level times prime powers; S is the set of primes dividing the level.  The
     N(P)^v_P(c) multiply to |N(c)|, so with s their product over S the
     benchmark is s (|N(c)|/s)^{1/2+eps}.
     The running maximum over ratios is the empirical implied constant;
@@ -360,26 +371,14 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     """
     if not math.isfinite(eps):
         raise KloostermanError("eps must be finite, got %r" % (eps,))
+    if isinstance(max_norm, bool) or not isinstance(max_norm, int) or max_norm < 1:
+        raise KloostermanError("max_norm must be an int >= 1, got %r" % (max_norm,))
     if chi is None:
         chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
     _check_inputs(field, r, rp, chi)
-    level = chi.modulus
-    s_primes = [p for p, _ in ideal_prime_factorization(level)]
+    s_primes = [p for p, _ in ideal_prime_factorization(chi.modulus)]
     s_labels = tuple(p.label for p in s_primes)
-    # a-priori lower bound on the work before enumerating anything: the
-    # rational multiples of N(level) are always principal and in the level
-    lnorm = max(1, abs(int(level.norm())))
-    if field.degree == 1:
-        km = max_norm // lnorm
-        lower = lnorm * km * (km + 1) // 2
-    else:
-        km = math.isqrt(max_norm) // lnorm
-        lower = lnorm * lnorm * km * (km + 1) * (2 * km + 1) // 6
-    if lower > _WORK_BUDGET:
-        raise KloostermanError("scan range exceeds the work budget; lower max_norm")
-    gens, skipped = _principal_ideals_up_to(field, level, max_norm)
-    if sum(norm for norm, _, _ in gens) > _WORK_BUDGET:
-        raise KloostermanError("scan range exceeds the work budget; lower max_norm")
+    gens, skipped = _principal_ideals_up_to(field, chi.modulus, max_norm)
 
     def one_row(norm: int, c: FieldElement, ideal: Ideal) -> WeilRow:
         k = abs(_sum(c, ideal, r, rp, chi))

@@ -389,6 +389,25 @@ def test_kloosterman_scan_rejects_non_finite_eps(capsys):
         assert json.loads(err)["error"] == "KloostermanError", eps
 
 
+def test_kloosterman_scan_rejects_a_negative_max_norm(capsys):
+    # it exited 0 with no rows over Q, and 1 with an isqrt ValueError over Q(sqrt 5)
+    for field in ("Q", "Q(sqrt 5)"):
+        code, out, err = run_cli(capsys, "--field", field, "kloosterman", "scan",
+                                 "--max-norm", "-5")
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == "KloostermanError", field
+
+
+def test_kloosterman_scan_rejects_an_over_budget_range(capsys):
+    # this range passed the old a-priori bound and was enumerated for seconds
+    # before the sum over its moduli rejected it
+    code, out, err = run_cli(capsys, "--field", "Q(sqrt 5)", "kloosterman", "scan",
+                             "--max-norm", "12000")
+    assert_one_line_error(code, out, err)
+    assert json.loads(err) == {"error": "KloostermanError",
+                               "message": "scan range exceeds the work budget; lower max_norm"}
+
+
 def test_kloosterman_scan_checks_r_with_no_modulus_in_range(capsys):
     # N(50) > max_norm leaves no modulus; r = 1/2 is still outside O' = Z
     code, out, err = run_cli(capsys, "--level", "50", "kloosterman", "scan",

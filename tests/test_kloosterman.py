@@ -26,6 +26,9 @@ from heckedist import (
     symmetry_check,
     weil_scan,
 )
+from heckedist import kloosterman as kloosterman_module
+from heckedist.fields import _small_generator, factor_rational_prime
+from heckedist.kloosterman import _principal_ideals_up_to
 
 Q = make_field("Q")
 F5 = make_field(5)
@@ -570,9 +573,94 @@ def test_weil_scan_rejects_non_finite_eps(eps):
         weil_scan(Q, Q.element(1), Q.element(1), max_norm=10, eps=eps)
 
 
-def test_weil_scan_work_budget():
+@pytest.mark.parametrize("max_norm", [-5, 0, 10.5, True, "10"])
+def test_weil_scan_rejects_max_norm_outside_its_domain(max_norm):
+    # -5 gave no rows over Q but an isqrt ValueError over Q(sqrt 5), 10.5 a
+    # TypeError, and True scanned as 1
+    for field in (Q, F5):
+        with pytest.raises(KloostermanError, match="max_norm must be an int >= 1"):
+            weil_scan(field, field.one(), field.one(), max_norm=max_norm)
+
+
+def test_weil_scan_work_budget(monkeypatch):
     with pytest.raises(KloostermanError):
         weil_scan(Q, Q.element(1), Q.element(1), max_norm=10 ** 9)
+    # the budget is checked as the moduli are built, so a quadratic scan far
+    # past it stops after a few hundred generator searches, not all of them
+    search, calls = kloosterman_module._small_generator, Counter()
+
+    def counting(field, ideal, norm):
+        calls["search"] += 1
+        assert calls["search"] <= 2000, "an over-budget scan kept enumerating"
+        return search(field, ideal, norm)
+
+    monkeypatch.setattr(kloosterman_module, "_small_generator", counting)
+    with pytest.raises(KloostermanError, match="work budget"):
+        weil_scan(F5, F5.one(), F5.one(), max_norm=50_000)
+
+
+def root_search_ideals(field, level, max_norm):
+    # the scan's enumeration before it built its moduli as level * J: every
+    # integral ideal g (n_t, b_t + w) of norm <= max_norm from the roots of
+    # b_t^2 + t b_t - c mod n_t, kept when it lies in the level (verbatim)
+    if field.degree == 1:
+        q = int(level.norm())
+        return [(n, field.element(n), Ideal(field, ((n,),))) for n in range(q, max_norm + 1, q)], 0
+    gens = []
+    skipped = 0
+    t, c = field.t, field.c
+    for g in range(1, math.isqrt(max_norm) + 1):
+        n_t_max = max_norm // (g * g)
+        for nt in range(1, n_t_max + 1):
+            for bt in range(nt):
+                if (bt * bt + t * bt - c) % nt != 0:
+                    continue
+                hnf = ((g * nt, 0), (g * bt, g))
+                ideal = Ideal(field, hnf)
+                if not (ideal <= level):
+                    continue
+                norm = g * g * nt
+                gen = _small_generator(field, ideal, norm)
+                if gen is None:
+                    skipped += 1
+                else:
+                    gens.append((norm, gen, ideal))
+    gens.sort(key=lambda pair: (pair[0], pair[1].coords()))
+    return gens, skipped
+
+
+def scan_levels(field):
+    """O, (2), (6), (7), (1 + w) and the primes above 2, 3 and 5 with no generator."""
+    gens = [field.element(n) for n in (1, 2, 6, 7)]
+    gens += [field.element(1, 1)] if field.degree == 2 else []
+    return [Ideal.principal(g) for g in gens] + \
+        [prime for p in (2, 3, 5) for prime in factor_rational_prime(field, p)
+         if prime.generator is None]
+
+
+@pytest.mark.parametrize("spec", ["Q", 2, 3, 5, 6, 10, 13, 15, 43, 79, 94, 226])
+def test_scan_moduli_match_the_root_search(spec, monkeypatch):
+    field = make_field(spec)
+    budgets, outcomes = (kloosterman_module._WORK_BUDGET, 3000, 200), Counter()
+
+    def keyed(gens):
+        return [(norm, c.coords(), ideal.hnf, ideal.den) for norm, c, ideal in gens]
+
+    for level in scan_levels(field):
+        for max_norm in (1, 10, 60, 200):
+            want, want_skipped = root_search_ideals(field, level, max_norm)
+            work = sum(norm for norm, _, _ in want)
+            for budget in budgets:
+                monkeypatch.setattr(kloosterman_module, "_WORK_BUDGET", budget)
+                outcomes[work > budget] += 1
+                if work > budget:
+                    with pytest.raises(KloostermanError, match="work budget"):
+                        _principal_ideals_up_to(field, level, max_norm)
+                    continue
+                got, skipped = _principal_ideals_up_to(field, level, max_norm)
+                assert (keyed(got), skipped) == (keyed(want), want_skipped), \
+                    (level, max_norm, budget)
+    assert outcomes[True] and outcomes[False]  # both sides of the budget were reached
 
 
 # (norm, x, y) of the generator x + y w of each row, and the skipped count, of
