@@ -120,6 +120,8 @@ def load_character(field: fields.NumberField, modulus: fields.Ideal,
         if order <= 0:
             raise ValueError("character order must be positive, got %d" % order)
         x = modulus.reduce(parse_element(field, str(rep)))
+        if x.coords() in phases:
+            raise ValueError("two character entries for the residue %s" % _elt_str(x))
         phases[x.coords()] = Fraction(exponent, order)
     return kl.DirichletCharacter(field, modulus, phases)
 

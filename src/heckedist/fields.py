@@ -406,6 +406,8 @@ class Ideal:
 
     def reduce(self, elt: FieldElement) -> FieldElement:
         """Canonical representative of elt modulo this (integral) lattice."""
+        if elt.field != self.field:
+            raise FieldError("field mismatch")
         if not self.is_integral():
             raise FieldError("reduction needs an integral ideal")
         if not elt.is_integral():

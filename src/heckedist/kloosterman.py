@@ -10,9 +10,10 @@ matrices with no computable construction here.
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
 of r and r', so each term's phase is one int k mod den, the lcm of that and
-the character's order.  A character derives its order and int phases once,
-when built; a trivial one, of order 1 whatever its modulus, needs no per-term
-lookup.  Floats enter only in the final sum of count_k e(k/den).
+the character's order.  A character keeps one int table, its order and each
+unit's phase as an int numerator over it; the trivial one keeps none, has order
+1 whatever its modulus and needs no per-term lookup, nor the units mod its
+modulus.  Floats enter only in the final sum of count_k e(k/den).
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -58,59 +59,49 @@ def _unit_phase(num: int, den: int) -> complex:
 class DirichletCharacter:
     """Character of (O/I)* with exact root-of-unity values.
 
-    Values are stored as rational phases q (the value is e^{2 pi i q});
-    the (order, exponent) view of a value is (q.denominator, q.numerator).
-    phases is fixed at construction, which derives the order (the lcm of the
-    denominators) and each phase as an int numerator over it.  A checked
-    table's keys are the units; a sum looks each term's d up, which rejects an
-    unchecked one missing a unit; trivial()'s, 0 on the units, is not read.
+    Built from rational phases q (chi = e^{2 pi i q}) keyed by unit coordinates,
+    it keeps one int table: order, the lcm of their denominators, and numerators,
+    each q as an int in [0, order).  A checked table's keys are the units; a sum
+    looks each term's d up, which rejects an unchecked one missing a unit.
+    phases None is the trivial character, which keeps no table (order 1).
     """
 
     def __init__(self, field: NumberField, modulus: Ideal,
-                 phases: Dict[tuple, Fraction], check: bool = True):
+                 phases: Optional[Dict[tuple, Fraction]], check: bool = True):
+        if modulus.field != field:
+            raise FieldError("field mismatch: the modulus is over %r, not %r"
+                             % (modulus.field, field))
         if not modulus.is_integral():
             raise FieldError("the character modulus must be an integral ideal")
-        self.field = field
-        self.modulus = modulus
-        self.phases, order = {}, 1
-        for k, q in phases.items():
-            if not 0 <= q.numerator < q.denominator:
-                q -= q.numerator // q.denominator
-            self.phases[k] = q
-            order = math.lcm(order, q.denominator)
-        self._order = order
-        self._numerators = {k: q.numerator * (order // q.denominator)
-                            for k, q in self.phases.items()}
-        if check:
-            self._validate()
+        self.field, self.modulus = field, modulus
+        self.order, self.numerators = 1, None
+        if phases is not None:
+            self.order = math.lcm(*(q.denominator for q in phases.values()))
+            self.numerators = {k: q.numerator * (self.order // q.denominator) % self.order
+                               for k, q in phases.items()}
+            if check:
+                self._validate()
 
     def _validate(self):
-        one = self.modulus.reduce(self.field.one())
-        if self.phases.get(one.coords(), None) != Fraction(0):
+        nums, order, modulus = self.numerators, self.order, self.modulus
+        if nums.get(modulus.reduce_coords(1)) != 0:
             raise KloostermanError("character must send 1 to 1")
-        if self.phases.keys() != set(_table_coords(self.modulus._unit_table(),
-                                                   self.field.degree, 0)):
+        if nums.keys() != set(_table_coords(modulus._unit_table(), self.field.degree, 0)):
             raise KloostermanError("the table's keys must be the units mod its modulus")
-        units = [self.field.element(*k) for k in self.phases]
+        units = list(nums)
         if len(units) <= 64:
             pairs = [(x, y) for x in units for y in units]
         else:
             rng = random.Random(7)
             pairs = [(rng.choice(units), rng.choice(units)) for _ in range(500)]
         for x, y in pairs:
-            lhs = self.phase(x * y)
-            rhs = self.phase(x) + self.phase(y)
-            if (lhs - rhs).numerator % (lhs - rhs).denominator != 0:
+            xy = modulus.reduce_coords(*self.field.mul_coords(x, y))
+            if (nums[xy] - nums[x] - nums[y]) % order:
                 raise KloostermanError("value table is not multiplicative at %r,%r" % (x, y))
 
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
-        units = _table_coords(modulus._unit_table(), modulus.field.degree, 0)
-        chi = cls(field, modulus, {}, check=False)
-        # set past __init__: 0 needs no reduction pass, and None tells _sum the
-        # keys are exactly the units, so it need not look d up
-        chi.phases, chi._numerators = dict.fromkeys(units, Fraction(0)), None
-        return chi
+        return cls(field, modulus, None)
 
     @classmethod
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
@@ -137,19 +128,22 @@ class DirichletCharacter:
         return cls(field, modulus, table)
 
     def phase(self, x: FieldElement) -> Fraction:
-        key = self.modulus.reduce(x).coords()
-        if key not in self.phases:
+        """The phase q in [0, 1) of chi(x) = e^{2 pi i q}; x must be a unit mod the modulus."""
+        key = self.modulus.reduce(x)
+        if self.numerators is None:
+            # x is a unit mod I exactly when (x) + I = O
+            unit = Ideal.from_generators(self.field, [key, *self.modulus.basis_elements()])
+            n = 0 if unit == Ideal.unit_ideal(self.field) else None
+        else:
+            n = self.numerators.get(key.coords())
+        if n is None:
             raise KloostermanError("%r is not a unit mod the character modulus" % (x,))
-        return self.phases[key]
-
-    def inverse_phase(self, x: FieldElement) -> Fraction:
-        return -self.phase(x)
+        return Fraction(n, self.order)
 
     def minus_one(self) -> int:
         """chi(-1), always +1 or -1."""
         q = self.phase(-self.field.one())
-        v = 2 * q
-        if v.denominator != 1:
+        if (2 * q).denominator != 1:
             raise KloostermanError("chi(-1)^2 != 1; corrupt table")
         return 1 if q == 0 else -1
 
@@ -201,7 +195,7 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
     cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
     norm = field.mul_coords(cz, cbar)[0]
     d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
-    den = math.lcm(d_rr * abs(norm), chi._order)
+    den = math.lcm(d_rr * abs(norm), chi.order)
     scale = den // (d_rr * norm)  # exact, and negative when N(c) is
     lin = []
     for x in (rp, r):
@@ -219,11 +213,11 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for a0, a1, d0, d1 in zip(it, it, it, it))
-    # trivial's table (None here) is 0 on every unit mod the modulus, and each d
-    # is one, as c lies in the modulus: no lookup
-    nums = chi._numerators
+    # the trivial character (no table) is 1 on every unit mod its modulus, and
+    # each d is one, as c lies in the modulus: no lookup
+    nums = chi.numerators
     if nums is not None:
-        step, reduce = den // chi._order, chi.modulus.reduce_coords
+        step, reduce = den // chi.order, chi.modulus.reduce_coords
         inverses = _table_coords(table, field.degree, field.degree)
         terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
     try:
@@ -276,6 +270,8 @@ def delta_term(r: FieldElement, rp: FieldElement, xi: Sequence[int],
     if r.is_zero() or rp.is_zero():
         raise KloostermanError("r and r' must be nonzero")
     field = r.field
+    if chi.field != field:
+        raise FieldError("field mismatch: chi is over %r, r in %r" % (chi.field, field))
     if len(xi) != field.degree or any(x not in (0, 1) for x in xi):
         raise KloostermanError("xi must be a 0/1 vector of length %d" % field.degree)
     eps = unit_square_class(r, rp)
@@ -287,7 +283,7 @@ def delta_term(r: FieldElement, rp: FieldElement, xi: Sequence[int],
         for s, x in zip(e.embed(), xi):
             if x == 1 and s < 0:
                 sign_factor = -sign_factor
-        total += _unit_phase(*chi.inverse_phase(e).as_integer_ratio()) * sign_factor
+        total += _unit_phase(*(-chi.phase(e)).as_integer_ratio()) * sign_factor
     return 0.5 * total
 
 

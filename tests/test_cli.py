@@ -348,6 +348,24 @@ def test_kloosterman_eval_reads_a_character_file(capsys, tmp_path):
     assert value["im"] == pytest.approx(2 * math.sin(math.pi / 5), abs=1e-12)
 
 
+def test_character_file_rejects_a_repeated_residue(capsys, tmp_path):
+    # the order-10006 character mod the prime 10007 (5 generates its units) with
+    # the residue 5 given again as 10012 with a wrong phase: the later entry used
+    # to win, and the 500-pair sampled check did not catch it
+    entries = [[str(pow(5, j, 10007)), 10006, j] for j in range(10006)]
+    entries.append(["10012", 10006, 2])
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, "--level", "10007", "kloosterman", "eval", "--c", "10007",
+                             "--r", "1", "--rp", "1", "--chi", str(chi_file))
+    assert_one_line_error(code, out, err)
+    assert json.loads(err)["error"] == "ValueError"
+    chi_file.write_text(json.dumps(entries[:-1]))
+    code, _, _ = run_cli(capsys, "--level", "10007", "kloosterman", "eval", "--c", "10007",
+                         "--r", "1", "--rp", "1", "--chi", str(chi_file))
+    assert code == 0
+
+
 def test_kloosterman_delta(capsys, tmp_path):
     def delta(*argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -414,6 +432,32 @@ def test_kloosterman_scan_checks_r_with_no_modulus_in_range(capsys):
                              "--max-norm", "10", "--r", "1/2")
     assert_one_line_error(code, out, err)
     assert json.loads(err)["error"] == "KloostermanError"
+
+
+def test_trivial_character_builds_no_unit_table(capsys, monkeypatch):
+    # the trivial character mod (1000003) used to list its 1000002 units, though
+    # no modulus of the scan is in range; delta's trivial character mod O neither
+    calls, made = [0], []
+    unit_table, make_field_ = Ideal._unit_table, heckedist.fields.make_field
+
+    def counting(self):
+        calls[0] += 1
+        return unit_table(self)
+
+    def recording(spec):
+        made.append(make_field_(spec))
+        return made[-1]
+
+    monkeypatch.setattr(Ideal, "_unit_table", counting)
+    monkeypatch.setattr(heckedist.fields, "make_field", recording)
+    code, out, _ = run_cli(capsys, "--level", "1000003", "kloosterman", "scan",
+                           "--max-norm", "10")
+    assert code == 0 and json.loads(out)["rows"] == []
+    code, out, _ = run_cli(capsys, "kloosterman", "delta", "--r", "1", "--rp", "1",
+                           "--xi", "0")
+    assert code == 0 and json.loads(out)["value"]["re"] == 1.0
+    assert calls[0] == 0
+    assert len(made) == 2 and all(not field._unit_tables for field in made)
 
 
 def test_kloosterman_scan_csv(capsys, tmp_path):

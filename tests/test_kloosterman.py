@@ -62,7 +62,7 @@ def fraction_reference(q):
         tr = x.trace()
         phase = Fraction(tr.numerator % tr.denominator, tr.denominator) \
             if tr.denominator != 1 else Fraction(0)
-        phase += q.chi.inverse_phase(d)
+        phase -= q.chi.phase(d)
         phase -= phase.numerator // phase.denominator
         total += cmath.exp(2j * math.pi * float(phase))
     return total
@@ -128,6 +128,14 @@ def inverse_coords_route(ideal):
     return out
 
 
+def phase_table(chi):
+    """chi's phases as Fractions keyed by unit coordinates: its numerators over its
+    order, or 0 on every unit mod its modulus for the trivial character."""
+    if chi.numerators is None:
+        return {x: Fraction(0) for x, _ in unit_inverse_pairs(chi.modulus)}
+    return {k: Fraction(n, chi.order) for k, n in chi.numerators.items()}
+
+
 def fraction_preamble_evaluate(q):
     """evaluate() as it was before its preamble went to ints: Fraction traces of
     r'/c and r/c times the basis over one common denominator with the
@@ -135,7 +143,7 @@ def fraction_preamble_evaluate(q):
     field = q.c.field
     basis = (field.one(),) if field.degree == 1 else (field.one(), field.omega())
     coeffs = [(x * b).trace() for x in (q.rp / q.c, q.r / q.c) for b in basis]
-    phases = q.chi.phases
+    phases = phase_table(q.chi)
     den = math.lcm(*(x.denominator for x in coeffs), *(x.denominator for x in phases.values()))
     lin = [int(x * den) for x in coeffs]
     chi_num = {key: int(x * den) for key, x in phases.items()}
@@ -225,18 +233,19 @@ def test_evaluate_preamble_is_constant_size(monkeypatch):
     chi97 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(97)), Q.element(5))
     base = fraction_work(q_query(3, 5, 97, chi97))
     assert base > 0 and fraction_work(q_query(3, 5, 97 * 11, chi97)) == base
-    # 996 phases mod the prime 997, and order 1 on the 16 units mod 60: the same work
+    # 996 phases mod the prime 997, and no table for the trivial character mod 60:
+    # the same work
     chi997 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(997)), Q.element(7))
     trivial60 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(60)))
-    assert len(chi997.phases) == 996 and len(trivial60.phases) == 16
+    assert len(chi997.numerators) == 996 and trivial60.numerators is None
     assert fraction_work(q_query(3, 5, 997, chi997)) == base
     assert fraction_work(q_query(3, 5, 60, trivial60)) == base
     assert fraction_work(q_query(3, 5, 60 * 7, trivial60)) == base
 
 
 def test_warm_evaluate_reads_no_phase_table_and_no_unit_ideal(monkeypatch):
-    # once a character is built, a sum reads its derived ints, never chi.phases,
-    # and (c) gets its HNF without building O
+    # once a character is built, a sum reads its int table, never a Fraction phase
+    # through chi.phase, and (c) gets its HNF without building O
     F2 = make_field(2)
     chi6 = DirichletCharacter.trivial(Q, Ideal.principal(Q.element(6)))
     chi97 = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(97)), Q.element(5), 3)
@@ -248,16 +257,17 @@ def test_warm_evaluate_reads_no_phase_table_and_no_unit_ideal(monkeypatch):
     warm = [evaluate(q) for q in queries]
     reads = Counter()
     unit_ideal = Ideal.unit_ideal.__func__
+    phase = DirichletCharacter.phase
 
-    def counting_phases(self):
-        reads["phases"] += 1
-        return self.__dict__["phases"]
+    def counting_phase(self, x):
+        reads["phase"] += 1
+        return phase(self, x)
 
     def counting_unit_ideal(cls, field):
         reads["unit_ideal"] += 1
         return unit_ideal(cls, field)
 
-    monkeypatch.setattr(DirichletCharacter, "phases", property(counting_phases), raising=False)
+    monkeypatch.setattr(DirichletCharacter, "phase", counting_phase)
     monkeypatch.setattr(Ideal, "unit_ideal", classmethod(counting_unit_ideal))
     assert [evaluate(q) for q in queries] == warm
     assert reads == Counter()
@@ -307,7 +317,8 @@ def on_a_fresh_field(q):
     def move(x):
         return field.element(x.a, x.b)
 
-    chi = DirichletCharacter(field, Ideal(field, q.chi.modulus.hnf), q.chi.phases, check=False)
+    chi = DirichletCharacter(field, Ideal(field, q.chi.modulus.hnf), phase_table(q.chi),
+                             check=False)
     return KloostermanQuery(move(q.c), move(q.r), move(q.rp), chi)
 
 
@@ -432,20 +443,41 @@ def test_query_validation():
             KloostermanQuery(F5.element(7), r, rp, chi5)
 
 
+def test_character_rejects_an_element_of_another_field():
+    # Ideal.reduce read F5's coordinates mod 5 and gave chi(2 + w) = chi(2) = i
+    mod5 = Ideal.principal(Q.element(5))
+    chi = DirichletCharacter.cyclic(Q, mod5, Q.element(2))
+    with pytest.raises(FieldError, match="field mismatch"):
+        mod5.reduce(F5.element(2, 1))
+    for c in (chi, DirichletCharacter.trivial(Q, mod5)):
+        with pytest.raises(FieldError, match="field mismatch"):
+            c.phase(F5.element(2, 1))
+
+
+def test_character_modulus_must_lie_in_its_field():
+    mod7 = Ideal.principal(F5.element(7))
+    with pytest.raises(FieldError, match="field mismatch"):
+        DirichletCharacter.trivial(Q, mod7)
+    with pytest.raises(FieldError, match="field mismatch"):
+        DirichletCharacter(Q, mod7, {(1, 0): Fraction(0)}, check=False)
+
+
 def test_character_phases_are_reduced_to_the_unit_interval():
     mod5 = Ideal.principal(Q.element(5))
     kept = {(1,): Fraction(0), (4,): Fraction(1, 2), (2,): Fraction(1, 4)}
     out = {(3,): Fraction(-1, 4), (2,): Fraction(5, 4), (4,): Fraction(3, 2)}
-    for phases, want in ((kept, kept),
-                         (out, {(3,): Fraction(3, 4), (2,): Fraction(1, 4),
-                                (4,): Fraction(1, 2)})):
+    # each phase is kept as its numerator over the order, the lcm of the denominators
+    for phases, want in ((kept, {(1,): 0, (4,): 2, (2,): 1}),
+                         (out, {(3,): 3, (2,): 1, (4,): 2})):
         chi = DirichletCharacter(Q, mod5, phases, check=False)
-        assert chi.phases == want and list(chi.phases) == list(phases)
-    # a phase already in [0, 1) is kept as the object it was given
-    chi = DirichletCharacter(Q, mod5, kept, check=False)
-    assert all(chi.phases[k] is q for k, q in kept.items())
-    assert DirichletCharacter(Q, mod5, {(1,): Fraction(-3)}, check=False).phases == \
-        {(1,): Fraction(0)}
+        assert chi.order == 4 and chi.numerators == want
+        assert list(chi.numerators) == list(phases)
+        assert all(type(n) is int and 0 <= n < chi.order for n in chi.numerators.values())
+    chi = DirichletCharacter(Q, mod5, {(1,): Fraction(-3)}, check=False)
+    assert chi.order == 1 and chi.numerators == {(1,): 0}
+    mixed = {(1,): Fraction(0), (2,): Fraction(1, 4), (3,): Fraction(-1, 6)}
+    chi = DirichletCharacter(Q, mod5, mixed, check=False)
+    assert chi.order == 12 and chi.numerators == {(1,): 0, (2,): 3, (3,): 10}
 
 
 @pytest.mark.parametrize("field,gen", [(Q, Q.element(36)), (Q, Q.element(-7)),
@@ -454,10 +486,16 @@ def test_character_phases_are_reduced_to_the_unit_interval():
 def test_trivial_character_matches_the_pair_construction(field, gen):
     modulus = Ideal.principal(gen)
     chi = DirichletCharacter.trivial(field, modulus)
-    # the table trivial built before it read the unit table
-    old = {x: Fraction(0) for x, _ in unit_inverse_pairs(modulus)}
-    assert list(chi.phases.items()) == list(old.items())
-    assert all(type(k) is tuple and all(type(v) is int for v in k) for k in chi.phases)
+    assert chi.order == 1 and chi.numerators is None
+    # the table trivial built before it kept none: 0 on every unit, no non-unit
+    units = {x for x, _ in unit_inverse_pairs(modulus)}
+    for x in modulus.residue_coords():
+        if x in units:
+            assert chi.phase(field.element(*x)) == 0, x
+        else:
+            with pytest.raises(KloostermanError, match="not a unit"):
+                chi.phase(field.element(*x))
+    assert len(units) < modulus.norm()
 
 
 def test_character_validation():
@@ -504,8 +542,9 @@ def test_checked_character_keys_are_the_units():
     DirichletCharacter(Q, mod6, {(1,): Fraction(0), (5,): Fraction(1, 2)})
     DirichletCharacter(Q, mod5, {(Fraction(k),): Fraction(0) for k in range(1, 5)})
     mod7 = Ideal.principal(F5.element(7))
-    trivial = DirichletCharacter.trivial(F5, mod7)
-    assert DirichletCharacter(F5, mod7, dict(trivial.phases)).phases == trivial.phases
+    zeros = {x: Fraction(0) for x, _ in unit_inverse_pairs(mod7)}
+    chi = DirichletCharacter(F5, mod7, zeros)
+    assert chi.order == 1 and chi.numerators == dict.fromkeys(zeros, 0)
 
 
 def test_twisted_sum_pinned():
@@ -838,6 +877,16 @@ def test_delta_diagonal():
     chi5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
     r = F5.element(2, 1)
     assert delta_term(r, r, (0, 0), chi5) == 1
+
+
+def test_delta_rejects_a_character_over_another_field():
+    # r/r' = 1 is a unit square, and the sum gave 1 with chi over Q(sqrt 5)
+    chi5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
+    with pytest.raises(FieldError, match="field mismatch"):
+        delta_term(Q.one(), Q.one(), (0,), chi5)
+    chiQ = DirichletCharacter.trivial(Q, Ideal.unit_ideal(Q))
+    with pytest.raises(FieldError, match="field mismatch"):
+        delta_term(F5.element(2, 1), F5.element(2, 1), (0, 0), chiQ)
 
 
 def test_delta_unit_square_classes():
