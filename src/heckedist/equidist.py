@@ -40,8 +40,10 @@ pays off from about 20 counts per dataset (about 45 after a free); a
 4-point run_report is about 5 ms slower (about 11 ms).  Queries
 with a negative or non-finite t or a non-finite or reversed window are
 rejected by count and predict alike.
-The JSONL and CSV writers stream one %-template line per row and the
-readers build flat columns; no per-row container is kept.
+The writers format 4096 rows per % over a repeated row template, with one
+write (a JSONL src tag is a pre-encoded %s value); the JSONL reader parses
+each line by raw_decode as json.loads would, calling json.loads only to
+report a bad line.  Both readers build flat columns, no per-row container.
 
 Synthetic datasets draw archimedean coordinates from the normalized
 restriction of pl_xi to the box (atoms included with their relative
@@ -71,6 +73,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from dataclasses import astuple, dataclass, field as dc_field, replace
 from functools import cached_property
@@ -232,32 +235,37 @@ class Dataset:
 
     def to_jsonl(self, path: str) -> None:
         d = self.dim
-        # keys in sorted order: lambda_inf, lambda_p, src, weight, xi
-        head = '{"lambda_inf":[%s],"lambda_p":{%s}' % (",".join(["%r"] * d), ",".join(
-            json.dumps(k).replace("%", "%%") + ":%r" for k in self.prime_labels))
-        tail = ',"weight":%r,"xi":[' + ",".join(["%d"] * d) + "]}\n"
+        # keys in sorted order: lambda_inf, lambda_p, src (a %s: ',"src":...' or ""), weight, xi
+        template = ('{"lambda_inf":[' + ",".join(["%r"] * d) + '],"lambda_p":{' + ",".join(
+            json.dumps(k).replace("%", "%%") + ":%r" for k in self.prime_labels)
+            + '}%s,"weight":%r,"xi":[' + ",".join(["%d"] * d) + "]}\n")
         src = self.src if self.src is not None else [None] * len(self)
-        templates = {s: head + ("" if s is None else ',"src":' + json.dumps(s).replace(
-            "%", "%%")) + tail for s in set(src)}
-        table = np.hstack([self.lambda_inf, self.lambda_p, self.weight[:, None], self.xi])
+        frag = {s: "" if s is None else ',"src":' + json.dumps(s) for s in set(src)}
         with open(path, "w") as fh:
-            fh.writelines(_lines(table, templates, src))
+            _write_rows(fh, template, [*self.lambda_inf.T, *self.lambda_p.T, np.array(
+                [frag[s] for s in src], dtype=object), self.weight, *self.xi.T])
 
     @classmethod
     def from_jsonl(cls, path: str, field_spec: str = "Q", level: str = "1",
                    meta: Optional[Dict] = None) -> "Dataset":
         lam, xi, lp, weight, src = [], [], [], [], []
         d, keys, labels = 0, None, []
+        decode = json.JSONDecoder().raw_decode
+        required = operator.itemgetter("lambda_inf", "xi", "lambda_p")
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
+                    try:  # json.loads(line)'s parse; on a failure json.loads raises its error
+                        row, end = decode(line, len(line) - len(line.lstrip(" \t\n\r")))
+                        if line[end:].strip(" \t\n\r"):
+                            raise ValueError
+                    except ValueError:
+                        row = json.loads(line)
                     if type(row) is not dict:
                         raise EquidistError("a record must be a JSON object")
-                    r_lam, r_xi, r_lp, s = (row["lambda_inf"], row["xi"], row["lambda_p"],
-                                            row.get("src"))
+                    (r_lam, r_xi, r_lp), s = required(row), row.get("src")
                     if not (type(r_lam) is type(r_xi) is list and type(r_lp) is dict
                             and (s is None or type(s) is str)):
                         raise EquidistError("lambda_inf and xi must be arrays, lambda_p an "
@@ -297,10 +305,10 @@ class Dataset:
         header = (["lambda_%d" % (j + 1) for j in range(d)]
                   + ["xi_%d" % (j + 1) for j in range(d)] + list(labels) + ["weight"])
         template = ",".join(["%r"] * d + ["%d"] * d + ["%r"] * (len(labels) + 1)) + "\r\n"
-        table = np.hstack([self.lambda_inf, self.xi, self.lambda_p, self.weight[:, None]])
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(header)  # labels may need quoting; numbers never do
-            fh.writelines(_lines(table, {None: template}, [None] * len(self)))
+            _write_rows(fh, template, [*self.lambda_inf.T, *self.xi.T, *self.lambda_p.T,
+                                       self.weight])
 
     @classmethod
     def from_csv(cls, path: str, field_spec: str = "Q", level: str = "1",
@@ -325,11 +333,14 @@ class Dataset:
                    meta or {})
 
 
-def _lines(table: np.ndarray, templates: Dict, keys: Sequence) -> Iterator[str]:
-    """templates[keys[i]] % row i of table; rows become floats a block at a time."""
-    for i in range(0, len(table), 4096):
-        for row, key in zip(table[i:i + 4096].tolist(), keys[i:i + 4096]):
-            yield templates[key] % tuple(row)
+def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
+    """template % each row of the columns: one % and one write per 4096 rows."""
+    w, n = len(columns), len(columns[0])
+    for i in range(0, n, 4096):
+        values = [None] * (w * min(4096, n - i))
+        for j, col in enumerate(columns):
+            values[j::w] = col[i:i + 4096].tolist()
+        fh.write(template * (len(values) // w) % tuple(values))
 
 
 # -- counting and prediction ------------------------------------------------------

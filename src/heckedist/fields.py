@@ -598,7 +598,12 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
     if p > 10 ** 6:
         raise FieldError("prime too large for desk-scale factorization")
     t, c = field.t, field.c
-    roots = [r for r in range(p) if (r * r - t * r - c) % p == 0]
+    if p == 2:
+        roots = [r for r in (0, 1) if (r * r - t * r - c) % 2 == 0]
+    else:
+        # r = (t +- s)/2 with s^2 = t^2 + 4c, the discriminant of r^2 - t r - c
+        s, half = _sqrt_mod(t * t + 4 * c, p), (p + 1) // 2
+        roots = [] if s is None else {(t + s) * half % p, (t - s) * half % p}
     if not roots:
         # inert: (p), residue degree 2
         return [PrimeIdeal(field, ((p, 0), (0, p)), p, 1, 2, 0, field.element(p))]
@@ -608,6 +613,28 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
     hnfs = sorted(_hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
     return [PrimeIdeal(field, hnf, p, e, 1, i, _small_generator(field, Ideal(field, hnf), p))
             for i, hnf in enumerate(hnfs)]
+
+
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of a mod the odd prime p by Tonelli-Shanks, or None if there is none."""
+    a %= p
+    if pow(a, (p - 1) // 2, p) > 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    # invariant r^2 = a t, with t of order 2^i for some i < s and c of order 2^s
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:  # t = 0 only for a = 0, with r = 0
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:

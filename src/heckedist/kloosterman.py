@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,16 +87,28 @@ class DirichletCharacter:
             raise KloostermanError("character must send 1 to 1")
         if nums.keys() != set(_table_coords(modulus._unit_table(), self.field.degree, 0)):
             raise KloostermanError("the table's keys must be the units mod its modulus")
-        units = list(nums)
-        if len(units) <= 64:
-            pairs = [(x, y) for x in units for y in units]
-        else:
-            rng = random.Random(7)
-            pairs = [(rng.choice(units), rng.choice(units)) for _ in range(500)]
-        for x, y in pairs:
-            xy = modulus.reduce_coords(*self.field.mul_coords(x, y))
-            if (nums[xy] - nums[x] - nums[y]) % order:
-                raise KloostermanError("value table is not multiplicative at %r,%r" % (x, y))
+        nums = {tuple(map(int, k)): n for k, n in nums.items()}  # Fraction keys hash slowly
+
+        def mul(x, y):
+            return modulus.reduce_coords(*self.field.mul_coords(x, y))
+
+        # a generating set: each unit outside the subgroup so far joins it;
+        # n[x g] = n[x] + n[g] for every unit x and every generator g gives
+        # n[x y] = n[x] + n[y] for all x, y by induction on y's word in them
+        group, gens = [modulus.reduce_coords(1)], []
+        members = set(group)
+        for g in nums:
+            if g not in members:
+                gens.append(g)
+                coset = [mul(x, g) for x in group]
+                while coset[0] not in members:  # the cosets group g^j until g^j is in it
+                    members.update(coset)
+                    group += coset
+                    coset = [mul(x, g) for x in coset]
+        for g in gens:
+            for x in nums:
+                if (nums[mul(x, g)] - nums[x] - nums[g]) % order:
+                    raise KloostermanError("value table is not multiplicative at %r,%r" % (x, g))
 
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":

@@ -889,6 +889,35 @@ def test_writers_match_per_row_reference(tmp_path):
             assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
 
 
+SRCS = [None, "synth", "%s%d", 'a "quote"', "Maaß"]
+
+
+def block_ds(n, labels=("2:0", "%d:1"), src=True):
+    """n rows of awkward floats; src cycles through SRCS, so it changes inside
+    every block and across every block boundary."""
+    rng = np.random.default_rng(n)
+    rows = [AWKWARD[i % len(AWKWARD)] * rng.random() for i in range(4 * n)]
+    lam = np.array(rows[:2 * n]).reshape(n, 2)
+    lp = np.abs(np.array(rows[2 * n:])).reshape(n, 2)[:, :len(labels)]
+    return Dataset("Q", "1", lam, rng.integers(0, 2, (n, 2)), labels, lp, np.abs(lam[:, 0]),
+                   [SRCS[i % len(SRCS)] for i in range(n)] if src else None)
+
+
+@pytest.mark.parametrize("n, labels, src", [
+    *((n, ("2:0", "%d:1"), True) for n in (0, 4095, 4096, 4097, 8193)),
+    (4097, (), True), (4097, ("2:0",), False)],
+    ids=["0", "4095", "4096", "4097", "8193", "no-labels", "no-src"])
+def test_writers_match_per_row_reference_at_block_edges(tmp_path, n, labels, src):
+    ds = block_ds(n, labels, src)
+    for write, reference, name in ((Dataset.to_jsonl, reference_to_jsonl, "ds.jsonl"),
+                                   (Dataset.to_csv, reference_to_csv, "ds.csv")):
+        write(ds, str(tmp_path / name))
+        reference(ds, str(tmp_path / ("ref_" + name)))
+        assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
+    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"))
+    assert_same_bits(back, reference_from_jsonl(str(tmp_path / "ds.jsonl")))
+
+
 def test_readers_match_per_row_reference(tmp_path):
     ds = awkward_ds()
     ds.to_jsonl(str(tmp_path / "ds.jsonl"))
@@ -941,6 +970,42 @@ def test_jsonl_load_names_the_bad_line(tmp_path):
         with pytest.raises(EquidistError, match="^line 3: ") as info:
             Dataset.from_jsonl(path)
         assert reason in str(info.value)
+
+
+GOOD = '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"src":"s","weight":1.0,"xi":[0]}'
+
+
+def test_jsonl_load_allows_json_whitespace_around_a_record(tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text((GOOD + "\n") * 3)
+    padded = tmp_path / "padded.jsonl"
+    padded.write_bytes((" \t" + GOOD + " \t\r\n" + "\t\t" + GOOD + "\r\n" + "  " + GOOD
+                        + "\t").encode())
+    back = Dataset.from_jsonl(str(padded))
+    assert_same_bits(back, Dataset.from_jsonl(str(clean)))
+    assert_same_bits(back, reference_from_jsonl(str(padded)))
+
+
+def test_jsonl_load_reports_what_json_loads_reports(tmp_path):
+    half = '{"lambda_inf":[1,2],"xi":[0,0],"lambda_p":{"2:0":1},"pad":[0'
+    for i, (lines, bad) in enumerate([
+        (["\ufeff" + GOOD], 1),  # a UTF-8 BOM
+        ([GOOD, "\ufeff" + GOOD], 2),
+        ([GOOD, GOOD + GOOD], 2),  # two objects on one line: "Extra data"
+        ([GOOD, GOOD + " " + GOOD], 2),
+        ([GOOD[:30], GOOD[30:]], 1),  # one record split over two lines
+        ([GOOD + "," + half, "1]}"], 1),  # two records only if the lines are joined
+        (["\f" + GOOD], 1),  # \f is not JSON whitespace, before or after a value
+        ([GOOD + "\f"], 1),
+        ([GOOD + " x"], 1),
+    ]):
+        path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), lines)
+        with pytest.raises(json.JSONDecodeError) as loads_error:
+            json.loads(lines[bad - 1] + "\n")
+        with pytest.raises(EquidistError) as info:
+            Dataset.from_jsonl(path)
+        assert str(info.value) == "line %d: %s at column %d" % (
+            bad, loads_error.value.msg, loads_error.value.colno)
 
 
 def test_tau_small():

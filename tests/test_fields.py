@@ -177,6 +177,44 @@ def test_prime_splitting_is_complete(m):
                 assert Ideal.principal(P.generator) == P, (p, P.label)
 
 
+def brute_force_factorization(field, p):
+    """The prime data above p from every root r < p of r^2 - t r - c mod p."""
+    t, c = field.t, field.c
+    roots = [r for r in range(p) if (r * r - t * r - c) % p == 0]
+    if not roots:
+        return [("%d:0" % p, ((p, 0), (0, p)), 1, 2, (p, 0))]
+    e = 2 if field.disc % p == 0 else 1
+    hnfs = sorted(fields_module._hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
+    gens = [fields_module._small_generator(field, Ideal(field, hnf), p) for hnf in hnfs]
+    return [("%d:%d" % (p, i), hnf, e, 1, None if g is None else g.coords())
+            for i, (hnf, g) in enumerate(zip(hnfs, gens))]
+
+
+@pytest.mark.parametrize("m", [2, 5, 10, 13, 73, 94])
+def test_prime_roots_match_brute_force(m):
+    field = make_field(m)
+    sieve = [True] * 5000
+    for p in range(2, 5000):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 5000, p))
+            assert _prime_data(factor_rational_prime(field, p)) == \
+                brute_force_factorization(field, p), p
+
+
+def _sqrt_mod_cases():
+    for p in (3, 5, 7, 13, 17, 97, 257, 7681, 65537, 999983):
+        yield from ((a, p) for a in (0, 1, 2, 3, p - 1, p - 4, 12345 % p))
+
+
+def test_sqrt_mod():
+    for a, p in _sqrt_mod_cases():
+        r = fields_module._sqrt_mod(a, p)
+        if r is None:
+            assert pow(a, (p - 1) // 2, p) == p - 1, (a, p)
+        else:
+            assert r * r % p == a % p, (a, p)
+
+
 def test_prime_label_roundtrip():
     for field in (Q, F5, F73):
         for p in (2, 3, 5, 7):

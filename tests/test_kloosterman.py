@@ -547,6 +547,29 @@ def test_checked_character_keys_are_the_units():
     assert chi.order == 1 and chi.numerators == dict.fromkeys(zeros, 0)
 
 
+def test_character_check_reads_every_entry():
+    # one wrong phase among 10,006 units: chi(5) = e(2/10006) for a generator 5
+    mod = Ideal.principal(Q.element(10007))
+    chi = DirichletCharacter.cyclic(Q, mod, Q.element(5))
+    assert chi.order == 10006 and chi.numerators[(5,)] == 1
+    phases = {k: Fraction(n, chi.order) for k, n in chi.numerators.items()}
+    phases[(5,)] = Fraction(2, 10006)
+    with pytest.raises(KloostermanError, match="not multiplicative"):
+        DirichletCharacter(Q, mod, phases)
+    # (Z/21)* = (Z/3)* x (Z/7)* is not cyclic: each single wrong entry is caught
+    mod21 = Ideal.principal(Q.element(21))
+    log7 = {pow(3, j, 7): j for j in range(6)}
+    phases = {(x,): Fraction(x % 3 == 2, 2) + Fraction(log7[x % 7], 6)
+              for x in range(1, 21) if math.gcd(x, 21) == 1}
+    DirichletCharacter(Q, mod21, phases)
+    for x in phases:
+        if x != (1,):
+            wrong = dict(phases)
+            wrong[x] += Fraction(1, 6)
+            with pytest.raises(KloostermanError, match="not multiplicative"):
+                DirichletCharacter(Q, mod21, wrong)
+
+
 def test_twisted_sum_pinned():
     # chi of order 4 mod 5: S_chi(1,1;5) is purely imaginary
     mod5 = Ideal.principal(Q.element(5))
