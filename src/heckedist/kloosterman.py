@@ -10,10 +10,10 @@ matrices with no computable construction here.
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
 of r and r', so each term's phase is one int k mod den, the lcm of that and
-the character's order.  A character keeps one int table, its order and each
-unit's phase as an int numerator over it; the trivial one keeps none, has order
-1 whatever its modulus and needs no per-term lookup, nor the units mod its
-modulus.  Floats enter only in the final sum of count_k e(k/den).
+the character's order.  A character keeps one checked int table, its order and
+each unit's phase as an int numerator over it; the trivial one keeps none, has
+order 1 whatever its modulus and needs no lookup, nor the units mod its modulus.
+Floats enter only in the final sum of count_k e(k/den).
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -59,14 +59,13 @@ class DirichletCharacter:
     """Character of (O/I)* with exact root-of-unity values.
 
     Built from rational phases q (chi = e^{2 pi i q}) keyed by unit coordinates,
-    it keeps one int table: order, the lcm of their denominators, and numerators,
-    each q as an int in [0, order).  A checked table's keys are the units; a sum
-    looks each term's d up, which rejects an unchecked one missing a unit.
-    phases None is the trivial character, which keeps no table (order 1).
+    it keeps one int table, checked complete and multiplicative: order, the lcm
+    of their denominators, and numerators, each q as an int in [0, order) keyed
+    by int coordinates.  phases None is the trivial character (no table, order 1).
     """
 
     def __init__(self, field: NumberField, modulus: Ideal,
-                 phases: Optional[Dict[tuple, Fraction]], check: bool = True):
+                 phases: Optional[Dict[tuple, Fraction]]):
         if modulus.field != field:
             raise FieldError("field mismatch: the modulus is over %r, not %r"
                              % (modulus.field, field))
@@ -75,14 +74,15 @@ class DirichletCharacter:
         self.field, self.modulus = field, modulus
         self.order, self.numerators = 1, None
         if phases is not None:
+            if not all(isinstance(q, (int, Fraction)) for q in phases.values()):
+                raise KloostermanError("character phases must be ints or Fractions")
             self.order = math.lcm(*(q.denominator for q in phases.values()))
-            self.numerators = {k: q.numerator * (self.order // q.denominator) % self.order
-                               for k, q in phases.items()}
-            if check:
-                self._validate()
+            self.numerators = self._validate({
+                k: q.numerator * (self.order // q.denominator) % self.order
+                for k, q in phases.items()})
 
-    def _validate(self):
-        nums, order, modulus = self.numerators, self.order, self.modulus
+    def _validate(self, nums: Dict[tuple, int]) -> Dict[tuple, int]:
+        order, modulus = self.order, self.modulus
         if nums.get(modulus.reduce_coords(1)) != 0:
             raise KloostermanError("character must send 1 to 1")
         if nums.keys() != set(_table_coords(modulus._unit_table(), self.field.degree, 0)):
@@ -109,6 +109,7 @@ class DirichletCharacter:
             for x in nums:
                 if (nums[mul(x, g)] - nums[x] - nums[g]) % order:
                     raise KloostermanError("value table is not multiplicative at %r,%r" % (x, g))
+        return nums
 
     @classmethod
     def trivial(cls, field: NumberField, modulus: Ideal) -> "DirichletCharacter":
@@ -119,23 +120,18 @@ class DirichletCharacter:
                exponent: int = 1) -> "DirichletCharacter":
         """chi(g^j) = e^{2 pi i j exponent / order}; g must generate (O/I)*."""
         n_units = len(modulus._unit_table()) // (2 * modulus.field.degree)
-        g = modulus.reduce(generator)
-        phases = {}
-        x = modulus.reduce(field.one())
-        order = 0
-        while True:
-            key = x.coords()
-            if key in phases and order > 0:
-                break
-            phases[key] = order
-            x = modulus.reduce(x * g)
-            order += 1
-            if order > n_units:
+        g = tuple(map(int, modulus.reduce(generator).coords()))
+        x = tuple(map(int, modulus.reduce(field.one()).coords()))
+        steps = {}
+        while x not in steps:
+            steps[x] = len(steps)
+            x = modulus.reduce_coords(*field.mul_coords(x, g))
+            if len(steps) > n_units:
                 raise KloostermanError("generator does not have finite unit order")
-        if len(phases) != n_units:
+        if len(steps) != n_units:
             raise KloostermanError("element does not generate the unit group "
-                                   "(%d of %d units reached)" % (len(phases), n_units))
-        table = {k: Fraction(j * exponent, order) for k, j in phases.items()}
+                                   "(%d of %d units reached)" % (len(steps), n_units))
+        table = {k: Fraction(j * exponent, len(steps)) for k, j in steps.items()}
         return cls(field, modulus, table)
 
     def phase(self, x: FieldElement) -> Fraction:
@@ -152,11 +148,8 @@ class DirichletCharacter:
         return Fraction(n, self.order)
 
     def minus_one(self) -> int:
-        """chi(-1), always +1 or -1."""
-        q = self.phase(-self.field.one())
-        if (2 * q).denominator != 1:
-            raise KloostermanError("chi(-1)^2 != 1; corrupt table")
-        return 1 if q == 0 else -1
+        """chi(-1), always +1 or -1: a checked table has chi(-1)^2 = chi(1) = 1."""
+        return 1 if self.phase(-self.field.one()) == 0 else -1
 
 
 @dataclass(frozen=True)
@@ -224,18 +217,14 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for a0, a1, d0, d1 in zip(it, it, it, it))
-    # the trivial character (no table) is 1 on every unit mod its modulus, and
-    # each d is one, as c lies in the modulus: no lookup
+    # each d is a unit mod chi's modulus, as c lies in it: the trivial character
+    # (no table) is 1 there, with no lookup, and any other table has d as a key
     nums = chi.numerators
     if nums is not None:
         step, reduce = den // chi.order, chi.modulus.reduce_coords
         inverses = _table_coords(table, field.degree, field.degree)
         terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
-    try:
-        counts = Counter(terms)
-    except KeyError as exc:
-        raise KloostermanError("%r is not a unit mod the character modulus"
-                               % (exc.args[0],)) from None
+    counts = Counter(terms)
     # _unit_phase, inlined: each k is already reduced mod den
     return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in counts.items())
 

@@ -2,6 +2,7 @@
 scan, delta term."""
 
 import cmath
+import json
 import math
 import operator
 import random
@@ -26,6 +27,7 @@ from heckedist import (
     symmetry_check,
     weil_scan,
 )
+from heckedist import cli
 from heckedist import kloosterman as kloosterman_module
 from heckedist.fields import _small_generator, factor_rational_prime
 from heckedist.kloosterman import _principal_ideals_up_to
@@ -189,9 +191,10 @@ def pinned_queries():
                 r, rp = (basis[0] * rng.randrange(-4, 5) + basis[1] * rng.randrange(-4, 5)
                          for _ in range(2))
                 queries.append(KloostermanQuery(c, r, rp, chi))
-    # a table mod O: its one value moves every term's phase alike
-    shifted = DirichletCharacter(Q, Ideal.unit_ideal(Q), {(0,): Fraction(1, 3)}, check=False)
-    queries += [q_query(3, 5, c, shifted) for c in (1, 12, 97)]
+    # an order-3 character mod 7: chi(3^j) = e(j/3)
+    cubic = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(7)), Q.element(3), 2)
+    assert cubic.order == 3
+    queries += [q_query(3, 5, c, cubic) for c in (7, 14, 91)]
     return queries
 
 
@@ -317,8 +320,7 @@ def on_a_fresh_field(q):
     def move(x):
         return field.element(x.a, x.b)
 
-    chi = DirichletCharacter(field, Ideal(field, q.chi.modulus.hnf), phase_table(q.chi),
-                             check=False)
+    chi = DirichletCharacter(field, Ideal(field, q.chi.modulus.hnf), phase_table(q.chi))
     return KloostermanQuery(move(q.c), move(q.r), move(q.rp), chi)
 
 
@@ -335,7 +337,7 @@ def test_character_modulus_must_be_integral():
     # the inverse different of Q(sqrt 5) is (1/sqrt 5) O, a fractional ideal
     dinv = inverse_different(F5)
     with pytest.raises(FieldError):
-        DirichletCharacter(F5, dinv, {}, check=False)
+        DirichletCharacter(F5, dinv, {})
     with pytest.raises(FieldError):
         unit_inverse_pairs(dinv)
 
@@ -459,25 +461,29 @@ def test_character_modulus_must_lie_in_its_field():
     with pytest.raises(FieldError, match="field mismatch"):
         DirichletCharacter.trivial(Q, mod7)
     with pytest.raises(FieldError, match="field mismatch"):
-        DirichletCharacter(Q, mod7, {(1, 0): Fraction(0)}, check=False)
+        DirichletCharacter(Q, mod7, {(1, 0): Fraction(0)})
 
 
 def test_character_phases_are_reduced_to_the_unit_interval():
     mod5 = Ideal.principal(Q.element(5))
-    kept = {(1,): Fraction(0), (4,): Fraction(1, 2), (2,): Fraction(1, 4)}
-    out = {(3,): Fraction(-1, 4), (2,): Fraction(5, 4), (4,): Fraction(3, 2)}
+    kept = {(1,): Fraction(0), (4,): Fraction(1, 2), (2,): Fraction(1, 4),
+            (3,): Fraction(3, 4)}
+    out = {(3,): Fraction(-1, 4), (2,): Fraction(5, 4), (4,): Fraction(3, 2),
+           (1,): Fraction(-2)}
     # each phase is kept as its numerator over the order, the lcm of the denominators
-    for phases, want in ((kept, {(1,): 0, (4,): 2, (2,): 1}),
-                         (out, {(3,): 3, (2,): 1, (4,): 2})):
-        chi = DirichletCharacter(Q, mod5, phases, check=False)
+    for phases, want in ((kept, {(1,): 0, (4,): 2, (2,): 1, (3,): 3}),
+                         (out, {(3,): 3, (2,): 1, (4,): 2, (1,): 0})):
+        chi = DirichletCharacter(Q, mod5, phases)
         assert chi.order == 4 and chi.numerators == want
         assert list(chi.numerators) == list(phases)
         assert all(type(n) is int and 0 <= n < chi.order for n in chi.numerators.values())
-    chi = DirichletCharacter(Q, mod5, {(1,): Fraction(-3)}, check=False)
-    assert chi.order == 1 and chi.numerators == {(1,): 0}
-    mixed = {(1,): Fraction(0), (2,): Fraction(1, 4), (3,): Fraction(-1, 6)}
-    chi = DirichletCharacter(Q, mod5, mixed, check=False)
-    assert chi.order == 12 and chi.numerators == {(1,): 0, (2,): 3, (3,): 10}
+    chi = DirichletCharacter(Q, Ideal.unit_ideal(Q), {(0,): Fraction(-3)})
+    assert chi.order == 1 and chi.numerators == {(0,): 0}
+    # chi(2^j) = e(j/12) mod 13, each phase shifted by an int: denominators 1 to 12
+    mixed = {(pow(2, j, 13),): Fraction(j, 12) - j % 3 for j in range(12)}
+    assert {q.denominator for q in mixed.values()} == {1, 2, 3, 4, 6, 12}
+    chi = DirichletCharacter(Q, Ideal.principal(Q.element(13)), mixed)
+    assert chi.order == 12 and chi.numerators == {(pow(2, j, 13),): j for j in range(12)}
 
 
 @pytest.mark.parametrize("field,gen", [(Q, Q.element(36)), (Q, Q.element(-7)),
@@ -512,39 +518,102 @@ def test_character_validation():
                                      (4,): Fraction(0)})
 
 
-def test_evaluate_rejects_partial_character_table():
-    # a table on the subgroup {1, 4} of (Z/5)* is multiplicative but misses d = 2;
-    # all zero it looks trivial, yet every d is still looked up in it (unchecked:
-    # a checked build rejects it, see test_checked_character_keys_are_the_units)
-    mod5 = Ideal.principal(Q.element(5))
-    for phase in (Fraction(1, 2), Fraction(0)):
-        chi = DirichletCharacter(Q, mod5, {(1,): Fraction(0), (4,): phase}, check=False)
-        with pytest.raises(KloostermanError):
-            evaluate(KloostermanQuery(Q.element(5), Q.element(1), Q.element(1), chi))
-    # mod O the one residue is 0; a table without it has no value to give
-    empty = DirichletCharacter(Q, Ideal.unit_ideal(Q), {}, check=False)
-    with pytest.raises(KloostermanError):
-        evaluate(q_query(1, 1, 7, empty))
-
-
 def test_checked_character_keys_are_the_units():
-    # multiplicative tables on a subgroup, or on a set with a non-unit, build
-    # unchecked but not checked: their keys are not the units mod the modulus
+    # multiplicative tables on a subgroup, or on a set with a non-unit, do not
+    # build: their keys are not the units mod the modulus
     mod5, mod6 = Ideal.principal(Q.element(5)), Ideal.principal(Q.element(6))
     for modulus, phases in ((mod5, {(1,): Fraction(0), (4,): Fraction(1, 2)}),
                             (mod5, {(1,): Fraction(0), (4,): Fraction(0)}),
                             (mod6, {(1,): Fraction(0), (3,): Fraction(0)}),
                             (mod6, {(1,): Fraction(0), (5,): Fraction(0), (3,): Fraction(0)})):
-        DirichletCharacter(Q, modulus, phases, check=False)
         with pytest.raises(KloostermanError, match="units mod its modulus"):
             DirichletCharacter(Q, modulus, phases)
-    # complete tables still build checked, over Q and Q(sqrt 5), keys as ints or Fractions
+    # complete tables build, over Q and Q(sqrt 5), keys as ints or Fractions
     DirichletCharacter(Q, mod6, {(1,): Fraction(0), (5,): Fraction(1, 2)})
     DirichletCharacter(Q, mod5, {(Fraction(k),): Fraction(0) for k in range(1, 5)})
     mod7 = Ideal.principal(F5.element(7))
     zeros = {x: Fraction(0) for x, _ in unit_inverse_pairs(mod7)}
     chi = DirichletCharacter(F5, mod7, zeros)
     assert chi.order == 1 and chi.numerators == dict.fromkeys(zeros, 0)
+    # read as ints, 5/2 would be the unit 2: it is no unit coordinate, so no key
+    half = {(1,): Fraction(0), (Fraction(5, 2),): Fraction(1, 4), (4,): Fraction(1, 2),
+            (3,): Fraction(3, 4)}
+    with pytest.raises(KloostermanError, match="units mod its modulus"):
+        DirichletCharacter(Q, mod5, half)
+
+
+def test_character_phases_must_be_ints_or_fractions():
+    # a float phase raised AttributeError (no .denominator) from the constructor
+    mod5 = Ideal.principal(Q.element(5))
+    for bad in (0.25, "1/4", None):
+        phases = {(1,): Fraction(0), (2,): bad, (4,): Fraction(1, 2), (3,): Fraction(3, 4)}
+        with pytest.raises(KloostermanError, match="ints or Fractions"):
+            DirichletCharacter(Q, mod5, phases)
+    # the Legendre symbol mod 5, with int phases on the squares
+    chi = DirichletCharacter(Q, mod5, {(1,): 0, (2,): Fraction(1, 2), (4,): 1,
+                                       (3,): Fraction(-1, 2)})
+    assert chi.order == 2 and chi.numerators == {(1,): 0, (2,): 1, (4,): 0, (3,): 1}
+
+
+def test_character_keys_are_int_tuples(tmp_path):
+    # a sum looks each d up by int coordinates; Fraction keys hash slowly
+    mod5 = Ideal.principal(Q.element(5))
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps([["1", 1, 0], ["2", 4, 1], ["4", 2, 1], ["3", 4, 3]]))
+    mod3 = Ideal.principal(F5.element(3))
+    chars = [DirichletCharacter(Q, mod5, {(Fraction(k),): Fraction(0) for k in range(1, 5)}),
+             DirichletCharacter.cyclic(Q, mod5, Q.element(2)),
+             DirichletCharacter.cyclic(F5, mod3, F5.element(0, 1)),
+             cli.load_character(Q, mod5, str(path))]
+    for chi in chars:
+        assert all(type(k) is tuple and all(type(v) is int for v in k)
+                   for k in chi.numerators), chi.numerators
+    assert chars[3].numerators == chars[1].numerators
+
+
+def fraction_walk_cyclic(field, modulus, generator, exponent=1):
+    """DirichletCharacter.cyclic's phase table as it was built before its walk went
+    to ints: FieldElement products reduced mod the modulus, keyed by Fraction coords."""
+    n_units = len(unit_inverse_pairs(modulus))
+    g = modulus.reduce(generator)
+    phases = {}
+    x = modulus.reduce(field.one())
+    order = 0
+    while True:
+        key = x.coords()
+        if key in phases and order > 0:
+            break
+        phases[key] = order
+        x = modulus.reduce(x * g)
+        order += 1
+        if order > n_units:
+            raise KloostermanError("generator does not have finite unit order")
+    if len(phases) != n_units:
+        raise KloostermanError("element does not generate the unit group "
+                               "(%d of %d units reached)" % (len(phases), n_units))
+    return {k: Fraction(j * exponent, order) for k, j in phases.items()}
+
+
+def test_cyclic_matches_the_fraction_walk():
+    F2 = make_field(2)
+    cases = [(Q, 10007, Q.element(5), 1), (Q, 97, Q.element(5), 3), (Q, 9, Q.element(2), 1),
+             (Q, 1, Q.element(1), 1), (F5, F5.element(2), F5.element(0, 1), 1),
+             (F2, F2.element(3), F2.element(1, 1), 1)]
+    for field, gen, g, exponent in cases:
+        modulus = Ideal.principal(field.element(gen) if type(gen) is int else gen)
+        chi = DirichletCharacter.cyclic(field, modulus, g, exponent)
+        want = DirichletCharacter(field, modulus, fraction_walk_cyclic(field, modulus, g,
+                                                                       exponent))
+        assert (chi.order, chi.numerators) == (want.order, want.numerators)
+        assert list(chi.numerators) == list(want.numerators)
+    # 4 has order 2 mod 5; 2 is no unit mod 6 and its powers 2, 4, 2 never reach 1
+    for n, g, match in ((5, 4, r"\(2 of 4 units reached\)"), (6, 2, "finite unit order")):
+        modulus = Ideal.principal(Q.element(n))
+        with pytest.raises(KloostermanError, match=match) as want:
+            fraction_walk_cyclic(Q, modulus, Q.element(g))
+        with pytest.raises(KloostermanError, match=match) as got:
+            DirichletCharacter.cyclic(Q, modulus, Q.element(g))
+        assert str(got.value) == str(want.value)
 
 
 def test_character_check_reads_every_entry():
