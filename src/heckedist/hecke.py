@@ -4,7 +4,11 @@ The algebra at a prime P of absolute norm N is spanned by the characteristic
 functions T(P^{2k}) of the determinant-one double-coset sets; the recursion
 route multiplies by applying the three-term relation itself,
 
-    T(P^2) * T(P^{2j}) = T(P^{2j+2}) + N T(P^{2j}) + N^2 T(P^{2j-2})   (j >= 1).
+    T(P^2) * T(P^{2j}) = T(P^{2j+2}) + N T(P^{2j}) + N^2 T(P^{2j-2})   (j >= 1),
+
+folded into one pass per power of T(P^2): for a fixed factor x, the products
+E_j = T(P^{2j}) x satisfy E_{j+1}[i] = E_j[i-1] + N^2 (E_j[i+1] - E_{j-1}[i]),
+less N E_j[0] at i = 0.
 
 The algebra is isomorphic to the ring of even symmetric Laurent polynomials,
 T(P^{2k}) mapping to N^k (X^{2k} + X^{2k-2} + ... + X^{-2k}); both routes are
@@ -27,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Dict, Sequence, Tuple, Union
 
 from heckedist.fields import FieldElement, PrimeIdeal, _factor
@@ -66,16 +70,6 @@ def _sum(x, y, sign: int) -> Tuple[list, int]:
     """Numerators of x + sign * y over x.den * y.den."""
     pairs = zip_longest(x.nums, y.nums, fillvalue=0)
     return [a * y.den + sign * b * x.den for a, b in pairs], x.den * y.den
-
-
-def _times_t2(nums: list, N: int) -> list:
-    """T(P^2) * sum_j nums[j] T(P^{2j}), term by term: T(P^2) T(P^0) = T(P^2), and
-    T(P^2) T(P^{2j}) = T(P^{2j+2}) + N T(P^{2j}) + N^2 T(P^{2j-2}) for j >= 1."""
-    out = [0] + nums
-    for j in range(1, len(nums)):
-        out[j] += N * nums[j]
-        out[j - 1] += N * N * nums[j]
-    return out
 
 
 class LocalHeckeElement:
@@ -139,23 +133,30 @@ class LocalHeckeElement:
         """Product by the three-term relation (the recursion route).
 
         E_j = T(P^{2j}) * other runs E_0 = other, E_1 = T(P^2) E_0 and
-        E_{j+1} = T(P^2) E_j - N E_j - N^2 E_{j-1}; sum_j c_j E_j is taken on the
-        numerators, over the product of the denominators.
+        E_{j+1} = T(P^2) E_j - N E_j - N^2 E_{j-1}.  With e = E_j the relation
+        T(P^2) T(P^{2i}) = T(P^{2i+2}) + N T(P^{2i}) + N^2 T(P^{2i-2}) (i >= 1)
+        folds that step into one pass, E_{j+1}[i] = e[i-1] + N^2 (e[i+1] -
+        E_{j-1}[i]), less N e[0] at i = 0.  sum_j c_j E_j over the c_j != 0 is
+        taken on the numerators, over the product of the denominators.
         """
         self._check(other)
         N = self.norm
-        E = [list(other.nums)]
-        for j in range(1, len(self.nums)):
-            nxt = _times_t2(E[-1], N)
-            if j > 1:
-                nxt = [t - N * x - N * N * y
-                       for t, x, y in zip_longest(nxt, E[-1], E[-2], fillvalue=0)]
-            E.append(nxt)
-        out = [0] * len(E[-1])
-        for c, e in zip(self.nums, E):
+        N2 = N * N
+        prev, e = None, list(other.nums)
+        out = [0]
+        for j, c in enumerate(self.nums):
+            if j:
+                head = [0] + e
+                if j == 1:
+                    nxt = [x + N * y + N2 * z
+                           for x, y, z in zip_longest(head, e, e[1:], fillvalue=0)]
+                else:
+                    nxt = [x + N2 * (y - z)
+                           for x, y, z in zip_longest(head, e[1:], prev, fillvalue=0)]
+                nxt[0] -= N * e[0]
+                prev, e = e, nxt
             if c:
-                for i, x in enumerate(e):
-                    out[i] += c * x
+                out = [o + c * x for o, x in zip_longest(out, e, fillvalue=0)]
         return self._from_ints(self.label, N, out, self.den * other.den)
 
     def to_sym_laurent(self) -> "SymLaurentPoly":
@@ -164,10 +165,11 @@ class LocalHeckeElement:
         Coefficient m of the image is the suffix sum of c_k N^k over k >= m,
         taken on the numerators over the same denominator.
         """
-        out, acc = list(self.nums), 0
-        for k in range(len(out) - 1, -1, -1):
-            out[k] = acc = acc + out[k] * self.norm ** k
-        return SymLaurentPoly._from_ints(out, self.den)
+        terms, power = [], 1
+        for c in self.nums:
+            terms.append(c * power)
+            power *= self.norm
+        return SymLaurentPoly._from_ints(list(accumulate(reversed(terms)))[::-1], self.den)
 
     def __repr__(self):
         terms = []
@@ -185,9 +187,12 @@ def from_sym_laurent(label: str, norm: int, poly: "SymLaurentPoly") -> LocalHeck
     den N^K, K the top degree, c_k has numerator (P_k - P_{k+1}) N^{K-k}.
     """
     _check_norm(norm)
-    ps, top = poly.nums + (0,), len(poly.nums) - 1
-    nums = [(ps[k] - ps[k + 1]) * norm ** (top - k) for k in range(top + 1)]
-    return LocalHeckeElement._from_ints(label, norm, nums, poly.den * norm ** top)
+    ps = poly.nums
+    nums, power = [ps[-1]], 1
+    for k in range(len(ps) - 2, -1, -1):
+        power *= norm
+        nums.append((ps[k] - ps[k + 1]) * power)
+    return LocalHeckeElement._from_ints(label, norm, nums[::-1], poly.den * power)
 
 
 class SymLaurentPoly:
@@ -222,23 +227,20 @@ class SymLaurentPoly:
         return SymLaurentPoly._from_ints(*_sum(self, other, 1))
 
     def __mul__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
-        """Product of the numerators over the product of the denominators."""
+        """Product of the numerators over the product of the denominators.
+
+        Only the nonzero pairs are swept: x_a y_b adds to out[a + b] and, when
+        a and b are both nonzero, to out[|a - b|], twice when a = b.
+        """
         out = [0] * (len(self.nums) + len(other.nums) - 1)
+        ys = [(b, y) for b, y in enumerate(other.nums) if y]
         for a, x in enumerate(self.nums):
-            if x == 0:
-                continue
-            for b, y in enumerate(other.nums):
-                if y == 0:
-                    continue
-                p = x * y
-                if a == 0 or b == 0:
+            if x:
+                for b, y in ys:
+                    p = x * y
                     out[a + b] += p
-                elif a == b:
-                    out[a + b] += p
-                    out[0] += 2 * p
-                else:
-                    out[a + b] += p
-                    out[abs(a - b)] += p
+                    if a and b:
+                        out[abs(a - b)] += p if a != b else 2 * p
         return SymLaurentPoly._from_ints(out, self.den * other.den)
 
     def evaluate(self, x: complex) -> complex:
@@ -400,8 +402,8 @@ def brute_force_convolution(p: int, two_k: int, two_m: int) -> LocalHeckeElement
 
     if p < 2 or _factor(p) != {p: 1}:
         raise HeckeError("p must be a rational prime, got %r" % (p,))
-    if two_k % 2 or two_m % 2 or two_k <= 0 or two_m <= 0:
-        raise HeckeError("exponents must be positive even integers")
+    if two_k % 2 or two_m % 2 or two_k < 0 or two_m < 0:
+        raise HeckeError("exponents must be nonnegative even integers")
     k, m = two_k // 2, two_m // 2
     e = k + m
     # the largest int64 value is b1 p^l2 + p^(2k-l1) b2 with b1 < p^l1, b2 < p^l2,
@@ -457,4 +459,9 @@ def verify_relation(label: str, norm: int, k: int, m: int,
             raise HeckeError("brute-force convolution disagrees: %r vs %r" % (coset, alg))
     if alg.den != 1:
         raise HeckeError("non-integral structure constants %r" % (alg,))
-    return {"T%d" % norm ** (2 * n): c for n, c in enumerate(alg.nums) if c}
+    out, key = {}, 1
+    for c in alg.nums:
+        if c:
+            out["T%d" % key] = c
+        key *= norm * norm
+    return out

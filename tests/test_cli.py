@@ -217,6 +217,14 @@ def test_hecke_verify_relation_pinned(capsys):
     assert data == {"T16": 1, "T4": 2, "T1": 4}
 
 
+def test_hecke_verify_relation_at_a_zero_exponent(capsys):
+    # over Q the coset route runs too, and T(p^0) is the identity there
+    for k, m, want in (("0", "1", {"T4": 1}), ("2", "0", {"T16": 1}), ("0", "0", {"T1": 1})):
+        code, out, _ = run_cli(capsys, "hecke", "verify-relation", "--p", "2", "--k", k, "--m", m)
+        assert code == 0
+        assert json.loads(out) == want
+
+
 def test_hecke_verify_relation_rejects_composite(capsys):
     code, out, err = run_cli(capsys, "hecke", "verify-relation",
                              "--p", "6", "--k", "1", "--m", "1")

@@ -116,6 +116,70 @@ def ytable_mul_reference(a, b):
     return LocalHeckeElement._from_ints(a.label, N, out, a.den * b.den)
 
 
+def _times_t2(nums, N):
+    """T(P^2) * sum_j nums[j] T(P^{2j}), term by term."""
+    out = [0] + nums
+    for j in range(1, len(nums)):
+        out[j] += N * nums[j]
+        out[j - 1] += N * N * nums[j]
+    return out
+
+
+def two_pass_mul_reference(a, b):
+    """The recursion product with two passes per step: E_{j+1} = T(P^2) E_j, then
+    the - N E_j - N^2 E_{j-1} correction, and every E_j kept."""
+    N = a.norm
+    E = [list(b.nums)]
+    for j in range(1, len(a.nums)):
+        nxt = _times_t2(E[-1], N)
+        if j > 1:
+            nxt = [t - N * x - N * N * y
+                   for t, x, y in zip_longest(nxt, E[-1], E[-2], fillvalue=0)]
+        E.append(nxt)
+    out = [0] * len(E[-1])
+    for c, e in zip(a.nums, E):
+        if c:
+            for i, x in enumerate(e):
+                out[i] += c * x
+    return LocalHeckeElement._from_ints(a.label, N, out, a.den * b.den)
+
+
+def branching_laurent_mul_reference(f, g):
+    """The Laurent product testing a branch on every pair of entries."""
+    out = [0] * (len(f.nums) + len(g.nums) - 1)
+    for a, x in enumerate(f.nums):
+        if x == 0:
+            continue
+        for b, y in enumerate(g.nums):
+            if y == 0:
+                continue
+            p = x * y
+            if a == 0 or b == 0:
+                out[a + b] += p
+            elif a == b:
+                out[a + b] += p
+                out[0] += 2 * p
+            else:
+                out[a + b] += p
+                out[abs(a - b)] += p
+    return SymLaurentPoly._from_ints(out, f.den * g.den)
+
+
+def pow_to_sym_laurent_reference(a):
+    """to_sym_laurent with one norm ** k per coefficient."""
+    out, acc = list(a.nums), 0
+    for k in range(len(out) - 1, -1, -1):
+        out[k] = acc = acc + out[k] * a.norm ** k
+    return SymLaurentPoly._from_ints(out, a.den)
+
+
+def pow_from_sym_laurent_reference(label, norm, poly):
+    """from_sym_laurent with one norm ** (top - k) per coefficient."""
+    ps, top = poly.nums + (0,), len(poly.nums) - 1
+    nums = [(ps[k] - ps[k + 1]) * norm ** (top - k) for k in range(top + 1)]
+    return LocalHeckeElement._from_ints(label, norm, nums, poly.den * norm ** top)
+
+
 def triangular_s_poly_reference(norm, two_k):
     """S_{P,2k} coefficients by a triangular solve: lambda^{2m} has coefficient
     N^m C(2m, m-j) on X^{2j} + X^{-2j}, and the target coefficient is N^k."""
@@ -224,6 +288,24 @@ def test_brute_force_matches_algebra():
         assert brute.coeffs == alg.coeffs
 
 
+def test_brute_force_at_zero_exponents_is_the_other_factor():
+    for p in (2, 3, 5):
+        for m in range(4):
+            assert brute_force_convolution(p, 0, 2 * m) == tee("%d:0" % p, p, m), (p, m)
+            assert brute_force_convolution(p, 2 * m, 0) == tee("%d:0" % p, p, m), (p, m)
+        # T(p^0) is the identity of the algebra
+        one = brute_force_convolution(p, 0, 0)
+        assert one == tee("%d:0" % p, p, 0)
+        assert one * tee(one.label, p, 3) == tee(one.label, p, 3)
+    assert verify_relation("2:0", 2, 0, 1, brute=True) == {"T4": 1}
+
+
+def test_brute_force_rejects_odd_or_negative_exponents():
+    for two_k, two_m in ((1, 2), (2, 3), (0, 1), (-2, 2), (2, -2), (-1, 0)):
+        with pytest.raises(HeckeError, match="nonnegative even"):
+            brute_force_convolution(2, two_k, two_m)
+
+
 def test_brute_force_rejects_huge_inputs():
     # 3^16 is far below the int64 limit, but (3^9 - 1)/2 = 9841 cosets a side
     # make 96,845,281 pairs
@@ -305,6 +387,50 @@ def test_products_match_ytable_reference_random():
             for _ in range(rng.randrange(1, 14))]) for _ in range(2))
         got, want = a * b, ytable_mul_reference(a, b)
         assert (got.nums, got.den) == (want.nums, want.den), (norm, a, b)
+
+
+def random_coeffs(rng):
+    """1-12 Fractions with zeros, a zero constant term, trailing zeros (trimmed on
+    construction), negative numerators and denominators above 1."""
+    cs = [Fraction(rng.choice((0, rng.randrange(-999, 1000), rng.randrange(-9, 10))),
+                   rng.choice((1, rng.randrange(1, 60)))) for _ in range(rng.randrange(1, 13))]
+    if rng.random() < 0.25:
+        cs[0] = Fraction(0)
+    if rng.random() < 0.15:
+        cs[rng.randrange(len(cs)):] = [Fraction(0)] * 2
+    return cs
+
+
+def test_kernels_match_the_two_pass_and_branching_references():
+    rng = random.Random(34)
+    for _ in range(2000):
+        norm = rng.choice(GRID_NORMS)
+        a, b = (LocalHeckeElement("x", norm, random_coeffs(rng)) for _ in range(2))
+        f, g = (SymLaurentPoly(random_coeffs(rng)) for _ in range(2))
+        for got, want in ((a * b, two_pass_mul_reference(a, b)),
+                          (a.to_sym_laurent(), pow_to_sym_laurent_reference(a)),
+                          (f * g, branching_laurent_mul_reference(f, g)),
+                          (a.to_sym_laurent() * b.to_sym_laurent(),
+                           branching_laurent_mul_reference(pow_to_sym_laurent_reference(a),
+                                                           pow_to_sym_laurent_reference(b))),
+                          (from_sym_laurent("x", norm, f),
+                           pow_from_sym_laurent_reference("x", norm, f))):
+            assert (got.nums, got.den) == (want.nums, want.den), (norm, a, b, f, g)
+
+
+def test_verify_relation_matches_the_references_on_the_benchmark_grid():
+    # every norm the benchmark's hecke workload draws its 8 from, k, m <= 10
+    for norm in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
+        for k in range(1, 11):
+            for m in range(1, 11):
+                a, b = tee("x", norm, k), tee("x", norm, m)
+                want = two_pass_mul_reference(a, b)
+                image = branching_laurent_mul_reference(pow_to_sym_laurent_reference(a),
+                                                        pow_to_sym_laurent_reference(b))
+                assert want == pow_from_sym_laurent_reference("x", norm, image)
+                got = verify_relation("x", norm, k, m)
+                assert list(got.items()) == [("T%d" % norm ** (2 * n), c)
+                                             for n, c in enumerate(want.nums) if c], (norm, k, m)
 
 
 def test_s_poly_matches_triangular_reference():
