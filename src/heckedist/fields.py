@@ -366,7 +366,16 @@ class Ideal:
 
     @classmethod
     def principal(cls, elt: FieldElement) -> "Ideal":
-        return cls.from_generators(elt.field, [elt])
+        """(elt): the HNF of its two int rows x = den*elt and x*w = (c x1, x0 + t x1),
+        the same (hnf, den) as from_generators(field, [elt])."""
+        field, a, b = elt.field, elt.a, elt.b
+        den = math.lcm(a.denominator, b.denominator)
+        x0, x1 = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        if not (x0 or x1):
+            raise FieldError("ideal needs a nonzero generator")
+        if field.degree == 1:
+            return cls(field, ((abs(x0),),), den)
+        return cls(field, _hnf(((x0, x1), (field.c * x1, x0 + field.t * x1))), den)
 
     @classmethod
     def unit_ideal(cls, field: NumberField) -> "Ideal":

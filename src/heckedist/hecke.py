@@ -351,11 +351,12 @@ def coset_representatives(prime: PrimeIdeal, k: int) -> list:
 
     For a principal prime with generator pi: matrices
     [[pi^{k-l}, b pi^{-k}], [0, pi^{l-k}]], l = 0..2k, b over O/P^l.
-    The count is sum_{l=0}^{2k} N^l.  b pi^{-k} is b's int coordinates times
-    N(pi)^k pi^{-k} (conj(pi)^k, or 1 over Q), divided by N(pi)^k (signed).
+    The count is sum_{l=0}^{2k} N^l; k = 0 gives the one coset of the identity.
+    b pi^{-k} is b's int coordinates times N(pi)^k pi^{-k} (conj(pi)^k, or 1
+    over Q), divided by N(pi)^k (signed).
     """
-    if k < 1:
-        raise HeckeError("coset decomposition needs k >= 1")
+    if k < 0:
+        raise HeckeError("coset decomposition needs k >= 0")
     if prime.generator is None:
         raise HeckeError("prime %s has no stored generator" % prime.label)
     field = prime.field

@@ -9,11 +9,14 @@ matrices with no computable construction here.
 
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
-of r and r', so each term's phase is one int k mod den, the lcm of that and
-the character's order.  A character keeps one checked int table, its order and
-each unit's phase as an int numerator over it; the trivial one keeps none, has
-order 1 whatever its modulus and needs no lookup, nor the units mod its modulus.
-Floats enter only in the final sum of count_k e(k/den).
+of r and r' (over Q, conj(c) = c and N(c) = c^2), so each term's phase is one
+int k mod den, the lcm of that and the character's order.  _phase_form reads
+den and the form's int coefficients off the numerators and denominators of c,
+r and r' once per sum; _sum builds the terms' k as one list and counts them.
+A character keeps one checked int table, its order and each unit's phase as an
+int numerator over it; the trivial one keeps none, has order 1 whatever its
+modulus and needs no lookup, nor the units mod its modulus.  Floats enter only
+in the final sum of count_k e(k/den).
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -186,47 +189,59 @@ def evaluate(q: KloostermanQuery) -> complex:
     return _sum(q.c, Ideal.principal(q.c), q.r, q.rp, q.chi)
 
 
+def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement,
+                chi: DirichletCharacter) -> Tuple[int, tuple]:
+    """(den, lin): the term of the unit pair (a, d) has phase k/den - chi's phase
+    of d, with k the dot product of lin with the int coordinates of (a, d).
+
+    With D the common denominator of r and r', x in (r', r) and u = D x,
+    tr(x a/c) = tr(u a conj(c)) / (D N(c)) = (a0 tr(u conj(c)) + a1 tr(u conj(c) w))
+    / (D N(c)), and den = lcm(D |N(c)|, chi's order).  Over Q, where tr(x) = x,
+    conj(c) is taken as c and N(c) as c^2.
+    """
+    field, t, cc = c.field, c.field.t, c.field.c
+    c0, c1 = c.a.numerator, c.b.numerator  # c is integral: it lies in chi's modulus
+    norm = c0 * (c0 + t * c1) - cc * c1 * c1
+    x0, x1, y0, y1 = rp.a, rp.b, r.a, r.b
+    e0, e1, e2, e3 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
+    d_rr = math.lcm(e0, e1, e2, e3)
+    den = math.lcm(d_rr * abs(norm), chi.order)
+    s = den // (d_rr * norm)  # exact, and negative when N(c) is
+    # s tr(conj(c)), s tr(conj(c) w) and s tr(conj(c) w^2), by w^2 = t w + cc
+    t0, t1 = (field.degree * c0 + t * c1) * s, (t * c0 - 2 * cc * c1) * s
+    t2 = cc * t0 + t * t1
+    u0, u1 = x0.numerator * (d_rr // e0), x1.numerator * (d_rr // e1)
+    v0, v1 = y0.numerator * (d_rr // e2), y1.numerator * (d_rr // e3)
+    if field.degree == 1:
+        return den, (u0 * t0, v0 * t0)
+    return den, (u0 * t0 + u1 * t1, u0 * t1 + u1 * t2, v0 * t0 + v1 * t1, v0 * t1 + v1 * t2)
+
+
 def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
          chi: DirichletCharacter) -> complex:
-    """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked.
-
-    With y = D r' conj(c) and z = D r conj(c), D clearing the denominators of r
-    and r', a term's phase is
-    (a0 tr(y) + a1 tr(y w) + d0 tr(z) + d1 tr(z w)) / (D N(c)) - chi phase of d.
-    """
-    field, t = c.field, c.field.t
-    cz = tuple(v.numerator for v in c.coords())  # integral: it lies in chi's modulus
-    cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
-    norm = field.mul_coords(cz, cbar)[0]
-    d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
-    den = math.lcm(d_rr * abs(norm), chi.order)
-    scale = den // (d_rr * norm)  # exact, and negative when N(c) is
-    lin = []
-    for x in (rp, r):
-        y = field.mul_coords(tuple(v.numerator * (d_rr // v.denominator) * scale
-                                   for v in x.coords()), cbar)
-        # tr(y) = 2 y0 + t y1 and tr(y w) = t y0 + (t^2 + 2c) y1; over Q tr(y) = y0
-        lin += y if field.degree == 1 else \
-            (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
+    """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked;
+    each term's phase comes from _phase_form."""
+    den, lin = _phase_form(c, r, rp, chi)
+    degree = c.field.degree
     table = ideal._unit_table()
     it = iter(table)
-    if field.degree == 1:
+    if degree == 1:
         l0, m0 = lin
-        terms = ((a * l0 + d * m0) % den for a, d in zip(it, it))
+        terms = [(a * l0 + d * m0) % den for a, d in zip(it, it)]
     else:
         l0, l1, m0, m1 = lin
-        terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
-                 for a0, a1, d0, d1 in zip(it, it, it, it))
+        terms = [(a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
+                 for a0, a1, d0, d1 in zip(it, it, it, it)]
     # each d is a unit mod chi's modulus, as c lies in it: the trivial character
     # (no table) is 1 there, with no lookup, and any other table has d as a key
     nums = chi.numerators
     if nums is not None:
         step, reduce = den // chi.order, chi.modulus.reduce_coords
-        inverses = _table_coords(table, field.degree, field.degree)
-        terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
-    counts = Counter(terms)
+        inverses = _table_coords(table, degree, degree)
+        terms = [(k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses)]
     # _unit_phase, inlined: each k is already reduced mod den
-    return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in counts.items())
+    exp, two_pi_i = cmath.exp, 2j * math.pi
+    return sum(n * exp(two_pi_i * (k / den)) for k, n in Counter(terms).items())
 
 
 _Q = NumberField()  # rational_kloosterman's field, which keeps its unit tables
@@ -320,8 +335,10 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
 
     Those are the I J, J integral: the multiples of N(I) over Q; over a quadratic
     field, each product built so far, I first, times P, P^2, ... for each prime P
-    above p <= max_norm / N(I), which makes each J once.  Norms found are summed
-    as the ideals are built, and past _WORK_BUDGET the scan is rejected.
+    above p <= max_norm / N(I), which makes each J once.  The products are kept
+    sorted by norm, so P stops at the first one of norm past max_norm / N(P).
+    Norms found are summed as the ideals are built, and past _WORK_BUDGET the
+    scan is rejected.
     """
     def ideals():
         lnorm = int(level.norm())
@@ -332,12 +349,16 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
         yield from built
         for p in range(2, max_norm // lnorm + 1):
             for prime in factor_rational_prime(field, p) if _factor(p) == {p: 1} else ():
-                q = prime.absolute_norm()
-                for norm, ideal in list(built):
+                q, new = prime.absolute_norm(), []
+                for norm, ideal in built:
+                    if norm * q > max_norm:
+                        break
                     while norm * q <= max_norm:
                         norm, ideal = norm * q, ideal * prime
-                        built.append((norm, ideal))
+                        new.append((norm, ideal))
                         yield norm, ideal
+                built += new
+                built.sort(key=lambda gen: gen[0])
 
     gens, skipped, work = [], 0, 0
     for norm, ideal in ideals():

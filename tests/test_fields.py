@@ -431,6 +431,34 @@ def test_from_generators_matches_fraction_route():
                 Ideal.from_generators(field, case)
 
 
+@pytest.mark.parametrize("spec", ["Q", 2, 5, 13, 94])
+def test_principal_matches_from_generators(spec):
+    # Ideal.principal builds (x)'s HNF from its two int rows; from_generators is
+    # the generic route over any generating set
+    field = make_field(spec)
+    rng = random.Random(35)
+    dens = (1, 2, 3, 4, 5, 6, 9, 10, 12, 35)
+    cases = []
+    while len(cases) < 400:
+        a, b = (Fraction(rng.randint(-60, 60), rng.choice(dens)) for _ in range(2))
+        x = field.element(a, b if field.degree == 2 else 0)
+        if not x.is_zero():
+            cases.append(x)
+    cases += [field.element(1), field.element(-1), field.element(Fraction(-7, 3))]
+    if field.degree == 2:
+        cases += [field.element(0, 1), field.element(0, Fraction(-5, 2)),
+                  field.element(Fraction(1, 6), Fraction(1, 4))]
+    assert any(x.is_integral() for x in cases) and any(not x.is_integral() for x in cases)
+    assert any(x.is_integral() and x.norm() < 0 for x in cases)
+    assert any(x.a < 0 and x.b <= 0 for x in cases)
+    for x in cases:
+        want = Ideal.from_generators(field, [x])
+        got = Ideal.principal(x)
+        assert (got.hnf, got.den) == (want.hnf, want.den), x
+    with pytest.raises(FieldError, match="nonzero generator"):
+        Ideal.principal(field.zero())
+
+
 def fraction_contained(I, J):
     # the route Ideal.__le__ took before its int rows: each basis element of I in J
     return all(J.contains(v) for v in I.basis_elements())

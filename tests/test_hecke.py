@@ -567,8 +567,43 @@ def test_coset_counts():
     assert expected_coset_count(3, 1) == 13
     assert expected_coset_count(3, 2) == 121
     assert expected_coset_count(2, 1) == 7
-    with pytest.raises(HeckeError):
-        coset_representatives(p3, 0)
+    with pytest.raises(HeckeError, match="k >= 0"):
+        coset_representatives(p3, -1)
+
+
+def hermite_tally(left, right, scale):
+    """Multiplicities of the right cosets in the products of two coset lists over
+    Q, each product scaled by the int scale to [[p^(2e-l), b], [0, p^l]] and keyed
+    by (p^l, b mod p^l)."""
+    tally = {}
+    for a1, b1, _, d1 in ([x.a for x in rep] for rep in left):
+        for a2, b2, _, d2 in ([x.a for x in rep] for rep in right):
+            d = int(d1 * d2 * scale)
+            key = (d, int((a1 * b2 + b1 * d2) * scale) % d)
+            tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def test_cosets_at_k_zero_are_the_identity():
+    # T(P^0) has exactly one coset, the identity
+    for field, primes in ((Q, (2, 3, 5)), (F5, (2, 3, 5, 11))):
+        for p in primes:
+            for prime in factor_rational_prime(field, p):
+                reps = coset_representatives(prime, 0)
+                assert len(reps) == expected_coset_count(prime.absolute_norm(), 0) == 1
+                assert reps == [(field.one(), field.zero(), field.zero(), field.one())]
+    # over Q its products with T(p^{2m})'s cosets are those cosets once each, which
+    # is brute_force_convolution's T(p^{2m}) with coefficient 1 at exponent 0
+    for p in (2, 3, 5):
+        prime = factor_rational_prime(Q, p)[0]
+        for m in range(3):
+            reps = coset_representatives(prime, m)
+            tally = hermite_tally(coset_representatives(prime, 0), reps, p ** m)
+            assert tally == hermite_tally([[Q.one(), Q.zero(), Q.zero(), Q.one()]], reps, p ** m)
+            assert len(tally) == expected_coset_count(p, m) and set(tally.values()) == {1}
+            want = brute_force_convolution(p, 0, 2 * m)
+            assert want == tee("%d:0" % p, p, m)
+            assert (want.nums, want.den) == ((0,) * m + (1,), 1)
 
 
 def test_coset_representatives_pinned_digest():

@@ -29,7 +29,7 @@ from heckedist import (
 )
 from heckedist import cli
 from heckedist import kloosterman as kloosterman_module
-from heckedist.fields import _small_generator, factor_rational_prime
+from heckedist.fields import _factor, _small_generator, _table_coords, factor_rational_prime
 from heckedist.kloosterman import _principal_ideals_up_to
 
 Q = make_field("Q")
@@ -207,6 +207,99 @@ def test_evaluate_is_bit_identical_to_fraction_preamble():
     chi = DirichletCharacter.trivial(Q, Ideal.unit_ideal(Q))
     for c in range(1, 301):
         assert rational_kloosterman(3, 5, c) == fraction_preamble_evaluate(q_query(3, 5, c, chi))
+
+
+def coordinate_preamble_sum(c, ideal, r, rp, chi):
+    """_sum as it was before its preamble became one int helper: Fraction
+    coordinates read through per-coordinate generators, y = D r' conj(c) scaled
+    by den/(D N(c)) and its two traces, with N(c) = c^2 over Q, and generator
+    terms (verbatim); the reference the int preamble is pinned to with ==."""
+    field, t = c.field, c.field.t
+    cz = tuple(v.numerator for v in c.coords())
+    cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
+    norm = field.mul_coords(cz, cbar)[0]
+    d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
+    den = math.lcm(d_rr * abs(norm), chi.order)
+    scale = den // (d_rr * norm)
+    lin = []
+    for x in (rp, r):
+        y = field.mul_coords(tuple(v.numerator * (d_rr // v.denominator) * scale
+                                   for v in x.coords()), cbar)
+        lin += y if field.degree == 1 else \
+            (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
+    table = ideal._unit_table()
+    it = iter(table)
+    if field.degree == 1:
+        l0, m0 = lin
+        terms = ((a * l0 + d * m0) % den for a, d in zip(it, it))
+    else:
+        l0, l1, m0, m1 = lin
+        terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
+                 for a0, a1, d0, d1 in zip(it, it, it, it))
+    nums = chi.numerators
+    if nums is not None:
+        step, reduce = den // chi.order, chi.modulus.reduce_coords
+        inverses = _table_coords(table, field.degree, field.degree)
+        terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
+    counts = Counter(terms)
+    return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in counts.items())
+
+
+def reference_sum(q, c=None, swap=False):
+    c = q.c if c is None else c
+    r, rp = (q.rp, q.r) if swap else (q.r, q.rp)
+    return coordinate_preamble_sum(c, Ideal.from_generators(c.field, [c]), r, rp, q.chi)
+
+
+def fractional_r_queries(rng):
+    """Queries over Q(sqrt 2), Q(sqrt 5), Q(sqrt 13) and Q(sqrt 94) with r, r' in
+    the inverse different (coordinate denominators up to 4, 5, 13 and 188),
+    the trivial character and the cyclic ones mod 2 and, where 3 is inert, mod 3."""
+    out = []
+    for spec, moduli in ((2, (2, 3)), (5, (2, 3)), (13, (2,)), (94, (2,))):
+        field = make_field(spec)
+        basis = inverse_different(field).basis_elements()
+        chis = [(field.one(), DirichletCharacter.trivial(field, Ideal.unit_ideal(field)))]
+        for n in moduli:
+            gen = field.element(n)
+            chis += [(gen, chi) for chi in cyclic_characters(field, Ideal.principal(gen), 3)]
+        for gen, chi in chis:
+            for _ in range(4):
+                c = gen * field.element(rng.randrange(-6, 7), rng.randrange(-3, 4))
+                if c.is_zero():
+                    continue
+                r, rp = (basis[0] * rng.randrange(-5, 6) + basis[1] * rng.randrange(-5, 6)
+                         for _ in range(2))
+                out.append(KloostermanQuery(c, r, rp, chi))
+    return out
+
+
+def test_sum_matches_the_coordinate_preamble():
+    queries = pinned_queries() + fractional_r_queries(random.Random(35))
+    assert any(q.chi.numerators is not None and q.c.field.degree == 2 for q in queries)
+    assert any(not q.r.is_integral() and not q.rp.is_integral() for q in queries)
+    assert any(q.c.norm() < 0 and q.chi.numerators is not None for q in queries)
+    for q in queries:
+        assert evaluate(q) == reference_sum(q), q
+        k = reference_sum(q)
+        want = max(abs(k.conjugate() - reference_sum(q, -q.c, swap=True)),
+                   abs(k.conjugate() - q.chi.minus_one() * reference_sum(q, swap=True)))
+        assert symmetry_check(q) == want, q
+
+
+def test_weil_scan_rows_match_the_coordinate_preamble():
+    chi3 = cyclic_characters(F5, Ideal.principal(F5.element(3)), 4)[3]
+    r5, rp5 = inverse_different(F5).basis_elements()
+    scans = row_path_scans() + [(F5, rp5, r5 * 3, chi3, 90), (Q, Q.element(-4), Q.element(7),
+                                 DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(9)),
+                                                           Q.element(2), 5), 200)]
+    for field, r, rp, chi, max_norm in scans:
+        res = weil_scan(field, r, rp, chi=chi, max_norm=max_norm)
+        chi = chi or DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+        assert res.rows
+        for row in res.rows:
+            want = abs(coordinate_preamble_sum(row.c, Ideal.principal(row.c), r, rp, chi))
+            assert row.abs_k == want, row.c
 
 
 def test_evaluate_preamble_is_constant_size(monkeypatch):
@@ -760,6 +853,38 @@ def root_search_ideals(field, level, max_norm):
     return gens, skipped
 
 
+def walk_all_products_ideals(field, level, max_norm):
+    # _principal_ideals_up_to before it kept its products sorted by norm: each
+    # prime P walks every product built so far (verbatim)
+    def ideals():
+        lnorm = int(level.norm())
+        if field.degree == 1:
+            yield from ((n, Ideal(field, ((n,),))) for n in range(lnorm, max_norm + 1, lnorm))
+            return
+        built = [(lnorm, level)] if lnorm <= max_norm else []
+        yield from built
+        for p in range(2, max_norm // lnorm + 1):
+            for prime in factor_rational_prime(field, p) if _factor(p) == {p: 1} else ():
+                q = prime.absolute_norm()
+                for norm, ideal in list(built):
+                    while norm * q <= max_norm:
+                        norm, ideal = norm * q, ideal * prime
+                        built.append((norm, ideal))
+                        yield norm, ideal
+
+    gens, skipped, work = [], 0, 0
+    for norm, ideal in ideals():
+        c = field.element(norm) if field.degree == 1 else _small_generator(field, ideal, norm)
+        if c is None:
+            skipped += 1
+            continue
+        work += norm
+        if work > kloosterman_module._WORK_BUDGET:
+            raise KloostermanError("scan range exceeds the work budget; lower max_norm")
+        gens.append((norm, c, ideal))
+    return sorted(gens, key=lambda gen: (gen[0], gen[1].coords())), skipped
+
+
 def scan_levels(field):
     """O, (2), (6), (7), (1 + w) and the primes above 2, 3 and 5 with no generator."""
     gens = [field.element(n) for n in (1, 2, 6, 7)]
@@ -790,6 +915,32 @@ def test_scan_moduli_match_the_root_search(spec, monkeypatch):
                     continue
                 got, skipped = _principal_ideals_up_to(field, level, max_norm)
                 assert (keyed(got), skipped) == (keyed(want), want_skipped), \
+                    (level, max_norm, budget)
+    assert outcomes[True] and outcomes[False]  # both sides of the budget were reached
+
+
+@pytest.mark.parametrize("spec", [2, 5, 13, 94])
+def test_scan_moduli_match_the_walk_over_all_products(spec, monkeypatch):
+    field = make_field(spec)
+    budgets, outcomes = (kloosterman_module._WORK_BUDGET, 20_000, 3000), Counter()
+
+    def keyed(gens):
+        return [(norm, c.coords(), ideal.hnf, ideal.den) for norm, c, ideal in gens]
+
+    for level in scan_levels(field):
+        for max_norm in (1, 37, 400) + ((2000,) if level.norm() == 1 else ()):
+            for budget in budgets:
+                monkeypatch.setattr(kloosterman_module, "_WORK_BUDGET", budget)
+                try:
+                    want = walk_all_products_ideals(field, level, max_norm)
+                except KloostermanError:
+                    outcomes[True] += 1
+                    with pytest.raises(KloostermanError, match="work budget"):
+                        _principal_ideals_up_to(field, level, max_norm)
+                    continue
+                outcomes[False] += 1
+                got, skipped = _principal_ideals_up_to(field, level, max_norm)
+                assert (keyed(got), skipped) == (keyed(want[0]), want[1]), \
                     (level, max_norm, budget)
     assert outcomes[True] and outcomes[False]  # both sides of the budget were reached
 
@@ -920,6 +1071,7 @@ def test_weil_scan_builds_no_query_and_no_ideal_per_row(monkeypatch):
     built = Counter()
     post_init = KloostermanQuery.__post_init__
     from_generators = Ideal.from_generators.__func__
+    principal = Ideal.principal.__func__
 
     def counting_post_init(self):
         built["query"] += 1
@@ -929,9 +1081,14 @@ def test_weil_scan_builds_no_query_and_no_ideal_per_row(monkeypatch):
         built["ideal"] += 1
         return from_generators(cls, field, gens)
 
+    def counting_principal(cls, elt):
+        built["ideal"] += 1
+        return principal(cls, elt)
+
     scans = row_path_scans()
     monkeypatch.setattr(KloostermanQuery, "__post_init__", counting_post_init)
     monkeypatch.setattr(Ideal, "from_generators", classmethod(counting_from_generators))
+    monkeypatch.setattr(Ideal, "principal", classmethod(counting_principal))
     rows = sum(len(weil_scan(field, r, rp, chi=chi, max_norm=max_norm).rows)
                for field, r, rp, chi, max_norm in scans)
     assert rows > 0 and built == Counter()
