@@ -10,12 +10,12 @@ prediction is
 with the V1 box measure as the error yardstick.  The covolume is an
 input (with a classical index helper), never computed from scratch.
 
-A Dataset is a set of numpy columns, one row per record: lambda_inf and
-xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple of
-prime labels, and weight of shape (M,).  The constructor validates the
-columns once (shapes, finiteness, nonnegative weights, 0/1 parities), so
-every loader rejects bad input at load time, and stores the tables in
-column-major order, so each column a query reads is one contiguous run.
+A Dataset is a field spec and numpy columns, one row per record: lambda_inf
+and xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple of
+prime labels, weight of shape (M,) and an optional src tag.  The constructor
+validates the columns once (shapes, finiteness, nonnegative weights, 0/1
+parities), so every loader rejects bad input at load time, and stores the
+tables in column-major order, so each column a query reads is one run.
 The count reads an index built on its first call: the rows sorted by
 parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
 block and lambda_1's closed window (every box restricts it) is one slice
@@ -75,7 +75,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import astuple, dataclass, field as dc_field, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -96,25 +96,24 @@ class EquidistError(ValueError):
 
 @dataclass(eq=False)
 class Dataset:
-    """Spectral data over one field and level, one row per automorphic datum.
+    """Spectral data over one field, one row per automorphic datum.
 
-    Columns: lambda_inf (M, d) archimedean eigenvalue vectors, xi (M, d)
-    parities, lambda_p (M, L) Hecke eigenvalues in the order of the sorted
-    prime_labels, weight (M,), and an optional per-row src tag.  The
-    constructor validates once: shapes agree, values are finite, weights
-    are nonnegative and parities are 0 or 1.  The tables are stored
-    column-major and weight contiguous, so every column is one run.
+    field_spec names the field as make_field reads it.  Columns: lambda_inf
+    (M, d) archimedean eigenvalue vectors, xi (M, d) parities, lambda_p (M, L)
+    Hecke eigenvalues in the order of the sorted prime_labels, weight (M,),
+    and an optional per-row src tag.  The constructor validates once: shapes
+    agree, values are finite, weights are nonnegative and parities are 0 or
+    1.  The tables are stored column-major and weight contiguous, so every
+    column is one run.
     """
 
     field_spec: str
-    level: str
     lambda_inf: np.ndarray
     xi: np.ndarray
     prime_labels: Tuple[str, ...]
     lambda_p: np.ndarray
     weight: np.ndarray
     src: Optional[Sequence[Optional[str]]] = None
-    meta: Dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         try:
@@ -215,7 +214,7 @@ class Dataset:
     def scaled(self, factor: float) -> "Dataset":
         if factor < 0:
             raise EquidistError("scale factor must be nonnegative")
-        return replace(self, weight=self.weight * factor, meta=dict(self.meta))
+        return replace(self, weight=self.weight * factor)
 
     def validate(self, field: Optional[NumberField] = None) -> None:
         """Range-check Hecke eigenvalues against [0, 1 + Np]."""
@@ -246,8 +245,7 @@ class Dataset:
                 [frag[s] for s in src], dtype=object), self.weight, *self.xi.T])
 
     @classmethod
-    def from_jsonl(cls, path: str, field_spec: str = "Q", level: str = "1",
-                   meta: Optional[Dict] = None) -> "Dataset":
+    def from_jsonl(cls, path: str, field_spec: str = "Q") -> "Dataset":
         lam, xi, lp, weight, src = [], [], [], [], []
         d, keys, labels = 0, None, []
         decode = json.JSONDecoder().raw_decode
@@ -298,7 +296,7 @@ class Dataset:
         except (TypeError, ValueError, OverflowError):
             raise EquidistError("%s: lambda_inf, xi, lambda_p and weight entries must be "
                                 "numbers" % path) from None
-        return cls(field_spec, level, lam, xi, tuple(labels), lp, weight, src, meta or {})
+        return cls(field_spec, lam, xi, tuple(labels), lp, weight, src)
 
     def to_csv(self, path: str) -> None:
         d, labels = self.dim, self.prime_labels
@@ -311,8 +309,7 @@ class Dataset:
                                        self.weight])
 
     @classmethod
-    def from_csv(cls, path: str, field_spec: str = "Q", level: str = "1",
-                 meta: Optional[Dict] = None) -> "Dataset":
+    def from_csv(cls, path: str, field_spec: str = "Q") -> "Dataset":
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -328,9 +325,8 @@ class Dataset:
             raise EquidistError("%s: every row needs %d numbers" % (path, len(header)))
         table = table.reshape(-1, len(header))
         d = sum(1 for h in header if h.startswith("xi_"))
-        return cls(field_spec, level, table[:, :d], table[:, d:2 * d],
-                   tuple(header[2 * d:-1]), table[:, 2 * d:-1], table[:, -1], None,
-                   meta or {})
+        return cls(field_spec, table[:, :d], table[:, d:2 * d],
+                   tuple(header[2 * d:-1]), table[:, 2 * d:-1], table[:, -1])
 
 
 def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
@@ -506,12 +502,11 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
     lp = np.empty((m_records, len(labels)))
     for k, label in enumerate(labels):
         np_ = prime_by_label(field, label).absolute_norm()
-        grid, cdf = SatoTateMeasure(np_).inverse_cdf_table(10 ** 4)
+        grid, cdf = SatoTateMeasure(np_).inverse_cdf_table()
         lp[:, k] = np.interp(block[:, 2 * d + k], cdf, grid)
     xi = np.tile(np.array(box.xi, dtype=np.int8), (m_records, 1))
-    meta = {"seed": int(seed), "m": int(m_records), "labels": labels}
-    return Dataset(repr(field), "1", lam, xi, tuple(labels), lp, np.ones(m_records),
-                   ["synth"] * m_records, meta)
+    return Dataset(repr(field), lam, xi, tuple(labels), lp, np.ones(m_records),
+                   ["synth"] * m_records)
 
 
 # -- exact Ramanujan tau source -----------------------------------------------------
@@ -729,8 +724,7 @@ def tau_source(upto: int) -> TauData:
     tp2 = {"%d:0" % p: Fraction(tau[p * p], p ** 10) for p in primes if p * p <= upto}
     # the holomorphic form behind tau sits at the weight-12 discrete-series
     # point b = 12, lambda = b/2 (1 - b/2) = -30, even parity
-    ds = Dataset("Q", "1", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0],
-                 ["tau"], {"kind": "horizontal-tau-demo", "upto": upto})
+    ds = Dataset("Q", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])
     return TauData(ds, tuple(tau), tp2)
 
 

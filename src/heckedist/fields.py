@@ -103,15 +103,11 @@ class NumberField:
             raise FieldError("Q has no quadratic generator")
         return self.element(0, 1)
 
-    def sqrt_disc_root(self) -> float:
-        # real root used by the embeddings; sqrt(m) for both basis shapes
-        return math.sqrt(self.m) if self.degree == 2 else 0.0
-
     def embeddings(self, a: Fraction, b: Fraction) -> tuple:
         """Real embeddings of a + b*w, larger w-image first."""
         if self.degree == 1:
             return (float(a),)
-        r = self.sqrt_disc_root()
+        r = math.sqrt(self.m)
         if self.m % 4 == 1:
             w1, w2 = (1 + r) / 2, (1 - r) / 2
         else:
@@ -150,16 +146,12 @@ def make_field(spec: Union[str, int, None]) -> NumberField:
         return NumberField(spec)
     s = spec.strip()
     if s.lower().startswith("q(sqrt") and s.endswith(")"):
-        inner = s[len("q(sqrt"):-1].strip()
-        try:
-            return NumberField(int(inner))
-        except ValueError:
-            raise FieldError("bad field spec %r" % spec)
+        s = s[len("q(sqrt"):-1]
     try:
-        return NumberField(int(s))
+        m = int(s)
     except ValueError:
-        pass
-    raise FieldError("bad field spec %r (expected 'Q', 'Q(sqrt m)', or m)" % spec)
+        raise FieldError("bad field spec %r (expected 'Q', 'Q(sqrt m)', or m)" % spec) from None
+    return NumberField(m)
 
 
 class FieldElement:
@@ -228,7 +220,7 @@ class FieldElement:
         return self.a * self.a + f.t * self.a * self.b - f.c * self.b * self.b
 
     def inverse(self) -> "FieldElement":
-        n = self.norm() if self.field.degree == 2 else self.a
+        n = self.norm()
         if n == 0:
             raise FieldError("division by zero element")
         if self.field.degree == 1:
@@ -244,20 +236,12 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o * self.inverse()
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = FieldElement(self.field, Fraction(1))
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self if k >= 0 else self.inverse(), abs(k), self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -266,7 +250,8 @@ class FieldElement:
                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
-        return hash((self.field, self.a, self.b))
+        # an element with b = 0 equals the rational a, so it hashes as a does
+        return hash(self.a) if self.b == 0 else hash((self.field, self.a, self.b))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -292,6 +277,17 @@ class FieldElement:
         if self.a == 0:
             return "%s*w" % self.b
         return "%s%s%s*w" % (self.a, "+" if self.b >= 0 else "-", abs(self.b))
+
+
+def _power(base, k: int, one):
+    """base^k for an int k >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 # -- integer lattice utilities ------------------------------------------------
@@ -502,14 +498,7 @@ class Ideal:
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
             raise FieldError("negative ideal powers not supported here")
-        out = Ideal.unit_ideal(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Ideal.unit_ideal(self.field))
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.field == other.field
@@ -709,8 +698,7 @@ def inverse_different(field: NumberField) -> Ideal:
 class UnitGroupData:
     """Fundamental unit data; roots of unity are just {1, -1} here."""
 
-    def __init__(self, field: NumberField, fundamental: Optional[FieldElement]):
-        self.field = field
+    def __init__(self, fundamental: Optional[FieldElement]):
         self.fundamental = fundamental
         if fundamental is not None:
             self.regulator = math.log(fundamental.embed()[0])
@@ -722,7 +710,7 @@ class UnitGroupData:
 
 def _compute_unit_group(field: NumberField) -> UnitGroupData:
     if field.degree == 1:
-        return UnitGroupData(field, None)
+        return UnitGroupData(None)
     # continued fraction of w = (P0 + sqrt D)/Q0; convergents yield the unit
     m = field.m
     D = m
@@ -746,7 +734,7 @@ def _compute_unit_group(field: NumberField) -> UnitGroupData:
             if eps.embed()[0] < 1:
                 eps = eps.inverse()
             assert eps.is_integral() and abs(eps.norm()) == 1
-            return UnitGroupData(field, eps)
+            return UnitGroupData(eps)
         P = a * Q - P
         Q = (D - P * P) // Q
     raise FieldError("continued fraction did not terminate for m=%d" % m)
@@ -765,9 +753,8 @@ def unit_square_class(r: FieldElement, rp: FieldElement) -> Optional[FieldElemen
     if not u.is_totally_positive():
         return None
     eps0 = field.unit_group().fundamental
-    e1 = eps0.embed()[0]
-    x = u.embed()[0]
-    k = round(math.log(abs(x)) / math.log(e1)) if x != 0 else 0
+    # u is totally positive, so its first embedding is > 0
+    k = round(math.log(u.embed()[0]) / math.log(eps0.embed()[0]))
     for kk in (k, k - 1, k + 1):
         if u == eps0 ** kk:
             if kk % 2 != 0:

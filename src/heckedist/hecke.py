@@ -287,6 +287,7 @@ def s_poly_eval(coeffs: Sequence[Fraction], lam):
 
 def nu_strip_height(norm: int) -> float:
     """Top of the imaginary leg of the canonical nu domain."""
+    _check_norm(norm)
     return math.pi / (2 * math.log(norm))
 
 
@@ -297,6 +298,7 @@ def lambda_from_nu(norm: int, nu: complex) -> float:
     nu = i t with 0 <= t <= pi/(2 log N) (tempered).  Endpoints are exact:
     nu=0 -> 2 sqrt N, nu=1/2 -> N+1, nu = i pi/(2 log N) -> 0.
     """
+    _check_norm(norm)
     N = norm
     z = complex(nu)
     if not cmath.isfinite(z):
@@ -317,8 +319,6 @@ def lambda_from_nu(norm: int, nu: complex) -> float:
     tmax = nu_strip_height(N)
     if t < -tol or t > tmax + tol:
         raise HeckeError("imaginary nu must lie in i[0, pi/(2 log N)], got %r" % (nu,))
-    if abs(t) <= tol:
-        return 2 * math.sqrt(N)
     if abs(t - tmax) <= tol:
         return 0.0
     return 2 * math.sqrt(N) * math.cos(t * math.log(N))
@@ -326,6 +326,7 @@ def lambda_from_nu(norm: int, nu: complex) -> float:
 
 def nu_from_lambda(norm: int, lam: float) -> complex:
     """Inverse of lambda_from_nu on [0, 1+N], principal branch."""
+    _check_norm(norm)
     N = norm
     if not math.isfinite(lam):
         raise HeckeError("lambda must be finite, got %r" % (lam,))
@@ -337,10 +338,8 @@ def nu_from_lambda(norm: int, lam: float) -> complex:
         return complex(0.5, 0.0)
     if lam >= two_sqrt:
         return complex(math.acosh(lam / two_sqrt) / math.log(N), 0.0)
-    if lam == 0.0:
-        return complex(0.0, nu_strip_height(N))
-    t = math.acos(lam / two_sqrt) / math.log(N)
-    return complex(0.0, t)
+    # at lam = 0 this is nu_strip_height(N) to the bit: acos(0.0) is pi/2 exactly
+    return complex(0.0, math.acos(lam / two_sqrt) / math.log(N))
 
 
 # -- coset representatives and brute-force convolution -------------------------

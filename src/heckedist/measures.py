@@ -41,6 +41,9 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
+# nodes of SatoTateMeasure.inverse_cdf_table, the synthesizer's sampling grid
+_ST_NODES = 10 ** 4
+
 
 class MeasureError(ValueError):
     """Domain error in measure evaluation."""
@@ -345,6 +348,10 @@ class SatoTateMeasure:
 
     norm: int
 
+    def __post_init__(self):
+        if type(self.norm) is not int or self.norm < 2:
+            raise MeasureError("prime norm must be an int >= 2, got %r" % (self.norm,))
+
     def support(self) -> Tuple[float, float]:
         return (0.0, 2.0 * math.sqrt(self.norm))
 
@@ -386,11 +393,11 @@ class SatoTateMeasure:
         v = (self._primitive(d) - self._primitive(c)) / (math.pi * self.norm)
         return MeasureValue(v, 4e-16 * abs(v) + 1e-16)
 
-    def inverse_cdf_table(self, nodes: int = 10 ** 4):
-        """(grid, cdf) arrays for inverse-CDF sampling; deterministic."""
+    def inverse_cdf_table(self):
+        """(grid, cdf) arrays of _ST_NODES nodes for inverse-CDF sampling; deterministic."""
         import numpy as np
         lo, hi = self.support()
-        grid = np.linspace(lo, hi, nodes)
+        grid = np.linspace(lo, hi, _ST_NODES)
         root = np.sqrt(np.maximum((hi - grid) * (hi + grid), 0.0))
         prim = 0.5 * grid * root + 2.0 * self.norm * np.arctan2(grid, root)
         cdf = (prim - prim[0]) / (math.pi * self.norm)

@@ -151,6 +151,23 @@ def test_bad_intervals_are_a_domain_error(capsys, tmp_path, intervals):
                                    "--t-grid", "1,3"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("kloosterman", "eval", "--c", "5,1", "--r", "1", "--rp", "1"),
+     "bad element '5,1' for degree-1 field"),
+    (("--field", "5", "kloosterman", "eval", "--c", "5,1,2", "--r", "1", "--rp", "1"),
+     "bad element '5,1,2' for degree-2 field"),
+    (("measure", "eval", "--kind", "pl0", "--interval", "1:2:3"),
+     "interval must look like a:b, got '1:2:3'"),
+    (("--format", "csv", "field", "info"), "this subcommand has no CSV form; use --format json"),
+    (("measure", "phi", "--p", "2:0"), "need --interval or --spoly"),
+], ids=["element-w-part-over-Q", "element-three-parts", "interval-three-parts",
+        "csv-without-rows", "phi-without-query"])
+def test_bad_arguments_are_a_domain_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_eigenvalue_needs_exactly_one_of_nu_and_lam(capsys):
     assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2")[0] == 2
     assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2", "--nu", "0.5i",

@@ -44,13 +44,13 @@ BOX1 = Box(1, (1,), (), (0,), 3.0)
 
 
 def small_ds():
-    return Dataset("Q", "1", [[1.0], [2.0], [2.5], [4.0]], [[0], [0], [1], [0]],
+    return Dataset("Q", [[1.0], [2.0], [2.5], [4.0]], [[0], [0], [1], [0]],
                    ("2:0", "3:0"), [[0.5, 1.0], [2.5, 3.5], [0.5, 1.0], [0.5, 1.0]],
                    [1.0, 2.0, 1.0, 1.0])
 
 
 def one_row(lambda_inf=(1.0,), xi=(0,), lambda_p=(0.5,), weight=1.0, labels=("2:0",)):
-    return Dataset("Q", "1", [lambda_inf], [xi], labels, [lambda_p], [weight])
+    return Dataset("Q", [lambda_inf], [xi], labels, [lambda_p], [weight])
 
 
 def assert_same_rows(a, b):
@@ -83,13 +83,13 @@ def test_record_validation():
     with pytest.raises(EquidistError):
         one_row(lambda_p=(0.5, 0.5))  # two eigenvalues, one label
     with pytest.raises(EquidistError):
-        Dataset("Q", "1", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0, 1.0])  # M differs
+        Dataset("Q", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0, 1.0])  # M differs
     with pytest.raises(EquidistError):
-        Dataset("Q", "1", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0], ["a", "b"])
+        Dataset("Q", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0], ["a", "b"])
     with pytest.raises(EquidistError):
         one_row(lambda_p=(0.5, 0.5), labels=("2:0", "2:0"))
     with pytest.raises(EquidistError):
-        Dataset("Q", "1", [[1.0], [1.0, 2.0]], [[0], [0]], (), [[], []], [1.0, 1.0])
+        Dataset("Q", [[1.0], [1.0, 2.0]], [[0], [0]], (), [[], []], [1.0, 1.0])
 
 
 def test_dataset_consistency(tmp_path):
@@ -110,7 +110,7 @@ def test_dataset_consistency(tmp_path):
     with pytest.raises(EquidistError):
         ds.scaled(-1.0)
     # labels are sorted once, with their columns
-    swapped = Dataset("Q", "1", [[1.0]], [[0]], ("3:0", "2:0"), [[1.0, 0.5]], [1.0])
+    swapped = Dataset("Q", [[1.0]], [[0]], ("3:0", "2:0"), [[1.0, 0.5]], [1.0])
     assert swapped.prime_labels == ("2:0", "3:0")
     assert swapped.eigenvalues("2:0").tolist() == [0.5]
     assert swapped.eigenvalues("3:0").tolist() == [1.0]
@@ -198,7 +198,7 @@ def test_count_matches_row_loop():
     ds = synthesize(F73, ["2:0", "3:0"], even, 2000, seed=3)
     xi = ds.xi.copy()
     xi[::3, 1] = 1  # a third of the rows have the other parity
-    ds = Dataset(ds.field_spec, ds.level, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+    ds = Dataset(ds.field_spec, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
                  np.linspace(0.5, 2.0, len(ds)))
     rng = random.Random(7)
     for _ in range(30):
@@ -251,7 +251,7 @@ def mixed_parity_ds(m, seed):
     ds = synthesize(F73, ["2:0", "3:0"], BOX73, m, seed=seed)
     xi = ds.xi.copy()
     xi[::3, 1] = 1
-    return Dataset(ds.field_spec, ds.level, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+    return Dataset(ds.field_spec, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
                    np.linspace(0.5, 2.0, len(ds)))
 
 
@@ -259,7 +259,7 @@ def column_views(ds):
     """ds rebuilt from C-order column views of one wide table, as from_csv builds it."""
     wide = np.ascontiguousarray(np.hstack([ds.lambda_inf, ds.xi, ds.lambda_p,
                                            ds.weight[:, None]]))
-    return wide, Dataset(ds.field_spec, ds.level, wide[:, :2], wide[:, 2:4], ds.prime_labels,
+    return wide, Dataset(ds.field_spec, wide[:, :2], wide[:, 2:4], ds.prime_labels,
                          wide[:, 4:6], wide[:, 6])
 
 
@@ -320,7 +320,7 @@ def weighted_ds(weights, seed=41):
     """One row per weight, lambda_inf uniform on [-4, 4] and one Hecke column on [0, 3]."""
     rng = np.random.default_rng(seed)
     n = len(weights)
-    return Dataset("Q", "1", rng.uniform(-4.0, 4.0, (n, 1)), np.zeros((n, 1)), ("2:0",),
+    return Dataset("Q", rng.uniform(-4.0, 4.0, (n, 1)), np.zeros((n, 1)), ("2:0",),
                    rng.uniform(0.0, 3.0, (n, 1)), weights)
 
 
@@ -397,7 +397,7 @@ def test_count_overflows_as_fsum_does():
 
 
 def test_count_checks_empty_datasets_as_nonempty_ones():
-    empty = Dataset("Q", "1", np.zeros((0, 1)), np.zeros((0, 1)), ("2:0",), np.zeros((0, 1)), [])
+    empty = Dataset("Q", np.zeros((0, 1)), np.zeros((0, 1)), ("2:0",), np.zeros((0, 1)), [])
     for ds in (empty, one_row()):
         with pytest.raises(EquidistError):
             count(ds, BOX73, 3.0, {})  # a dimension-2 box on dimension-1 records
@@ -426,7 +426,7 @@ def ties_ds(weights, seed):
     lam = rng.uniform(-4.0, 4.0, n)
     lam[:300] = rng.choice([-2.0, -2.0, -2.0, 2.0, -0.0, 0.0, 3.5], 300)
     perm = rng.permutation(n)  # the piles spread over the stored order
-    return Dataset("Q", "1", lam[perm, None], rng.integers(0, 2, (n, 1)), ("2:0",),
+    return Dataset("Q", lam[perm, None], rng.integers(0, 2, (n, 1)), ("2:0",),
                    rng.uniform(0.0, 3.0, (n, 1)), weights)
 
 
@@ -443,7 +443,7 @@ def test_count_slices_ties_at_the_edges():
                     assert got.hex() == compress_fsum(ds, bx, t, windows).hex(), (t, bx.xi)
                     assert got == reference_count(ds, bx, t, windows)
     # -0.0 and 0.0 both sit in [-0.0, 0.0]
-    zeros = Dataset("Q", "1", [[-0.0], [0.0], [0.0], [-0.0]], [[0]] * 4, (), np.zeros((4, 0)),
+    zeros = Dataset("Q", [[-0.0], [0.0], [0.0], [-0.0]], [[0]] * 4, (), np.zeros((4, 0)),
                     [1.0, 2.0, 4.0, 8.0])
     assert count(zeros, BOX1, 0.0, {}) == 15.0
     assert count(small_ds(), BOX1, 0.0, {}) == 0.0
@@ -529,7 +529,7 @@ def test_count_window_missing_the_block_is_zero():
 
 def test_count_signed_zeros_at_a_block_edge():
     # the Hecke column of the even block starts at -0.0 and 0.0, which compare equal
-    ds = Dataset("Q", "1", [[0.5], [1.0], [1.5], [2.0], [2.5]], [[0], [0], [0], [0], [1]],
+    ds = Dataset("Q", [[0.5], [1.0], [1.5], [2.0], [2.5]], [[0], [0], [0], [0], [1]],
                  ("2:0",), [[-0.0], [0.0], [0.5], [1.0], [0.0]], [1.0, 2.0, 4.0, 8.0, 16.0])
     for window, want in (((0.0, 1.0), 15.0), ((-0.0, 1.0), 15.0), ((0.0, 0.0), 3.0),
                          ((-0.0, -0.0), 3.0), ((-1.0, -0.0), 3.0),
@@ -538,7 +538,7 @@ def test_count_signed_zeros_at_a_block_edge():
 
 
 def test_count_one_row_block():
-    ds = Dataset("Q", "1", [[-1.0], [0.5], [1.0], [3.0]], [[0], [1], [0], [0]], ("2:0",),
+    ds = Dataset("Q", [[-1.0], [0.5], [1.0], [3.0]], [[0], [1], [0], [0]], ("2:0",),
                  [[0.2], [0.7], [1.4], [2.1]], [1.0, 2.0, 4.0, 8.0])
     odd = Box(1, (1,), (), (1,), 4.0)  # its block is the one row (0.5, 0.7)
     up, down = math.nextafter(0.7, 1.0), math.nextafter(0.7, 0.0)
@@ -550,7 +550,7 @@ def test_count_one_row_block():
 
 
 def test_count_on_an_empty_dataset_is_zero():
-    empty = Dataset("Q(sqrt 73)", "1", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0", "3:0"),
+    empty = Dataset("Q(sqrt 73)", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0", "3:0"),
                     np.zeros((0, 2)), [])
     for bx in (BOX73, MIXED73):
         for t, windows in random_queries(random.Random(127), 4):
@@ -572,7 +572,7 @@ def test_count_with_parity_codes_wider_than_a_byte():
     patterns = rng.integers(0, 2, (6, 10))
     patterns[0], patterns[1] = 1, [0] * 8 + [1, 1]  # codes 1023 and 768, both >= 256
     n = 900
-    ds = Dataset("Q", "1", rng.uniform(-4.0, 4.0, (n, 10)), patterns[rng.integers(0, 6, n)],
+    ds = Dataset("Q", rng.uniform(-4.0, 4.0, (n, 10)), patterns[rng.integers(0, 6, n)],
                  (), np.zeros((n, 0)), rng.uniform(0.5, 2.0, n))
     for xi in patterns:
         bx = Box(10, tuple(range(1, 11)), (), tuple(int(x) for x in xi), 4.0)
@@ -645,6 +645,27 @@ def test_level_index():
     assert level_index(F5, p2) == 5
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: synthesize(Q, ["2:0"], BOX1, 0, seed=1), "need at least one record"),
+    # pl0 has no mass on [0.05, 0.2]: no atom there, and its continuum starts at 1/4
+    (lambda: synthesize(Q, ["2:0"], Box(1, (), ((1, (0.05, 0.2)),), (0,), 0.0), 3, seed=1),
+     "zero pl measure"),
+    (lambda: tau_table(0), r"need n_max >= 1"),
+    (lambda: tau_table(10 ** 6 + 1), r"capped at 10\^6"),
+    (lambda: verify_tau_identities([0, 1, -24, 252]), "table too short"),
+    (lambda: verify_tau_identities([0, 2, -24, 252, -1472]), r"tau\(1\) != 1"),
+    (lambda: level_index(Q, Ideal.principal(Q.element(Fraction(1, 2)))),
+     "level ideal must be integral"),
+    (lambda: level_index(Q, Ideal(Q, ((0,),))), "level ideal must be nonzero"),
+    (lambda: heckedist.Prediction(1.0, 1.0, 1.0, 1.0, 1.0, -1.0), "error must be nonnegative"),
+], ids=["synthesize-0-records", "synthesize-zero-pl-box", "tau-table-0", "tau-table-past-cap",
+        "tau-identities-short", "tau-identities-tau1", "level-fractional", "level-zero",
+        "prediction-negative"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(EquidistError, match=match):
+        call()
+
+
 def test_predict_structure():
     pred = predict(Q, 1.0, BOX1, 3.0, {"2:0": (0.0, 10.0)})
     # degree 1, |disc| = 1: constant = 2 * covol / (2 pi)
@@ -679,7 +700,7 @@ def test_count_and_predict_reject_bad_queries():
             count(ds, BOX73, t, windows)
         with pytest.raises(EquidistError):
             predict(F73, 1.0, BOX73, t, windows)
-    empty = Dataset("Q(sqrt 73)", "1", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
+    empty = Dataset("Q(sqrt 73)", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
                     np.zeros((0, 1)), [])
     with pytest.raises(EquidistError):  # checked on an empty dataset too
         count(empty, BOX73, math.nan, {})
@@ -756,7 +777,6 @@ def test_synthesize_respects_box():
     assert ((0.0 <= ds.eigenvalues("3:0")) & (ds.eigenvalues("3:0") <= 2 * math.sqrt(3))).all()
     assert (ds.weight == 1.0).all()
     assert list(ds.src) == ["synth"] * 300
-    assert ds.meta["seed"] == 1
     assert ds.field_spec == "Q(sqrt 73)"
 
 
@@ -774,7 +794,7 @@ def test_jsonl_roundtrip(tmp_path):
     ds = small_ds()
     path = tmp_path / "ds.jsonl"
     ds.to_jsonl(str(path))
-    back = Dataset.from_jsonl(str(path), field_spec="Q", level="1")
+    back = Dataset.from_jsonl(str(path), field_spec="Q")
     assert_same_rows(back, ds)
     assert list(back.src) == [None] * 4
     # file format: one JSON object per line, sorted keys
@@ -788,7 +808,7 @@ def test_csv_roundtrip(tmp_path):
     ds = small_ds()
     path = tmp_path / "ds.csv"
     ds.to_csv(str(path))
-    back = Dataset.from_csv(str(path), field_spec="Q", level="1")
+    back = Dataset.from_csv(str(path), field_spec="Q")
     assert len(back) == len(ds)
     assert_same_rows(back, ds)
     header = path.read_text().split("\n")[0]
@@ -840,7 +860,7 @@ def reference_from_jsonl(path):
             weight.append(row.get("weight", 1.0))
             src.append(row.get("src"))
     d = len(lam[0]) if lam else 0
-    return Dataset("Q", "1", np.array(lam, dtype=np.float64).reshape(len(lam), d),
+    return Dataset("Q", np.array(lam, dtype=np.float64).reshape(len(lam), d),
                    np.array(xi, dtype=np.float64).reshape(len(xi), d), tuple(labels),
                    np.array(lp, dtype=np.float64).reshape(len(lp), len(labels)), weight, src)
 
@@ -852,7 +872,7 @@ def reference_from_csv(path):
         rows = [row for row in reader if row]
     d = sum(1 for h in header if h.startswith("xi_"))
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return Dataset("Q", "1", table[:, :d], table[:, d:2 * d], tuple(header[2 * d:-1]),
+    return Dataset("Q", table[:, :d], table[:, d:2 * d], tuple(header[2 * d:-1]),
                    table[:, 2 * d:-1], table[:, -1])
 
 
@@ -871,7 +891,7 @@ def awkward_ds():
     """Floats whose repr is unusual, src tags that need JSON escapes, and a
     label with a quote, a comma and a percent sign."""
     n = len(AWKWARD)
-    return Dataset("Q", "1", [[x, AWKWARD[(i + 1) % n]] for i, x in enumerate(AWKWARD)],
+    return Dataset("Q", [[x, AWKWARD[(i + 1) % n]] for i, x in enumerate(AWKWARD)],
                    [[i % 2, i // 2 % 2] for i in range(n)], ("2:0", 'p"%,1'),
                    [[AWKWARD[(i + 2) % n], x] for i, x in enumerate(AWKWARD)],
                    [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 2.0],
@@ -899,7 +919,7 @@ def block_ds(n, labels=("2:0", "%d:1"), src=True):
     rows = [AWKWARD[i % len(AWKWARD)] * rng.random() for i in range(4 * n)]
     lam = np.array(rows[:2 * n]).reshape(n, 2)
     lp = np.abs(np.array(rows[2 * n:])).reshape(n, 2)[:, :len(labels)]
-    return Dataset("Q", "1", lam, rng.integers(0, 2, (n, 2)), labels, lp, np.abs(lam[:, 0]),
+    return Dataset("Q", lam, rng.integers(0, 2, (n, 2)), labels, lp, np.abs(lam[:, 0]),
                    [SRCS[i % len(SRCS)] for i in range(n)] if src else None)
 
 
@@ -1232,8 +1252,7 @@ def test_tau_source_sieves_once(monkeypatch):
     assert td.tp2_eigenvalues == {"%d:0" % p: Fraction(td.tau[p * p], p ** 10)
                                   for p in primes if p * p <= 1600}
     lam = {"%d:0" % p: abs(td.tau[p]) / p ** 5 for p in primes}
-    want = Dataset("Q", "1", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0],
-                   ["tau"], {"kind": "horizontal-tau-demo", "upto": 1600})
+    want = Dataset("Q", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])
     for f in dataclass_fields(Dataset):
         got, ref = getattr(td.dataset, f.name), getattr(want, f.name)
         assert (got.tolist() == ref.tolist()) if isinstance(ref, np.ndarray) else got == ref

@@ -39,6 +39,7 @@ def test_make_field_specs():
     assert make_field(5).degree == 2
     assert make_field("5").degree == 2
     assert make_field("Q(sqrt 5)").m == 5
+    assert make_field(" q(sqrt 73) ").m == make_field(" 73 ").m == 73
     with pytest.raises(FieldError):
         make_field(4)  # not squarefree
     with pytest.raises(FieldError):
@@ -620,6 +621,106 @@ def test_unit_square_class():
     assert unit_square_class(F5.element(3), one) is None
     got = unit_square_class(one, one)
     assert got is not None and got * got == one
+
+
+def test_unit_square_class_with_a_norm_one_fundamental_unit():
+    # over Q(sqrt 3) the fundamental unit 2 + sqrt 3 has norm +1, so it is
+    # totally positive, and as an odd power of itself it is no square
+    eps = F3.unit_group().fundamental
+    assert eps == F3.element(2, 1) and eps.norm() == 1 and eps.is_totally_positive()
+    assert unit_square_class(eps, F3.one()) is None
+    assert unit_square_class(eps * eps, F3.one()) == eps
+    assert unit_square_class(F3.element(5) * eps ** 3, F3.element(5) * eps) == eps
+
+
+def test_field_element_operators():
+    x, y = F5.element(Fraction(1, 2), 3), F5.element(2, -1)
+    assert x - y == F5.element(Fraction(-3, 2), 4)
+    assert (x - 1).coords() == (Fraction(-1, 2), 3)
+    assert 1 - x == F5.element(Fraction(1, 2), -3)
+    assert Fraction(1, 2) / x == F5.element(Fraction(-7, 29), Fraction(6, 29))
+    assert (Fraction(1, 2) / x) * x == Fraction(1, 2)
+    for op, sym in ((lambda: x + 0.5, r"\+"), (lambda: x - "1", "-"), (lambda: "1" - x, "-"),
+                    (lambda: x * 0.5, r"\*"), (lambda: x / 0.5, "/"), (lambda: 0.5 / x, "/"),
+                    (lambda: x ** 0.5, r"\*\*")):
+        with pytest.raises(TypeError, match="unsupported operand type.*for %s" % sym):
+            op()
+    assert Q.element(3).is_totally_positive() and not Q.element(-3).is_totally_positive()
+
+
+def test_field_element_hash_agrees_with_eq():
+    x = F5.element(Fraction(1, 2), 3)
+    same = F5.element(Fraction(2, 4), Fraction(6, 2))
+    assert same == x and hash(same) == hash(x)
+    assert (x - x) + x == x and hash((x - x) + x) == hash(x)
+    table = {x: "x", F5.element(2): "two"}
+    assert table[same] == "x" and table[F5.one() + 1] == "two"
+    # an element with no w part equals its rational coordinate, and so hashes
+    for elt, rat in ((F5.element(2), 2), (Q.element(Fraction(1, 3)), Fraction(1, 3)),
+                     (F5.zero(), 0)):
+        assert elt == rat and hash(elt) == hash(rat)
+    assert {2: "two"}[F5.element(2)] == "two"
+    assert F5.element(2) != F2.element(2)
+
+
+def test_ideal_hash_agrees_with_eq():
+    for field, gen in ((Q, Q.element(6)), (F5, F5.element(3, 1)),
+                       (F5, F5.element(Fraction(1, 2), 1)), (F3, F3.element(1, 1))):
+        eps = field.unit_group().fundamental or field.element(-1)
+        a = Ideal.principal(gen)
+        for b in (Ideal.from_generators(field, [gen, 7 * gen]),
+                  Ideal.from_generators(field, [gen * eps]), Ideal.principal(-gen)):
+            assert a == b and hash(a) == hash(b)
+            assert {a: "a"}[b] == "a"
+
+
+def test_ideal_times_a_number_is_a_type_error():
+    with pytest.raises(TypeError):
+        Ideal.unit_ideal(F5) * 2
+
+
+def test_ideal_reprs():
+    assert repr(Ideal.principal(Q.element(Fraction(6, 5)))) == "Ideal(den=5, hnf=((6,),))"
+    assert repr(Ideal.principal(F5.element(2))) == "Ideal(den=1, hnf=((2, 0), (0, 2)))"
+    assert repr(prime_by_label(F5, "11:1")) == "PrimeIdeal(11:1, p=11, e=1, f=1)"
+    assert repr(prime_by_label(make_field(10), "2:0")) == "PrimeIdeal(2:0, p=2, e=2, f=1)"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Q.omega(), "no quadratic generator"),
+    (lambda: Q.element(1, 1), "no w component"),
+    (lambda: F5.one() + F2.one(), "field mismatch"),
+    (lambda: F5.zero().inverse(), "division by zero"),
+    (lambda: F5.one() / 0, "division by zero"),
+    (lambda: Ideal(Q, ((2,),), 0), "denominator must be positive"),
+    (lambda: Ideal.principal(F5.element(3)).contains(F2.one()), "field mismatch"),
+    (lambda: Ideal.principal(F5.element(3)).reduce(F2.one()), "field mismatch"),
+    (lambda: Ideal.principal(F5.element(3)) * Ideal.principal(F2.one()), "field mismatch"),
+    (lambda: Ideal.principal(F5.element(3)) <= Ideal.principal(F2.one()), "field mismatch"),
+    (lambda: Ideal.principal(F5.element(Fraction(1, 3))).reduce(F5.one()), "integral ideal"),
+    (lambda: Ideal.principal(F5.element(3)).reduce(F5.element(Fraction(1, 2))),
+     "integral element"),
+    (lambda: Ideal.principal(F5.element(Fraction(1, 3))).residue_coords(), "integral ideal"),
+    (lambda: ideal_valuation(Ideal.principal(F5.element(Fraction(1, 2))),
+                             prime_by_label(F5, "2:0")), "integral ideal"),
+    (lambda: Ideal.principal(F5.element(3)) ** -1, "negative ideal powers"),
+    (lambda: factor_rational_prime(F5, 1), "rational prime"),
+    (lambda: factor_rational_prime(F5, 10 ** 6 + 3), "prime too large"),
+    (lambda: prime_by_label(F5, "2:1"), "no prime '2:1' above 2"),
+    (lambda: unit_square_class(F5.one(), F5.zero()), "r' must be nonzero"),
+    (lambda: make_field("Q(sqrt x)"), "bad field spec"),
+    (lambda: make_field("Q(sqrt)"), "bad field spec"),
+    (lambda: make_field("banana"), "bad field spec"),
+    (lambda: make_field(" Q(sqrt 4) "), "squarefree"),
+], ids=["omega-over-Q", "w-part-over-Q", "add-mismatch", "inverse-of-zero", "divide-by-0",
+        "denominator-0", "contains-mismatch", "reduce-mismatch", "mul-mismatch", "le-mismatch",
+        "reduce-fractional-ideal", "reduce-fractional-element", "residues-fractional",
+        "valuation-fractional", "negative-power", "p-1", "p-past-1e6", "missing-label",
+        "unit-square-class-rp-0", "spec-sqrt-x", "spec-sqrt-nothing", "spec-word",
+        "spec-sqrt-4"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(FieldError, match=match):
+        call()
 
 
 # generator found for each prime above p < 60 (None: the bounded search found

@@ -503,6 +503,7 @@ def test_int_storage_examples():
     assert (zero.nums, zero.den, zero.coeffs) == ((0,), 1, (Fraction(0),))
     assert LocalHeckeElement("x", 3, []) == zero
     assert SymLaurentPoly([Fraction(3, 6), 0]) == SymLaurentPoly([Fraction(1, 2)])
+    assert hash(SymLaurentPoly([Fraction(3, 6), 0])) == hash(SymLaurentPoly([Fraction(1, 2)]))
     # a finite float keeps its exact binary value
     assert LocalHeckeElement("x", 2, [0.1]).coeffs == (Fraction(0.1),)
     assert half.scale(0.5).coeffs == (Fraction(1, 4),)
@@ -519,6 +520,14 @@ def test_rejects_bad_norms_and_coefficients():
             from_sym_laurent("x", norm, poly)
         with pytest.raises(HeckeError, match="prime norm"):
             s_poly(norm, 2)
+        with pytest.raises(HeckeError, match="prime norm"):
+            nu_strip_height(norm)
+        for nu in (0.1, 0.3j, 0.0):
+            with pytest.raises(HeckeError, match="prime norm"):
+                lambda_from_nu(norm, nu)
+        for lam in (0.0, 1.0, 2.0):
+            with pytest.raises(HeckeError, match="prime norm"):
+                nu_from_lambda(norm, lam)
     with pytest.raises(HeckeError, match="prime norm"):
         s_poly(1, 4)
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -556,6 +565,40 @@ def test_algebra_is_commutative_and_associative(u, v, w):
     c = LocalHeckeElement("3:0", 3, tuple(w))
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def test_reprs():
+    assert repr(LocalHeckeElement("2:0", 2, [1, 0, Fraction(-1, 2)])) == \
+        "1*T(2:0^0) + -1/2*T(2:0^4)"
+    assert repr(LocalHeckeElement("3:1", 3, [0, 0])) == "0"
+    assert repr(SymLaurentPoly([1, Fraction(1, 2)])) == \
+        "SymLaurentPoly((Fraction(1, 1), Fraction(1, 2)))"
+
+
+F10 = make_field(10)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: LocalHeckeElement.basis("x", 2, -1), "k must be >= 0"),
+    (lambda: tee("2:0", 2, 1) * tee("3:0", 3, 1), r"prime mismatch: 2:0 \(N=2\) vs 3:0"),
+    (lambda: tee("2:0", 2, 1) + tee("2:1", 2, 1), "prime mismatch"),
+    (lambda: s_poly(2, 3), "even nonnegative"),
+    (lambda: s_poly(2, -2), "even nonnegative"),
+    (lambda: lambda_from_nu(2, 0.7), r"real nu must lie in \[0, 1/2\]"),
+    (lambda: lambda_from_nu(2, -0.1), r"real nu must lie in \[0, 1/2\]"),
+    (lambda: lambda_from_nu(2, 0.1 + 0.2j), "real or purely imaginary"),
+    (lambda: lambda_from_nu(2, 3j), "imaginary nu must lie"),
+    (lambda: lambda_from_nu(2, -0.1j), "imaginary nu must lie"),
+    (lambda: nu_from_lambda(2, 3.5), r"lambda must lie in \[0, 1\+N\]"),
+    (lambda: nu_from_lambda(2, -0.5), r"lambda must lie in \[0, 1\+N\]"),
+    # 2 ramifies in Q(sqrt 10) into a prime that is not principal
+    (lambda: coset_representatives(prime_by_label(F10, "2:0"), 1), "no stored generator"),
+], ids=["basis-k-negative", "mul-two-primes", "add-two-primes", "s-poly-odd",
+        "s-poly-negative", "nu-past-half", "nu-negative", "nu-off-axes", "nu-past-strip",
+        "nu-below-strip", "lambda-past-n-plus-1", "lambda-negative", "coset-no-generator"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(HeckeError, match=match):
+        call()
 
 
 def test_coset_counts():
@@ -676,6 +719,15 @@ def test_lambda_endpoints_exact():
     for n in (2, 3, 4, 5, 9):
         assert lambda_from_nu(n, 0.0) == 2 * math.sqrt(n)
         assert lambda_from_nu(n, 0.5) == n + 1
+        assert lambda_from_nu(n, 1j * nu_strip_height(n)) == 0.0
+        assert nu_from_lambda(n, n + 1) == 0.5
+
+
+def test_nu_at_lambda_zero_is_the_strip_top():
+    # acos(0.0) is pi/2 exactly and 2 log N an exact doubling, so the acos
+    # route lands on the same bits as pi / (2 log N)
+    for n in range(2, 10 ** 4 + 1):
+        assert nu_from_lambda(n, 0.0) == 1j * nu_strip_height(n), n
 
 
 def test_lambda_nu_roundtrip():

@@ -1138,6 +1138,19 @@ def test_delta_rejects_a_character_over_another_field():
         delta_term(F5.element(2, 1), F5.element(2, 1), (0, 0), chiQ)
 
 
+@pytest.mark.parametrize("r, rp, xi, match", [
+    (Q.zero(), Q.one(), (0,), "r and r' must be nonzero"),
+    (Q.one(), Q.zero(), (0,), "r and r' must be nonzero"),
+    (Q.one(), Q.one(), (0, 0), "xi must be a 0/1 vector of length 1"),
+    (F5.one(), F5.one(), (0,), "xi must be a 0/1 vector of length 2"),
+    (F5.one(), F5.one(), (0, 2), "xi must be a 0/1 vector of length 2"),
+], ids=["r-0", "rp-0", "xi-long", "xi-short", "xi-not-0-1"])
+def test_delta_input_checks_raise(r, rp, xi, match):
+    chi = DirichletCharacter.trivial(r.field, Ideal.unit_ideal(r.field))
+    with pytest.raises(KloostermanError, match=match):
+        delta_term(r, rp, xi, chi)
+
+
 def test_delta_unit_square_classes():
     chi5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
     eps = F5.unit_group().fundamental

@@ -596,10 +596,16 @@ def test_sato_tate_mass_additive(a, b):
     assert abs(left + mid + right - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("norm", [0, 1, -1, 2.0, True, Fraction(3), "3", None])
+def test_sato_tate_rejects_a_bad_norm(norm):
+    with pytest.raises(MeasureError, match="prime norm must be an int >= 2"):
+        SatoTateMeasure(norm)
+
+
 def test_inverse_cdf_table():
     mu = SatoTateMeasure(3)
-    grid, cdf = mu.inverse_cdf_table(nodes=2001)
-    assert len(grid) == len(cdf) == 2001
+    grid, cdf = mu.inverse_cdf_table()
+    assert len(grid) == len(cdf) == 10 ** 4
     assert cdf[0] == 0.0 and abs(cdf[-1] - 1.0) < 1e-9
     assert all(cdf[i] <= cdf[i + 1] for i in range(len(cdf) - 1))
     assert grid[0] == 0.0 and abs(grid[-1] - 2 * math.sqrt(3)) < 1e-12
@@ -642,6 +648,32 @@ def test_box_measure_product():
     assert w.value > 0
     with pytest.raises(MeasureError):
         box_measure(box, family="pl2")
+    # a zero factor gives the product 0 with that factor's error: pl0 has no
+    # atom in [0.05, 0.2] and its continuum starts at 1/4; v11's starts there too
+    assert measure_interval(PL0, (0.05, 0.2)) == (0.0, 0.0)
+    box = Box(2, (1,), ((2, (0.05, 0.2)),), (0, 0), 4.0)
+    assert box_measure(box) == MeasureValue(0.0, 0.0)
+    zero = measure_interval(spectral_measure("v11"), (0.05, 0.2))
+    assert zero.value == 0.0 and zero.error > 0
+    box = Box(2, (1,), ((2, (0.05, 0.2)),), (0, 1), 4.0)
+    assert box_measure(box, family="v1") == MeasureValue(0.0, zero.error)
+
+
+BOX2 = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Box(1, (1,), (), (0,), -1.0), "t must be >= 0"),
+    (lambda: BOX2.with_t(-0.5), "t must be >= 0"),
+    (lambda: BOX2.interval(0), "coordinate 0 out of range"),
+    (lambda: BOX2.interval(3), "coordinate 3 out of range"),
+    (lambda: BOX2.contains((1.0,)), "expected 2 coordinates"),
+    (lambda: BOX2.contains((1.0, 0.5, 0.5)), "expected 2 coordinates"),
+], ids=["box-t-negative", "with-t-negative", "interval-0", "interval-past-dim",
+        "contains-short", "contains-long"])
+def test_box_input_checks_raise(call, match):
+    with pytest.raises(MeasureError, match=match):
+        call()
 
 
 def run_script(script):
@@ -676,7 +708,7 @@ def test_count_leaves_scipy_unloaded():
     script = (
         "import json, sys, heckedist\n"
         "box = heckedist.Box(1, (1,), (), (0,), 3.0)\n"
-        "ds = heckedist.Dataset('Q', '1', [[1.0], [2.0], [5.0]], [[0], [0], [0]], ('2:0',),\n"
+        "ds = heckedist.Dataset('Q', [[1.0], [2.0], [5.0]], [[0], [0], [0]], ('2:0',),\n"
         "                       [[0.5], [1.5], [0.5]], [0.25, 1e-300, 3.0])\n"
         "c = heckedist.count(ds, box, 3.0, {'2:0': (0.0, 1.0)})\n"
         "print(json.dumps([c, 'scipy' in sys.modules]))\n")
