@@ -103,9 +103,9 @@ def _level_ideal(field: fields.NumberField, level: Optional[str]) -> fields.Idea
     return fields.Ideal.principal(parse_element(field, level))
 
 
-def load_character(field: fields.NumberField, modulus: fields.Ideal,
-                   path: Optional[str]) -> kl.DirichletCharacter:
+def load_character(modulus: fields.Ideal, path: Optional[str]) -> kl.DirichletCharacter:
     """Character file: JSON list of [unit representative, order, exponent]."""
+    field = modulus.field
     if path is None:
         return kl.DirichletCharacter.trivial(field, modulus)
     with open(path) as fh:
@@ -311,7 +311,7 @@ def cmd_kl_eval(args) -> None:
     # character is the same on every d of the sum whichever modulus it has
     modulus = fields.Ideal.principal(c) if args.level is None and args.chi is not None \
         else _level_ideal(field, args.level)
-    chi = load_character(field, modulus, args.chi)
+    chi = load_character(modulus, args.chi)
     q = kl.KloostermanQuery(c, r, rp, chi)
     value = kl.evaluate(q)
     _emit(args, {"c": _elt_str(c), "r": _elt_str(r), "rp": _elt_str(rp),
@@ -322,7 +322,7 @@ def cmd_kl_eval(args) -> None:
 def cmd_kl_scan(args) -> None:
     field = fields.make_field(args.field)
     level = _level_ideal(field, args.level)
-    chi = load_character(field, level, args.chi)
+    chi = load_character(level, args.chi)
     r = parse_element(field, args.r) if args.r else \
         fields.inverse_different(field).basis_elements()[-1]
     rp = parse_element(field, args.rp) if args.rp else r
@@ -342,7 +342,7 @@ def cmd_kl_delta(args) -> None:
     rp = parse_element(field, args.rp)
     xi = tuple(int(x) for x in args.xi.split(","))
     modulus = _level_ideal(field, args.level)
-    chi = load_character(field, modulus, args.chi)
+    chi = load_character(modulus, args.chi)
     val = kl.delta_term(r, rp, xi, chi)
     _emit(args, {"r": _elt_str(r), "rp": _elt_str(rp), "xi": list(xi),
                  "value": _complex_repr(val)})
@@ -402,7 +402,7 @@ def cmd_eq_run(args) -> None:
         total = ds.total_weight()
         if total > 0:
             ds = ds.scaled(pred.product / total)
-    rep = equidist.run_report(ds, box, t_grid, j_windows, args.covolume, field)
+    rep = equidist.run_report(ds, box, t_grid, j_windows, args.covolume)
     if args.out is not None:
         rep.to_csv(args.out)
     print(_dumps(rep.summary()))
@@ -411,7 +411,7 @@ def cmd_eq_run(args) -> None:
 def cmd_eq_index(args) -> None:
     field = fields.make_field(args.field)
     level = _level_ideal(field, args.level)
-    idx = equidist.level_index(field, level)
+    idx = equidist.level_index(level)
     _emit(args, {"level_norm": int(level.norm()), "index": _frac_repr(idx),
                  "index_float": float(idx)})
 

@@ -217,9 +217,11 @@ class Dataset:
         return replace(self, weight=self.weight * factor)
 
     def validate(self, field: Optional[NumberField] = None) -> None:
-        """Range-check Hecke eigenvalues against [0, 1 + Np]."""
-        field = field if field is not None else make_field(self.field_spec)
-        bounds = np.array([1.0 + prime_by_label(field, label).absolute_norm()
+        """Range-check Hecke eigenvalues against [0, 1 + Np]; field, if given, is the dataset's."""
+        own = make_field(self.field_spec)
+        if field not in (None, own):
+            raise EquidistError("dataset is over %r, not %r" % (own, field))
+        bounds = np.array([1.0 + prime_by_label(own, label).absolute_norm()
                            for label in self.prime_labels])
         bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
         if bad.any():
@@ -438,7 +440,7 @@ def predict(field: NumberField, covolume: float, box: Box, t: float,
                       constant * pl_factor * phi_factor, v1, error)
 
 
-def level_index(field: NumberField, level: Ideal) -> Fraction:
+def level_index(level: Ideal) -> Fraction:
     """Index of the level subgroup: N(I) prod_{p | I} (1 + 1/Np), exact."""
     if level.norm() == 0:
         raise EquidistError("level ideal must be nonzero")
@@ -492,6 +494,8 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
     if m_records < 1:
         raise EquidistError("need at least one record")
     d = box.dim
+    if d != field.degree:
+        raise EquidistError("box dimension %d != field degree %d" % (d, field.degree))
     labels = sorted(prime_labels)
     rng = np.random.Generator(np.random.Philox(key=seed))
     block = rng.random((m_records, 2 * d + len(labels)))
@@ -761,11 +765,10 @@ class Report:
 
 
 def run_report(ds: Dataset, box: Box, t_grid: Sequence[float],
-               j_windows: Dict[str, Tuple[float, float]], covolume: float,
-               field: Optional[NumberField] = None) -> Report:
-    """One row per threshold: count, prediction, their ratio, V1, and the
-    prediction's error bound."""
-    field = field if field is not None else make_field(ds.field_spec)
+               j_windows: Dict[str, Tuple[float, float]], covolume: float) -> Report:
+    """One row per threshold: count, prediction over the dataset's field, their
+    ratio, V1, and the prediction's error bound."""
+    field = make_field(ds.field_spec)
     rows = []
     for t in t_grid:
         c = count(ds, box, t, j_windows)

@@ -140,11 +140,11 @@ class NumberField:
 
 def make_field(spec: Union[str, int, None]) -> NumberField:
     """Parse 'Q', 'Q(sqrt m)', or a bare integer m into a field."""
-    if spec is None or (isinstance(spec, str) and spec.strip() in ("Q", "q")):
-        return NumberField()
     if isinstance(spec, int):
         return NumberField(spec)
-    s = spec.strip()
+    s = spec.strip() if isinstance(spec, str) else ""  # any other type is a bad spec
+    if spec is None or s in ("Q", "q"):
+        return NumberField()
     if s.lower().startswith("q(sqrt") and s.endswith(")"):
         s = s[len("q(sqrt"):-1]
     try:
@@ -348,14 +348,17 @@ class Ideal:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, field: NumberField, gens: Sequence[FieldElement]) -> "Ideal":
-        """O-module generated by gens: (1/den) times the HNF of the int rows den*x
-        and den*x*w, den the lcm of the denominators (1 for integral gens)."""
+    def from_generators(cls, gens: Sequence[FieldElement]) -> "Ideal":
+        """O-module generated by gens, all in one field: (1/den) times the HNF of the
+        int rows den*x and den*x*w, den the lcm of the denominators (1 for integral gens)."""
         ratios = [v.as_integer_ratio() for g in gens for v in g.coords()]
         den = math.lcm(*(d for _, d in ratios))
         nums = [n * (den // d) for n, d in ratios]
         if not any(nums):
             raise FieldError("ideal needs a nonzero generator")
+        field = gens[0].field
+        if any(g.field != field for g in gens):
+            raise FieldError("field mismatch: generators lie in different fields")
         basis = ((1,),) if field.degree == 1 else ((1, 0), (0, 1))  # a Z-basis of O
         rows = zip(*[iter(nums)] * field.degree)
         return cls(field, _hnf([field.mul_coords(x, u) for x in rows for u in basis]), den)
@@ -363,7 +366,7 @@ class Ideal:
     @classmethod
     def principal(cls, elt: FieldElement) -> "Ideal":
         """(elt): the HNF of its two int rows x = den*elt and x*w = (c x1, x0 + t x1),
-        the same (hnf, den) as from_generators(field, [elt])."""
+        the same (hnf, den) as from_generators([elt])."""
         field, a, b = elt.field, elt.a, elt.b
         den = math.lcm(a.denominator, b.denominator)
         x0, x1 = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
@@ -542,10 +545,10 @@ class PrimeIdeal(Ideal):
         return "PrimeIdeal(%s, p=%d, e=%d, f=%d)" % (self.label, self.p, self.e, self.f)
 
 
-def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Optional[FieldElement]:
-    """First x + y*w of the ideal with |x^2 + t*x*y - c*y^2| = N = target_norm >= 1
-    in the box |x|, |y| <= B = max(4, 2 isqrt(N) + 2), least y then least x, or
-    None; one pass, since a unit multiple of the ideal is the ideal itself.
+def _small_generator(ideal: Ideal) -> Optional[FieldElement]:
+    """First x + y*w of the integral ideal ((n, 0), (b, g)) with |x^2 + t*x*y - c*y^2|
+    = N = n g in the box |x|, |y| <= B = max(4, 2 isqrt(N) + 2), least y then least
+    x, or None; one pass, since a unit multiple of the ideal is the ideal itself.
 
     Each row y is solved: 4(x^2 + t x y - c y^2) = (2x + t y)^2 - D y^2 with
     D = t^2 + 4c, so x = (-t y +- r)/2 where r^2 = D y^2 +- 4N (r = t y mod 2, as
@@ -553,23 +556,23 @@ def _small_generator(field: NumberField, ideal: Ideal, target_norm: int) -> Opti
     (2B + t|y|)^2, so c y^2 - B t|y| <= B^2 + N; as c >= 1, |y| <= ymax, the
     floor of the larger root of that quadratic in |y|.
     """
-    bound = max(4, 2 * math.isqrt(target_norm) + 2)
-    t, c, den = field.t, field.c, ideal.den
-    (n, _), (b, g) = ideal.hnf
+    field, ((n, _), (b, g)) = ideal.field, ideal.hnf
+    norm, t, c = n * g, field.t, field.c
+    bound = max(4, 2 * math.isqrt(norm) + 2)
     bt = bound * t
-    ymax = (bt + math.isqrt(bt * bt + 4 * c * (bound * bound + target_norm))) // (2 * c)
+    ymax = (bt + math.isqrt(bt * bt + 4 * c * (bound * bound + norm))) // (2 * c)
     for y in range(-min(bound, ymax), min(bound, ymax) + 1):
-        # den*(x, y) lies in the HNF lattice iff g | den*y and n | den*x - (den*y/g)*b
-        if (den * y) % g != 0:
+        # (x, y) lies in the HNF lattice iff g | y and n | x - (y/g)*b
+        if y % g != 0:
             continue
-        shift = (den * y // g) * b
+        shift = (y // g) * b
         dy = field.disc * y * y
         xs = []
-        for sq in (dy + 4 * target_norm, dy - 4 * target_norm):
+        for sq in (dy + 4 * norm, dy - 4 * norm):
             r = math.isqrt(max(sq, 0))
             if r * r == sq:
                 xs += [x for x in ((r - t * y) // 2, (-r - t * y) // 2)
-                       if abs(x) <= bound and (den * x - shift) % n == 0]
+                       if abs(x) <= bound and (x - shift) % n == 0]
         if xs:
             return field.element(min(xs), y)
     return None
@@ -609,7 +612,7 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
     # is double, and then P^2 = (p)
     e = 2 if field.disc % p == 0 else 1
     hnfs = sorted(_hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
-    return [PrimeIdeal(field, hnf, p, e, 1, i, _small_generator(field, Ideal(field, hnf), p))
+    return [PrimeIdeal(field, hnf, p, e, 1, i, _small_generator(Ideal(field, hnf)))
             for i, hnf in enumerate(hnfs)]
 
 
@@ -644,7 +647,7 @@ def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:
     else:
         p, i = int(s), 0
     factors = factor_rational_prime(field, p)
-    if i >= len(factors):
+    if not 0 <= i < len(factors):
         raise FieldError("no prime %r above %d (only %d factors)" % (label, p, len(factors)))
     return factors[i]
 
@@ -659,6 +662,8 @@ def ideal_valuation(ideal: Ideal, prime: PrimeIdeal) -> int:
     """
     if not ideal.is_integral():
         raise FieldError("valuation needs an integral ideal")
+    if prime.field != ideal.field:
+        raise FieldError("field mismatch: %r vs %r" % (ideal.field, prime.field))
     field, p = ideal.field, prime.p
     beta = (1,) if field.degree == 1 else (1, 0) if prime.f == 2 \
         else (prime.hnf[1][0] + field.t, -1)

@@ -142,7 +142,7 @@ class DirichletCharacter:
         key = self.modulus.reduce(x)
         if self.numerators is None:
             # x is a unit mod I exactly when (x) + I = O
-            unit = Ideal.from_generators(self.field, [key, *self.modulus.basis_elements()])
+            unit = Ideal.from_generators([key, *self.modulus.basis_elements()])
             n = 0 if unit == Ideal.unit_ideal(self.field) else None
         else:
             n = self.numerators.get(key.coords())
@@ -327,7 +327,7 @@ class WeilScanResult:
 _WORK_BUDGET = 4 * 10 ** 6
 
 
-def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
+def _principal_ideals_up_to(level: Ideal, max_norm: int
                             ) -> Tuple[List[Tuple[int, FieldElement, Ideal]], int]:
     """(|N(c)|, c, (c)) for one generator c per nonzero principal ideal (c) inside the
     level I, norm <= max_norm, sorted by (norm, coords), with (c) in its canonical HNF,
@@ -340,6 +340,8 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
     Norms found are summed as the ideals are built, and past _WORK_BUDGET the
     scan is rejected.
     """
+    field = level.field
+
     def ideals():
         lnorm = int(level.norm())
         if field.degree == 1:
@@ -362,7 +364,7 @@ def _principal_ideals_up_to(field: NumberField, level: Ideal, max_norm: int
 
     gens, skipped, work = [], 0, 0
     for norm, ideal in ideals():
-        c = field.element(norm) if field.degree == 1 else _small_generator(field, ideal, norm)
+        c = field.element(norm) if field.degree == 1 else _small_generator(ideal)
         if c is None:
             skipped += 1
             continue
@@ -395,7 +397,7 @@ def weil_scan(field: NumberField, r: FieldElement, rp: FieldElement,
     _check_inputs(field, r, rp, chi)
     s_primes = [p for p, _ in ideal_prime_factorization(chi.modulus)]
     s_labels = tuple(p.label for p in s_primes)
-    gens, skipped = _principal_ideals_up_to(field, chi.modulus, max_norm)
+    gens, skipped = _principal_ideals_up_to(chi.modulus, max_norm)
 
     def one_row(norm: int, c: FieldElement, ideal: Ideal) -> WeilRow:
         k = abs(_sum(c, ideal, r, rp, chi))

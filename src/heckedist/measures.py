@@ -196,11 +196,11 @@ def spectral_measure(kind: str) -> SpectralMeasure:
 
 
 def pl_measure(xi: int) -> SpectralMeasure:
-    return spectral_measure("pl%d" % xi)
+    return spectral_measure("pl%d" % _parity(xi))
 
 
 def v1_measure(xi: int) -> SpectralMeasure:
-    return spectral_measure("v1%d" % xi)
+    return spectral_measure("v1%d" % _parity(xi))
 
 
 def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) -> MeasureValue:
@@ -321,7 +321,7 @@ class NuMeasure:
 
 
 def nu_measure(xi: int) -> NuMeasure:
-    return NuMeasure(int(xi))
+    return NuMeasure(xi)
 
 
 def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
@@ -430,8 +430,8 @@ class Box:
             raise MeasureError("Q and E must partition {1..%d}" % self.dim)
         if len(self.xi) != self.dim or any(x not in (0, 1) for x in self.xi):
             raise MeasureError("xi must be a 0/1 vector of length %d" % self.dim)
-        if self.t < 0:
-            raise MeasureError("t must be >= 0")
+        if not 0 <= self.t < math.inf:
+            raise MeasureError("t must be >= 0 and finite, got %r" % (self.t,))
         for j, (a, b) in self.e_windows:
             if not (math.isfinite(a) and math.isfinite(b)) or a > b:
                 raise MeasureError("bad window [%r, %r] on coordinate %d" % (a, b, j))
@@ -443,8 +443,8 @@ class Box:
 
     def with_t(self, t: float) -> "Box":
         """This box at threshold t; only t needs a check, the rest was checked at construction."""
-        if t < 0:
-            raise MeasureError("t must be >= 0")
+        if not 0 <= t < math.inf:
+            raise MeasureError("t must be >= 0 and finite, got %r" % (t,))
         box = object.__new__(Box)
         box.__dict__.update(self.__dict__, t=t)
         return box

@@ -243,7 +243,7 @@ def test_criterion_8_equidistribution_closure():
     ds = ds.scaled(pred_full.product / ds.total_weight())
 
     j_windows = {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)}
-    rep = run_report(ds, box, [1.0, 2.0, 3.0, 4.0], j_windows, 1.0, field)
+    rep = run_report(ds, box, [1.0, 2.0, 3.0, 4.0], j_windows, 1.0)
     final_ratio = rep.rows[-1].ratio
     ratio_ok = 0.97 <= final_ratio <= 1.03
 

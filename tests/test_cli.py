@@ -168,6 +168,17 @@ def test_bad_arguments_are_a_domain_error(capsys, argv, message):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "phi", "--p", "2:-1", "--spoly", "1"),
+    ("--field", "5", "measure", "phi", "--p", "11:-2", "--spoly", "1"),
+], ids=["over-Q", "over-Q(sqrt 5)"])
+def test_negative_prime_label_index_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert json.loads(err)["error"] == "FieldError"
+    assert "no prime '%s'" % argv[argv.index("--p") + 1] in json.loads(err)["message"]
+
+
 def test_eigenvalue_needs_exactly_one_of_nu_and_lam(capsys):
     assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2")[0] == 2
     assert run_cli(capsys, "hecke", "eigenvalue", "--p", "2", "--nu", "0.5i",

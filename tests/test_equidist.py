@@ -167,6 +167,20 @@ def test_dataset_validate_range():
         one_row(lambda_p=(-0.1,)).validate(Q)
 
 
+def test_dataset_validate_reads_its_own_field():
+    # 2 splits in Q(sqrt 73), so the bound on lambda_{2:0} is 1 + 2 = 3; over
+    # Q(sqrt 5), where 2 is inert, it would be 1 + 4 = 5
+    ds = Dataset("Q(sqrt 73)", [[1.0, 1.0]], [[0, 0]], ("2:0",), [[4.0]], [1.0])
+    for call in (ds.validate, lambda: ds.validate(F73)):
+        with pytest.raises(EquidistError, match=r"lambda_p\[2:0\] = 4.0 outside \[0, 3.0\]"):
+            call()
+    for field in (make_field(5), Q, make_field(2)):
+        with pytest.raises(EquidistError, match="dataset is over Q\\(sqrt 73\\), not"):
+            ds.validate(field)
+    one_row().validate()
+    one_row().validate(make_field("Q"))
+
+
 def test_count_filters():
     ds = small_ds()
     # parity filter: the xi=(1,) record never counts in a xi=(0,) box
@@ -635,14 +649,14 @@ def test_dataset_columns_are_contiguous():
 
 
 def test_level_index():
-    assert level_index(Q, Ideal.principal(Q.element(6))) == 12
-    assert level_index(Q, Ideal.unit_ideal(Q)) == 1
+    assert level_index(Ideal.principal(Q.element(6))) == 12
+    assert level_index(Ideal.unit_ideal(Q)) == 1
     F5 = make_field(5)
     p5 = Ideal.principal(F5.element(-1, 2))  # sqrt5
-    assert level_index(F5, p5) == 6
+    assert level_index(p5) == 6
     # norm-4 inert prime: N(1 + 1/N) = 4 * 5/4 = 5
     p2 = Ideal.principal(F5.element(2))
-    assert level_index(F5, p2) == 5
+    assert level_index(p2) == 5
 
 
 @pytest.mark.parametrize("call, match", [
@@ -654,13 +668,15 @@ def test_level_index():
     (lambda: tau_table(10 ** 6 + 1), r"capped at 10\^6"),
     (lambda: verify_tau_identities([0, 1, -24, 252]), "table too short"),
     (lambda: verify_tau_identities([0, 2, -24, 252, -1472]), r"tau\(1\) != 1"),
-    (lambda: level_index(Q, Ideal.principal(Q.element(Fraction(1, 2)))),
+    (lambda: level_index(Ideal.principal(Q.element(Fraction(1, 2)))),
      "level ideal must be integral"),
-    (lambda: level_index(Q, Ideal(Q, ((0,),))), "level ideal must be nonzero"),
+    (lambda: level_index(Ideal(Q, ((0,),))), "level ideal must be nonzero"),
+    (lambda: synthesize(F73, ["2:0"], BOX1, 3, seed=1), "box dimension 1 != field degree 2"),
+    (lambda: synthesize(Q, ["2:0"], BOX73, 3, seed=1), "box dimension 2 != field degree 1"),
     (lambda: heckedist.Prediction(1.0, 1.0, 1.0, 1.0, 1.0, -1.0), "error must be nonnegative"),
 ], ids=["synthesize-0-records", "synthesize-zero-pl-box", "tau-table-0", "tau-table-past-cap",
         "tau-identities-short", "tau-identities-tau1", "level-fractional", "level-zero",
-        "prediction-negative"])
+        "synthesize-box-short", "synthesize-box-long", "prediction-negative"])
 def test_input_checks_raise(call, match):
     with pytest.raises(EquidistError, match=match):
         call()
@@ -1262,7 +1278,7 @@ def test_run_report(tmp_path):
     box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
     ds = synthesize(F73, ["2:0", "3:0"], box, 4000, seed=5)
     jw = {"2:0": (0.0, 2 * math.sqrt(2)), "3:0": (0.0, 2 * math.sqrt(3))}
-    rep = run_report(ds, box, [2.0, 3.0, 4.0], jw, covolume=1.0, field=F73)
+    rep = run_report(ds, box, [2.0, 3.0, 4.0], jw, covolume=1.0)
     assert len(rep.rows) == 3
     counts = [row.count for row in rep.rows]
     assert counts == sorted(counts)  # monotone in t
@@ -1271,16 +1287,20 @@ def test_run_report(tmp_path):
     rep.to_csv(str(out))
     header = out.read_text().split("\n")[0]
     assert header == "t,count,prediction,ratio,v1,error"
-    # ratio = count / prediction row by row; error is the prediction's own bound
+    # ratio = count / prediction row by row; the prediction and its error bound
+    # are over the dataset's own field, which the report takes no second copy of
     for row in rep.rows:
         if row.prediction > 0:
             assert row.ratio == pytest.approx(row.count / row.prediction)
-        assert row.error == predict(F73, 1.0, box, row.t, jw).error > 0
+        want = predict(F73, 1.0, box, row.t, jw)
+        assert (row.prediction, row.error) == (want.product, want.error) and row.error > 0
+        assert row.prediction != predict(make_field(5), 1.0, box, row.t, jw).product
     assert rep.summary()["max_error"] == max(row.error for row in rep.rows)
+    with pytest.raises(TypeError):
+        run_report(ds, box, [4.0], jw, 1.0, field=make_field(5))
 
 
 def test_run_report_zero_prediction_gives_nan():
     ds = small_ds()
-    rep = run_report(ds, BOX1, [3.0], {"2:0": (2.9, 3.0), "3:0": (0.0, 4.0)},
-                     covolume=1.0, field=Q)
+    rep = run_report(ds, BOX1, [3.0], {"2:0": (2.9, 3.0), "3:0": (0.0, 4.0)}, covolume=1.0)
     assert math.isnan(rep.rows[0].ratio)

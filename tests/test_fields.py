@@ -44,6 +44,9 @@ def test_make_field_specs():
         make_field(4)  # not squarefree
     with pytest.raises(FieldError):
         make_field(-3)  # not totally real
+    for spec in (5.0, Fraction(5), b"5", [5]):
+        with pytest.raises(FieldError, match="bad field spec"):
+            make_field(spec)
 
 
 def test_discriminants():
@@ -186,7 +189,7 @@ def brute_force_factorization(field, p):
         return [("%d:0" % p, ((p, 0), (0, p)), 1, 2, (p, 0))]
     e = 2 if field.disc % p == 0 else 1
     hnfs = sorted(fields_module._hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
-    gens = [fields_module._small_generator(field, Ideal(field, hnf), p) for hnf in hnfs]
+    gens = [fields_module._small_generator(Ideal(field, hnf)) for hnf in hnfs]
     return [("%d:%d" % (p, i), hnf, e, 1, None if g is None else g.coords())
             for i, (hnf, g) in enumerate(zip(hnfs, gens))]
 
@@ -256,9 +259,9 @@ def test_predict_searches_each_generator_once(monkeypatch):
     searched = []
     search = fields_module._small_generator
 
-    def counting(field, ideal, target_norm):
+    def counting(ideal):
         searched.append(ideal.hnf)
-        return search(field, ideal, target_norm)
+        return search(ideal)
 
     monkeypatch.setattr(fields_module, "_small_generator", counting)
     field = make_field(73)
@@ -423,13 +426,26 @@ def test_from_generators_matches_fraction_route():
         for case in cases:
             if all(g.is_zero() for g in case):
                 continue
-            ideal = Ideal.from_generators(field, case)
+            ideal = Ideal.from_generators(case)
             assert (ideal.hnf, ideal.den) == fraction_from_generators(field, case), case
             if len(case) == 1:
                 assert Ideal.principal(case[0]) == ideal
         for case in ([field.zero()], [field.zero(), field.zero()]):
             with pytest.raises(FieldError, match="nonzero generator"):
-                Ideal.from_generators(field, case)
+                Ideal.from_generators(case)
+
+
+def test_from_generators_takes_the_field_of_its_generators():
+    assert Ideal.from_generators([F5.element(2, 1)]) == Ideal.principal(F5.element(2, 1))
+    assert Ideal.from_generators([F5.element(2, 1)]).field == F5
+    assert Ideal.from_generators([Q.element(2), Q.element(3)]) == Ideal.unit_ideal(Q)
+    for gens in ([F5.element(2), Q.element(3)], [F5.element(2), F2.element(2)],
+                 [F2.one(), F2.element(0, 1), F5.zero()]):
+        with pytest.raises(FieldError, match="field mismatch"):
+            Ideal.from_generators(gens)
+    for gens in ([], [F5.zero()], [Q.zero(), Q.zero()]):
+        with pytest.raises(FieldError, match="nonzero generator"):
+            Ideal.from_generators(gens)
 
 
 @pytest.mark.parametrize("spec", ["Q", 2, 5, 13, 94])
@@ -453,7 +469,7 @@ def test_principal_matches_from_generators(spec):
     assert any(x.is_integral() and x.norm() < 0 for x in cases)
     assert any(x.a < 0 and x.b <= 0 for x in cases)
     for x in cases:
-        want = Ideal.from_generators(field, [x])
+        want = Ideal.from_generators([x])
         got = Ideal.principal(x)
         assert (got.hnf, got.den) == (want.hnf, want.den), x
     with pytest.raises(FieldError, match="nonzero generator"):
@@ -668,8 +684,8 @@ def test_ideal_hash_agrees_with_eq():
                        (F5, F5.element(Fraction(1, 2), 1)), (F3, F3.element(1, 1))):
         eps = field.unit_group().fundamental or field.element(-1)
         a = Ideal.principal(gen)
-        for b in (Ideal.from_generators(field, [gen, 7 * gen]),
-                  Ideal.from_generators(field, [gen * eps]), Ideal.principal(-gen)):
+        for b in (Ideal.from_generators([gen, 7 * gen]),
+                  Ideal.from_generators([gen * eps]), Ideal.principal(-gen)):
             assert a == b and hash(a) == hash(b)
             assert {a: "a"}[b] == "a"
 
@@ -707,6 +723,12 @@ def test_ideal_reprs():
     (lambda: factor_rational_prime(F5, 1), "rational prime"),
     (lambda: factor_rational_prime(F5, 10 ** 6 + 3), "prime too large"),
     (lambda: prime_by_label(F5, "2:1"), "no prime '2:1' above 2"),
+    (lambda: prime_by_label(F5, "11:-1"), "no prime '11:-1' above 11"),
+    (lambda: prime_by_label(F5, "11:-2"), "no prime '11:-2' above 11"),
+    (lambda: ideal_valuation(Ideal.principal(F5.element(2)), prime_by_label(F2, "2:0")),
+     "field mismatch"),
+    (lambda: ideal_valuation(Ideal.principal(Q.element(2)), prime_by_label(F5, "2:0")),
+     "field mismatch"),
     (lambda: unit_square_class(F5.one(), F5.zero()), "r' must be nonzero"),
     (lambda: make_field("Q(sqrt x)"), "bad field spec"),
     (lambda: make_field("Q(sqrt)"), "bad field spec"),
@@ -716,6 +738,8 @@ def test_ideal_reprs():
         "denominator-0", "contains-mismatch", "reduce-mismatch", "mul-mismatch", "le-mismatch",
         "reduce-fractional-ideal", "reduce-fractional-element", "residues-fractional",
         "valuation-fractional", "negative-power", "p-1", "p-past-1e6", "missing-label",
+        "label-index-minus-1", "label-index-minus-2", "valuation-mismatch",
+        "valuation-mismatch-over-Q",
         "unit-square-class-rp-0", "spec-sqrt-x", "spec-sqrt-nothing", "spec-word",
         "spec-sqrt-4"])
 def test_input_checks_raise(call, match):
@@ -776,17 +800,10 @@ def _box_scan_reference(field, ideal, target_norm):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 10, 13, 43, 73, 79, 94, 103, 226, 1009])
 def test_small_generator_matches_box_scan(m):
-    # every ideal of norm <= 200 that the Weil scan enumerates, and fractional
-    # ideals (1/den) L: the same generator, or None, as the box scan
+    # every ideal of norm <= 200 that the Weil scan enumerates: the same
+    # generator, or None, as the box scan at the ideal's norm
     search = fields_module._small_generator
     field = make_field(m)
-    ideals = hnf_ideals(field, 200)
-    for ideal in ideals:
+    for ideal in hnf_ideals(field, 200):
         norm = int(ideal.norm())
-        assert search(field, ideal, norm) == _box_scan_reference(field, ideal, norm), ideal
-    fractional = [Ideal(field, ideal.hnf, den) for ideal in ideals[:12] for den in (2, 3)]
-    assert all(ideal.den > 1 for ideal in fractional)
-    for ideal in fractional:
-        for norm in range(1, 30):
-            want = _box_scan_reference(field, ideal, norm)
-            assert search(field, ideal, norm) == want, (ideal, norm)
+        assert search(ideal) == _box_scan_reference(field, ideal, norm), ideal

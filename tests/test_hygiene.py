@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, only
 equidist imports numpy when it loads, no module imports scipy at all,
 every module-level private function, class or constant is referenced
-somewhere in the package, and every benchmark record at the repository root
-is strict JSON with its required keys."""
+somewhere in the package, every function reads each of its parameters,
+and every benchmark record at the repository root is strict JSON with its
+required keys."""
 
 import ast
 import json
@@ -143,6 +144,41 @@ def test_checker_flags_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def unused_parameters(source: str):
+    """(line, function, parameter) of each parameter, self and cls aside, that
+    its function's body never reads; lambdas count as functions, and a read in
+    a nested function counts for the function that encloses it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p) for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_checker_flags_an_unused_parameter():
+    source = ("def f(field, level, *args, key=None, **kw):\n    return level, kw\n"
+              "class A:\n    def m(self, x, y):\n        def g():\n            return x\n"
+              "        return g\n    @classmethod\n    def c(cls, z):\n        return 1\n"
+              "h = lambda u, v: u\n"
+              "async def k(p, /, q):\n    await p\n")
+    assert unused_parameters(source) == [
+        (1, "f", "args"), (1, "f", "field"), (1, "f", "key"), (4, "m", "y"),
+        (9, "c", "z"), (11, "<lambda>", "v"), (12, "k", "q")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text()) == [], path.name
 
 
 def strict_json(text: str):

@@ -248,7 +248,7 @@ def coordinate_preamble_sum(c, ideal, r, rp, chi):
 def reference_sum(q, c=None, swap=False):
     c = q.c if c is None else c
     r, rp = (q.rp, q.r) if swap else (q.r, q.rp)
-    return coordinate_preamble_sum(c, Ideal.from_generators(c.field, [c]), r, rp, q.chi)
+    return coordinate_preamble_sum(c, Ideal.from_generators([c]), r, rp, q.chi)
 
 
 def fractional_r_queries(rng):
@@ -657,7 +657,7 @@ def test_character_keys_are_int_tuples(tmp_path):
     chars = [DirichletCharacter(Q, mod5, {(Fraction(k),): Fraction(0) for k in range(1, 5)}),
              DirichletCharacter.cyclic(Q, mod5, Q.element(2)),
              DirichletCharacter.cyclic(F5, mod3, F5.element(0, 1)),
-             cli.load_character(Q, mod5, str(path))]
+             cli.load_character(mod5, str(path))]
     for chi in chars:
         assert all(type(k) is tuple and all(type(v) is int for v in k)
                    for k in chi.numerators), chi.numerators
@@ -813,10 +813,10 @@ def test_weil_scan_work_budget(monkeypatch):
     # past it stops after a few hundred generator searches, not all of them
     search, calls = kloosterman_module._small_generator, Counter()
 
-    def counting(field, ideal, norm):
+    def counting(ideal):
         calls["search"] += 1
         assert calls["search"] <= 2000, "an over-budget scan kept enumerating"
-        return search(field, ideal, norm)
+        return search(ideal)
 
     monkeypatch.setattr(kloosterman_module, "_small_generator", counting)
     with pytest.raises(KloostermanError, match="work budget"):
@@ -844,7 +844,7 @@ def root_search_ideals(field, level, max_norm):
                 if not (ideal <= level):
                     continue
                 norm = g * g * nt
-                gen = _small_generator(field, ideal, norm)
+                gen = _small_generator(ideal)
                 if gen is None:
                     skipped += 1
                 else:
@@ -874,7 +874,7 @@ def walk_all_products_ideals(field, level, max_norm):
 
     gens, skipped, work = [], 0, 0
     for norm, ideal in ideals():
-        c = field.element(norm) if field.degree == 1 else _small_generator(field, ideal, norm)
+        c = field.element(norm) if field.degree == 1 else _small_generator(ideal)
         if c is None:
             skipped += 1
             continue
@@ -911,9 +911,9 @@ def test_scan_moduli_match_the_root_search(spec, monkeypatch):
                 outcomes[work > budget] += 1
                 if work > budget:
                     with pytest.raises(KloostermanError, match="work budget"):
-                        _principal_ideals_up_to(field, level, max_norm)
+                        _principal_ideals_up_to(level, max_norm)
                     continue
-                got, skipped = _principal_ideals_up_to(field, level, max_norm)
+                got, skipped = _principal_ideals_up_to(level, max_norm)
                 assert (keyed(got), skipped) == (keyed(want), want_skipped), \
                     (level, max_norm, budget)
     assert outcomes[True] and outcomes[False]  # both sides of the budget were reached
@@ -936,10 +936,10 @@ def test_scan_moduli_match_the_walk_over_all_products(spec, monkeypatch):
                 except KloostermanError:
                     outcomes[True] += 1
                     with pytest.raises(KloostermanError, match="work budget"):
-                        _principal_ideals_up_to(field, level, max_norm)
+                        _principal_ideals_up_to(level, max_norm)
                     continue
                 outcomes[False] += 1
-                got, skipped = _principal_ideals_up_to(field, level, max_norm)
+                got, skipped = _principal_ideals_up_to(level, max_norm)
                 assert (keyed(got), skipped) == (keyed(want[0]), want[1]), \
                     (level, max_norm, budget)
     assert outcomes[True] and outcomes[False]  # both sides of the budget were reached
@@ -1077,9 +1077,9 @@ def test_weil_scan_builds_no_query_and_no_ideal_per_row(monkeypatch):
         built["query"] += 1
         post_init(self)
 
-    def counting_from_generators(cls, field, gens):
+    def counting_from_generators(cls, gens):
         built["ideal"] += 1
-        return from_generators(cls, field, gens)
+        return from_generators(cls, gens)
 
     def counting_principal(cls, elt):
         built["ideal"] += 1

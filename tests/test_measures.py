@@ -247,12 +247,13 @@ def test_box_endpoint_check_matches_reference():
 
 
 def test_parity_validated_where_atoms_are_generated():
-    # xi = 2 used to read as odd; the walks and NuMeasure now reject it
-    for xi in (2, -1, 3):
+    # a parity is 0 or 1 exactly: 2 is not odd, and no int() cast or %d may read
+    # 0.5 as parity 0 or 1.9 as parity 1
+    for xi in (2, -1, 3, 0.5, 1.9, -0.5):
         for call in (lambda: pl_atoms_in(xi, -10, 1), lambda: v1_atoms_in(xi, -10, 1),
                      lambda: NuMeasure(xi), lambda: nu_measure(xi), lambda: pl_measure(xi),
                      lambda: v1_measure(xi)):
-            with pytest.raises(MeasureError):
+            with pytest.raises(MeasureError, match="parity xi must be 0 or 1"):
                 call()
 
 
@@ -665,11 +666,16 @@ BOX2 = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
 @pytest.mark.parametrize("call, match", [
     (lambda: Box(1, (1,), (), (0,), -1.0), "t must be >= 0"),
     (lambda: BOX2.with_t(-0.5), "t must be >= 0"),
+    (lambda: Box(1, (1,), (), (0,), math.nan), "t must be >= 0"),
+    (lambda: Box(1, (1,), (), (0,), math.inf), "t must be >= 0"),
+    (lambda: BOX2.with_t(math.nan), "t must be >= 0"),
+    (lambda: BOX2.with_t(math.inf), "t must be >= 0"),
     (lambda: BOX2.interval(0), "coordinate 0 out of range"),
     (lambda: BOX2.interval(3), "coordinate 3 out of range"),
     (lambda: BOX2.contains((1.0,)), "expected 2 coordinates"),
     (lambda: BOX2.contains((1.0, 0.5, 0.5)), "expected 2 coordinates"),
-], ids=["box-t-negative", "with-t-negative", "interval-0", "interval-past-dim",
+], ids=["box-t-negative", "with-t-negative", "box-t-nan", "box-t-inf", "with-t-nan",
+        "with-t-inf", "interval-0", "interval-past-dim",
         "contains-short", "contains-long"])
 def test_box_input_checks_raise(call, match):
     with pytest.raises(MeasureError, match=match):
