@@ -60,10 +60,14 @@ rounding error (Percival's per-level bound carried through products and
 sums, see _fft_square) stays below 1/8, rounds every output to an
 integer (observed error at most 3.1e-5), raises if one is off by more
 than 1/4, and keeps each coefficient as a uint64 low word and an exact
-int64 high word; Python ints enter only on rows past int64.  Every Hecke identity
-(multiplicativity and the prime-power recursion) and Deligne's bound at
-every prime are checked on the full table, as whole-array comparisons of
-Python ints, before any eigenvalue is emitted; the single
+int64 high word; Python ints enter only on rows past int64.  Before any
+eigenvalue is emitted the whole table is checked on those words: at each
+composite n, with p its least prime factor, tau(n) = tau(p) tau(n/p) -
+[p | n/p] p^11 tau(n/p^2), which with tau(1) = 1 is equivalent to
+multiplicativity and the prime-power recursion, each difference proven 0
+by its residues mod 2^64 and mod P = 2^26 - 5 and a float64 bound |D| < 2^89
+< 2^64 P; Deligne's bound at every prime is a float64 filter with a 2^-40
+margin, and every prime inside it is checked on Python ints.  The single
 emitted record is the horizontal family of one holomorphic form, a pipeline
 demonstration rather than a vertical average.
 """
@@ -430,9 +434,14 @@ def predict(field: NumberField, covolume: float, box: Box, t: float,
     pl_factor, pl_err = box_measure(bx, "pl")
     # first order: the error of a product x*y is |x| err(y) + |y| err(x)
     phi_factor, phi_err = 1.0, 0.0
+    windows = {}  # window label by the canonical label of its prime
     for label, (a, b) in sorted(j_windows.items()):
-        np_ = prime_by_label(field, label).absolute_norm()
-        v, e = SatoTateMeasure(np_).mass(a, b)
+        prime = prime_by_label(field, label)
+        if prime.label in windows:
+            raise EquidistError("windows %r and %r name the same prime %s"
+                                % (windows[prime.label], label, prime.label))
+        windows[prime.label] = label
+        v, e = SatoTateMeasure(prime.absolute_norm()).mass(a, b)
         phi_factor, phi_err = phi_factor * v, phi_err * abs(v) + abs(phi_factor) * e
     v1 = box_measure(bx, "v1").value
     error = constant * (pl_err * abs(phi_factor) + abs(pl_factor) * phi_err)
@@ -535,6 +544,12 @@ def tau_table(n_max: int) -> List[int]:
     at the 10^6 cap) and |tau(m)| <= d(m) m^{11/2} < 2^127 (Deligne) fits the
     squaring's two words; Python ints enter only on rows past int64.
     """
+    return _words_to_ints(*_tau_words(n_max))
+
+
+def _tau_words(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """tau(0..n_max) as the J^8 squaring's words: tau(m) mod 2^64 (uint64) and
+    floor(tau(m) / 2^64) (int64), with a zero row for tau(0)."""
     if n_max > 10 ** 6:
         raise EquidistError("tau table capped at 10^6 (time budget)")
     if n_max < 1:
@@ -552,6 +567,13 @@ def tau_table(n_max: int) -> List[int]:
         raise EquidistError("J^4 exceeds int64")
     del hi
     lo, hi = _fft_square(lo.view(np.int64))
+    return (np.concatenate((np.zeros_like(lo, shape=1), lo)),
+            np.concatenate((np.zeros_like(hi, shape=1), hi)))
+
+
+def _words_to_ints(lo: np.ndarray, hi: np.ndarray) -> List[int]:
+    """The Python ints hi 2^64 + lo of the words; rows that fit int64 are read
+    straight off the low word."""
     x = lo.view(np.int64)
     rows = np.flatnonzero(hi != x >> 63)
     if rows.size:
@@ -559,7 +581,7 @@ def tau_table(n_max: int) -> List[int]:
         lifted *= 2 ** 64  # in place: one generation of Python ints at a time
         lifted += lo[rows].astype(object)
         x[rows] = lifted
-    return [0] + x.tolist()
+    return x.tolist()
 
 
 def _fft_square(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -663,42 +685,118 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     return spf
 
 
+# an odd prime: with 2^64 it fixes a difference modulo 2^64 P > 2^89, and
+# residues below P multiply below 2^52
+_P, _MASK64 = 2 ** 26 - 5, 2 ** 64 - 1
+
+
 def verify_tau_identities(tau: Sequence[int]) -> List[int]:
     """Exact multiplicativity, prime-power recursion and Deligne's bound
     tau(p)^2 <= 4 p^11 at every prime p, on the full table.
 
     Raises on any failure; a failure would mean the expansion is wrong.
     Returns the primes up to len(tau) - 1, read off the sieve the check runs on.
-    All products are taken on Python ints (p^11 exceeds int64 from p = 53).
+    The entries are converted once to the words _check_tau_words reads; an
+    entry with |tau(n)| >= 2^127 (n >= 1) is out of their range and raises.
     """
-    n_max = len(tau) - 1
-    if n_max < 4 or tau[1] != 1:
+    t = np.array(tau, dtype=object)
+    t[:1] = 0  # tau(0) is in no identity
+    try:
+        lo, hi = (t & _MASK64).astype(np.uint64), (t >> 64).astype(np.int64)
+    except OverflowError:  # a high word past int64
+        hi = None
+    if hi is None or ((hi == -2 ** 63) & (lo == 0)).any():  # or an entry -2^127
+        first = next(n for n, v in enumerate(tau) if n and not -2 ** 127 < v < 2 ** 127)
+        raise EquidistError("|tau(%d)| >= 2^127 is past the identity check's range" % first)
+    return _check_tau_words(lo, hi)
+
+
+def _check_tau_words(lo: np.ndarray, hi: np.ndarray) -> List[int]:
+    """verify_tau_identities on the words tau(n) = hi 2^64 + lo (lo uint64,
+    hi int64, row 0 unread); returns the primes up to len(lo) - 1.
+
+    Identities.  Every composite n, with p = spf(n) and m = n/p, is checked
+    against
+        tau(n) = tau(p) tau(m) - [p | m] p^11 tau(m/p).
+    With tau(1) = 1 this is equivalent, on each prefix 1..N, to
+    multiplicativity with the prime-power recursion: for a prime power n it
+    is the recursion; otherwise n = p^v k with p not dividing k > 1, and if
+    every smaller n obeys both, tau(n/p) = tau(p^(v-1)) tau(k) and tau(n/p^2)
+    = tau(p^(v-2)) tau(k), so the right side is tau(k) tau(p^v) by the
+    recursion at p^v < n.  The relation and the two identities therefore
+    first fail at the same n, reported as a "prime-power recursion" failure
+    when n is a prime power and a "multiplicativity" failure otherwise.
+
+    Exactness.  Each difference D = tau(n) - tau(p) tau(m) + [p | m] p^11
+    tau(m/p) is shown to be 0 by three facts: D = 0 mod 2^64 on the low words
+    (uint64 wraparound); D = 0 mod P on int64 residues below P, whose
+    products stay below 2^52; and |D| < 2^89 from float64 values.  As P is
+    odd, D = 0 mod 2^64 P > 2^89, so D = 0.  An entry's float is
+    fl(fl(hi + c) 2^64 + fl(lo - 2^64 c)), c the top bit of lo: for
+    |tau(n)| < 2^63 the first term is 0 and the float is fl(tau(n)), and in
+    every case it is within 9u |tau(n)| (u = 2^-53).  float(p^11) is
+    correctly rounded, so x = tau(n), y = tau(p) tau(m) and z = p^11 tau(m/p)
+    are computed within 9u, 19u and 11u and d = x - y + z within 22u (|x| +
+    |y| + |z|) < 2^-47 (|x| + |y| + |z|) of D.  A row passes when |d| +
+    2^-47 (|x| + |y| + |z|) < 2^88 in float64, which its own roundings
+    cannot lift past |D| < 2^89.
+
+    Deligne's bound |tau(p)| <= 2 p^5.5 is filtered in float64: the float of
+    tau(p) is within 9u and 2 p^5.5 (1 - 2^-40) (products and a sqrt) within
+    5u, so a prime whose float lies below the latter satisfies the bound, and
+    every other prime, one inside the 2^-40 margin included, is checked
+    exactly on Python ints.
+    """
+    n_max = len(lo) - 1
+    if n_max < 4 or lo[1] != 1 or hi[1] != 0:
         raise EquidistError("table too short or tau(1) != 1")
     spf = _smallest_prime_factors(n_max)
-    t = np.array(tau, dtype=object)
-    # n = p^v m with p = spf(n) and p not dividing m, by masked division on
-    # the rows p still divides
-    n = np.arange(2, n_max + 1)
-    p = spf[2:]
-    pk, m = p.copy(), n // p
-    rows = np.flatnonzero(m % p == 0)
-    while rows.size:
-        pk[rows] *= p[rows]
-        m[rows] //= p[rows]
-        rows = rows[m[rows] % p[rows] == 0]
-    coprime, power = m > 1, (m == 1) & (pk != p)
-    nc, nr, pr = n[coprime], n[power], p[power]
-    primes = n[p == n]
-    checks = (
-        ("multiplicativity fails at n=%d", nc, t[nc] == t[pk[coprime]] * t[m[coprime]]),
-        ("prime-power recursion fails at n=%d", nr,
-         t[nr] == t[pr] * t[nr // pr] - pr.astype(object) ** 11 * t[nr // pr ** 2]),
-        ("Deligne's bound tau(p)^2 <= 4 p^11 fails at p=%d", primes,
-         t[primes] ** 2 <= 4 * primes.astype(object) ** 11))
-    fails = [(int(at[~ok][0]), msg) for msg, at, ok in checks if not ok.all()]
+    n = np.arange(n_max + 1)
+    primes, comp = np.flatnonzero(spf == n)[2:], np.flatnonzero(spf != n)
+    p = spf[comp]
+    m = comp // p
+    q = m // p
+    q[q * p != m] = 0  # tau(0) = 0: no p^11 term where p does not divide m
+    # p^11 at the primes up to sqrt(n_max), the least prime factors of composites
+    p11 = np.zeros(math.isqrt(n_max) + 1, dtype=object)
+    small = primes[primes < len(p11)]
+    p11[small] = small.astype(object) ** 11
+    w11, r11 = (p11 & _MASK64).astype(np.uint64), (p11 % _P).astype(np.int64)
+    f11 = p11.astype(np.float64)  # correctly rounded, as float() of an int
+    r = hi % _P
+    r *= 2 ** 64 % _P
+    r += (lo % np.uint64(_P)).view(np.int64)
+    r %= _P
+    f = np.add(hi, lo >> np.uint64(63), dtype=np.float64)
+    f *= 2.0 ** 64
+    f += lo.view(np.int64)
+    x, y, z = f[comp], f[p] * f[m], f11[p] * f[q]
+    size = np.abs(x)
+    size += np.abs(y)
+    size += np.abs(z)
+    x -= y
+    x += z
+    bad = np.abs(x, out=x) + size * 2.0 ** -47 >= 2.0 ** 88
+    bad |= lo[comp] - lo[p] * lo[m] + w11[p] * lo[q] != 0
+    bad |= (r[comp] - r[p] * r[m] + r11[p] * r[q]) % _P != 0
+    fails = []
+    if bad.any():
+        i = bad.argmax()
+        at, v, k = int(comp[i]), int(p[i]), int(m[i])
+        while k % v == 0:
+            k //= v
+        fails.append((at, "%s fails at n=%d" % (
+            "prime-power recursion" if k == 1 else "multiplicativity", at)))
+    pf = primes.astype(np.float64)
+    bound = pf * pf
+    bound *= bound
+    bound *= pf * np.sqrt(pf) * (2 - 2.0 ** -39)  # 2 p^5.5 (1 - 2^-40)
+    near = primes[np.abs(f[primes]) >= bound].tolist()
+    over = [v for v in near if (int(hi[v]) * 2 ** 64 + int(lo[v])) ** 2 > 4 * v ** 11]
+    if over:
+        fails.append((over[0], "Deligne's bound tau(p)^2 <= 4 p^11 fails at p=%d" % over[0]))
     if fails:
-        first, msg = min(fails)
-        raise EquidistError(msg % first)
+        raise EquidistError(min(fails)[1])
     return primes.tolist()
 
 
@@ -718,14 +816,17 @@ def tau_source(upto: int) -> TauData:
     if upto < 4:
         raise EquidistError("tau source needs upto >= 4 (the identity check starts at "
                             "tau(4)), got %d" % upto)
-    tau = tau_table(upto)
+    lo, hi = _tau_words(upto)
+    tau = _words_to_ints(lo, hi)
     classical = {2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048}
     for n, v in classical.items():
         if n <= upto and tau[n] != v:
             raise EquidistError("tau(%d) = %d disagrees with the classical value" % (n, tau[n]))
-    primes = verify_tau_identities(tau)
-    lam = {"%d:0" % p: abs(tau[p]) / p ** 5 for p in primes}
-    tp2 = {"%d:0" % p: Fraction(tau[p * p], p ** 10) for p in primes if p * p <= upto}
+    primes = _check_tau_words(lo, hi)
+    labels = ["%d:0" % p for p in primes]
+    lam = dict(zip(labels, [abs(tau[p]) / p ** 5 for p in primes]))
+    tp2 = {label: Fraction(tau[p * p], p ** 10)
+           for label, p in zip(labels, primes) if p * p <= upto}
     # the holomorphic form behind tau sits at the weight-12 discrete-series
     # point b = 12, lambda = b/2 (1 - b/2) = -30, even parity
     ds = Dataset("Q", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])

@@ -639,13 +639,16 @@ def _sqrt_mod(a: int, p: int) -> Optional[int]:
 
 
 def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:
-    """Resolve 'p:i' (or bare 'p') to the prime ideal it names."""
-    s = label.strip()
-    if ":" in s:
-        ps, ix = s.split(":", 1)
-        p, i = int(ps), int(ix)
-    else:
-        p, i = int(s), 0
+    """Resolve 'p:i' (or bare 'p') to the prime ideal it names.
+
+    Only the canonical spelling is read, the one '%d:%d' and '%d' write: no
+    whitespace, sign or leading zero, so each prime has one label besides
+    the bare 'p' of index 0.
+    """
+    ps, colon, ix = label.partition(":")
+    p, i = int(ps), int(ix) if colon else 0
+    if label != ("%d:%d" % (p, i) if colon else "%d" % p):
+        raise FieldError("prime label %r is not canonical: write 'p:i' or 'p'" % (label,))
     factors = factor_rational_prime(field, p)
     if not 0 <= i < len(factors):
         raise FieldError("no prime %r above %d (only %d factors)" % (label, p, len(factors)))

@@ -15,12 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heckedist
 from heckedist import (
     Box,
     Dataset,
     EquidistError,
+    FieldError,
     Ideal,
     SatoTateMeasure,
     box_measure,
@@ -706,6 +709,16 @@ def test_predict_dimension_check():
         predict(F73, 1.0, BOX1, 3.0, {})  # degree-2 field, dim-1 box
 
 
+def test_predict_rejects_two_windows_on_one_prime():
+    # "2" is "2:0": two windows on one prime would multiply its Phi twice
+    one = predict(F73, 1.0, BOX73, 4.0, {"2:0": (0.0, 1.0)}).product
+    assert predict(F73, 1.0, BOX73, 4.0, {"2": (0.0, 1.0)}).product == one
+    with pytest.raises(EquidistError, match="windows '2' and '2:0' name the same prime 2:0"):
+        predict(F73, 1.0, BOX73, 4.0, {"2:0": (0.0, 1.0), "2": (0.0, 1.0)})
+    with pytest.raises(FieldError, match="not canonical"):
+        predict(F73, 1.0, BOX73, 4.0, {"2:0": (0.0, 1.0), "2:00": (0.0, 1.0)})
+
+
 def test_count_and_predict_reject_bad_queries():
     ds = synthesize(F73, ["2:0", "3:0"], BOX73, 1000, seed=1)
     good = {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)}
@@ -1062,6 +1075,129 @@ def test_tau_identities_catch_corruption():
             verify_tau_identities(tau)
     tau[47] = edge
     assert verify_tau_identities(tau)[-1] == 47
+
+
+def test_tau_identities_settle_deligne_edges_on_python_ints():
+    # 2 p^5.5 - isqrt(4 p^11) is 2^-32 of the bound at 47, outside the float
+    # filter's 2^-40 margin, and under 2^-41 at 149, 907 and 997; past p = 790
+    # the bound is past 2^53, where floats no longer tell consecutive integers
+    # apart, and at 907 the float of isqrt(4 p^11) + 1 is below the float of
+    # 2 p^5.5, so without the margin that violation would pass the filter
+    tau = tau_table(2000)
+    for p in (47, 149, 907, 997):
+        edge = math.isqrt(4 * p ** 11)
+        assert (edge + 1) ** 2 > 4 * p ** 11
+        for sign in (1, -1):
+            table = tau[:2 * p]  # p is in no identity below 2p
+            table[p] = sign * edge
+            assert p in verify_tau_identities(table)
+            table[p] = sign * (edge + 1)
+            with pytest.raises(EquidistError, match="Deligne's bound .* fails at p=%d" % p):
+                verify_tau_identities(table)
+
+
+def reference_tau_identities(tau):
+    """The identity check as whole-array comparisons of Python ints: multiplicativity
+    tau(n) = tau(p^v) tau(m) at n = p^v m (p = spf(n), m > 1 prime to p), the
+    prime-power recursion at every p^k, k >= 2, and tau(p)^2 <= 4 p^11; raises
+    the first failure, the least n or p over the three."""
+    n_max = len(tau) - 1
+    if n_max < 4 or tau[1] != 1:
+        raise EquidistError("table too short or tau(1) != 1")
+    spf = np.arange(n_max + 1)
+    for i in range(2, math.isqrt(n_max) + 1):
+        if spf[i] == i:
+            np.minimum(spf[i * i::i], i, out=spf[i * i::i])
+    t = np.array(tau, dtype=object)
+    n = np.arange(2, n_max + 1)
+    p = spf[2:]
+    pk, m = p.copy(), n // p
+    rows = np.flatnonzero(m % p == 0)
+    while rows.size:
+        pk[rows] *= p[rows]
+        m[rows] //= p[rows]
+        rows = rows[m[rows] % p[rows] == 0]
+    coprime, power = m > 1, (m == 1) & (pk != p)
+    nc, nr, pr = n[coprime], n[power], p[power]
+    primes = n[p == n]
+    checks = (
+        ("multiplicativity fails at n=%d", nc, t[nc] == t[pk[coprime]] * t[m[coprime]]),
+        ("prime-power recursion fails at n=%d", nr,
+         t[nr] == t[pr] * t[nr // pr] - pr.astype(object) ** 11 * t[nr // pr ** 2]),
+        ("Deligne's bound tau(p)^2 <= 4 p^11 fails at p=%d", primes,
+         t[primes] ** 2 <= 4 * primes.astype(object) ** 11))
+    fails = [(int(at[~ok][0]), msg) for msg, at, ok in checks if not ok.all()]
+    if fails:
+        first, msg = min(fails)
+        raise EquidistError(msg % first)
+    return primes.tolist()
+
+
+def first_identity_failure(check, tau):
+    try:
+        return check(tau)
+    except EquidistError as exc:
+        return str(exc)
+
+
+P_CRT = 2 ** 26 - 5  # the check's second modulus
+TAU_DELTAS = (1, -1, 2 ** 64, -2 ** 64, P_CRT, -P_CRT, 2 ** 64 * P_CRT, -2 ** 64 * P_CRT, None)
+
+
+@pytest.fixture(scope="module")
+def tau_3000():
+    return tau_table(3000)
+
+
+@given(n_max=st.integers(4, 3000),
+       edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(TAU_DELTAS)),
+                      min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_tau_identities_match_the_python_int_reference(tau_3000, n_max, edits):
+    # 1-3 entries moved by +-1, +-2^64, +-P, +-2^64 P or a sign flip (None):
+    # 2^64 P is 0 modulo both of the check's moduli, so only its magnitude
+    # bound sees it; both checks name the same first failure
+    tau = tau_3000[:n_max + 1]
+    for where, delta in edits:
+        n = 1 + int(where * n_max)
+        tau[n] = -tau[n] if delta is None else tau[n] + delta
+    want = first_identity_failure(reference_tau_identities, tau)
+    assert first_identity_failure(verify_tau_identities, tau) == want
+
+
+def test_tau_identities_see_a_difference_of_2_64_p_by_its_size():
+    tau = tau_table(10 ** 4)
+    assert verify_tau_identities(tau) == reference_tau_identities(tau)
+    delta = 2 ** 64 * P_CRT
+    assert delta % 2 ** 64 == delta % P_CRT == 0
+    # 9999 = 3^2 11 101 is past 2^64, 2809 = 53^2 and 6 small; the prime 9973 is
+    # in no identity of this table, and 2^90 is past Deligne's 2 9973^5.5 < 2^75
+    for n, match in ((6, "multiplicativity fails at n=6"),
+                     (2809, "prime-power recursion fails at n=2809"),
+                     (9999, "multiplicativity fails at n=9999"),
+                     (9973, "Deligne's bound .* fails at p=9973")):
+        for sign in (1, -1):
+            bad = list(tau)
+            bad[n] += sign * delta
+            with pytest.raises(EquidistError, match=match):
+                verify_tau_identities(bad)
+
+
+def test_tau_identities_reject_entries_past_2_127():
+    tau = tau_table(50)
+    for value in (2 ** 127, -2 ** 127, 2 ** 200, -2 ** 128):
+        bad = list(tau)
+        bad[12] = value
+        with pytest.raises(EquidistError, match=r"\|tau\(12\)\| >= 2\^127"):
+            verify_tau_identities(bad)
+    for value in (2 ** 127 - 1, -2 ** 127 + 1):  # in range: the identity at 12 fails
+        bad = list(tau)
+        bad[12] = value
+        with pytest.raises(EquidistError, match="multiplicativity fails at n=12"):
+            verify_tau_identities(bad)
+    bad = list(tau)
+    bad[0] = 2 ** 200  # tau(0) is read by no identity
+    assert verify_tau_identities(bad) == verify_tau_identities(tau)
 
 
 def naive_tau(n_max):

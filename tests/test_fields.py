@@ -228,6 +228,18 @@ def test_prime_label_roundtrip():
                 assert again.absolute_norm() == prime.absolute_norm()
 
 
+def test_prime_labels_are_read_only_in_canonical_spelling():
+    # one spelling per prime besides the bare "p" of index 0: "2:00", "2:+0" and
+    # " 2 : 0 " all parsed by int() to 2:0 before
+    assert prime_by_label(F73, "2").label == prime_by_label(F73, "2:0").label == "2:0"
+    for label in ("2:00", "2:+0", " 2 : 0 ", "2: 0", "02:0", "+2:0", "2 ", "02", "+2",
+                  "1_1:0", "11:-0", "11:01"):
+        with pytest.raises(FieldError, match="not canonical"):
+            prime_by_label(F73, label)
+    with pytest.raises(FieldError, match="no prime '11:-1' above 11"):
+        prime_by_label(F73, "11:-1")
+
+
 def _prime_data(primes):
     return [(P.label, P.hnf, P.e, P.f, None if P.generator is None else P.generator.coords())
             for P in primes]
