@@ -228,9 +228,7 @@ def cmd_hecke_verify(args) -> None:
     prime = fields.prime_by_label(field, args.p)
     coeffs = hecke.verify_relation(prime.label, prime.absolute_norm(), args.k, args.m,
                                    brute=field.degree == 1 and not args.no_brute)
-    payload = {key: int(val) for key, val in
-               sorted(coeffs.items(), key=lambda kv: -int(kv[0][1:]))}
-    _emit(args, payload)
+    _emit(args, dict(reversed(coeffs.items())))  # its keys rise with n: highest first
 
 
 def cmd_hecke_spoly(args) -> None:
@@ -292,7 +290,7 @@ def cmd_measure_phi(args) -> None:
 def cmd_measure_box(args) -> None:
     box = parse_box(args.spec)
     mv = measures.box_measure(box, args.family)
-    per = [measures.measure_interval(measures.spectral_measure("%s%d" % (args.family, xi)),
+    per = [measures.measure_interval(measures.SpectralMeasure(args.family, xi),
                                      box.interval(j)).value
            for j, xi in enumerate(box.xi, 1)]
     _emit(args, {"family": args.family, "t": box.t, "value": mv.value,
@@ -387,18 +385,15 @@ def cmd_eq_tau(args) -> None:
 
 
 def cmd_eq_run(args) -> None:
-    field = fields.make_field(args.field)
     box = parse_box(args.box)
-    if args.data.endswith(".csv"):
-        ds = equidist.Dataset.from_csv(args.data, args.field)
-    else:
-        ds = equidist.Dataset.from_jsonl(args.data, args.field)
+    load = equidist.Dataset.from_csv if args.data.endswith(".csv") else equidist.Dataset.from_jsonl
+    ds = load(args.data, args.field)
     j_windows = parse_windows(json.loads(args.intervals))
     t_grid = [float(x) for x in args.t_grid.split(",")]
     if args.calibrate:
-        full_j = {label: (0.0, 2.0 * math.sqrt(_prime_norm(field, label)))
+        full_j = {label: (0.0, 2.0 * math.sqrt(_prime_norm(ds.field, label)))
                   for label in j_windows}
-        pred = equidist.predict(field, args.covolume, box, max(t_grid), full_j)
+        pred = equidist.predict(ds.field, args.covolume, box, max(t_grid), full_j)
         total = ds.total_weight()
         if total > 0:
             ds = ds.scaled(pred.product / total)

@@ -10,12 +10,12 @@ prediction is
 with the V1 box measure as the error yardstick.  The covolume is an
 input (with a classical index helper), never computed from scratch.
 
-A Dataset is a field spec and numpy columns, one row per record: lambda_inf
-and xi of shape (M, d), lambda_p of shape (M, L) under one sorted tuple of
-prime labels, weight of shape (M,) and an optional src tag.  The constructor
-validates the columns once (shapes, finiteness, nonnegative weights, 0/1
-parities), so every loader rejects bad input at load time, and stores the
-tables in column-major order, so each column a query reads is one run.
+A Dataset is a NumberField (each loader parses its caller's spec first) and
+numpy columns, one row per record: lambda_inf and xi of shape (M, d),
+lambda_p of shape (M, L) under one sorted tuple of prime labels, weight of
+shape (M,) and an optional src tag.  The constructor validates them once,
+so every loader rejects bad input at load time, and stores the tables in
+column-major order, so each column a query reads is one run.
 The count reads an index built on its first call: the rows sorted by
 parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
 block and lambda_1's closed window (every box restricts it) is one slice
@@ -88,7 +88,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import Ideal, NumberField, ideal_prime_factorization, make_field, prime_by_label
-from .measures import Box, SatoTateMeasure, box_measure, pl_atoms_in, pl_measure
+from .measures import Box, SatoTateMeasure, SpectralMeasure, box_measure, pl_atoms_in
 
 
 class EquidistError(ValueError):
@@ -102,16 +102,15 @@ class EquidistError(ValueError):
 class Dataset:
     """Spectral data over one field, one row per automorphic datum.
 
-    field_spec names the field as make_field reads it.  Columns: lambda_inf
-    (M, d) archimedean eigenvalue vectors, xi (M, d) parities, lambda_p (M, L)
-    Hecke eigenvalues in the order of the sorted prime_labels, weight (M,),
-    and an optional per-row src tag.  The constructor validates once: shapes
-    agree, values are finite, weights are nonnegative and parities are 0 or
-    1.  The tables are stored column-major and weight contiguous, so every
-    column is one run.
+    Columns: lambda_inf (M, d) archimedean eigenvalue vectors, xi (M, d)
+    parities, lambda_p (M, L) Hecke eigenvalues in the order of the sorted
+    prime_labels, weight (M,), and an optional per-row src tag.  The
+    constructor validates once: field is a NumberField, shapes agree, values
+    are finite, weights are nonnegative and parities are 0 or 1.  The tables
+    are stored column-major and weight contiguous, so every column is one run.
     """
 
-    field_spec: str
+    field: NumberField
     lambda_inf: np.ndarray
     xi: np.ndarray
     prime_labels: Tuple[str, ...]
@@ -120,6 +119,8 @@ class Dataset:
     src: Optional[Sequence[Optional[str]]] = None
 
     def __post_init__(self):
+        if not isinstance(self.field, NumberField):
+            raise EquidistError("dataset field must be a NumberField, got %r" % (self.field,))
         try:
             lam, xi, lp, w = (np.asarray(c, dtype=np.float64) for c in
                               (self.lambda_inf, self.xi, self.lambda_p, self.weight))
@@ -222,10 +223,9 @@ class Dataset:
 
     def validate(self, field: Optional[NumberField] = None) -> None:
         """Range-check Hecke eigenvalues against [0, 1 + Np]; field, if given, is the dataset's."""
-        own = make_field(self.field_spec)
-        if field not in (None, own):
-            raise EquidistError("dataset is over %r, not %r" % (own, field))
-        bounds = np.array([1.0 + prime_by_label(own, label).absolute_norm()
+        if field not in (None, self.field):
+            raise EquidistError("dataset is over %r, not %r" % (self.field, field))
+        bounds = np.array([1.0 + prime_by_label(self.field, label).absolute_norm()
                            for label in self.prime_labels])
         bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
         if bad.any():
@@ -251,7 +251,8 @@ class Dataset:
                 [frag[s] for s in src], dtype=object), self.weight, *self.xi.T])
 
     @classmethod
-    def from_jsonl(cls, path: str, field_spec: str = "Q") -> "Dataset":
+    def from_jsonl(cls, path: str, field_spec: str) -> "Dataset":
+        field = make_field(field_spec)
         lam, xi, lp, weight, src = [], [], [], [], []
         d, keys, labels = 0, None, []
         decode = json.JSONDecoder().raw_decode
@@ -302,24 +303,26 @@ class Dataset:
         except (TypeError, ValueError, OverflowError):
             raise EquidistError("%s: lambda_inf, xi, lambda_p and weight entries must be "
                                 "numbers" % path) from None
-        return cls(field_spec, lam, xi, tuple(labels), lp, weight, src)
+        return cls(field, lam, xi, tuple(labels), lp, weight, src)
 
     def to_csv(self, path: str) -> None:
         d, labels = self.dim, self.prime_labels
-        header = (["lambda_%d" % (j + 1) for j in range(d)]
-                  + ["xi_%d" % (j + 1) for j in range(d)] + list(labels) + ["weight"])
         template = ",".join(["%r"] * d + ["%d"] * d + ["%r"] * (len(labels) + 1)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)  # labels may need quoting; numbers never do
+            csv.writer(fh).writerow(_csv_header(d, labels))  # quotes labels; numbers need none
             _write_rows(fh, template, [*self.lambda_inf.T, *self.xi.T, *self.lambda_p.T,
                                        self.weight])
 
     @classmethod
-    def from_csv(cls, path: str, field_spec: str = "Q") -> "Dataset":
+    def from_csv(cls, path: str, field_spec: str) -> "Dataset":
+        field = make_field(field_spec)
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise EquidistError("%s: no CSV header" % path)
+            header = next(csv.reader(fh), [])  # an empty file has the empty header
+            d = sum(1 for h in header if h.startswith("xi_"))
+            labels = header[2 * d:-1]
+            if header != _csv_header(d, labels):
+                raise EquidistError("%s: the CSV header must be lambda_1..d, xi_1..d, the "
+                                    "prime labels and weight, got %r" % (path, header))
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # header only: 0 rows
@@ -330,9 +333,14 @@ class Dataset:
         if table.size and table.shape[1] != len(header):
             raise EquidistError("%s: every row needs %d numbers" % (path, len(header)))
         table = table.reshape(-1, len(header))
-        d = sum(1 for h in header if h.startswith("xi_"))
-        return cls(field_spec, table[:, :d], table[:, d:2 * d],
-                   tuple(header[2 * d:-1]), table[:, 2 * d:-1], table[:, -1])
+        return cls(field, table[:, :d], table[:, d:2 * d], tuple(labels),
+                   table[:, 2 * d:-1], table[:, -1])
+
+
+def _csv_header(d: int, labels: Sequence[str]) -> List[str]:
+    """The CSV header of a dataset of dimension d with these prime labels."""
+    names = ["%s_%d" % (name, j) for name in ("lambda", "xi") for j in range(1, d + 1)]
+    return names + [*labels, "weight"]
 
 
 def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
@@ -474,7 +482,7 @@ def _sample_pl_restriction(xi: int, window: Tuple[float, float], v_select: np.nd
     """Inverse-CDF draws of pl_xi on one box coordinate: atom or continuum by v_select."""
     a, b = window
     atoms = [(float(p), float(m)) for p, m in pl_atoms_in(xi, a, b)]
-    cont = pl_measure(xi).continuous_mass(a, b).value
+    cont = SpectralMeasure("pl", xi).continuous_mass(a, b).value
     total = math.fsum(m for _, m in atoms) + cont
     if total <= 0:
         raise EquidistError("box coordinate has zero pl measure")
@@ -518,7 +526,7 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
         grid, cdf = SatoTateMeasure(np_).inverse_cdf_table()
         lp[:, k] = np.interp(block[:, 2 * d + k], cdf, grid)
     xi = np.tile(np.array(box.xi, dtype=np.int8), (m_records, 1))
-    return Dataset(repr(field), lam, xi, tuple(labels), lp, np.ones(m_records),
+    return Dataset(field, lam, xi, tuple(labels), lp, np.ones(m_records),
                    ["synth"] * m_records)
 
 
@@ -829,7 +837,7 @@ def tau_source(upto: int) -> TauData:
            for label, p in zip(labels, primes) if p * p <= upto}
     # the holomorphic form behind tau sits at the weight-12 discrete-series
     # point b = 12, lambda = b/2 (1 - b/2) = -30, even parity
-    ds = Dataset("Q", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])
+    ds = Dataset(NumberField(), [[-30.0]], [[0]], tuple(lam), [[*lam.values()]], [1.0], ["tau"])
     return TauData(ds, tuple(tau), tp2)
 
 
@@ -869,11 +877,10 @@ def run_report(ds: Dataset, box: Box, t_grid: Sequence[float],
                j_windows: Dict[str, Tuple[float, float]], covolume: float) -> Report:
     """One row per threshold: count, prediction over the dataset's field, their
     ratio, V1, and the prediction's error bound."""
-    field = make_field(ds.field_spec)
     rows = []
     for t in t_grid:
         c = count(ds, box, t, j_windows)
-        pred = predict(field, covolume, box, t, j_windows)
+        pred = predict(ds.field, covolume, box, t, j_windows)
         ratio = c / pred.product if pred.product != 0 else math.nan
         rows.append(ReportRow(float(t), c, pred.product, ratio, pred.v1, pred.error))
     final_ratio = rows[-1].ratio if rows else math.nan

@@ -1,6 +1,7 @@
 """Spectral measures, their nu-coordinate forms, and Sato-Tate measures.
 
-Six archimedean kinds are bundled.  In the eigenvalue coordinate lambda:
+Six archimedean kinds are bundled; spectral_measure reads a name such as v10
+as the SpectralMeasure ("v1", 0), a family and a parity.  In the coordinate lambda:
 
   pl0:  tanh(pi sqrt(lambda-1/4)) d lambda on [1/4, oo)
         + atoms of mass b-1 at b/2 (1-b/2), b even, b >= 2
@@ -33,7 +34,7 @@ ranges come from the endpoints' exact integer ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -172,35 +173,35 @@ def _v1_continuous(xi: int, lo: float, hi: float) -> MeasureValue:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """One of the bundled lambda-coordinate measures (pl0, pl1, v10, v11); the
-    family is read from the kind once, at construction, as the atom mass
-    denominator _mass_den: 1 for pl, 2 for V1."""
+    """One of the bundled lambda-coordinate measures: family "pl" or "v1" and
+    parity xi, both checked at construction (pl0 is ("pl", 0), v11 ("v1", 1))."""
 
-    kind: str
+    family: str
     xi: int
-    _mass_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_mass_den", 1 if self.kind.startswith("pl") else 2)
+        if self.family not in ("pl", "v1"):
+            raise MeasureError("unknown measure family %r (pl or v1)" % (self.family,))
+        _parity(self.xi)
 
     def continuous_mass(self, lo: float, hi: float) -> MeasureValue:
-        return (_pl_continuous if self._mass_den == 1 else _v1_continuous)(self.xi, lo, hi)
+        return (_pl_continuous if self.family == "pl" else _v1_continuous)(self.xi, lo, hi)
 
 
 def spectral_measure(kind: str) -> SpectralMeasure:
-    """The measure named pl0, pl1, v10 or v11; the last character is the parity xi."""
+    """The measure named pl0, pl1, v10 or v11: the family, then the parity xi."""
     k = kind.strip()
     if k not in ("pl0", "pl1", "v10", "v11"):
         raise MeasureError("unknown measure kind %r (npl kinds use nu_measure)" % (kind,))
-    return SpectralMeasure(k, int(k[-1]))
+    return SpectralMeasure(k[:-1], int(k[-1]))
 
 
 def pl_measure(xi: int) -> SpectralMeasure:
-    return spectral_measure("pl%d" % _parity(xi))
+    return SpectralMeasure("pl", xi)
 
 
 def v1_measure(xi: int) -> SpectralMeasure:
-    return spectral_measure("v1%d" % _parity(xi))
+    return SpectralMeasure("v1", xi)
 
 
 def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) -> MeasureValue:
@@ -214,7 +215,7 @@ def measure_interval(measure: SpectralMeasure, interval: Tuple[float, float]) ->
     if a > b:
         raise MeasureError("empty interval [%r, %r]" % (a, b))
     cont = measure.continuous_mass(float(a), float(b))
-    atom_mass = _atom_mass(measure.xi, a, b, measure._mass_den)
+    atom_mass = _atom_mass(measure.xi, a, b, 1 if measure.family == "pl" else 2)
     return MeasureValue(cont.value + atom_mass, cont.error)
 
 
@@ -324,15 +325,15 @@ def nu_measure(xi: int) -> NuMeasure:
     return NuMeasure(xi)
 
 
-def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[float, float]:
-    """(nu-side mass, lambda-side mass) of the same spectral window.
+def npl_consistency(xi: int, lo: complex, hi: complex) -> Tuple[MeasureValue, MeasureValue]:
+    """(nu-side mass, lambda-side mass) of the same spectral window, each with its bound.
 
     The two must agree within the sum of their proven error bounds: the nu
     side's Gauss-Legendre quadrature and the lambda side's closed form, which
     maps the path segment through lambda = 1/4 - nu^2 and calls measure_interval.
     """
     window = tuple(sorted((_nu_path_lambda(lo), _nu_path_lambda(hi))))
-    return (nu_measure(xi).interval(lo, hi).value, measure_interval(pl_measure(xi), window).value)
+    return nu_measure(xi).interval(lo, hi), measure_interval(pl_measure(xi), window)
 
 
 # -- Sato-Tate measures --------------------------------------------------------
@@ -472,7 +473,7 @@ def box_measure(box: Box, family: str = "pl") -> MeasureValue:
     total = 1.0
     err_rel = 0.0
     for j in range(1, box.dim + 1):
-        mv = measure_interval(spectral_measure("%s%d" % (family, box.xi[j - 1])), box.interval(j))
+        mv = measure_interval(SpectralMeasure(family, box.xi[j - 1]), box.interval(j))
         total *= mv.value
         if mv.value != 0:
             err_rel += mv.error / abs(mv.value)

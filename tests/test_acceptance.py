@@ -128,7 +128,7 @@ def test_criterion_4_measure_bookkeeping():
             lo = complex(0, rng.uniform(0.05, 2.0))
             hi = complex(rng.uniform(0.05, 2.0), 0)
         nu_val, pl_val = npl_consistency(xi, lo, hi)
-        worst = max(worst, abs(nu_val - pl_val))
+        worst = max(worst, abs(nu_val.value - pl_val.value))
     report(4, "measure bookkeeping", atoms_ok and worst < 1e-8,
            "atoms exact, npl vs pl worst diff %.2e over 50 intervals" % worst)
 

@@ -245,6 +245,21 @@ def test_hecke_verify_relation_pinned(capsys):
     assert data == {"T16": 1, "T4": 2, "T1": 4}
 
 
+@pytest.mark.parametrize("field, p, k, m, want", [
+    ("Q", "3", "1", "2", [("T729", 1), ("T81", 3), ("T9", 9)]),
+    ("Q", "2", "2", "3", [("T1024", 1), ("T256", 2), ("T64", 4), ("T16", 8), ("T4", 16)]),
+    ("Q(sqrt 5)", "2", "1", "3", [("T65536", 1), ("T4096", 4), ("T256", 16)]),
+    ("Q(sqrt 5)", "11:1", "2", "1", [("T1771561", 1), ("T14641", 11), ("T121", 121)]),
+], ids=["Q-3", "Q-2", "Q(sqrt 5)-inert-2", "Q(sqrt 5)-11:1"])
+def test_hecke_verify_relation_pinned_for_unequal_exponents(capsys, field, p, k, m, want):
+    # the text itself, key order included: the highest T(N(P)^{2n}) first
+    code, out, _ = run_cli(capsys, "--field", field, "hecke", "verify-relation",
+                           "--p", p, "--k", k, "--m", m)
+    assert code == 0
+    assert json.loads(out, object_pairs_hook=list) == want
+    assert out == json.dumps(dict(want), indent=2) + "\n"
+
+
 def test_hecke_verify_relation_at_a_zero_exponent(capsys):
     # over Q the coset route runs too, and T(p^0) is the identity there
     for k, m, want in (("0", "1", {"T4": 1}), ("2", "0", {"T16": 1}), ("0", "0", {"T1": 1})):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import fields as dataclass_fields
@@ -47,13 +48,13 @@ BOX1 = Box(1, (1,), (), (0,), 3.0)
 
 
 def small_ds():
-    return Dataset("Q", [[1.0], [2.0], [2.5], [4.0]], [[0], [0], [1], [0]],
+    return Dataset(Q, [[1.0], [2.0], [2.5], [4.0]], [[0], [0], [1], [0]],
                    ("2:0", "3:0"), [[0.5, 1.0], [2.5, 3.5], [0.5, 1.0], [0.5, 1.0]],
                    [1.0, 2.0, 1.0, 1.0])
 
 
 def one_row(lambda_inf=(1.0,), xi=(0,), lambda_p=(0.5,), weight=1.0, labels=("2:0",)):
-    return Dataset("Q", [lambda_inf], [xi], labels, [lambda_p], [weight])
+    return Dataset(Q, [lambda_inf], [xi], labels, [lambda_p], [weight])
 
 
 def assert_same_rows(a, b):
@@ -86,13 +87,13 @@ def test_record_validation():
     with pytest.raises(EquidistError):
         one_row(lambda_p=(0.5, 0.5))  # two eigenvalues, one label
     with pytest.raises(EquidistError):
-        Dataset("Q", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0, 1.0])  # M differs
+        Dataset(Q, [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0, 1.0])  # M differs
     with pytest.raises(EquidistError):
-        Dataset("Q", [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0], ["a", "b"])
+        Dataset(Q, [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0], ["a", "b"])
     with pytest.raises(EquidistError):
         one_row(lambda_p=(0.5, 0.5), labels=("2:0", "2:0"))
     with pytest.raises(EquidistError):
-        Dataset("Q", [[1.0], [1.0, 2.0]], [[0], [0]], (), [[], []], [1.0, 1.0])
+        Dataset(Q, [[1.0], [1.0, 2.0]], [[0], [0]], (), [[], []], [1.0, 1.0])
 
 
 def test_dataset_consistency(tmp_path):
@@ -102,7 +103,7 @@ def test_dataset_consistency(tmp_path):
         '{"lambda_inf":[1.0],"lambda_p":{"3:0":0.5},"weight":1.0,"xi":[0]}',
     ])
     with pytest.raises(EquidistError):
-        Dataset.from_jsonl(path)
+        Dataset.from_jsonl(path, "Q")
     ds = small_ds()
     assert ds.dim == 1
     assert len(ds) == 4
@@ -113,7 +114,7 @@ def test_dataset_consistency(tmp_path):
     with pytest.raises(EquidistError):
         ds.scaled(-1.0)
     # labels are sorted once, with their columns
-    swapped = Dataset("Q", [[1.0]], [[0]], ("3:0", "2:0"), [[1.0, 0.5]], [1.0])
+    swapped = Dataset(Q, [[1.0]], [[0]], ("3:0", "2:0"), [[1.0, 0.5]], [1.0])
     assert swapped.prime_labels == ("2:0", "3:0")
     assert swapped.eigenvalues("2:0").tolist() == [0.5]
     assert swapped.eigenvalues("3:0").tolist() == [1.0]
@@ -121,7 +122,7 @@ def test_dataset_consistency(tmp_path):
 
 def test_jsonl_load_rejects_bad_values(tmp_path):
     good = '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}'
-    assert len(Dataset.from_jsonl(write_jsonl(tmp_path / "ok.jsonl", [good]))) == 1
+    assert len(Dataset.from_jsonl(write_jsonl(tmp_path / "ok.jsonl", [good]), "Q")) == 1
     for i, bad in enumerate([
         '{"lambda_inf":[1.0],"lambda_p":{"2:0":0.5},"weight":NaN,"xi":[0]}',
         '{"lambda_inf":[Infinity],"lambda_p":{"2:0":0.5},"weight":1.0,"xi":[0]}',
@@ -140,24 +141,68 @@ def test_jsonl_load_rejects_bad_values(tmp_path):
     ]):
         path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), [good, bad])
         with pytest.raises(EquidistError):
-            Dataset.from_jsonl(path)
+            Dataset.from_jsonl(path, "Q")
 
 
 def test_csv_load_rejects_bad_rows(tmp_path):
     header = "lambda_1,xi_1,2:0,weight\n"
     ok = tmp_path / "ok.csv"
     ok.write_text(header + "1.0,0,0.5,1.0\n")
-    assert len(Dataset.from_csv(str(ok))) == 1
+    assert len(Dataset.from_csv(str(ok), "Q")) == 1
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(EquidistError):
-        Dataset.from_csv(str(empty))
+        Dataset.from_csv(str(empty), "Q")
     for i, row in enumerate(["1.0,0,0.5\n", "1.0,0,0.5,1.0,7.0\n", "1.0,0,0.5,nan\n",
                              "inf,0,0.5,1.0\n", "1.0,1,abc,1.0\n", "1.0,2,0.5,1.0\n"]):
         path = tmp_path / ("bad%d.csv" % i)
         path.write_text(header + "1.0,0,0.5,1.0\n" + row)
         with pytest.raises(EquidistError):
-            Dataset.from_csv(str(path))
+            Dataset.from_csv(str(path), "Q")
+
+
+@pytest.mark.parametrize("header", [
+    "foo,xi_1,2:0,weight",  # read as lambda_1 by position
+    "xi_1,lambda_1,2:0,weight",  # failed on "xi entries must be 0 or 1"
+    "lambda_1,xi_1,2:0",  # no weight column: 2:0 was read as the weight
+    "lambda_1,xi_1,2:0,Weight",
+    "lambda_2,lambda_1,xi_1,xi_2,2:0,weight",
+    "lambda_1,lambda_2,xi_2,xi_1,2:0,weight",
+    "lambda_1,lambda_2,xi_1,2:0,weight",
+    "",  # a blank first line
+], ids=["foo-for-lambda", "xi-first", "no-weight", "weight-case", "lambdas-swapped",
+        "xis-swapped", "one-xi-for-two-lambdas", "blank"])
+def test_csv_load_reads_the_header_by_name(tmp_path, header):
+    # the header must be the one to_csv writes for its labels, name by name
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1.0,0,0.5,1.0\n")
+    with pytest.raises(EquidistError, match="^%s: the CSV header must be lambda_1..d, xi_1..d, "
+                       "the prime labels and weight, got" % re.escape(str(path))):
+        Dataset.from_csv(str(path), "Q")
+    path.write_text("lambda_1,lambda_2,xi_1,xi_2,2:0,weight\n1.0,2.0,0,1,0.5,1.0\n")
+    assert Dataset.from_csv(str(path), "Q").lambda_inf.tolist() == [[1.0, 2.0]]
+
+
+def test_dataset_holds_its_number_field(tmp_path):
+    # a spec string is parsed by the loaders, once; the constructor takes only a field
+    for spec in ("Q", "Q(sqrt 73)", None, 73):
+        with pytest.raises(EquidistError, match="dataset field must be a NumberField"):
+            Dataset(spec, [[1.0]], [[0]], ("2:0",), [[0.5]], [1.0])
+    ds = synthesize(F73, ["2:0"], BOX73, 10, seed=1)
+    ds.to_jsonl(str(tmp_path / "ds.jsonl"))
+    ds.to_csv(str(tmp_path / "ds.csv"))
+    for load, name in ((Dataset.from_jsonl, "ds.jsonl"), (Dataset.from_csv, "ds.csv")):
+        path = str(tmp_path / name)
+        for spec in ("Q(sqrt 73)", " 73 ", "q(sqrt 73)"):
+            assert load(path, spec).field == F73
+        # a bad spec raises at load time, before the file is read
+        for spec, message in (("garbage", "bad field spec"), ("Q(sqrt 4)", "squarefree")):
+            for where in (path, str(tmp_path / "missing")):
+                with pytest.raises(FieldError, match=message):
+                    load(where, spec)
+        with pytest.raises(TypeError):
+            load(path)  # no default field
+    assert ds.scaled(2.0).field is F73
 
 
 def test_dataset_validate_range():
@@ -173,7 +218,7 @@ def test_dataset_validate_range():
 def test_dataset_validate_reads_its_own_field():
     # 2 splits in Q(sqrt 73), so the bound on lambda_{2:0} is 1 + 2 = 3; over
     # Q(sqrt 5), where 2 is inert, it would be 1 + 4 = 5
-    ds = Dataset("Q(sqrt 73)", [[1.0, 1.0]], [[0, 0]], ("2:0",), [[4.0]], [1.0])
+    ds = Dataset(F73, [[1.0, 1.0]], [[0, 0]], ("2:0",), [[4.0]], [1.0])
     for call in (ds.validate, lambda: ds.validate(F73)):
         with pytest.raises(EquidistError, match=r"lambda_p\[2:0\] = 4.0 outside \[0, 3.0\]"):
             call()
@@ -215,7 +260,7 @@ def test_count_matches_row_loop():
     ds = synthesize(F73, ["2:0", "3:0"], even, 2000, seed=3)
     xi = ds.xi.copy()
     xi[::3, 1] = 1  # a third of the rows have the other parity
-    ds = Dataset(ds.field_spec, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+    ds = Dataset(ds.field, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
                  np.linspace(0.5, 2.0, len(ds)))
     rng = random.Random(7)
     for _ in range(30):
@@ -268,7 +313,7 @@ def mixed_parity_ds(m, seed):
     ds = synthesize(F73, ["2:0", "3:0"], BOX73, m, seed=seed)
     xi = ds.xi.copy()
     xi[::3, 1] = 1
-    return Dataset(ds.field_spec, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
+    return Dataset(ds.field, ds.lambda_inf, xi, ds.prime_labels, ds.lambda_p,
                    np.linspace(0.5, 2.0, len(ds)))
 
 
@@ -276,7 +321,7 @@ def column_views(ds):
     """ds rebuilt from C-order column views of one wide table, as from_csv builds it."""
     wide = np.ascontiguousarray(np.hstack([ds.lambda_inf, ds.xi, ds.lambda_p,
                                            ds.weight[:, None]]))
-    return wide, Dataset(ds.field_spec, wide[:, :2], wide[:, 2:4], ds.prime_labels,
+    return wide, Dataset(ds.field, wide[:, :2], wide[:, 2:4], ds.prime_labels,
                          wide[:, 4:6], wide[:, 6])
 
 
@@ -296,7 +341,7 @@ def test_count_same_on_views_and_jsonl_round_trip(tmp_path):
     _, views = column_views(ds)
     path = tmp_path / "ds.jsonl"
     ds.to_jsonl(str(path))
-    back = Dataset.from_jsonl(str(path), ds.field_spec)
+    back = Dataset.from_jsonl(str(path), repr(ds.field))
     for t, windows in random_queries(random.Random(13), 25):
         for bx in (BOX73, MIXED73):
             want = reference_count(ds, bx, t, windows)
@@ -337,7 +382,7 @@ def weighted_ds(weights, seed=41):
     """One row per weight, lambda_inf uniform on [-4, 4] and one Hecke column on [0, 3]."""
     rng = np.random.default_rng(seed)
     n = len(weights)
-    return Dataset("Q", rng.uniform(-4.0, 4.0, (n, 1)), np.zeros((n, 1)), ("2:0",),
+    return Dataset(Q, rng.uniform(-4.0, 4.0, (n, 1)), np.zeros((n, 1)), ("2:0",),
                    rng.uniform(0.0, 3.0, (n, 1)), weights)
 
 
@@ -414,7 +459,7 @@ def test_count_overflows_as_fsum_does():
 
 
 def test_count_checks_empty_datasets_as_nonempty_ones():
-    empty = Dataset("Q", np.zeros((0, 1)), np.zeros((0, 1)), ("2:0",), np.zeros((0, 1)), [])
+    empty = Dataset(Q, np.zeros((0, 1)), np.zeros((0, 1)), ("2:0",), np.zeros((0, 1)), [])
     for ds in (empty, one_row()):
         with pytest.raises(EquidistError):
             count(ds, BOX73, 3.0, {})  # a dimension-2 box on dimension-1 records
@@ -443,7 +488,7 @@ def ties_ds(weights, seed):
     lam = rng.uniform(-4.0, 4.0, n)
     lam[:300] = rng.choice([-2.0, -2.0, -2.0, 2.0, -0.0, 0.0, 3.5], 300)
     perm = rng.permutation(n)  # the piles spread over the stored order
-    return Dataset("Q", lam[perm, None], rng.integers(0, 2, (n, 1)), ("2:0",),
+    return Dataset(Q, lam[perm, None], rng.integers(0, 2, (n, 1)), ("2:0",),
                    rng.uniform(0.0, 3.0, (n, 1)), weights)
 
 
@@ -460,7 +505,7 @@ def test_count_slices_ties_at_the_edges():
                     assert got.hex() == compress_fsum(ds, bx, t, windows).hex(), (t, bx.xi)
                     assert got == reference_count(ds, bx, t, windows)
     # -0.0 and 0.0 both sit in [-0.0, 0.0]
-    zeros = Dataset("Q", [[-0.0], [0.0], [0.0], [-0.0]], [[0]] * 4, (), np.zeros((4, 0)),
+    zeros = Dataset(Q, [[-0.0], [0.0], [0.0], [-0.0]], [[0]] * 4, (), np.zeros((4, 0)),
                     [1.0, 2.0, 4.0, 8.0])
     assert count(zeros, BOX1, 0.0, {}) == 15.0
     assert count(small_ds(), BOX1, 0.0, {}) == 0.0
@@ -546,7 +591,7 @@ def test_count_window_missing_the_block_is_zero():
 
 def test_count_signed_zeros_at_a_block_edge():
     # the Hecke column of the even block starts at -0.0 and 0.0, which compare equal
-    ds = Dataset("Q", [[0.5], [1.0], [1.5], [2.0], [2.5]], [[0], [0], [0], [0], [1]],
+    ds = Dataset(Q, [[0.5], [1.0], [1.5], [2.0], [2.5]], [[0], [0], [0], [0], [1]],
                  ("2:0",), [[-0.0], [0.0], [0.5], [1.0], [0.0]], [1.0, 2.0, 4.0, 8.0, 16.0])
     for window, want in (((0.0, 1.0), 15.0), ((-0.0, 1.0), 15.0), ((0.0, 0.0), 3.0),
                          ((-0.0, -0.0), 3.0), ((-1.0, -0.0), 3.0),
@@ -555,7 +600,7 @@ def test_count_signed_zeros_at_a_block_edge():
 
 
 def test_count_one_row_block():
-    ds = Dataset("Q", [[-1.0], [0.5], [1.0], [3.0]], [[0], [1], [0], [0]], ("2:0",),
+    ds = Dataset(Q, [[-1.0], [0.5], [1.0], [3.0]], [[0], [1], [0], [0]], ("2:0",),
                  [[0.2], [0.7], [1.4], [2.1]], [1.0, 2.0, 4.0, 8.0])
     odd = Box(1, (1,), (), (1,), 4.0)  # its block is the one row (0.5, 0.7)
     up, down = math.nextafter(0.7, 1.0), math.nextafter(0.7, 0.0)
@@ -567,7 +612,7 @@ def test_count_one_row_block():
 
 
 def test_count_on_an_empty_dataset_is_zero():
-    empty = Dataset("Q(sqrt 73)", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0", "3:0"),
+    empty = Dataset(F73, np.zeros((0, 2)), np.zeros((0, 2)), ("2:0", "3:0"),
                     np.zeros((0, 2)), [])
     for bx in (BOX73, MIXED73):
         for t, windows in random_queries(random.Random(127), 4):
@@ -589,7 +634,7 @@ def test_count_with_parity_codes_wider_than_a_byte():
     patterns = rng.integers(0, 2, (6, 10))
     patterns[0], patterns[1] = 1, [0] * 8 + [1, 1]  # codes 1023 and 768, both >= 256
     n = 900
-    ds = Dataset("Q", rng.uniform(-4.0, 4.0, (n, 10)), patterns[rng.integers(0, 6, n)],
+    ds = Dataset(Q, rng.uniform(-4.0, 4.0, (n, 10)), patterns[rng.integers(0, 6, n)],
                  (), np.zeros((n, 0)), rng.uniform(0.5, 2.0, n))
     for xi in patterns:
         bx = Box(10, tuple(range(1, 11)), (), tuple(int(x) for x in xi), 4.0)
@@ -729,7 +774,7 @@ def test_count_and_predict_reject_bad_queries():
             count(ds, BOX73, t, windows)
         with pytest.raises(EquidistError):
             predict(F73, 1.0, BOX73, t, windows)
-    empty = Dataset("Q(sqrt 73)", np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
+    empty = Dataset(F73, np.zeros((0, 2)), np.zeros((0, 2)), ("2:0",),
                     np.zeros((0, 1)), [])
     with pytest.raises(EquidistError):  # checked on an empty dataset too
         count(empty, BOX73, math.nan, {})
@@ -806,7 +851,7 @@ def test_synthesize_respects_box():
     assert ((0.0 <= ds.eigenvalues("3:0")) & (ds.eigenvalues("3:0") <= 2 * math.sqrt(3))).all()
     assert (ds.weight == 1.0).all()
     assert list(ds.src) == ["synth"] * 300
-    assert ds.field_spec == "Q(sqrt 73)"
+    assert ds.field is F73  # the caller's field, not a copy parsed from its name
 
 
 def test_synthesize_marginal_matches_sato_tate():
@@ -889,7 +934,7 @@ def reference_from_jsonl(path):
             weight.append(row.get("weight", 1.0))
             src.append(row.get("src"))
     d = len(lam[0]) if lam else 0
-    return Dataset("Q", np.array(lam, dtype=np.float64).reshape(len(lam), d),
+    return Dataset(Q, np.array(lam, dtype=np.float64).reshape(len(lam), d),
                    np.array(xi, dtype=np.float64).reshape(len(xi), d), tuple(labels),
                    np.array(lp, dtype=np.float64).reshape(len(lp), len(labels)), weight, src)
 
@@ -901,7 +946,7 @@ def reference_from_csv(path):
         rows = [row for row in reader if row]
     d = sum(1 for h in header if h.startswith("xi_"))
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return Dataset("Q", table[:, :d], table[:, d:2 * d], tuple(header[2 * d:-1]),
+    return Dataset(Q, table[:, :d], table[:, d:2 * d], tuple(header[2 * d:-1]),
                    table[:, 2 * d:-1], table[:, -1])
 
 
@@ -920,7 +965,7 @@ def awkward_ds():
     """Floats whose repr is unusual, src tags that need JSON escapes, and a
     label with a quote, a comma and a percent sign."""
     n = len(AWKWARD)
-    return Dataset("Q", [[x, AWKWARD[(i + 1) % n]] for i, x in enumerate(AWKWARD)],
+    return Dataset(Q, [[x, AWKWARD[(i + 1) % n]] for i, x in enumerate(AWKWARD)],
                    [[i % 2, i // 2 % 2] for i in range(n)], ("2:0", 'p"%,1'),
                    [[AWKWARD[(i + 2) % n], x] for i, x in enumerate(AWKWARD)],
                    [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 2.0],
@@ -948,7 +993,7 @@ def block_ds(n, labels=("2:0", "%d:1"), src=True):
     rows = [AWKWARD[i % len(AWKWARD)] * rng.random() for i in range(4 * n)]
     lam = np.array(rows[:2 * n]).reshape(n, 2)
     lp = np.abs(np.array(rows[2 * n:])).reshape(n, 2)[:, :len(labels)]
-    return Dataset("Q", lam, rng.integers(0, 2, (n, 2)), labels, lp, np.abs(lam[:, 0]),
+    return Dataset(Q, lam, rng.integers(0, 2, (n, 2)), labels, lp, np.abs(lam[:, 0]),
                    [SRCS[i % len(SRCS)] for i in range(n)] if src else None)
 
 
@@ -963,7 +1008,7 @@ def test_writers_match_per_row_reference_at_block_edges(tmp_path, n, labels, src
         write(ds, str(tmp_path / name))
         reference(ds, str(tmp_path / ("ref_" + name)))
         assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
-    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"))
+    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"), "Q")
     assert_same_bits(back, reference_from_jsonl(str(tmp_path / "ds.jsonl")))
 
 
@@ -971,19 +1016,19 @@ def test_readers_match_per_row_reference(tmp_path):
     ds = awkward_ds()
     ds.to_jsonl(str(tmp_path / "ds.jsonl"))
     ds.to_csv(str(tmp_path / "ds.csv"))
-    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"))
+    back = Dataset.from_jsonl(str(tmp_path / "ds.jsonl"), "Q")
     assert_same_bits(back, reference_from_jsonl(str(tmp_path / "ds.jsonl")))
     assert_same_bits(back, ds)
-    back = Dataset.from_csv(str(tmp_path / "ds.csv"))
+    back = Dataset.from_csv(str(tmp_path / "ds.csv"), "Q")
     assert_same_bits(back, reference_from_csv(str(tmp_path / "ds.csv")))
     assert_same_bits(back, replace(ds, src=None))
     # a header-only CSV and an empty JSONL file hold zero records
     (tmp_path / "head.csv").write_text(",".join(csv_header(ds)) + "\n")
-    back = Dataset.from_csv(str(tmp_path / "head.csv"))
+    back = Dataset.from_csv(str(tmp_path / "head.csv"), "Q")
     assert len(back) == 0
     assert_same_bits(back, reference_from_csv(str(tmp_path / "head.csv")))
     (tmp_path / "empty.jsonl").write_text("")
-    back = Dataset.from_jsonl(str(tmp_path / "empty.jsonl"))
+    back = Dataset.from_jsonl(str(tmp_path / "empty.jsonl"), "Q")
     assert len(back) == 0
     assert_same_bits(back, reference_from_jsonl(str(tmp_path / "empty.jsonl")))
     # '#' starts no comment in CSV: the line is a bad record; and every row
@@ -993,7 +1038,7 @@ def test_readers_match_per_row_reference(tmp_path):
         with pytest.raises(ValueError):
             reference_from_csv(str(tmp_path / name))
         with pytest.raises(EquidistError):
-            Dataset.from_csv(str(tmp_path / name))
+            Dataset.from_csv(str(tmp_path / name), "Q")
 
 
 def test_jsonl_load_names_the_bad_line(tmp_path):
@@ -1017,7 +1062,7 @@ def test_jsonl_load_names_the_bad_line(tmp_path):
         # the blank line counts: the bad record is line 3 of the file
         path = write_jsonl(tmp_path / ("bad%d.jsonl" % i), [good, "", bad])
         with pytest.raises(EquidistError, match="^line 3: ") as info:
-            Dataset.from_jsonl(path)
+            Dataset.from_jsonl(path, "Q")
         assert reason in str(info.value)
 
 
@@ -1030,8 +1075,8 @@ def test_jsonl_load_allows_json_whitespace_around_a_record(tmp_path):
     padded = tmp_path / "padded.jsonl"
     padded.write_bytes((" \t" + GOOD + " \t\r\n" + "\t\t" + GOOD + "\r\n" + "  " + GOOD
                         + "\t").encode())
-    back = Dataset.from_jsonl(str(padded))
-    assert_same_bits(back, Dataset.from_jsonl(str(clean)))
+    back = Dataset.from_jsonl(str(padded), "Q")
+    assert_same_bits(back, Dataset.from_jsonl(str(clean), "Q"))
     assert_same_bits(back, reference_from_jsonl(str(padded)))
 
 
@@ -1052,7 +1097,7 @@ def test_jsonl_load_reports_what_json_loads_reports(tmp_path):
         with pytest.raises(json.JSONDecodeError) as loads_error:
             json.loads(lines[bad - 1] + "\n")
         with pytest.raises(EquidistError) as info:
-            Dataset.from_jsonl(path)
+            Dataset.from_jsonl(path, "Q")
         assert str(info.value) == "line %d: %s at column %d" % (
             bad, loads_error.value.msg, loads_error.value.colno)
 
@@ -1404,7 +1449,7 @@ def test_tau_source_sieves_once(monkeypatch):
     assert td.tp2_eigenvalues == {"%d:0" % p: Fraction(td.tau[p * p], p ** 10)
                                   for p in primes if p * p <= 1600}
     lam = {"%d:0" % p: abs(td.tau[p]) / p ** 5 for p in primes}
-    want = Dataset("Q", [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])
+    want = Dataset(Q, [[-30.0]], [[0]], tuple(lam), [list(lam.values())], [1.0], ["tau"])
     for f in dataclass_fields(Dataset):
         got, ref = getattr(td.dataset, f.name), getattr(want, f.name)
         assert (got.tolist() == ref.tolist()) if isinstance(ref, np.ndarray) else got == ref

@@ -112,6 +112,6 @@ def test_npl_routes_run_where_scipy_cannot_be_imported():
               "from heckedist.cli import main\n"
               "nu, pl = heckedist.npl_consistency(1, 0.05j, 2.0j)\n"
               "code = main(['measure', 'eval', '--kind', 'npl1', '--interval', '0.1i:2i'])\n"
-              "print(json.dumps([blocked, code, abs(nu - pl)]))\n")
+              "print(json.dumps([blocked, code, abs(nu.value - pl.value)]))\n")
     blocked, code, diff = run_fresh(script)
     assert blocked and code == 0 and diff < 1e-14

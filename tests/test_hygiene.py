@@ -2,7 +2,8 @@
 equidist imports numpy when it loads, no module imports scipy at all,
 every module-level private function, class or constant is referenced
 somewhere in the package, every function reads each of its parameters,
-and every benchmark record at the repository root is strict JSON with its
+no name is parsed again where the parsed value could travel instead, and
+every benchmark record at the repository root is strict JSON with its
 required keys."""
 
 import ast
@@ -179,6 +180,45 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unused_parameters(path.read_text()) == [], path.name
+
+
+def reparsed_names(source: str):
+    """(line, function) of each make_field call passed an attribute read (a
+    spec kept on an object and parsed again) and each spectral_measure call
+    passed a %-formatted string or an f-string (a kind built to be parsed back)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if name == "make_field":
+            bad = any(isinstance(a, ast.Attribute) for a in args)
+        elif name == "spectral_measure":
+            bad = any(isinstance(a, ast.JoinedStr)
+                      or isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mod) for a in args)
+        else:
+            bad = False
+        if bad:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_a_reparsed_name():
+    source = ("make_field(self.field_spec)\nfields.make_field(spec=ds.spec)\n"
+              "make_field(spec)\nmake_field(5)\nmake_field(repr(field))\n"
+              "spectral_measure('pl%d' % xi)\nm.spectral_measure(f'v1{xi}')\n"
+              "spectral_measure(kind)\nspectral_measure('pl0')\nSpectralMeasure('pl', xi)\n")
+    assert reparsed_names(source) == [(1, "make_field"), (2, "make_field"),
+                                      (6, "spectral_measure"), (7, "spectral_measure")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_names_are_parsed_once_where_they_enter(path):
+    # a field spec or measure kind is read at the CLI, the package's edge, and
+    # the parsed NumberField or SpectralMeasure is passed on from there
+    assert reparsed_names(path.read_text()) == [], path.name
 
 
 def strict_json(text: str):

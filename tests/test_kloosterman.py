@@ -745,6 +745,75 @@ def test_twisted_sum_pinned():
     assert symmetry_check(q) < 1e-12
 
 
+def jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def test_jacobi_symbol_matches_euler_criterion():
+    for p in (3, 5, 7, 11, 13, 97, 113):
+        for a in range(-2 * p, 2 * p):
+            assert jacobi(a, p) % p == pow(a, (p - 1) // 2, p), (a, p)
+    assert [jacobi(a, 15) for a in range(15)] == [0, 1, 1, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, -1,
+                                                  -1]
+
+
+def salie_closed_form(r, rp, c):
+    """T(r, r'; c) = eps_c sqrt(c) (r'/c) sum_{y^2 = r r' mod c} e(2y/c) for odd c
+    and (r', c) = 1, eps_c = 1 or i as c = 1 or 3 mod 4 (Iwaniec-Kowalski, Lemma 12.4)."""
+    eps = 1 if c % 4 == 1 else 1j
+    roots = sum(cmath.exp(4j * math.pi * y / c) for y in range(c) if (y * y - r * rp) % c == 0)
+    return eps * math.sqrt(c) * jacobi(rp, c) * roots
+
+
+def test_salie_sums_match_their_closed_form():
+    # the Jacobi symbol mod c as a checked table of phases 0 and 1/2; for a real
+    # character evaluate's K_chi(r, r'; c) is the Salie sum T(r, r'; c)
+    checked = worst = 0
+    for c in range(3, 120, 2):
+        modulus = Ideal.principal(Q.element(c))
+        phases = {(x,): Fraction((1 - jacobi(x, c)) // 2, 2)
+                  for x in range(c) if math.gcd(x, c) == 1}
+        chi = DirichletCharacter(Q, modulus, phases)
+        for r in (*range(-6, 0), *range(1, 7)):
+            for rp in range(1, 7):
+                if math.gcd(rp, c) != 1:
+                    continue
+                got = evaluate(KloostermanQuery(Q.element(c), Q.element(r), Q.element(rp), chi))
+                err = abs(got - salie_closed_form(r, rp, c)) / math.sqrt(c)
+                assert err < 1e-12, (r, rp, c)
+                checked, worst = checked + 1, max(worst, err)
+    assert checked == 3624
+
+
+def test_selberg_identity():
+    # S(m, n; c) = sum over d | (m, n, c) of d S(mn/d^2, 1; c/d) (Selberg,
+    # Kuznetsov), at every c <= 120 and m, n <= 12 that share a factor with c
+    checked = 0
+    for c in range(1, 121):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                g = math.gcd(m, n, c)
+                if g == 1:
+                    continue
+                want = sum(d * rational_kloosterman(m * n // (d * d), 1, c // d)
+                           for d in range(1, g + 1) if g % d == 0)
+                assert abs(rational_kloosterman(m, n, c) - want) < 1e-12 * math.sqrt(c), \
+                    (m, n, c)
+                checked += 1
+    assert checked == 2831
+
+
 def test_weil_scan_rational():
     res = weil_scan(Q, Q.element(1), Q.element(1), max_norm=60)
     assert len(res.rows) == 60

@@ -20,6 +20,7 @@ from heckedist import (
     MeasureValue,
     NuMeasure,
     SatoTateMeasure,
+    SpectralMeasure,
     box_measure,
     measure_interval,
     npl_consistency,
@@ -482,12 +483,52 @@ def test_spectral_measure_aliases():
             spectral_measure(kind)
 
 
+def test_spectral_measure_is_a_checked_family_and_parity():
+    # spectral_measure is the one reader of a kind name; the pair it builds is
+    # checked, so "pl0" with parity 1 cannot measure pl1, nor "bogus" v10
+    assert spectral_measure(" v10 ") == SpectralMeasure("v1", 0) == v1_measure(0)
+    assert (PL1.family, PL1.xi) == ("pl", 1)
+    for family, xi, message in (("pl", 2, "parity xi must be 0 or 1"),
+                                ("v1", -1, "parity xi must be 0 or 1"),
+                                ("pl", 0.5, "parity xi must be 0 or 1"),
+                                ("foo", 0, "unknown measure family 'foo'"),
+                                ("bogus", 0, "unknown measure family 'bogus'"),
+                                ("pl0", 1, "unknown measure family 'pl0'"),
+                                ("npl", 0, "unknown measure family"),
+                                ("V1", 1, "unknown measure family")):
+        with pytest.raises(MeasureError, match=message):
+            SpectralMeasure(family, xi)
+
+
+# nu values on the real leg (atoms at (b - 1)/2) and on the imaginary leg, past
+# its s = 8 quadrature end too; 0 is on both
+NU_POINTS = [0.0, 0.3, 0.5, 1.0, 1.75, 3.0, 0.05j, 0.5j, 1j, 3j, 7.5j, 8.5j, 20j]
+
+
+def test_npl_consistency_agrees_within_the_two_bounds():
+    # the nu side's quadrature and the lambda side's closed form measure each
+    # window within the sum of their error bounds; a window on the real leg has
+    # only atoms, so both bounds are 0 and the two masses are equal
+    windows = [(lo, hi) for i, lo in enumerate(NU_POINTS) for hi in NU_POINTS[i + 1:]]
+    assert len(windows) == 78
+    for xi in (0, 1):
+        for lo, hi in windows:
+            nu_val, pl_val = npl_consistency(xi, lo, hi)
+            assert isinstance(nu_val, MeasureValue) and isinstance(pl_val, MeasureValue)
+            if complex(lo).imag == complex(hi).imag == 0:
+                assert nu_val == pl_val and nu_val.error == 0.0, (xi, lo, hi)
+            else:
+                assert nu_val.error > 0 and pl_val.error > 0, (xi, lo, hi)
+                assert abs(nu_val.value - pl_val.value) <= nu_val.error + pl_val.error, \
+                    (xi, lo, hi)
+
+
 def test_nu_to_lambda_consistency_pinned():
     # same window measured in both coordinates
     for xi, lo, hi in ((0, 0.1j, 1.0j), (1, 0.05j, 2.0j),
                        (0, 0.3, 0.45), (1, 0.0j, 0.49)):
         nu_val, pl_val = npl_consistency(xi, lo, hi)
-        assert abs(nu_val - pl_val) < 1e-8, (xi, lo, hi)
+        assert abs(nu_val.value - pl_val.value) < 1e-8, (xi, lo, hi)
 
 
 def test_nu_side_does_not_reuse_the_lambda_quadrature(monkeypatch):
@@ -714,8 +755,9 @@ def test_count_leaves_scipy_unloaded():
     script = (
         "import json, sys, heckedist\n"
         "box = heckedist.Box(1, (1,), (), (0,), 3.0)\n"
-        "ds = heckedist.Dataset('Q', [[1.0], [2.0], [5.0]], [[0], [0], [0]], ('2:0',),\n"
-        "                       [[0.5], [1.5], [0.5]], [0.25, 1e-300, 3.0])\n"
+        "ds = heckedist.Dataset(heckedist.make_field('Q'), [[1.0], [2.0], [5.0]],\n"
+        "                       [[0], [0], [0]], ('2:0',), [[0.5], [1.5], [0.5]],\n"
+        "                       [0.25, 1e-300, 3.0])\n"
         "c = heckedist.count(ds, box, 3.0, {'2:0': (0.0, 1.0)})\n"
         "print(json.dumps([c, 'scipy' in sys.modules]))\n")
     assert json.loads(run_script(script)) == [0.25, False]
