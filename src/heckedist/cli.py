@@ -378,7 +378,7 @@ def cmd_eq_tau(args) -> None:
         "upto": args.upto,
         "primes": len(td.dataset.prime_labels),
         "tau2": td.tau[2], "tau3": td.tau[3], "tau4": td.tau[4],
-        "lambda_2": float(td.dataset.eigenvalues("2:0")[0]),
+        "lambda_2": abs(td.tau[2]) / 2 ** 5,  # tau_source's lambda_{2:0}; resolves no label
         "tp2_2": _frac_repr(td.tp2_eigenvalues["2:0"]),
         "out": args.out, "tau_out": args.tau_out,
     }))
@@ -388,6 +388,7 @@ def cmd_eq_run(args) -> None:
     box = parse_box(args.box)
     load = equidist.Dataset.from_csv if args.data.endswith(".csv") else equidist.Dataset.from_jsonl
     ds = load(args.data, args.field)
+    ds.validate()
     j_windows = parse_windows(json.loads(args.intervals))
     t_grid = [float(x) for x in args.t_grid.split(",")]
     if args.calibrate:

@@ -15,7 +15,9 @@ numpy columns, one row per record: lambda_inf and xi of shape (M, d),
 lambda_p of shape (M, L) under one sorted tuple of prime labels, weight of
 shape (M,) and an optional src tag.  The constructor validates them once,
 so every loader rejects bad input at load time, and stores the tables in
-column-major order, so each column a query reads is one run.
+column-major order, so each column a query reads is one run.  A window's
+label and a column's meet at their prime (a bare p is p:0), by one map
+per dataset built on first use; two labels on one prime raise.
 The count reads an index built on its first call: the rows sorted by
 parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
 block and lambda_1's closed window (every box restricts it) is one slice
@@ -87,7 +89,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import Ideal, NumberField, ideal_prime_factorization, make_field, prime_by_label
+from .fields import (Ideal, NumberField, PrimeIdeal, ideal_prime_factorization, make_field,
+                     prime_by_label)
 from .measures import Box, SatoTateMeasure, SpectralMeasure, box_measure, pl_atoms_in
 
 
@@ -155,13 +158,21 @@ class Dataset:
         return self.lambda_inf.shape[1]
 
     def eigenvalues(self, label: str) -> np.ndarray:
-        """The lambda_p column of one prime label, one entry per row."""
-        return self.lambda_p[:, self._label_column(label)]
+        """The lambda_p column of the prime a label names, one entry per row."""
+        return self.lambda_p[:, self._column(prime_by_label(self.field, label))]
 
-    def _label_column(self, label: str) -> int:
-        if label not in self.prime_labels:
-            raise EquidistError("unknown prime label %s" % label)
-        return self.prime_labels.index(label)
+    @cached_property
+    def _prime_columns(self) -> Dict[str, int]:
+        """The column of each prime, keyed by its canonical label 'p:i'; two
+        labels on one prime raise."""
+        columns = {label: k for k, label in enumerate(self.prime_labels)}
+        return {prime.label: k for prime, k in _by_prime(self.field, columns, "prime labels")}
+
+    def _column(self, prime: PrimeIdeal) -> int:
+        column = self._prime_columns.get(prime.label)
+        if column is None:
+            raise EquidistError("unknown prime label %s" % prime.label)
+        return column
 
     def total_weight(self) -> float:
         return math.fsum(memoryview(self.weight))
@@ -225,8 +236,9 @@ class Dataset:
         """Range-check Hecke eigenvalues against [0, 1 + Np]; field, if given, is the dataset's."""
         if field not in (None, self.field):
             raise EquidistError("dataset is over %r, not %r" % (self.field, field))
-        bounds = np.array([1.0 + prime_by_label(self.field, label).absolute_norm()
-                           for label in self.prime_labels])
+        bounds = np.empty(len(self.prime_labels))
+        for label, k in self._prime_columns.items():
+            bounds[k] = 1.0 + prime_by_label(self.field, label).absolute_norm()
         bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
         if bad.any():
             i, k = np.argwhere(bad)[0]
@@ -318,9 +330,9 @@ class Dataset:
         field = make_field(field_spec)
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), [])  # an empty file has the empty header
-            d = sum(1 for h in header if h.startswith("xi_"))
+            d = next((j for j, h in enumerate(header) if h != "lambda_%d" % (j + 1)), len(header))
             labels = header[2 * d:-1]
-            if header != _csv_header(d, labels):
+            if d < 1 or header != _csv_header(d, labels):
                 raise EquidistError("%s: the CSV header must be lambda_1..d, xi_1..d, the "
                                     "prime labels and weight, got %r" % (path, header))
             try:
@@ -366,6 +378,20 @@ def _check_query(t: float, j_windows: Dict[str, Tuple[float, float]]) -> None:
                                 % (label, a, b))
 
 
+def _by_prime(field: NumberField, values: Dict[str, object], what: str) -> List[tuple]:
+    """[(prime, value)] in the sorted order of the labels, each resolved by
+    prime_by_label; two labels on one prime raise."""
+    out, seen = [], {}
+    for label, value in sorted(values.items()):
+        prime = prime_by_label(field, label)
+        first = seen.setdefault(prime.label, label)
+        if first != label:
+            raise EquidistError("%s %r and %r name the same prime %s"
+                                % (what, first, label, prime.label))
+        out.append((prime, value))
+    return out
+
+
 def count(ds: Dataset, box: Box, t: float,
           j_windows: Dict[str, Tuple[float, float]]) -> float:
     """Weighted count of records in the box at threshold t with all
@@ -377,7 +403,8 @@ def count(ds: Dataset, box: Box, t: float,
     _check_query(t, j_windows)
     if box.dim != ds.dim:
         raise EquidistError("box dimension %d != dataset dimension %d" % (box.dim, ds.dim))
-    hecke = [(ds.dim + ds._label_column(label), ab) for label, ab in j_windows.items()]
+    hecke = [(ds.dim + ds._column(prime), ab)
+             for prime, ab in _by_prime(ds.field, j_windows, "windows")]
     bx = box.with_t(t)
     blocks, table, digits, width, e0 = ds._count_index
     block = blocks.get(sum(x << j for j, x in enumerate(bx.xi)))
@@ -442,13 +469,7 @@ def predict(field: NumberField, covolume: float, box: Box, t: float,
     pl_factor, pl_err = box_measure(bx, "pl")
     # first order: the error of a product x*y is |x| err(y) + |y| err(x)
     phi_factor, phi_err = 1.0, 0.0
-    windows = {}  # window label by the canonical label of its prime
-    for label, (a, b) in sorted(j_windows.items()):
-        prime = prime_by_label(field, label)
-        if prime.label in windows:
-            raise EquidistError("windows %r and %r name the same prime %s"
-                                % (windows[prime.label], label, prime.label))
-        windows[prime.label] = label
+    for prime, (a, b) in _by_prime(field, j_windows, "windows"):
         v, e = SatoTateMeasure(prime.absolute_norm()).mass(a, b)
         phi_factor, phi_err = phi_factor * v, phi_err * abs(v) + abs(phi_factor) * e
     v1 = box_measure(bx, "v1").value

@@ -3,7 +3,10 @@
 Elements are stored by rational coordinates on the integral basis (1, w),
 where w = (1+sqrt m)/2 for m = 1 mod 4 and w = sqrt m otherwise, so that
 the ring of integers is Z[w] in both cases.  Everything here is exact
-(Fraction or int); floats appear only through the archimedean embeddings.
+(Fraction or int); floats appear only through the archimedean embeddings,
+which cancel nothing: one of a + b*w_j adds two terms of one sign and the
+other is N(x) over it.  The fundamental unit is normalized by the signs of
+its trace and w-coordinate, and a unit's square root has a closed form.
 
 An ideal is (1/den) times an int lattice in Hermite normal form, stored in
 lowest terms, which covers integral and fractional ideals uniformly.  Ideal
@@ -104,15 +107,17 @@ class NumberField:
         return self.element(0, 1)
 
     def embeddings(self, a: Fraction, b: Fraction) -> tuple:
-        """Real embeddings of a + b*w, larger w-image first."""
+        """Real embeddings of x = a + b*w, larger w-image first.  As w1 > 0 > w2, one
+        a + b*w_j adds two terms of one sign; the other is N(x) over it, rounded once."""
         if self.degree == 1:
             return (float(a),)
         r = math.sqrt(self.m)
-        if self.m % 4 == 1:
-            w1, w2 = (1 + r) / 2, (1 - r) / 2
-        else:
-            w1, w2 = r, -r
-        return (float(a) + float(b) * w1, float(a) + float(b) * w2)
+        w1, w2 = ((1 + r) / 2, (1 - r) / 2) if self.m % 4 == 1 else (r, -r)
+        x1, x2 = float(a) + float(b) * w1, float(a) + float(b) * w2
+        norm = a * a + self.t * a * b - self.c * b * b
+        if a * b > 0:
+            return (x1, float(norm / Fraction(x1)))
+        return (float(norm / Fraction(x2)), x2) if a * b < 0 else (x1, x2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.m == other.m
@@ -523,7 +528,7 @@ class Ideal:
 class PrimeIdeal(Ideal):
     """Prime ideal over a rational prime p, with label 'p:i'."""
 
-    __slots__ = ("p", "e", "f", "index", "generator")
+    __slots__ = ("p", "e", "f", "index", "generator", "label")
 
     def __init__(self, field: NumberField, hnf: tuple, p: int, e: int, f: int,
                  index: int, generator: Optional[FieldElement] = None):
@@ -533,10 +538,7 @@ class PrimeIdeal(Ideal):
         self.f = f
         self.index = index
         self.generator = generator
-
-    @property
-    def label(self) -> str:
-        return "%d:%d" % (self.p, self.index)
+        self.label = "%d:%d" % (p, index)
 
     def absolute_norm(self) -> int:
         return self.p ** self.f
@@ -719,53 +721,47 @@ class UnitGroupData:
 def _compute_unit_group(field: NumberField) -> UnitGroupData:
     if field.degree == 1:
         return UnitGroupData(None)
-    # continued fraction of w = (P0 + sqrt D)/Q0; convergents yield the unit
+    # continued fraction of w = (P0 + sqrt m)/Q0; convergents yield the unit
     m = field.m
-    D = m
-    if m % 4 == 1:
-        P, Q = 1, 2
-    else:
-        P, Q = 0, 1
-    sq = math.isqrt(D)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    sq = math.isqrt(m)
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
     for _ in range(10 ** 5):
         a = (P + sq) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        cand = field.element(p_cur, -q_cur)  # p - q*w
-        if abs(cand.norm()) == 1:
-            eps = cand
-            # normalize to eps > 1 in the first embedding
-            if eps.embed()[0] < 0:
-                eps = -eps
-            if eps.embed()[0] < 1:
-                eps = eps.inverse()
-            assert eps.is_integral() and abs(eps.norm()) == 1
-            return UnitGroupData(eps)
+        eps = field.element(p_cur, -q_cur)  # p - q*w
+        if abs(eps.norm()) == 1:
+            # eps1 > eps2 iff b > 0, and then eps1 > 1 iff also Tr > 0; for
+            # a unit, -conj(eps) = -N(eps) eps^{-1} keeps b and negates Tr
+            eps = eps if eps.b > 0 else -eps
+            return UnitGroupData(eps if eps.trace() > 0 else -eps.conjugate())
         P = a * Q - P
-        Q = (D - P * P) // Q
+        Q = (m - P * P) // Q
     raise FieldError("continued fraction did not terminate for m=%d" % m)
 
 
 def unit_square_class(r: FieldElement, rp: FieldElement) -> Optional[FieldElement]:
-    """A unit eps with eps^2 = r/rp, or None when r/rp is not a unit square."""
+    """A unit eps with eps^2 = r/rp, positive in the first embedding, or None.
+
+    A unit root s of u = r/rp has s^2 = Tr(s) s - N(s): with nu = N(s) and t =
+    |Tr(s)|, t^2 = Tr(u) + 2 nu and s = +-(u + nu)/t.  Conversely, for such a
+    t > 0, (u + nu)/t has trace t and norm nu: a root of x^2 - t x + nu, it is
+    integral and squares to u.  It is < 0 in the first embedding iff nu = -1
+    and u1 < 1, that is b(u) < 0.
+    """
     if rp.is_zero():
         raise FieldError("r' must be nonzero")
     u = r / rp
-    if not (u.is_integral() and abs(u.norm()) == 1):
+    if not (u.is_integral() and u.norm() == 1):
         return None
-    field = r.field
-    if field.degree == 1:
-        return field.one() if u == 1 else None
-    if not u.is_totally_positive():
-        return None
-    eps0 = field.unit_group().fundamental
-    # u is totally positive, so its first embedding is > 0
-    k = round(math.log(u.embed()[0]) / math.log(eps0.embed()[0]))
-    for kk in (k, k - 1, k + 1):
-        if u == eps0 ** kk:
-            if kk % 2 != 0:
-                return None
-            return eps0 ** (kk // 2)
+    if r.field.degree == 1:
+        return u  # N(u) = u = 1
+    tr = int(u.trace())
+    for nu in (1, -1):
+        t = math.isqrt(max(tr + 2 * nu, 1))
+        if t * t == tr + 2 * nu:
+            s = (u + nu) / t
+            return -s if nu == -1 and u.b < 0 else s
     return None

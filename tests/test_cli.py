@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,25 @@ def test_field_unit(capsys):
     assert data["fundamental_unit"] == ["0", "1"] and data["norm"] == -1
     assert data["regulator"] == pytest.approx(math.log(golden), rel=1e-15)
     assert data["embeddings"] == pytest.approx([golden, 1 - golden], rel=1e-15)
+
+
+def test_field_info_and_unit_over_q_sqrt_271(capsys):
+    # the first of 129 fields m < 3000 where the float normalization of the unit
+    # raised "math domain error"
+    code, out, _ = run_cli(capsys, "--field", "Q(sqrt 271)", "field", "info")
+    assert code == 0
+    info = json.loads(out)
+    code, out, _ = run_cli(capsys, "--field", "Q(sqrt 271)", "field", "unit")
+    assert code == 0
+    unit = json.loads(out)
+    a, b = (int(v) for v in unit["fundamental_unit"])
+    assert info["fundamental_unit"] == unit["fundamental_unit"] and a > 0 and b > 0
+    assert a * a - 271 * b * b == unit["norm"] == info["fundamental_unit_norm"] == 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_eps = float((a + b * Decimal(271).sqrt()).ln())
+    assert info["regulator"] == unit["regulator"] == pytest.approx(log_eps, rel=1e-15)
+    assert unit["embeddings"][0] * unit["embeddings"][1] == pytest.approx(1, rel=1e-15)
 
 
 def test_hecke_verify_relation_pinned(capsys):
@@ -667,6 +687,20 @@ def test_equidist_run_rejects_non_finite_covolume(capsys, tmp_path):
                                  "--t-grid", "1,3", "--covolume", covolume)
         assert_one_line_error(code, out, err)
         assert json.loads(err)["error"] == "EquidistError", covolume
+
+
+def test_equidist_run_range_checks_its_data(capsys, tmp_path):
+    # the loaded dataset is validated: lambda_{2:0} = 100 is past 1 + N(2) = 3,
+    # and no prime of Q is labelled 4:0; with no windows both gave a report
+    box_spec = json.dumps({"dim": 1, "q": [1], "xi": [0], "t": 3.0})
+    data_file = tmp_path / "ds.jsonl"
+    for lambda_p, error in (('{"2:0":100.0}', "EquidistError"), ('{"4:0":0.5}', "FieldError")):
+        data_file.write_text('{"lambda_inf":[1.0],"lambda_p":%s,"weight":1.0,"xi":[0]}\n'
+                             % lambda_p)
+        code, out, err = run_cli(capsys, "equidist", "run", "--data", str(data_file),
+                                 "--box", box_spec, "--intervals", "{}", "--t-grid", "1,3")
+        assert_one_line_error(code, out, err)
+        assert json.loads(err)["error"] == error, lambda_p
 
 
 def test_equidist_index(capsys):

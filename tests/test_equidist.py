@@ -183,6 +183,16 @@ def test_csv_load_reads_the_header_by_name(tmp_path, header):
     assert Dataset.from_csv(str(path), "Q").lambda_inf.tolist() == [[1.0, 2.0]]
 
 
+def test_csv_round_trip_with_a_label_starting_xi(tmp_path):
+    # the dimension is the number of leading lambda_j names, so a prime label
+    # that starts with xi_ is not counted as a parity column
+    ds = one_row(labels=("xi_9",))
+    path = str(tmp_path / "xi.csv")
+    ds.to_csv(path)
+    assert open(path).readline() == "lambda_1,xi_1,xi_9,weight\n"
+    assert_same_rows(Dataset.from_csv(path, "Q"), ds)
+
+
 def test_dataset_holds_its_number_field(tmp_path):
     # a spec string is parsed by the loaders, once; the constructor takes only a field
     for spec in ("Q", "Q(sqrt 73)", None, 73):
@@ -245,6 +255,37 @@ def test_count_filters():
 def test_count_unknown_label():
     with pytest.raises(EquidistError):
         count(small_ds(), BOX1, 3.0, {"7:0": (0.0, 1.0)})
+
+
+def test_count_reads_a_bare_prime_label_as_index_0():
+    # a bare p means p:0 in count as in predict, whichever spelling the dataset uses
+    ds = small_ds()
+    for windows in ({"2": (0.0, 1.0)}, {"2": (0.0, 1.0), "3": (0.5, 1.0)}):
+        spelled = {label + ":0": ab for label, ab in windows.items()}
+        assert count(ds, BOX1, 3.0, windows) == count(ds, BOX1, 3.0, spelled) == 1.0
+    bare = synthesize(Q, ["2", "3"], BOX1, 200, seed=5)
+    assert bare.prime_labels == ("2", "3")
+    spelled = replace(bare, prime_labels=("2:0", "3:0"))
+    for windows in ({"2:0": (0.0, 1.0)}, {"2": (0.0, 1.0), "3:0": (1.0, 2.0)}):
+        assert count(bare, BOX1, 3.0, windows) == count(spelled, BOX1, 3.0, windows) > 0
+    assert np.array_equal(bare.eigenvalues("2:0"), bare.eigenvalues("2"))
+    assert np.array_equal(spelled.eigenvalues("3"), bare.eigenvalues("3:0"))
+
+
+def test_two_labels_on_one_prime_are_rejected():
+    # "2" and "2:0" name one prime: count used to apply both windows to it and
+    # validate passed, while predict raised
+    ds = Dataset(Q, [[1.0]], [[0]], ("2", "2:0"), [[0.5, 2.5]], [1.0])
+    for call in (ds.validate, lambda: ds.eigenvalues("2"),
+                 lambda: count(ds, BOX1, 3.0, {"3:0": (0.0, 1.0)})):
+        with pytest.raises(EquidistError,
+                           match="prime labels '2' and '2:0' name the same prime 2:0"):
+            call()
+    with pytest.raises(EquidistError, match="windows '2' and '2:0' name the same prime 2:0"):
+        count(small_ds(), BOX1, 3.0, {"2:0": (0.0, 1.0), "2": (0.0, 1.0)})
+    with pytest.raises(FieldError, match="not canonical"):
+        count(small_ds(), BOX1, 3.0, {"2:00": (0.0, 1.0)})
+    assert "_count_index" not in vars(ds)
 
 
 def test_count_dimension_check():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -140,6 +141,97 @@ def test_fundamental_unit_is_minimal():
                 if x.norm() in (1, -1) and not x.is_zero():
                     emb = x.embed()[0]
                     assert not (1.0 + 1e-9 < emb < top - 1e-9), (field.m, a, b)
+
+
+SQUAREFREE_BELOW_3000 = [m for m in range(2, 3000) if max(fields_module._factor(m).values()) == 1]
+
+
+@pytest.fixture(scope="module")
+def units_below_3000():
+    """{m: fundamental unit of Q(sqrt m)} for every squarefree 2 <= m < 3000."""
+    return {m: make_field(m).unit_group().fundamental for m in SQUAREFREE_BELOW_3000}
+
+
+def test_every_fundamental_unit_is_normalized(units_below_3000):
+    # eps > 1 in the first embedding exactly when Tr(eps) > 0 and b > 0; float
+    # comparisons on the cancelling conjugate got 220 of these wrong or raised,
+    # the first at m = 271 and m = 526
+    assert len(units_below_3000) == 1823
+    for m, eps in units_below_3000.items():
+        assert eps.is_integral() and abs(eps.norm()) == 1, m
+        assert eps.trace() > 0 and eps.b > 0, m
+        ug = eps.field.unit_group()
+        assert ug.fundamental_norm == eps.norm() and ug.regulator > 0, m
+
+
+def test_fundamental_unit_is_the_least_pell_solution(units_below_3000):
+    # an independent route: with D the discriminant, a unit is (x + y sqrt D)/2
+    # with x^2 - D y^2 = +-4 and x = D y mod 2, and y = b on the basis (1, w),
+    # so the fundamental unit has the least such y >= 1
+    scanned = 0
+    for m, eps in units_below_3000.items():
+        if eps.b > 20000:
+            continue
+        disc = eps.field.disc
+        y = 1
+        while not any(r * r == sq and (r - disc * y) % 2 == 0
+                      for sq in (disc * y * y + 4, disc * y * y - 4)
+                      for r in (math.isqrt(sq),)):
+            y += 1
+        assert y == eps.b, m
+        scanned += 1
+    assert scanned == 862
+
+
+def decimal_embeddings(field, x, digits=1000):
+    """Both embeddings of x, larger w-image first, to `digits` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        r = Decimal(field.m).sqrt()
+        ws = ((1 + r) / 2, (1 - r) / 2) if field.m % 4 == 1 else (r, -r)
+        a, b = (Decimal(v.numerator) / v.denominator for v in x.coords())
+        return tuple(a + b * w for w in ws)
+
+
+@pytest.mark.parametrize("m", [2, 5, 94, 271, 526, 2998])
+def test_embeddings_match_a_decimal_reference(m):
+    # a + b*w_j cancelled in floats: the small conjugate of a large unit lost
+    # every digit (Q(sqrt 94)'s read 2.33296e-7 for 2.33286e-7)
+    field, rng = make_field(m), random.Random(m)
+    eps = field.unit_group().fundamental
+    xs = [s * eps ** k for k in range(-8, 9) for s in (1, -1)]
+    xs += [field.element(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 50)),
+                         rng.randint(-10 ** 6, 10 ** 6)) for _ in range(40)]
+    xs += [field.element(rng.randint(-9, 9), 0), field.element(0, rng.randint(-9, 9))]
+    checked = 0
+    for x in xs:
+        if max(abs(x.a), abs(x.b)) > 10 ** 300:  # past float range, as the coordinates
+            continue
+        for got, want in zip(x.embed(), decimal_embeddings(field, x)):
+            assert abs(Decimal(got) - want) <= Decimal("1e-15") * abs(want), (m, x)
+        checked += 1
+    assert checked >= 60
+    if m == 94:
+        assert eps.embed()[1] == pytest.approx(2.332856652957373e-07, rel=1e-15)
+
+
+def test_unit_square_class_finds_every_root():
+    # +-eps^k and 3 eps^k, |k| <= 9, over every squarefree m < 271: a root
+    # exactly for eps^k with k even, and then eps^(k/2), positive in the first
+    # embedding; the float-log route raised on 743 and missed 42 of these
+    inputs = 0
+    for m in (m for m in SQUAREFREE_BELOW_3000 if m < 271):
+        field = make_field(m)
+        eps, one = field.unit_group().fundamental, field.one()
+        for k in range(-9, 10):
+            power = eps ** k
+            want = eps ** (k // 2) if k % 2 == 0 else None
+            assert unit_square_class(power, one) == want, (m, k)
+            assert unit_square_class(-power, one) is None, (m, k)
+            assert unit_square_class(3 * power, one) is None, (m, k)
+            assert unit_square_class(3 * power, field.element(3)) == want, (m, k)
+            inputs += 3
+    assert inputs == 9405
 
 
 def test_prime_splitting_q():

@@ -2,6 +2,7 @@
 scan, delta term."""
 
 import cmath
+import itertools
 import json
 import math
 import operator
@@ -1241,3 +1242,98 @@ def test_delta_sign_character():
     mod4 = Ideal.principal(Q.element(4))
     chi4 = DirichletCharacter.cyclic(Q, mod4, Q.element(3))
     assert delta_term(Q.element(1), Q.element(1), (1,), chi4) == pytest.approx(1)
+
+
+def exact_signs(x):
+    """The signs of both embeddings of a nonzero x over a real quadratic field,
+    larger w-image first: x1 x2 = N(x), x1 + x2 = Tr(x), and x1 > x2 iff b > 0."""
+    if x.norm() > 0:
+        return (1, 1) if x.trace() > 0 else (-1, -1)
+    return (1, -1) if x.b > 0 else (-1, 1)
+
+
+def test_delta_term_signs_are_exact_on_high_powers():
+    # r/r' = phi^(2k): the float conjugate of phi^k lost its sign from k = 40,
+    # which made 294 of these 1,200 values wrong
+    chi5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
+    phi, one = F5.unit_group().fundamental, F5.one()
+    for k in range(1, 301):
+        eps = phi ** k
+        for xi in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            want = sum(math.prod(s ** x for s, x in zip(exact_signs(e), xi))
+                       for e in (eps, -eps)) / 2
+            assert delta_term(eps * eps, one, xi, chi5) == want, (k, xi)
+
+
+# local-factor oracles for evaluate over Q(sqrt 5), trivial character; r and r'
+# run over (1/sqrt 5) {1, w, 2 + w, 1 - 3w} in the inverse different (1/sqrt 5)
+SQRT5 = F5.element(-1, 2)  # 2w - 1
+R5 = [F5.element(a, b) / SQRT5 for a, b in ((1, 0), (0, 1), (2, 1), (1, -3))]
+CHI5 = DirichletCharacter.trivial(F5, Ideal.unit_ideal(F5))
+
+
+def k5(r, rp, c):
+    return evaluate(KloostermanQuery(c, r, rp, CHI5))
+
+
+def test_evaluate_is_twisted_multiplicative():
+    # K(r, r'; c1 c2) = K(u1 r, u1 r'; c1) K(u2 r, u2 r'; c2) for u1 c2 + u2 c1 = 1:
+    # a = a1 u1 c2 + a2 u2 c1 splits the sum by the Chinese remainder theorem
+    gens = {}
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            c = F5.element(a, b)
+            if 1 < abs(c.norm()) <= 30:
+                gens.setdefault(Ideal.principal(c).hnf, c)
+    sums = 0
+    for (h1, c1), (h2, c2) in itertools.combinations(sorted(gens.items()), 2):
+        if math.gcd(int(c1.norm()), int(c2.norm())) != 1:
+            continue
+        ideal1 = Ideal.principal(c1)
+        u1 = F5.element(*dict(unit_inverse_pairs(ideal1))[ideal1.reduce_coords(
+            *map(int, c2.coords()))])
+        u2 = (1 - u1 * c2) / c1
+        assert u2.is_integral()
+        bound = 1e-12 * math.sqrt(abs((c1 * c2).norm()))
+        for r in R5:
+            for rp in R5:
+                want = k5(u1 * r, u1 * rp, c1) * k5(u2 * r, u2 * rp, c2)
+                assert abs(k5(r, rp, c1 * c2) - want) <= bound, (c1, c2, r, rp)
+                sums += 1
+    assert sums == 912  # 57 coprime pairs of ideals, 16 (r, r') each
+
+
+def test_evaluate_at_degree_one_primes_is_a_rational_sum():
+    # O/pi = Z/p for N(pi) = p, so a runs over ints and S(r' a/pi) = a Tr(r'/pi)
+    sums = 0
+    for p in (p for p in range(2, 80) if _factor(p) == {p: 1}):
+        for prime in factor_rational_prime(F5, p):
+            if prime.f != 1:
+                continue
+            pi = prime.generator
+            for r in R5:
+                for rp in R5:
+                    m, n = p * (rp / pi).trace(), p * (r / pi).trace()
+                    assert m.denominator == n.denominator == 1
+                    want = rational_kloosterman(int(m), int(n), p)
+                    assert abs(k5(r, rp, pi) - want) <= 1e-12 * math.sqrt(p), (pi, r, rp)
+                    sums += 1
+    assert sums == 304
+
+
+def test_evaluate_at_inert_primes_obeys_hasse_davenport():
+    # O/p = F_{p^2} and S(x/(sqrt5 p)) = Tr(x/sqrt5)/p, so K(m/sqrt5, n/sqrt5; p)
+    # is the F_{p^2} Kloosterman sum at mn/5, and Hasse-Davenport lifts the
+    # F_p one: 2p - S(mn 5^{-1}, 1; p)^2 when p does not divide mn
+    sums = 0
+    for p in (2, 3, 7, 13, 17, 23, 37, 43, 47, 53):
+        assert factor_rational_prime(F5, p)[0].f == 2
+        for m in range(1, 5):
+            for n in range(1, 5):
+                if m * n % p == 0:
+                    continue
+                got = k5(F5.element(m) / SQRT5, F5.element(n) / SQRT5, F5.element(p))
+                want = 2 * p - rational_kloosterman(m * n * pow(5, -1, p) % p, 1, p) ** 2
+                assert abs(got - want) <= 1e-12 * p, (p, m, n)
+                sums += 1
+    assert sums == 141
