@@ -5,8 +5,9 @@ where w = (1+sqrt m)/2 for m = 1 mod 4 and w = sqrt m otherwise, so that
 the ring of integers is Z[w] in both cases.  Everything here is exact
 (Fraction or int); floats appear only through the archimedean embeddings,
 which cancel nothing: one of a + b*w_j adds two terms of one sign and the
-other is N(x) over it.  The fundamental unit is normalized by the signs of
-its trace and w-coordinate, and a unit's square root has a closed form.
+other is N(x) over it.  Their signs are read off N(x), Tr(x) and b, never
+off the floats.  The fundamental unit is normalized by the signs of its
+trace and w-coordinate, and a unit's square root has a closed form.
 
 An ideal is (1/den) times an int lattice in Hermite normal form, stored in
 lowest terms, which covers integral and fractional ideals uniformly.  Ideal
@@ -17,9 +18,10 @@ over Q and F alike, comes from one fold: each row enters the pivot (b, g) by
 an extended Euclid on its w-coordinate, and n is the gcd of what is left on
 the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g times the
 primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
-inverses are two modular inverses combined in closed form.  Each field keeps
-the unit tables of its moduli, keyed by HNF (so c, -c and every unit multiple
-of c share one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all;
+inverses are two modular inverses combined in closed form, for one unit of
+each pair {x, -x} (x^{-1} gives -x^{-1}).  Each field keeps the unit tables
+of its moduli, keyed by HNF (so c, -c and every unit multiple of c share
+one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all;
 adding one past that clears them, and a larger table is not kept.  v_P counts
 multiply-and-divide steps by one fixed element of pP^{-1}, without building
 powers of P.  Principal generators come from one bounded box solved row by
@@ -273,6 +275,18 @@ class FieldElement:
     def embed(self) -> tuple:
         return self.field.embeddings(self.a, self.b)
 
+    def signs(self) -> tuple:
+        """The signs (+1, -1 or 0) of embed(), exactly: x1 x2 = N(x) and
+        x1 + x2 = Tr(x), and x1 - x2 = b (w1 - w2) with w1 > w2."""
+        if self.field.degree == 1:
+            return ((self.a > 0) - (self.a < 0),)
+        n = self.norm()
+        if n > 0:
+            s = (self.trace() > 0) - (self.trace() < 0)
+            return (s, s)
+        s = (self.b > 0) - (self.b < 0) if n < 0 else 0
+        return (s, -s)
+
     def coords(self) -> tuple:
         return (self.a, self.b) if self.field.degree == 2 else (self.a,)
 
@@ -303,6 +317,12 @@ def _table_coords(table: array, degree: int, start: int) -> Iterator[tuple]:
     degree) in a table of Ideal._unit_table()."""
     step = 2 * degree
     return zip(*(table[i::step] for i in range(start, start + degree)))
+
+
+def _orbit_size(ideal: "Ideal") -> int:
+    """The units of O/I per entry of ideal._unit_table(): x and -x, or x alone
+    when 2 lies in I and x = -x."""
+    return 2 if any(ideal.reduce_coords(2)) else 1
 
 
 def _hnf(rows: Sequence[tuple]) -> tuple:
@@ -442,16 +462,22 @@ class Ideal:
         return itertools.product(*(range(row[i]) for i, row in enumerate(self.hnf)))
 
     def _unit_table(self) -> array:
-        """The units x of O/I and their inverses as one flat int array: the
-        coordinates of x, then of x^{-1}, unit after unit in the lex order of
-        residue_coords().  Kept on the field under the HNF; read, never write.
+        """One unit x of each pair {x, -x} of O/I, with its inverse, as one flat
+        int array: the coordinates of x, then of x^{-1}, unit after unit in the
+        lex order of residue_coords().  x is kept when x <= -x in that order;
+        -x has the inverse -x^{-1}, and when 2 is in I every unit is its own
+        negative, so all are kept (_orbit_size gives the weight, 1 or 2).  Kept
+        on the field under the HNF; read, never write.
 
-        The HNF ((n, 0), (bh, g)) gives I = g*I' with I' = ((n/g, 0), (bh/g, 1))
-        primitive, and O/I' = Z/(n/g) by a + b*w -> a - (bh/g)*b.  x = a + b*w is
-        a unit mod I iff it is one mod I' and mod gO, where gcd(N(x), g) = 1
-        decides.  With y1 the inverse of x mod I' and y2 = conj(x) N(x)^{-1} mod
-        gO (gO is Galois-stable), (x y1 - 1)(x y2 - 1) lies in I' gO = I, so
-        y1 + y2 - x y1 y2 is the inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
+        Over Q, -a reduces to n - a.  Over F, -(a + b*w) reduces to ((-a) mod n,
+        0) when b = 0 and to ((bh - a) mod n, g - b) when b > 0.  The inverse is
+        computed for the kept x only.  The HNF ((n, 0), (bh, g)) gives I = g*I'
+        with I' = ((n/g, 0), (bh/g, 1)) primitive, and O/I' = Z/(n/g) by
+        a + b*w -> a - (bh/g)*b.  x = a + b*w is a unit mod I iff it is one mod
+        I' and mod gO, where gcd(N(x), g) = 1 decides.  With y1 the inverse of x
+        mod I' and y2 = conj(x) N(x)^{-1} mod gO (gO is Galois-stable),
+        (x y1 - 1)(x y2 - 1) lies in I' gO = I, so y1 + y2 - x y1 y2 is the
+        inverse mod I; x y2 = N(x) N(x)^{-1} is an int.
         """
         if not self.is_integral():
             raise FieldError("residues need an integral ideal")
@@ -463,7 +489,7 @@ class Ideal:
         flat: list = []  # one list and one array copy build faster than array.extend
         if field.degree == 1:
             n = self.hnf[0][0]
-            for a in range(n):
+            for a in range(n // 2 + 1):  # a <= n - a
                 if gcd(a, n) == 1:
                     flat += (a, pow(a, -1, n))
         else:
@@ -472,6 +498,9 @@ class Ideal:
             m, h = n // g, bh // g
             for a in range(n):
                 for b in range(g):
+                    na = (bh * (b > 0) - a) % n  # -x = (na, (g - b) mod g)
+                    if a > na or a == na and 2 * b > g:
+                        continue
                     r = a - h * b
                     norm = a * a + t * a * b - c * b * b
                     if gcd(r, m) != 1 or gcd(norm, g) != 1:

@@ -8,15 +8,19 @@ different O', and chi a character of (O/I)*.  Only the cusp pair
 matrices with no computable construction here.
 
 Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
-linear form in the unit pair (a, d = a^{-1}) over D |N(c)|, D the denominator
-of r and r' (over Q, conj(c) = c and N(c) = c^2), so each term's phase is one
-int k mod den, the lcm of that and the character's order.  _phase_form reads
-den and the form's int coefficients off the numerators and denominators of c,
-r and r' once per sum; _sum builds the terms' k as one list and counts them.
-A character keeps one checked int table, its order and each unit's phase as an
-int numerator over it; the trivial one keeps none, has order 1 whatever its
-modulus and needs no lookup, nor the units mod its modulus.  Floats enter only
-in the final sum of count_k e(k/den).
+linear form in the unit pair (a, d = a^{-1}) over den = D |N(c)|, D the
+denominator of r and r' (over Q, conj(c) = c and N(c) = c^2), so each term's
+phase is one int k mod den.  _phase_form reads den and the form's int
+coefficients off the numerators and denominators of c, r and r' once per sum.
+The units x and -x give the pairs (a, d) and (-a, -d), with phases k and -k
+and chi(-d) = chi(-1) chi(d), so the two terms sum to conj(chi(d)) 2 cos(2 pi
+k/den) when chi(-1) = 1 and to conj(chi(d)) 2i sin(2 pi k/den) when chi(-1) =
+-1; _sum reads one unit of each pair off the unit table and sums one cos or
+sin per pair.  A character keeps one checked int table, its order, each
+unit's phase as an int numerator over it, and the order's roots of unity
+conj(chi) reads by numerator; the trivial one keeps none, has order 1
+whatever its modulus and needs no lookup, nor the units mod its modulus.
+Floats enter only in the final sum.
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +47,7 @@ from .fields import (
     ideal_valuation,
     unit_square_class,
     _factor,
+    _orbit_size,
     _small_generator,
     _table_coords,
 )
@@ -54,8 +58,12 @@ class KloostermanError(ValueError):
 
 
 def _unit_phase(num: int, den: int) -> complex:
-    """e^{2 pi i num/den}, with num reduced mod den exactly before the float division."""
-    return cmath.exp(2j * math.pi * ((num % den) / den))
+    """e^{2 pi i num/den}, with num reduced mod den exactly before the float division;
+    exact at the multiples of 1/4."""
+    num %= den
+    if 4 * num % den == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * num // den]
+    return cmath.exp(2j * math.pi * (num / den))
 
 
 class DirichletCharacter:
@@ -64,7 +72,9 @@ class DirichletCharacter:
     Built from rational phases q (chi = e^{2 pi i q}) keyed by unit coordinates,
     it keeps one int table, checked complete and multiplicative: order, the lcm
     of their denominators, and numerators, each q as an int in [0, order) keyed
-    by int coordinates.  phases None is the trivial character (no table, order 1).
+    by int coordinates; conj_roots[n] is e^{-2 pi i n/order}, the value of conj(chi)
+    at a unit of numerator n.  phases None is the trivial character (no table,
+    order 1).
     """
 
     def __init__(self, field: NumberField, modulus: Ideal,
@@ -75,7 +85,7 @@ class DirichletCharacter:
         if not modulus.is_integral():
             raise FieldError("the character modulus must be an integral ideal")
         self.field, self.modulus = field, modulus
-        self.order, self.numerators = 1, None
+        self.order, self.numerators, self.conj_roots = 1, None, None
         if phases is not None:
             if not all(isinstance(q, (int, Fraction)) for q in phases.values()):
                 raise KloostermanError("character phases must be ints or Fractions")
@@ -83,12 +93,15 @@ class DirichletCharacter:
             self.numerators = self._validate({
                 k: q.numerator * (self.order // q.denominator) % self.order
                 for k, q in phases.items()})
+            self.conj_roots = [_unit_phase(-n, self.order) for n in range(self.order)]
 
     def _validate(self, nums: Dict[tuple, int]) -> Dict[tuple, int]:
         order, modulus = self.order, self.modulus
         if nums.get(modulus.reduce_coords(1)) != 0:
             raise KloostermanError("character must send 1 to 1")
-        if nums.keys() != set(_table_coords(modulus._unit_table(), self.field.degree, 0)):
+        kept = list(_table_coords(modulus._unit_table(), self.field.degree, 0))
+        negatives = (modulus.reduce_coords(*(-v for v in x)) for x in kept)
+        if nums.keys() != {*kept, *negatives}:
             raise KloostermanError("the table's keys must be the units mod its modulus")
         nums = {tuple(map(int, k)): n for k, n in nums.items()}  # Fraction keys hash slowly
 
@@ -122,7 +135,7 @@ class DirichletCharacter:
     def cyclic(cls, field: NumberField, modulus: Ideal, generator: FieldElement,
                exponent: int = 1) -> "DirichletCharacter":
         """chi(g^j) = e^{2 pi i j exponent / order}; g must generate (O/I)*."""
-        n_units = len(modulus._unit_table()) // (2 * modulus.field.degree)
+        n_units = _orbit_size(modulus) * len(modulus._unit_table()) // (2 * field.degree)
         g = tuple(map(int, modulus.reduce(generator).coords()))
         x = tuple(map(int, modulus.reduce(field.one()).coords()))
         steps = {}
@@ -151,8 +164,10 @@ class DirichletCharacter:
         return Fraction(n, self.order)
 
     def minus_one(self) -> int:
-        """chi(-1), always +1 or -1: a checked table has chi(-1)^2 = chi(1) = 1."""
-        return 1 if self.phase(-self.field.one()) == 0 else -1
+        """chi(-1), always +1 or -1: a checked table has chi(-1)^2 = chi(1) = 1, so
+        its numerator at -1 is 0 or order/2; the trivial character reads no table."""
+        nums = self.numerators
+        return 1 if nums is None or nums[self.modulus.reduce_coords(-1)] == 0 else -1
 
 
 @dataclass(frozen=True)
@@ -189,15 +204,14 @@ def evaluate(q: KloostermanQuery) -> complex:
     return _sum(q.c, Ideal.principal(q.c), q.r, q.rp, q.chi)
 
 
-def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement,
-                chi: DirichletCharacter) -> Tuple[int, tuple]:
-    """(den, lin): the term of the unit pair (a, d) has phase k/den - chi's phase
-    of d, with k the dot product of lin with the int coordinates of (a, d).
+def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int, tuple]:
+    """(den, lin): the term of the unit pair (a, d) is conj(chi(d)) e(k/den), with k
+    the dot product of lin with the int coordinates of (a, d).
 
     With D the common denominator of r and r', x in (r', r) and u = D x,
     tr(x a/c) = tr(u a conj(c)) / (D N(c)) = (a0 tr(u conj(c)) + a1 tr(u conj(c) w))
-    / (D N(c)), and den = lcm(D |N(c)|, chi's order).  Over Q, where tr(x) = x,
-    conj(c) is taken as c and N(c) as c^2.
+    / (D N(c)), and den = D |N(c)|.  Over Q, where tr(x) = x, conj(c) is taken as
+    c and N(c) as c^2.
     """
     field, t, cc = c.field, c.field.t, c.field.c
     c0, c1 = c.a.numerator, c.b.numerator  # c is integral: it lies in chi's modulus
@@ -205,8 +219,8 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement,
     x0, x1, y0, y1 = rp.a, rp.b, r.a, r.b
     e0, e1, e2, e3 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
     d_rr = math.lcm(e0, e1, e2, e3)
-    den = math.lcm(d_rr * abs(norm), chi.order)
-    s = den // (d_rr * norm)  # exact, and negative when N(c) is
+    den = d_rr * abs(norm)
+    s = -1 if norm < 0 else 1  # den / (D N(c))
     # s tr(conj(c)), s tr(conj(c) w) and s tr(conj(c) w^2), by w^2 = t w + cc
     t0, t1 = (field.degree * c0 + t * c1) * s, (t * c0 - 2 * cc * c1) * s
     t2 = cc * t0 + t * t1
@@ -219,9 +233,9 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement,
 
 def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
          chi: DirichletCharacter) -> complex:
-    """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked;
-    each term's phase comes from _phase_form."""
-    den, lin = _phase_form(c, r, rp, chi)
+    """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked:
+    one term per unit pair {x, -x} of the table, each phase from _phase_form."""
+    den, lin = _phase_form(c, r, rp)
     degree = c.field.degree
     table = ideal._unit_table()
     it = iter(table)
@@ -232,16 +246,17 @@ def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
         l0, l1, m0, m1 = lin
         terms = [(a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for a0, a1, d0, d1 in zip(it, it, it, it)]
-    # each d is a unit mod chi's modulus, as c lies in it: the trivial character
-    # (no table) is 1 there, with no lookup, and any other table has d as a key
-    nums = chi.numerators
-    if nums is not None:
-        step, reduce = den // chi.order, chi.modulus.reduce_coords
-        inverses = _table_coords(table, degree, degree)
-        terms = [(k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses)]
-    # _unit_phase, inlined: each k is already reduced mod den
-    exp, two_pi_i = cmath.exp, 2j * math.pi
-    return sum(n * exp(two_pi_i * (k / den)) for k, n in Counter(terms).items())
+    # k/den is one rounded division: the same float for any den the phase is over
+    two_pi, weight, nums = 2 * math.pi, _orbit_size(ideal), chi.numerators
+    if nums is None:
+        cos = math.cos
+        return complex(weight * sum([cos(two_pi * (k / den)) for k in terms]))
+    # each d is a unit mod chi's modulus, as c lies in it, so a key of its table
+    odd = chi.minus_one() == -1
+    trig, roots, reduce = math.sin if odd else math.cos, chi.conj_roots, chi.modulus.reduce_coords
+    total = sum([roots[nums[reduce(*d)]] * trig(two_pi * (k / den))
+                 for k, d in zip(terms, _table_coords(table, degree, degree))])
+    return weight * (1j * total if odd else total)
 
 
 _Q = NumberField()  # rational_kloosterman's field, which keeps its unit tables
@@ -295,7 +310,7 @@ def delta_term(r: FieldElement, rp: FieldElement, xi: Sequence[int],
     total = 0.0 + 0.0j
     for e in (eps, -eps):
         sign_factor = 1
-        for s, x in zip(e.embed(), xi):
+        for s, x in zip(e.signs(), xi):
             if x == 1 and s < 0:
                 sign_factor = -sign_factor
         total += _unit_phase(*(-chi.phase(e)).as_integer_ratio()) * sign_factor

@@ -8,11 +8,19 @@ from heckedist import Ideal, make_field
 from heckedist.fields import _table_coords
 
 
+def negative(ideal, x):
+    """The reduced int coordinates of -x mod the ideal."""
+    return ideal.reduce_coords(*(-v for v in x))
+
+
 def unit_inverse_pairs(ideal):
     """[(x, x^{-1})] for the units of O/I, as reduced int coordinate tuples in
-    the lex order of residue_coords(): the list view of ideal._unit_table()."""
+    the lex order of residue_coords(): the pairs of ideal._unit_table(), one
+    unit of each {x, -x}, with (-x, -x^{-1}) for each."""
     table, k = ideal._unit_table(), ideal.field.degree
-    return list(zip(_table_coords(table, k, 0), _table_coords(table, k, k)))
+    kept = zip(_table_coords(table, k, 0), _table_coords(table, k, k))
+    return sorted({pair for x, y in kept
+                   for pair in ((x, y), (negative(ideal, x), negative(ideal, y)))})
 
 
 def hnf_ideals(field, max_norm):

@@ -9,7 +9,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import hnf_ideals, unit_inverse_pairs
+from conftest import hnf_ideals, negative, unit_inverse_pairs
 
 import heckedist.fields as fields_module
 from heckedist import (
@@ -696,9 +696,38 @@ def test_unit_table_is_kept_per_modulus():
     for x in (c, -c, c * eps ** 3, -(c * eps.inverse())):
         assert Ideal.principal(x)._unit_table() is table
     assert field._unit_tables == {Ideal.principal(c).hnf: table}
-    assert field._unit_table_ints == len(table) == 4 * 160
-    flat = [v for x, y in unit_inverse_pairs(Ideal.principal(c)) for v in x + y]
+    # N(c) = 13^2 + 13*4 - 16 = 205 = 5 * 41: 4 * 40 units, one of each {x, -x} kept
+    assert field._unit_table_ints == len(table) == 4 * 80
+    ideal = Ideal.principal(c)
+    flat = [v for x, y in unit_inverse_pairs(ideal) if x <= negative(ideal, x) for v in x + y]
     assert table.tolist() == flat
+
+
+def test_unit_table_keeps_one_unit_of_each_sign_pair(enumerated_ideals):
+    # ideals of norm <= 60 over Q and six quadratic fields, 2 in I for the
+    # divisors of 2 among them: then x = -x, and every unit is kept with weight 1
+    divides_two = 0
+    for ideal in enumerated_ideals:
+        k = ideal.field.degree
+        table = ideal._unit_table()
+        kept = list(fields_module._table_coords(table, k, 0))
+        units = [x for x, _ in unit_inverse_pairs(ideal)]
+        residues = list(ideal.residue_coords())
+        one = ideal.reduce_coords(1)
+        # plain search: the residues with an inverse
+        assert units == [x for x in residues
+                         if any(ideal.reduce_coords(*ideal.field.mul_coords(x, y)) == one
+                                for y in residues)], ideal
+        assert kept == sorted(kept) and all(x <= negative(ideal, x) for x in kept), ideal
+        assert all(len({x, negative(ideal, x)} & set(kept)) == 1 for x in units), ideal
+        two_in_i = ideal.contains(ideal.field.element(2))
+        assert fields_module._orbit_size(ideal) == (1 if two_in_i else 2), ideal
+        assert (kept == units) == two_in_i, ideal
+        assert fields_module._orbit_size(ideal) * len(kept) == len(units), ideal
+        divides_two += two_in_i
+    # the divisors of 2: (1) and (2) over Q and where 2 is inert (m = 5, 13), and
+    # O, P and P^2 = (2) where it ramifies (m = 2, 3, 10, 94)
+    assert divides_two == 2 * 3 + 3 * 4
 
 
 def test_unit_table_is_kept_per_field():
@@ -706,30 +735,32 @@ def test_unit_table_is_kept_per_field():
     f5, f2, f5_again = make_field(5), make_field(2), make_field(5)
     tables = [Ideal.principal(f.element(7))._unit_table() for f in (f5, f2, f5_again)]
     assert len({id(t) for t in tables}) == 3
-    assert len(tables[0]) == 4 * 48 and len(tables[1]) == 4 * 36  # 7 inert in 5, split in 2
+    # 7 inert in 5 (48 units), split in 2 (36 units): one of each {x, -x} kept
+    assert len(tables[0]) == 4 * 24 and len(tables[1]) == 4 * 18
     assert tables[0] == tables[2]
+    # 1, 2 and 3 of the units mod 7 with their inverses; 4, 5 and 6 are -3, -2, -1
     assert Ideal.principal(make_field("Q").element(7))._unit_table().tolist() == \
-        [1, 1, 2, 4, 3, 5, 4, 2, 5, 3, 6, 6]
+        [1, 1, 2, 4, 3, 5]
 
 
 def test_unit_tables_past_the_budget(monkeypatch):
-    monkeypatch.setattr(fields_module, "_UNIT_TABLE_INTS", 200)
+    monkeypatch.setattr(fields_module, "_UNIT_TABLE_INTS", 100)
     field = make_field(5)
-    seven = Ideal.principal(field.element(7))  # 48 units, 192 ints
-    three = Ideal.principal(field.element(3))  # inert: 8 units, 32 ints
-    eleven = Ideal.principal(field.element(11))  # split: 100 units, 400 ints
+    seven = Ideal.principal(field.element(7))  # 48 units, 24 kept: 96 ints
+    three = Ideal.principal(field.element(3))  # inert: 8 units, 4 kept: 16 ints
+    eleven = Ideal.principal(field.element(11))  # split: 100 units, 50 kept: 200 ints
     kept = seven._unit_table()
-    assert seven._unit_table() is kept and field._unit_table_ints == 192
-    # 192 + 32 > 200: the field's tables are cleared before the new one is kept
+    assert seven._unit_table() is kept and field._unit_table_ints == 96
+    # 96 + 16 > 100: the field's tables are cleared before the new one is kept
     small = three._unit_table()
-    assert field._unit_tables == {three.hnf: small} and field._unit_table_ints == 32
+    assert field._unit_tables == {three.hnf: small} and field._unit_table_ints == 16
     assert seven._unit_table() is not kept
-    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 192
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
     # a table past the budget on its own is returned and not kept
     big = eleven._unit_table()
-    assert len(big) == 400 and eleven._unit_table() is not big
+    assert len(big) == 200 and eleven._unit_table() is not big
     assert eleven._unit_table() == big
-    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 192
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
 
 
 def test_unit_square_class():

@@ -2,9 +2,9 @@
 equidist imports numpy when it loads, no module imports scipy at all,
 every module-level private function, class or constant is referenced
 somewhere in the package, every function reads each of its parameters,
-no name is parsed again where the parsed value could travel instead, and
-every benchmark record at the repository root is strict JSON with its
-required keys."""
+no name is parsed again where the parsed value could travel instead, no
+decision reads a float embedding, and every benchmark record at the
+repository root is strict JSON with its required keys."""
 
 import ast
 import json
@@ -219,6 +219,44 @@ def test_names_are_parsed_once_where_they_enter(path):
     # a field spec or measure kind is read at the CLI, the package's edge, and
     # the parsed NumberField or SpectralMeasure is passed on from there
     assert reparsed_names(path.read_text()) == [], path.name
+
+
+def float_embedding_reads(source: str):
+    """(line, enclosing def as Class.method) of each embed() or embeddings() call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) \
+                    and getattr(child.func, "attr", None) in ("embed", "embeddings"):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+# the float embeddings are read only to print them, to take the regulator's log,
+# and by embed() itself; signs and orderings come from exact traces and norms
+EMBEDDING_READERS = {"fields.py": {"FieldElement.embed", "UnitGroupData.__init__"},
+                     "cli.py": {"cmd_field_info", "cmd_field_unit"}}
+
+
+def test_checker_finds_an_embedding_read():
+    source = ("class U:\n    def f(self, x):\n        return x.embed()[0] > 0\n"
+              "def g(f, a):\n    return [v < 0 for v in f.embeddings(a, 0)]\n"
+              "def h(x):\n    return x.signs()\n")
+    assert float_embedding_reads(source) == [(3, "U.f"), (5, "g")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_decision_reads_a_float_embedding(path):
+    allowed = EMBEDDING_READERS.get(path.name, set())
+    reads = float_embedding_reads(path.read_text())
+    assert [(line, scope) for line, scope in reads if scope not in allowed] == [], path.name
 
 
 def strict_json(text: str):

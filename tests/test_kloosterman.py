@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import unit_inverse_pairs
+from conftest import negative, unit_inverse_pairs
 
 from heckedist import (
     DirichletCharacter,
@@ -29,6 +29,7 @@ from heckedist import (
     weil_scan,
 )
 from heckedist import cli
+from heckedist import fields as fields_module
 from heckedist import kloosterman as kloosterman_module
 from heckedist.fields import _factor, _small_generator, _table_coords, factor_rational_prime
 from heckedist.kloosterman import _principal_ideals_up_to
@@ -139,22 +140,36 @@ def phase_table(chi):
     return {k: Fraction(n, chi.order) for k, n in chi.numerators.items()}
 
 
+def orbit_sum(terms, ideal, chi, den):
+    """_sum's last step, float operation for float operation: terms is [(k, n)]
+    over one unit x of each pair {x, -x} mod the ideal, in lex order, with k/den
+    the phase of (x, x^{-1}) and n chi's numerator at x^{-1} (0 for the trivial
+    character); the pair sums to conj(chi(d)) (e(k/den) + chi(-1) e(-k/den))."""
+    two_pi = 2 * math.pi
+    weight = 1 if ideal.contains(ideal.field.element(2)) else 2
+    if chi.numerators is None:
+        return complex(weight * sum([math.cos(two_pi * (k / den)) for k, _ in terms]))
+    odd = chi.numerators[chi.modulus.reduce_coords(-1)] != 0
+    trig = math.sin if odd else math.cos
+    total = sum([chi.conj_roots[n] * trig(two_pi * (k / den)) for k, n in terms])
+    return weight * (1j * total if odd else total)
+
+
 def fraction_preamble_evaluate(q):
     """evaluate() as it was before its preamble went to ints: Fraction traces of
-    r'/c and r/c times the basis over one common denominator with the
-    character's phases, and a character lookup for every term."""
+    r'/c and r/c times the basis over one common denominator, and a character
+    lookup for every term, summed over the orbits {x, -x} by orbit_sum."""
     field = q.c.field
     basis = (field.one(),) if field.degree == 1 else (field.one(), field.omega())
     coeffs = [(x * b).trace() for x in (q.rp / q.c, q.r / q.c) for b in basis]
     phases = phase_table(q.chi)
-    den = math.lcm(*(x.denominator for x in coeffs), *(x.denominator for x in phases.values()))
+    den = math.lcm(*(x.denominator for x in coeffs))
     lin = [int(x * den) for x in coeffs]
-    chi_num = {key: int(x * den) for key, x in phases.items()}
-    counts = Counter()
-    for a, d in inverse_coords_route(Ideal.principal(q.c)):
-        k = sum(map(operator.mul, a + d, lin)) - chi_num[q.chi.modulus.reduce_coords(*d)]
-        counts[k % den] += 1
-    return sum(n * cmath.exp(2j * math.pi * ((k % den) / den)) for k, n in counts.items())
+    chi_num = {key: int(x * q.chi.order) for key, x in phases.items()}
+    ideal = Ideal.principal(q.c)
+    terms = [(sum(map(operator.mul, a + d, lin)) % den, chi_num[q.chi.modulus.reduce_coords(*d)])
+             for a, d in inverse_coords_route(ideal) if a <= negative(ideal, a)]
+    return orbit_sum(terms, ideal, q.chi, den)
 
 
 def cyclic_characters(field, modulus, count):
@@ -210,17 +225,17 @@ def test_evaluate_is_bit_identical_to_fraction_preamble():
         assert rational_kloosterman(3, 5, c) == fraction_preamble_evaluate(q_query(3, 5, c, chi))
 
 
-def coordinate_preamble_sum(c, ideal, r, rp, chi):
-    """_sum as it was before its preamble became one int helper: Fraction
-    coordinates read through per-coordinate generators, y = D r' conj(c) scaled
-    by den/(D N(c)) and its two traces, with N(c) = c^2 over Q, and generator
-    terms (verbatim); the reference the int preamble is pinned to with ==."""
+def coordinate_preamble(c, r, rp, order):
+    """(den, lin) as _sum read them before its preamble became one int helper:
+    Fraction coordinates read through per-coordinate generators, y = D r' conj(c)
+    scaled by den/(D N(c)) and its two traces, with N(c) = c^2 over Q, and den
+    the lcm of D |N(c)| and a character's order."""
     field, t = c.field, c.field.t
     cz = tuple(v.numerator for v in c.coords())
     cbar = cz if field.degree == 1 else (cz[0] + t * cz[1], -cz[1])
     norm = field.mul_coords(cz, cbar)[0]
     d_rr = math.lcm(*(v.denominator for x in (rp, r) for v in x.coords()))
-    den = math.lcm(d_rr * abs(norm), chi.order)
+    den = math.lcm(d_rr * abs(norm), order)
     scale = den // (d_rr * norm)
     lin = []
     for x in (rp, r):
@@ -228,22 +243,41 @@ def coordinate_preamble_sum(c, ideal, r, rp, chi):
                                    for v in x.coords()), cbar)
         lin += y if field.degree == 1 else \
             (2 * y[0] + t * y[1], t * y[0] + (t * t + 2 * field.c) * y[1])
+    return den, lin
+
+
+def coordinate_preamble_sum(c, ideal, r, rp, chi):
+    """_sum with the coordinate preamble, generator terms over the kept table
+    and orbit_sum; the reference the int preamble is pinned to with ==."""
+    den, lin = coordinate_preamble(c, r, rp, 1)
+    degree = c.field.degree
     table = ideal._unit_table()
     it = iter(table)
-    if field.degree == 1:
+    if degree == 1:
         l0, m0 = lin
         terms = ((a * l0 + d * m0) % den for a, d in zip(it, it))
     else:
         l0, l1, m0, m1 = lin
         terms = ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
                  for a0, a1, d0, d1 in zip(it, it, it, it))
-    nums = chi.numerators
-    if nums is not None:
-        step, reduce = den // chi.order, chi.modulus.reduce_coords
-        inverses = _table_coords(table, field.degree, field.degree)
-        terms = ((k - step * nums[reduce(*d)]) % den for k, d in zip(terms, inverses))
-    counts = Counter(terms)
-    return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in counts.items())
+    nums, reduce = chi.numerators, chi.modulus.reduce_coords
+    inverses = _table_coords(table, degree, degree)
+    return orbit_sum([(k, 0 if nums is None else nums[reduce(*d)])
+                      for k, d in zip(terms, inverses)], ideal, chi, den)
+
+
+def full_table_sum(c, r, rp, chi):
+    """_sum as it was before it summed over the orbits {x, -x}: den the lcm of
+    D |N(c)| and chi's order, each term's k shifted by chi's phase of d, every
+    unit pair of O/cO, the terms counted per k and count_k e(k/den) summed."""
+    den, lin = coordinate_preamble(c, r, rp, chi.order)
+    terms = []
+    for a, d in unit_inverse_pairs(Ideal.principal(c)):
+        k = sum(map(operator.mul, a + d, lin))
+        if chi.numerators is not None:
+            k -= den // chi.order * chi.numerators[chi.modulus.reduce_coords(*d)]
+        terms.append(k % den)
+    return sum(n * cmath.exp(2j * math.pi * (k / den)) for k, n in Counter(terms).items())
 
 
 def reference_sum(q, c=None, swap=False):
@@ -289,7 +323,10 @@ def test_sum_matches_the_coordinate_preamble():
 
 
 def test_weil_scan_rows_match_the_coordinate_preamble():
+    # == to the coordinate preamble's orbit sum, and within 1e-12 sqrt N(c) of the
+    # full-table sum, with the odd character chi3 among the scans
     chi3 = cyclic_characters(F5, Ideal.principal(F5.element(3)), 4)[3]
+    assert chi3.minus_one() == -1
     r5, rp5 = inverse_different(F5).basis_elements()
     scans = row_path_scans() + [(F5, rp5, r5 * 3, chi3, 90), (Q, Q.element(-4), Q.element(7),
                                  DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(9)),
@@ -301,6 +338,112 @@ def test_weil_scan_rows_match_the_coordinate_preamble():
         for row in res.rows:
             want = abs(coordinate_preamble_sum(row.c, Ideal.principal(row.c), r, rp, chi))
             assert row.abs_k == want, row.c
+            full = abs(full_table_sum(row.c, r, rp, chi))
+            assert abs(row.abs_k - full) <= 1e-12 * math.sqrt(row.norm), row.c
+
+
+def dividing_two_queries(rng):
+    """Queries with c | 2, where every unit x mod c is its own negative: over Q,
+    Q(sqrt 2) (2 ramified), Q(sqrt 3), Q(sqrt 5) (2 inert) and Q(sqrt 17) (2
+    split), with the trivial character and the cyclic ones mod 2 over Q(sqrt 5)."""
+    out = []
+    cases = [(Q, (1, -1, 2, -2)), (make_field(2), ((0, 1), (2, 0), (1, 1))),
+             (make_field(3), ((1, 1), (2, 0))), (F5, ((2, 0), (-2, 0))),
+             (make_field(17), ((1, 1), (2, 0), (2, -1)))]
+    for field, cs in cases:
+        basis = inverse_different(field).basis_elements()
+        chis = [DirichletCharacter.trivial(field, Ideal.unit_ideal(field))]
+        if field == F5:
+            chis += cyclic_characters(F5, Ideal.principal(F5.element(2)), 3)
+        for c in cs:
+            c = field.element(*c) if field.degree == 2 else field.element(c)
+            assert Ideal.principal(c).contains(field.element(2)) or abs(c.norm()) == 1
+            for chi in chis:
+                for _ in range(3):
+                    r, rp = (sum((e * rng.randrange(-4, 5) for e in basis), field.zero())
+                             for _ in range(2))
+                    out.append(KloostermanQuery(c, r, rp, chi))
+    return out
+
+
+def real_character_queries():
+    """The Legendre symbols mod 5 (even) and mod 3 and 7 (odd) as checked tables."""
+    out = []
+    for p in (3, 5, 7):
+        modulus = Ideal.principal(Q.element(p))
+        chi = DirichletCharacter(Q, modulus, {(x,): Fraction((1 - jacobi(x, p)) // 2, 2)
+                                              for x in range(1, p)})
+        out += [q_query(m, n, p * k, chi) for m, n, k in ((1, 1, 1), (3, -5, 2), (2, 7, -3))]
+    return out
+
+
+def orbit_sum_queries():
+    queries = pinned_queries() + fractional_r_queries(random.Random(35))
+    return queries + dividing_two_queries(random.Random(41)) + real_character_queries()
+
+
+def test_orbit_sum_matches_the_full_table_sum():
+    queries = orbit_sum_queries()
+    nontrivial = [q for q in queries if q.chi.numerators is not None]
+    assert any(q.chi.minus_one() == -1 for q in nontrivial)
+    assert any(q.chi.minus_one() == 1 and q.chi.order > 1 for q in nontrivial)
+    assert any(Ideal.principal(q.c).contains(q.c.field.element(2)) and q.chi.order > 1
+               for q in queries)
+    for q in queries:
+        bound = 1e-12 * math.sqrt(abs(q.c.norm()))
+        k = full_table_sum(q.c, q.r, q.rp, q.chi)
+        assert abs(evaluate(q) - k) <= bound, q
+        # chi(-1) read off the Fraction phase, as minus_one did before
+        chi_m1 = 1 if q.chi.phase(-q.c.field.one()) == 0 else -1
+        assert chi_m1 == q.chi.minus_one()
+        want = max(abs(k.conjugate() - full_table_sum(-q.c, q.rp, q.r, q.chi)),
+                   abs(k.conjugate() - chi_m1 * full_table_sum(q.c, q.rp, q.r, q.chi)))
+        assert abs(symmetry_check(q) - want) <= bound, q
+
+
+def test_a_real_character_gives_a_real_or_imaginary_sum():
+    # conj(chi(d)) is exactly +-1, so each orbit adds 2 cos or 2i sin and nothing else
+    real = [q for q in orbit_sum_queries() if q.chi.order <= 2]
+    assert {q.chi.minus_one() for q in real} == {1, -1}
+    assert any(q.chi.numerators is None for q in real)
+    for q in real:
+        k = evaluate(q)
+        assert type(k) is complex, q
+        assert (k.imag if q.chi.minus_one() == 1 else k.real) == 0, q
+
+
+def test_conjugate_roots_are_exact_at_the_quarter_turns():
+    # chi(g^j) = e(j e/(p - 1)) for the generators 2 mod 13 and 3 mod 17
+    orders = set()
+    for p, g in ((13, 2), (17, 3)):
+        for e in range(p - 1):
+            chi = DirichletCharacter.cyclic(Q, Ideal.principal(Q.element(p)), Q.element(g), e)
+            orders.add(chi.order)
+            assert len(chi.conj_roots) == chi.order
+            for n, root in enumerate(chi.conj_roots):
+                assert type(root) is complex
+                assert abs(root - cmath.exp(-2j * math.pi * n / chi.order)) < 1e-15
+                if 4 * n % chi.order == 0:
+                    assert root == (1, -1j, -1, 1j)[4 * n // chi.order], (chi.order, n)
+    assert orders == {1, 2, 3, 4, 6, 8, 12, 16}
+
+
+def test_a_rational_sweep_keeps_its_tables(monkeypatch):
+    # S(3, 5; c) for c <= 399 needs sum phi(c) ~ 48k ints of half tables, under the
+    # 2^16 the field keeps: a second sweep finds every table the first one built
+    field = kloosterman_module._Q
+    monkeypatch.setattr(field, "_unit_tables", {})
+    monkeypatch.setattr(field, "_unit_table_ints", 0)
+    first = [rational_kloosterman(3, 5, c) for c in range(1, 400)]
+    tables = dict(field._unit_tables)
+    assert len(tables) == 399
+    # two ints for each of c = 1, 2, whose one unit is its own negative, and
+    # phi(c)/2 units with their inverses for each c >= 3
+    phi = [sum(math.gcd(a, n) == 1 for a in range(1, n)) for n in range(3, 400)]
+    assert field._unit_table_ints == sum(len(t) for t in tables.values()) == 4 + sum(phi)
+    assert field._unit_table_ints <= fields_module._UNIT_TABLE_INTS
+    assert [rational_kloosterman(3, 5, c) for c in range(1, 400)] == first
+    assert all(field._unit_tables[hnf] is table for hnf, table in tables.items())
 
 
 def test_evaluate_preamble_is_constant_size(monkeypatch):
@@ -1263,6 +1406,47 @@ def test_delta_term_signs_are_exact_on_high_powers():
             want = sum(math.prod(s ** x for s, x in zip(exact_signs(e), xi))
                        for e in (eps, -eps)) / 2
             assert delta_term(eps * eps, one, xi, chi5) == want, (k, xi)
+
+
+@pytest.mark.parametrize("m", [94, 2998])
+def test_signs_match_the_exact_rule_and_finite_embeddings(m):
+    # +-eps^k, k <= 60: float embeddings overflow from eps^11 over Q(sqrt 2998)
+    field = make_field(m)
+    eps = field.unit_group().fundamental
+    finite = 0
+    for k in range(61):
+        for x in (eps ** k, -(eps ** k)):
+            assert x.signs() == exact_signs(x), (m, k, x.signs())
+            try:
+                emb = x.embed()
+            except OverflowError:
+                continue
+            if all(math.isfinite(v) and v != 0 for v in emb):
+                assert x.signs() == tuple((v > 0) - (v < 0) for v in emb), (m, k)
+                finite += 1
+    assert 0 < finite < 122
+    assert Q.element(-3).signs() == (-1,) and Q.element(Fraction(1, 7)).signs() == (1,)
+    assert Q.zero().signs() == (0,) and field.zero().signs() == (0, 0)
+
+
+@pytest.mark.parametrize("m", [94, 2998])
+def test_delta_term_signs_are_exact_past_the_float_range(m):
+    # delta_term(eps^22, 1, (1, 1), chi) over Q(sqrt 2998) raised OverflowError
+    # when it read the signs of eps^11 off its float embeddings
+    field = make_field(m)
+    chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+    eps, one = field.unit_group().fundamental, field.one()
+    for k in range(61):
+        root = eps ** k
+        for xi in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            want = sum(math.prod(s ** x for s, x in zip(exact_signs(e), xi))
+                       for e in (root, -root)) / 2
+            assert delta_term(root * root, one, xi, chi) == want, (m, k, xi)
+    # N(eps) = 1 and Tr(eps) > 0 over Q(sqrt 2998): eps^11 has signs (1, 1) and
+    # -eps^11 has (-1, -1), so both roots weigh 1 at xi = (1, 1)
+    if m == 2998:
+        assert eps.norm() == 1 and eps.trace() > 0
+        assert delta_term(eps ** 22, one, (1, 1), chi) == 1
 
 
 # local-factor oracles for evaluate over Q(sqrt 5), trivial character; r and r'
