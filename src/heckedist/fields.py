@@ -21,8 +21,9 @@ primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
 inverses are two modular inverses combined in closed form, for one unit of
 each pair {x, -x} (x^{-1} gives -x^{-1}).  Each field keeps the unit tables
 of its moduli, keyed by HNF (so c, -c and every unit multiple of c share
-one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all;
-adding one past that clears them, and a larger table is not kept.  v_P counts
+one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all; a table
+that does not fit in what is left is returned and not kept, and the kept ones
+stay.  v_P counts
 multiply-and-divide steps by one fixed element of pP^{-1}, without building
 powers of P.  Principal generators come from one bounded box solved row by
 row; a unit multiple of an ideal is the ideal itself, so a miss is final.
@@ -392,9 +393,9 @@ class Ideal:
     def principal(cls, elt: FieldElement) -> "Ideal":
         """(elt): the HNF of its two int rows x = den*elt and x*w = (c x1, x0 + t x1),
         the same (hnf, den) as from_generators([elt])."""
-        field, a, b = elt.field, elt.a, elt.b
-        den = math.lcm(a.denominator, b.denominator)
-        x0, x1 = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        field, (a, da), (b, db) = elt.field, elt.a.as_integer_ratio(), elt.b.as_integer_ratio()
+        den = math.lcm(da, db)
+        x0, x1 = a * (den // da), b * (den // db)
         if not (x0 or x1):
             raise FieldError("ideal needs a nonzero generator")
         if field.degree == 1:
@@ -510,10 +511,7 @@ class Ideal:
                     q = -s * b // g
                     flat += (a, b, (x - q * bh) % n, -s * b - q * g)
         table = array("q", flat)
-        if len(table) <= _UNIT_TABLE_INTS:
-            if field._unit_table_ints + len(table) > _UNIT_TABLE_INTS:
-                field._unit_tables.clear()
-                field._unit_table_ints = 0
+        if field._unit_table_ints + len(table) <= _UNIT_TABLE_INTS:
             field._unit_tables[self.hnf] = table
             field._unit_table_ints += len(table)
         return table

@@ -15,8 +15,10 @@ coefficients off the numerators and denominators of c, r and r' once per sum.
 The units x and -x give the pairs (a, d) and (-a, -d), with phases k and -k
 and chi(-d) = chi(-1) chi(d), so the two terms sum to conj(chi(d)) 2 cos(2 pi
 k/den) when chi(-1) = 1 and to conj(chi(d)) 2i sin(2 pi k/den) when chi(-1) =
--1; _sum reads one unit of each pair off the unit table and sums one cos or
-sin per pair.  A character keeps one checked int table, its order, each
+-1; _sum reads one unit of each pair off the flat unit table and sums one cos
+or sin per pair in one pass: each pair's k, its trig value and, for a checked
+character, conj(chi(d)) come out of one comprehension, with no list of phases
+in between.  A character keeps one checked int table, its order, each
 unit's phase as an int numerator over it, and the order's roots of unity
 conj(chi) reads by numerator; the trivial one keeps none, has order 1
 whatever its modulus and needs no lookup, nor the units mod its modulus.
@@ -216,16 +218,16 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int
     field, t, cc = c.field, c.field.t, c.field.c
     c0, c1 = c.a.numerator, c.b.numerator  # c is integral: it lies in chi's modulus
     norm = c0 * (c0 + t * c1) - cc * c1 * c1
-    x0, x1, y0, y1 = rp.a, rp.b, r.a, r.b
-    e0, e1, e2, e3 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
+    (x0, e0), (x1, e1) = rp.a.as_integer_ratio(), rp.b.as_integer_ratio()
+    (y0, e2), (y1, e3) = r.a.as_integer_ratio(), r.b.as_integer_ratio()
     d_rr = math.lcm(e0, e1, e2, e3)
     den = d_rr * abs(norm)
     s = -1 if norm < 0 else 1  # den / (D N(c))
     # s tr(conj(c)), s tr(conj(c) w) and s tr(conj(c) w^2), by w^2 = t w + cc
     t0, t1 = (field.degree * c0 + t * c1) * s, (t * c0 - 2 * cc * c1) * s
     t2 = cc * t0 + t * t1
-    u0, u1 = x0.numerator * (d_rr // e0), x1.numerator * (d_rr // e1)
-    v0, v1 = y0.numerator * (d_rr // e2), y1.numerator * (d_rr // e3)
+    u0, u1 = x0 * (d_rr // e0), x1 * (d_rr // e1)
+    v0, v1 = y0 * (d_rr // e2), y1 * (d_rr // e3)
     if field.degree == 1:
         return den, (u0 * t0, v0 * t0)
     return den, (u0 * t0 + u1 * t1, u0 * t1 + u1 * t2, v0 * t0 + v1 * t1, v0 * t1 + v1 * t2)
@@ -234,28 +236,34 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int
 def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
          chi: DirichletCharacter) -> complex:
     """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked:
-    one term per unit pair {x, -x} of the table, each phase from _phase_form."""
+    one term per unit pair {x, -x} of the table, each phase from _phase_form, in
+    one pass over the flat table."""
     den, lin = _phase_form(c, r, rp)
-    degree = c.field.degree
-    table = ideal._unit_table()
-    it = iter(table)
-    if degree == 1:
-        l0, m0 = lin
-        terms = [(a * l0 + d * m0) % den for a, d in zip(it, it)]
-    else:
-        l0, l1, m0, m1 = lin
-        terms = [(a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den
-                 for a0, a1, d0, d1 in zip(it, it, it, it)]
-    # k/den is one rounded division: the same float for any den the phase is over
+    it = iter(ideal._unit_table())
+    # k % den / den is one rounded division: the same float for any den the phase is over
     two_pi, weight, nums = 2 * math.pi, _orbit_size(ideal), chi.numerators
     if nums is None:
         cos = math.cos
-        return complex(weight * sum([cos(two_pi * (k / den)) for k in terms]))
+        if c.field.degree == 1:
+            l0, m0 = lin
+            total = sum([cos(two_pi * ((a * l0 + d * m0) % den / den)) for a, d in zip(it, it)])
+        else:
+            l0, l1, m0, m1 = lin
+            total = sum([cos(two_pi * ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den / den))
+                         for a0, a1, d0, d1 in zip(it, it, it, it)])
+        return complex(weight * total)
     # each d is a unit mod chi's modulus, as c lies in it, so a key of its table
     odd = chi.minus_one() == -1
     trig, roots, reduce = math.sin if odd else math.cos, chi.conj_roots, chi.modulus.reduce_coords
-    total = sum([roots[nums[reduce(*d)]] * trig(two_pi * (k / den))
-                 for k, d in zip(terms, _table_coords(table, degree, degree))])
+    if c.field.degree == 1:
+        l0, m0 = lin
+        total = sum([roots[nums[reduce(d)]] * trig(two_pi * ((a * l0 + d * m0) % den / den))
+                     for a, d in zip(it, it)])
+    else:
+        l0, l1, m0, m1 = lin
+        total = sum([roots[nums[reduce(d0, d1)]]
+                     * trig(two_pi * ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den / den))
+                     for a0, a1, d0, d1 in zip(it, it, it, it)])
     return weight * (1j * total if odd else total)
 
 

@@ -749,18 +749,24 @@ def test_unit_tables_past_the_budget(monkeypatch):
     seven = Ideal.principal(field.element(7))  # 48 units, 24 kept: 96 ints
     three = Ideal.principal(field.element(3))  # inert: 8 units, 4 kept: 16 ints
     eleven = Ideal.principal(field.element(11))  # split: 100 units, 50 kept: 200 ints
+    unit = Ideal.unit_ideal(field)  # O/O: its one residue 0 is a unit, its own inverse
     kept = seven._unit_table()
     assert seven._unit_table() is kept and field._unit_table_ints == 96
-    # 96 + 16 > 100: the field's tables are cleared before the new one is kept
+    # 96 + 16 > 100: the new table is returned and not kept, and the kept one stays
     small = three._unit_table()
-    assert field._unit_tables == {three.hnf: small} and field._unit_table_ints == 16
-    assert seven._unit_table() is not kept
+    assert three._unit_table() is not small and three._unit_table() == small
+    assert seven._unit_table() is kept
     assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
-    # a table past the budget on its own is returned and not kept
+    # a table past the budget on its own is returned and not kept either
     big = eleven._unit_table()
     assert len(big) == 200 and eleven._unit_table() is not big
     assert eleven._unit_table() == big
     assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
+    # a table that fits what is left is kept beside the others
+    one = unit._unit_table()
+    assert one.tolist() == [0, 0, 0, 0] and unit._unit_table() is one
+    assert field._unit_tables == {seven.hnf: kept, unit.hnf: one}
+    assert field._unit_table_ints == 100
 
 
 def test_unit_square_class():

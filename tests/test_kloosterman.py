@@ -446,6 +446,33 @@ def test_a_rational_sweep_keeps_its_tables(monkeypatch):
     assert all(field._unit_tables[hnf] is table for hnf, table in tables.items())
 
 
+def test_a_sweep_past_the_budget_keeps_what_fits(monkeypatch):
+    # S(3, 5; c) for c <= 599 needs about 109k ints of half tables: the tables
+    # of c <= 463 fill 65,408 of the 2^16 ints, c = 464 (224 ints) is returned
+    # unkept, and of the rest only c = 480 (phi = 128) fits the 128 left; a
+    # second sweep finds every kept table, none of them rebuilt
+    field = kloosterman_module._Q
+    monkeypatch.setattr(field, "_unit_tables", {})
+    monkeypatch.setattr(field, "_unit_table_ints", 0)
+    returned = {}
+    unit_table = Ideal._unit_table
+
+    def recording(ideal):
+        table = unit_table(ideal)
+        returned[ideal.hnf[0][0]] = table
+        return table
+
+    monkeypatch.setattr(Ideal, "_unit_table", recording)
+    first = [rational_kloosterman(3, 5, c) for c in range(1, 600)]
+    tables = dict(field._unit_tables)
+    assert sorted(hnf[0][0] for hnf in tables) == [*range(1, 464), 480]
+    assert field._unit_table_ints == sum(len(t) for t in tables.values())
+    assert field._unit_table_ints == fields_module._UNIT_TABLE_INTS
+    assert [rational_kloosterman(3, 5, c) for c in range(1, 600)] == first
+    assert all(returned[c] is tables[((c,),)] for c in range(1, 464))
+    assert field._unit_tables == tables
+
+
 def test_evaluate_preamble_is_constant_size(monkeypatch):
     # the Fractions evaluate builds and reads grow neither with the number of
     # terms nor with the character's table
