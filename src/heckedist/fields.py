@@ -63,6 +63,40 @@ def _factor(n: int) -> Dict[int, int]:
     return out
 
 
+# (a, psi): a runs over the primes 2..37, and no composite below psi is a strong
+# probable prime to every base up to a (Jaeschke, Math. Comp. 61, 1993; Sorenson
+# and Webster, Math. Comp. 86, 2017); below the last psi the test is exact
+_MR_BASES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+             (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+             (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+             (37, 318665857834031151167461))
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the int n is prime, by Miller-Rabin to the bases of _MR_BASES up
+    to the first psi past n.  Past the last psi, about 3.2e23, an n that no base
+    shows composite raises FieldError."""
+    if n < 2:
+        return False
+    for a, _ in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a, psi in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise FieldError("%d is past the Miller-Rabin limit 3.18e23" % n)
+
+
 class NumberField:
     """Q or a real quadratic field Q(sqrt m), m squarefree, m > 1.
 
@@ -621,7 +655,9 @@ def factor_rational_prime(field: NumberField, p: int) -> list:
 def _factor_rational_prime(field: NumberField, p: int) -> list:
     if p < 2:
         raise FieldError("p must be a rational prime, got %d" % p)
-    if _factor(p) != {p: 1}:
+    if p > 10 ** 12:  # labels keep the range _factor gives field specs and ideal norms
+        raise FieldError("%d is past the trial-division limit 10^12" % p)
+    if not _is_prime(p):
         raise FieldError("%d is not prime" % p)
     if field.degree == 1:
         return [PrimeIdeal(field, ((p,),), p, 1, 1, 0, field.element(p))]
@@ -675,8 +711,12 @@ def prime_by_label(field: NumberField, label: str) -> PrimeIdeal:
     the bare 'p' of index 0.
     """
     ps, colon, ix = label.partition(":")
-    p, i = int(ps), int(ix) if colon else 0
-    if label != ("%d:%d" % (p, i) if colon else "%d" % p):
+    try:
+        p, i = int(ps), int(ix) if colon else 0
+        canonical = label == ("%d:%d" % (p, i) if colon else "%d" % p)
+    except ValueError:  # "", "x", "2.0", "2:", "2:0:1": not ints at all
+        canonical = False
+    if not canonical:
         raise FieldError("prime label %r is not canonical: write 'p:i' or 'p'" % (label,))
     factors = factor_rational_prime(field, p)
     if not 0 <= i < len(factors):

@@ -11,18 +11,23 @@ Phases are exact ints: by x/c = x conj(c)/N(c), tr((r'a + rd)/c) is an int
 linear form in the unit pair (a, d = a^{-1}) over den = D |N(c)|, D the
 denominator of r and r' (over Q, conj(c) = c and N(c) = c^2), so each term's
 phase is one int k mod den.  _phase_form reads den and the form's int
-coefficients off the numerators and denominators of c, r and r' once per sum.
+coefficients off the numerators and denominators of c, r and r' once per sum,
+and divides them by their gcd.
 The units x and -x give the pairs (a, d) and (-a, -d), with phases k and -k
 and chi(-d) = chi(-1) chi(d), so the two terms sum to conj(chi(d)) 2 cos(2 pi
 k/den) when chi(-1) = 1 and to conj(chi(d)) 2i sin(2 pi k/den) when chi(-1) =
--1; _sum reads one unit of each pair off the flat unit table and sums one cos
-or sin per pair in one pass: each pair's k, its trig value and, for a checked
-character, conj(chi(d)) come out of one comprehension, with no list of phases
-in between.  A character keeps one checked int table, its order, each
+-1; _sum reads one unit of each pair off the flat unit table and, in one
+comprehension, each pair's k, its trig value as one lookup in the table of
+cos or sin at the multiples of 1/den, and, for a checked character,
+conj(chi(d)).  One store keeps those tables, by den and trig kind, at most
+_UNIT_TABLE_INTS floats in all: a table that does not fit in what is left is
+returned unkept, and the kept ones stay.  A sum at a new den builds den
+values, where it has about half the units mod c as pairs; each later sum at
+that den reads them.  A character keeps one checked int table, its order, each
 unit's phase as an int numerator over it, and the order's roots of unity
 conj(chi) reads by numerator; the trivial one keeps none, has order 1
 whatever its modulus and needs no lookup, nor the units mod its modulus.
-Floats enter only in the final sum.
+Floats enter only in the trig tables and the final sum.
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
 traces, tr(x) and tr(x w), without building O'.  The delta term delta(r, r')
@@ -48,6 +53,7 @@ from .fields import (
     ideal_prime_factorization,
     ideal_valuation,
     unit_square_class,
+    _UNIT_TABLE_INTS,
     _factor,
     _orbit_size,
     _small_generator,
@@ -207,13 +213,17 @@ def evaluate(q: KloostermanQuery) -> complex:
 
 
 def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int, tuple]:
-    """(den, lin): the term of the unit pair (a, d) is conj(chi(d)) e(k/den), with k
-    the dot product of lin with the int coordinates of (a, d).
+    """(den, lin) in lowest terms: the term of the unit pair (a, d) is conj(chi(d))
+    e(k/den), with k the dot product of lin with the int coordinates of (a, d).
 
     With D the common denominator of r and r', x in (r', r) and u = D x,
     tr(x a/c) = tr(u a conj(c)) / (D N(c)) = (a0 tr(u conj(c)) + a1 tr(u conj(c) w))
-    / (D N(c)), and den = D |N(c)|.  Over Q, where tr(x) = x, conj(c) is taken as
-    c and N(c) as c^2.
+    / (D N(c)), over D |N(c)|.  Over Q, where tr(x) = x, conj(c) is taken as c and
+    N(c) as c^2.  den and lin are then divided by g, their gcd.  A term's k mod
+    den is the old one over g, so (k mod den)/den is the same rational as before
+    the division; an int/int true division rounds correctly, so it is the same
+    float too, and every trig value and sum is bit for bit what the unreduced
+    form gives.
     """
     field, t, cc = c.field, c.field.t, c.field.c
     c0, c1 = c.a.numerator, c.b.numerator  # c is integral: it lies in chi's modulus
@@ -229,40 +239,68 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int
     u0, u1 = x0 * (d_rr // e0), x1 * (d_rr // e1)
     v0, v1 = y0 * (d_rr // e2), y1 * (d_rr // e3)
     if field.degree == 1:
-        return den, (u0 * t0, v0 * t0)
-    return den, (u0 * t0 + u1 * t1, u0 * t1 + u1 * t2, v0 * t0 + v1 * t1, v0 * t1 + v1 * t2)
+        l0, m0 = u0 * t0, v0 * t0
+        g = math.gcd(den, l0, m0)
+        if g > 1:
+            return den // g, (l0 // g, m0 // g)
+        return den, (l0, m0)
+    l0, l1, m0, m1 = u0 * t0 + u1 * t1, u0 * t1 + u1 * t2, v0 * t0 + v1 * t1, v0 * t1 + v1 * t2
+    g = math.gcd(den, l0, l1, m0, m1)
+    if g > 1:
+        return den // g, (l0 // g, l1 // g, m0 // g, m1 // g)
+    return den, (l0, l1, m0, m1)
+
+
+# the kept trig tables, cos under den and sin under -den, and their floats in all
+_trig_tables: Dict[int, List[float]] = {}
+_trig_table_floats = 0
+
+
+def _trig_table(den: int, odd: bool) -> List[float]:
+    """[trig(2 pi (j/den)) for j < den], sin for an odd character and cos
+    otherwise; kept while it fits in the _UNIT_TABLE_INTS floats of the store,
+    and returned unkept when it does not."""
+    global _trig_table_floats
+    key = -den if odd else den
+    table = _trig_tables.get(key)
+    if table is None:
+        trig, two_pi = math.sin if odd else math.cos, 2 * math.pi
+        table = [trig(two_pi * (j / den)) for j in range(den)]
+        if _trig_table_floats + den <= _UNIT_TABLE_INTS:
+            _trig_tables[key] = table
+            _trig_table_floats += den
+    return table
 
 
 def _sum(c: FieldElement, ideal: Ideal, r: FieldElement, rp: FieldElement,
          chi: DirichletCharacter) -> complex:
     """K_chi(r, r'; c) on the unit table of ideal = (c), for inputs already checked:
-    one term per unit pair {x, -x} of the table, each phase from _phase_form, in
-    one pass over the flat table."""
+    one term per unit pair {x, -x} of the table, each phase from _phase_form and
+    its trig value from _trig_table, in one pass over the flat table."""
     den, lin = _phase_form(c, r, rp)
     it = iter(ideal._unit_table())
-    # k % den / den is one rounded division: the same float for any den the phase is over
-    two_pi, weight, nums = 2 * math.pi, _orbit_size(ideal), chi.numerators
+    weight, nums = _orbit_size(ideal), chi.numerators
     if nums is None:
-        cos = math.cos
+        tab = _trig_table(den, False)
         if c.field.degree == 1:
             l0, m0 = lin
-            total = sum([cos(two_pi * ((a * l0 + d * m0) % den / den)) for a, d in zip(it, it)])
+            total = sum([tab[(a * l0 + d * m0) % den] for a, d in zip(it, it)])
         else:
             l0, l1, m0, m1 = lin
-            total = sum([cos(two_pi * ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den / den))
+            total = sum([tab[(a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den]
                          for a0, a1, d0, d1 in zip(it, it, it, it)])
         return complex(weight * total)
     # each d is a unit mod chi's modulus, as c lies in it, so a key of its table
     odd = chi.minus_one() == -1
-    trig, roots, reduce = math.sin if odd else math.cos, chi.conj_roots, chi.modulus.reduce_coords
+    tab, roots, reduce = _trig_table(den, odd), chi.conj_roots, chi.modulus.reduce_coords
     if c.field.degree == 1:
         l0, m0 = lin
-        total = sum([roots[nums[reduce(d)]] * trig(two_pi * ((a * l0 + d * m0) % den / den))
+        total = sum([roots[nums[reduce(d)]] * tab[(a * l0 + d * m0) % den]
                      for a, d in zip(it, it)])
     else:
         l0, l1, m0, m1 = lin
         total = sum([roots[nums[reduce(d0, d1)]]
-                     * trig(two_pi * ((a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den / den))
+                     * tab[(a0 * l0 + a1 * l1 + d0 * m0 + d1 * m1) % den]
                      for a0, a1, d0, d1 in zip(it, it, it, it)])
     return weight * (1j * total if odd else total)
 

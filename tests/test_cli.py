@@ -295,6 +295,15 @@ def test_hecke_verify_relation_rejects_composite(capsys):
     assert json.loads(err)["error"] == "FieldError"
 
 
+def test_hecke_verify_relation_rejects_a_malformed_label(capsys):
+    # "x" reached int() and came out as a bare ValueError
+    code, out, err = run_cli(capsys, "--field", "5", "hecke", "verify-relation",
+                             "--p", "x", "--k", "1", "--m", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "FieldError", "message":
+                               "prime label 'x' is not canonical: write 'p:i' or 'p'"}
+
+
 def test_hecke_spoly(capsys):
     code, out, _ = run_cli(capsys, "hecke", "spoly", "--p", "3", "--k", "2")
     assert code == 0

@@ -324,8 +324,9 @@ def test_prime_labels_are_read_only_in_canonical_spelling():
     # one spelling per prime besides the bare "p" of index 0: "2:00", "2:+0" and
     # " 2 : 0 " all parsed by int() to 2:0 before
     assert prime_by_label(F73, "2").label == prime_by_label(F73, "2:0").label == "2:0"
+    # "", ":0", "2:", "x", "2.0" and "2:0:1" raised int()'s ValueError before
     for label in ("2:00", "2:+0", " 2 : 0 ", "2: 0", "02:0", "+2:0", "2 ", "02", "+2",
-                  "1_1:0", "11:-0", "11:01"):
+                  "1_1:0", "11:-0", "11:01", "", ":0", "2:", "x", "2.0", "2:0:1"):
         with pytest.raises(FieldError, match="not canonical"):
             prime_by_label(F73, label)
     with pytest.raises(FieldError, match="no prime '11:-1' above 11"):
@@ -653,6 +654,22 @@ def test_trial_division_stops_at_its_limit():
                  lambda: ideal_prime_factorization(Ideal.principal(F5.element(p)))):
         with pytest.raises(FieldError, match="past the trial-division limit 10\\^12"):
             call()
+
+
+def test_miller_rabin_matches_trial_division():
+    is_prime, factor = fields_module._is_prime, fields_module._factor
+    assert [n for n in range(1, 2 * 10 ** 5) if is_prime(n) != (factor(n) == {n: 1})] == []
+    assert not is_prime(0) and not is_prime(-7)
+    # the least strong pseudoprimes to the bases 2, to 2..7 and to 2..23, and
+    # primes on either side of 10^12 and below 2^64
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    for p in (10 ** 12 - 11, 10 ** 12 + 39, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert is_prime(p), p
+    # 2^89 - 1 is prime, and past the last bound no base can decide it
+    with pytest.raises(FieldError, match="past the Miller-Rabin limit"):
+        is_prime(2 ** 89 - 1)
+    assert not is_prime(3 * (2 ** 89 - 1))
 
 
 def test_ideal_prime_factorization_rejects_fractional_ideals():

@@ -3,7 +3,8 @@ equidist imports numpy when it loads, no module imports scipy at all,
 every module-level private function, class or constant is referenced
 somewhere in the package, every function reads each of its parameters,
 no name is parsed again where the parsed value could travel instead, no
-decision reads a float embedding, and every benchmark record at the
+decision reads a float embedding, no Kloosterman term computes its own cos
+or sin beside the kept tables, and every benchmark record at the
 repository root is strict JSON with its required keys."""
 
 import ast
@@ -257,6 +258,42 @@ def test_no_decision_reads_a_float_embedding(path):
     allowed = EMBEDDING_READERS.get(path.name, set())
     reads = float_embedding_reads(path.read_text())
     assert [(line, scope) for line, scope in reads if scope not in allowed] == [], path.name
+
+
+def trig_reads(source: str):
+    """(line, enclosing def) of each read of cos or sin from math or cmath, as
+    an attribute or through a from-import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("cos", "sin") \
+                    and getattr(child.value, "id", None) in ("math", "cmath"):
+                found.append((child.lineno, ".".join(scope)))
+            elif isinstance(child, ast.ImportFrom) and child.module in ("math", "cmath") \
+                    and {a.name for a in child.names} & {"cos", "sin"}:
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_checker_finds_a_trig_read():
+    source = ("from math import sin\nimport math\ndef f(x):\n    t = math.cos\n"
+              "    return t(x) + math.sin(x)\nclass A:\n    def g(self, z):\n"
+              "        return cmath.cos(z) + math.tan(z) + cos(z)\n")
+    assert trig_reads(source) == [(1, ""), (4, "f"), (5, "f"), (8, "A.g")]
+
+
+def test_kloosterman_terms_read_their_trig_tables():
+    # a term's cos or sin is a lookup in a kept table: only the table builder
+    # calls the functions, so no second term path grows beside the tables
+    path = next(p for p in PACKAGE if p.name == "kloosterman.py")
+    assert {scope for _, scope in trig_reads(path.read_text())} == {"_trig_table"}
 
 
 def strict_json(text: str):

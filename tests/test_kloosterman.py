@@ -473,6 +473,70 @@ def test_a_sweep_past_the_budget_keeps_what_fits(monkeypatch):
     assert field._unit_tables == tables
 
 
+def table_route_queries():
+    """fractional_r_queries, the Legendre symbols mod 3, 5 and 7, and unit moduli
+    c = -1, w in Q(sqrt 5) and 1 + sqrt 2 with r, r' in O, over which den is 1."""
+    queries = fractional_r_queries(random.Random(43)) + real_character_queries()
+    F2 = make_field(2)
+    for c in (Q.element(-1), F5.element(0, 1), F2.element(1, 1)):
+        field = c.field
+        chi = DirichletCharacter.trivial(field, Ideal.unit_ideal(field))
+        queries += [KloostermanQuery(c, field.element(3), field.one(), chi),
+                    KloostermanQuery(c, field.zero(), field.element(2), chi)]
+    return queries
+
+
+def test_sum_reads_the_direct_formula_off_its_tables():
+    # _phase_form's (den, lin) is the coordinate preamble's over their gcd, and
+    # _sum, one table lookup per pair, is == to trig(2 pi ((k mod den)/den)) over
+    # the unreduced form, the float expression each term computed before
+    cases = set()
+    for q in table_route_queries():
+        den, lin = kloosterman_module._phase_form(q.c, q.r, q.rp)
+        den0, lin0 = coordinate_preamble(q.c, q.r, q.rp, 1)
+        g = den0 // den
+        assert math.gcd(den, *lin) == 1 and den0 == g * den, q
+        assert list(lin0) == [g * x for x in lin], q
+        ideal = Ideal.principal(q.c)
+        got = kloosterman_module._sum(q.c, ideal, q.r, q.rp, q.chi)
+        assert got == coordinate_preamble_sum(q.c, ideal, q.r, q.rp, q.chi), q
+        kind = "trivial" if q.chi.numerators is None else \
+            "odd" if q.chi.minus_one() == -1 else "even"
+        cases |= {(kind, q.c.field.degree), ("r in O'", q.r.is_integral()),
+                  ("N(c) < 0", q.c.norm() < 0), ("den", min(den, 2))}
+    assert {(kind, degree) for kind in ("trivial", "even", "odd") for degree in (1, 2)} <= cases
+    assert {("r in O'", False), ("N(c) < 0", True), ("den", 1), ("den", 2)} <= cases
+    # every kept table holds the values it is read for, cos under den and sin under -den
+    for key, table in kloosterman_module._trig_tables.items():
+        trig, den = (math.sin, -key) if key < 0 else (math.cos, key)
+        assert table == [trig(2 * math.pi * (j / den)) for j in range(den)], key
+
+
+def test_a_sweep_past_the_budget_keeps_what_fits_of_its_trig_tables(monkeypatch):
+    # S(3, 5; c) reduces to den = c: the cos tables of c <= 361 fill 65,341 of
+    # the 2^16 floats, and every larger one is returned unkept, as none fits the
+    # 195 left; a second sweep finds every kept table, none of them rebuilt
+    monkeypatch.setattr(kloosterman_module, "_trig_tables", {})
+    monkeypatch.setattr(kloosterman_module, "_trig_table_floats", 0)
+    returned = {}
+    trig_table = kloosterman_module._trig_table
+
+    def recording(den, odd):
+        table = trig_table(den, odd)
+        returned[den, odd] = table
+        return table
+
+    monkeypatch.setattr(kloosterman_module, "_trig_table", recording)
+    first = [rational_kloosterman(3, 5, c) for c in range(1, 600)]
+    tables = dict(kloosterman_module._trig_tables)
+    assert sorted(tables) == list(range(1, 362))
+    assert kloosterman_module._trig_table_floats == sum(map(len, tables.values())) == 65341
+    assert kloosterman_module._trig_table_floats <= fields_module._UNIT_TABLE_INTS
+    assert [rational_kloosterman(3, 5, c) for c in range(1, 600)] == first
+    assert all(returned[c, False] is tables[c] for c in range(1, 362))
+    assert kloosterman_module._trig_tables == tables
+
+
 def test_evaluate_preamble_is_constant_size(monkeypatch):
     # the Fractions evaluate builds and reads grow neither with the number of
     # terms nor with the character's table
