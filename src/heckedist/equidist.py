@@ -162,11 +162,15 @@ class Dataset:
         return self.lambda_p[:, self._column(prime_by_label(self.field, label))]
 
     @cached_property
-    def _prime_columns(self) -> Dict[str, int]:
-        """The column of each prime, keyed by its canonical label 'p:i'; two
-        labels on one prime raise."""
+    def _primes(self) -> List[tuple]:
+        """[(prime, column)], each label resolved once; two labels on one prime raise."""
         columns = {label: k for k, label in enumerate(self.prime_labels)}
-        return {prime.label: k for prime, k in _by_prime(self.field, columns, "prime labels")}
+        return _by_prime(self.field, columns, "prime labels")
+
+    @cached_property
+    def _prime_columns(self) -> Dict[str, int]:
+        """The column of each prime, keyed by its canonical label 'p:i'."""
+        return {prime.label: k for prime, k in self._primes}
 
     def _column(self, prime: PrimeIdeal) -> int:
         column = self._prime_columns.get(prime.label)
@@ -237,8 +241,8 @@ class Dataset:
         if field not in (None, self.field):
             raise EquidistError("dataset is over %r, not %r" % (self.field, field))
         bounds = np.empty(len(self.prime_labels))
-        for label, k in self._prime_columns.items():
-            bounds[k] = 1.0 + prime_by_label(self.field, label).absolute_norm()
+        for prime, k in self._primes:
+            bounds[k] = 1.0 + prime.absolute_norm()
         bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
         if bad.any():
             i, k = np.argwhere(bad)[0]

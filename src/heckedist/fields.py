@@ -20,13 +20,11 @@ the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g times the
 primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
 inverses are two modular inverses combined in closed form, for one unit of
 each pair {x, -x} (x^{-1} gives -x^{-1}).  Each field keeps the unit tables
-of its moduli, keyed by HNF (so c, -c and every unit multiple of c share
-one), as flat int arrays of at most _UNIT_TABLE_INTS ints in all; a table
-that does not fit in what is left is returned and not kept, and the kept ones
-stay.  v_P counts
-multiply-and-divide steps by one fixed element of pP^{-1}, without building
-powers of P.  Principal generators come from one bounded box solved row by
-row; a unit multiple of an ideal is the ideal itself, so a miss is final.
+of its moduli as flat int arrays in a _Store keyed by HNF, so c, -c and every
+unit multiple of c share one.  v_P counts multiply-and-divide steps by one
+fixed element of pP^{-1}, without building powers of P.  Principal generators
+come from one bounded box solved row by row; a unit multiple of an ideal is
+the ideal itself, so a miss is final.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from typing import Dict, Iterator, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
-# ints of unit tables one field keeps (512 KiB of int64)
-_UNIT_TABLE_INTS = 1 << 16
+_STORE_ENTRIES = 1 << 16  # entries one _Store keeps: 512 KiB of int64 or float
 
 
 class FieldError(ValueError):
@@ -97,6 +94,20 @@ def _is_prime(n: int) -> bool:
     raise FieldError("%d is past the Miller-Rabin limit 3.18e23" % n)
 
 
+class _Store(dict):
+    """Tables by key, first come first kept: keep(key, table) stores the table
+    when size, the total length of the kept tables, stays within _STORE_ENTRIES
+    with it, and returns it either way; no kept table is dropped.  Hits: get(key)."""
+
+    size = 0
+
+    def keep(self, key, table):
+        if self.size + len(table) <= _STORE_ENTRIES:
+            self[key] = table
+            self.size += len(table)
+        return table
+
+
 class NumberField:
     """Q or a real quadratic field Q(sqrt m), m squarefree, m > 1.
 
@@ -124,8 +135,7 @@ class NumberField:
                 self.disc = 4 * m
         self._unit_cache: Optional[UnitGroupData] = None
         self._prime_cache: Dict[int, list] = {}  # p -> factor_rational_prime(self, p)
-        self._unit_tables: Dict[tuple, array] = {}  # integral HNF -> Ideal._unit_table()
-        self._unit_table_ints = 0  # total length of the kept tables
+        self._unit_tables = _Store()  # integral HNF -> Ideal._unit_table()
 
     # -- construction helpers ------------------------------------------------
 
@@ -544,11 +554,7 @@ class Ideal:
                     x = pow(r, -1, m) * (1 - norm * s) + s * (a + t * b)
                     q = -s * b // g
                     flat += (a, b, (x - q * bh) % n, -s * b - q * g)
-        table = array("q", flat)
-        if field._unit_table_ints + len(table) <= _UNIT_TABLE_INTS:
-            field._unit_tables[self.hnf] = table
-            field._unit_table_ints += len(table)
-        return table
+        return field._unit_tables.keep(self.hnf, array("q", flat))
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Dict, Sequence, Tuple, Union
 
-from heckedist.fields import FieldElement, PrimeIdeal, _factor
+from heckedist.fields import FieldElement, PrimeIdeal, _is_prime
 
 Scalar = Union[int, Fraction]
 
@@ -400,7 +400,7 @@ def brute_force_convolution(p: int, two_k: int, two_m: int) -> LocalHeckeElement
     """
     import numpy as np
 
-    if p < 2 or _factor(p) != {p: 1}:
+    if not _is_prime(p):
         raise HeckeError("p must be a rational prime, got %r" % (p,))
     if two_k % 2 or two_m % 2 or two_k < 0 or two_m < 0:
         raise HeckeError("exponents must be nonnegative even integers")

@@ -19,14 +19,12 @@ k/den) when chi(-1) = 1 and to conj(chi(d)) 2i sin(2 pi k/den) when chi(-1) =
 -1; _sum reads one unit of each pair off the flat unit table and, in one
 comprehension, each pair's k, its trig value as one lookup in the table of
 cos or sin at the multiples of 1/den, and, for a checked character,
-conj(chi(d)).  One store keeps those tables, by den and trig kind, at most
-_UNIT_TABLE_INTS floats in all: a table that does not fit in what is left is
-returned unkept, and the kept ones stay.  A sum at a new den builds den
-values, where it has about half the units mod c as pairs; each later sum at
-that den reads them.  A character keeps one checked int table, its order, each
-unit's phase as an int numerator over it, and the order's roots of unity
-conj(chi) reads by numerator; the trivial one keeps none, has order 1
-whatever its modulus and needs no lookup, nor the units mod its modulus.
+conj(chi(d)).  A module-wide fields._Store keeps those tables by den and kind;
+the first sum at a den builds its den values, for about half the units mod c
+as pairs.  A character keeps one checked int table, its order, each unit's
+phase as an int numerator over it, and the order's roots of unity conj(chi)
+reads by numerator; the trivial one keeps none, has order 1 whatever its
+modulus and needs no lookup, nor the units mod its modulus.
 Floats enter only in the trig tables and the final sum.
 
 A query, or a Weil scan once for all its rows, checks r, r' in O' by two
@@ -53,8 +51,8 @@ from .fields import (
     ideal_prime_factorization,
     ideal_valuation,
     unit_square_class,
-    _UNIT_TABLE_INTS,
-    _factor,
+    _Store,
+    _is_prime,
     _orbit_size,
     _small_generator,
     _table_coords,
@@ -251,24 +249,16 @@ def _phase_form(c: FieldElement, r: FieldElement, rp: FieldElement) -> Tuple[int
     return den, (l0, l1, m0, m1)
 
 
-# the kept trig tables, cos under den and sin under -den, and their floats in all
-_trig_tables: Dict[int, List[float]] = {}
-_trig_table_floats = 0
+_trig_tables = _Store()  # the kept trig tables, cos under den and sin under -den
 
 
 def _trig_table(den: int, odd: bool) -> List[float]:
-    """[trig(2 pi (j/den)) for j < den], sin for an odd character and cos
-    otherwise; kept while it fits in the _UNIT_TABLE_INTS floats of the store,
-    and returned unkept when it does not."""
-    global _trig_table_floats
+    """[trig(2 pi (j/den)) for j < den] in _trig_tables: sin when odd, else cos."""
     key = -den if odd else den
     table = _trig_tables.get(key)
     if table is None:
         trig, two_pi = math.sin if odd else math.cos, 2 * math.pi
-        table = [trig(two_pi * (j / den)) for j in range(den)]
-        if _trig_table_floats + den <= _UNIT_TABLE_INTS:
-            _trig_tables[key] = table
-            _trig_table_floats += den
+        table = _trig_tables.keep(key, [trig(two_pi * (j / den)) for j in range(den)])
     return table
 
 
@@ -411,7 +401,7 @@ def _principal_ideals_up_to(level: Ideal, max_norm: int
         built = [(lnorm, level)] if lnorm <= max_norm else []
         yield from built
         for p in range(2, max_norm // lnorm + 1):
-            for prime in factor_rational_prime(field, p) if _factor(p) == {p: 1} else ():
+            for prime in factor_rational_prime(field, p) if _is_prime(p) else ():
                 q, new = prime.absolute_norm(), []
                 for norm, ideal in built:
                     if norm * q > max_norm:

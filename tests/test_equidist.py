@@ -239,6 +239,26 @@ def test_dataset_validate_reads_its_own_field():
     one_row().validate(make_field("Q"))
 
 
+def test_validate_resolves_each_label_once(monkeypatch):
+    # validate reads the primes the column map resolved, and a count after it
+    # resolves its windows only
+    import heckedist.equidist as equidist_module
+    resolve, calls = equidist_module.prime_by_label, []
+
+    def counting(field, label):
+        calls.append(label)
+        return resolve(field, label)
+
+    monkeypatch.setattr(equidist_module, "prime_by_label", counting)
+    labels = ("2:0", "2:1", "3:1", "5")
+    ds = Dataset(F73, [[1.0]], [[0]], labels, [[0.5] * 4], [1.0])
+    ds.validate()
+    assert sorted(calls) == sorted(labels)
+    ds.validate(F73)
+    assert count(ds, BOX1, 3.0, {"2:1": (0.0, 1.0)}) == 1.0
+    assert sorted(calls) == sorted([*labels, "2:1"])
+
+
 def test_count_filters():
     ds = small_ds()
     # parity filter: the xi=(1,) record never counts in a xi=(0,) box

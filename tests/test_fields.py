@@ -714,7 +714,7 @@ def test_unit_table_is_kept_per_modulus():
         assert Ideal.principal(x)._unit_table() is table
     assert field._unit_tables == {Ideal.principal(c).hnf: table}
     # N(c) = 13^2 + 13*4 - 16 = 205 = 5 * 41: 4 * 40 units, one of each {x, -x} kept
-    assert field._unit_table_ints == len(table) == 4 * 80
+    assert field._unit_tables.size == len(table) == 4 * 80
     ideal = Ideal.principal(c)
     flat = [v for x, y in unit_inverse_pairs(ideal) if x <= negative(ideal, x) for v in x + y]
     assert table.tolist() == flat
@@ -761,29 +761,29 @@ def test_unit_table_is_kept_per_field():
 
 
 def test_unit_tables_past_the_budget(monkeypatch):
-    monkeypatch.setattr(fields_module, "_UNIT_TABLE_INTS", 100)
+    monkeypatch.setattr(fields_module, "_STORE_ENTRIES", 100)
     field = make_field(5)
     seven = Ideal.principal(field.element(7))  # 48 units, 24 kept: 96 ints
     three = Ideal.principal(field.element(3))  # inert: 8 units, 4 kept: 16 ints
     eleven = Ideal.principal(field.element(11))  # split: 100 units, 50 kept: 200 ints
     unit = Ideal.unit_ideal(field)  # O/O: its one residue 0 is a unit, its own inverse
     kept = seven._unit_table()
-    assert seven._unit_table() is kept and field._unit_table_ints == 96
+    assert seven._unit_table() is kept and field._unit_tables.size == 96
     # 96 + 16 > 100: the new table is returned and not kept, and the kept one stays
     small = three._unit_table()
     assert three._unit_table() is not small and three._unit_table() == small
     assert seven._unit_table() is kept
-    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_tables.size == 96
     # a table past the budget on its own is returned and not kept either
     big = eleven._unit_table()
     assert len(big) == 200 and eleven._unit_table() is not big
     assert eleven._unit_table() == big
-    assert field._unit_tables == {seven.hnf: kept} and field._unit_table_ints == 96
+    assert field._unit_tables == {seven.hnf: kept} and field._unit_tables.size == 96
     # a table that fits what is left is kept beside the others
     one = unit._unit_table()
     assert one.tolist() == [0, 0, 0, 0] and unit._unit_table() is one
     assert field._unit_tables == {seven.hnf: kept, unit.hnf: one}
-    assert field._unit_table_ints == 100
+    assert field._unit_tables.size == 100
 
 
 def test_unit_square_class():

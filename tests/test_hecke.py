@@ -314,8 +314,9 @@ def test_brute_force_rejects_huge_inputs():
 
 
 def test_brute_force_rejects_non_primes():
-    # p = 1 used to loop forever in the layer valuation, p = 6 gave a "relation"
-    for p in (0, 1, 4, 6):
+    # p = 1 used to loop forever in the layer valuation, p = 6 gave a "relation";
+    # 10^12 + 1 = 73 * 137 * 99990001 lies past trial division's limit
+    for p in (0, 1, 4, 6, 10 ** 12 + 1):
         with pytest.raises(HeckeError, match="rational prime"):
             brute_force_convolution(p, 2, 2)
 
@@ -327,6 +328,9 @@ def test_brute_force_int64_guard():
         brute_force_convolution(2, 32, 30)
     with pytest.raises(HeckeError, match="pair budget"):
         brute_force_convolution(2, 32, 28)
+    # a prime past trial division's limit 10^12 reaches the guard, not a FieldError
+    with pytest.raises(HeckeError, match="int64"):
+        brute_force_convolution(10 ** 12 + 39, 2, 2)
 
 
 def test_brute_force_matches_dict_tally_reference():

@@ -4,8 +4,9 @@ every module-level private function, class or constant is referenced
 somewhere in the package, every function reads each of its parameters,
 no name is parsed again where the parsed value could travel instead, no
 decision reads a float embedding, no Kloosterman term computes its own cos
-or sin beside the kept tables, and every benchmark record at the
-repository root is strict JSON with its required keys."""
+or sin beside the kept tables, no module keeps state by a global statement
+or reads the table budget beside fields._Store, and every benchmark record
+at the repository root is strict JSON with its required keys."""
 
 import ast
 import json
@@ -294,6 +295,51 @@ def test_kloosterman_terms_read_their_trig_tables():
     # calls the functions, so no second term path grows beside the tables
     path = next(p for p in PACKAGE if p.name == "kloosterman.py")
     assert {scope for _, scope in trig_reads(path.read_text())} == {"_trig_table"}
+
+
+def store_state(source: str):
+    """(line, enclosing def as Class.method, what) of each global statement and
+    each read of the table budget _STORE_ENTRIES: as a name, an attribute or
+    a from-import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Global):
+                found.append((child.lineno, ".".join(scope), "global"))
+            elif isinstance(child, ast.Name) and child.id == "_STORE_ENTRIES" \
+                    and isinstance(child.ctx, ast.Load) \
+                    or isinstance(child, ast.Attribute) and child.attr == "_STORE_ENTRIES" \
+                    or isinstance(child, ast.ImportFrom) \
+                    and "_STORE_ENTRIES" in {a.name for a in child.names}:
+                found.append((child.lineno, ".".join(scope), "budget"))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_checker_flags_a_second_store():
+    source = ("from .fields import _STORE_ENTRIES, _Store\n_tables, _size = {}, 0\n"
+              "def keep(key, table):\n    global _size\n"
+              "    if _size + len(table) <= _STORE_ENTRIES:\n        _size += len(table)\n"
+              "class A:\n    def f(self):\n        return fields._STORE_ENTRIES\n"
+              "_STORE_ENTRIES = 1 << 16\n")
+    assert store_state(source) == [(1, "", "budget"), (4, "keep", "global"),
+                                   (5, "keep", "budget"), (9, "A.f", "budget")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_tables_are_kept_by_the_one_store(path):
+    # every table store is a fields._Store, whose keep is the one place that
+    # holds a table against the budget; a module-global counter beside it
+    # would be a second copy of the policy
+    found = {(scope, what) for _, scope, what in store_state(path.read_text())}
+    assert found == ({("_Store.keep", "budget")} if path.name == "fields.py" else set()), \
+        path.name
 
 
 def strict_json(text: str):

@@ -432,16 +432,15 @@ def test_a_rational_sweep_keeps_its_tables(monkeypatch):
     # S(3, 5; c) for c <= 399 needs sum phi(c) ~ 48k ints of half tables, under the
     # 2^16 the field keeps: a second sweep finds every table the first one built
     field = kloosterman_module._Q
-    monkeypatch.setattr(field, "_unit_tables", {})
-    monkeypatch.setattr(field, "_unit_table_ints", 0)
+    monkeypatch.setattr(field, "_unit_tables", fields_module._Store())
     first = [rational_kloosterman(3, 5, c) for c in range(1, 400)]
     tables = dict(field._unit_tables)
     assert len(tables) == 399
     # two ints for each of c = 1, 2, whose one unit is its own negative, and
     # phi(c)/2 units with their inverses for each c >= 3
     phi = [sum(math.gcd(a, n) == 1 for a in range(1, n)) for n in range(3, 400)]
-    assert field._unit_table_ints == sum(len(t) for t in tables.values()) == 4 + sum(phi)
-    assert field._unit_table_ints <= fields_module._UNIT_TABLE_INTS
+    assert field._unit_tables.size == sum(len(t) for t in tables.values()) == 4 + sum(phi)
+    assert field._unit_tables.size <= fields_module._STORE_ENTRIES
     assert [rational_kloosterman(3, 5, c) for c in range(1, 400)] == first
     assert all(field._unit_tables[hnf] is table for hnf, table in tables.items())
 
@@ -452,8 +451,7 @@ def test_a_sweep_past_the_budget_keeps_what_fits(monkeypatch):
     # unkept, and of the rest only c = 480 (phi = 128) fits the 128 left; a
     # second sweep finds every kept table, none of them rebuilt
     field = kloosterman_module._Q
-    monkeypatch.setattr(field, "_unit_tables", {})
-    monkeypatch.setattr(field, "_unit_table_ints", 0)
+    monkeypatch.setattr(field, "_unit_tables", fields_module._Store())
     returned = {}
     unit_table = Ideal._unit_table
 
@@ -466,8 +464,8 @@ def test_a_sweep_past_the_budget_keeps_what_fits(monkeypatch):
     first = [rational_kloosterman(3, 5, c) for c in range(1, 600)]
     tables = dict(field._unit_tables)
     assert sorted(hnf[0][0] for hnf in tables) == [*range(1, 464), 480]
-    assert field._unit_table_ints == sum(len(t) for t in tables.values())
-    assert field._unit_table_ints == fields_module._UNIT_TABLE_INTS
+    assert field._unit_tables.size == sum(len(t) for t in tables.values())
+    assert field._unit_tables.size == fields_module._STORE_ENTRIES
     assert [rational_kloosterman(3, 5, c) for c in range(1, 600)] == first
     assert all(returned[c] is tables[((c,),)] for c in range(1, 464))
     assert field._unit_tables == tables
@@ -516,8 +514,7 @@ def test_a_sweep_past_the_budget_keeps_what_fits_of_its_trig_tables(monkeypatch)
     # S(3, 5; c) reduces to den = c: the cos tables of c <= 361 fill 65,341 of
     # the 2^16 floats, and every larger one is returned unkept, as none fits the
     # 195 left; a second sweep finds every kept table, none of them rebuilt
-    monkeypatch.setattr(kloosterman_module, "_trig_tables", {})
-    monkeypatch.setattr(kloosterman_module, "_trig_table_floats", 0)
+    monkeypatch.setattr(kloosterman_module, "_trig_tables", fields_module._Store())
     returned = {}
     trig_table = kloosterman_module._trig_table
 
@@ -530,8 +527,8 @@ def test_a_sweep_past_the_budget_keeps_what_fits_of_its_trig_tables(monkeypatch)
     first = [rational_kloosterman(3, 5, c) for c in range(1, 600)]
     tables = dict(kloosterman_module._trig_tables)
     assert sorted(tables) == list(range(1, 362))
-    assert kloosterman_module._trig_table_floats == sum(map(len, tables.values())) == 65341
-    assert kloosterman_module._trig_table_floats <= fields_module._UNIT_TABLE_INTS
+    assert kloosterman_module._trig_tables.size == sum(map(len, tables.values())) == 65341
+    assert kloosterman_module._trig_tables.size <= fields_module._STORE_ENTRIES
     assert [rational_kloosterman(3, 5, c) for c in range(1, 600)] == first
     assert all(returned[c, False] is tables[c] for c in range(1, 362))
     assert kloosterman_module._trig_tables == tables
