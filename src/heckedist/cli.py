@@ -378,7 +378,7 @@ def cmd_eq_tau(args) -> None:
         "upto": args.upto,
         "primes": len(td.dataset.prime_labels),
         "tau2": td.tau[2], "tau3": td.tau[3], "tau4": td.tau[4],
-        "lambda_2": abs(td.tau[2]) / 2 ** 5,  # tau_source's lambda_{2:0}; resolves no label
+        "lambda_2": float(td.dataset.lambda_p[0, td.dataset.prime_labels.index("2:0")]),
         "tp2_2": _frac_repr(td.tp2_eigenvalues["2:0"]),
         "out": args.out, "tau_out": args.tau_out,
     }))
@@ -392,7 +392,7 @@ def cmd_eq_run(args) -> None:
     j_windows = parse_windows(json.loads(args.intervals))
     t_grid = [float(x) for x in args.t_grid.split(",")]
     if args.calibrate:
-        full_j = {label: (0.0, 2.0 * math.sqrt(_prime_norm(ds.field, label)))
+        full_j = {label: measures.SatoTateMeasure(_prime_norm(ds.field, label)).support()
                   for label in j_windows}
         pred = equidist.predict(ds.field, args.covolume, box, max(t_grid), full_j)
         total = ds.total_weight()

@@ -15,9 +15,10 @@ numpy columns, one row per record: lambda_inf and xi of shape (M, d),
 lambda_p of shape (M, L) under one sorted tuple of prime labels, weight of
 shape (M,) and an optional src tag.  The constructor validates them once,
 so every loader rejects bad input at load time, and stores the tables in
-column-major order, so each column a query reads is one run.  A window's
-label and a column's meet at their prime (a bare p is p:0), by one map
-per dataset built on first use; two labels on one prime raise.
+column-major order, so each column the writers and the count index read
+is one run.  Every label, a column's or a window's, is resolved by
+_by_prime (a bare p is p:0; two labels on one prime raise), and a dataset
+keeps one map from canonical label to (prime, column), built on first use.
 The count reads an index built on its first call: the rows sorted by
 parity code sum_j xi_j 2^j, then lambda_1.  The box parity picks one
 block and lambda_1's closed window (every box restricts it) is one slice
@@ -110,7 +111,8 @@ class Dataset:
     prime_labels, weight (M,), and an optional per-row src tag.  The
     constructor validates once: field is a NumberField, shapes agree, values
     are finite, weights are nonnegative and parities are 0 or 1.  The tables
-    are stored column-major and weight contiguous, so every column is one run.
+    are stored column-major and weight contiguous, so every column the writers
+    and the count index read is one run.
     """
 
     field: NumberField
@@ -162,21 +164,19 @@ class Dataset:
         return self.lambda_p[:, self._column(prime_by_label(self.field, label))]
 
     @cached_property
-    def _primes(self) -> List[tuple]:
-        """[(prime, column)], each label resolved once; two labels on one prime raise."""
+    def _by_label(self) -> Dict[str, tuple]:
+        """(prime, column) of each prime, keyed by its canonical label 'p:i', in
+        column order; each label is resolved once by _by_prime, so two on one
+        prime raise."""
         columns = {label: k for k, label in enumerate(self.prime_labels)}
-        return _by_prime(self.field, columns, "prime labels")
-
-    @cached_property
-    def _prime_columns(self) -> Dict[str, int]:
-        """The column of each prime, keyed by its canonical label 'p:i'."""
-        return {prime.label: k for prime, k in self._primes}
+        return {prime.label: (prime, k)
+                for prime, k in _by_prime(self.field, columns, "prime labels")}
 
     def _column(self, prime: PrimeIdeal) -> int:
-        column = self._prime_columns.get(prime.label)
-        if column is None:
+        entry = self._by_label.get(prime.label)
+        if entry is None:
             raise EquidistError("unknown prime label %s" % prime.label)
-        return column
+        return entry[1]
 
     def total_weight(self) -> float:
         return math.fsum(memoryview(self.weight))
@@ -240,9 +240,7 @@ class Dataset:
         """Range-check Hecke eigenvalues against [0, 1 + Np]; field, if given, is the dataset's."""
         if field not in (None, self.field):
             raise EquidistError("dataset is over %r, not %r" % (self.field, field))
-        bounds = np.empty(len(self.prime_labels))
-        for prime, k in self._primes:
-            bounds[k] = 1.0 + prime.absolute_norm()
+        bounds = np.array([1.0 + prime.absolute_norm() for prime, _ in self._by_label.values()])
         bad = ~((0.0 <= self.lambda_p) & (self.lambda_p <= bounds))
         if bad.any():
             i, k = np.argwhere(bad)[0]
@@ -539,6 +537,8 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
     if d != field.degree:
         raise EquidistError("box dimension %d != field degree %d" % (d, field.degree))
     labels = sorted(prime_labels)
+    norms = {label: prime.absolute_norm() for prime, label in
+             _by_prime(field, {label: label for label in labels}, "prime labels")}
     rng = np.random.Generator(np.random.Philox(key=seed))
     block = rng.random((m_records, 2 * d + len(labels)))
     lam = np.empty((m_records, d))
@@ -547,8 +547,7 @@ def synthesize(field: NumberField, prime_labels: Sequence[str], box: Box,
                                            block[:, 2 * j], block[:, 2 * j + 1])
     lp = np.empty((m_records, len(labels)))
     for k, label in enumerate(labels):
-        np_ = prime_by_label(field, label).absolute_norm()
-        grid, cdf = SatoTateMeasure(np_).inverse_cdf_table()
+        grid, cdf = SatoTateMeasure(norms[label]).inverse_cdf_table()
         lp[:, k] = np.interp(block[:, 2 * d + k], cdf, grid)
     xi = np.tile(np.array(box.xi, dtype=np.int8), (m_records, 1))
     return Dataset(field, lam, xi, tuple(labels), lp, np.ones(m_records),

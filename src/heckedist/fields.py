@@ -11,20 +11,22 @@ trace and w-coordinate, and a unit's square root has a closed form.
 
 An ideal is (1/den) times an int lattice in Hermite normal form, stored in
 lowest terms, which covers integral and fractional ideals uniformly.  Ideal
-arithmetic runs on the int HNF rows: a product is the HNF of the products
-of the two Z-bases (NumberField.mul_coords, the one place the rule
-w^2 = t*w + c is spelled out), and containment tests each row.  Every HNF,
-over Q and F alike, comes from one fold: each row enters the pivot (b, g) by
-an extended Euclid on its w-coordinate, and n is the gcd of what is left on
-the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g times the
-primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g); unit
-inverses are two modular inverses combined in closed form, for one unit of
-each pair {x, -x} (x^{-1} gives -x^{-1}).  Each field keeps the unit tables
+arithmetic runs on the int HNF rows: a product is the HNF of the products of
+the two Z-bases (NumberField.mul_coords, by the rule w^2 = t*w + c, which
+Ideal.principal, FieldElement.norm, Ideal._unit_table and kloosterman's
+_phase_form and _check_inputs also write out), and containment tests each row.
+Every HNF, over Q and F alike, comes from one fold: each row enters the pivot
+(b, g) by an extended Euclid on its w-coordinate, and n is the gcd of what is
+left on the first axis.  An integral ideal with HNF ((n, 0), (b, g)) is g
+times the primitive ideal (n/g)Z + (b/g + w)Z, whose residue ring is Z/(n/g);
+unit inverses are two modular inverses combined in closed form, for one unit
+of each pair {x, -x} (x^{-1} gives -x^{-1}).  Each field keeps the unit tables
 of its moduli as flat int arrays in a _Store keyed by HNF, so c, -c and every
 unit multiple of c share one.  v_P counts multiply-and-divide steps by one
-fixed element of pP^{-1}, without building powers of P.  Principal generators
-come from one bounded box solved row by row; a unit multiple of an ideal is
-the ideal itself, so a miss is final.
+fixed element of pP^{-1}, without building powers of P.  A prime's generator
+is found on its first read and kept: p when P = pO, else the first point of
+one bounded box solved row by row; a unit multiple of P is P, so a miss is
+final.
 """
 
 from __future__ import annotations
@@ -152,19 +154,6 @@ class NumberField:
         if self.degree == 1:
             raise FieldError("Q has no quadratic generator")
         return self.element(0, 1)
-
-    def embeddings(self, a: Fraction, b: Fraction) -> tuple:
-        """Real embeddings of x = a + b*w, larger w-image first.  As w1 > 0 > w2, one
-        a + b*w_j adds two terms of one sign; the other is N(x) over it, rounded once."""
-        if self.degree == 1:
-            return (float(a),)
-        r = math.sqrt(self.m)
-        w1, w2 = ((1 + r) / 2, (1 - r) / 2) if self.m % 4 == 1 else (r, -r)
-        x1, x2 = float(a) + float(b) * w1, float(a) + float(b) * w2
-        norm = a * a + self.t * a * b - self.c * b * b
-        if a * b > 0:
-            return (x1, float(norm / Fraction(x1)))
-        return (float(norm / Fraction(x2)), x2) if a * b < 0 else (x1, x2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.m == other.m
@@ -318,7 +307,17 @@ class FieldElement:
         return self.trace() > 0 and self.norm() > 0
 
     def embed(self) -> tuple:
-        return self.field.embeddings(self.a, self.b)
+        """Real embeddings, larger w-image first.  As w1 > 0 > w2, one a + b*w_j
+        adds two terms of one sign; the other is N(x) over it, rounded once."""
+        f, a, b = self.field, self.a, self.b
+        if f.degree == 1:
+            return (float(a),)
+        r = math.sqrt(f.m)
+        w1, w2 = ((1 + r) / 2, (1 - r) / 2) if f.m % 4 == 1 else (r, -r)
+        x1, x2 = float(a) + float(b) * w1, float(a) + float(b) * w2
+        if a * b > 0:
+            return (x1, float(self.norm() / Fraction(x1)))
+        return (float(self.norm() / Fraction(x2)), x2) if a * b < 0 else (x1, x2)
 
     def signs(self) -> tuple:
         """The signs (+1, -1 or 0) of embed(), exactly: x1 x2 = N(x) and
@@ -448,9 +447,7 @@ class Ideal:
 
     @classmethod
     def unit_ideal(cls, field: NumberField) -> "Ideal":
-        if field.degree == 2:
-            return cls(field, ((1, 0), (0, 1)), 1)
-        return cls(field, ((1,),), 1)
+        return cls.principal(field.one())
 
     # -- basic queries ----------------------------------------------------------
 
@@ -595,17 +592,20 @@ class Ideal:
 class PrimeIdeal(Ideal):
     """Prime ideal over a rational prime p, with label 'p:i'."""
 
-    __slots__ = ("p", "e", "f", "index", "generator", "label")
+    __slots__ = ("p", "e", "f", "index", "label", "_generator")
 
-    def __init__(self, field: NumberField, hnf: tuple, p: int, e: int, f: int,
-                 index: int, generator: Optional[FieldElement] = None):
+    def __init__(self, field: NumberField, hnf: tuple, p: int, e: int, f: int, index: int):
         super().__init__(field, hnf, 1)
-        self.p = p
-        self.e = e
-        self.f = f
-        self.index = index
-        self.generator = generator
-        self.label = "%d:%d" % (p, index)
+        self.p, self.e, self.f, self.index, self.label = p, e, f, index, "%d:%d" % (p, index)
+
+    @property
+    def generator(self) -> Optional[FieldElement]:
+        """A generator of P, found on the first read and kept: p when P = pO (over
+        Q, or p inert), else _small_generator(P), which may be None."""
+        if not hasattr(self, "_generator"):  # an unset slot
+            self._generator = (self.field.element(self.p) if self.f == self.field.degree
+                               else _small_generator(self))
+        return self._generator
 
     def absolute_norm(self) -> int:
         return self.p ** self.f
@@ -666,7 +666,7 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
     if not _is_prime(p):
         raise FieldError("%d is not prime" % p)
     if field.degree == 1:
-        return [PrimeIdeal(field, ((p,),), p, 1, 1, 0, field.element(p))]
+        return [PrimeIdeal(field, ((p,),), p, 1, 1, 0)]
     if p > 10 ** 6:
         raise FieldError("prime too large for desk-scale factorization")
     t, c = field.t, field.c
@@ -678,13 +678,12 @@ def _factor_rational_prime(field: NumberField, p: int) -> list:
         roots = [] if s is None else {(t + s) * half % p, (t - s) * half % p}
     if not roots:
         # inert: (p), residue degree 2
-        return [PrimeIdeal(field, ((p, 0), (0, p)), p, 1, 2, 0, field.element(p))]
+        return [PrimeIdeal(field, ((p, 0), (0, p)), p, 1, 2, 0)]
     # P = (p, w - r), with gens p, w-r, w(w-r); p | disc exactly when the root
     # is double, and then P^2 = (p)
     e = 2 if field.disc % p == 0 else 1
     hnfs = sorted(_hnf([(p, 0), (-r, 1), (c, t - r)]) for r in roots)
-    return [PrimeIdeal(field, hnf, p, e, 1, i, _small_generator(Ideal(field, hnf)))
-            for i, hnf in enumerate(hnfs)]
+    return [PrimeIdeal(field, hnf, p, e, 1, i) for i, hnf in enumerate(hnfs)]
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:

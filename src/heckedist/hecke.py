@@ -356,10 +356,9 @@ def coset_representatives(prime: PrimeIdeal, k: int) -> list:
     """
     if k < 0:
         raise HeckeError("coset decomposition needs k >= 0")
-    if prime.generator is None:
+    field, pi = prime.field, prime.generator
+    if pi is None:
         raise HeckeError("prime %s has no stored generator" % prime.label)
-    field = prime.field
-    pi = prime.generator
     zero = field.zero()
     nk = int(pi.norm()) ** k
     cof = tuple(map(int, ((pi.inverse() * pi.norm()) ** k).coords()))

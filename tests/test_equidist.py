@@ -308,6 +308,23 @@ def test_two_labels_on_one_prime_are_rejected():
     assert "_count_index" not in vars(ds)
 
 
+def test_synthesize_rejects_two_labels_on_one_prime_before_sampling(monkeypatch):
+    # synthesize resolves its labels as the dataset does, before it draws a
+    # sample, instead of returning a dataset that raises at its first count
+    import heckedist.equidist as equidist_module
+    sampled = []
+    sample = equidist_module._sample_pl_restriction
+    monkeypatch.setattr(equidist_module, "_sample_pl_restriction",
+                        lambda *args: sampled.append(args) or sample(*args))
+    box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
+    with pytest.raises(EquidistError,
+                       match="prime labels '2' and '2:0' name the same prime 2:0"):
+        synthesize(make_field(5), ["2", "2:0"], box, 10, seed=1)
+    assert sampled == []
+    with pytest.raises(EquidistError, match="prime labels must be distinct"):
+        synthesize(make_field(5), ["2:0", "2:0"], box, 10, seed=1)
+
+
 def test_count_dimension_check():
     box2 = Box(2, (1, 2), (), (0, 0), 3.0)
     with pytest.raises(EquidistError):

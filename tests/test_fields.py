@@ -24,6 +24,7 @@ from heckedist import (
     make_field,
     predict,
     prime_by_label,
+    tau_source,
     unit_square_class,
 )
 
@@ -360,7 +361,7 @@ def test_factorization_memo_matches_fresh_field():
             assert _prime_data(memo) == _prime_data(factor_rational_prime(make_field(m), p))
 
 
-def test_predict_searches_each_generator_once(monkeypatch):
+def test_predict_searches_no_generator(monkeypatch):
     searched = []
     search = fields_module._small_generator
 
@@ -373,8 +374,57 @@ def test_predict_searches_each_generator_once(monkeypatch):
     box = Box(2, (1,), ((2, (0.3, 1.2)),), (0, 0), 4.0)
     for i in range(100):
         predict(field, 1.0, box, 1.0 + i / 50, {"2:0": (0.0, 1.0), "3:0": (1.0, 2.0)})
-    # 2 and 3 both split in Q(sqrt 73): one search per root of x^2 - x - 18
+    assert searched == []  # predict reads the norms only
+    # 2 and 3 both split in Q(sqrt 73): one search per root of x^2 - x - 18,
+    # on the first read of each generator only, a miss (None) included
+    reads = [[P.generator for P in factor_rational_prime(field, p)] for _ in "ab" for p in (2, 3)]
+    assert reads[:2] == reads[2:] and sum(g is None for g in reads[0] + reads[1]) == 3
     assert len(searched) == len(set(searched)) == 4
+
+
+def test_label_resolution_builds_no_generator(monkeypatch):
+    built = []
+    search, init = fields_module._small_generator, fields_module.FieldElement.__init__
+
+    def counting_search(ideal):
+        built.append("search")
+        return search(ideal)
+
+    def counting_init(self, *args, **kwargs):
+        built.append("element")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields_module, "_small_generator", counting_search)
+    monkeypatch.setattr(fields_module.FieldElement, "__init__", counting_init)
+    field = make_field(5)  # a fresh field: nothing factored yet
+    labels = ["%d:%d" % (p, i) for p in range(2, 300) if fields_module._is_prime(p)
+              for i in range(len(factor_rational_prime(field, p)))]
+    assert [prime_by_label(field, label).label for label in labels] == labels
+    tau_source(2600).dataset.validate()
+    assert built == []
+    assert prime_by_label(field, "11:1").generator is not None  # the counters count
+    assert built == ["search", "element"]
+
+
+def _eager_generator(field, P):
+    """The generator computed eagerly: p when P = pO, else the box search on
+    P's HNF."""
+    if Ideal(field, P.hnf) == Ideal.principal(field.element(P.p)):
+        return field.element(P.p)
+    return fields_module._small_generator(Ideal(field, P.hnf))
+
+
+@pytest.mark.parametrize("m", [None, 2, 5, 10, 94, 226])
+def test_generator_found_on_read_matches_the_eager_one(m):
+    field = make_field(m)
+    for p in range(2, 300):
+        if fields_module._is_prime(p):
+            for P in factor_rational_prime(field, p):
+                want = _eager_generator(field, P)
+                got = P.generator
+                assert (got is None) == (want is None), P.label
+                assert want is None or got.coords() == want.coords(), P.label
+                assert P.generator is got  # kept on the prime
 
 
 def test_unit_multiple_of_an_ideal_is_the_ideal(enumerated_ideals):
